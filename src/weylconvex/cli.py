@@ -5,8 +5,9 @@ stdout.  Exit codes: 0 success / property true, 1 property false, 2 usage
 or budget error, 3 internal inconsistency (a verified theorem failed,
 which always means a bug).
 
-Reports are cached under a content key of (schema version, command,
-canonical parameters); a cache hit returns the stored bytes unchanged.
+Reports are cached under a content key of (schema version, engine
+version, command, canonical parameters); a cache hit returns the stored
+bytes unchanged.
 """
 
 from __future__ import annotations
@@ -64,7 +65,12 @@ def _cache_dir(args) -> Optional[str]:
 
 def _cache_key(command: str, params: Dict) -> str:
     canonical = json.dumps(
-        {"schema": SCHEMA_VERSION, "command": command, "params": params},
+        {
+            "schema": SCHEMA_VERSION,
+            "engine": __version__,
+            "command": command,
+            "params": params,
+        },
         sort_keys=True,
     )
     return hashlib.sha256(canonical.encode()).hexdigest()
@@ -215,6 +221,9 @@ def cmd_cross_section(args) -> int:
     started = time.time()
     if args.type.upper() != "A":
         raise InputError("the matrix realization covers type A only")
+    for flag, value in (("--trials", args.trials), ("--rank-checks", args.rank_checks)):
+        if value < 0:
+            raise InputError(f"{flag} must be non-negative, got {value}")
     params = {
         "type": "A",
         "n": args.n,

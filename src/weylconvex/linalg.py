@@ -28,17 +28,6 @@ def mat_mul(A, B):
     return out
 
 
-def mat_vec(A, v):
-    return [sum_prod(A[i], v) for i in range(len(A))]
-
-
-def sum_prod(row, v):
-    acc = row[0] * v[0]
-    for t in range(1, len(v)):
-        acc = acc + row[t] * v[t]
-    return acc
-
-
 def mat_identity(n: int, one, zero):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 

@@ -3,7 +3,10 @@
 Root alpha = e_a - e_b corresponds to the matrix position (a, b); the root
 subgroup element u_ab(t) is I + t*E_ab and lifts of Weyl elements are plain
 0/1 permutation matrices.  Everything runs over a prime field or over the
-rationals; matrices are tuples of tuples of field scalars.
+rationals; matrices are tuples of tuples of field scalars.  xi and sigma
+form no dense product: a root-subgroup factor is one row or column
+operation, a lift permutes rows, and a unipotent with known coordinates is
+inverted by reversing its word and negating the coordinates.
 
 The conjugation map xi and its section sigma follow the level filtration:
 sigma first splits g = y * (lift u ell) by one linear solve per row of the
@@ -16,7 +19,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from .convexity import INFINITY, analyze, is_quasi_convex
 from .errors import InconsistencyError, InputError, NotInCellError
@@ -78,6 +83,9 @@ class Fp:
 
     def __neg__(self):
         return Fp(-self.v, self.p)
+
+    def __bool__(self):
+        return self.v != 0
 
     def __eq__(self, other):
         o = self._val(other)
@@ -142,7 +150,11 @@ def make_field(spec):
     """'rational'/None -> Q, a prime integer -> F_p."""
     if spec in (None, "rational", "Q", "q"):
         return RationalField()
-    return PrimeField(int(spec))
+    try:
+        p = int(spec)
+    except (TypeError, ValueError):
+        raise InputError(f"field {spec!r} is neither 'rational' nor a prime") from None
+    return PrimeField(p)
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +162,7 @@ def make_field(spec):
 
 
 def identity_matrix(field, n: int) -> Matrix:
-    return tuple(
-        tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n)
-    )
+    return _freeze(_identity_rows(field, n))
 
 
 def mmul(A: Matrix, B: Matrix) -> Matrix:
@@ -185,6 +195,100 @@ def mat_key(A: Matrix) -> Tuple:
     return tuple(tuple(repr(v) for v in row) for row in A)
 
 
+# ---------------------------------------------------------------------------
+# Structured products on mutable row lists.  A word is a sequence of
+# (position, coordinate) pairs standing for the product u_pos(t) in order;
+# multiplying by I + t*E_ab is one row or column operation, and products
+# with lifts and diagonal matrices permute or scale rows and columns.
+
+
+Word = Sequence[Tuple[Position, object]]
+
+
+def _rows(A: Matrix) -> List[List]:
+    return [list(r) for r in A]
+
+
+def _freeze(m: List[List]) -> Matrix:
+    return tuple(tuple(r) for r in m)
+
+
+def _mul_word(m: List[List], word: Iterable[Tuple[Position, object]]) -> List[List]:
+    """m <- m * word: u_ab(t) on the right adds t * column a to column b."""
+    for (a, b), t in word:
+        for row in m:
+            v = row[a]
+            if v:
+                row[b] = row[b] + t * v
+    return m
+
+
+def _word_mul(word: Word, m: List[List]) -> List[List]:
+    """m <- word * m: u_ab(t) on the left adds t * row b to row a."""
+    for (a, b), t in reversed(word):
+        ra, rb = m[a], m[b]
+        for j, v in enumerate(rb):
+            if v:
+                ra[j] = ra[j] + t * v
+    return m
+
+
+def _inverse_word(word: Word) -> List[Tuple[Position, object]]:
+    """(u_1(t_1) ... u_k(t_k))^-1 = u_k(-t_k) ... u_1(-t_1)."""
+    return [(pos, -t) for pos, t in reversed(word)]
+
+
+def _conjugate(m: List[List], word: Word) -> List[List]:
+    """m <- word^-1 * m * word."""
+    return _mul_word(_word_mul(_inverse_word(word), m), word)
+
+
+def _identity_rows(field, n: int) -> List[List]:
+    m = [[field.zero] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = field.one
+    return m
+
+
+def _word_matrix(field, n: int, word: Word) -> Matrix:
+    return _freeze(_mul_word(_identity_rows(field, n), word))
+
+
+def _scale_cols(m: List[List], d: Sequence) -> List[List]:
+    """m <- m * diag(d)."""
+    for row in m:
+        for j, v in enumerate(d):
+            row[j] = row[j] * v
+    return m
+
+
+def _conjugate_diag(m: List[List], d: Sequence) -> List[List]:
+    """m <- diag(d)^-1 * m * diag(d)."""
+    for row, v in zip(m, d):
+        for j, w in enumerate(d):
+            row[j] = row[j] * w / v
+    return m
+
+
+def _lift_rows(data: CrossSectionData, m: List[List]) -> List[List]:
+    """lift * m: row i of m becomes row pi(i)."""
+    out: List[List] = [[]] * len(m)
+    for i, p in enumerate(data.pi):
+        out[p] = m[i]
+    return out
+
+
+def _unlift_rows(data: CrossSectionData, m: List[List]) -> List[List]:
+    """lift^-1 * m: row pi(i) of m becomes row i."""
+    return [m[p] for p in data.pi]
+
+
+def _lift_word(data: CrossSectionData, word: Word) -> List[Tuple[Position, object]]:
+    """lift * word * lift^-1, since lift * u_ab(t) * lift^-1 = u_pi(a)pi(b)(t)."""
+    pi = data.pi
+    return [((pi[a], pi[b]), t) for (a, b), t in word]
+
+
 @dataclass(frozen=True, eq=False)
 class MatrixGroupContext:
     """GL_n over a chosen scalar field, wired to the A_(n-1) root system."""
@@ -197,9 +301,9 @@ class MatrixGroupContext:
 
     def u(self, pos: Position, t) -> Matrix:
         a, b = pos
-        rows = [list(r) for r in identity_matrix(self.field, self.n)]
+        rows = _identity_rows(self.field, self.n)
         rows[a][b] = t
-        return tuple(tuple(r) for r in rows)
+        return _freeze(rows)
 
     def diag(self, entries: Sequence) -> Matrix:
         return tuple(
@@ -267,11 +371,9 @@ def _closed_positions(ctx, positions: Sequence[Position]) -> bool:
 
 
 def unipotent_from_coords(ctx, order: Sequence[Position], coords: Sequence) -> Matrix:
-    out = identity_matrix(ctx.field, ctx.n)
-    for pos, t in zip(order, coords):
-        if t != ctx.field.zero:
-            out = mmul(out, ctx.u(pos, t))
-    return out
+    zero = ctx.field.zero
+    word = [(pos, t) for pos, t in zip(order, coords) if t != zero]
+    return _word_matrix(ctx.field, ctx.n, word)
 
 
 def unipotent_coordinates(
@@ -391,11 +493,12 @@ def build_cross_section(ctx: MatrixGroupContext, x: TwistedElement) -> CrossSect
             cyc.append(t)
             t = pi[t]
         cycles.append(tuple(cyc))
+    lift_mat = lift(ctx, x)
     return CrossSectionData(
         ctx=ctx,
         x=x,
-        lift_mat=lift(ctx, x),
-        lift_inv=minv(ctx.field, lift(ctx, x)),
+        lift_mat=lift_mat,
+        lift_inv=tuple(zip(*lift_mat)),  # a permutation matrix's transpose
         pi=pi,
         J_labels=J,
         blk=tuple(blk),
@@ -430,21 +533,27 @@ def identity_cell_point(data: CrossSectionData) -> CellPoint:
     )
 
 
-def ell_matrix(data: CrossSectionData, p: CellPoint) -> Matrix:
+def _ell_rows(data: CrossSectionData, p: CellPoint) -> List[List]:
+    """ell = (Levi plus part) * diag * (Levi minus part), as rows."""
     ctx = data.ctx
-    a = unipotent_from_coords(ctx, data.phi_pos, p.ell_plus)
-    d = ctx.diag(p.ell_diag)
-    b = unipotent_from_coords(ctx, data.phi_neg, p.ell_minus)
-    return mmul(mmul(a, d), b)
+    m = _mul_word(_identity_rows(ctx.field, ctx.n), zip(data.phi_pos, p.ell_plus))
+    return _mul_word(_scale_cols(m, p.ell_diag), zip(data.phi_neg, p.ell_minus))
+
+
+def _section_rows(data: CrossSectionData, p: CellPoint) -> List[List]:
+    """lift * ell * u, as rows."""
+    m = _mul_word(_ell_rows(data, p), zip(data.level_one, p.u_coords))
+    return _lift_rows(data, m)
+
+
+def ell_matrix(data: CrossSectionData, p: CellPoint) -> Matrix:
+    return _freeze(_ell_rows(data, p))
 
 
 def xi(data: CrossSectionData, p: CellPoint) -> Matrix:
     """The conjugation map: (y, lift*ell*u) -> y (lift ell u) y^-1."""
-    ctx = data.ctx
-    y = unipotent_from_coords(ctx, data.rn, p.y_coords)
-    u = unipotent_from_coords(ctx, data.level_one, p.u_coords)
-    z = mmul(mmul(data.lift_mat, ell_matrix(data, p)), u)
-    return mmul(mmul(y, z), minv(ctx.field, y))
+    y_inv = _inverse_word(list(zip(data.rn, p.y_coords)))
+    return _freeze(_conjugate(_section_rows(data, p), y_inv))
 
 
 def _forbidden_pattern(data: CrossSectionData) -> List[Position]:
@@ -461,22 +570,26 @@ def _forbidden_pattern(data: CrossSectionData) -> List[Position]:
     return out
 
 
-def _solve_initial_unipotent(data: CrossSectionData, g: Matrix) -> Matrix:
-    """The v = y^-1 with lift^-1 v g matching the U_1 L pattern, by row."""
+def _solve_initial_unipotent(
+    data: CrossSectionData, g: Matrix
+) -> List[Tuple[Position, object]]:
+    """The v = y^-1 with lift^-1 v g matching the U_1 L pattern, by row.
+
+    Returned as the word of v: with its rows taken bottom-up, v is the
+    product of the factors u_ak(v_ak), since row a's part of v - 1 times
+    row b's part vanishes for a > b.
+    """
     ctx = data.ctx
     f = ctx.field
     n = ctx.n
     forbidden = _forbidden_pattern(data)
-    pi_inv = [0] * n
-    for i, v in enumerate(data.pi):
-        pi_inv[v] = i
     cols_of_row: Dict[int, List[int]] = {}
     for (a, k) in data.rn:
         cols_of_row.setdefault(a, []).append(k)
     ban_by_row: Dict[int, List[int]] = {}
     for (i, j) in forbidden:
         ban_by_row.setdefault(data.pi[i], []).append(j)
-    rows = [list(identity_matrix(f, n)[i]) for i in range(n)]
+    word: List[Tuple[Position, object]] = []
     for a in range(n):
         bans = ban_by_row.get(a, [])
         unknowns = cols_of_row.get(a, [])
@@ -494,14 +607,13 @@ def _solve_initial_unipotent(data: CrossSectionData, g: Matrix) -> Matrix:
         sol = solve(A, b, f.one, f.zero)
         if sol is None:
             raise NotInCellError(f"row {a} of the unipotent factor is unsolvable")
-        for k, val in zip(unknowns, sol):
-            rows[a][k] = val
-    return tuple(tuple(r) for r in rows)
+        word = [((a, k), val) for k, val in zip(unknowns, sol)] + word
+    return word
 
 
-def _factor_ul(data: CrossSectionData, w: Matrix, upper_support: Sequence[Position]):
+def _factor_ul(data: CrossSectionData, w: List[List], upper_support: Sequence[Position]):
     """w = A * D * B with A unipotent upper (support given), D diagonal,
-    B unipotent lower supported on the Levi blocks."""
+    B unipotent lower supported on the Levi blocks; B comes as a word."""
     ctx = data.ctx
     f = ctx.field
     n = ctx.n
@@ -516,8 +628,7 @@ def _factor_ul(data: CrossSectionData, w: Matrix, upper_support: Sequence[Positi
             if m[i][i] == f.zero:
                 raise NotInCellError(f"zero pivot at row {i} during Levi split")
             t = f.zero - m[i][j] / m[i][i]
-            for r in range(n):
-                m[r][j] = m[r][j] + t * m[r][i]
+            _mul_word(m, [((i, j), t)])
             ops.append(((i, j), t))
     d = [m[i][i] for i in range(n)]
     if any(v == f.zero for v in d):
@@ -532,11 +643,7 @@ def _factor_ul(data: CrossSectionData, w: Matrix, upper_support: Sequence[Positi
                 continue
             if A[i][j] != f.zero and (i, j) not in sset:
                 raise NotInCellError(f"upper support violation at {(i, j)}")
-    binv = identity_matrix(f, n)
-    for pos, t in ops:
-        binv = mmul(binv, ctx.u(pos, t))
-    B = minv(f, binv)
-    return A, tuple(d), B
+    return A, tuple(d), _inverse_word(ops)
 
 
 def sigma(data: CrossSectionData, g: Matrix) -> CellPoint:
@@ -549,19 +656,18 @@ def sigma(data: CrossSectionData, g: Matrix) -> CellPoint:
     f = ctx.field
     if not is_quasi_convex(data.x):
         raise InputError("the section is only defined for quasi-convex elements")
-    v = _solve_initial_unipotent(data, g)
-    y = minv(f, v)
-    z = mmul(v, g)
-    # phi: (y, z) -> (y, z y); afterwards g = y z y^-1 stays invariant.
-    z = mmul(z, y)
+    y_word = _inverse_word(_solve_initial_unipotent(data, g))
+    y = _mul_word(_identity_rows(f, ctx.n), y_word)
+    # z = y^-1 g, then phi: (y, z) -> (y, z y); afterwards g = y z y^-1 stays invariant.
+    z = _conjugate(_rows(g), y_word)
     for lev in range(data.max_level, 1, -1):
         upper = [
             p
             for l in range(1, lev + 1)
             for p in data.levels.get(l, ())
         ]
-        w = mmul(data.lift_inv, z)
-        A, d, B = _factor_ul(data, w, tuple(upper) + data.phi_pos)
+        w = _unlift_rows(data, z)  # lift^-1 * z
+        A, _, _ = _factor_ul(data, w, tuple(upper) + data.phi_pos)
         order = (
             list(data.levels.get(lev, ()))
             + [p for l in range(1, lev) for p in data.levels.get(l, ())]
@@ -569,8 +675,8 @@ def sigma(data: CrossSectionData, g: Matrix) -> CellPoint:
         )
         coords = unipotent_coordinates(ctx, A, order)
         cut = len(data.levels.get(lev, ()))
-        u_mat = unipotent_from_coords(ctx, order[:cut], coords[:cut])
-        udd = mmul(mmul(data.lift_mat, u_mat), data.lift_inv)
+        udd_word = _lift_word(data, list(zip(order[:cut], coords[:cut])))
+        udd = _word_matrix(f, ctx.n, udd_word)
         prev = set(data.levels.get(lev - 1, ()))
         for i in range(ctx.n):
             for j in range(ctx.n):
@@ -578,24 +684,22 @@ def sigma(data: CrossSectionData, g: Matrix) -> CellPoint:
                     raise InconsistencyError(
                         "level descent produced support outside the previous level"
                     )
-        y = mmul(y, udd)
-        udd_inv = minv(f, udd)
-        z = mmul(mmul(udd_inv, z), udd)
-    w = mmul(data.lift_inv, z)
-    A, d, B = _factor_ul(data, w, data.level_one + data.phi_pos)
+        y = _mul_word(y, udd_word)
+        z = _conjugate(z, udd_word)
+    w = _unlift_rows(data, z)  # lift^-1 * z
+    A, d, b_word = _factor_ul(data, w, data.level_one + data.phi_pos)
     order = list(data.level_one) + list(data.phi_pos)
     coords = unipotent_coordinates(ctx, A, order)
     cut = len(data.level_one)
-    u1 = unipotent_from_coords(ctx, order[:cut], coords[:cut])
     aplus_coords = coords[cut:]
-    aplus = unipotent_from_coords(ctx, data.phi_pos, aplus_coords)
-    ell = mmul(mmul(aplus, ctx.diag(d)), B)
-    # Convert from z = lift * u1 * ell to the published order z = lift * ell * u.
-    ell_inv = minv(f, ell)
-    u_final = mmul(mmul(ell_inv, u1), ell)
-    u_coords = unipotent_coordinates(ctx, u_final, data.level_one)
-    y_coords = unipotent_coordinates(ctx, y, data.rn)
-    b_coords = unipotent_coordinates(ctx, B, data.phi_neg)
+    # Convert from z = lift * u1 * ell to the published order z = lift * ell * u:
+    # u = ell^-1 * u1 * ell with ell = aplus * diag(d) * B.
+    u_final = _mul_word(_identity_rows(f, ctx.n), zip(order[:cut], coords[:cut]))
+    _conjugate(u_final, list(zip(data.phi_pos, aplus_coords)))
+    _conjugate(_conjugate_diag(u_final, d), b_word)
+    u_coords = unipotent_coordinates(ctx, _freeze(u_final), data.level_one)
+    y_coords = unipotent_coordinates(ctx, _freeze(y), data.rn)
+    b_coords = unipotent_coordinates(ctx, _word_matrix(f, ctx.n, b_word), data.phi_neg)
     point = CellPoint(
         y_coords=tuple(y_coords),
         u_coords=tuple(u_coords),
@@ -642,10 +746,7 @@ def random_cell_point(data: CrossSectionData, rng: random.Random) -> CellPoint:
 
 def random_section_point(data: CrossSectionData, rng: random.Random) -> Matrix:
     """A random matrix of the cross-section itself (no conjugation)."""
-    p = random_cell_point(data, rng)
-    ctx = data.ctx
-    u = unipotent_from_coords(ctx, data.level_one, p.u_coords)
-    return mmul(mmul(data.lift_mat, ell_matrix(data, p)), u)
+    return _freeze(_section_rows(data, random_cell_point(data, rng)))
 
 
 def enumerate_torus(data: CrossSectionData) -> List[Tuple]:
@@ -717,10 +818,6 @@ def collision_search(
 # Tangent-space transversality.
 
 
-def _flatten(M: Matrix) -> List:
-    return [v for row in M for v in row]
-
-
 def adjoint_span_rank(data: CrossSectionData, g: Matrix) -> int:
     """Rank of (Ad(g^-1) - 1)(gl_n) + levi algebra + level-one nilpotent."""
     ctx = data.ctx
@@ -730,10 +827,8 @@ def adjoint_span_rank(data: CrossSectionData, g: Matrix) -> int:
     cols: List[List] = []
     for a in range(n):
         for b in range(n):
-            E = [[f.zero] * n for _ in range(n)]
-            E[a][b] = f.one
-            T = mmul(mmul(ginv, tuple(tuple(r) for r in E)), g)
-            col = _flatten(T)
+            # g^-1 E_ab g is column a of g^-1 times row b of g.
+            col = [ginv[i][a] * gj for i in range(n) for gj in g[b]]
             col[a * n + b] = col[a * n + b] - f.one
             cols.append(col)
     for (a, b) in data.phi_pos + data.phi_neg:

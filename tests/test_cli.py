@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from weylconvex.cli import main
 
 
@@ -208,3 +210,39 @@ def test_cross_section_rejects_other_types(capsys):
         "--word", "1,2",
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ("--trials", "-3"),
+        ("--rank-checks", "-2", "--field", "rational"),
+        ("--field", "abc"),
+    ],
+    ids=["negative-trials", "negative-rank-checks", "non-numeric-field"],
+)
+def test_cross_section_rejects_bad_arguments(capsys, bad):
+    code = main([
+        "--no-cache", "cross-section", "--n", "3", "--word", "1,2", *bad,
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error" in json.loads(captured.err)
+
+
+def test_cache_misses_after_engine_version_change(tmp_path, capsys, monkeypatch):
+    argv = [
+        "--cache-dir", str(tmp_path),
+        "cross-section", "--n", "3", "--word", "1,2",
+        "--field", "101", "--trials", "3", "--seed", "1",
+    ]
+    assert main(list(argv)) == 0
+    first = json.loads(capsys.readouterr().out)
+    monkeypatch.setattr("weylconvex.cli.__version__", "0.0.0+changed")
+    assert main(list(argv)) == 0
+    second = json.loads(capsys.readouterr().out)
+    # A hit would replay the first report, engine version included.
+    assert first["engine_version"] != "0.0.0+changed"
+    assert second["engine_version"] == "0.0.0+changed"
+    assert len(list(tmp_path.glob("*.json"))) == 2

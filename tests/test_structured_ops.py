@@ -1,0 +1,198 @@
+"""The structured row/column operations of the cross-section against dense
+products: every structured result must equal the same product formed with
+`mmul`, `minv`, `ctx.u`, `ctx.diag` and the lift matrices."""
+
+import random
+
+import pytest
+
+from weylconvex.matrixgroup import (
+    _conjugate,
+    _conjugate_diag,
+    _freeze,
+    _inverse_word,
+    _lift_rows,
+    _lift_word,
+    _mul_word,
+    _rows,
+    _scale_cols,
+    _unlift_rows,
+    _word_matrix,
+    _word_mul,
+    build_cross_section,
+    ell_matrix,
+    identity_matrix,
+    matrix_context,
+    minv,
+    mmul,
+    random_cell_point,
+    random_section_point,
+    unipotent_from_coords,
+    xi,
+)
+from weylconvex.weyl import from_word
+
+CASES = [(n, field) for n in (3, 4, 5, 6) for field in (101, "rational")]
+TRIALS = 15
+
+
+def _ids(case):
+    n, field = case
+    return f"n{n}-{'F101' if field == 101 else 'Q'}"
+
+
+def _scalar(f, rng):
+    """A random scalar; over Q with small numerators and denominators."""
+    return f.random(rng) / f.random_unit(rng)
+
+
+def _matrix(ctx, rng):
+    n = ctx.n
+    return tuple(tuple(_scalar(ctx.field, rng) for _ in range(n)) for _ in range(n))
+
+
+def _closed_order(n, rng):
+    """A random closed set of upper or lower positions, in random order."""
+    pos = {(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.35}
+    grew = True
+    while grew:
+        grew = False
+        for (a, b) in list(pos):
+            for (c, d) in list(pos):
+                if b == c and (a, d) not in pos:
+                    pos.add((a, d))
+                    grew = True
+    order = sorted(pos)
+    if rng.random() < 0.5:
+        order = [(b, a) for (a, b) in order]
+    rng.shuffle(order)
+    return order
+
+
+def _dense_word(ctx, order, coords):
+    out = identity_matrix(ctx.field, ctx.n)
+    for pos, t in zip(order, coords):
+        out = mmul(out, ctx.u(pos, t))
+    return out
+
+
+def _random_word(ctx, rng):
+    order = _closed_order(ctx.n, rng)
+    return order, [ctx.field.random(rng) for _ in order]
+
+
+def _random_section(ctx, rng):
+    word = [rng.randrange(ctx.n - 1) for _ in range(rng.randrange(2 * ctx.n))]
+    return build_cross_section(ctx, from_word(ctx.rs, None, word))
+
+
+@pytest.fixture(params=CASES, ids=_ids)
+def case(request):
+    n, field = request.param
+    return matrix_context(n, field), random.Random(f"{n}-{field}")
+
+
+def test_unipotent_from_coords_matches_dense_product(case):
+    ctx, rng = case
+    for _ in range(TRIALS):
+        order, coords = _random_word(ctx, rng)
+        dense = _dense_word(ctx, order, coords)
+        assert unipotent_from_coords(ctx, order, coords) == dense
+
+
+def test_unipotent_inverse_matches_minv(case):
+    ctx, rng = case
+    for _ in range(TRIALS):
+        order, coords = _random_word(ctx, rng)
+        inv = _word_matrix(ctx.field, ctx.n, _inverse_word(list(zip(order, coords))))
+        assert inv == minv(ctx.field, _dense_word(ctx, order, coords))
+
+
+def test_row_and_column_operations_match_dense_products(case):
+    ctx, rng = case
+    for _ in range(TRIALS):
+        order, coords = _random_word(ctx, rng)
+        word = list(zip(order, coords))
+        U = _dense_word(ctx, order, coords)
+        M = _matrix(ctx, rng)
+        assert _freeze(_mul_word(_rows(M), word)) == mmul(M, U)
+        assert _freeze(_word_mul(word, _rows(M))) == mmul(U, M)
+        assert _freeze(_conjugate(_rows(M), word)) == mmul(
+            mmul(minv(ctx.field, U), M), U
+        )
+
+
+def test_diagonal_products_match_dense_products(case):
+    ctx, rng = case
+    f = ctx.field
+    for _ in range(TRIALS):
+        d = [f.random_unit(rng) for _ in range(ctx.n)]
+        D = ctx.diag(d)
+        M = _matrix(ctx, rng)
+        assert _freeze(_scale_cols(_rows(M), d)) == mmul(M, D)
+        assert _freeze(_conjugate_diag(_rows(M), d)) == mmul(
+            mmul(minv(f, D), M), D
+        )
+
+
+def test_lift_products_match_dense_products(case):
+    ctx, rng = case
+    for _ in range(TRIALS):
+        data = _random_section(ctx, rng)
+        assert data.lift_inv == minv(ctx.field, data.lift_mat)
+        M = _matrix(ctx, rng)
+        assert _freeze(_lift_rows(data, _rows(M))) == mmul(data.lift_mat, M)
+        assert _freeze(_unlift_rows(data, _rows(M))) == mmul(data.lift_inv, M)
+        order, coords = _random_word(ctx, rng)
+        word = list(zip(order, coords))
+        lifted = _word_matrix(ctx.field, ctx.n, _lift_word(data, word))
+        assert lifted == mmul(
+            mmul(data.lift_mat, _dense_word(ctx, order, coords)), data.lift_inv
+        )
+
+
+def test_bottom_up_row_word_reads_off_its_entries(case):
+    # The section solves for the unipotent v entry by entry and uses those
+    # entries as the coordinates of a word whose rows run bottom-up.
+    ctx, rng = case
+    n = ctx.n
+    for _ in range(TRIALS):
+        order = [(a, b) for a in reversed(range(n)) for b in range(a + 1, n)
+                 if rng.random() < 0.6]
+        coords = [ctx.field.random(rng) for _ in order]
+        U = unipotent_from_coords(ctx, order, coords)
+        assert U == _dense_word(ctx, order, coords)
+        for (a, b), t in zip(order, coords):
+            assert U[a][b] == t
+
+
+def _dense_xi(data, p):
+    ctx = data.ctx
+    y = _dense_word(ctx, data.rn, p.y_coords)
+    ell = mmul(
+        mmul(_dense_word(ctx, data.phi_pos, p.ell_plus), ctx.diag(p.ell_diag)),
+        _dense_word(ctx, data.phi_neg, p.ell_minus),
+    )
+    u = _dense_word(ctx, data.level_one, p.u_coords)
+    z = mmul(mmul(data.lift_mat, ell), u)
+    return ell, z, mmul(mmul(y, z), minv(ctx.field, y))
+
+
+def test_xi_matches_dense_formula(case):
+    ctx, rng = case
+    for _ in range(TRIALS):
+        data = _random_section(ctx, rng)
+        seed = rng.randrange(10**6)
+        p = random_cell_point(data, random.Random(seed))
+        ell, z, g = _dense_xi(data, p)
+        assert ell_matrix(data, p) == ell
+        assert xi(data, p) == g
+        assert random_section_point(data, random.Random(seed)) == z
+
+
+def test_results_keep_the_field_scalar_type(case):
+    # Equality cannot tell Fraction(0) from 0, but mat_key's repr can.
+    ctx, rng = case
+    data = _random_section(ctx, rng)
+    g = xi(data, random_cell_point(data, rng))
+    assert all(type(v) is type(ctx.field.one) for row in g for v in row)
