@@ -43,7 +43,12 @@ def _resolve_delta(rs, spec: Optional[str]):
     autos = diagram_automorphisms(rs)
     if spec in (None, "", "id"):
         return autos[0]
-    want = tuple(int(tok) - 1 for tok in spec.split(","))
+    try:
+        want = tuple(int(tok) - 1 for tok in spec.split(","))
+    except ValueError:
+        raise InputError(
+            f"--delta must be 'id' or comma-separated simple labels, got {spec!r}"
+        ) from None
     for auto in autos:
         if auto.simple_perm == want:
             return auto

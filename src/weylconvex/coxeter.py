@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import perm
 from .convexity import analyze, condition2_full_pairs, n_of, phi_of
 from .errors import InconsistencyError, InputError
 from .roots import DiagramAutomorphism, RootSystem, identity_automorphism
@@ -74,16 +75,12 @@ def _suffix_betas(rs: RootSystem, word: Sequence[int]) -> List[int]:
     """beta_i = s_N s_{N-1} ... s_{i+1} (alpha_i) for a word s_1 ... s_N."""
     n = len(word)
     betas = [0] * n
-    suffix = tuple(range(rs.count))  # permutation of E_i = s_N ... s_{i+1}
+    suffix = perm.identity(rs.count)  # permutation of E_i = s_N ... s_{i+1}
     for t in range(n - 1, -1, -1):
         lab = word[t]
         betas[t] = suffix[rs.simple_indices[lab]]
-        suffix = _compose(suffix, rs.simple_reflection_perm(lab))
+        suffix = perm.compose(suffix, rs.simple_reflection_perm(lab))
     return betas
-
-
-def _compose(p, q):
-    return tuple(p[i] for i in q)
 
 
 def twisted_betas(x: TwistedElement) -> List[int]:
@@ -93,10 +90,8 @@ def twisted_betas(x: TwistedElement) -> List[int]:
     the twist: gamma has x(gamma) negative iff delta(gamma) is an inversion
     of c.
     """
-    from .weyl import _perm_power
-
     betas = _suffix_betas(x.rs, list(x.word()))
-    dinv = _perm_power(x.twist.root_perm, -x.twist_power)
+    dinv = perm.power(x.twist.root_perm, -x.twist_power)
     return [dinv[b] for b in betas]
 
 
@@ -134,7 +129,10 @@ def reflection_ordering(rs: RootSystem, w0_word: Sequence[int]) -> ReflectionOrd
 
 def coxeter_order(rs: RootSystem, delta: Optional[DiagramAutomorphism] = None) -> int:
     """h: the common order of c*delta over all delta-Coxeter elements."""
-    elems = coxeter_elements(rs, delta)
+    return _common_order(coxeter_elements(rs, delta))
+
+
+def _common_order(elems: Sequence[TwistedElement]) -> int:
     orders = {e.order() for e in elems}
     if len(orders) != 1:
         raise InconsistencyError(f"Coxeter element orders differ: {orders}")
@@ -261,10 +259,11 @@ def verify_conjecture(
     """
     if delta is None:
         delta = identity_automorphism(rs)
-    h = coxeter_order(rs, delta)
+    elems = coxeter_elements(rs, delta)
+    h = _common_order(elems)
     entries = []
     counterexamples = []
-    for x in coxeter_elements(rs, delta):
+    for x in elems:
         rep = analyze(x)
         cond = check_w0_condition(x)
         entry = CoxeterEntry(

@@ -1,0 +1,88 @@
+"""Root permutations: the one format every Weyl element is stored in.
+
+A permutation p of range(n) lists images: p[i] is the index root i goes
+to.  Products act rightmost first, (p*q)(i) = p(q(i)).
+
+Root systems with at most 256 roots (every exceptional type and the small
+classical ones) store p as ``bytes``, so a product is a single
+``bytes.translate`` call and an element costs n bytes.  Larger systems
+(A_n for n >= 16, B_n, C_n and D_n for n >= 12) store tuples of ints.
+The format follows from the size alone; every function here accepts
+either, and bytes permutations sort in the same order as their tuples.
+"""
+
+from __future__ import annotations
+
+from math import gcd
+from typing import Sequence, Tuple, Union
+
+Perm = Union[bytes, Tuple[int, ...]]
+
+PAD = bytes(range(256))
+
+
+def of(images: Sequence[int]) -> Perm:
+    """The permutation with the given images, in the format for its size."""
+    return bytes(images) if len(images) <= len(PAD) else tuple(images)
+
+
+def identity(n: int) -> Perm:
+    return PAD[:n] if n <= len(PAD) else tuple(range(n))
+
+
+def compose(p: Perm, q: Perm) -> Perm:
+    """p*q: i -> p(q(i))."""
+    if isinstance(q, bytes):
+        return q.translate(p + PAD[len(p):])
+    return tuple([p[x] for x in q])
+
+
+def inverse(p: Perm) -> Perm:
+    if isinstance(p, bytes):
+        n = len(p)
+        return bytes.maketrans(p, PAD[:n])[:n]
+    out = [0] * len(p)
+    for i, x in enumerate(p):
+        out[x] = i
+    return tuple(out)
+
+
+def power(p: Perm, k: int) -> Perm:
+    """p^k for any integer k; p^0 is the identity."""
+    if k < 0:
+        p, k = inverse(p), -k
+    out = identity(len(p))
+    while k:
+        if k & 1:
+            out = compose(p, out)
+        p = compose(p, p)
+        k >>= 1
+    return out
+
+
+def order(p: Sequence[int]) -> int:
+    """The lcm of the cycle lengths of any permutation sequence."""
+    seen = [False] * len(p)
+    out = 1
+    for i in range(len(p)):
+        if seen[i]:
+            continue
+        ln, j = 0, i
+        while not seen[j]:
+            seen[j] = True
+            j = p[j]
+            ln += 1
+        out = out * ln // gcd(out, ln)
+    return out
+
+
+def length(p: Perm, pc: int) -> int:
+    """How many of the first pc indices p sends to pc or beyond.
+
+    With positives indexed below pc this is the inversion count, the
+    Coxeter length of a Weyl element.
+    """
+    head = p[:pc]
+    if isinstance(head, bytes):
+        return pc - len(head.translate(None, PAD[pc:]))
+    return sum(1 for x in head if x >= pc)

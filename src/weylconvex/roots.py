@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from . import perm
 from .errors import InconsistencyError, InputError
 
 Vector = Tuple[Fraction, ...]
@@ -184,9 +185,6 @@ class RootSystem:
     def support(self, i: int) -> FrozenSet[int]:
         return frozenset(j for j, c in enumerate(self.coeffs[i]) if c != 0)
 
-    def pairing(self, u: Vector, v: Vector) -> Fraction:
-        return dot(u, v)
-
     def pair_with_root(self, v: Sequence, i: int):
         """Pairing of a vector in simple-root coordinates with roots[i]."""
         gram = self.gram()
@@ -214,16 +212,11 @@ class RootSystem:
         ai = self.roots[self.simple_indices[i]]
         aj = self.roots[self.simple_indices[j]]
         val = 2 * dot(ai, aj) / dot(aj, aj)
-        assert val.denominator == 1
+        if val.denominator != 1:
+            raise InconsistencyError(f"non-integral Cartan entry at ({i}, {j})")
         return int(val)
 
-    def coroot_pairing(self, i: int, j: int) -> int:
-        """<roots[i], roots[j]^vee>, always an integer."""
-        val = 2 * dot(self.roots[i], self.roots[j]) / dot(self.roots[j], self.roots[j])
-        assert val.denominator == 1
-        return int(val)
-
-    def simple_reflection_perm(self, label: int) -> Tuple[int, ...]:
+    def simple_reflection_perm(self, label: int) -> perm.Perm:
         """Permutation of root indices induced by the simple reflection s_label."""
         cache = getattr(self, "_refl_cache", None)
         if cache is None:
@@ -237,7 +230,7 @@ class RootSystem:
             for v in self.roots:
                 c = 2 * dot(v, alpha) / norm
                 images.append(self.index_of[_vadd(v, _vscale(alpha, -c))])
-            cache[label] = tuple(images)
+            cache[label] = perm.of(images)
         return cache[label]
 
     def parabolic_closure(self, labels) -> FrozenSet[int]:
@@ -280,7 +273,10 @@ def build_root_system(cartan_type: CartanType) -> RootSystem:
         cv = coeff_of[v]
         for j, a in enumerate(simples):
             c = 2 * dot(v, a) / norms[j]
-            assert c.denominator == 1, "non-crystallographic reflection"
+            if c.denominator != 1:
+                raise InconsistencyError(
+                    f"{cartan_type}: non-crystallographic reflection"
+                )
             w = _vadd(v, _vscale(a, -c))
             if w not in coeff_of:
                 cw = tuple(
@@ -299,7 +295,10 @@ def build_root_system(cartan_type: CartanType) -> RootSystem:
     for v, c in coeff_of.items():
         pos = all(t >= 0 for t in c)
         neg = all(t <= 0 for t in c)
-        assert pos or neg, "root with mixed-sign coefficients"
+        if not (pos or neg):
+            raise InconsistencyError(
+                f"{cartan_type}: root with mixed-sign coefficients {c}"
+            )
         if pos:
             positives.append((sum(c), v, c))
     positives.sort(key=lambda rec: (rec[0], rec[1]))
@@ -363,7 +362,7 @@ class DiagramAutomorphism:
 
     simple_perm: Tuple[int, ...]
     order: int
-    root_perm: Tuple[int, ...]
+    root_perm: perm.Perm
 
     @property
     def is_identity(self) -> bool:
@@ -373,28 +372,6 @@ class DiagramAutomorphism:
         if self.is_identity:
             return "id"
         return ",".join(str(p + 1) for p in self.simple_perm)
-
-
-def _perm_order(perm: Sequence[int]) -> int:
-    seen = [False] * len(perm)
-    out = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        out = _lcm(out, length)
-    return out
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)
 
 
 def diagram_automorphisms(rs: RootSystem) -> List[DiagramAutomorphism]:
@@ -433,18 +410,18 @@ def diagram_automorphisms(rs: RootSystem) -> List[DiagramAutomorphism]:
 
     coeff_index = {rs.coeffs[i]: i for i in range(rs.count)}
     autos = []
-    for perm in found:
+    for simple_perm in found:
         images = []
         for c in rs.coeffs:
             nc = [0] * n
             for i, t in enumerate(c):
-                nc[perm[i]] = t
+                nc[simple_perm[i]] = t
             images.append(coeff_index[tuple(nc)])
         autos.append(
             DiagramAutomorphism(
-                simple_perm=perm,
-                order=_perm_order(perm),
-                root_perm=tuple(images),
+                simple_perm=simple_perm,
+                order=perm.order(simple_perm),
+                root_perm=perm.of(images),
             )
         )
     return autos
@@ -454,5 +431,5 @@ def identity_automorphism(rs: RootSystem) -> DiagramAutomorphism:
     return DiagramAutomorphism(
         simple_perm=tuple(range(rs.rank)),
         order=1,
-        root_perm=tuple(range(rs.count)),
+        root_perm=perm.identity(rs.count),
     )

@@ -1,7 +1,8 @@
 """Weyl group elements, twisted elements and their conjugacy combinatorics.
 
-Elements are stored as permutations of root indices; composing two
-elements costs O(|Phi|), and the length function is the inversion count.
+Elements are stored as permutations of root indices in the format of the
+`perm` module; composing two elements costs O(|Phi|), and the length
+function is the inversion count.
 Reduced words are derived on demand and canonicalized to the
 lexicographically least reduced word, which keeps every report and class
 representative reproducible.
@@ -11,56 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import BudgetExceeded, InputError
+from . import perm
+from .errors import BudgetExceeded, InconsistencyError, InputError
+from .perm import Perm
 from .roots import DiagramAutomorphism, RootSystem, identity_automorphism
 
-Perm = Tuple[int, ...]
-
 DEFAULT_ENUMERATION_BUDGET = 60_000
-
-
-def _compose(p: Perm, q: Perm) -> Perm:
-    """(p*q)(i) = p(q(i))."""
-    return tuple(p[x] for x in q)
-
-
-def _inverse(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x] = i
-    return tuple(out)
-
-
-def _perm_power(p: Perm, k: int) -> Perm:
-    n = len(p)
-    if k < 0:
-        return _perm_power(_inverse(p), -k)
-    out = tuple(range(n))
-    base = p
-    while k:
-        if k & 1:
-            out = _compose(base, out)
-        base = _compose(base, base)
-        k >>= 1
-    return out
-
-
-def _perm_order(p: Perm) -> int:
-    seen = [False] * len(p)
-    out = 1
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        ln, j = 0, i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            ln += 1
-        out = out * ln // gcd(out, ln)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,8 +36,7 @@ class WeylElement:
         return hash(self.root_perm)
 
     def length(self) -> int:
-        pc = self.rs.positive_count
-        return sum(1 for i in range(pc) if self.root_perm[i] >= pc)
+        return perm.length(self.root_perm, self.rs.positive_count)
 
     def word(self) -> Tuple[int, ...]:
         """Lexicographically least reduced word (0-based simple labels)."""
@@ -87,19 +45,17 @@ class WeylElement:
             return cached
         rs = self.rs
         pc = rs.positive_count
-        perm = self.root_perm
         letters: List[int] = []
         # Greedy: the least i with l(s_i w) < l(w), i.e. w^{-1}(alpha_i) < 0.
-        inv = _inverse(perm)
+        # Replacing w by s_i w replaces w^{-1} by w^{-1} s_i.
+        inv = perm.inverse(self.root_perm)
         while True:
             for lab in range(rs.rank):
                 if inv[rs.simple_indices[lab]] >= pc:
                     break
             else:
                 break
-            s = rs.simple_reflection_perm(lab)
-            perm = _compose(s, perm)
-            inv = _inverse(perm)
+            inv = perm.compose(inv, rs.simple_reflection_perm(lab))
             letters.append(lab)
         word = tuple(letters)
         object.__setattr__(self, "_word", word)
@@ -136,8 +92,8 @@ class TwistedElement:
         """Composite root permutation of w * delta^k."""
         cached = getattr(self, "_perm", None)
         if cached is None:
-            cached = _compose(
-                self.weyl.root_perm, _perm_power(self.twist.root_perm, self.twist_power)
+            cached = perm.compose(
+                self.weyl.root_perm, perm.power(self.twist.root_perm, self.twist_power)
             )
             object.__setattr__(self, "_perm", cached)
         return cached
@@ -146,7 +102,7 @@ class TwistedElement:
     def perm_inv(self) -> Perm:
         cached = getattr(self, "_perm_inv", None)
         if cached is None:
-            cached = _inverse(self.perm)
+            cached = perm.inverse(self.perm)
             object.__setattr__(self, "_perm_inv", cached)
         return cached
 
@@ -157,27 +113,27 @@ class TwistedElement:
         return self.weyl.word()
 
     def order(self) -> int:
-        return _perm_order(self.perm)
+        return perm.order(self.perm)
 
     def is_identity(self) -> bool:
-        return self.twist_power == 0 and all(
-            p == i for i, p in enumerate(self.weyl.root_perm)
+        return self.twist_power == 0 and self.weyl.root_perm == perm.identity(
+            self.rs.count
         )
 
     def inverse(self) -> "TwistedElement":
         # (w d^k)^{-1} = d^{-k} w^{-1} = (d^{-k}(w^{-1})) d^{-k}.
         k = self.twist_power
-        dk = _perm_power(self.twist.root_perm, -k)
-        winv = _inverse(self.weyl.root_perm)
-        wpart = _compose(_compose(dk, winv), _inverse(dk))
+        dk = perm.power(self.twist.root_perm, -k)
+        winv = perm.inverse(self.weyl.root_perm)
+        wpart = perm.compose(perm.compose(dk, winv), perm.inverse(dk))
         return TwistedElement(self.rs, WeylElement(self.rs, wpart), self.twist, -k)
 
     def mul(self, other: "TwistedElement") -> "TwistedElement":
         """Group product (w d^a)(v d^b) = w d^a(v) d^(a+b)."""
         a = self.twist_power
-        da = _perm_power(self.twist.root_perm, a)
-        tv = _compose(_compose(da, other.weyl.root_perm), _inverse(da))
-        wpart = _compose(self.weyl.root_perm, tv)
+        da = perm.power(self.twist.root_perm, a)
+        tv = perm.compose(perm.compose(da, other.weyl.root_perm), perm.inverse(da))
+        wpart = perm.compose(self.weyl.root_perm, tv)
         return TwistedElement(
             self.rs, WeylElement(self.rs, wpart), self.twist, a + other.twist_power
         )
@@ -185,12 +141,8 @@ class TwistedElement:
     def conj_by_simple(self, lab: int) -> "TwistedElement":
         """s_lab * x * s_lab."""
         rs = self.rs
-        s = rs.simple_reflection_perm(lab)
-        twisted_lab = lab
-        for _ in range(self.twist_power % self.twist.order):
-            twisted_lab = self.twist.simple_perm[twisted_lab]
-        s2 = rs.simple_reflection_perm(twisted_lab)
-        wpart = _compose(_compose(s, self.weyl.root_perm), s2)
+        s, s2 = _conjugating_pair(rs, self.twist, self.twist_power, lab)
+        wpart = perm.compose(perm.compose(s, self.weyl.root_perm), s2)
         return TwistedElement(rs, WeylElement(rs, wpart), self.twist, self.twist_power)
 
     def matrix(self, labels: Optional[Sequence[int]] = None) -> List[List[int]]:
@@ -215,30 +167,21 @@ class TwistedElement:
             cols.append(col)
         return [[cols[j][i] for j in range(len(labels))] for i in range(len(labels))]
 
-    def apply_to_vector(self, v: Sequence, power: int = 1) -> List:
-        """Apply x^power to a vector in simple-root coordinates (exact)."""
-        if power < 0:
-            return self.inverse().apply_to_vector(v, -power)
-        M = self.matrix()
-        n = len(M)
-        out = list(v)
-        for _ in range(power):
-            nxt = []
-            for i in range(n):
-                acc = M[i][0] * out[0]
-                for j in range(1, n):
-                    acc = acc + M[i][j] * out[j]
-                nxt.append(acc)
-            out = nxt
-        return out
+
+def _conjugating_pair(
+    rs: RootSystem, twist: DiagramAutomorphism, twist_power: int, lab: int
+) -> Tuple[Perm, Perm]:
+    """(s, s') with s * (w delta^k) * s = (s w s') delta^k for s = s_lab."""
+    twisted_lab = lab
+    for _ in range(twist_power % twist.order):
+        twisted_lab = twist.simple_perm[twisted_lab]
+    return rs.simple_reflection_perm(lab), rs.simple_reflection_perm(twisted_lab)
 
 
 def identity_element(rs: RootSystem, delta: Optional[DiagramAutomorphism] = None) -> TwistedElement:
     if delta is None:
         delta = identity_automorphism(rs)
-    return TwistedElement(
-        rs, WeylElement(rs, tuple(range(rs.count))), delta, 0
-    )
+    return TwistedElement(rs, WeylElement(rs, perm.identity(rs.count)), delta, 0)
 
 
 def from_word(
@@ -250,12 +193,12 @@ def from_word(
     """Element with W-part s_{i1}...s_{iL} (0-based labels) times delta^k."""
     if delta is None:
         delta = identity_automorphism(rs)
-    perm = tuple(range(rs.count))
+    w = perm.identity(rs.count)
     for lab in word:
         if not (0 <= lab < rs.rank):
             raise InputError(f"simple-reflection index out of range: {lab}")
-        perm = _compose(perm, rs.simple_reflection_perm(lab))
-    return TwistedElement(rs, WeylElement(rs, perm), delta, twist_power)
+        w = perm.compose(w, rs.simple_reflection_perm(lab))
+    return TwistedElement(rs, WeylElement(rs, w), delta, twist_power)
 
 
 def from_one_line(rs: RootSystem, one_line: Sequence[int]) -> TwistedElement:
@@ -291,17 +234,20 @@ def act(x: TwistedElement, i: int, power: int = 1) -> int:
 def longest_element(rs: RootSystem) -> WeylElement:
     """The unique element of maximal length; w0 maps all positives negative."""
     pc = rs.positive_count
-    perm = tuple(range(rs.count))
+    p = perm.identity(rs.count)
     # Greedy ascent: w -> w*s_lab whenever w(alpha_lab) is still positive.
     while True:
         for lab in range(rs.rank):
-            if perm[rs.simple_indices[lab]] < pc:
-                perm = _compose(perm, rs.simple_reflection_perm(lab))
+            if p[rs.simple_indices[lab]] < pc:
+                p = perm.compose(p, rs.simple_reflection_perm(lab))
                 break
         else:
             break
-    w = WeylElement(rs, perm)
-    assert w.length() == pc
+    w = WeylElement(rs, p)
+    if w.length() != pc:
+        raise InconsistencyError(
+            f"{rs.cartan_type}: greedy ascent stopped at length {w.length()}, not {pc}"
+        )
     return w
 
 
@@ -330,19 +276,22 @@ def enumerate_weyl_group(rs: RootSystem, budget: Optional[int] = DEFAULT_ENUMERA
             budget,
         )
     gens = [rs.simple_reflection_perm(lab) for lab in range(rs.rank)]
-    start = tuple(range(rs.count))
+    start = perm.identity(rs.count)
     seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
         for p in frontier:
             for g in gens:
-                q = _compose(p, g)
+                q = perm.compose(p, g)
                 if q not in seen:
                     seen.add(q)
                     nxt.append(q)
         frontier = nxt
-    assert len(seen) == order
+    if len(seen) != order:
+        raise InconsistencyError(
+            f"enumerated {len(seen)} elements of W({rs.cartan_type}), expected {order}"
+        )
     return sorted(seen)
 
 
@@ -380,31 +329,33 @@ def conjugacy_classes(
         delta = identity_automorphism(rs)
     twist_power %= delta.order
     perms = enumerate_weyl_group(rs, budget)
+    pc = rs.positive_count
+    pairs = [
+        _conjugating_pair(rs, delta, twist_power, lab) for lab in range(rs.rank)
+    ]
 
-    def make(perm: Perm) -> TwistedElement:
-        return TwistedElement(rs, WeylElement(rs, perm), delta, twist_power)
-
-    unassigned = dict.fromkeys(perms)
+    unassigned = set(perms)
     classes: List[ConjugacyClass] = []
     for start in perms:
         if start not in unassigned:
             continue
+        # Orbit of the W-part under w -> s w s', as raw permutations.
         orbit = {start}
-        frontier = [make(start)]
-        del unassigned[start]
+        frontier = [start]
         while frontier:
             nxt = []
-            for x in frontier:
-                for lab in range(rs.rank):
-                    y = x.conj_by_simple(lab)
-                    wp = y.weyl.root_perm
-                    if wp not in orbit:
-                        orbit.add(wp)
-                        if wp in unassigned:
-                            del unassigned[wp]
+            for w in frontier:
+                for s, s2 in pairs:
+                    y = perm.compose(perm.compose(s, w), s2)
+                    if y not in orbit:
+                        orbit.add(y)
                         nxt.append(y)
             frontier = nxt
-        elems = sorted((make(p) for p in orbit), key=lambda e: e.key())
+        unassigned -= orbit
+        elems = [
+            TwistedElement(rs, WeylElement(rs, w), delta, twist_power)
+            for w in sorted(orbit, key=lambda w: (perm.length(w, pc), w))
+        ]
         min_len = elems[0].length()
         rep = min(
             (e for e in elems if e.length() == min_len),
@@ -422,7 +373,10 @@ def conjugacy_classes(
         )
     classes.sort(key=lambda c: (c.min_length, c.representative.word()))
     total = sum(len(c) for c in classes)
-    assert total == len(perms)
+    if total != len(perms):
+        raise InconsistencyError(
+            f"classes cover {total} elements of W({rs.cartan_type}), expected {len(perms)}"
+        )
     return classes
 
 
@@ -454,11 +408,6 @@ def _shift_reachable_set(x: TwistedElement) -> Dict[TwistedElement, Optional[Twi
 def cyclic_shift_reachable(x: TwistedElement, y: TwistedElement) -> bool:
     """Whether x -> y through conjugations that never increase length."""
     return y in _shift_reachable_set(x)
-
-
-def cyclic_shift_equivalent(x: TwistedElement, y: TwistedElement) -> bool:
-    """The relation x ~ y: reachable in both directions."""
-    return cyclic_shift_reachable(x, y) and cyclic_shift_reachable(y, x)
 
 
 def cyclic_shift_class(x: TwistedElement) -> List[TwistedElement]:

@@ -42,6 +42,20 @@ def test_convex_check_bad_word(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "delta", ["a,b", "1,x,3", "0,2,1"], ids=["letters", "mixed", "out-of-range"]
+)
+def test_convex_check_bad_delta(capsys, delta):
+    code = main([
+        "--no-cache", "convex-check", "--type", "A3", "--word", "1,2",
+        "--delta", delta, "--twist", "1",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error" in json.loads(captured.err)
+
+
 def test_reps_a2(capsys):
     code, report = run_cli(capsys, "--no-cache", "reps", "--type", "A2")
     assert code == 0

@@ -1,0 +1,157 @@
+"""The permutation core against plain tuple expressions as the reference.
+
+Sizes up to 256 run the bytes path; 272 runs the tuple path used by root
+systems with more than 256 roots.
+"""
+
+import os
+import random
+from math import gcd
+
+import pytest
+
+from weylconvex import perm
+from weylconvex.cli import main
+
+SIZES = [1, 72, 240, 256, 272]
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+# ---------------------------------------------------------------------------
+# Reference: tuple permutations, one plain Python loop per operation.
+
+
+def ref_compose(p, q):
+    return tuple(p[x] for x in q)
+
+
+def ref_inverse(p):
+    out = [0] * len(p)
+    for i, x in enumerate(p):
+        out[x] = i
+    return tuple(out)
+
+
+def ref_power(p, k):
+    if k < 0:
+        return ref_power(ref_inverse(p), -k)
+    out = tuple(range(len(p)))
+    base = p
+    while k:
+        if k & 1:
+            out = ref_compose(base, out)
+        base = ref_compose(base, base)
+        k >>= 1
+    return out
+
+
+def ref_order(p):
+    seen = [False] * len(p)
+    out = 1
+    for i in range(len(p)):
+        if seen[i]:
+            continue
+        ln, j = 0, i
+        while not seen[j]:
+            seen[j] = True
+            j = p[j]
+            ln += 1
+        out = out * ln // gcd(out, ln)
+    return out
+
+
+def ref_length(p, pc):
+    return sum(1 for i in range(pc) if p[i] >= pc)
+
+
+def random_tuple(rng, n):
+    images = list(range(n))
+    rng.shuffle(images)
+    return tuple(images)
+
+
+def expected_type(n):
+    return bytes if n <= 256 else tuple
+
+
+@pytest.fixture(params=SIZES, ids=lambda n: f"n{n}")
+def n(request):
+    return request.param
+
+
+def test_format_follows_size(n):
+    assert type(perm.identity(n)) is expected_type(n)
+    assert type(perm.of(range(n))) is expected_type(n)
+    assert tuple(perm.identity(n)) == tuple(range(n))
+
+
+def test_compose_and_inverse(n):
+    rng = random.Random(n)
+    for _ in range(20):
+        p, q = random_tuple(rng, n), random_tuple(rng, n)
+        pp, qq = perm.of(p), perm.of(q)
+        pq = perm.compose(pp, qq)
+        assert type(pq) is expected_type(n)
+        assert tuple(pq) == ref_compose(p, q)
+        inv = perm.inverse(pp)
+        assert type(inv) is expected_type(n)
+        assert tuple(inv) == ref_inverse(p)
+        assert perm.compose(pp, inv) == perm.identity(n)
+
+
+@pytest.mark.parametrize("k", [-5, -2, -1, 0, 1, 2, 3, 7, 12])
+def test_power(n, k):
+    rng = random.Random(1000 * n + k)
+    for _ in range(5):
+        p = random_tuple(rng, n)
+        pk = perm.power(perm.of(p), k)
+        assert type(pk) is expected_type(n)
+        assert tuple(pk) == ref_power(p, k)
+
+
+def test_order(n):
+    rng = random.Random(n + 1)
+    for _ in range(10):
+        p = random_tuple(rng, n)
+        h = perm.order(perm.of(p))
+        assert h == ref_order(p)
+        assert perm.power(perm.of(p), h) == perm.identity(n)
+
+
+def test_length(n):
+    rng = random.Random(n + 2)
+    for _ in range(10):
+        p = random_tuple(rng, n)
+        for pc in {0, n // 2, rng.randrange(n + 1), n}:
+            assert perm.length(perm.of(p), pc) == ref_length(p, pc)
+
+
+def test_bytes_sort_like_tuples(n):
+    # Class representatives and the Coxeter-element list are ordered by
+    # their permutations, so both formats must sort alike.
+    rng = random.Random(n + 3)
+    tuples = [random_tuple(rng, n) for _ in range(30)]
+    tuples += [tuple(range(n)), tuple(reversed(range(n)))]
+    assert [tuple(p) for p in sorted(map(perm.of, tuples))] == sorted(tuples)
+
+
+# ---------------------------------------------------------------------------
+# Reports of root systems with more than 256 roots, which use tuples.
+
+
+@pytest.mark.parametrize(
+    "cartan, word, golden",
+    [
+        ("A16", "1,2,3", "convex_check_A16_1-2-3.txt"),
+        ("D12", "1,2", "convex_check_D12_1-2.txt"),
+    ],
+)
+def test_large_type_report_matches_golden(capsys, cartan, word, golden):
+    code = main(["--no-cache", "convex-check", "--type", cartan, "--word", word])
+    out = capsys.readouterr().out
+    body = "".join(
+        line + "\n" for line in out.splitlines() if '"wall_time_s"' not in line
+    )
+    with open(os.path.join(GOLDEN, golden)) as fh:
+        assert body == fh.read()
+    assert code == 1

@@ -1,10 +1,14 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylconvex.errors import BudgetExceeded
+import weylconvex
+from weylconvex.errors import BudgetExceeded, InconsistencyError
 from weylconvex.roots import CartanType, build_root_system, diagram_automorphisms
 from weylconvex.weyl import (
     act,
@@ -189,6 +193,34 @@ def test_budget_refusal():
     rs = rs_of("E6")
     with pytest.raises(BudgetExceeded):
         enumerate_weyl_group(rs, budget=1000)
+
+
+def test_wrong_weyl_order_is_inconsistency(monkeypatch):
+    rs = rs_of("A2")
+    monkeypatch.setattr(CartanType, "weyl_order", lambda self: 7)
+    with pytest.raises(InconsistencyError):
+        enumerate_weyl_group(rs)
+
+
+def test_wrong_weyl_order_exits_3_under_optimize():
+    # Under -O every assert is gone; the enumeration check must still fire.
+    script = (
+        "import sys\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit(99)\n"
+        "from weylconvex.roots import CartanType\n"
+        "CartanType.weyl_order = lambda self: 7\n"
+        "from weylconvex.cli import main\n"
+        "sys.exit(main(['--no-cache', 'reps', '--type', 'A2']))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(weylconvex.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert "inconsistency" in proc.stderr
 
 
 def test_cyclic_shift():
