@@ -161,11 +161,7 @@ def _dominate(rs, x, point, labels, exact):
 def _reflect(rs, point, lab):
     """Apply the simple reflection s_lab to a vector in simple coordinates."""
     g = rs.simple_indices[lab]
-    alpha = rs.roots[g]
-    from .roots import dot
-
-    norm = dot(alpha, alpha)
-    coef = rs.pair_with_root(point, g) * 2 / norm
+    coef = rs.pair_with_root(point, g) * 2 / rs.gram()[lab][lab]
     out = list(point)
     out[lab] = out[lab] - coef
     return out

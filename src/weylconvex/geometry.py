@@ -24,6 +24,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import cos, gcd, pi
+from operator import mul
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import InconsistencyError, InputError
@@ -121,14 +122,10 @@ def rational_angle_block(x: TwistedElement, angle: Fraction, labels=None) -> Lis
         object.__setattr__(x, "_block_cache", cache)
     key = (d, labels)
     if key not in cache:
-        M = x.matrix(labels)
-        P = poly_eval_matrix(
-            cyclotomic(d),
-            [[Fraction(v) for v in row] for row in M],
-            Fraction(1),
-            Fraction(0),
+        P = poly_eval_matrix(cyclotomic(d), x.matrix(labels), 1, 0)
+        cache[key] = kernel_basis(
+            [[Fraction(v) for v in row] for row in P], Fraction(1), Fraction(0)
         )
-        cache[key] = kernel_basis(P, Fraction(1), Fraction(0))
     return cache[key]
 
 
@@ -141,6 +138,25 @@ def _pad_to_full(vec: Sequence, labels: Tuple[int, ...], rank: int) -> List:
     return out
 
 
+def _cleared(vec: Sequence) -> List[int]:
+    """The rational vector times the lcm of its denominators: same zero set."""
+    den = 1
+    for v in vec:
+        den = den * v.denominator // gcd(den, v.denominator)
+    return [v.numerator * (den // v.denominator) for v in vec]
+
+
+def _perp_roots(rs, vectors: Sequence[Sequence], root_subset) -> FrozenSet[int]:
+    """{gamma in subset : (v, gamma) = 0 for every rational v}, on integers."""
+    cleared = [_cleared(v) for v in vectors]
+    rows = rs.int_pairing_rows
+    return frozenset(
+        g
+        for g in root_subset
+        if all(not sum(map(mul, v, rows[g])) for v in cleared)
+    )
+
+
 def angle_perp_roots(
     x: TwistedElement, angle: Fraction, root_subset=None, labels=None
 ) -> FrozenSet[int]:
@@ -151,11 +167,7 @@ def angle_perp_roots(
     padded = [_pad_to_full(b, labels, rs.rank) for b in block]
     if root_subset is None:
         root_subset = range(rs.count)
-    return frozenset(
-        g
-        for g in root_subset
-        if all(rs.pair_with_root(b, g) == 0 for b in padded)
-    )
+    return _perp_roots(rs, padded, root_subset)
 
 
 def moved_space_perp_roots(x: TwistedElement, root_subset=None) -> FrozenSet[int]:
@@ -395,9 +407,10 @@ def regular_point(
 ):
     """A point of span(basis) off every root hyperplane not containing it.
 
-    Returns (point, perp_set) with perp_set = {gamma : span <= H_gamma};
-    None when the basis is empty.  The point is found by random
-    small-integer combinations with exact rejection.
+    The basis vectors are rational (Fraction or int entries).  Returns
+    (point, perp_set) with perp_set = {gamma : span <= H_gamma}; None when
+    the basis is empty.  The point is found by random small-integer
+    combinations with exact rejection.
     """
     if not basis:
         return None
@@ -405,9 +418,7 @@ def regular_point(
     if root_subset is None:
         root_subset = range(rs.count)
     root_subset = list(root_subset)
-    perp = frozenset(
-        g for g in root_subset if all(rs.pair_with_root(b, g) == 0 for b in basis)
-    )
+    perp = _perp_roots(rs, basis, root_subset)
     off = [g for g in root_subset if g not in perp and rs.is_positive(g)]
     n = len(basis[0])
     for _ in range(REGULAR_POINT_RETRIES):

@@ -8,13 +8,15 @@ plain Gaussian elimination is used throughout.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
+
+from .errors import InconsistencyError
 
 
 def mat_mul(A, B):
     n, k, m = len(A), len(B), len(B[0])
-    assert len(A[0]) == k
+    if len(A[0]) != k:
+        raise InconsistencyError(f"mat_mul shapes: {n}x{len(A[0])} times {k}x{m}")
     out = []
     for i in range(n):
         row = []
@@ -132,27 +134,22 @@ def charpoly_int(M: Sequence[Sequence[int]]) -> List[int]:
     """Characteristic polynomial det(tI - M) of an integer matrix.
 
     Returned as integer coefficients, constant term first.  Uses the
-    Faddeev-LeVerrier recursion over Fractions, exact at these sizes.
+    Faddeev-LeVerrier recursion on integers: every power-sum matrix stays
+    integral, so each division by k must be exact, and that is checked.
     """
     n = len(M)
-    A = [[Fraction(x) for x in row] for row in M]
-    coeffs = [Fraction(1)]  # leading coefficient of t^n
-    Mk = mat_identity(n, Fraction(1), Fraction(0))
-    cur = [row[:] for row in Mk]
-    cs: List[Fraction] = []
+    cur = mat_identity(n, 1, 0)
+    cs: List[int] = []
     for k in range(1, n + 1):
-        cur = mat_mul(A, cur)
-        tr = sum((cur[i][i] for i in range(n)), Fraction(0))
-        ck = -tr / k
+        cur = mat_mul(M, cur)
+        tr = sum(cur[i][i] for i in range(n))
+        if tr % k:
+            raise InconsistencyError(f"Faddeev-LeVerrier trace {tr} not divisible by {k}")
+        ck = -tr // k
         cs.append(ck)
         for i in range(n):
             cur[i][i] += ck
-    poly = [Fraction(1)] + cs  # t^n + c1 t^(n-1) + ... + cn
-    out = []
-    for c in reversed(poly):
-        assert c.denominator == 1
-        out.append(int(c))
-    return out
+    return [*reversed(cs), 1]  # det(tI - M) = t^n + c1 t^(n-1) + ... + cn
 
 
 def poly_divmod(num: Sequence[int], den: Sequence[int]):
@@ -195,7 +192,8 @@ def cyclotomic(d: int) -> List[int]:
     for e in range(1, d):
         if d % e == 0:
             q, r = poly_divmod(num, cyclotomic(e))
-            assert r == [] and q is not None
+            if q is None or r != []:
+                raise InconsistencyError(f"Phi_{e} does not divide t^{d} - 1")
             num = q
     _CYCLO_CACHE[d] = num
     return num
@@ -204,8 +202,9 @@ def cyclotomic(d: int) -> List[int]:
 def cyclotomic_multiplicities(char: Sequence[int], order: int):
     """Factor a char polynomial into cyclotomics Phi_d for d | order.
 
-    Returns {d: multiplicity}.  Raises ValueError if a non-cyclotomic
-    factor remains, which cannot happen for finite-order integer matrices.
+    Returns {d: multiplicity}.  Raises InconsistencyError if a
+    non-cyclotomic factor remains, which cannot happen for finite-order
+    integer matrices.
     """
     rem = list(char)
     mult = {}
@@ -224,7 +223,9 @@ def cyclotomic_multiplicities(char: Sequence[int], order: int):
     while rem and rem[-1] == 0:
         rem.pop()
     if rem != [1]:
-        raise ValueError("characteristic polynomial is not a product of cyclotomics")
+        raise InconsistencyError(
+            "characteristic polynomial is not a product of cyclotomics"
+        )
     return mult
 
 

@@ -1,10 +1,14 @@
-"""Finite crystallographic root systems with exact rational coordinates.
+"""Finite crystallographic root systems as integer root data.
 
-A root system is generated by reflection closure from the simple roots of
-the requested Cartan type, laid out in the standard orthonormal-basis
-conventions (type A lives in Z^(n+1), F4 and the E series use half-integer
-coordinates).  All coordinates are `fractions.Fraction`; no floating point
-enters this module.
+A root is a tuple of integer simple-root coefficients.  The root set is
+the closure of the simple roots under s_j(c) = c - <c, alpha_j^vee> e_j,
+computed with the integer Cartan matrix; root sums and simple reflections
+are coefficient arithmetic looked up in a coefficient index.  The Cartan
+matrix and the Gram matrix come from the simple roots of the requested
+type, laid out in the standard orthonormal-basis conventions (type A lives
+in Z^(n+1), F4 and the E series use half-integer coordinates).  Each root
+also keeps its ambient `fractions.Fraction` coordinates, for display and
+tests; no floating point enters this module.
 
 Roots are indexed deterministically: positive roots first, sorted by
 (height, lexicographic coordinates), and the negative of roots[i] is
@@ -15,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import add, mul
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import perm
@@ -99,10 +105,6 @@ def _vneg(u: Vector) -> Vector:
     return tuple(-a for a in u)
 
 
-def _vscale(u: Vector, c: Fraction) -> Vector:
-    return tuple(c * a for a in u)
-
-
 def dot(u: Vector, v: Vector) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
@@ -153,16 +155,31 @@ def _simple_roots(ct: CartanType) -> List[Vector]:
 
 @dataclass(frozen=True, eq=False)
 class RootSystem:
-    """The full root datum: exact roots, positivity, sums and the pairing."""
+    """The integer root datum of one Cartan type.
+
+    Every root is a tuple of integer simple-root coefficients (`coeffs`,
+    found again through `coeff_index`); sums, reflections and the Cartan
+    matrix are integer data on those tuples.  `pairing_rows[i]` is
+    Gram * coeffs[i], so pairing a vector in simple-root coordinates with a
+    root is one dot product; `int_pairing_rows` is the same row scaled by
+    one positive integer, for exact zero tests.  The ambient rational
+    vectors `roots` and `index_of` serve display, tests and the root order.
+    """
 
     cartan_type: CartanType
     ambient_dim: int
     roots: Tuple[Vector, ...]
     coeffs: Tuple[Tuple[int, ...], ...]
+    coeff_index: Dict[Tuple[int, ...], int]
     positive_count: int
     simple_indices: Tuple[int, ...]
     sum_table: Dict[Tuple[int, int], int]
     index_of: Dict[Vector, int]
+    cartan: Tuple[Tuple[int, ...], ...]
+    simple_gram: Tuple[Tuple[Fraction, ...], ...]
+    pairing_rows: Tuple[Tuple[Fraction, ...], ...]
+    int_pairing_rows: Tuple[Tuple[int, ...], ...]
+    reflections: Tuple[perm.Perm, ...]
 
     @property
     def rank(self) -> int:
@@ -187,51 +204,23 @@ class RootSystem:
 
     def pair_with_root(self, v: Sequence, i: int):
         """Pairing of a vector in simple-root coordinates with roots[i]."""
-        gram = self.gram()
-        c = self.coeffs[i]
         out = 0
-        for a, va in enumerate(v):
-            if va == 0:
-                continue
-            s = sum(gram[a][b] * c[b] for b in range(self.rank) if c[b] != 0)
-            out = out + va * s
+        for va, r in zip(v, self.pairing_rows[i]):
+            if va != 0:
+                out = out + va * r
         return out
 
     def gram(self) -> Tuple[Tuple[Fraction, ...], ...]:
         """Gram matrix of the simple roots."""
-        if not hasattr(self, "_gram"):
-            simples = [self.roots[i] for i in self.simple_indices]
-            g = tuple(
-                tuple(dot(a, b) for b in simples) for a in simples
-            )
-            object.__setattr__(self, "_gram", g)
-        return self._gram
+        return self.simple_gram
 
     def cartan_entry(self, i: int, j: int) -> int:
         """<alpha_i, alpha_j^vee> for simple labels i, j (0-based)."""
-        ai = self.roots[self.simple_indices[i]]
-        aj = self.roots[self.simple_indices[j]]
-        val = 2 * dot(ai, aj) / dot(aj, aj)
-        if val.denominator != 1:
-            raise InconsistencyError(f"non-integral Cartan entry at ({i}, {j})")
-        return int(val)
+        return self.cartan[i][j]
 
     def simple_reflection_perm(self, label: int) -> perm.Perm:
         """Permutation of root indices induced by the simple reflection s_label."""
-        cache = getattr(self, "_refl_cache", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_refl_cache", cache)
-        if label not in cache:
-            j = self.simple_indices[label]
-            alpha = self.roots[j]
-            norm = dot(alpha, alpha)
-            images = []
-            for v in self.roots:
-                c = 2 * dot(v, alpha) / norm
-                images.append(self.index_of[_vadd(v, _vscale(alpha, -c))])
-            cache[label] = perm.of(images)
-        return cache[label]
+        return self.reflections[label]
 
     def parabolic_closure(self, labels) -> FrozenSet[int]:
         """All root indices lying in the integer span of the given simples."""
@@ -255,81 +244,136 @@ class RootSystem:
         return "+".join(parts).replace("+-", "-") if parts else "0"
 
 
+def _cartan_matrix(cartan_type: CartanType, gram) -> Tuple[Tuple[int, ...], ...]:
+    """<alpha_i, alpha_j^vee> = 2 (alpha_i, alpha_j) / (alpha_j, alpha_j)."""
+    n = len(gram)
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            val, rem = divmod(2 * gram[i][j], gram[j][j])
+            if rem:
+                raise InconsistencyError(
+                    f"{cartan_type}: non-crystallographic reflection"
+                )
+            row.append(val)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _reflect_coeffs(c: Tuple[int, ...], j: int, cartan) -> Tuple[int, ...]:
+    """s_j(c) = c - <c, alpha_j^vee> e_j on simple-root coefficients."""
+    d = sum(ct * cartan[t][j] for t, ct in enumerate(c) if ct)
+    if d == 0:
+        return c
+    out = list(c)
+    out[j] -= d
+    return tuple(out)
+
+
+def _over_common_denominator(rows) -> Tuple[int, List[List[int]]]:
+    """(den, integer rows) with rows == integer rows / den."""
+    den = 1
+    for row in rows:
+        for x in row:
+            den = den * x.denominator // gcd(den, x.denominator)
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+
+
+def _as_fractions(int_rows, den: int) -> Tuple[Tuple[Fraction, ...], ...]:
+    """The rows int_rows / den; equal entries share one Fraction."""
+    frac = {x: Fraction(x, den) for x in {x for row in int_rows for x in row}}
+    return tuple(tuple(map(frac.__getitem__, row)) for row in int_rows)
+
+
 def build_root_system(cartan_type: CartanType) -> RootSystem:
     """Construct the root system of the given type by reflection closure."""
     simples = _simple_roots(cartan_type)
     n = cartan_type.rank
     dim = len(simples[0])
-    norms = [dot(a, a) for a in simples]
+    # Simple roots as integers over a common denominator den; int_gram is
+    # den^2 times the Gram matrix.
+    den, scaled = _over_common_denominator(simples)
+    int_gram = [[sum(map(mul, a, b)) for b in scaled] for a in scaled]
+    cartan = _cartan_matrix(cartan_type, int_gram)
 
-    # Closure under simple reflections, tracking simple-root coefficients.
-    coeff_of: Dict[Vector, Tuple[int, ...]] = {}
-    frontier: List[Vector] = []
-    for i, a in enumerate(simples):
-        coeff_of[a] = tuple(1 if j == i else 0 for j in range(n))
-        frontier.append(a)
-    while frontier:
-        v = frontier.pop()
-        cv = coeff_of[v]
-        for j, a in enumerate(simples):
-            c = 2 * dot(v, a) / norms[j]
-            if c.denominator != 1:
-                raise InconsistencyError(
-                    f"{cartan_type}: non-crystallographic reflection"
-                )
-            w = _vadd(v, _vscale(a, -c))
-            if w not in coeff_of:
-                cw = tuple(
-                    cv[t] - (int(c) if t == j else 0) for t in range(n)
-                )
-                coeff_of[w] = cw
+    # Closure under simple reflections, on simple-root coefficients; a set
+    # that outgrows the known root count stops the loop.
+    expected = _CLASSICAL_COUNTS[cartan_type.family](n)
+    units = [tuple(1 if t == i else 0 for t in range(n)) for i in range(n)]
+    found = set(units)
+    frontier = list(units)
+    while frontier and len(found) <= expected:
+        c = frontier.pop()
+        for j in range(n):
+            w = _reflect_coeffs(c, j, cartan)
+            if w not in found:
+                found.add(w)
                 frontier.append(w)
 
-    expected = _CLASSICAL_COUNTS[cartan_type.family](n)
-    if len(coeff_of) != expected:
+    if len(found) != expected:
         raise InconsistencyError(
-            f"{cartan_type}: generated {len(coeff_of)} roots, expected {expected}"
+            f"{cartan_type}: generated {len(found)} roots, expected {expected}"
         )
 
+    # Ambient coordinates over den; scaling by a positive integer keeps the
+    # (height, coordinates) order.
     positives = []
-    for v, c in coeff_of.items():
+    for c in found:
         pos = all(t >= 0 for t in c)
-        neg = all(t <= 0 for t in c)
-        if not (pos or neg):
+        if not (pos or all(t <= 0 for t in c)):
             raise InconsistencyError(
                 f"{cartan_type}: root with mixed-sign coefficients {c}"
             )
         if pos:
-            positives.append((sum(c), v, c))
-    positives.sort(key=lambda rec: (rec[0], rec[1]))
+            amb = tuple(
+                sum(ct * a[k] for ct, a in zip(c, scaled) if ct) for k in range(dim)
+            )
+            positives.append((sum(c), amb, c))
+    positives.sort()
 
-    roots: List[Vector] = [v for _, v, _ in positives]
-    coeffs: List[Tuple[int, ...]] = [c for _, _, c in positives]
-    for _, v, c in positives:
-        roots.append(_vneg(v))
-        coeffs.append(tuple(-t for t in c))
-
+    coeffs = [c for _, _, c in positives]
+    coeffs += [tuple(-t for t in c) for c in coeffs]
+    ambient = [amb for _, amb, _ in positives]
+    ambient += [tuple(-x for x in amb) for amb in ambient]
+    roots = _as_fractions(ambient, den)
     index_of = {v: i for i, v in enumerate(roots)}
-    simple_indices = tuple(index_of[a] for a in simples)
+    coeff_index = {c: i for i, c in enumerate(coeffs)}
 
     sum_table: Dict[Tuple[int, int], int] = {}
-    for i, u in enumerate(roots):
-        for j in range(i, len(roots)):
-            s = _vadd(u, roots[j])
-            k = index_of.get(s)
+    for i, ci in enumerate(coeffs):
+        for j in range(i, len(coeffs)):
+            k = coeff_index.get(tuple(map(add, ci, coeffs[j])))
             if k is not None:
                 sum_table[(i, j)] = k
                 sum_table[(j, i)] = k
 
+    reflections = tuple(
+        perm.of([coeff_index[_reflect_coeffs(c, j, cartan)] for c in coeffs])
+        for j in range(n)
+    )
+
+    # Pairing rows Gram * c, as integers over den^2.
+    int_pairing_rows = tuple(
+        tuple(sum(g[b] * cb for b, cb in enumerate(c) if cb) for g in int_gram)
+        for c in coeffs
+    )
+
     return RootSystem(
         cartan_type=cartan_type,
         ambient_dim=dim,
-        roots=tuple(roots),
+        roots=roots,
         coeffs=tuple(coeffs),
+        coeff_index=coeff_index,
         positive_count=len(positives),
-        simple_indices=simple_indices,
+        simple_indices=tuple(coeff_index[u] for u in units),
         sum_table=sum_table,
         index_of=index_of,
+        cartan=cartan,
+        simple_gram=_as_fractions(int_gram, den * den),
+        pairing_rows=_as_fractions(int_pairing_rows, den * den),
+        int_pairing_rows=int_pairing_rows,
+        reflections=reflections,
     )
 
 
@@ -408,7 +452,6 @@ def diagram_automorphisms(rs: RootSystem) -> List[DiagramAutomorphism]:
     extend([], set())
     found.sort(key=lambda p: (not all(x == i for i, x in enumerate(p)), p))
 
-    coeff_index = {rs.coeffs[i]: i for i in range(rs.count)}
     autos = []
     for simple_perm in found:
         images = []
@@ -416,7 +459,7 @@ def diagram_automorphisms(rs: RootSystem) -> List[DiagramAutomorphism]:
             nc = [0] * n
             for i, t in enumerate(c):
                 nc[simple_perm[i]] = t
-            images.append(coeff_index[tuple(nc)])
+            images.append(rs.coeff_index[tuple(nc)])
         autos.append(
             DiagramAutomorphism(
                 simple_perm=simple_perm,

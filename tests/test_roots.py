@@ -1,3 +1,7 @@
+import random
+from fractions import Fraction
+from functools import lru_cache
+
 import pytest
 
 from weylconvex.errors import InputError
@@ -172,3 +176,111 @@ def test_e7_constructible():
     rs = rs_of("E7")
     assert rs.count == 126
     assert rs.positive_count == 63
+
+
+# ---------------------------------------------------------------------------
+# The integer datum against the ambient Fraction formulas written out here.
+
+DATUM_TYPES = (
+    "A1 A2 A3 A4 A7 A16 B2 B3 B4 B12 C3 C4 C12 D4 D5 D12 G2 F4 E6 E7 E8".split()
+)
+
+
+@lru_cache(maxsize=None)
+def cached_rs(name):
+    return rs_of(name)
+
+
+def ambient_add(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def ambient_dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def ambient_reflect(v, alpha):
+    c = 2 * ambient_dot(v, alpha) / ambient_dot(alpha, alpha)
+    return tuple(a - c * b for a, b in zip(v, alpha))
+
+
+@pytest.mark.parametrize("name", DATUM_TYPES)
+def test_sum_table_is_ambient_addition(name):
+    rs = cached_rs(name)
+    # Doubled ambient coordinates are integers (denominators are 1 or 2),
+    # and u + v = w exactly when 2u + 2v = 2w.
+    doubled = [tuple(int(2 * x) for x in v) for v in rs.roots]
+    assert all(2 * x == y for v, w in zip(rs.roots, doubled) for x, y in zip(v, w))
+    index = {w: i for i, w in enumerate(doubled)}
+    assert all(rs.index_of[v] == i for i, v in enumerate(rs.roots))
+    for i, u in enumerate(doubled):
+        for j, v in enumerate(doubled):
+            assert rs.sum_table.get((i, j)) == index.get(ambient_add(u, v))
+
+
+@pytest.mark.parametrize("name", DATUM_TYPES)
+def test_simple_reflections_are_ambient_reflections(name):
+    rs = cached_rs(name)
+    for lab in range(rs.rank):
+        alpha = rs.roots[rs.simple_indices[lab]]
+        expected = [rs.index_of[ambient_reflect(v, alpha)] for v in rs.roots]
+        assert list(rs.simple_reflection_perm(lab)) == expected
+
+
+def gram_double_sum(gram, v, c):
+    """sum over a, b of v_a (alpha_a, alpha_b) c_b, skipping zero terms."""
+    return sum(
+        (
+            v[a] * gram[a][b] * cb
+            for a in range(len(v))
+            if v[a]
+            for b, cb in enumerate(c)
+            if cb
+        ),
+        Fraction(0),
+    )
+
+
+@pytest.mark.parametrize("name", DATUM_TYPES)
+def test_pair_with_root_is_gram_double_sum(name):
+    rs = cached_rs(name)
+    simples = [rs.roots[k] for k in rs.simple_indices]
+    gram = [[ambient_dot(a, b) for b in simples] for a in simples]
+    assert rs.gram() == tuple(tuple(row) for row in gram)
+    rng = random.Random(17)
+    vectors = [
+        [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(rs.rank)]
+        for _ in range(3)
+    ]
+    vectors.append([rng.randint(-3, 3) for _ in range(rs.rank)])
+    sparse = [Fraction(0)] * rs.rank
+    sparse[rng.randrange(rs.rank)] = Fraction(rng.randint(1, 9), rng.randint(1, 7))
+    vectors.append(sparse)
+    for v in vectors:
+        for i in range(rs.count):
+            got = rs.pair_with_root(v, i)
+            assert got == gram_double_sum(gram, v, rs.coeffs[i])
+            # Any nonzero rational coordinate makes the pairing a Fraction.
+            if any(v):
+                assert type(got) is Fraction
+    zero = [0] * rs.rank
+    assert all(rs.pair_with_root(zero, i) == 0 for i in range(rs.count))
+
+
+@pytest.mark.parametrize("name", DATUM_TYPES)
+def test_datum_order_and_negatives(name):
+    rs = cached_rs(name)
+    pc = rs.positive_count
+    keys = [(rs.height(i), rs.roots[i]) for i in range(pc)]
+    assert keys == sorted(keys)
+    assert all(min(rs.coeffs[i]) >= 0 for i in range(pc))
+    for i in range(pc):
+        assert rs.roots[pc + i] == tuple(-x for x in rs.roots[i])
+        assert rs.coeffs[pc + i] == tuple(-t for t in rs.coeffs[i])
+    for i, c in enumerate(rs.coeffs):
+        assert rs.coeff_index[c] == i
+        ambient = [Fraction(0)] * rs.ambient_dim
+        for lab, t in enumerate(c):
+            alpha = rs.roots[rs.simple_indices[lab]]
+            ambient = [a + t * b for a, b in zip(ambient, alpha)]
+        assert tuple(ambient) == rs.roots[i]
