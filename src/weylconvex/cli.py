@@ -2,8 +2,8 @@
 
 One command per process; every command emits a single JSON report on
 stdout.  Exit codes: 0 success / property true, 1 property false, 2 usage
-or budget error, 3 internal inconsistency (a verified theorem failed,
-which always means a bug).
+or budget error, 3 internal inconsistency (a verified theorem failed, or
+any other exception escaped; either always means a bug).
 
 Reports are cached under a content key of (schema version, engine
 version, command, canonical parameters); a cache hit returns the stored
@@ -20,6 +20,7 @@ import random
 import sys
 import tempfile
 import time
+import traceback
 from typing import Dict, List, Optional
 
 from . import __version__
@@ -394,6 +395,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     except NotInCellError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
+    except Exception as exc:
+        # Any other exception is a bug too: report it as an inconsistency,
+        # naming where it was raised, instead of a traceback.
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        print(json.dumps({
+            "inconsistency": f"{type(exc).__name__}: {exc}",
+            "raised_at": f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}",
+        }), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Exception hierarchy shared by all modules.
 
 Exit-code mapping used by the CLI: InputError -> 2, BudgetExceeded -> 2,
-InconsistencyError -> 3.  A computed property being false is not an
-exception; commands report it and exit 1.
+InconsistencyError -> 3, and any exception not listed here -> 3.  A
+computed property being false is not an exception; commands report it and
+exit 1.
 """
 
 

@@ -33,7 +33,6 @@ from .linalg import (
     cyclotomic_multiplicities,
     charpoly_int,
     kernel_basis,
-    mat_inv,
     poly_eval_matrix,
 )
 from .quadfield import QuadExt, lift, sign_of, two_cos_exact
@@ -193,8 +192,8 @@ def exact_angle_basis(x: TwistedElement, angle: Fraction, labels=None) -> Option
     if c2 is None:
         return None
     labels = _labels_or_all(x, labels)
-    M = [[Fraction(v) for v in row] for row in x.matrix(labels)]
-    Minv = mat_inv(M, Fraction(1), Fraction(0))
+    M = x.matrix(labels)
+    Minv = x.inverse().matrix(labels)
     n = len(M)
     if isinstance(c2, QuadExt):
         D = c2.D
@@ -227,7 +226,7 @@ def float_angle_basis(x: TwistedElement, angle: Fraction, labels=None) -> List[L
     mults = _cyclo_mults(x, labels)
     dim = mults[d] * (1 if d <= 2 else 2)
     M = x.matrix(labels)
-    Minv = mat_inv([[Fraction(v) for v in row] for row in M], Fraction(1), Fraction(0))
+    Minv = x.inverse().matrix(labels)
     n = len(M)
     C = [[float(M[i][j] + Minv[i][j]) for j in range(n)] for i in range(n)]
     vecs = [[float(v) for v in b] for b in block]

@@ -3,11 +3,13 @@
 Matrices are lists (or tuples) of rows; scalars only need the arithmetic
 operators and equality against 0 to work (Fraction, QuadExt and the mod-p
 wrapper in the matrix-group module all qualify).  Sizes here are tiny, so
-plain Gaussian elimination is used throughout.
+plain Gaussian elimination is used, except that `rank` takes only ints and
+Fractions and eliminates on integers.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InconsistencyError
@@ -85,10 +87,49 @@ def rref(A, zero) -> Tuple[List[List], List[int]]:
     return M, pivots
 
 
-def rank(A, zero) -> int:
-    if not A:
-        return 0
-    return len(rref(A, zero)[1])
+def rank(A) -> int:
+    """Exact rank over Q of a matrix of ints or Fractions.
+
+    Each row is scaled by the lcm of its denominators, which keeps the
+    rank, and the integer rows go through fraction-free (Bareiss)
+    elimination with row pivoting.  After k pivots every entry below them
+    is a (k+1)-minor, so each division by the previous pivot is exact;
+    that is checked.
+    """
+    M = []
+    for row in A:
+        den = lcm(*(v.denominator for v in row))
+        scaled = [v.numerator * (den // v.denominator) for v in row]
+        if any(scaled):
+            M.append(scaled)
+    rows = len(M)
+    cols = len(M[0]) if rows else 0
+    r = 0
+    prev = 1
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if M[i][c]), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        top = M[r]
+        p = top[c]
+        for i in range(r + 1, rows):
+            row = M[i]
+            a = row[c]
+            new = [0] * cols
+            for j in range(c + 1, cols):
+                q, rem = divmod(p * row[j] - a * top[j], prev)
+                if rem:
+                    raise InconsistencyError(
+                        f"Bareiss step at column {c}: pivot {prev} does not divide"
+                    )
+                new[j] = q
+            M[i] = new
+        prev = p
+        r += 1
+        if r == rows:
+            break
+    return r
 
 
 def kernel_basis(A, one, zero) -> List[List]:

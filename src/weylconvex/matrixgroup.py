@@ -98,9 +98,42 @@ class Fp:
         return f"{self.v}"
 
 
+# Miller-Rabin with the first 13 prime bases decides primality exactly
+# below this bound (Sorenson and Webster, Math. Comp. 2017).
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime(p: int) -> bool:
+    """Deterministic primality for p below MILLER_RABIN_LIMIT."""
+    if p >= MILLER_RABIN_LIMIT:
+        raise InputError(
+            f"primality of {p} is only decided below {MILLER_RABIN_LIMIT}"
+        )
+    if p < 2:
+        return False
+    for q in MILLER_RABIN_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in MILLER_RABIN_BASES:
+        y = pow(a, d, p)
+        if y == 1 or y == p - 1:
+            continue
+        for _ in range(s - 1):
+            y = y * y % p
+            if y == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
     def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if not is_prime(p):
             raise InputError(f"{p} is not prime")
         self.p = p
         self.zero = Fp(0, p)
@@ -850,7 +883,7 @@ def adjoint_span_rank(data: CrossSectionData, g: Matrix) -> int:
         col[a * n + b] = f.one
         cols.append(col)
     rows = [[cols[c][r] for c in range(len(cols))] for r in range(n * n)]
-    return rank(rows, f.zero)
+    return rank(rows)
 
 
 def transversality_check(data: CrossSectionData, g: Matrix) -> bool:

@@ -11,7 +11,6 @@ representative reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import perm
@@ -260,11 +259,11 @@ def is_elliptic(x: TwistedElement) -> bool:
     """True when x fixes no nonzero vector of the span of the roots."""
     from .linalg import rank
 
-    M = [[Fraction(v) for v in row] for row in x.matrix()]
+    M = x.matrix()
     n = len(M)
     for i in range(n):
         M[i][i] -= 1
-    return rank(M, Fraction(0)) == n
+    return rank(M) == n
 
 
 def enumerate_weyl_group(rs: RootSystem, budget: Optional[int] = DEFAULT_ENUMERATION_BUDGET) -> List[Perm]:

@@ -232,8 +232,9 @@ def test_cross_section_rejects_other_types(capsys):
         ("--trials", "-3"),
         ("--rank-checks", "-2", "--field", "rational"),
         ("--field", "abc"),
+        ("--field", "1" + "0" * 398 + "7"),
     ],
-    ids=["negative-trials", "negative-rank-checks", "non-numeric-field"],
+    ids=["negative-trials", "negative-rank-checks", "non-numeric-field", "400-digit-field"],
 )
 def test_cross_section_rejects_bad_arguments(capsys, bad):
     code = main([
@@ -260,3 +261,18 @@ def test_cache_misses_after_engine_version_change(tmp_path, capsys, monkeypatch)
     assert first["engine_version"] != "0.0.0+changed"
     assert second["engine_version"] == "0.0.0+changed"
     assert len(list(tmp_path.glob("*.json"))) == 2
+
+
+@pytest.mark.parametrize("exc", [ValueError("singular matrix"), ZeroDivisionError()])
+def test_unexpected_exception_exits_3_with_json(capsys, monkeypatch, exc):
+    def broken(args):
+        raise exc
+
+    monkeypatch.setattr("weylconvex.cli.cmd_reproduce", broken)
+    code = main(["--no-cache", "reproduce"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    report = json.loads(captured.err)
+    assert report["inconsistency"].startswith(type(exc).__name__)
+    assert "Traceback" not in captured.err

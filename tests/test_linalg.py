@@ -8,7 +8,7 @@ import pytest
 
 import weylconvex
 from weylconvex.errors import InconsistencyError
-from weylconvex.linalg import charpoly_int, cyclotomic_multiplicities
+from weylconvex.linalg import charpoly_int, cyclotomic_multiplicities, rank, rref
 from weylconvex.roots import CartanType, build_root_system
 from weylconvex.weyl import from_word
 
@@ -80,3 +80,75 @@ def test_mat_mul_shape_check_survives_optimize():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 3, proc.stderr
+
+
+def rank_reference(A):
+    # rref divides entries, so ints must become Fractions first.
+    return len(rref([[Fraction(v) for v in row] for row in A], Fraction(0))[1])
+
+
+def _random_entry(rng, rational, density):
+    if rng.random() >= density:
+        return 0
+    v = rng.randint(-9, 9)
+    return Fraction(v, rng.randint(1, 12)) if rational else v
+
+
+def _random_matrix(rng, rows, cols, rational, density=1.0):
+    return [[_random_entry(rng, rational, density) for _ in range(cols)] for _ in range(rows)]
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["int", "rational"])
+@pytest.mark.parametrize("density", [1.0, 0.3], ids=["dense", "sparse"])
+def test_rank_matches_rref_on_random_matrices(rational, density):
+    rng = random.Random(500 + 10 * rational + int(10 * density))
+    for _ in range(30):
+        rows, cols = rng.randint(1, 30), rng.randint(1, 40)
+        A = _random_matrix(rng, rows, cols, rational, density)
+        assert rank(A) == rank_reference(A), A
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["int", "rational"])
+def test_rank_of_thin_products(rational):
+    # B C with B m x k and C k x n has rank at most k, usually exactly k.
+    rng = random.Random(600 + rational)
+    for _ in range(30):
+        m, n, k = rng.randint(1, 30), rng.randint(1, 40), rng.randint(1, 6)
+        B = _random_matrix(rng, m, k, rational)
+        C = _random_matrix(rng, k, n, rational)
+        A = [[sum((B[i][t] * C[t][j] for t in range(k)), 0) for j in range(n)] for i in range(m)]
+        assert rank(A) == rank_reference(A) <= k
+
+
+def test_rank_with_zero_and_duplicate_rows():
+    rng = random.Random(700)
+    for _ in range(30):
+        rows, cols = rng.randint(1, 15), rng.randint(1, 40)
+        A = _random_matrix(rng, rows, cols, rng.random() < 0.5)
+        A += [[0] * cols, list(A[0]), [2 * v for v in A[-1]]]
+        A += [list(A[rng.randrange(len(A))]) for _ in range(rng.randint(0, 10))]
+        rng.shuffle(A)
+        assert rank(A) == rank_reference(A)
+
+
+@pytest.mark.parametrize(
+    "A, expected",
+    [
+        ([], 0),
+        ([[]], 0),
+        ([[0, 0, 0]], 0),
+        ([[0, Fraction(-3, 7), 5]], 1),
+        ([[0], [0], [0]], 0),
+        ([[0], [Fraction(1, 3)], [2]], 1),
+        ([[Fraction(2, 3)]], 1),
+        # A zero leading entry forces a row swap before the first pivot.
+        ([[0, 1], [1, 0]], 2),
+        ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], 3),
+    ],
+    ids=[
+        "empty", "no-columns", "zero-row", "one-row", "zero-column", "one-column",
+        "one-by-one", "swap-2x2", "swap-3x3",
+    ],
+)
+def test_rank_of_small_shapes(A, expected):
+    assert rank(A) == expected == rank_reference(A)

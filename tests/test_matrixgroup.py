@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,10 +8,13 @@ from weylconvex.construction import find_convex_representative
 from weylconvex.convexity import analyze, is_quasi_convex
 from weylconvex.errors import InputError, NotInCellError
 from weylconvex.matrixgroup import (
+    MILLER_RABIN_LIMIT,
+    PrimeField,
     build_cross_section,
     collision_search,
     enumerate_cell_points,
     identity_cell_point,
+    is_prime,
     lift,
     mat_key,
     matrix_context,
@@ -330,3 +334,32 @@ def test_roundtrips_500_over_rationals_battery():
             for _ in range(500):
                 p = random_cell_point(data, rng)
                 assert sigma(data, xi(data, p)) == p
+
+
+def _is_prime_by_trial_division(p):
+    return p >= 2 and all(p % q for q in range(2, int(p ** 0.5) + 1))
+
+
+def test_is_prime_matches_trial_division_below_1e5():
+    assert [p for p in range(-3, 10 ** 5) if is_prime(p)] == [
+        p for p in range(-3, 10 ** 5) if _is_prime_by_trial_division(p)
+    ]
+
+
+@pytest.mark.parametrize("p", [2047, 3215031751], ids=["spsp2", "spsp2-3-5-7"])
+def test_is_prime_rejects_strong_pseudoprimes(p):
+    assert not is_prime(p)
+    with pytest.raises(InputError):
+        PrimeField(p)
+
+
+def test_is_prime_accepts_mersenne_61_quickly():
+    start = time.process_time()
+    assert PrimeField(2 ** 61 - 1).p == 2 ** 61 - 1
+    assert time.process_time() - start < 0.5
+
+
+def test_is_prime_refuses_beyond_the_deterministic_bound():
+    assert not is_prime(MILLER_RABIN_LIMIT - 1)  # divisible by 5
+    with pytest.raises(InputError):
+        is_prime(MILLER_RABIN_LIMIT)

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import weylconvex
 from weylconvex.errors import BudgetExceeded, InconsistencyError
+from weylconvex.linalg import mat_inv
 from weylconvex.roots import CartanType, build_root_system, diagram_automorphisms
 from weylconvex.weyl import (
     act,
@@ -295,6 +297,34 @@ def test_inverse_and_order():
     for _ in range(x.order() - 1):
         xi = xi.mul(x)
     assert xi.is_identity()
+
+
+@pytest.mark.parametrize("name", ["A4", "B4", "D4", "D5", "F4", "E6"])
+def test_inverse_matrix_is_matrix_inverse(name):
+    # x^{-1}.matrix(J) must be the inverse of x.matrix(J), for every twist
+    # and for parabolic J stable under it (x = w delta^k with w in W_J).
+    rs = rs_of(name)
+    rng = random.Random(sum(map(ord, name)))
+    for delta in diagram_automorphisms(rs):
+        orbits = {tuple(sorted(_orbit(delta, lab))) for lab in range(rs.rank)}
+        for _ in range(8):
+            picked = [o for o in sorted(orbits) if rng.random() < 0.6] or [sorted(orbits)[0]]
+            labels = sorted(lab for o in picked for lab in o)
+            if rng.random() < 0.3:
+                labels = list(range(rs.rank))
+            word = [rng.choice(labels) for _ in range(rng.randint(0, 3 * len(labels)))]
+            x = from_word(rs, delta, word, twist_power=rng.randrange(delta.order))
+            M = [[Fraction(v) for v in row] for row in x.matrix(labels)]
+            expected = mat_inv(M, Fraction(1), Fraction(0))
+            assert x.inverse().matrix(labels) == expected, (name, word, labels)
+
+
+def _orbit(delta, lab):
+    out = {lab}
+    while delta.simple_perm[lab] not in out:
+        lab = delta.simple_perm[lab]
+        out.add(lab)
+    return out
 
 
 def test_conjugation_consistency():
