@@ -188,7 +188,7 @@ def find_convex_representative(
                 stage_log=tuple(log),
                 report=report,
             )
-    except (InconsistencyError, InputError):
+    except InputError:
         pass
     for y in cls.elements:  # already sorted by (length, permutation)
         report = _verified(y)

@@ -14,8 +14,10 @@ Three layers of exactness:
 * Eigenspace bases and cone feasibility are exact over Q or Q(sqrt(D))
   whenever 2cos(theta) lies there (rotation orders 1-6, 8, 10, 12,
   which covers every desk-scale case exercised by the test battery).
-* Other rotation orders fall back to floats with a safety margin; the
-  resulting certificate is tagged inexact.
+  The cone tests clear the basis to integer Z[sqrt(D)] vectors and run
+  Fourier-Motzkin and every sign test on integer rows.
+* Other rotation orders fall back to floats with a safety margin and the
+  generic elimination; the resulting certificate is tagged inexact.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import cos, gcd, pi
+from math import cos, gcd, lcm, pi
 from operator import mul
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -35,7 +37,7 @@ from .linalg import (
     kernel_basis,
     poly_eval_matrix,
 )
-from .quadfield import QuadExt, lift, sign_of, two_cos_exact
+from .quadfield import QuadExt, lift, quad_sign, sign_of, two_cos_exact
 from .weyl import TwistedElement
 
 TOL = 1e-9
@@ -288,7 +290,8 @@ def eigen_angles(x: TwistedElement) -> List[AngleComponent]:
 
 
 # ---------------------------------------------------------------------------
-# Exact cone feasibility (Fourier-Motzkin with witness extraction).
+# Generic cone feasibility (Fourier-Motzkin with witness extraction) on any
+# ordered field: the float path, and the reference for the integer one below.
 
 
 def _sdot(row, vec, zero):
@@ -392,6 +395,154 @@ def cone_point_with_sign(nonneg_rows, target_row, zero, one) -> Optional[Tuple[L
         if w is not None:
             return w, sgn
     return None
+
+
+# ---------------------------------------------------------------------------
+# Exact cone feasibility on integer rows over Z[sqrt(D)].
+#
+# A vector over Z[sqrt(D)] is a pair (A, B) of int tuples meaning A + B sqrt(D),
+# with B all zeros when D = 1; a vector over Q(sqrt(D)) is such a pair over one
+# positive int denominator.  Scaling a row by a positive number changes no
+# bound -(r.c)/r_k of the elimination, and a row that is a positive multiple
+# of another changes no max or min bound, so making rows primitive and
+# deduping them gives the generic elimination's witness exactly.
+
+
+def _over_one_denominator(vectors) -> Tuple[int, List[Tuple[Tuple[int, ...], Tuple[int, ...]]]]:
+    """(den, [(A, B)]) with every Q(sqrt(D)) vector == (A + B sqrt(D)) / den.
+
+    A and B are int tuples, den a positive int; B is all zeros for
+    rational vectors.
+    """
+    parts = [
+        [(v.a, v.b) if isinstance(v, QuadExt) else (v, 0) for v in vec]
+        for vec in vectors
+    ]
+    den = lcm(*(x.denominator for vec in parts for p in vec for x in p))
+
+    def ints(xs):
+        return tuple(x.numerator * (den // x.denominator) for x in xs)
+
+    return den, [(ints(a for a, _ in vec), ints(b for _, b in vec)) for vec in parts]
+
+
+def _field_vector(A, B, den: int, D: int) -> List:
+    """(A + B sqrt(D)) / den as Fractions (D = 1) or QuadExt entries."""
+    if D == 1:
+        return [Fraction(a, den) for a in A]
+    return [QuadExt(Fraction(a, den), Fraction(b, den), D) for a, b in zip(A, B)]
+
+
+def _quad_dot(A, B, CA, CB, D: int) -> Tuple[int, int]:
+    """(A + B sqrt(D)) . (CA + CB sqrt(D)) as an int pair."""
+    return (
+        sum(map(mul, A, CA)) + D * sum(map(mul, B, CB)),
+        sum(map(mul, A, CB)) + sum(map(mul, B, CA)),
+    )
+
+
+def _add_primitive(rows: Dict, A, B, strict: bool) -> None:
+    """Record row (A, B) divided by its content; equal rows merge strictness."""
+    g = gcd(*A, *B) or 1
+    key = (tuple(a // g for a in A), tuple(b // g for b in B))
+    rows[key] = rows.get(key, False) or strict
+
+
+def _quad_compare(u, v, D: int) -> int:
+    """Sign of u - v for u, v given as (a, b, q) = (a + b sqrt(D)) / q, q > 0."""
+    return quad_sign(u[0] * v[2] - v[0] * u[2], u[1] * v[2] - v[1] * u[2], D)
+
+
+def _quad_extreme(bounds, D: int, want: int):
+    """The largest (want = 1) or smallest (want = -1) bound, first on ties."""
+    best = bounds[0]
+    for v in bounds[1:]:
+        if _quad_compare(v, best, D) == want:
+            best = v
+    return best
+
+
+def _int_feasible_homogeneous(constraints, nvars: int, D: int):
+    """Integer Fourier-Motzkin: the generic elimination on Z[sqrt(D)] rows.
+
+    `constraints` holds (A, B, strict) for the constraint
+    (A + B sqrt(D)) . c > 0 if strict, >= 0 otherwise, in nvars unknowns.
+    Returns the witness as (CA, CB, den) with c = (CA + CB sqrt(D)) / den,
+    den > 0, or None when the system is infeasible.
+    """
+    if nvars == 0:
+        if any(strict for _, _, strict in constraints):
+            return None
+        return (), (), 1
+    k = nvars - 1
+    pos, neg = [], []
+    rest: Dict = {}
+    for A, B, strict in constraints:
+        a, b = A[k], B[k]
+        sg = quad_sign(a, b, D)
+        if sg > 0:
+            pos.append((A[:k], B[:k], a, b, strict))
+        elif sg < 0:
+            neg.append((A[:k], B[:k], a, b, strict))
+        else:
+            _add_primitive(rest, A[:k], B[:k], strict)
+    # (-n_k) p + p_k n for every pair; -n_k and p_k are positive.
+    for pA, pB, pa, pb, ps in pos:
+        for nA, nB, na, nb, ns in neg:
+            na, nb = -na, -nb
+            if pb == 0 and nb == 0:
+                cA = [na * x + pa * y for x, y in zip(pA, nA)]
+                cB = [na * x + pa * y for x, y in zip(pB, nB)]
+            else:
+                cA = [
+                    na * xa + D * nb * xb + pa * ya + D * pb * yb
+                    for xa, xb, ya, yb in zip(pA, pB, nA, nB)
+                ]
+                cB = [
+                    na * xb + nb * xa + pa * yb + pb * ya
+                    for xa, xb, ya, yb in zip(pA, pB, nA, nB)
+                ]
+            _add_primitive(rest, cA, cB, ps or ns)
+    sub = _int_feasible_homogeneous(
+        [(A, B, strict) for (A, B), strict in rest.items()], k, D
+    )
+    if sub is None:
+        return None
+    SA, SB, den = sub
+
+    def bound(A, B, a, b):
+        # -(r . s) / r_k = -(da + db sqrt(D)) (a - b sqrt(D)) / (den (a^2 - D b^2))
+        da, db = _quad_dot(A, B, SA, SB, D)
+        q = den * (a * a - D * b * b)
+        if q < 0:
+            return da * a - D * db * b, db * a - da * b, -q
+        return D * db * b - da * a, da * b - db * a, q
+
+    lowers = [bound(A, B, a, b) for A, B, a, b, _ in pos]
+    uppers = [bound(A, B, a, b) for A, B, a, b, _ in neg]
+    if not lowers and not uppers:
+        va, vb, vq = 0, 0, 1
+    elif not uppers:
+        va, vb, vq = _quad_extreme(lowers, D, 1)
+        va += vq
+    elif not lowers:
+        va, vb, vq = _quad_extreme(uppers, D, -1)
+        va -= vq
+    else:
+        lo = _quad_extreme(lowers, D, 1)
+        hi = _quad_extreme(uppers, D, -1)
+        if _quad_compare(hi, lo, D) > 0:
+            va = lo[0] * hi[2] + hi[0] * lo[2]
+            vb = lo[1] * hi[2] + hi[1] * lo[2]
+            vq = 2 * lo[2] * hi[2]
+        else:
+            va, vb, vq = lo
+    q = lcm(den, vq)
+    s, t = q // den, q // vq
+    CA = [x * s for x in SA] + [va * t]
+    CB = [x * s for x in SB] + [vb * t]
+    g = gcd(q, *CA, *CB)
+    return tuple(x // g for x in CA), tuple(x // g for x in CB), q // g
 
 
 # ---------------------------------------------------------------------------
@@ -536,12 +687,10 @@ def is_good_position(
         off_pos = [g for g in cur_roots if rs.is_positive(g) and g not in psi]
         if D is not None:
             basis = exact_angle_basis(x, angle)
-            zero: object = Fraction(0) if D == 1 else QuadExt(0, 0, D)
-            one: object = Fraction(1) if D == 1 else QuadExt(1, 0, D)
+            point = _stage_point(rs, basis, cur_labels, off_pos, D, rng)
         else:
             basis = [list(b) for b in float_angle_basis(x, angle)]
-            zero, one = 0.0, 1.0
-        point = _stage_point(rs, basis, cur_labels, off_pos, zero, one, rng)
+            point = _float_stage_point(rs, basis, cur_labels, off_pos, rng)
         if point is None:
             return None
         stage_points.append(tuple(point))
@@ -569,13 +718,72 @@ def is_good_position(
     )
 
 
-def _stage_point(rs, basis, cur_labels, off_pos, zero, one, rng):
-    """A dominant regular point of span(basis) in the current chamber."""
+def _stage_point(rs, basis, cur_labels, off_pos, D, rng):
+    """A dominant regular point of span(basis) in the current chamber.
+
+    The basis is cleared once to integer Z[sqrt(D)] vectors over one
+    denominator, so every chamber and target row is an integer dot product
+    with `int_pairing_rows` (a positive multiple of the true pairing), and
+    the cone tests and the sign tests on candidate points run on ints.
+    """
+    if not basis:
+        return None
+    if not off_pos:
+        zero = Fraction(0) if D == 1 else QuadExt(0, 0, D)
+        return [zero] * rs.rank  # every current root hyperplane contains K
+    k = len(basis)
+    den, cleared = _over_one_denominator(basis)
+    int_rows = rs.int_pairing_rows
+
+    def row(g):
+        r = int_rows[g]
+        return (
+            tuple(sum(map(mul, A, r)) for A, _ in cleared),
+            tuple(sum(map(mul, B, r)) for _, B in cleared),
+        )
+
+    chamber = [row(rs.simple_indices[lab]) for lab in cur_labels]
+    targets = [row(g) for g in off_pos]
+    cons = [(A, B, False) for A, B in chamber]
+    witnesses = []
+    for A, B in targets:
+        for grow in ((A, B), (tuple(-a for a in A), tuple(-b for b in B))):
+            found = _int_feasible_homogeneous(cons + [(*grow, True)], k, D)
+            if found is not None:
+                break
+        else:
+            return None
+        witnesses.append(found)
+    for _ in range(REGULAR_POINT_RETRIES):
+        lam = [rng.randint(1, 9) for _ in witnesses]
+        q = lcm(*(w[2] for w in witnesses))
+        CA = [0] * k
+        CB = [0] * k
+        for c, (WA, WB, wq) in zip(lam, witnesses):
+            c *= q // wq
+            CA = [x + c * y for x, y in zip(CA, WA)]
+            CB = [x + c * y for x, y in zip(CB, WB)]
+        if all(
+            quad_sign(*_quad_dot(A, B, CA, CB, D), D) >= 0 for A, B in chamber
+        ) and all(
+            quad_sign(*_quad_dot(A, B, CA, CB, D), D) != 0 for A, B in targets
+        ):
+            PA = [0] * rs.rank
+            PB = [0] * rs.rank
+            for ca, cb, (A, B) in zip(CA, CB, cleared):
+                PA = [p + ca * a + D * cb * b for p, a, b in zip(PA, A, B)]
+                PB = [p + ca * b + cb * a for p, a, b in zip(PB, A, B)]
+            return _field_vector(PA, PB, den * q, D)
+    raise InconsistencyError("stage witness combination kept hitting hyperplanes")
+
+
+def _float_stage_point(rs, basis, cur_labels, off_pos, rng):
+    """`_stage_point` for float bases: generic elimination, margin tests."""
     if not basis:
         return None
     k = len(basis)
     if not off_pos:
-        return [zero] * rs.rank  # every current root hyperplane contains K
+        return [0.0] * rs.rank
     chamber_rows = []
     for lab in cur_labels:
         g = rs.simple_indices[lab]
@@ -583,33 +791,24 @@ def _stage_point(rs, basis, cur_labels, off_pos, zero, one, rng):
     witnesses = []
     for g in off_pos:
         target = [rs.pair_with_root(b, g) for b in basis]
-        found = cone_point_with_sign(chamber_rows, target, zero, one)
+        found = cone_point_with_sign(chamber_rows, target, 0.0, 1.0)
         if found is None:
             return None
         witnesses.append(found[0])
-    exact = not isinstance(zero, float)
     for _ in range(REGULAR_POINT_RETRIES):
         lam = [rng.randint(1, 9) for _ in witnesses]
         coefs = [
-            _sdot([w[t] for w in witnesses], lam, zero) for t in range(k)
+            _sdot([w[t] for w in witnesses], lam, 0.0) for t in range(k)
         ]
         point = [
-            _sdot([b[t] for b in basis], coefs, zero) for t in range(rs.rank)
+            _sdot([b[t] for b in basis], coefs, 0.0) for t in range(rs.rank)
         ]
-        ok = True
-        for lab in cur_labels:
-            g = rs.simple_indices[lab]
-            v = rs.pair_with_root(point, g)
-            if (sign_of(v) < 0) if exact else (v < -FLOAT_MARGIN):
-                ok = False
-                break
-        if ok:
-            for g in off_pos:
-                v = rs.pair_with_root(point, g)
-                if (sign_of(v) == 0) if exact else (abs(v) < FLOAT_MARGIN):
-                    ok = False
-                    break
-        if ok:
+        if all(
+            rs.pair_with_root(point, rs.simple_indices[lab]) >= -FLOAT_MARGIN
+            for lab in cur_labels
+        ) and all(
+            abs(rs.pair_with_root(point, g)) >= FLOAT_MARGIN for g in off_pos
+        ):
             return point
     raise InconsistencyError("stage witness combination kept hitting hyperplanes")
 
@@ -630,7 +829,7 @@ def _cumulative_points(rs, stage_points, chain, D, rng, top_labels):
                     p + scale * q for p, q in zip(point, stage_points[j])
                 ]
                 scale = scale * eps
-            if _cumulative_ok(rs, point, chain[0], chain[i + 1], exact, top_labels):
+            if _cumulative_ok(rs, point, chain[0], chain[i + 1], D, top_labels):
                 out.append(tuple(point))
                 break
             eps = eps / 2
@@ -639,18 +838,26 @@ def _cumulative_points(rs, stage_points, chain, D, rng, top_labels):
     return out
 
 
-def _cumulative_ok(rs, point, ambient_roots, perp_roots, exact, top_labels):
+def _cumulative_ok(rs, point, ambient_roots, perp_roots, D, top_labels):
+    if D is not None:
+        _, ((A, B),) = _over_one_denominator([point])
+        int_rows = rs.int_pairing_rows
+
+        def sign(g):
+            r = int_rows[g]
+            return quad_sign(sum(map(mul, A, r)), sum(map(mul, B, r)), D)
+
+    else:
+
+        def sign(g):
+            v = rs.pair_with_root(point, g)
+            return -1 if v < -FLOAT_MARGIN else (0 if abs(v) < FLOAT_MARGIN else 1)
+
     for lab in top_labels:
-        g = rs.simple_indices[lab]
-        v = rs.pair_with_root(point, g)
-        if (sign_of(v) < 0) if exact else (v < -FLOAT_MARGIN):
+        if sign(rs.simple_indices[lab]) < 0:
             return False
     for g in ambient_roots:
-        if not rs.is_positive(g):
-            continue
-        v = rs.pair_with_root(point, g)
-        zero_now = (sign_of(v) == 0) if exact else (abs(v) < FLOAT_MARGIN)
-        if zero_now != (g in perp_roots):
+        if rs.is_positive(g) and (sign(g) == 0) != (g in perp_roots):
             return False
     return True
 

@@ -9,6 +9,7 @@ Fractions and eliminates on integers.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
@@ -59,8 +60,12 @@ def mat_inv(A, one, zero):
 
 
 def rref(A, zero) -> Tuple[List[List], List[int]]:
-    """Reduced row echelon form plus the pivot column list."""
-    M = [list(row) for row in A]
+    """Reduced row echelon form plus the pivot column list.
+
+    Entries are field scalars; Python ints become Fractions first, since
+    `/` on two ints would go to floats.
+    """
+    M = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in A]
     rows = len(M)
     cols = len(M[0]) if rows else 0
     pivots: List[int] = []

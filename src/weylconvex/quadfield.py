@@ -103,22 +103,7 @@ class QuadExt:
         return hash((self.a, self.b, self.D))
 
     def sign(self) -> int:
-        a, b = self.a, self.b
-        if b == 0:
-            return 0 if a == 0 else (1 if a > 0 else -1)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # Mixed signs: compare a^2 against D b^2.
-        lhs = a * a
-        rhs = b * b * self.D
-        if lhs == rhs:
-            return 0
-        bigger_is_a = lhs > rhs
-        return (1 if a > 0 else -1) if bigger_is_a else (1 if b > 0 else -1)
+        return quad_sign(self.a, self.b, self.D)
 
     def __lt__(self, other):
         o = self._coerce(other)
@@ -145,11 +130,28 @@ class QuadExt:
         return f"({self.a}+{self.b}*sqrt{self.D})"
 
 
+def quad_sign(a, b, D: int) -> int:
+    """Exact sign of a + b*sqrt(D) for rational (int or Fraction) a and b.
+
+    D is a positive integer; when it is not a square the sign is decided
+    by comparing a^2 with D b^2, with no square root taken.
+    """
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0 or (a > 0) == (b > 0):
+        return 1 if b > 0 else -1
+    lhs = a * a
+    rhs = b * b * D
+    if lhs == rhs:
+        return 0
+    return (1 if a > 0 else -1) if lhs > rhs else (1 if b > 0 else -1)
+
+
 def sign_of(x) -> int:
     """Exact sign of a Fraction, int or QuadExt."""
     if isinstance(x, QuadExt):
         return x.sign()
-    return 0 if x == 0 else (1 if x > 0 else -1)
+    return quad_sign(x, 0, 1)
 
 
 # 2*cos(2*pi*a/d) for the exactly representable rotation orders.

@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+from weylconvex import construction
 from weylconvex.construction import (
     elliptic_min_convex,
     find_convex_representative,
     find_good_position_conjugate,
 )
 from weylconvex.convexity import analyze, phi_of
-from weylconvex.errors import InputError
+from weylconvex.errors import InconsistencyError, InputError
 from weylconvex.roots import CartanType, build_root_system, diagram_automorphisms
 from weylconvex.weyl import (
     class_of,
@@ -97,6 +98,25 @@ def test_geometric_path_used_somewhere():
     rs = rs_of("A3")
     methods = {find_convex_representative(c).method for c in conjugacy_classes(rs)}
     assert "geometric" in methods
+
+
+def test_geometric_inconsistency_is_not_swallowed(monkeypatch):
+    # An InconsistencyError is a bug signal and must propagate; an
+    # InputError from the geometric path still falls back to the scan.
+    def planted(error):
+        def geometric_convex(x, rng):
+            raise error("planted")
+
+        return geometric_convex
+
+    cls = conjugacy_classes(rs_of("A2"))[-1]
+    monkeypatch.setattr(construction, "_geometric_convex", planted(InputError))
+    assert find_convex_representative(cls).method == "exhaustive"
+    monkeypatch.setattr(
+        construction, "_geometric_convex", planted(InconsistencyError)
+    )
+    with pytest.raises(InconsistencyError, match="planted"):
+        find_convex_representative(cls)
 
 
 def test_find_good_position_conjugate_a3():

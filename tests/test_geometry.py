@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,9 @@ import pytest
 from weylconvex.convexity import analyze, n_of, phi_of
 from weylconvex.errors import InputError
 from weylconvex.geometry import (
+    _feasible_homogeneous,
+    _field_vector,
+    _int_feasible_homogeneous,
     admissible_enumerations,
     angle_list,
     angle_perp_roots,
@@ -17,6 +21,7 @@ from weylconvex.geometry import (
     regular_point,
     separation_witness,
 )
+from weylconvex.quadfield import QuadExt, sign_of
 from weylconvex.roots import CartanType, build_root_system
 from weylconvex.weyl import (
     fixed_roots,
@@ -418,3 +423,64 @@ def test_truncated_sequence_agrees_when_tail_is_vacuous():
         full = is_good_position(y, [Fraction(2, 5), Fraction(4, 5)]) is not None
         short = is_good_position(y, [Fraction(2, 5)]) is not None
         assert full == short
+
+
+# ---------------------------------------------------------------------------
+# The integer elimination against the generic one on field scalars.
+
+
+def _random_cone(rng, D, nvars):
+    """Integer rows (A, B, strict) with repeated and proportional copies."""
+    rows = []
+    for _ in range(rng.randint(2, 6)):
+        A = tuple(rng.randint(-3, 3) for _ in range(nvars))
+        B = tuple(rng.randint(-2, 2) if D > 1 else 0 for _ in range(nvars))
+        rows.append((A, B, rng.random() < 0.3))
+    for _ in range(rng.randint(1, 3)):
+        A, B, strict = rng.choice(rows)
+        kind = rng.randrange(3)
+        if kind == 0:  # the same row, maybe with the other strictness
+            rows.append((A, B, rng.random() < 0.5))
+        elif kind == 1:  # a positive integer multiple
+            c = rng.randint(2, 4)
+            rows.append((tuple(c * a for a in A), tuple(c * b for b in B), strict))
+        elif D > 1:  # times 3 + sqrt(D), positive but not rational
+            rows.append((
+                tuple(3 * a + D * b for a, b in zip(A, B)),
+                tuple(a + 3 * b for a, b in zip(A, B)),
+                strict,
+            ))
+    rng.shuffle(rows)
+    return rows
+
+
+def _field_row(rng, A, B, D):
+    """The row over Q or Q(sqrt D), divided by a random positive integer."""
+    den = rng.randint(1, 6)
+    if D == 1:
+        return [Fraction(a, den) for a in A]
+    return [QuadExt(Fraction(a, den), Fraction(b, den), D) for a, b in zip(A, B)]
+
+
+@pytest.mark.parametrize("D", [1, 2, 3, 5])
+def test_int_elimination_matches_generic(D):
+    rng = random.Random(600 + D)
+    zero = Fraction(0) if D == 1 else QuadExt(0, 0, D)
+    one = Fraction(1) if D == 1 else QuadExt(1, 0, D)
+    outcomes = {True: 0, False: 0}
+    for _ in range(150):
+        nvars = rng.randint(1, 4)
+        rows = _random_cone(rng, D, nvars)
+        field_rows = [(_field_row(rng, A, B, D), strict) for A, B, strict in rows]
+        want = _feasible_homogeneous(field_rows, nvars, zero, one)
+        got = _int_feasible_homogeneous(rows, nvars, D)
+        assert (got is None) == (want is None), rows
+        outcomes[got is not None] += 1
+        if got is None:
+            continue
+        w = _field_vector(*got, D)
+        assert [repr(v) for v in w] == [repr(v) for v in want], rows
+        for row, strict in field_rows:
+            s = sign_of(sum((a * c for a, c in zip(row, w)), zero))
+            assert s > 0 if strict else s >= 0
+    assert min(outcomes.values()) >= 20, outcomes

@@ -83,7 +83,7 @@ def test_mat_mul_shape_check_survives_optimize():
 
 
 def rank_reference(A):
-    # rref divides entries, so ints must become Fractions first.
+    # Over Fractions, whatever rref does with int entries.
     return len(rref([[Fraction(v) for v in row] for row in A], Fraction(0))[1])
 
 
@@ -118,6 +118,8 @@ def test_rank_of_thin_products(rational):
         C = _random_matrix(rng, k, n, rational)
         A = [[sum((B[i][t] * C[t][j] for t in range(k)), 0) for j in range(n)] for i in range(m)]
         assert rank(A) == rank_reference(A) <= k
+        # rref on the int entries themselves must stay exact.
+        assert len(rref(A, 0)[1]) == rank(A)
 
 
 def test_rank_with_zero_and_duplicate_rows():

@@ -136,22 +136,53 @@ def test_bytes_sort_like_tuples(n):
 
 
 # ---------------------------------------------------------------------------
-# Reports of root systems with more than 256 roots, which use tuples.
+# Pinned report bytes: root systems with more than 256 roots, which use
+# tuples, and good-position certificates over Q, Q(sqrt2), Q(sqrt3) and
+# Q(sqrt5), whose stage points come out of the exact cone tests.
+
+
+def _good_position(cartan, word, sequence):
+    return ["good-position", "--type", cartan, "--word", word, "--sequence", sequence]
 
 
 @pytest.mark.parametrize(
-    "cartan, word, golden",
+    "argv, expected_code, golden",
     [
-        ("A16", "1,2,3", "convex_check_A16_1-2-3.txt"),
-        ("D12", "1,2", "convex_check_D12_1-2.txt"),
+        pytest.param(
+            ["convex-check", "--type", "A16", "--word", "1,2,3"], 1,
+            "convex_check_A16_1-2-3.txt",
+            id="A16-1,2,3-convex_check_A16_1-2-3.txt",
+        ),
+        pytest.param(
+            ["convex-check", "--type", "D12", "--word", "1,2"], 1,
+            "convex_check_D12_1-2.txt",
+            id="D12-1,2-convex_check_D12_1-2.txt",
+        ),
+        pytest.param(
+            _good_position("B4", "3,1,4,2", "pi/4,3pi/4"), 0,
+            "good_position_B4_3-1-4-2.txt", id="good-position-B4-sqrt2",
+        ),
+        pytest.param(
+            _good_position("F4", "2,4,1,3", "pi/6,5pi/6"), 0,
+            "good_position_F4_2-4-1-3.txt", id="good-position-F4-sqrt3",
+        ),
+        pytest.param(
+            _good_position("A4", "2,4,3,1", "2pi/5,4pi/5"), 0,
+            "good_position_A4_2-4-3-1.txt", id="good-position-A4-sqrt5",
+        ),
+        pytest.param(
+            _good_position("E6", "4,2,6,1,5,3,4,2,6,1,5,3", "pi/3,2pi/3"), 0,
+            "good_position_E6_4-2-6-1-5-3-4-2-6-1-5-3.txt",
+            id="good-position-E6-rational",
+        ),
     ],
 )
-def test_large_type_report_matches_golden(capsys, cartan, word, golden):
-    code = main(["--no-cache", "convex-check", "--type", cartan, "--word", word])
+def test_large_type_report_matches_golden(capsys, argv, expected_code, golden):
+    code = main(["--no-cache"] + argv)
     out = capsys.readouterr().out
     body = "".join(
         line + "\n" for line in out.splitlines() if '"wall_time_s"' not in line
     )
     with open(os.path.join(GOLDEN, golden)) as fh:
         assert body == fh.read()
-    assert code == 1
+    assert code == expected_code
