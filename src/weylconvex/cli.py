@@ -325,8 +325,15 @@ def cmd_reproduce(args) -> int:
     return _emit("reproduce", params, items, code, args, started)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise InputError, so they leave as JSON with exit 2."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="weylconvex",
         description="Exact convexity analysis of (twisted) Weyl group elements "
         "and matrix cross-sections.",
@@ -379,13 +386,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return 2 if exc.code not in (0, None) else 0
     except (InputError, BudgetExceeded) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2

@@ -31,6 +31,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import InconsistencyError, InputError
 from .linalg import (
+    OperatorField,
     cyclotomic,
     cyclotomic_multiplicities,
     charpoly_int,
@@ -124,9 +125,7 @@ def rational_angle_block(x: TwistedElement, angle: Fraction, labels=None) -> Lis
     key = (d, labels)
     if key not in cache:
         P = poly_eval_matrix(cyclotomic(d), x.matrix(labels), 1, 0)
-        cache[key] = kernel_basis(
-            [[Fraction(v) for v in row] for row in P], Fraction(1), Fraction(0)
-        )
+        cache[key] = kernel_basis(P, OperatorField(Fraction(1)))
     return cache[key]
 
 
@@ -199,18 +198,18 @@ def exact_angle_basis(x: TwistedElement, angle: Fraction, labels=None) -> Option
     n = len(M)
     if isinstance(c2, QuadExt):
         D = c2.D
-        one, zero = QuadExt(1, 0, D), QuadExt(0, 0, D)
+        field = OperatorField(QuadExt(1, 0, D))
         rows = [
-            [lift(M[i][j] + Minv[i][j], D) - (c2 if i == j else zero) for j in range(n)]
+            [lift(M[i][j] + Minv[i][j], D) - (c2 if i == j else field.zero) for j in range(n)]
             for i in range(n)
         ]
     else:
-        one, zero = Fraction(1), Fraction(0)
+        field = OperatorField(Fraction(1))
         rows = [
-            [M[i][j] + Minv[i][j] - (c2 if i == j else zero) for j in range(n)]
+            [M[i][j] + Minv[i][j] - (c2 if i == j else field.zero) for j in range(n)]
             for i in range(n)
         ]
-    return kernel_basis(rows, one, zero)
+    return kernel_basis(rows, field)
 
 
 def float_angle_basis(x: TwistedElement, angle: Fraction, labels=None) -> List[List[float]]:

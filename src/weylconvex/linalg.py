@@ -1,15 +1,17 @@
-"""Exact dense linear algebra over any ordered or plain field.
+"""Exact dense linear algebra over any field.
 
-Matrices are lists (or tuples) of rows; scalars only need the arithmetic
-operators and equality against 0 to work (Fraction, QuadExt and the mod-p
-wrapper in the matrix-group module all qualify).  Sizes here are tiny, so
-plain Gaussian elimination is used, except that `rank` takes only ints and
-Fractions and eliminates on integers.
+Matrices are lists (or tuples) of rows.  The eliminations take a field
+object that does all scalar arithmetic: it has `zero`, `one`, `add`, `sub`,
+`mul`, `neg` and `div`, and its scalars compare with `==` and are false
+exactly when zero.  `OperatorField` is Q or Q(sqrt(D)) through the scalars'
+own operators; the prime fields of the matrix-group module work on plain
+ints mod p.  Sizes here are tiny, so plain Gaussian elimination is used,
+except that `rank` takes only ints and Fractions and eliminates on integers.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import operator
 from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
@@ -33,14 +35,35 @@ def mat_mul(A, B):
     return out
 
 
+class OperatorField:
+    """Q or Q(sqrt(D)), computing with the scalars' own operators.
+
+    `one` is Fraction(1) or QuadExt(1, 0, D) and fixes the scalar type:
+    `div` multiplies by it first, so two ints divide to a Fraction.
+    """
+
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
+
+    def __init__(self, one):
+        self.one = one
+        self.zero = one - one
+
+    def div(self, a, b):
+        return self.one * a / b
+
+
 def mat_identity(n: int, one, zero):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def mat_inv(A, one, zero):
+def mat_inv(A, field):
     """Inverse via Gauss-Jordan; raises ValueError if singular."""
     n = len(A)
-    M = [list(A[i]) + [one if i == j else zero for j in range(n)] for i in range(n)]
+    zero, sub, mul = field.zero, field.sub, field.mul
+    M = [list(A[i]) + [field.one if i == j else zero for j in range(n)] for i in range(n)]
     for col in range(n):
         piv = None
         for r in range(col, n):
@@ -50,22 +73,19 @@ def mat_inv(A, one, zero):
         if piv is None:
             raise ValueError("singular matrix")
         M[col], M[piv] = M[piv], M[col]
-        inv = one / M[col][col]
-        M[col] = [x * inv for x in M[col]]
+        inv = field.div(field.one, M[col][col])
+        M[col] = [mul(x, inv) for x in M[col]]
         for r in range(n):
             if r != col and M[r][col] != zero:
                 f = M[r][col]
-                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
+                M[r] = [sub(a, mul(f, b)) for a, b in zip(M[r], M[col])]
     return [row[n:] for row in M]
 
 
-def rref(A, zero) -> Tuple[List[List], List[int]]:
-    """Reduced row echelon form plus the pivot column list.
-
-    Entries are field scalars; Python ints become Fractions first, since
-    `/` on two ints would go to floats.
-    """
-    M = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in A]
+def rref(A, field) -> Tuple[List[List], List[int]]:
+    """Reduced row echelon form plus the pivot column list."""
+    zero, sub, mul = field.zero, field.sub, field.mul
+    M = [list(row) for row in A]
     rows = len(M)
     cols = len(M[0]) if rows else 0
     pivots: List[int] = []
@@ -79,12 +99,12 @@ def rref(A, zero) -> Tuple[List[List], List[int]]:
         if piv is None:
             continue
         M[r], M[piv] = M[piv], M[r]
-        inv = M[r][c]
-        M[r] = [x / inv for x in M[r]]
+        inv = field.div(field.one, M[r][c])
+        M[r] = [mul(x, inv) for x in M[r]]
         for rr in range(rows):
             if rr != r and M[rr][c] != zero:
                 f = M[rr][c]
-                M[rr] = [a - f * b for a, b in zip(M[rr], M[r])]
+                M[rr] = [sub(a, mul(f, b)) for a, b in zip(M[rr], M[r])]
         pivots.append(c)
         r += 1
         if r == rows:
@@ -137,34 +157,35 @@ def rank(A) -> int:
     return r
 
 
-def kernel_basis(A, one, zero) -> List[List]:
+def kernel_basis(A, field) -> List[List]:
     """Basis of the right kernel {v : Av = 0}."""
     if not A:
         return []
     cols = len(A[0])
-    R, pivots = rref(A, zero)
+    R, pivots = rref(A, field)
     pivset = set(pivots)
     free = [c for c in range(cols) if c not in pivset]
     basis = []
     for fc in free:
-        v = [zero] * cols
-        v[fc] = one
+        v = [field.zero] * cols
+        v[fc] = field.one
         for r, pc in enumerate(pivots):
-            v[pc] = zero - R[r][fc]
+            v[pc] = field.neg(R[r][fc])
         basis.append(v)
     return basis
 
 
-def solve(A, b, one, zero) -> Optional[List]:
+def solve(A, b, field) -> Optional[List]:
     """One particular solution of Av = b, or None if inconsistent.
 
     Free variables are set to zero, which keeps results deterministic.
     """
     if not A:
         return []
+    zero = field.zero
     cols = len(A[0])
     aug = [list(row) + [bb] for row, bb in zip(A, b)]
-    R, pivots = rref(aug, zero)
+    R, pivots = rref(aug, field)
     for r in range(len(R)):
         if all(R[r][c] == zero for c in range(cols)) and R[r][cols] != zero:
             return None

@@ -3,7 +3,10 @@
 Root alpha = e_a - e_b corresponds to the matrix position (a, b); the root
 subgroup element u_ab(t) is I + t*E_ab and lifts of Weyl elements are plain
 0/1 permutation matrices.  Everything runs over a prime field or over the
-rationals; matrices are tuples of tuples of field scalars.  xi and sigma
+rationals; matrices are tuples of tuples of field scalars, which over F_p
+are plain ints in range(p).  All scalar arithmetic goes through the
+context's field object (`zero`, `one`, `add`, `sub`, `mul`, `neg`, `div`),
+so no code here knows which field it runs over.  xi and sigma
 form no dense product: a root-subgroup factor is one row or column
 operation, a lift permutes rows, and a unipotent with known coordinates is
 inverted by reversing its word and negating the coordinates.
@@ -25,77 +28,12 @@ from typing import (
 
 from .convexity import INFINITY, analyze, is_quasi_convex
 from .errors import InconsistencyError, InputError, NotInCellError
-from .linalg import mat_inv, rank, solve
+from .linalg import OperatorField, mat_inv, rank, solve
 from .roots import CartanType, RootSystem, build_root_system
 from .weyl import TwistedElement
 
 Matrix = Tuple[Tuple[object, ...], ...]
 Position = Tuple[int, int]
-
-
-class Fp:
-    """An element of the prime field F_p."""
-
-    __slots__ = ("v", "p")
-
-    def __init__(self, v: int, p: int):
-        self.v = v % p
-        self.p = p
-
-    def _val(self, other) -> Optional[int]:
-        if isinstance(other, Fp):
-            return other.v
-        if isinstance(other, int):
-            return other
-        return None
-
-    def __add__(self, other):
-        o = self._val(other)
-        return NotImplemented if o is None else Fp(self.v + o, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._val(other)
-        return NotImplemented if o is None else Fp(self.v - o, self.p)
-
-    def __rsub__(self, other):
-        o = self._val(other)
-        return NotImplemented if o is None else Fp(o - self.v, self.p)
-
-    def __mul__(self, other):
-        o = self._val(other)
-        return NotImplemented if o is None else Fp(self.v * o, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._val(other)
-        if o is None:
-            return NotImplemented
-        return Fp(self.v * pow(o, self.p - 2, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        o = self._val(other)
-        if o is None:
-            return NotImplemented
-        return Fp(o * pow(self.v, self.p - 2, self.p), self.p)
-
-    def __neg__(self):
-        return Fp(-self.v, self.p)
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __eq__(self, other):
-        o = self._val(other)
-        return NotImplemented if o is None else self.v == o % self.p
-
-    def __hash__(self):
-        return hash((self.v, self.p))
-
-    def __repr__(self):
-        return f"{self.v}"
 
 
 # Miller-Rabin with the first 13 prime bases decides primality exactly
@@ -132,36 +70,49 @@ def is_prime(p: int) -> bool:
 
 
 class PrimeField:
+    """F_p on plain ints in range(p); every operation reduces mod p."""
+
     def __init__(self, p: int):
         if not is_prime(p):
             raise InputError(f"{p} is not prime")
         self.p = p
-        self.zero = Fp(0, p)
-        self.one = Fp(1, p)
+        self.zero = 0
+        self.one = 1
 
-    def of(self, v: int) -> Fp:
-        return Fp(v, self.p)
+    def add(self, a: int, b: int) -> int:
+        return (a + b) % self.p
 
-    def random(self, rng: random.Random) -> Fp:
-        return Fp(rng.randrange(self.p), self.p)
+    def sub(self, a: int, b: int) -> int:
+        return (a - b) % self.p
 
-    def random_unit(self, rng: random.Random) -> Fp:
-        return Fp(rng.randrange(1, self.p), self.p)
+    def mul(self, a: int, b: int) -> int:
+        return a * b % self.p
 
-    def elements(self) -> List[Fp]:
-        return [Fp(v, self.p) for v in range(self.p)]
+    def neg(self, a: int) -> int:
+        return -a % self.p
 
-    def units(self) -> List[Fp]:
-        return [Fp(v, self.p) for v in range(1, self.p)]
+    def div(self, a: int, b: int) -> int:
+        return a * pow(b, -1, self.p) % self.p
 
-    def describe(self) -> str:
-        return f"F{self.p}"
+    def of(self, v: int) -> int:
+        return v % self.p
+
+    def random(self, rng: random.Random) -> int:
+        return rng.randrange(self.p)
+
+    def random_unit(self, rng: random.Random) -> int:
+        return rng.randrange(1, self.p)
+
+    def elements(self) -> List[int]:
+        return list(range(self.p))
+
+    def units(self) -> List[int]:
+        return list(range(1, self.p))
 
 
-class RationalField:
+class RationalField(OperatorField):
     def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+        super().__init__(Fraction(1))
 
     def of(self, v: int) -> Fraction:
         return Fraction(v)
@@ -174,9 +125,6 @@ class RationalField:
         while v == 0:
             v = rng.randint(-5, 5)
         return Fraction(v)
-
-    def describe(self) -> str:
-        return "Q"
 
 
 def make_field(spec):
@@ -198,30 +146,28 @@ def identity_matrix(field, n: int) -> Matrix:
     return _freeze(_identity_rows(field, n))
 
 
-def mmul(A: Matrix, B: Matrix) -> Matrix:
+def mmul(field, A: Matrix, B: Matrix) -> Matrix:
     n = len(A)
     m = len(B[0])
     k = len(B)
     return tuple(
         tuple(
-            _dotsum(A[i], B, j, k)
+            _dotsum(field, A[i], B, j, k)
             for j in range(m)
         )
         for i in range(n)
     )
 
 
-def _dotsum(row, B, j, k):
-    acc = row[0] * B[0][j]
+def _dotsum(field, row, B, j, k):
+    acc = field.mul(row[0], B[0][j])
     for t in range(1, k):
-        acc = acc + row[t] * B[t][j]
+        acc = field.add(acc, field.mul(row[t], B[t][j]))
     return acc
 
 
 def minv(field, A: Matrix) -> Matrix:
-    return tuple(
-        tuple(r) for r in mat_inv([list(r) for r in A], field.one, field.zero)
-    )
+    return tuple(tuple(r) for r in mat_inv([list(r) for r in A], field))
 
 
 def mat_key(A: Matrix) -> Tuple:
@@ -246,34 +192,36 @@ def _freeze(m: List[List]) -> Matrix:
     return tuple(tuple(r) for r in m)
 
 
-def _mul_word(m: List[List], word: Iterable[Tuple[Position, object]]) -> List[List]:
+def _mul_word(field, m: List[List], word: Iterable[Tuple[Position, object]]) -> List[List]:
     """m <- m * word: u_ab(t) on the right adds t * column a to column b."""
+    add, mul = field.add, field.mul
     for (a, b), t in word:
         for row in m:
             v = row[a]
             if v:
-                row[b] = row[b] + t * v
+                row[b] = add(row[b], mul(t, v))
     return m
 
 
-def _word_mul(word: Word, m: List[List]) -> List[List]:
+def _word_mul(field, word: Word, m: List[List]) -> List[List]:
     """m <- word * m: u_ab(t) on the left adds t * row b to row a."""
+    add, mul = field.add, field.mul
     for (a, b), t in reversed(word):
         ra, rb = m[a], m[b]
         for j, v in enumerate(rb):
             if v:
-                ra[j] = ra[j] + t * v
+                ra[j] = add(ra[j], mul(t, v))
     return m
 
 
-def _inverse_word(word: Word) -> List[Tuple[Position, object]]:
+def _inverse_word(field, word: Word) -> List[Tuple[Position, object]]:
     """(u_1(t_1) ... u_k(t_k))^-1 = u_k(-t_k) ... u_1(-t_1)."""
-    return [(pos, -t) for pos, t in reversed(word)]
+    return [(pos, field.neg(t)) for pos, t in reversed(word)]
 
 
-def _conjugate(m: List[List], word: Word) -> List[List]:
+def _conjugate(field, m: List[List], word: Word) -> List[List]:
     """m <- word^-1 * m * word."""
-    return _mul_word(_word_mul(_inverse_word(word), m), word)
+    return _mul_word(field, _word_mul(field, _inverse_word(field, word), m), word)
 
 
 def _identity_rows(field, n: int) -> List[List]:
@@ -284,22 +232,23 @@ def _identity_rows(field, n: int) -> List[List]:
 
 
 def _word_matrix(field, n: int, word: Word) -> Matrix:
-    return _freeze(_mul_word(_identity_rows(field, n), word))
+    return _freeze(_mul_word(field, _identity_rows(field, n), word))
 
 
-def _scale_cols(m: List[List], d: Sequence) -> List[List]:
+def _scale_cols(field, m: List[List], d: Sequence) -> List[List]:
     """m <- m * diag(d)."""
+    mul = field.mul
     for row in m:
-        for j, v in enumerate(d):
-            row[j] = row[j] * v
+        row[:] = map(mul, row, d)
     return m
 
 
-def _conjugate_diag(m: List[List], d: Sequence) -> List[List]:
+def _conjugate_diag(field, m: List[List], d: Sequence) -> List[List]:
     """m <- diag(d)^-1 * m * diag(d)."""
+    mul = field.mul
     for row, v in zip(m, d):
-        for j, w in enumerate(d):
-            row[j] = row[j] * w / v
+        inv = field.div(field.one, v)
+        row[:] = (mul(mul(x, w), inv) for x, w in zip(row, d))
     return m
 
 
@@ -404,8 +353,7 @@ def _closed_positions(ctx, positions: Sequence[Position]) -> bool:
 
 
 def unipotent_from_coords(ctx, order: Sequence[Position], coords: Sequence) -> Matrix:
-    zero = ctx.field.zero
-    word = [(pos, t) for pos, t in zip(order, coords) if t != zero]
+    word = [(pos, t) for pos, t in zip(order, coords) if t]
     return _word_matrix(ctx.field, ctx.n, word)
 
 
@@ -425,11 +373,12 @@ def unipotent_coordinates(
     if not _closed_positions(ctx, order):
         raise InputError("positions do not span a closed set")
     pset = set(order)
-    zero = ctx.field.zero
+    f = ctx.field
+    zero = f.zero
     for i in range(ctx.n):
         for j in range(ctx.n):
             if i == j:
-                if mat[i][j] != ctx.field.one:
+                if mat[i][j] != f.one:
                     raise NotInCellError("matrix is not unipotent")
             elif (i, j) not in pset and mat[i][j] != zero:
                 raise NotInCellError(
@@ -441,9 +390,9 @@ def unipotent_coordinates(
         if h not in heights:
             continue
         built = unipotent_from_coords(ctx, order, coords)
-        for k, pos in enumerate(order):
+        for k, (a, b) in enumerate(order):
             if heights[k] == h:
-                coords[k] = coords[k] + (mat[pos[0]][pos[1]] - built[pos[0]][pos[1]])
+                coords[k] = f.add(coords[k], f.sub(mat[a][b], built[a][b]))
     if unipotent_from_coords(ctx, order, coords) != mat:
         raise NotInCellError("coordinate extraction failed to reproduce the matrix")
     return coords
@@ -568,14 +517,14 @@ def identity_cell_point(data: CrossSectionData) -> CellPoint:
 
 def _ell_rows(data: CrossSectionData, p: CellPoint) -> List[List]:
     """ell = (Levi plus part) * diag * (Levi minus part), as rows."""
-    ctx = data.ctx
-    m = _mul_word(_identity_rows(ctx.field, ctx.n), zip(data.phi_pos, p.ell_plus))
-    return _mul_word(_scale_cols(m, p.ell_diag), zip(data.phi_neg, p.ell_minus))
+    f = data.ctx.field
+    m = _mul_word(f, _identity_rows(f, data.ctx.n), zip(data.phi_pos, p.ell_plus))
+    return _mul_word(f, _scale_cols(f, m, p.ell_diag), zip(data.phi_neg, p.ell_minus))
 
 
 def _section_rows(data: CrossSectionData, p: CellPoint) -> List[List]:
     """lift * ell * u, as rows."""
-    m = _mul_word(_ell_rows(data, p), zip(data.level_one, p.u_coords))
+    m = _mul_word(data.ctx.field, _ell_rows(data, p), zip(data.level_one, p.u_coords))
     return _lift_rows(data, m)
 
 
@@ -585,8 +534,9 @@ def ell_matrix(data: CrossSectionData, p: CellPoint) -> Matrix:
 
 def xi(data: CrossSectionData, p: CellPoint) -> Matrix:
     """The conjugation map: (y, lift*ell*u) -> y (lift ell u) y^-1."""
-    y_inv = _inverse_word(list(zip(data.rn, p.y_coords)))
-    return _freeze(_conjugate(_section_rows(data, p), y_inv))
+    f = data.ctx.field
+    y_inv = _inverse_word(f, list(zip(data.rn, p.y_coords)))
+    return _freeze(_conjugate(f, _section_rows(data, p), y_inv))
 
 
 def _forbidden_pattern(data: CrossSectionData) -> List[Position]:
@@ -630,14 +580,14 @@ def _solve_initial_unipotent(
             continue
         if not unknowns:
             for j in bans:
-                if g[a][j] != f.zero:
+                if g[a][j]:
                     raise NotInCellError(
                         f"row {a} cannot be cleared: no unipotent freedom"
                     )
             continue
         A = [[g[k][j] for k in unknowns] for j in bans]
-        b = [f.zero - g[a][j] for j in bans]
-        sol = solve(A, b, f.one, f.zero)
+        b = [f.neg(g[a][j]) for j in bans]
+        sol = solve(A, b, f)
         if sol is None:
             raise NotInCellError(f"row {a} of the unipotent factor is unsolvable")
         word = [((a, k), val) for k, val in zip(unknowns, sol)] + word
@@ -654,29 +604,28 @@ def _factor_ul(data: CrossSectionData, w: List[List], upper_support: Sequence[Po
     ops: List[Tuple[Position, object]] = []
     for i in range(n - 1, -1, -1):
         for j in range(i):
-            if m[i][j] == f.zero:
+            if not m[i][j]:
                 continue
             if data.blk[i] != data.blk[j]:
                 raise NotInCellError(f"off-block lower entry at {(i, j)}")
-            if m[i][i] == f.zero:
+            if not m[i][i]:
                 raise NotInCellError(f"zero pivot at row {i} during Levi split")
-            t = f.zero - m[i][j] / m[i][i]
-            _mul_word(m, [((i, j), t)])
+            t = f.neg(f.div(m[i][j], m[i][i]))
+            _mul_word(f, m, [((i, j), t)])
             ops.append(((i, j), t))
     d = [m[i][i] for i in range(n)]
-    if any(v == f.zero for v in d):
+    if not all(d):
         raise NotInCellError("singular diagonal in the Levi factorization")
-    A = tuple(
-        tuple(m[i][j] / d[j] for j in range(n)) for i in range(n)
-    )
+    d_inv = [f.div(f.one, v) for v in d]
+    A = tuple(tuple(map(f.mul, row, d_inv)) for row in m)
     sset = set(upper_support)
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
-            if A[i][j] != f.zero and (i, j) not in sset:
+            if A[i][j] and (i, j) not in sset:
                 raise NotInCellError(f"upper support violation at {(i, j)}")
-    return A, tuple(d), _inverse_word(ops)
+    return A, tuple(d), _inverse_word(f, ops)
 
 
 def sigma(data: CrossSectionData, g: Matrix) -> CellPoint:
@@ -689,10 +638,10 @@ def sigma(data: CrossSectionData, g: Matrix) -> CellPoint:
     f = ctx.field
     if not is_quasi_convex(data.x):
         raise InputError("the section is only defined for quasi-convex elements")
-    y_word = _inverse_word(_solve_initial_unipotent(data, g))
-    y = _mul_word(_identity_rows(f, ctx.n), y_word)
+    y_word = _inverse_word(f, _solve_initial_unipotent(data, g))
+    y = _mul_word(f, _identity_rows(f, ctx.n), y_word)
     # z = y^-1 g, then phi: (y, z) -> (y, z y); afterwards g = y z y^-1 stays invariant.
-    z = _conjugate(_rows(g), y_word)
+    z = _conjugate(f, _rows(g), y_word)
     for lev in range(data.max_level, 1, -1):
         upper = [
             p
@@ -713,12 +662,12 @@ def sigma(data: CrossSectionData, g: Matrix) -> CellPoint:
         prev = set(data.levels.get(lev - 1, ()))
         for i in range(ctx.n):
             for j in range(ctx.n):
-                if i != j and udd[i][j] != f.zero and (i, j) not in prev:
+                if i != j and udd[i][j] and (i, j) not in prev:
                     raise InconsistencyError(
                         "level descent produced support outside the previous level"
                     )
-        y = _mul_word(y, udd_word)
-        z = _conjugate(z, udd_word)
+        y = _mul_word(f, y, udd_word)
+        z = _conjugate(f, z, udd_word)
     w = _unlift_rows(data, z)  # lift^-1 * z
     A, d, b_word = _factor_ul(data, w, data.level_one + data.phi_pos)
     order = list(data.level_one) + list(data.phi_pos)
@@ -727,9 +676,9 @@ def sigma(data: CrossSectionData, g: Matrix) -> CellPoint:
     aplus_coords = coords[cut:]
     # Convert from z = lift * u1 * ell to the published order z = lift * ell * u:
     # u = ell^-1 * u1 * ell with ell = aplus * diag(d) * B.
-    u_final = _mul_word(_identity_rows(f, ctx.n), zip(order[:cut], coords[:cut]))
-    _conjugate(u_final, list(zip(data.phi_pos, aplus_coords)))
-    _conjugate(_conjugate_diag(u_final, d), b_word)
+    u_final = _mul_word(f, _identity_rows(f, ctx.n), zip(order[:cut], coords[:cut]))
+    _conjugate(f, u_final, list(zip(data.phi_pos, aplus_coords)))
+    _conjugate(f, _conjugate_diag(f, u_final, d), b_word)
     u_coords = unipotent_coordinates(ctx, _freeze(u_final), data.level_one)
     y_coords = unipotent_coordinates(ctx, _freeze(y), data.rn)
     b_coords = unipotent_coordinates(ctx, _word_matrix(f, ctx.n, b_word), data.phi_neg)
@@ -755,10 +704,10 @@ def torus_element(data: CrossSectionData, cycle_values: Sequence, coroot_values:
     diag = [f.one] * data.ctx.n
     for cyc, t in zip(data.cycles, cycle_values):
         for i in cyc:
-            diag[i] = diag[i] * t
+            diag[i] = f.mul(diag[i], t)
     for (a, b), t in zip(data.phi_pos, coroot_values):
-        diag[a] = diag[a] * t
-        diag[b] = diag[b] / t
+        diag[a] = f.mul(diag[a], t)
+        diag[b] = f.div(diag[b], t)
     return tuple(diag)
 
 
@@ -803,12 +752,12 @@ def enumerate_torus(data: CrossSectionData) -> List[Tuple]:
         nxt = []
         for d in frontier:
             for gdiag in gens:
-                prod = tuple(a * b for a, b in zip(d, gdiag))
+                prod = tuple(map(f.mul, d, gdiag))
                 if prod not in out:
                     out.add(prod)
                     nxt.append(prod)
         frontier = nxt
-    return sorted(out, key=lambda d: tuple(v.v for v in d))
+    return sorted(out)
 
 
 def enumerate_cell_points(data: CrossSectionData) -> Iterator[CellPoint]:

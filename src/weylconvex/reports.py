@@ -7,6 +7,7 @@ strings, words as 1-based comma lists, infinite levels as the string
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Dict, List
 
@@ -40,17 +41,21 @@ def angle_str(angle: Fraction) -> str:
     return head if den == 1 else f"{head}/{den}"
 
 
+# k*pi/d with k and d optional, or the multiple of pi as a/b or a.
+_ANGLE = re.compile(r"(?:(\d*)pi|(\d+))(?:/(\d+))?")
+
+
 def parse_angle(token: str) -> Fraction:
     from .errors import InputError
 
-    tok = token.strip().lower().replace(" ", "")
-    if "pi" in tok:
-        head, _, tail = tok.partition("pi")
-        num = int(head) if head else 1
-        den = int(tail[1:]) if tail.startswith("/") else 1
-    else:
-        f = Fraction(tok)
-        num, den = f.numerator, f.denominator
+    m = _ANGLE.fullmatch(token.strip().lower().replace(" ", ""))
+    if m is None:
+        raise InputError(f"cannot parse angle {token!r}; expected e.g. pi/2, 2pi/5 or 1/2")
+    try:
+        num = int(m[1] or m[2] or 1)
+        den = int(m[3] or 1)
+    except ValueError:  # more digits than int() reads
+        raise InputError(f"angle {token!r} has too many digits") from None
     if num <= 0 or den <= 0:
         raise InputError(f"angle {token!r} must lie in (0, pi]")
     out = Fraction(num, den)

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylconvex.cli import main
 
@@ -246,6 +250,44 @@ def test_cross_section_rejects_bad_arguments(capsys, bad):
     assert "error" in json.loads(captured.err)
 
 
+@pytest.mark.parametrize(
+    "sequence", ["foo", "1/0", "pi/2x", "xpi/2", "pi/2,pi,", "pi2,pi/2"],
+    ids=["word", "zero-denominator", "trailing-junk", "leading-junk",
+         "trailing-comma", "pi2"],
+)
+def test_good_position_rejects_malformed_angles(capsys, sequence):
+    code = main([
+        "--no-cache", "good-position", "--type", "A3", "--word", "2,1,3",
+        "--sequence", sequence,
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error" in json.loads(captured.err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cross-section", "--word", "1,2"],
+        ["convex-check", "--type", "A2", "--word", "1", "--twist", "x"],
+        ["cross-section", "--n", "x", "--word", "1,2"],
+    ],
+    ids=["missing-required", "bad-twist", "bad-n"],
+)
+def test_usage_errors_are_json(capsys, argv):
+    code = main(["--no-cache", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error" in json.loads(captured.err)
+
+
+def test_help_exits_0(capsys):
+    assert main(["reps", "--help"]) == 0
+    assert "usage" in capsys.readouterr().out
+
+
 def test_cache_misses_after_engine_version_change(tmp_path, capsys, monkeypatch):
     argv = [
         "--cache-dir", str(tmp_path),
@@ -276,3 +318,90 @@ def test_unexpected_exception_exits_3_with_json(capsys, monkeypatch, exc):
     report = json.loads(captured.err)
     assert report["inconsistency"].startswith(type(exc).__name__)
     assert "Traceback" not in captured.err
+
+
+# Argv fuzzing: every argv must end in exit 0 or 1 with one JSON report on
+# stdout, or in exit 2 with JSON on stderr.  Exit 3 is always a bug.  Each
+# value is malformed one time in six, each flag left out one time in ten.
+_BAD_LABELS = ["0", "5", "-1", "x", "", " 2", "1.5"]
+_ANGLES = ["pi", "pi/2", "pi/3", "2pi/3", "pi/4", "3pi/4", "2pi/5", "4pi/5",
+           "pi/5", "3pi/5", "pi/6", "5pi/6", "1/2", "1/3"]
+_BAD_ANGLES = ["foo", "1/0", "pi/2x", "xpi/2", "pi2", "", "0pi", "3pi/2",
+               "pi/0", "-pi/2", "0.5", "pi/7"]
+
+
+def _mostly(valid, bad):
+    return st.integers(0, 5).flatmap(lambda k: bad if k == 5 else valid)
+
+
+def _ints(lo, hi):
+    return _mostly(st.integers(lo, hi).map(str), st.sampled_from(["x", "", "1.5", "-9"]))
+
+
+def _tokens(valid, bad):
+    return st.lists(_mostly(valid, st.sampled_from(bad)), max_size=8).map(",".join)
+
+
+_WORDS = _tokens(st.integers(1, 4).map(str), _BAD_LABELS)
+_SEQUENCES = _tokens(st.sampled_from(_ANGLES), _BAD_ANGLES)
+_CARTAN = _mostly(
+    st.sampled_from(["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2"]),
+    st.sampled_from(["", "A0", "B1", "Z3", "E9", "A", "x", "A-1", "H3"]),
+)
+_DELTA = _mostly(
+    st.sampled_from(["id", "2,1", "3,2,1", "1,2,3", "1,3,2,4", "4,2,3,1", "3,2,1,4"]),
+    st.sampled_from(["", "a,b", "0,2,1", "1,1", "1,2,3,4,5"]),
+)
+_FLAG = st.just(None)
+_COMMANDS = {
+    "convex-check": {"--type": _CARTAN, "--word": _WORDS, "--delta": _DELTA,
+                     "--twist": _ints(0, 3), "--strict": _FLAG},
+    "reps": {"--type": _CARTAN, "--delta": _DELTA, "--twist": _ints(0, 3),
+             "--allow-large": _FLAG, "--seed": _ints(0, 3)},
+    "conjecture": {"--type": _CARTAN, "--delta": _DELTA, "--allow-large": _FLAG},
+    "cross-section": {
+        "--type": _mostly(st.just("A"), st.sampled_from(["a", "B", ""])),
+        "--n": _ints(2, 4), "--word": _WORDS,
+        "--field": _mostly(st.sampled_from(["2", "3", "5", "101", "rational"]),
+                           st.sampled_from(["Q", "4", "1", "0", "-7", "abc", ""])),
+        "--trials": _ints(0, 3), "--seed": _ints(0, 3), "--rank-checks": _ints(0, 3),
+    },
+    "good-position": {"--type": _CARTAN, "--word": _WORDS, "--sequence": _SEQUENCES},
+    "reproduce": {},
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = ["--no-cache", command]
+    for flag, values in _COMMANDS[command].items():
+        if draw(st.integers(0, 9)) == 9:
+            continue
+        value = draw(values)
+        argv += [flag] if value is None else [flag, value]
+    if draw(st.integers(0, 9)) == 9:
+        argv.append(draw(st.sampled_from(["--bogus", "extra", "--n"])))
+    return argv
+
+
+def _run_captured(argv):
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out.flush()
+    return code, out.buffer.getvalue().decode(), err.getvalue()
+
+
+@settings(max_examples=120, deadline=None)
+@given(_argv())
+def test_argv_fuzz_keeps_the_exit_contract(argv):
+    code, out, err = _run_captured(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in out + err
+    if code in (0, 1):
+        assert json.loads(out)["exit_code"] == code, argv
+    else:
+        assert out == ""
+        assert "error" in json.loads(err), argv

@@ -8,7 +8,7 @@ import pytest
 
 import weylconvex
 from weylconvex.errors import InconsistencyError
-from weylconvex.linalg import charpoly_int, cyclotomic_multiplicities, rank, rref
+from weylconvex.linalg import OperatorField, charpoly_int, cyclotomic_multiplicities, rank, rref
 from weylconvex.roots import CartanType, build_root_system
 from weylconvex.weyl import from_word
 
@@ -84,7 +84,7 @@ def test_mat_mul_shape_check_survives_optimize():
 
 def rank_reference(A):
     # Over Fractions, whatever rref does with int entries.
-    return len(rref([[Fraction(v) for v in row] for row in A], Fraction(0))[1])
+    return len(rref([[Fraction(v) for v in row] for row in A], OperatorField(Fraction(1)))[1])
 
 
 def _random_entry(rng, rational, density):
@@ -119,7 +119,13 @@ def test_rank_of_thin_products(rational):
         A = [[sum((B[i][t] * C[t][j] for t in range(k)), 0) for j in range(n)] for i in range(m)]
         assert rank(A) == rank_reference(A) <= k
         # rref on the int entries themselves must stay exact.
-        assert len(rref(A, 0)[1]) == rank(A)
+        assert len(rref(A, OperatorField(Fraction(1)))[1]) == rank(A)
+
+
+def test_rational_division_of_ints_is_exact():
+    q = OperatorField(Fraction(1))
+    assert type(q.div(1, 3)) is Fraction and q.div(1, 3) == Fraction(1, 3)
+    assert q.div(q.mul(2, 3), q.neg(4)) == Fraction(-3, 2)
 
 
 def test_rank_with_zero_and_duplicate_rows():

@@ -3,10 +3,12 @@ products: every structured result must equal the same product formed with
 `mmul`, `minv`, `ctx.u`, `ctx.diag` and the lift matrices."""
 
 import random
+from dataclasses import astuple
 
 import pytest
 
 from weylconvex.matrixgroup import (
+    PrimeField,
     _conjugate,
     _conjugate_diag,
     _freeze,
@@ -27,6 +29,7 @@ from weylconvex.matrixgroup import (
     mmul,
     random_cell_point,
     random_section_point,
+    sigma,
     unipotent_from_coords,
     xi,
 )
@@ -43,7 +46,7 @@ def _ids(case):
 
 def _scalar(f, rng):
     """A random scalar; over Q with small numerators and denominators."""
-    return f.random(rng) / f.random_unit(rng)
+    return f.div(f.random(rng), f.random_unit(rng))
 
 
 def _matrix(ctx, rng):
@@ -72,7 +75,7 @@ def _closed_order(n, rng):
 def _dense_word(ctx, order, coords):
     out = identity_matrix(ctx.field, ctx.n)
     for pos, t in zip(order, coords):
-        out = mmul(out, ctx.u(pos, t))
+        out = mmul(ctx.field, out, ctx.u(pos, t))
     return out
 
 
@@ -104,21 +107,22 @@ def test_unipotent_inverse_matches_minv(case):
     ctx, rng = case
     for _ in range(TRIALS):
         order, coords = _random_word(ctx, rng)
-        inv = _word_matrix(ctx.field, ctx.n, _inverse_word(list(zip(order, coords))))
+        inv = _word_matrix(ctx.field, ctx.n, _inverse_word(ctx.field, list(zip(order, coords))))
         assert inv == minv(ctx.field, _dense_word(ctx, order, coords))
 
 
 def test_row_and_column_operations_match_dense_products(case):
     ctx, rng = case
+    f = ctx.field
     for _ in range(TRIALS):
         order, coords = _random_word(ctx, rng)
         word = list(zip(order, coords))
         U = _dense_word(ctx, order, coords)
         M = _matrix(ctx, rng)
-        assert _freeze(_mul_word(_rows(M), word)) == mmul(M, U)
-        assert _freeze(_word_mul(word, _rows(M))) == mmul(U, M)
-        assert _freeze(_conjugate(_rows(M), word)) == mmul(
-            mmul(minv(ctx.field, U), M), U
+        assert _freeze(_mul_word(f, _rows(M), word)) == mmul(f, M, U)
+        assert _freeze(_word_mul(f, word, _rows(M))) == mmul(f, U, M)
+        assert _freeze(_conjugate(f, _rows(M), word)) == mmul(
+            f, mmul(f, minv(f, U), M), U
         )
 
 
@@ -129,25 +133,26 @@ def test_diagonal_products_match_dense_products(case):
         d = [f.random_unit(rng) for _ in range(ctx.n)]
         D = ctx.diag(d)
         M = _matrix(ctx, rng)
-        assert _freeze(_scale_cols(_rows(M), d)) == mmul(M, D)
-        assert _freeze(_conjugate_diag(_rows(M), d)) == mmul(
-            mmul(minv(f, D), M), D
+        assert _freeze(_scale_cols(f, _rows(M), d)) == mmul(f, M, D)
+        assert _freeze(_conjugate_diag(f, _rows(M), d)) == mmul(
+            f, mmul(f, minv(f, D), M), D
         )
 
 
 def test_lift_products_match_dense_products(case):
     ctx, rng = case
+    f = ctx.field
     for _ in range(TRIALS):
         data = _random_section(ctx, rng)
-        assert data.lift_inv == minv(ctx.field, data.lift_mat)
+        assert data.lift_inv == minv(f, data.lift_mat)
         M = _matrix(ctx, rng)
-        assert _freeze(_lift_rows(data, _rows(M))) == mmul(data.lift_mat, M)
-        assert _freeze(_unlift_rows(data, _rows(M))) == mmul(data.lift_inv, M)
+        assert _freeze(_lift_rows(data, _rows(M))) == mmul(f, data.lift_mat, M)
+        assert _freeze(_unlift_rows(data, _rows(M))) == mmul(f, data.lift_inv, M)
         order, coords = _random_word(ctx, rng)
         word = list(zip(order, coords))
-        lifted = _word_matrix(ctx.field, ctx.n, _lift_word(data, word))
+        lifted = _word_matrix(f, ctx.n, _lift_word(data, word))
         assert lifted == mmul(
-            mmul(data.lift_mat, _dense_word(ctx, order, coords)), data.lift_inv
+            f, mmul(f, data.lift_mat, _dense_word(ctx, order, coords)), data.lift_inv
         )
 
 
@@ -168,14 +173,16 @@ def test_bottom_up_row_word_reads_off_its_entries(case):
 
 def _dense_xi(data, p):
     ctx = data.ctx
+    f = ctx.field
     y = _dense_word(ctx, data.rn, p.y_coords)
     ell = mmul(
-        mmul(_dense_word(ctx, data.phi_pos, p.ell_plus), ctx.diag(p.ell_diag)),
+        f,
+        mmul(f, _dense_word(ctx, data.phi_pos, p.ell_plus), ctx.diag(p.ell_diag)),
         _dense_word(ctx, data.phi_neg, p.ell_minus),
     )
     u = _dense_word(ctx, data.level_one, p.u_coords)
-    z = mmul(mmul(data.lift_mat, ell), u)
-    return ell, z, mmul(mmul(y, z), minv(ctx.field, y))
+    z = mmul(f, mmul(f, data.lift_mat, ell), u)
+    return ell, z, mmul(f, mmul(f, y, z), minv(f, y))
 
 
 def test_xi_matches_dense_formula(case):
@@ -191,8 +198,17 @@ def test_xi_matches_dense_formula(case):
 
 
 def test_results_keep_the_field_scalar_type(case):
-    # Equality cannot tell Fraction(0) from 0, but mat_key's repr can.
+    # Equality cannot tell Fraction(0) from 0, but mat_key's repr can.  Over
+    # F_p every entry is a plain int in range(p).
     ctx, rng = case
+    f = ctx.field
     data = _random_section(ctx, rng)
     g = xi(data, random_cell_point(data, rng))
-    assert all(type(v) is type(ctx.field.one) for row in g for v in row)
+    assert all(type(v) is type(f.one) for row in g for v in row)
+    coxeter = build_cross_section(ctx, from_word(ctx.rs, None, list(range(ctx.n - 1))))
+    g = xi(coxeter, random_cell_point(coxeter, rng))
+    point = sigma(coxeter, g)
+    values = [v for row in g for v in row] + [v for part in astuple(point) for v in part]
+    assert all(type(v) is type(f.one) for v in values)
+    if isinstance(f, PrimeField):
+        assert all(0 <= v < f.p for v in values)
