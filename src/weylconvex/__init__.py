@@ -36,9 +36,7 @@ from .convexity import (  # noqa: F401
     phi_of,
 )
 from .geometry import (  # noqa: F401
-    AngleComponent,
     GoodPositionCertificate,
-    eigen_angles,
     good_position_length,
     is_admissible,
     is_good_position,

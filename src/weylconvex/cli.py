@@ -6,13 +6,15 @@ or budget error, 3 internal inconsistency (a verified theorem failed, or
 any other exception escaped; either always means a bug).
 
 Reports are cached under a content key of (schema version, engine
-version, command, canonical parameters); a cache hit returns the stored
-bytes unchanged.
+version, a digest of the package's source files, command, canonical
+parameters); a cache hit returns the stored bytes unchanged, and any edit
+to the engine's code misses.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -69,11 +71,24 @@ def _cache_dir(args) -> Optional[str]:
     return None  # caching is opt-in
 
 
+@functools.lru_cache(maxsize=None)
+def _source_digest() -> str:
+    """SHA-256 over the names and bytes of the package's .py files."""
+    digest = hashlib.sha256()
+    package = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as fh:
+                digest.update(name.encode() + b"\0" + fh.read() + b"\0")
+    return digest.hexdigest()
+
+
 def _cache_key(command: str, params: Dict) -> str:
     canonical = json.dumps(
         {
             "schema": SCHEMA_VERSION,
             "engine": __version__,
+            "source": _source_digest(),
             "command": command,
             "params": params,
         },
@@ -82,9 +97,7 @@ def _cache_key(command: str, params: Dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _cache_load(cache_dir: Optional[str], key: str) -> Optional[bytes]:
-    if not cache_dir:
-        return None
+def _cache_load(cache_dir: str, key: str) -> Optional[bytes]:
     path = os.path.join(cache_dir, key + ".json")
     try:
         with open(path, "rb") as fh:
@@ -93,9 +106,7 @@ def _cache_load(cache_dir: Optional[str], key: str) -> Optional[bytes]:
         return None
 
 
-def _cache_store(cache_dir: Optional[str], key: str, payload: bytes) -> None:
-    if not cache_dir:
-        return
+def _cache_store(cache_dir: str, key: str, payload: bytes) -> None:
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, key + ".json")
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
@@ -121,13 +132,16 @@ def _emit(command: str, params: Dict, results, exit_code: int, args, started: fl
         "wall_time_s": round(time.time() - started, 6),
     }
     payload = (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
-    _cache_store(_cache_dir(args), _cache_key(command, params), payload)
+    cache_dir = _cache_dir(args)
+    if cache_dir:
+        _cache_store(cache_dir, _cache_key(command, params), payload)
     sys.stdout.buffer.write(payload)
     return exit_code
 
 
 def _maybe_cached(command: str, params: Dict, args) -> Optional[int]:
-    cached = _cache_load(_cache_dir(args), _cache_key(command, params))
+    cache_dir = _cache_dir(args)
+    cached = _cache_load(cache_dir, _cache_key(command, params)) if cache_dir else None
     if cached is None:
         return None
     sys.stdout.buffer.write(cached)

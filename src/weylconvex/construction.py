@@ -6,11 +6,14 @@ span, move one of its regular points into the closed dominant chamber by
 the dominance algorithm, cut the parabolic down to the stabilizer of the
 point, and repeat until the remaining subsystem is fixed pointwise.
 
-The output is always verified exactly by the sign-stability analysis.  If
-the geometric path was misguided (possible only through the float
-fallback for high rotation orders), an exhaustive scan of the class takes
-over; that scan failing too would contradict the existence theorem and
-raises the loud inconsistency error on purpose.
+Each stage runs on integer vectors over Z[c_L], c_L = 2cos 2pi/L, for the
+field K_L of its angle (see `quadfield`), so every zero test and every
+dominance sign is exact.  The output is verified exactly by the
+sign-stability analysis all the same.  If the geometric path raises an
+InputError or its result fails verification, an exhaustive scan of the
+class takes over and the result records why in `fallback_reason`; that
+scan failing too would contradict the existence theorem and raises the
+loud inconsistency error on purpose.
 """
 
 from __future__ import annotations
@@ -23,14 +26,14 @@ from typing import List, Optional, Sequence, Tuple
 from .convexity import ConvexityReport, analyze, phi_of
 from .errors import InconsistencyError, InputError
 from .geometry import (
+    _pad_to_full,
     angle_list,
-    angle_perp_roots,
     exact_angle_basis,
-    float_angle_basis,
     is_good_position,
-    FLOAT_MARGIN,
+    regular_point,
 )
-from .quadfield import sign_of, two_cos_exact
+from .quadfield import array_dot, field_for
+from .roots import _reflect_coeffs
 from .weyl import ConjugacyClass, TwistedElement, fixed_roots, is_elliptic
 
 
@@ -48,6 +51,9 @@ class RepresentativeResult:
     method: str  # "geometric" or "exhaustive"
     stage_log: Tuple[StageRecord, ...]
     report: ConvexityReport
+    # Why the exhaustive scan ran: the geometric path's InputError text, or
+    # a note that its result failed verification.  None when geometric.
+    fallback_reason: Optional[str] = None
 
 
 def _verified(x: TwistedElement) -> Optional[ConvexityReport]:
@@ -55,13 +61,6 @@ def _verified(x: TwistedElement) -> Optional[ConvexityReport]:
     if rep.convex and phi_of(x) == fixed_roots(x):
         return rep
     return None
-
-
-def _restricted_angle_basis(x: TwistedElement, angle: Fraction, labels):
-    """Basis of V_x^theta inside the span of the parabolic, exact or float."""
-    if two_cos_exact(angle) is not None:
-        return exact_angle_basis(x, angle, labels), True
-    return float_angle_basis(x, angle, labels), False
 
 
 def _geometric_convex(
@@ -84,13 +83,19 @@ def _geometric_convex(
                 "element moves the parabolic but has no rotation angle in it"
             )
         angle = angles[0][0]  # ascending order: smallest theta first
-        basis, exact = _restricted_angle_basis(x, angle, labels)
-        point = _regular_in_restricted(rs, x, angle, basis, labels, exact, rng)
-        x, point, word = _dominate(rs, x, point, labels, exact)
+        field = field_for([angle])
+        basis = exact_angle_basis(x, angle, labels, field)
+        if not basis:
+            raise InconsistencyError("empty eigenspace basis for a present angle")
+        padded = [_pad_to_full(b, labels, rs.rank) for b in basis]
+        point, _ = regular_point(padded, rs, rs.parabolic_closure(labels), rng)
+        # The walk runs on the point as an integer array over Z[c].
+        _, (point,) = field.clear([point])
+        x, point, word = _dominate(rs, x, point, labels, field)
         next_labels = tuple(
             lab
             for lab in labels
-            if _is_zero(rs.pair_with_root(point, rs.simple_indices[lab]), exact)
+            if not any(array_dot(point, rs.int_pairing_rows[rs.simple_indices[lab]]))
         )
         if next_labels == labels:
             raise InconsistencyError("dominance step made no parabolic progress")
@@ -98,43 +103,7 @@ def _geometric_convex(
         labels = next_labels
 
 
-def _pad(vec, labels, rank):
-    out = [Fraction(0) if not isinstance(vec[0], float) else 0.0] * rank
-    for t, lab in enumerate(labels):
-        out[lab] = vec[t]
-    return out
-
-
-def _is_zero(v, exact: bool) -> bool:
-    return sign_of(v) == 0 if exact else abs(v) < FLOAT_MARGIN
-
-
-def _is_negative(v, exact: bool) -> bool:
-    return sign_of(v) < 0 if exact else v < -FLOAT_MARGIN
-
-
-def _regular_in_restricted(rs, x, angle, basis, labels, exact, rng):
-    """Random point of the restricted eigenspace off the relevant hyperplanes."""
-    if not basis:
-        raise InconsistencyError("empty eigenspace basis for a present angle")
-    sub_roots = rs.parabolic_closure(labels)
-    perp = angle_perp_roots(x, angle, sub_roots, labels)
-    off = [g for g in sub_roots if rs.is_positive(g) and g not in perp]
-    padded = [_pad(b, labels, rs.rank) for b in basis]
-    for _ in range(256):
-        coefs = [rng.randint(-9, 9) for _ in padded]
-        if all(c == 0 for c in coefs):
-            continue
-        point = [
-            sum(c * b[t] for c, b in zip(coefs, padded))
-            for t in range(rs.rank)
-        ]
-        if all(not _is_zero(rs.pair_with_root(point, g), exact) for g in off):
-            return point
-    raise InconsistencyError("regular point sampling failed in the eigenspace")
-
-
-def _dominate(rs, x, point, labels, exact):
+def _dominate(rs, x, point, labels, field):
     """Reflect the point into the closed dominant chamber of the parabolic.
 
     Ties (pairings that are already zero) are left alone: boundary points
@@ -149,22 +118,13 @@ def _dominate(rs, x, point, labels, exact):
             raise InconsistencyError("dominance loop exceeded its bound")
         for lab in labels:
             g = rs.simple_indices[lab]
-            if _is_negative(rs.pair_with_root(point, g), exact):
-                point = _reflect(rs, point, lab)
+            if field.sign(array_dot(point, rs.int_pairing_rows[g])) < 0:
+                point = tuple(_reflect_coeffs(p, lab, rs.cartan) for p in point)
                 x = x.conj_by_simple(lab)
                 word.append(lab)
                 break
         else:
             return x, point, word
-
-
-def _reflect(rs, point, lab):
-    """Apply the simple reflection s_lab to a vector in simple coordinates."""
-    g = rs.simple_indices[lab]
-    coef = rs.pair_with_root(point, g) * 2 / rs.gram()[lab][lab]
-    out = list(point)
-    out[lab] = out[lab] - coef
-    return out
 
 
 def find_convex_representative(
@@ -188,8 +148,9 @@ def find_convex_representative(
                 stage_log=tuple(log),
                 report=report,
             )
-    except InputError:
-        pass
+        reason = "geometric representative failed verification"
+    except InputError as exc:
+        reason = str(exc)
     for y in cls.elements:  # already sorted by (length, permutation)
         report = _verified(y)
         if report is not None:
@@ -199,6 +160,7 @@ def find_convex_representative(
                 method="exhaustive",
                 stage_log=(),
                 report=report,
+                fallback_reason=reason,
             )
     raise InconsistencyError(
         "theorem violated: no convex element with phi = fixed roots in class "

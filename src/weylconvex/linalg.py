@@ -3,10 +3,11 @@
 Matrices are lists (or tuples) of rows.  The eliminations take a field
 object that does all scalar arithmetic: it has `zero`, `one`, `add`, `sub`,
 `mul`, `neg` and `div`, and its scalars compare with `==` and are false
-exactly when zero.  `OperatorField` is Q or Q(sqrt(D)) through the scalars'
-own operators; the prime fields of the matrix-group module work on plain
-ints mod p.  Sizes here are tiny, so plain Gaussian elimination is used,
-except that `rank` takes only ints and Fractions and eliminates on integers.
+exactly when zero.  `OperatorField` is Q or a real cyclotomic field K_L
+(see `quadfield`) through the scalars' own operators; the prime fields of
+the matrix-group module work on plain ints mod p.  Sizes here are tiny, so
+plain Gaussian elimination is used, except that `rank` takes only ints and
+Fractions and eliminates on integers.
 """
 
 from __future__ import annotations
@@ -36,10 +37,11 @@ def mat_mul(A, B):
 
 
 class OperatorField:
-    """Q or Q(sqrt(D)), computing with the scalars' own operators.
+    """Q or K_L, computing with the scalars' own operators.
 
-    `one` is Fraction(1) or QuadExt(1, 0, D) and fixes the scalar type:
-    `div` multiplies by it first, so two ints divide to a Fraction.
+    `one` is Fraction(1) or the one of a `quadfield.CosField` and fixes the
+    scalar type: `div` multiplies by it first, so two ints divide to a
+    Fraction or a field element.
     """
 
     add = staticmethod(operator.add)

@@ -36,7 +36,6 @@ from weylconvex.matrixgroup import (
     transversality_check,
     xi,
 )
-from weylconvex.quadfield import two_cos_exact
 from weylconvex.roots import CartanType, build_root_system, diagram_automorphisms
 from weylconvex.weyl import (
     TwistedElement,
@@ -136,10 +135,6 @@ def test_criterion_2_existence_battery():
 # Criteria 3 and 7 share the certificates produced by a good-position sweep.
 
 
-def _exactly_supported(x):
-    return all(two_cos_exact(a) is not None for a, _ in angle_list(x))
-
-
 @pytest.fixture(scope="module")
 def certificate_batch():
     """(element, certificate) pairs swept from small-rank classes."""
@@ -148,7 +143,7 @@ def certificate_batch():
         rs = rs_of(name)
         for cls in conjugacy_classes(rs):
             rep = cls.representative
-            if rep.is_identity() or not _exactly_supported(rep):
+            if rep.is_identity():
                 continue
             angles = [a for a, _ in angle_list(rep)]
             for seq in (angles, list(reversed(angles))):

@@ -1,6 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import shutil
+import subprocess
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -303,6 +308,48 @@ def test_cache_misses_after_engine_version_change(tmp_path, capsys, monkeypatch)
     assert first["engine_version"] != "0.0.0+changed"
     assert second["engine_version"] == "0.0.0+changed"
     assert len(list(tmp_path.glob("*.json"))) == 2
+
+
+def test_cache_misses_after_source_change(tmp_path):
+    # The cache key covers the package's source files, so editing any of
+    # them (with the version string unchanged) makes the next run a miss.
+    import weylconvex
+
+    src = tmp_path / "src"
+    shutil.copytree(
+        os.path.dirname(weylconvex.__file__), src / "weylconvex",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    cache = tmp_path / "cache"
+    argv = [
+        sys.executable, "-m", "weylconvex", "--cache-dir", str(cache),
+        "convex-check", "--type", "A2", "--word", "1,2",
+    ]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def run():
+        proc = subprocess.run(argv, env=env, capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        return len(list(cache.glob("*.json")))
+
+    assert run() == 1
+    assert run() == 1  # a hit stores nothing new
+    with open(src / "weylconvex" / "reports.py", "a") as fh:
+        fh.write("# edited\n")
+    assert run() == 2
+
+
+def test_root_count_cap_refuses_before_building(capsys):
+    # A60 has 3,660 roots; the refusal comes from the known count, before
+    # the reflection closure runs.
+    started = time.monotonic()
+    code = main(["--no-cache", "convex-check", "--type", "A60", "--word", "1"])
+    elapsed = time.monotonic() - started
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "3660 roots" in json.loads(captured.err)["error"]
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("exc", [ValueError("singular matrix"), ZeroDivisionError()])

@@ -110,13 +110,24 @@ def test_geometric_inconsistency_is_not_swallowed(monkeypatch):
         return geometric_convex
 
     cls = conjugacy_classes(rs_of("A2"))[-1]
+    assert find_convex_representative(cls).fallback_reason is None
     monkeypatch.setattr(construction, "_geometric_convex", planted(InputError))
-    assert find_convex_representative(cls).method == "exhaustive"
+    res = find_convex_representative(cls)
+    assert res.method == "exhaustive"
+    assert res.fallback_reason == "planted"
     monkeypatch.setattr(
         construction, "_geometric_convex", planted(InconsistencyError)
     )
     with pytest.raises(InconsistencyError, match="planted"):
         find_convex_representative(cls)
+    # A geometric result that fails verification is recorded too: s1 is not
+    # convex, and the scan finds s1s2s1 in its class.
+    refl = [c for c in conjugacy_classes(rs_of("A2")) if c.min_length == 1][0]
+    s1 = from_word(rs_of("A2"), None, [0])
+    monkeypatch.setattr(construction, "_geometric_convex", lambda x, rng: (s1, []))
+    res = find_convex_representative(refl)
+    assert res.method == "exhaustive" and res.representative.word() == (0, 1, 0)
+    assert res.fallback_reason == "geometric representative failed verification"
 
 
 def test_find_good_position_conjugate_a3():
@@ -136,6 +147,22 @@ def test_find_good_position_lengths_a4():
     assert y1.length() == 4
     y2 = find_good_position_conjugate(x, [Fraction(4, 5), Fraction(2, 5)])
     assert y2.length() == 8
+
+
+def test_find_good_position_degree3_a6():
+    # Rotation order 7 needs the cubic field K_7: the conjugates found must
+    # carry the theorem's consequences exactly.
+    from weylconvex.geometry import good_position_length, is_good_position
+
+    rs = rs_of("A6")
+    x = from_word(rs, None, list(range(6)))
+    for seq in ([Fraction(2, 7), Fraction(4, 7), Fraction(6, 7)],
+                [Fraction(2, 7), Fraction(6, 7), Fraction(4, 7)]):
+        y = find_good_position_conjugate(x, seq)
+        cert = is_good_position(y, seq)
+        assert analyze(y).convex
+        assert phi_of(y) == fixed_roots(y)
+        assert good_position_length(cert) == y.length()
 
 
 def test_find_good_position_budget():
@@ -222,14 +249,17 @@ def test_geometric_and_exhaustive_agree_on_existence():
 
 def test_e6_battery_within_default_budget():
     # The enumeration budget admits E6; every one of its 25 classes gets a
-    # geometrically constructed, exactly verified representative.
+    # geometrically constructed, exactly verified representative.  That
+    # includes the order-9 class, whose angles need the cubic field K_9.
     rs = rs_of("E6")
     classes = conjugacy_classes(rs)
     assert len(classes) == 25
     assert sum(len(c) for c in classes) == 51840
+    assert any(c.representative.order() == 9 for c in classes)
     from weylconvex.weyl import fixed_roots
 
     for cls in classes:
         res = find_convex_representative(cls)
         y = res.representative
+        assert res.method == "geometric" and res.fallback_reason is None
         assert res.report.convex and phi_of(y) == fixed_roots(y)

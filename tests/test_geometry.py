@@ -7,12 +7,10 @@ from weylconvex.convexity import analyze, n_of, phi_of
 from weylconvex.errors import InputError
 from weylconvex.geometry import (
     _feasible_homogeneous,
-    _field_vector,
     _int_feasible_homogeneous,
     admissible_enumerations,
     angle_list,
     angle_perp_roots,
-    eigen_angles,
     exact_angle_basis,
     fixed_space_dim,
     good_position_length,
@@ -21,7 +19,8 @@ from weylconvex.geometry import (
     regular_point,
     separation_witness,
 )
-from weylconvex.quadfield import QuadExt, sign_of
+from weylconvex.linalg import OperatorField, rref
+from weylconvex.quadfield import cos_field, field_for, sign_of, two_cos_in
 from weylconvex.roots import CartanType, build_root_system
 from weylconvex.weyl import (
     fixed_roots,
@@ -49,18 +48,23 @@ def ambient(rs, coeff_vec):
     return tuple(out)
 
 
+def exact_components(x):
+    """{angle: exact basis of V_x^theta} over all rotation angles of x."""
+    return {angle: exact_angle_basis(x, angle) for angle, _ in angle_list(x)}
+
+
 def test_eigen_angles_identity():
     rs = rs_of("A3")
     x = identity_element(rs)
-    assert eigen_angles(x) == []
+    assert angle_list(x) == []
     assert fixed_space_dim(x) == 3
 
 
 def test_eigen_angles_s2s1s3():
     rs = rs_of("A3")
     x = from_word(rs, None, [1, 0, 2])
-    comps = {c.angle: c.dim for c in eigen_angles(x)}
-    assert comps == {Fraction(1, 2): 2, Fraction(1): 1}
+    comps = {a: len(b) for a, b in exact_components(x).items()}
+    assert comps == dict(angle_list(x)) == {Fraction(1, 2): 2, Fraction(1): 1}
     # The pi eigenspace is the line (a,-a,-a,a), i.e. coefficients (1,0,-1).
     basis = exact_angle_basis(x, Fraction(1))
     assert len(basis) == 1
@@ -78,35 +82,34 @@ def test_eigen_angles_s2s1s3():
 def test_eigen_angles_a4_coxeter():
     rs = rs_of("A4")
     x = from_word(rs, None, [0, 1, 2, 3])
-    comps = {c.angle: c.dim for c in eigen_angles(x)}
-    assert comps == {Fraction(2, 5): 2, Fraction(4, 5): 2}
+    comps = {a: len(b) for a, b in exact_components(x).items()}
+    assert comps == dict(angle_list(x)) == {Fraction(2, 5): 2, Fraction(4, 5): 2}
 
 
 def test_eigen_angle_dims_sum_to_rank():
     for name, word in (("A3", [1, 0, 2]), ("B3", [0, 1, 2]), ("G2", [0, 1]),
-                       ("A4", [0, 1, 2, 3, 0, 1])):
+                       ("A4", [0, 1, 2, 3, 0, 1]), ("A6", list(range(6)))):
         rs = rs_of(name)
         x = from_word(rs, None, word)
-        total = fixed_space_dim(x) + sum(c.dim for c in eigen_angles(x))
+        total = fixed_space_dim(x) + sum(len(b) for b in exact_components(x).values())
         assert total == rs.rank
 
 
 def test_eigenbasis_satisfies_defining_equation():
-    rs = rs_of("A4")
-    x = from_word(rs, None, [0, 1, 2, 3])
-    import math
-
-    M = x.matrix()
-    Minv = x.inverse().matrix()
-    for comp in eigen_angles(x):
-        c2 = 2 * math.cos(math.pi * float(comp.angle))
-        for v in comp.basis:
-            got = [
-                sum((M[i][j] + Minv[i][j]) * v[j] for j in range(len(v)))
-                for i in range(len(v))
-            ]
-            want = [c2 * vi for vi in v]
-            assert all(abs(a - b) < 1e-9 for a, b in zip(got, want))
+    # (M + M^-1) v = 2cos(theta) v exactly, in quadratic and cubic fields.
+    for name, word in (("A4", [0, 1, 2, 3]), ("A6", list(range(6)))):
+        rs = rs_of(name)
+        x = from_word(rs, None, word)
+        M = x.matrix()
+        Minv = x.inverse().matrix()
+        for angle, basis in exact_components(x).items():
+            c2 = two_cos_in(angle, field_for([angle]))
+            for v in basis:
+                got = [
+                    sum((M[i][j] + Minv[i][j]) * v[j] for j in range(len(v)))
+                    for i in range(len(v))
+                ]
+                assert got == [c2 * vi for vi in v]
 
 
 def test_eigenspace_same_for_inverse():
@@ -122,12 +125,12 @@ def test_eigenspace_same_for_inverse():
         assert s1 == s2
 
 
-def test_float_basis_for_degree3_field():
-    # A6 Coxeter has rotation order 7, outside the quadratic range.
+def test_exact_basis_for_degree3_field():
+    # A6 Coxeter has rotation order 7: its angles live in the cubic K_7.
     rs = rs_of("A6")
     x = from_word(rs, None, list(range(6)))
-    comps = eigen_angles(x)
-    assert [c.dim for c in comps] == [2, 2, 2]
+    assert field_for([a for a, _ in angle_list(x)]).degree == 3
+    assert [len(b) for b in exact_components(x).values()] == [2, 2, 2]
 
 
 def test_regular_point_psi_for_pi_eigenspace():
@@ -301,33 +304,18 @@ def test_dominant_regular_point_gives_standard_parabolic():
         assert phi_of(x) <= psi
 
 
-def test_float_basis_is_stable_under_x():
-    # x maps each float basis vector back into the span of the basis.
-    rs = rs_of("A4")
-    x = from_word(rs, None, [0, 1, 2, 3])
-    M = x.matrix()
-
-    def orthonormalize(vectors):
-        out = []
-        for v in vectors:
-            w = list(v)
-            for u in out:
-                c = sum(a * b for a, b in zip(w, u))
-                w = [a - c * b for a, b in zip(w, u)]
-            norm = sum(a * a for a in w) ** 0.5
-            assert norm > 1e-9
-            out.append([a / norm for a in w])
-        return out
-
-    for comp in eigen_angles(x):
-        frame = orthonormalize([list(b) for b in comp.basis])
-        for v in comp.basis:
-            img = [sum(M[i][j] * v[j] for j in range(len(v))) for i in range(len(v))]
-            work = list(img)
-            for u in frame:
-                c = sum(a * b for a, b in zip(work, u))
-                work = [a - c * b for a, b in zip(work, u)]
-            assert all(abs(t) < 1e-8 for t in work)
+def test_exact_basis_is_stable_under_x():
+    # x maps each basis vector back into the span of the basis, exactly.
+    for name, word in (("A4", [0, 1, 2, 3]), ("A6", list(range(6)))):
+        rs = rs_of(name)
+        x = from_word(rs, None, word)
+        M = x.matrix()
+        for angle, basis in exact_components(x).items():
+            field = field_for([angle])
+            for v in basis:
+                img = [sum(M[i][j] * v[j] for j in range(len(v))) for i in range(len(v))]
+                _, pivots = rref(basis + [img], OperatorField(field.one))
+                assert len(pivots) == len(basis)
 
 
 def test_twisted_good_position_certificates():
@@ -335,7 +323,6 @@ def test_twisted_good_position_certificates():
     # found there must carry the same consequences as in the untwisted case.
     from weylconvex.roots import diagram_automorphisms
     from weylconvex.weyl import conjugacy_classes
-    from weylconvex.quadfield import two_cos_exact
 
     verified = 0
     for name in ("A2", "A3"):
@@ -344,7 +331,7 @@ def test_twisted_good_position_certificates():
         for cls in conjugacy_classes(rs, flip, 1):
             rep = cls.representative
             angles = [a for a, _ in angle_list(rep)]
-            if not angles or any(two_cos_exact(a) is None for a in angles):
+            if not angles:
                 continue
             for y in cls.elements:
                 cert = is_good_position(y, angles)
@@ -429,58 +416,54 @@ def test_truncated_sequence_agrees_when_tail_is_vacuous():
 # The integer elimination against the generic one on field scalars.
 
 
-def _random_cone(rng, D, nvars):
-    """Integer rows (A, B, strict) with repeated and proportional copies."""
+# Q; Q(sqrt D) for D = 2, 3, 5 (K_8, K_12, K_5); and K_7, K_9, K_15 of
+# degrees 3, 3 and 4.
+FIELDS = {"1": 1, "2": 8, "3": 12, "5": 5, "L7": 7, "L9": 9, "L15": 15}
+
+
+def _random_cone(rng, field, nvars):
+    """Integer rows (P, strict) with repeated and proportional copies."""
+    n = field.degree
     rows = []
     for _ in range(rng.randint(2, 6)):
-        A = tuple(rng.randint(-3, 3) for _ in range(nvars))
-        B = tuple(rng.randint(-2, 2) if D > 1 else 0 for _ in range(nvars))
-        rows.append((A, B, rng.random() < 0.3))
+        P = tuple(
+            tuple(rng.randint(-3, 3) if i == 0 else rng.randint(-2, 2) for _ in range(nvars))
+            for i in range(n)
+        )
+        rows.append((P, rng.random() < 0.3))
     for _ in range(rng.randint(1, 3)):
-        A, B, strict = rng.choice(rows)
+        P, strict = rng.choice(rows)
         kind = rng.randrange(3)
         if kind == 0:  # the same row, maybe with the other strictness
-            rows.append((A, B, rng.random() < 0.5))
+            rows.append((P, rng.random() < 0.5))
         elif kind == 1:  # a positive integer multiple
             c = rng.randint(2, 4)
-            rows.append((tuple(c * a for a in A), tuple(c * b for b in B), strict))
-        elif D > 1:  # times 3 + sqrt(D), positive but not rational
-            rows.append((
-                tuple(3 * a + D * b for a, b in zip(A, B)),
-                tuple(a + 3 * b for a, b in zip(A, B)),
-                strict,
-            ))
+            rows.append((tuple(tuple(c * v for v in p) for p in P), strict))
+        elif n > 1:  # times 3 + c, positive but not rational
+            rows.append((field.scale(field.mul_matrix((3, 1) + (0,) * (n - 2)), P), strict))
     rng.shuffle(rows)
     return rows
 
 
-def _field_row(rng, A, B, D):
-    """The row over Q or Q(sqrt D), divided by a random positive integer."""
-    den = rng.randint(1, 6)
-    if D == 1:
-        return [Fraction(a, den) for a in A]
-    return [QuadExt(Fraction(a, den), Fraction(b, den), D) for a, b in zip(A, B)]
-
-
-@pytest.mark.parametrize("D", [1, 2, 3, 5])
-def test_int_elimination_matches_generic(D):
-    rng = random.Random(600 + D)
-    zero = Fraction(0) if D == 1 else QuadExt(0, 0, D)
-    one = Fraction(1) if D == 1 else QuadExt(1, 0, D)
+@pytest.mark.parametrize("field_id", list(FIELDS))
+def test_int_elimination_matches_generic(field_id):
+    field = cos_field(FIELDS[field_id])
+    rng = random.Random(600 + FIELDS[field_id])
     outcomes = {True: 0, False: 0}
     for _ in range(150):
         nvars = rng.randint(1, 4)
-        rows = _random_cone(rng, D, nvars)
-        field_rows = [(_field_row(rng, A, B, D), strict) for A, B, strict in rows]
-        want = _feasible_homogeneous(field_rows, nvars, zero, one)
-        got = _int_feasible_homogeneous(rows, nvars, D)
+        rows = _random_cone(rng, field, nvars)
+        # The rows over K_L, each divided by a random positive integer.
+        field_rows = [(field.vector(P, rng.randint(1, 6)), strict) for P, strict in rows]
+        want = _feasible_homogeneous(field_rows, nvars, field.zero, field.one)
+        got = _int_feasible_homogeneous(rows, nvars, field)
         assert (got is None) == (want is None), rows
         outcomes[got is not None] += 1
         if got is None:
             continue
-        w = _field_vector(*got, D)
+        w = field.vector(*got)
         assert [repr(v) for v in w] == [repr(v) for v in want], rows
         for row, strict in field_rows:
-            s = sign_of(sum((a * c for a, c in zip(row, w)), zero))
+            s = sign_of(sum((a * c for a, c in zip(row, w)), field.zero))
             assert s > 0 if strict else s >= 0
     assert min(outcomes.values()) >= 20, outcomes

@@ -137,8 +137,9 @@ def test_bytes_sort_like_tuples(n):
 
 # ---------------------------------------------------------------------------
 # Pinned report bytes: root systems with more than 256 roots, which use
-# tuples, and good-position certificates over Q, Q(sqrt2), Q(sqrt3) and
-# Q(sqrt5), whose stage points come out of the exact cone tests.
+# tuples, and good-position certificates over Q, Q(sqrt2), Q(sqrt3),
+# Q(sqrt5) and the quartic K_30, whose stage points come out of the exact
+# cone tests.
 
 
 def _good_position(cartan, word, sequence):
@@ -174,6 +175,16 @@ def _good_position(cartan, word, sequence):
             _good_position("E6", "4,2,6,1,5,3,4,2,6,1,5,3", "pi/3,2pi/3"), 0,
             "good_position_E6_4-2-6-1-5-3-4-2-6-1-5-3.txt",
             id="good-position-E6-rational",
+        ),
+        # Degree 4 over Q: K_30.  The word 1,...,8 is not at good position,
+        # the bipartite Coxeter element is.
+        pytest.param(
+            _good_position("E8", "1,2,3,4,5,6,7,8", "pi/15,7pi/15"), 1,
+            "good_position_E8_1-2-3-4-5-6-7-8.txt", id="good-position-E8-degree4-fails",
+        ),
+        pytest.param(
+            _good_position("E8", "1,4,6,8,2,3,5,7", "pi/15,7pi/15"), 0,
+            "good_position_E8_1-4-6-8-2-3-5-7.txt", id="good-position-E8-degree4",
         ),
     ],
 )
