@@ -223,10 +223,13 @@ def cmd_conjecture(args) -> int:
     hit = _maybe_cached("conjecture", params, args)
     if hit is not None:
         return hit
+    from .weyl import DEFAULT_ENUMERATION_BUDGET
+
     ct = CartanType.parse(args.type)
-    if not args.allow_large and ct.weyl_order() > 60_000:
+    if not args.allow_large and ct.weyl_order() > DEFAULT_ENUMERATION_BUDGET:
         raise BudgetExceeded(
-            f"|W({ct})| = {ct.weyl_order()} needs --allow-large", 60_000
+            f"|W({ct})| = {ct.weyl_order()} needs --allow-large",
+            DEFAULT_ENUMERATION_BUDGET,
         )
     rs = build_root_system(ct)
     delta = _resolve_delta(rs, args.delta)

@@ -3,13 +3,12 @@
 Everything here lives in simple-root coordinates with the exact Gram
 matrix, and every Boolean that feeds a theorem check is decided exactly.
 
-Two layers of exactness:
-
-* Orthogonality of a (rational) root to a rotation eigenspace V_x^theta is
-  decided over Q, for every angle: a root is orthogonal to V_x^theta iff it
-  is orthogonal to the rational kernel of Phi_d(M), the d-th cyclotomic
-  polynomial evaluated at the integer matrix of x, because the Galois group
-  permutes the conjugate eigenspaces while fixing the root.
+* Which roots are orthogonal to a rotation eigenspace V_x^theta is read
+  off the root permutation: the kernels of Phi_e(x) are pairwise
+  orthogonal, so a root is orthogonal to ker Phi_d(x) exactly when the
+  product of the other cyclotomic factors of the characteristic
+  polynomial, evaluated at x, kills it.  That is an integer combination of
+  the roots on its orbit.
 * Eigenspace bases and cone feasibility are exact over the real cyclotomic
   field K_L = Q(c_L), c_L = 2cos 2pi/L, of the angle sequence (see
   `quadfield`), for every rotation order.  The cone tests clear the basis
@@ -23,7 +22,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import InconsistencyError, InputError
@@ -33,7 +31,7 @@ from .linalg import (
     cyclotomic_multiplicities,
     charpoly_int,
     kernel_basis,
-    poly_eval_matrix,
+    poly_mul,
 )
 from .quadfield import (
     CosField,
@@ -46,7 +44,7 @@ from .quadfield import (
     sign_of,
     two_cos_in,
 )
-from .weyl import TwistedElement
+from .weyl import TwistedElement, fixed_roots
 
 REGULAR_POINT_RETRIES = 64
 
@@ -115,25 +113,6 @@ def _rotation_denominator(angle: Fraction) -> int:
     return Fraction(angle, 2).denominator
 
 
-def rational_angle_block(x: TwistedElement, angle: Fraction, labels=None) -> List[List[Fraction]]:
-    """Rational basis of the sum of all V_x^theta' conjugate to V_x^theta.
-
-    This is the kernel of Phi_d(M) and is exactly what root-orthogonality
-    questions about V_x^theta reduce to.
-    """
-    labels = _labels_or_all(x, labels)
-    d = _rotation_denominator(angle)
-    cache = getattr(x, "_block_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(x, "_block_cache", cache)
-    key = (d, labels)
-    if key not in cache:
-        P = poly_eval_matrix(cyclotomic(d), x.matrix(labels), 1, 0)
-        cache[key] = kernel_basis(P, OperatorField(Fraction(1)))
-    return cache[key]
-
-
 def _pad_to_full(vec: Sequence, labels: Tuple[int, ...], rank: int) -> List:
     if len(labels) == rank:
         return list(vec)
@@ -143,41 +122,43 @@ def _pad_to_full(vec: Sequence, labels: Tuple[int, ...], rank: int) -> List:
     return out
 
 
-def _perp_roots(rs, vectors: Sequence[Sequence], root_subset) -> FrozenSet[int]:
-    """{gamma in subset : (v, gamma) = 0 for every rational v}, on integers."""
-    cleared = [A[0] for A in cos_field(1).clear(vectors)[1]]
-    rows = rs.int_pairing_rows
-    return frozenset(
-        g
-        for g in root_subset
-        if all(not sum(map(mul, v, rows[g])) for v in cleared)
-    )
+def _perp_orders(x: TwistedElement, orders, root_subset) -> FrozenSet[int]:
+    """{gamma in subset : gamma is orthogonal to ker Phi_d(x) for all d in orders}.
+
+    x is an isometry of finite order, so V is the orthogonal sum of the
+    kernels of Phi_e(x) over the cyclotomic factors Phi_e of its
+    characteristic polynomial.  A root is orthogonal to the kernels with e
+    in `orders` exactly when P(x) kills it, P the product of the other
+    Phi_e; P(x)gamma is an integer combination of the roots on the orbit
+    of gamma, read off the root permutation.
+    """
+    poly = [1]
+    for e in _cyclo_mults(x):
+        if e not in orders:
+            poly = poly_mul(poly, cyclotomic(e))
+    perm, coeffs = x.perm, x.rs.coeffs
+
+    def killed(g) -> bool:
+        acc = (0,) * x.rs.rank
+        for c in poly:
+            if c:
+                acc = [a + c * v for a, v in zip(acc, coeffs[g])]
+            g = perm[g]
+        return not any(acc)
+
+    return frozenset(g for g in root_subset if killed(g))
 
 
-def angle_perp_roots(
-    x: TwistedElement, angle: Fraction, root_subset=None, labels=None
-) -> FrozenSet[int]:
-    """{gamma in subset : V_x^theta <= H_gamma}, decided exactly over Q."""
-    rs = x.rs
-    labels = _labels_or_all(x, labels)
-    block = rational_angle_block(x, angle, labels)
-    padded = [_pad_to_full(b, labels, rs.rank) for b in block]
+def angle_perp_roots(x: TwistedElement, angle: Fraction, root_subset=None) -> FrozenSet[int]:
+    """{gamma in subset : V_x^theta <= H_gamma}, decided exactly.
+
+    A root is fixed by the Galois group, which permutes V_x^theta with its
+    conjugate eigenspaces, so this is orthogonality to ker Phi_d(x), d the
+    order of the rotation.
+    """
     if root_subset is None:
-        root_subset = range(rs.count)
-    return _perp_roots(rs, padded, root_subset)
-
-
-def moved_space_perp_roots(x: TwistedElement, root_subset=None) -> FrozenSet[int]:
-    """Roots orthogonal to the whole moved space (V^x)-perp."""
-    rs = x.rs
-    if root_subset is None:
-        root_subset = range(rs.count)
-    out = frozenset(root_subset)
-    for angle, _ in angle_list(x):
-        out = out & angle_perp_roots(x, angle, out)
-        if not out:
-            break
-    return out
+        root_subset = range(x.rs.count)
+    return _perp_orders(x, {_rotation_denominator(angle)}, root_subset)
 
 
 # ---------------------------------------------------------------------------
@@ -430,11 +411,9 @@ def is_admissible(x: TwistedElement, sequence: Sequence[Fraction]) -> bool:
     for a in sequence:
         if Fraction(a) not in angles:
             raise InputError(f"{a} is not a rotation angle of this element")
-    psi0 = moved_space_perp_roots(x)
-    psi = frozenset(range(x.rs.count))
-    for a in sequence:
-        psi = psi & angle_perp_roots(x, Fraction(a), psi)
-    return psi == psi0
+    orders = {_rotation_denominator(Fraction(a)) for a in sequence}
+    # The roots orthogonal to the whole moved space are the fixed roots.
+    return _perp_orders(x, orders, range(x.rs.count)) == fixed_roots(x)
 
 
 def admissible_enumerations(x: TwistedElement) -> List[Tuple[Fraction, ...]]:
@@ -470,12 +449,9 @@ class GoodPositionCertificate:
 
 
 def is_good_position(
-    x: TwistedElement,
-    sequence: Sequence[Fraction],
-    labels=None,
-    rng: Optional[random.Random] = None,
+    x: TwistedElement, sequence: Sequence[Fraction]
 ) -> Optional[GoodPositionCertificate]:
-    """Recursive good-position test for x with respect to the sequence.
+    """Good-position test for x with respect to an admissible sequence.
 
     Stage i needs a regular point of V_x^{theta_i}, within the current
     parabolic subsystem, lying in the current closed dominant chamber.
@@ -484,13 +460,12 @@ def is_good_position(
     """
     rs = x.rs
     sequence = tuple(Fraction(a) for a in sequence)
-    top_level = labels is None
-    if top_level and not is_admissible(x, sequence):
+    if not is_admissible(x, sequence):
         raise InputError("sequence is not admissible for this element")
-    rng = rng or random.Random(11)
+    rng = random.Random(11)
 
     field = field_for(sequence)
-    cur_labels = _labels_or_all(x, labels)
+    top_labels = cur_labels = tuple(range(rs.rank))
     cur_roots = rs.parabolic_closure(cur_labels)
     chain = [cur_roots]
     h_values = [sum(1 for g in cur_roots if rs.is_positive(g))]
@@ -516,7 +491,6 @@ def is_good_position(
         chain.append(cur_roots)
         h_values.append(sum(1 for g in cur_roots if rs.is_positive(g)))
 
-    top_labels = _labels_or_all(x, labels)
     regular = _cumulative_points(rs, stage_points, chain, field, top_labels)
     return GoodPositionCertificate(
         sequence=sequence,

@@ -248,6 +248,15 @@ def poly_divmod(num: Sequence[int], den: Sequence[int]):
     return q, r
 
 
+def poly_mul(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """Multiply integer polynomials (coefficients constant-first)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
+
+
 _CYCLO_CACHE = {1: [-1, 1]}
 
 
@@ -296,19 +305,3 @@ def cyclotomic_multiplicities(char: Sequence[int], order: int):
             "characteristic polynomial is not a product of cyclotomics"
         )
     return mult
-
-
-def poly_eval_matrix(poly: Sequence[int], M, one, zero):
-    """Evaluate an integer polynomial at a square matrix."""
-    n = len(M)
-    out = [[zero for _ in range(n)] for _ in range(n)]
-    power = mat_identity(n, one, zero)
-    for k, c in enumerate(poly):
-        if c != 0:
-            cf = one * c
-            for i in range(n):
-                for j in range(n):
-                    out[i][j] = out[i][j] + cf * power[i][j]
-        if k + 1 < len(poly):
-            power = mat_mul(M, power)
-    return out

@@ -342,7 +342,7 @@ def lift(ctx: MatrixGroupContext, x: TwistedElement) -> Matrix:
 # Unipotent coordinates.
 
 
-def _closed_positions(ctx, positions: Sequence[Position]) -> bool:
+def _closed_positions(positions: Sequence[Position]) -> bool:
     pset = set(positions)
     for (a, b) in pset:
         for (c, d) in pset:
@@ -370,7 +370,7 @@ def unipotent_coordinates(
     uppers = {a < b for (a, b) in order}
     if len(uppers) > 1:
         raise InputError("cannot mix upper and lower positions in one order")
-    if not _closed_positions(ctx, order):
+    if not _closed_positions(order):
         raise InputError("positions do not span a closed set")
     pset = set(order)
     f = ctx.field

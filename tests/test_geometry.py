@@ -125,6 +125,39 @@ def test_eigenspace_same_for_inverse():
         assert s1 == s2
 
 
+def _perp_check_elements():
+    from weylconvex.roots import diagram_automorphisms
+    from weylconvex.weyl import conjugacy_classes
+
+    for name in ("A4", "B3", "D4", "F4", "E6"):
+        for cls in conjugacy_classes(rs_of(name)):
+            yield cls.representative
+    for name in ("A3", "D4"):
+        rs = rs_of(name)
+        flip = [a for a in diagram_automorphisms(rs) if a.order == 2][0]
+        for cls in conjugacy_classes(rs, flip, 1):
+            yield cls.representative
+    yield from_word(rs_of("A6"), None, list(range(6)))
+
+
+def test_angle_perp_roots_match_exact_bases():
+    # The permutation test sees V_x^theta through ker Phi_d(x); the exact
+    # K_L basis of V_x^theta itself must give the same perp set, and the
+    # roots orthogonal to every angle are exactly the fixed roots.
+    degrees = set()
+    for x in _perp_check_elements():
+        rs = x.rs
+        common = frozenset(range(rs.count))
+        for angle, _ in angle_list(x):
+            basis = exact_angle_basis(x, angle)
+            degrees.add(field_for([angle]).degree)
+            _, perp = regular_point(basis, rs)
+            assert angle_perp_roots(x, angle) == perp, (x.word(), angle)
+            common &= perp
+        assert common == fixed_roots(x), x.word()
+    assert degrees == {1, 2, 3}  # E6's order-9 class and A6's Coxeter class are cubic
+
+
 def test_exact_basis_for_degree3_field():
     # A6 Coxeter has rotation order 7: its angles live in the cubic K_7.
     rs = rs_of("A6")
