@@ -223,18 +223,21 @@ def cmd_conjecture(args) -> int:
     hit = _maybe_cached("conjecture", params, args)
     if hit is not None:
         return hit
+    rs = build_root_system(CartanType.parse(args.type))
+    delta = _resolve_delta(rs, args.delta)
+    from .coxeter import coxeter_element_count, verify_conjecture
     from .weyl import DEFAULT_ENUMERATION_BUDGET
 
-    ct = CartanType.parse(args.type)
-    if not args.allow_large and ct.weyl_order() > DEFAULT_ENUMERATION_BUDGET:
+    # The sweep's cost is one analysis per delta-Coxeter element, counted
+    # here before any element is built.
+    count = coxeter_element_count(rs, delta)
+    budget = LARGE_BUDGET if args.allow_large else DEFAULT_ENUMERATION_BUDGET
+    if count > budget:
+        need = "exceeds the limit" if args.allow_large else "needs --allow-large above"
         raise BudgetExceeded(
-            f"|W({ct})| = {ct.weyl_order()} needs --allow-large",
-            DEFAULT_ENUMERATION_BUDGET,
+            f"{rs.cartan_type} has {count} delta-Coxeter elements; {need} {budget}",
+            budget,
         )
-    rs = build_root_system(ct)
-    delta = _resolve_delta(rs, args.delta)
-    from .coxeter import verify_conjecture
-
     report = verify_conjecture(rs, delta)
     code = 0 if report.conjecture_status == "pass" else 1
     return _emit("conjecture", params, coxeter_dict(report), code, args, started)

@@ -1,16 +1,24 @@
 """Twisted Coxeter elements and the convexity conjecture harness.
 
 A delta-Coxeter element is a product of simple reflections, one from each
-delta-orbit, in any order.  When the half-turn condition
-(c*delta)^(h/2) = w0*delta^(h/2) holds, convexity of c*delta is a theorem
-and a failure here is treated as an engine bug; outside that scope the
-harness only reports, because the general question is open.
+delta-orbit, in any order.  Two words that use each of their letters once
+give the same element exactly when they differ by commutations, so the
+elements for one choice of labels correspond to the acyclic orientations
+of the Coxeter graph restricted to those labels (Shi, "The enumeration of
+Coxeter elements", J. Algebraic Combin. 1997).  That graph is a forest, so
+each of its 2^(edges) orientations is built once, from one topological
+order, and no two of them give the same element.
+
+When the half-turn condition (c*delta)^(h/2) = w0*delta^(h/2) holds,
+convexity of c*delta is a theorem and a failure here is treated as an
+engine bug; outside that scope the harness only reports, because the
+general question is open.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from graphlib import TopologicalSorter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import perm
@@ -37,22 +45,64 @@ def delta_orbits(rs: RootSystem, delta: DiagramAutomorphism) -> List[Tuple[int, 
     return orbits
 
 
+def _label_choices(orbits: Sequence[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
+    """Every way to pick one label from each orbit, in orbit order."""
+    choices: List[Tuple[int, ...]] = [()]
+    for orb in orbits:
+        choices = [base + (lab,) for base in choices for lab in orb]
+    return choices
+
+
+def _edges(rs: RootSystem, labels: Sequence[int]) -> List[Tuple[int, int]]:
+    """Edges of the Coxeter graph restricted to the given labels."""
+    return [
+        (a, b)
+        for t, a in enumerate(labels)
+        for b in labels[t + 1 :]
+        if rs.cartan[a][b] != 0
+    ]
+
+
+def coxeter_element_count(
+    rs: RootSystem, delta: Optional[DiagramAutomorphism] = None
+) -> int:
+    """Number of delta-Coxeter elements: the sum of 2^(edges) over label choices."""
+    if delta is None:
+        delta = identity_automorphism(rs)
+    return sum(
+        1 << len(_edges(rs, chosen))
+        for chosen in _label_choices(delta_orbits(rs, delta))
+    )
+
+
 def coxeter_elements(
     rs: RootSystem, delta: Optional[DiagramAutomorphism] = None
 ) -> List[TwistedElement]:
-    """All c*delta with c one simple reflection per delta-orbit, any order."""
+    """All c*delta with c one simple reflection per delta-orbit, any order.
+
+    One word per label choice and orientation of its induced forest.
+    """
     if delta is None:
         delta = identity_automorphism(rs)
     twist_power = 0 if delta.is_identity else 1
-    orbits = delta_orbits(rs, delta)
-    out: Dict[TwistedElement, None] = {}
-    choices = [()]
-    for orb in orbits:
-        choices = [base + (lab,) for base in choices for lab in orb]
-    for chosen in choices:
-        for word in permutations(chosen):
-            x = from_word(rs, delta, list(word), twist_power)
-            out.setdefault(x)
+    out = set()
+    for chosen in _label_choices(delta_orbits(rs, delta)):
+        edges = _edges(rs, chosen)
+        for bits in range(1 << len(edges)):
+            # Bit e of bits reverses edge e; any topological order of the
+            # orientation is a word for its element.
+            before: Dict[int, List[int]] = {lab: [] for lab in chosen}
+            for e, (a, b) in enumerate(edges):
+                if bits >> e & 1:
+                    a, b = b, a
+                before[b].append(a)
+            word = list(TopologicalSorter(before).static_order())
+            out.add(from_word(rs, delta, word, twist_power))
+    expected = coxeter_element_count(rs, delta)
+    if len(out) != expected:
+        raise InconsistencyError(
+            f"{len(out)} distinct delta-Coxeter elements, expected {expected}"
+        )
     return sorted(out, key=lambda e: e.key())
 
 

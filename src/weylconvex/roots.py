@@ -167,7 +167,8 @@ class RootSystem:
     matrix are integer data on those tuples.  `pairing_rows[i]` is
     Gram * coeffs[i], so pairing a vector in simple-root coordinates with a
     root is one dot product; `int_pairing_rows` is the same row scaled by
-    one positive integer, for exact zero tests.  The ambient rational
+    one positive integer, for exact zero tests.  Bit j of `support_masks[i]`
+    is set when alpha_j occurs in root i.  The ambient rational
     vectors `roots` and `index_of` serve display, tests and the root order.
     """
 
@@ -185,6 +186,7 @@ class RootSystem:
     pairing_rows: Tuple[Tuple[Fraction, ...], ...]
     int_pairing_rows: Tuple[Tuple[int, ...], ...]
     reflections: Tuple[perm.Perm, ...]
+    support_masks: Tuple[int, ...]
 
     @property
     def rank(self) -> int:
@@ -203,9 +205,6 @@ class RootSystem:
 
     def height(self, i: int) -> int:
         return sum(self.coeffs[i])
-
-    def support(self, i: int) -> FrozenSet[int]:
-        return frozenset(j for j, c in enumerate(self.coeffs[i]) if c != 0)
 
     def pair_with_root(self, v: Sequence, i: int):
         """Pairing of a vector in simple-root coordinates with roots[i]."""
@@ -229,9 +228,9 @@ class RootSystem:
 
     def parabolic_closure(self, labels) -> FrozenSet[int]:
         """All root indices lying in the integer span of the given simples."""
-        labels = frozenset(labels)
+        outside = ~sum(1 << lab for lab in set(labels))
         return frozenset(
-            i for i in range(self.count) if self.support(i) <= labels
+            i for i, mask in enumerate(self.support_masks) if not mask & outside
         )
 
     def root_str(self, i: int) -> str:
@@ -381,6 +380,9 @@ def build_root_system(cartan_type: CartanType) -> RootSystem:
         pairing_rows=_as_fractions(int_pairing_rows, den * den),
         int_pairing_rows=int_pairing_rows,
         reflections=reflections,
+        support_masks=tuple(
+            sum(1 << j for j, t in enumerate(c) if t) for c in coeffs
+        ),
     )
 
 

@@ -232,6 +232,11 @@ def act(x: TwistedElement, i: int, power: int = 1) -> int:
 
 def longest_element(rs: RootSystem) -> WeylElement:
     """The unique element of maximal length; w0 maps all positives negative."""
+    # The permutation is cached on rs, not the element: an element refers
+    # back to rs, and the cycle would keep rs alive until garbage collection.
+    cached = getattr(rs, "_w0_perm", None)
+    if cached is not None:
+        return WeylElement(rs, cached)
     pc = rs.positive_count
     p = perm.identity(rs.count)
     # Greedy ascent: w -> w*s_lab whenever w(alpha_lab) is still positive.
@@ -247,6 +252,7 @@ def longest_element(rs: RootSystem) -> WeylElement:
         raise InconsistencyError(
             f"{rs.cartan_type}: greedy ascent stopped at length {w.length()}, not {pc}"
         )
+    object.__setattr__(rs, "_w0_perm", p)
     return w
 
 

@@ -86,6 +86,34 @@ def test_conjecture_g2(capsys):
     assert all(e["half_turn_condition"] for e in res["elements"])
 
 
+def test_conjecture_e8_needs_no_flag(capsys):
+    # The gate counts delta-Coxeter elements (128 for E8), not |W|.
+    code, report = run_cli(capsys, "--no-cache", "conjecture", "--type", "E8")
+    assert code == 0
+    assert len(report["results"]["elements"]) == 128
+
+
+def test_conjecture_a17_refused_without_flag(capsys):
+    # 2^16 = 65,536 Coxeter elements exceed the default budget.
+    code = main(["--no-cache", "conjecture", "--type", "A17"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "65536" in json.loads(captured.err)["error"]
+
+
+def test_conjecture_a27_refused_with_flag_before_building_elements(capsys):
+    # 2^26 Coxeter elements exceed even the large budget; the refusal
+    # comes from the count alone, so it is quick.
+    started = time.time()
+    code = main(["--no-cache", "conjecture", "--type", "A27", "--allow-large"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error" in json.loads(captured.err)
+    assert time.time() - started < 30
+
+
 def test_cross_section_roundtrips(capsys):
     code, report = run_cli(
         capsys,

@@ -1,10 +1,14 @@
+from itertools import permutations
+
 import pytest
 
 from weylconvex.convexity import n_of
 from weylconvex.coxeter import (
     check_betweenness,
     check_w0_condition,
+    coxeter_element_count,
     coxeter_elements,
+    delta_orbits,
     coxeter_levels,
     coxeter_order,
     half_turn_ordering,
@@ -46,6 +50,61 @@ def test_coxeter_elements_twisted_a3():
     # Orbits {s1, s3} and {s2}: four products, all distinct as elements.
     assert words(elems) == [(0, 1), (1, 0), (1, 2), (2, 1)]
     assert all(e.twist_power == 1 for e in elems)
+
+
+def _coxeter_elements_by_permutations(rs, delta):
+    """Reference: every ordering of every label choice, k! words each."""
+    twist_power = 0 if delta.is_identity else 1
+    choices = [()]
+    for orb in delta_orbits(rs, delta):
+        choices = [base + (lab,) for base in choices for lab in orb]
+    return {
+        from_word(rs, delta, list(word), twist_power)
+        for chosen in choices
+        for word in permutations(chosen)
+    }
+
+
+def _edge_count_sum(rs, delta):
+    """Sum of 2^(edges) over label choices, counted independently."""
+    choices = [()]
+    for orb in delta_orbits(rs, delta):
+        choices = [base + (lab,) for base in choices for lab in orb]
+    total = 0
+    for chosen in choices:
+        edges = sum(
+            1 for a in chosen for b in chosen if a < b and rs.cartan[a][b] != 0
+        )
+        total += 2 ** edges
+    return total
+
+
+RANK_AT_MOST_6 = (
+    [f"A{n}" for n in range(1, 7)]
+    + [f"B{n}" for n in range(2, 7)]
+    + [f"C{n}" for n in range(2, 7)]
+    + [f"D{n}" for n in range(3, 7)]
+    + ["E6", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("name", RANK_AT_MOST_6)
+def test_coxeter_elements_match_all_orderings(name):
+    rs = rs_of(name)
+    for delta in diagram_automorphisms(rs):
+        elems = coxeter_elements(rs, delta)
+        keys = {(e.weyl.root_perm, e.twist_power) for e in elems}
+        reference = _coxeter_elements_by_permutations(rs, delta)
+        assert keys == {(e.weyl.root_perm, e.twist_power) for e in reference}
+        assert len(elems) == len(keys) == _edge_count_sum(rs, delta)
+        assert coxeter_element_count(rs, delta) == len(elems)
+        assert [e.key() for e in elems] == sorted(e.key() for e in elems)
+
+
+def test_coxeter_element_counts_e7_e8():
+    for name, count in (("E7", 64), ("E8", 128)):
+        rs = rs_of(name)
+        assert len(coxeter_elements(rs)) == coxeter_element_count(rs) == count
 
 
 def test_coxeter_order_independent_of_choice():

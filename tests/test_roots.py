@@ -116,6 +116,21 @@ def test_is_closed():
         is_closed(rs, {a1, rs.neg(a1)})
 
 
+@pytest.mark.parametrize("name", ["B3", "G2", "D4", "E6"])
+def test_parabolic_closure_is_coefficient_support(name):
+    # Oracle: the roots whose nonzero simple-root coefficients all sit on
+    # the given labels, for every subset of labels.
+    rs = rs_of(name)
+    for bits in range(1 << rs.rank):
+        labels = [j for j in range(rs.rank) if bits >> j & 1]
+        expected = {
+            i for i, c in enumerate(rs.coeffs)
+            if all(c[j] == 0 for j in range(rs.rank) if j not in labels)
+        }
+        assert rs.parabolic_closure(labels) == expected
+        assert rs.parabolic_closure(labels + labels) == expected
+
+
 def test_diagram_automorphisms():
     assert len(diagram_automorphisms(rs_of("A3"))) == 2
     assert len(diagram_automorphisms(rs_of("D4"))) == 6
