@@ -185,7 +185,6 @@ def cmd_reps(args) -> int:
     rs = build_root_system(CartanType.parse(args.type))
     delta = _resolve_delta(rs, args.delta)
     from .construction import find_convex_representative
-    from .convexity import phi_of
     from .weyl import DEFAULT_ENUMERATION_BUDGET, conjugacy_classes, fixed_roots
 
     budget = LARGE_BUDGET if args.allow_large else DEFAULT_ENUMERATION_BUDGET
@@ -195,7 +194,8 @@ def cmd_reps(args) -> int:
     for idx, cls in enumerate(classes):
         res = find_convex_representative(cls, seed=args.seed)
         y = res.representative
-        verified = res.report.convex and phi_of(y) == fixed_roots(y)
+        phi_equals_fixed = res.report.phi_x == fixed_roots(y)
+        verified = res.report.convex and phi_equals_fixed
         all_ok = all_ok and verified
         rows.append(
             {
@@ -206,7 +206,7 @@ def cmd_reps(args) -> int:
                 "representative_length": y.length(),
                 "method": res.method,
                 "convex": res.report.convex,
-                "phi_equals_fixed": phi_of(y) == fixed_roots(y),
+                "phi_equals_fixed": phi_equals_fixed,
             }
         )
     code = 0 if all_ok else 3

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .convexity import ConvexityReport, analyze, phi_of
+from .convexity import ConvexityReport, analyze
 from .errors import InconsistencyError, InputError
 from .geometry import (
     _pad_to_full,
@@ -58,7 +58,7 @@ class RepresentativeResult:
 
 def _verified(x: TwistedElement) -> Optional[ConvexityReport]:
     rep = analyze(x)
-    if rep.convex and phi_of(x) == fixed_roots(x):
+    if rep.convex and rep.phi_x == fixed_roots(x):
         return rep
     return None
 

@@ -1,10 +1,18 @@
 """Sign-stability analysis of twisted Weyl elements.
 
-For x in W x <delta> and a root gamma, either the whole forward-and-backward
-x-orbit of gamma keeps its sign (gamma lies in phi_x) or there is a first
-power of x that flips it (the level n_x(gamma)).  Quasi-convexity asks that
-phi_x be a standard parabolic subsystem and that levels be subadditive under
-root addition; convexity asks the same of the inverse.
+For x in W x <delta> and a root gamma, either the whole x-orbit of gamma
+keeps its sign (gamma lies in phi_x) or there is a first power of x that
+flips it (the level n_x(gamma)).  Both are read off one walk over the
+cycles of x.  A cycle of one sign lies in phi_x.  Any other cycle, followed
+as g -> x(g) -> ..., splits into maximal runs of one sign: n_x(g) is the
+distance from g to the end of its run, and n_{x^-1}(g) is the distance
+from the start of its run, both counting g itself.  Levels are thus
+sign-run lengths on cycles, and phi_{x^-1} = phi_x.
+
+Quasi-convexity asks that phi_x be a standard parabolic subsystem and that
+levels be subadditive under root addition; convexity asks the same of the
+inverse, so condition (1) is decided once and condition (2) once on each
+level table.
 
 Levels on phi_x are represented by the distinct marker INFINITY, never by a
 sentinel integer, so every comparison against an infinite level is explicit.
@@ -15,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
+from . import perm
 from .errors import InconsistencyError, InputError
 from .weyl import TwistedElement
 
@@ -23,26 +32,35 @@ INFINITY = float("inf")
 Level = Union[int, float]
 
 
-def phi_of(x: TwistedElement) -> FrozenSet[int]:
-    """Roots whose entire x-orbit stays positive or stays negative."""
+def _sign_runs(
+    x: TwistedElement,
+) -> Tuple[FrozenSet[int], Dict[int, Level], Dict[int, Level]]:
+    """phi_x and the level tables of x and x^-1, from the sign runs of x."""
     rs = x.rs
     pc = rs.positive_count
-    perm = x.perm
+    forward: List[Level] = [INFINITY] * rs.count
+    backward: List[Level] = [INFINITY] * rs.count
     stable: List[int] = []
-    seen = [False] * rs.count
-    for start in range(rs.count):
-        if seen[start]:
+    for cyc in perm.cycles(x.perm):
+        size = len(cyc)
+        signs = [g < pc for g in cyc]
+        # A run starts where the sign differs from the one before it; the
+        # last run wraps around to the first start.
+        starts = [k for k in range(size) if signs[k] != signs[k - 1]]
+        if not starts:
+            stable.extend(cyc)
             continue
-        orbit = []
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            orbit.append(j)
-            j = perm[j]
-        signs = {i < pc for i in orbit}
-        if len(signs) == 1:
-            stable.extend(orbit)
-    return frozenset(stable)
+        for a, b in zip(starts, starts[1:] + [starts[0] + size]):
+            for t in range(a, b):
+                g = cyc[t % size]
+                forward[g] = b - t
+                backward[g] = t - a + 1
+    return frozenset(stable), dict(enumerate(forward)), dict(enumerate(backward))
+
+
+def phi_of(x: TwistedElement) -> FrozenSet[int]:
+    """Roots whose entire x-orbit stays positive or stays negative."""
+    return _sign_runs(x)[0]
 
 
 def n_of(x: TwistedElement, index: int) -> int:
@@ -59,25 +77,6 @@ def n_of(x: TwistedElement, index: int) -> int:
     raise InputError(
         f"level is infinite: root {rs.root_str(index)} lies in phi_x"
     )
-
-
-def _level_table(x: TwistedElement, phi: FrozenSet[int]) -> Dict[int, Level]:
-    rs = x.rs
-    pc = rs.positive_count
-    perm = x.perm
-    table: Dict[int, Level] = {}
-    for i in range(rs.count):
-        if i in phi:
-            table[i] = INFINITY
-            continue
-        positive = i < pc
-        j = perm[i]
-        n = 1
-        while (j < pc) == positive:
-            j = perm[j]
-            n += 1
-        table[i] = n
-    return table
 
 
 def _witness_key(rs, a: int, b: int):
@@ -117,8 +116,7 @@ def condition2_full_pairs(x: TwistedElement) -> List[Tuple]:
     """
     rs = x.rs
     pc = rs.positive_count
-    phi = phi_of(x)
-    table = _level_table(x, phi)
+    phi, table, _ = _sign_runs(x)
     out = []
     for a in range(pc):
         for b in range(pc):
@@ -140,6 +138,7 @@ class ConvexityReport:
     phi_x: FrozenSet[int]
     parabolic_J: Optional[FrozenSet[int]]
     n_table: Dict[int, Level]
+    inverse_n_table: Dict[int, Level]
     level_sets: Dict[int, Tuple[FrozenSet[int], FrozenSet[int]]]
     max_level: int
     condition1_ok: bool
@@ -152,30 +151,20 @@ class ConvexityReport:
     audit_flags: Tuple[Tuple, ...]
 
 
-def _quasi_parts(x: TwistedElement, strict: bool):
-    rs = x.rs
-    phi = phi_of(x)
-    labels = frozenset(
-        lab for lab in range(rs.rank) if rs.simple_indices[lab] in phi
-    )
-    closure = rs.parabolic_closure(labels)
-    cond1 = phi == closure
-    table = _level_table(x, phi)
-    violations, audit = _condition2_prime(rs, phi, table, strict)
-    cond2 = not violations
-    return phi, labels, cond1, table, violations, audit, cond2
-
-
 def analyze(x: TwistedElement, strict: bool = False) -> ConvexityReport:
     """Full quasi-convexity / convexity report for x."""
     rs = x.rs
     pc = rs.positive_count
-    phi, labels, cond1, table, violations, audit, cond2 = _quasi_parts(x, strict)
-    quasi = cond1 and cond2
-
-    inv = x.inverse()
-    _, _, icond1, _, iviolations, _, icond2 = _quasi_parts(inv, False)
-    inverse_quasi = icond1 and icond2
+    phi, table, inverse_table = _sign_runs(x)
+    labels = frozenset(
+        lab for lab in range(rs.rank) if rs.simple_indices[lab] in phi
+    )
+    # phi_{x^-1} = phi_x, so condition (1) holds for both or for neither.
+    cond1 = phi == rs.parabolic_closure(labels)
+    violations, audit = _condition2_prime(rs, phi, table, strict)
+    iviolations, _ = _condition2_prime(rs, phi, inverse_table, False)
+    quasi = cond1 and not violations
+    inverse_quasi = cond1 and not iviolations
 
     level_sets: Dict[int, Tuple[FrozenSet[int], FrozenSet[int]]] = {}
     finite_levels = sorted({v for v in table.values() if v is not INFINITY})
@@ -190,10 +179,11 @@ def analyze(x: TwistedElement, strict: bool = False) -> ConvexityReport:
         phi_x=phi,
         parabolic_J=labels if cond1 else None,
         n_table=table,
+        inverse_n_table=inverse_table,
         level_sets=level_sets,
         max_level=max_level,
         condition1_ok=cond1,
-        condition2_ok=cond2,
+        condition2_ok=not violations,
         quasi_convex=quasi,
         inverse_quasi_convex=inverse_quasi,
         convex=quasi and inverse_quasi,
@@ -204,8 +194,7 @@ def analyze(x: TwistedElement, strict: bool = False) -> ConvexityReport:
 
 
 def is_quasi_convex(x: TwistedElement) -> bool:
-    phi, labels, cond1, table, violations, _, cond2 = _quasi_parts(x, False)
-    return cond1 and cond2
+    return analyze(x).quasi_convex
 
 
 def level_filtration(x: TwistedElement) -> List[FrozenSet[int]]:
@@ -219,19 +208,18 @@ def level_filtration(x: TwistedElement) -> List[FrozenSet[int]]:
 
     rs = x.rs
     pc = rs.positive_count
-    if not is_quasi_convex(x):
+    rep = analyze(x)
+    if not rep.quasi_convex:
         raise InputError("level filtration requires a quasi-convex element")
-    phi = phi_of(x)
-    table = _level_table(x, phi)
+    table = rep.n_table
     finite = sorted({int(v) for i, v in table.items() if i < pc and v is not INFINITY})
     out: List[FrozenSet[int]] = []
     acc: set = set()
-    perm = x.perm
     max_level = finite[-1] if finite else 0
     for lev in range(1, max_level + 1):
         layer = {i for i in range(pc) if table[i] == lev}
         for i in layer:
-            img = perm[i]
+            img = x.perm[i]
             if lev == 1:
                 if img < pc:
                     raise InconsistencyError("level-1 root not sent negative")
@@ -241,7 +229,7 @@ def level_filtration(x: TwistedElement) -> List[FrozenSet[int]]:
         acc |= layer
         if not is_closed(rs, acc):
             raise InconsistencyError(
-                f"cumulative level set <= {lev} is not closed for {rs.root_str}"
+                f"cumulative level set <= {lev} is not closed for {rs.cartan_type}"
             )
         out.append(frozenset(acc))
     return out

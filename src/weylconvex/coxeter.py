@@ -22,7 +22,7 @@ from graphlib import TopologicalSorter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import perm
-from .convexity import analyze, condition2_full_pairs, n_of, phi_of
+from .convexity import ConvexityReport, analyze, condition2_full_pairs
 from .errors import InconsistencyError, InputError
 from .roots import DiagramAutomorphism, RootSystem, identity_automorphism
 from .weyl import TwistedElement, from_word, longest_element
@@ -30,19 +30,7 @@ from .weyl import TwistedElement, from_word, longest_element
 
 def delta_orbits(rs: RootSystem, delta: DiagramAutomorphism) -> List[Tuple[int, ...]]:
     """Orbits of delta on the simple labels, each sorted, in label order."""
-    seen = set()
-    orbits = []
-    for lab in range(rs.rank):
-        if lab in seen:
-            continue
-        orb = []
-        j = lab
-        while j not in seen:
-            seen.add(j)
-            orb.append(j)
-            j = delta.simple_perm[j]
-        orbits.append(tuple(sorted(orb)))
-    return orbits
+    return [tuple(sorted(orb)) for orb in perm.cycles(delta.simple_perm)]
 
 
 def _label_choices(orbits: Sequence[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
@@ -194,12 +182,11 @@ def check_w0_condition(x: TwistedElement) -> bool:
     h = x.order()
     if h % 2:
         return False
-    power = x
-    for _ in range(h // 2 - 1):
-        power = power.mul(x)
-    w0 = longest_element(x.rs)
-    target = TwistedElement(x.rs, w0, x.twist, x.twist_power * (h // 2))
-    return power == target
+    # A diagram automorphism other than 1 is never in W, so two twisted
+    # elements are equal exactly when their root permutations are.
+    twist = perm.power(x.twist.root_perm, x.twist_power * (h // 2))
+    target = perm.compose(longest_element(x.rs).root_perm, twist)
+    return perm.power(x.perm, h // 2) == target
 
 
 def half_turn_ordering(x: TwistedElement) -> ReflectionOrdering:
@@ -232,18 +219,21 @@ def half_turn_ordering(x: TwistedElement) -> ReflectionOrdering:
         )
 
 
-def coxeter_levels(x: TwistedElement) -> Dict[int, int]:
+def coxeter_levels(rep: ConvexityReport) -> Dict[int, int]:
     """Level of every positive root from the half-turn block formula.
 
     Block i consists of (c*delta)^(h/2 - i) applied to the betas of the
-    Coxeter word; the result must agree with the level function for x and,
-    mirrored, for its inverse.  Any disagreement is an engine bug.
+    Coxeter word; the result must agree with the level table of x and,
+    mirrored, with that of its inverse.  Any disagreement is an engine bug.
     """
-    rs = x.rs
-    if not check_w0_condition(x):
+    if not check_w0_condition(rep.x):
         raise InputError("block levels require the half-turn condition")
-    h = x.order()
-    word_c = list(x.word())
+    return _block_levels(rep, rep.x.order())
+
+
+def _block_levels(rep: ConvexityReport, h: int) -> Dict[int, int]:
+    x = rep.x
+    rs = x.rs
     betas = twisted_betas(x)
     perm_inv = x.perm_inv
     levels: Dict[int, int] = {}
@@ -265,14 +255,13 @@ def coxeter_levels(x: TwistedElement) -> Dict[int, int]:
             inv_levels[gi] = i
     if sorted(levels) != list(range(rs.positive_count)):
         raise InconsistencyError("blocks do not partition the positive roots")
-    xinv = x.inverse()
     for g, lev in levels.items():
-        if n_of(x, g) != lev:
+        if rep.n_table[g] != lev:
             raise InconsistencyError(
-                f"block level {lev} disagrees with n = {n_of(x, g)} at {rs.root_str(g)}"
+                f"block level {lev} disagrees with n = {rep.n_table[g]} at {rs.root_str(g)}"
             )
     for g, lev in inv_levels.items():
-        if n_of(xinv, g) != lev:
+        if rep.inverse_n_table[g] != lev:
             raise InconsistencyError("inverse block level disagrees with n")
     return levels
 
@@ -322,7 +311,7 @@ def verify_conjecture(
             convex=rep.convex,
             quasi_convex=rep.quasi_convex,
             w0_condition=cond,
-            phi_empty=not phi_of(x),
+            phi_empty=not rep.phi_x,
         )
         entries.append(entry)
         if not rep.convex:
@@ -330,7 +319,6 @@ def verify_conjecture(
                 bool(condition2_full_pairs(x))
                 or bool(condition2_full_pairs(x.inverse()))
                 or not rep.condition1_ok
-                or not analyze(x.inverse()).condition1_ok
             )
             if not confirmed:
                 raise InconsistencyError(
@@ -343,7 +331,7 @@ def verify_conjecture(
                 )
             counterexamples.append(x.word())
         if cond:
-            coxeter_levels(x)  # block levels must match the level function
+            _block_levels(rep, h)  # block levels must match the level tables
     return CoxeterReport(
         cartan=str(rs.cartan_type),
         delta_label=delta.label(),

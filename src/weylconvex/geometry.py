@@ -24,6 +24,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from . import perm
 from .errors import InconsistencyError, InputError
 from .linalg import (
     OperatorField,
@@ -59,21 +60,8 @@ def _labels_or_all(x: TwistedElement, labels) -> Tuple[int, ...]:
 
 def restricted_order(x: TwistedElement, labels=None) -> int:
     """Order of x acting on the parabolic subsystem spanned by `labels`."""
-    labels = _labels_or_all(x, labels)
-    sub = x.rs.parabolic_closure(labels)
-    perm = x.perm
-    out = 1
-    seen = set()
-    for i in sub:
-        if i in seen:
-            continue
-        ln, j = 0, i
-        while j not in seen:
-            seen.add(j)
-            j = perm[j]
-            ln += 1
-        out = out * ln // gcd(out, ln)
-    return max(out, 1)
+    sub = x.rs.parabolic_closure(_labels_or_all(x, labels))
+    return lcm(*(len(c) for c in perm.cycles(x.perm) if not sub.isdisjoint(c)))
 
 
 def _cyclo_mults(x: TwistedElement, labels=None) -> Dict[int, int]:

@@ -26,7 +26,8 @@ from typing import (
     Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple,
 )
 
-from .convexity import INFINITY, analyze, is_quasi_convex
+from . import perm
+from .convexity import INFINITY, analyze
 from .errors import InconsistencyError, InputError, NotInCellError
 from .linalg import OperatorField, mat_inv, rank, solve
 from .roots import CartanType, RootSystem, build_root_system
@@ -417,6 +418,7 @@ class CrossSectionData:
     levels: Dict[int, Tuple[Position, ...]]
     max_level: int
     cycles: Tuple[Tuple[int, ...], ...]
+    quasi_convex: bool
 
     @property
     def level_one(self) -> Tuple[Position, ...]:
@@ -463,18 +465,6 @@ def build_cross_section(ctx: MatrixGroupContext, x: TwistedElement) -> CrossSect
         lev = report.n_table[i]
         if lev is not INFINITY:
             levels.setdefault(int(lev), []).append(ctx.pos_of_root[i])
-    seen = set()
-    cycles = []
-    for s in range(ctx.n):
-        if s in seen:
-            continue
-        cyc = []
-        t = s
-        while t not in seen:
-            seen.add(t)
-            cyc.append(t)
-            t = pi[t]
-        cycles.append(tuple(cyc))
     lift_mat = lift(ctx, x)
     return CrossSectionData(
         ctx=ctx,
@@ -489,7 +479,8 @@ def build_cross_section(ctx: MatrixGroupContext, x: TwistedElement) -> CrossSect
         rn=rn,
         levels={k: tuple(v) for k, v in levels.items()},
         max_level=report.max_level,
-        cycles=tuple(cycles),
+        cycles=tuple(map(tuple, perm.cycles(pi))),
+        quasi_convex=report.quasi_convex,
     )
 
 
@@ -636,7 +627,7 @@ def sigma(data: CrossSectionData, g: Matrix) -> CellPoint:
     """
     ctx = data.ctx
     f = ctx.field
-    if not is_quasi_convex(data.x):
+    if not data.quasi_convex:
         raise InputError("the section is only defined for quasi-convex elements")
     y_word = _inverse_word(f, _solve_initial_unipotent(data, g))
     y = _mul_word(f, _identity_rows(f, ctx.n), y_word)

@@ -13,8 +13,8 @@ either, and bytes permutations sort in the same order as their tuples.
 
 from __future__ import annotations
 
-from math import gcd
-from typing import Sequence, Tuple, Union
+from math import lcm
+from typing import List, Sequence, Tuple, Union
 
 Perm = Union[bytes, Tuple[int, ...]]
 
@@ -60,20 +60,31 @@ def power(p: Perm, k: int) -> Perm:
     return out
 
 
-def order(p: Sequence[int]) -> int:
-    """The lcm of the cycle lengths of any permutation sequence."""
+def cycles(p: Sequence[int]) -> List[List[int]]:
+    """The cycles of any permutation sequence, in order of least index.
+
+    Each cycle starts at its least index i and lists i, p(i), p(p(i)), ...
+    Cycles are lists: most callers drop them at once, and freed short
+    tuples would stay on the interpreter's free lists.
+    """
     seen = [False] * len(p)
-    out = 1
+    out = []
     for i in range(len(p)):
         if seen[i]:
             continue
-        ln, j = 0, i
+        cyc = []
+        j = i
         while not seen[j]:
             seen[j] = True
+            cyc.append(j)
             j = p[j]
-            ln += 1
-        out = out * ln // gcd(out, ln)
+        out.append(cyc)
     return out
+
+
+def order(p: Sequence[int]) -> int:
+    """The lcm of the cycle lengths of any permutation sequence."""
+    return lcm(*map(len, cycles(p)))
 
 
 def length(p: Perm, pc: int) -> int:

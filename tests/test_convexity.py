@@ -16,7 +16,7 @@ from weylconvex.convexity import (
     n_of,
     phi_of,
 )
-from weylconvex.errors import InputError
+from weylconvex.errors import InconsistencyError, InputError
 from weylconvex.roots import CartanType, build_root_system, diagram_automorphisms
 from weylconvex.weyl import (
     TwistedElement,
@@ -281,6 +281,18 @@ def test_level_filtration_rejects_non_quasi_convex():
     rs = rs_of("A2")
     with pytest.raises(InputError):
         level_filtration(from_word(rs, None, [0]))
+
+
+def test_level_filtration_not_closed_names_the_type(monkeypatch):
+    # Quasi-convexity makes every cumulative level set closed, so the
+    # failure branch is reached only with the closedness test forced off.
+    import weylconvex.roots
+
+    monkeypatch.setattr(weylconvex.roots, "is_closed", lambda rs, roots: False)
+    x = from_word(rs_of("A2"), None, [0, 1])
+    with pytest.raises(InconsistencyError) as info:
+        level_filtration(x)
+    assert str(info.value) == "cumulative level set <= 1 is not closed for A2"
 
 
 def test_strict_mode_flags():

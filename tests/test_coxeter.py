@@ -2,7 +2,7 @@ from itertools import permutations
 
 import pytest
 
-from weylconvex.convexity import n_of
+from weylconvex.convexity import analyze, n_of
 from weylconvex.coxeter import (
     check_betweenness,
     check_w0_condition,
@@ -178,7 +178,7 @@ def test_w0_condition_twisted_a3():
 def test_coxeter_levels_g2():
     rs = rs_of("G2")
     c = from_word(rs, None, [0, 1])
-    levels = coxeter_levels(c)
+    levels = coxeter_levels(analyze(c))
     from collections import Counter
 
     assert Counter(levels.values()) == {1: 2, 2: 2, 3: 2}
@@ -189,7 +189,7 @@ def test_coxeter_levels_g2():
 def test_coxeter_levels_b2():
     rs = rs_of("B2")
     c = from_word(rs, None, [0, 1])
-    levels = coxeter_levels(c)
+    levels = coxeter_levels(analyze(c))
     from collections import Counter
 
     assert Counter(levels.values()) == {1: 2, 2: 2}

@@ -118,6 +118,19 @@ def test_order(n):
         assert perm.power(perm.of(p), h) == perm.identity(n)
 
 
+def test_cycles(n):
+    # Callers rely on the order: cycles by least index, each from its least
+    # index, following p.
+    rng = random.Random(n + 4)
+    for _ in range(10):
+        p = random_tuple(rng, n)
+        cycles = perm.cycles(perm.of(p))
+        assert sorted(i for c in cycles for i in c) == list(range(n))
+        assert [c[0] for c in cycles] == sorted(min(c) for c in cycles)
+        for c in cycles:
+            assert [p[i] for i in c] == list(c[1:]) + [c[0]]
+
+
 def test_length(n):
     rng = random.Random(n + 2)
     for _ in range(10):
@@ -185,6 +198,21 @@ def _good_position(cartan, word, sequence):
         pytest.param(
             _good_position("E8", "1,4,6,8,2,3,5,7", "pi/15,7pi/15"), 0,
             "good_position_E8_1-4-6-8-2-3-5-7.txt", id="good-position-E8-degree4",
+        ),
+        # Level tables of x and of x^-1: a twisted element and an element
+        # that is quasi-convex while its inverse is not.
+        pytest.param(
+            ["convex-check", "--type", "E6", "--word", "1,3,4,2",
+             "--delta", "6,2,5,4,3,1", "--twist", "1"], 0,
+            "convex_check_E6_1-3-4-2_delta_twist1.txt", id="convex-check-E6-twisted",
+        ),
+        pytest.param(
+            ["convex-check", "--type", "A4", "--word", "1,2,3,4,1,2"], 1,
+            "convex_check_A4_1-2-3-4-1-2.txt", id="convex-check-A4-inverse-violations",
+        ),
+        pytest.param(
+            ["conjecture", "--type", "E6", "--delta", "6,2,5,4,3,1"], 0,
+            "conjecture_E6_delta.txt", id="conjecture-E6-flip",
         ),
     ],
 )

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylconvex.convexity import analyze, phi_of
+from weylconvex.convexity import INFINITY, analyze, n_of, phi_of
 from weylconvex.roots import CartanType, build_root_system, diagram_automorphisms
 from weylconvex.weyl import from_word
 
@@ -64,3 +64,49 @@ def test_min_bound_holds_for_random_twisted_elements(word, k):
             s = rs.sum_table.get((a, b))
             if s is not None and s < pc:
                 assert min(t[a], t[b]) <= t[s]
+
+
+LEVEL_TYPES = ("A4", "B4", "D5", "E6", "E7", "E8")
+typed_words = st.sampled_from(LEVEL_TYPES).flatmap(
+    lambda name: st.tuples(
+        st.just(name),
+        st.lists(st.integers(min_value=0, max_value=int(name[1:]) - 1), max_size=16),
+    )
+)
+
+
+def orbit_phi(x):
+    """Roots whose whole x-orbit keeps one sign, one orbit walk per root."""
+    rs = x.rs
+    pc = rs.positive_count
+    out = set()
+    for g in range(rs.count):
+        orbit = [g]
+        j = x.perm[g]
+        while j != g:
+            orbit.append(j)
+            j = x.perm[j]
+        if all((h < pc) == (g < pc) for h in orbit):
+            out.add(g)
+    return frozenset(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(typed_words)
+def test_report_levels_match_n_of(typed_word):
+    name, word = typed_word
+    rs = rs_of(name)
+    for delta in diagram_automorphisms(rs):
+        for k in range(delta.order):
+            x = from_word(rs, delta, word, twist_power=k)
+            xinv = x.inverse()
+            rep = analyze(x)
+            phi = orbit_phi(x)
+            assert rep.phi_x == phi
+            for g in range(rs.count):
+                if g in phi:
+                    assert rep.n_table[g] is INFINITY
+                    assert rep.inverse_n_table[g] is INFINITY
+                else:
+                    assert rep.n_table[g] == n_of(x, g)
+                    assert rep.inverse_n_table[g] == n_of(xinv, g)
