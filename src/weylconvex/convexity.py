@@ -139,7 +139,6 @@ class ConvexityReport:
     parabolic_J: Optional[FrozenSet[int]]
     n_table: Dict[int, Level]
     inverse_n_table: Dict[int, Level]
-    level_sets: Dict[int, Tuple[FrozenSet[int], FrozenSet[int]]]
     max_level: int
     condition1_ok: bool
     condition2_ok: bool
@@ -154,7 +153,6 @@ class ConvexityReport:
 def analyze(x: TwistedElement, strict: bool = False) -> ConvexityReport:
     """Full quasi-convexity / convexity report for x."""
     rs = x.rs
-    pc = rs.positive_count
     phi, table, inverse_table = _sign_runs(x)
     labels = frozenset(
         lab for lab in range(rs.rank) if rs.simple_indices[lab] in phi
@@ -165,22 +163,13 @@ def analyze(x: TwistedElement, strict: bool = False) -> ConvexityReport:
     iviolations, _ = _condition2_prime(rs, phi, inverse_table, False)
     quasi = cond1 and not violations
     inverse_quasi = cond1 and not iviolations
-
-    level_sets: Dict[int, Tuple[FrozenSet[int], FrozenSet[int]]] = {}
-    finite_levels = sorted({v for v in table.values() if v is not INFINITY})
-    for lev in finite_levels:
-        pos = frozenset(i for i in range(pc) if table[i] == lev)
-        neg = frozenset(i for i in range(pc, rs.count) if table[i] == lev)
-        level_sets[int(lev)] = (pos, neg)
-    max_level = int(finite_levels[-1]) if finite_levels else 0
-
+    max_level = int(max((v for v in table.values() if v is not INFINITY), default=0))
     return ConvexityReport(
         x=x,
         phi_x=phi,
         parabolic_J=labels if cond1 else None,
         n_table=table,
         inverse_n_table=inverse_table,
-        level_sets=level_sets,
         max_level=max_level,
         condition1_ok=cond1,
         condition2_ok=not violations,

@@ -179,7 +179,11 @@ def _common_order(elems: Sequence[TwistedElement]) -> int:
 
 def check_w0_condition(x: TwistedElement) -> bool:
     """Whether h is even and (c*delta)^(h/2) equals w0*delta^(h/2)."""
-    h = x.order()
+    return _w0_condition(x, x.order())
+
+
+def _w0_condition(x: TwistedElement, h: int) -> bool:
+    """check_w0_condition for x of order h."""
     if h % 2:
         return False
     # A diagram automorphism other than 1 is never in W, so two twisted
@@ -196,9 +200,9 @@ def half_turn_ordering(x: TwistedElement) -> ReflectionOrdering:
     is automatically reduced; both facts are re-verified.
     """
     rs = x.rs
-    if not check_w0_condition(x):
-        raise InputError("half-turn condition does not hold for this element")
     h = x.order()
+    if not _w0_condition(x, h):
+        raise InputError("half-turn condition does not hold for this element")
     word_c = list(x.word())
     # Concatenate the twist-iterates of the Coxeter word.  Starting the
     # iteration at delta(c) rather than c makes the suffix bijection of the
@@ -226,9 +230,10 @@ def coxeter_levels(rep: ConvexityReport) -> Dict[int, int]:
     Coxeter word; the result must agree with the level table of x and,
     mirrored, with that of its inverse.  Any disagreement is an engine bug.
     """
-    if not check_w0_condition(rep.x):
+    h = rep.x.order()
+    if not _w0_condition(rep.x, h):
         raise InputError("block levels require the half-turn condition")
-    return _block_levels(rep, rep.x.order())
+    return _block_levels(rep, h)
 
 
 def _block_levels(rep: ConvexityReport, h: int) -> Dict[int, int]:
@@ -304,7 +309,7 @@ def verify_conjecture(
     counterexamples = []
     for x in elems:
         rep = analyze(x)
-        cond = check_w0_condition(x)
+        cond = _w0_condition(x, h)
         entry = CoxeterEntry(
             word=x.word(),
             twist_power=x.twist_power,

@@ -14,7 +14,7 @@ either, and bytes permutations sort in the same order as their tuples.
 from __future__ import annotations
 
 from math import lcm
-from typing import List, Sequence, Tuple, Union
+from typing import Callable, List, Sequence, Tuple, Union
 
 Perm = Union[bytes, Tuple[int, ...]]
 
@@ -35,6 +35,35 @@ def compose(p: Perm, q: Perm) -> Perm:
     if isinstance(q, bytes):
         return q.translate(p + PAD[len(p):])
     return tuple([p[x] for x in q])
+
+
+def compose_each(p: Perm, qs: Sequence[Perm]) -> List[Perm]:
+    """[p*q for q in qs], with the translate table of p built once."""
+    if isinstance(p, bytes):
+        table = p + PAD[len(p):]
+        return [q.translate(table) for q in qs]
+    return [tuple([p[x] for x in q]) for q in qs]
+
+
+def sandwiches(pairs: Sequence[Tuple[Perm, Perm]]) -> Callable[[Perm], List[Perm]]:
+    """The map w -> [s*w*t for (s, t) in pairs], every table built once.
+
+    The tables of the s are built here; each call builds the one of w.
+    """
+    if pairs and isinstance(pairs[0][0], bytes):
+        tail = PAD[len(pairs[0][0]):]
+        tables = [(s + tail, t) for s, t in pairs]
+
+        def images(w: Perm) -> List[Perm]:
+            wt = w + tail
+            return [t.translate(wt).translate(st) for st, t in tables]
+
+        return images
+
+    def images(w: Perm) -> List[Perm]:
+        return [tuple([s[w[x]] for x in t]) for s, t in pairs]
+
+    return images
 
 
 def inverse(p: Perm) -> Perm:

@@ -6,12 +6,20 @@ function is the inversion count.
 Reduced words are derived on demand and canonicalized to the
 lexicographically least reduced word, which keeps every report and class
 representative reproducible.
+
+Class tables come from one BFS over W that also yields every length (each
+BFS layer is one length).  A `ConjugacyClass` holds its members as raw
+permutations sorted by (length, permutation), with its representative and
+minimal length; twisted elements are built only for the minimal-length
+members, to choose the representative, and for the members a caller visits
+through `elements`.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import perm
 from .errors import BudgetExceeded, InconsistencyError, InputError
@@ -272,8 +280,15 @@ def is_elliptic(x: TwistedElement) -> bool:
     return rank(M) == n
 
 
-def enumerate_weyl_group(rs: RootSystem, budget: Optional[int] = DEFAULT_ENUMERATION_BUDGET) -> List[Perm]:
-    """All root permutations of W, BFS from the identity."""
+def enumerate_weyl_group(
+    rs: RootSystem, budget: Optional[int] = DEFAULT_ENUMERATION_BUDGET
+) -> Dict[Perm, int]:
+    """All root permutations of W with their lengths, BFS from the identity.
+
+    The BFS multiplies on the right by simple reflections, so layer k of
+    the search is the set of elements of length k.  The dict lists the
+    elements layer by layer.
+    """
     order = rs.cartan_type.weyl_order()
     if budget is not None and order > budget:
         raise BudgetExceeded(
@@ -282,40 +297,58 @@ def enumerate_weyl_group(rs: RootSystem, budget: Optional[int] = DEFAULT_ENUMERA
         )
     gens = [rs.simple_reflection_perm(lab) for lab in range(rs.rank)]
     start = perm.identity(rs.count)
-    seen = {start}
+    lengths = {start: 0}
     frontier = [start]
+    layer = 0
     while frontier:
+        layer += 1
         nxt = []
         for p in frontier:
-            for g in gens:
-                q = perm.compose(p, g)
-                if q not in seen:
-                    seen.add(q)
+            for q in perm.compose_each(p, gens):
+                if q not in lengths:
+                    lengths[q] = layer
                     nxt.append(q)
         frontier = nxt
-    if len(seen) != order:
+    if len(lengths) != order:
         raise InconsistencyError(
-            f"enumerated {len(seen)} elements of W({rs.cartan_type}), expected {order}"
+            f"enumerated {len(lengths)} elements of W({rs.cartan_type}), expected {order}"
         )
-    return sorted(seen)
+    return lengths
 
 
 @dataclass(frozen=True, eq=False)
 class ConjugacyClass:
-    """A W-conjugacy orbit inside the coset W * delta^k."""
+    """A W-conjugacy orbit inside the coset W * delta^k.
+
+    The members are held as the root permutations of their W-parts, sorted
+    by (length, permutation); `elements` builds the twisted elements on each
+    access, in that order.
+    """
 
     rs: RootSystem
     twist: DiagramAutomorphism
     twist_power: int
     representative: TwistedElement
-    elements: Tuple[TwistedElement, ...]
+    perms: Tuple[Perm, ...]
     min_length: int
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.perms)
+
+    def _member(self, w: Perm) -> TwistedElement:
+        return TwistedElement(self.rs, WeylElement(self.rs, w), self.twist, self.twist_power)
+
+    @property
+    def elements(self) -> Iterator[TwistedElement]:
+        """The members in (length, permutation) order, each built when reached."""
+        return map(self._member, self.perms)
 
     def min_length_set(self) -> Tuple[TwistedElement, ...]:
-        return tuple(x for x in self.elements if x.length() == self.min_length)
+        pc = self.rs.positive_count
+        lead = itertools.takewhile(
+            lambda w: perm.length(w, pc) == self.min_length, self.perms
+        )
+        return tuple(map(self._member, lead))
 
 
 def conjugacy_classes(
@@ -333,37 +366,41 @@ def conjugacy_classes(
     if delta is None:
         delta = identity_automorphism(rs)
     twist_power %= delta.order
-    perms = enumerate_weyl_group(rs, budget)
-    pc = rs.positive_count
-    pairs = [
-        _conjugating_pair(rs, delta, twist_power, lab) for lab in range(rs.rank)
-    ]
-
-    unassigned = set(perms)
+    # Each orbit search moves its members out of this one dict.
+    unassigned = enumerate_weyl_group(rs, budget)
+    order = len(unassigned)
+    conjugates = perm.sandwiches(
+        [_conjugating_pair(rs, delta, twist_power, lab) for lab in range(rs.rank)]
+    )
     classes: List[ConjugacyClass] = []
-    for start in perms:
-        if start not in unassigned:
-            continue
+    while unassigned:
         # Orbit of the W-part under w -> s w s', as raw permutations.
-        orbit = {start}
+        start, start_length = unassigned.popitem()
+        orbit = {start: start_length}
         frontier = [start]
         while frontier:
             nxt = []
             for w in frontier:
-                for s, s2 in pairs:
-                    y = perm.compose(perm.compose(s, w), s2)
+                for y in conjugates(w):
                     if y not in orbit:
-                        orbit.add(y)
+                        length = unassigned.pop(y, None)
+                        if length is None:
+                            raise InconsistencyError(
+                                f"a conjugate in W({rs.cartan_type}) lies outside "
+                                "the enumeration or in another class"
+                            )
+                        orbit[y] = length
                         nxt.append(y)
             frontier = nxt
-        unassigned -= orbit
-        elems = [
-            TwistedElement(rs, WeylElement(rs, w), delta, twist_power)
-            for w in sorted(orbit, key=lambda w: (perm.length(w, pc), w))
-        ]
-        min_len = elems[0].length()
+        # (length, permutation) order: by permutation, then stably by length.
+        members = sorted(orbit)
+        members.sort(key=orbit.__getitem__)
+        min_length = orbit[members[0]]
         rep = min(
-            (e for e in elems if e.length() == min_len),
+            (
+                TwistedElement(rs, WeylElement(rs, w), delta, twist_power)
+                for w in itertools.takewhile(lambda w: orbit[w] == min_length, members)
+            ),
             key=lambda e: (e.word(), e.weyl.root_perm),
         )
         classes.append(
@@ -372,23 +409,24 @@ def conjugacy_classes(
                 twist=delta,
                 twist_power=twist_power,
                 representative=rep,
-                elements=tuple(elems),
-                min_length=min_len,
+                perms=tuple(members),
+                min_length=min_length,
             )
         )
     classes.sort(key=lambda c: (c.min_length, c.representative.word()))
     total = sum(len(c) for c in classes)
-    if total != len(perms):
+    if total != order:
         raise InconsistencyError(
-            f"classes cover {total} elements of W({rs.cartan_type}), expected {len(perms)}"
+            f"classes cover {total} elements of W({rs.cartan_type}), expected {order}"
         )
     return classes
 
 
 def class_of(x: TwistedElement, budget: Optional[int] = DEFAULT_ENUMERATION_BUDGET) -> ConjugacyClass:
     """The conjugacy class containing x."""
+    w = x.weyl.root_perm
     for cls in conjugacy_classes(x.rs, x.twist, x.twist_power, budget):
-        if any(y == x for y in cls.elements):
+        if w in cls.perms:
             return cls
     raise InputError("element not found in its own coset; inconsistent twist data")
 

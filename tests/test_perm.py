@@ -99,6 +99,24 @@ def test_compose_and_inverse(n):
         assert perm.compose(pp, inv) == perm.identity(n)
 
 
+def test_compose_each_and_sandwiches(n):
+    rng = random.Random(n + 5)
+    p = random_tuple(rng, n)
+    qs = [random_tuple(rng, n) for _ in range(4)]
+    pairs = [(random_tuple(rng, n), random_tuple(rng, n)) for _ in range(4)]
+    products = perm.compose_each(perm.of(p), [perm.of(q) for q in qs])
+    assert [type(x) for x in products] == [expected_type(n)] * len(qs)
+    assert [tuple(x) for x in products] == [ref_compose(p, q) for q in qs]
+    images = perm.sandwiches([(perm.of(s), perm.of(t)) for s, t in pairs])
+    for _ in range(3):
+        w = random_tuple(rng, n)
+        out = images(perm.of(w))
+        assert [type(x) for x in out] == [expected_type(n)] * len(pairs)
+        assert [tuple(x) for x in out] == [
+            ref_compose(ref_compose(s, w), t) for s, t in pairs
+        ]
+
+
 @pytest.mark.parametrize("k", [-5, -2, -1, 0, 1, 2, 3, 7, 12])
 def test_power(n, k):
     rng = random.Random(1000 * n + k)
@@ -213,6 +231,15 @@ def _good_position(cartan, word, sequence):
         pytest.param(
             ["conjecture", "--type", "E6", "--delta", "6,2,5,4,3,1"], 0,
             "conjecture_E6_delta.txt", id="conjecture-E6-flip",
+        ),
+        # Class tables: every class's size, min length and representative,
+        # untwisted and in the triality coset.
+        pytest.param(
+            ["reps", "--type", "E6"], 0, "reps_E6.txt", id="reps-E6",
+        ),
+        pytest.param(
+            ["reps", "--type", "D4", "--delta", "3,2,4,1", "--twist", "1"], 0,
+            "reps_D4_triality_twist1.txt", id="reps-D4-triality",
         ),
     ],
 )

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from weylconvex.weyl import (
     is_elliptic,
     longest_element,
     min_length_set,
+    WeylElement,
 )
 
 RS = {}
@@ -366,3 +368,173 @@ def test_min_length_shift_symmetry_more_types():
             for y in omin:
                 for z in omin:
                     assert cyclic_shift_reachable(y, z) == cyclic_shift_reachable(z, y)
+
+
+# ---------------------------------------------------------------------------
+# Class counts against Carter's formulas ("Conjugacy classes in the Weyl
+# group", Compositio Math. 1972), independent of the engine.
+
+
+def partitions(n):
+    """p(n) for n >= 0."""
+    p = [1] + [0] * n
+    for part in range(1, n + 1):
+        for m in range(part, n + 1):
+            p[m] += p[m - part]
+    return p[n]
+
+
+def bipartition_counts(n):
+    """Bipartitions (alpha, beta) of n, split by the parity of l(beta)."""
+    # q[m][l]: partitions of m into exactly l parts.
+    q = [[0] * (n + 1) for _ in range(n + 1)]
+    q[0][0] = 1
+    for m in range(1, n + 1):
+        for l in range(1, m + 1):
+            # Either a part equals 1 (drop it) or all parts are >= 2
+            # (subtract 1 from each).
+            q[m][l] = q[m - 1][l - 1] + q[m - l][l]
+    even = odd = 0
+    for m in range(n + 1):
+        for l in range(m + 1):
+            if q[m][l]:
+                if l % 2:
+                    odd += partitions(n - m) * q[m][l]
+                else:
+                    even += partitions(n - m) * q[m][l]
+    return even, odd
+
+
+def carter_class_count(family, n, twist_order):
+    """Classes in the coset W * delta of a twist of the given order."""
+    if family == "A":
+        return partitions(n + 1)
+    if family in ("B", "C"):
+        return sum(bipartition_counts(n))
+    if family == "D":
+        even, odd = bipartition_counts(n)
+        if twist_order == 3:
+            return 7
+        if twist_order == 2:
+            return odd
+        return even + (partitions(n // 2) if n % 2 == 0 else 0)
+    if family == "E":
+        return {6: 25, 7: 60, 8: 112}[n]
+    return {"G": 6, "F": 25}[family]
+
+
+def test_carter_formulas_match_known_counts():
+    # Carter's table, read off by hand.
+    assert [partitions(n) for n in range(1, 9)] == [1, 2, 3, 5, 7, 11, 15, 22]
+    assert [sum(bipartition_counts(n)) for n in range(1, 7)] == [2, 5, 10, 20, 36, 65]
+    assert carter_class_count("D", 4, 1) == 13
+    assert carter_class_count("D", 5, 1) == 18
+    assert carter_class_count("D", 6, 1) == 37
+    assert carter_class_count("D", 4, 2) == 9
+    assert carter_class_count("D", 5, 2) == 18
+
+
+WITHIN_BUDGET = (
+    [f"A{n}" for n in range(1, 8)]
+    + [f"B{n}" for n in range(2, 7)]
+    + [f"C{n}" for n in range(2, 7)]
+    + [f"D{n}" for n in range(4, 7)]
+    + ["G2", "F4", "E6"]
+)
+
+
+def test_class_count_sweep_covers_every_type_within_budget():
+    from weylconvex.weyl import DEFAULT_ENUMERATION_BUDGET
+
+    def order(name):
+        return CartanType.parse(name).weyl_order()
+
+    assert all(order(name) <= DEFAULT_ENUMERATION_BUDGET for name in WITHIN_BUDGET)
+    # The next rank of each family is over the budget.
+    assert all(
+        order(name) > DEFAULT_ENUMERATION_BUDGET
+        for name in ("A8", "B7", "C7", "D7", "E7")
+    )
+
+
+@pytest.mark.parametrize("name", WITHIN_BUDGET)
+def test_class_counts_match_carter(name):
+    rs = rs_of(name)
+    ct = rs.cartan_type
+    for delta in diagram_automorphisms(rs):
+        for k in range(1, delta.order + 1):
+            twist_order = delta.order // gcd(delta.order, k)
+            classes = conjugacy_classes(rs, delta, k)
+            assert len(classes) == carter_class_count(ct.family, ct.rank, twist_order), (
+                f"{name} delta={delta.label()} k={k}"
+            )
+            assert sum(len(c) for c in classes) == ct.weyl_order()
+
+
+# ---------------------------------------------------------------------------
+# Class members against a BFS over conj_by_simple written here.
+
+
+def reference_class(x):
+    seen = {x}
+    frontier = [x]
+    while frontier:
+        nxt = []
+        for z in frontier:
+            for lab in range(z.rs.rank):
+                y = z.conj_by_simple(lab)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return sorted(seen, key=lambda e: (e.length(), e.weyl.root_perm))
+
+
+@pytest.mark.parametrize(
+    "name, delta_images, k",
+    [("A4", None, 0), ("B3", None, 0), ("D4", (2, 1, 3, 0), 1), ("F4", None, 0)],
+)
+def test_class_members_match_reference(name, delta_images, k):
+    rs = rs_of(name)
+    delta = None
+    if delta_images is not None:
+        (delta,) = [
+            d for d in diagram_automorphisms(rs) if tuple(d.simple_perm) == delta_images
+        ]
+    classes = conjugacy_classes(rs, delta, k)
+    covered = set()
+    for cls in classes:
+        ref = reference_class(cls.representative)
+        members = list(cls.elements)
+        assert members == ref
+        assert [y.twist_power for y in members] == [cls.twist_power] * len(ref)
+        assert len(cls) == len(ref)
+        assert set(members).isdisjoint(covered)
+        covered.update(members)
+        min_len = ref[0].length()
+        assert cls.min_length == min_len
+        assert cls.min_length_set() == tuple(y for y in ref if y.length() == min_len)
+        assert min_length_set(cls) == cls.min_length_set()
+        assert cls.representative in cls.min_length_set()
+    assert len(covered) == rs.cartan_type.weyl_order()
+
+
+def test_enumeration_lengths_are_inversion_counts():
+    rs = rs_of("B3")
+    lengths = enumerate_weyl_group(rs)
+    assert list(lengths.values()) == sorted(lengths.values())
+    for p, length in lengths.items():
+        assert length == WeylElement(rs, p).length()
+
+
+def test_conjugate_outside_the_enumeration_is_inconsistency(monkeypatch):
+    # A diagram automorphism other than 1 is not in W, so w -> flip * w
+    # leaves W; the orbit search must notice instead of growing a class
+    # past the group.
+    from weylconvex import perm, weyl
+
+    rs = rs_of("A2")
+    pair = (flip_of("A2").root_perm, perm.identity(rs.count))
+    monkeypatch.setattr(weyl, "_conjugating_pair", lambda rs, d, k, lab: pair)
+    with pytest.raises(InconsistencyError):
+        conjugacy_classes(rs)
