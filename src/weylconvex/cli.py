@@ -156,6 +156,9 @@ def cmd_convex_check(args) -> int:
         "delta": args.delta or "id",
         "twist": args.twist,
     }
+    # Only a strict run changes the report, so only it joins the cache key.
+    if args.strict:
+        params["strict"] = True
     hit = _maybe_cached("convex-check", params, args)
     if hit is not None:
         return hit
@@ -167,7 +170,7 @@ def cmd_convex_check(args) -> int:
     x = from_word(rs, delta, parse_word(args.word), args.twist)
     rep = analyze(x, strict=args.strict)
     code = 0 if rep.convex else 1
-    return _emit("convex-check", params, convexity_dict(rep), code, args, started)
+    return _emit("convex-check", params, convexity_dict(rep, args.strict), code, args, started)
 
 
 def cmd_reps(args) -> int:
@@ -367,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", required=True, help="1-based simple reflections, e.g. 2,3,4,1,2,3")
     p.add_argument("--delta", help="diagram automorphism: 'id' or image of simples, e.g. 3,2,1")
     p.add_argument("--twist", type=int, default=0, help="power of the twist")
-    p.add_argument("--strict", action="store_true", help="audit infinite-level triples")
+    p.add_argument("--strict", action="store_true", help="also list audit_flags, the level-one pairs whose sum lies in phi_x")
     p.set_defaults(func=cmd_convex_check)
 
     p = sub.add_parser("reps", help="convex representative per conjugacy class")

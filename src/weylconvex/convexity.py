@@ -12,7 +12,10 @@ sign-run lengths on cycles, and phi_{x^-1} = phi_x.
 Quasi-convexity asks that phi_x be a standard parabolic subsystem and that
 levels be subadditive under root addition; convexity asks the same of the
 inverse, so condition (1) is decided once and condition (2) once on each
-level table.
+level table.  Condition (2) visits only the pairs listed in
+`RootSystem.positive_sums`, those whose sum is a positive root;
+`condition2_full_pairs` stays an independent scan over every positive pair
+of `sum_table`, to check it against.
 
 Levels on phi_x are represented by the distinct marker INFINITY, never by a
 sentinel integer, so every comparison against an infinite level is explicit.
@@ -21,7 +24,7 @@ sentinel integer, so every comparison against an infinite level is explicit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import FrozenSet, List, Optional, Tuple, Union
 
 from . import perm
 from .errors import InconsistencyError, InputError
@@ -34,8 +37,8 @@ Level = Union[int, float]
 
 def _sign_runs(
     x: TwistedElement,
-) -> Tuple[FrozenSet[int], Dict[int, Level], Dict[int, Level]]:
-    """phi_x and the level tables of x and x^-1, from the sign runs of x."""
+) -> Tuple[FrozenSet[int], Tuple[Level, ...], Tuple[Level, ...]]:
+    """phi_x and the level tables of x and x^-1, indexed by root."""
     rs = x.rs
     pc = rs.positive_count
     forward: List[Level] = [INFINITY] * rs.count
@@ -55,7 +58,7 @@ def _sign_runs(
                 g = cyc[t % size]
                 forward[g] = b - t
                 backward[g] = t - a + 1
-    return frozenset(stable), dict(enumerate(forward)), dict(enumerate(backward))
+    return frozenset(stable), tuple(forward), tuple(backward)
 
 
 def phi_of(x: TwistedElement) -> FrozenSet[int]:
@@ -83,27 +86,27 @@ def _witness_key(rs, a: int, b: int):
     return (rs.height(a), rs.coeffs[a], rs.height(b), rs.coeffs[b])
 
 
-def _condition2_prime(rs, phi, table, strict: bool):
-    """Production path: only pairs with n(alpha) = 1 need checking."""
+def _condition2_prime(rs, table, strict: bool):
+    """Production path: only pairs with n(alpha) = 1 and alpha+beta a
+    positive root need checking."""
     violations = []
     audit = []
-    pc = rs.positive_count
-    level_one = [i for i in range(pc) if table[i] == 1]
-    for a in level_one:
-        for b in range(pc):
-            s = rs.sum_table.get((a, b))
-            if s is None or s >= pc:
-                continue
-            if s in phi:
-                # With condition (1) this cannot happen for a outside phi_x:
-                # supports of positive roots add, so alpha+beta in phi_x would
-                # force alpha in phi_x, contradicting n(alpha) = 1.  Strict
-                # mode records the triple anyway for auditing.
+    for a, (na, pairs) in enumerate(zip(table, rs.positive_sums)):
+        if na != 1:
+            continue
+        for b, s in pairs:
+            ns = table[s]
+            if ns is INFINITY:
+                # alpha+beta lies in phi_x.  With condition (1) this cannot
+                # happen for a outside phi_x: supports of positive roots add,
+                # so alpha+beta in phi_x would force alpha in phi_x,
+                # contradicting n(alpha) = 1.  Strict mode records the triple
+                # anyway for auditing.
                 if strict:
-                    audit.append((a, b, table[a], table[b], table[s]))
+                    audit.append((a, b, na, table[b], ns))
                 continue
-            if table[s] > table[b]:
-                violations.append((a, b, table[a], table[b], table[s]))
+            if ns > table[b]:
+                violations.append((a, b, na, table[b], ns))
     violations.sort(key=lambda v: _witness_key(rs, v[0], v[1]))
     return violations, audit
 
@@ -137,8 +140,8 @@ class ConvexityReport:
     x: TwistedElement
     phi_x: FrozenSet[int]
     parabolic_J: Optional[FrozenSet[int]]
-    n_table: Dict[int, Level]
-    inverse_n_table: Dict[int, Level]
+    n_table: Tuple[Level, ...]
+    inverse_n_table: Tuple[Level, ...]
     max_level: int
     condition1_ok: bool
     condition2_ok: bool
@@ -159,11 +162,11 @@ def analyze(x: TwistedElement, strict: bool = False) -> ConvexityReport:
     )
     # phi_{x^-1} = phi_x, so condition (1) holds for both or for neither.
     cond1 = phi == rs.parabolic_closure(labels)
-    violations, audit = _condition2_prime(rs, phi, table, strict)
-    iviolations, _ = _condition2_prime(rs, phi, inverse_table, False)
+    violations, audit = _condition2_prime(rs, table, strict)
+    iviolations, _ = _condition2_prime(rs, inverse_table, False)
     quasi = cond1 and not violations
     inverse_quasi = cond1 and not iviolations
-    max_level = int(max((v for v in table.values() if v is not INFINITY), default=0))
+    max_level = int(max((v for v in table if v is not INFINITY), default=0))
     return ConvexityReport(
         x=x,
         phi_x=phi,
@@ -201,7 +204,7 @@ def level_filtration(x: TwistedElement) -> List[FrozenSet[int]]:
     if not rep.quasi_convex:
         raise InputError("level filtration requires a quasi-convex element")
     table = rep.n_table
-    finite = sorted({int(v) for i, v in table.items() if i < pc and v is not INFINITY})
+    finite = sorted({int(v) for v in table[:pc] if v is not INFINITY})
     out: List[FrozenSet[int]] = []
     acc: set = set()
     max_level = finite[-1] if finite else 0
@@ -213,7 +216,7 @@ def level_filtration(x: TwistedElement) -> List[FrozenSet[int]]:
                 if img < pc:
                     raise InconsistencyError("level-1 root not sent negative")
             else:
-                if table.get(img) != lev - 1 or img >= pc:
+                if table[img] != lev - 1 or img >= pc:
                     raise InconsistencyError("level descent violated")
         acc |= layer
         if not is_closed(rs, acc):

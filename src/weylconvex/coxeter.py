@@ -136,11 +136,9 @@ def twisted_betas(x: TwistedElement) -> List[int]:
 def check_betweenness(rs: RootSystem, ordered: Sequence[int]) -> bool:
     """Every root sum sits strictly between its summands."""
     pos = {g: t for t, g in enumerate(ordered)}
-    pc = rs.positive_count
-    for a in range(pc):
-        for b in range(a + 1, pc):
-            s = rs.sum_table.get((a, b))
-            if s is None or s >= pc:
+    for a, pairs in enumerate(rs.positive_sums):
+        for b, s in pairs:
+            if b <= a:
                 continue
             lo, hi = sorted((pos[a], pos[b]))
             if not (lo < pos[s] < hi):
@@ -241,23 +239,21 @@ def _block_levels(rep: ConvexityReport, h: int) -> Dict[int, int]:
     rs = x.rs
     betas = twisted_betas(x)
     perm_inv = x.perm_inv
+    half = h // 2
     levels: Dict[int, int] = {}
     inv_levels: Dict[int, int] = {}
     # Each beta has level 1 for x; pulling back through x shifts the level
     # up by one, so block i is x^(1-i) of the betas.  Mirrored for the
-    # inverse: block i is x^(i - h/2) of the betas.
-    for i in range(1, h // 2 + 1):
-        for b in betas:
-            g = b
-            for _ in range(i - 1):
-                g = perm_inv[g]
+    # inverse: block i is x^(i - h/2) of the betas, so the root of block i
+    # for x lies in block h/2 + 1 - i for x^-1.  One walk per beta.
+    for b in betas:
+        g = b
+        for i in range(1, half + 1):
             if g in levels:
                 raise InconsistencyError("block formula hit a root twice")
             levels[g] = i
-            gi = b
-            for _ in range(h // 2 - i):
-                gi = perm_inv[gi]
-            inv_levels[gi] = i
+            inv_levels[g] = half + 1 - i
+            g = perm_inv[g]
     if sorted(levels) != list(range(rs.positive_count)):
         raise InconsistencyError("blocks do not partition the positive roots")
     for g, lev in levels.items():

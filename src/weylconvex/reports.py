@@ -75,9 +75,23 @@ def level_str(v) -> object:
     return "inf" if v is INFINITY else int(v)
 
 
-def convexity_dict(rep: ConvexityReport) -> Dict:
+def _witness_dicts(rs, triples) -> List[Dict]:
+    return [
+        {
+            "alpha": rs.root_str(a),
+            "beta": rs.root_str(b),
+            "n_alpha": level_str(na),
+            "n_beta": level_str(nb),
+            "n_sum": level_str(ns),
+        }
+        for (a, b, na, nb, ns) in triples
+    ]
+
+
+def convexity_dict(rep: ConvexityReport, strict: bool = False) -> Dict:
+    """The report of one element; `strict` adds the audited triples."""
     rs = rep.x.rs
-    return {
+    out = {
         "word": word_str(rep.x.word()),
         "twist_power": rep.x.twist_power,
         "length": rep.x.length(),
@@ -97,27 +111,12 @@ def convexity_dict(rep: ConvexityReport) -> Dict:
         "quasi_convex": rep.quasi_convex,
         "inverse_quasi_convex": rep.inverse_quasi_convex,
         "convex": rep.convex,
-        "violations": [
-            {
-                "alpha": rs.root_str(a),
-                "beta": rs.root_str(b),
-                "n_alpha": level_str(na),
-                "n_beta": level_str(nb),
-                "n_sum": level_str(ns),
-            }
-            for (a, b, na, nb, ns) in rep.violations
-        ],
-        "inverse_violations": [
-            {
-                "alpha": rs.root_str(a),
-                "beta": rs.root_str(b),
-                "n_alpha": level_str(na),
-                "n_beta": level_str(nb),
-                "n_sum": level_str(ns),
-            }
-            for (a, b, na, nb, ns) in rep.inverse_violations
-        ],
+        "violations": _witness_dicts(rs, rep.violations),
+        "inverse_violations": _witness_dicts(rs, rep.inverse_violations),
     }
+    if strict:
+        out["audit_flags"] = _witness_dicts(rs, rep.audit_flags)
+    return out
 
 
 def certificate_dict(cert: GoodPositionCertificate) -> Dict:

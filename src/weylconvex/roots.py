@@ -168,8 +168,11 @@ class RootSystem:
     Gram * coeffs[i], so pairing a vector in simple-root coordinates with a
     root is one dot product; `int_pairing_rows` is the same row scaled by
     one positive integer, for exact zero tests.  Bit j of `support_masks[i]`
-    is set when alpha_j occurs in root i.  The ambient rational
-    vectors `roots` and `index_of` serve display, tests and the root order.
+    is set when alpha_j occurs in root i.  `positive_sums[a]` lists, for a
+    positive root a, the pairs (b, a+b) with b and a+b both positive, by
+    ascending b: the only pairs a subadditivity test on levels must visit.
+    The ambient rational vectors `roots` and `index_of` serve display, tests
+    and the root order.
     """
 
     cartan_type: CartanType
@@ -180,6 +183,7 @@ class RootSystem:
     positive_count: int
     simple_indices: Tuple[int, ...]
     sum_table: Dict[Tuple[int, int], int]
+    positive_sums: Tuple[Tuple[Tuple[int, int], ...], ...]
     index_of: Dict[Vector, int]
     cartan: Tuple[Tuple[int, ...], ...]
     simple_gram: Tuple[Tuple[Fraction, ...], ...]
@@ -290,6 +294,18 @@ def _as_fractions(int_rows, den: int) -> Tuple[Tuple[Fraction, ...], ...]:
     return tuple(tuple(map(frac.__getitem__, row)) for row in int_rows)
 
 
+def _positive_sums(sum_table, pc: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """Per positive root a, the pairs (b, a+b) with b positive, by b.
+
+    A sum of two positive roots is positive, so a+b needs no test.
+    """
+    out: List[List[Tuple[int, int]]] = [[] for _ in range(pc)]
+    for (a, b), s in sum_table.items():
+        if a < pc and b < pc:
+            out[a].append((b, s))
+    return tuple(tuple(sorted(pairs)) for pairs in out)
+
+
 def build_root_system(cartan_type: CartanType) -> RootSystem:
     """Construct the root system of the given type by reflection closure."""
     simples = _simple_roots(cartan_type)
@@ -374,6 +390,7 @@ def build_root_system(cartan_type: CartanType) -> RootSystem:
         positive_count=len(positives),
         simple_indices=tuple(coeff_index[u] for u in units),
         sum_table=sum_table,
+        positive_sums=_positive_sums(sum_table, len(positives)),
         index_of=index_of,
         cartan=cartan,
         simple_gram=_as_fractions(int_gram, den * den),

@@ -12,14 +12,16 @@ BFS layer is one length).  A `ConjugacyClass` holds its members as raw
 permutations sorted by (length, permutation), with its representative and
 minimal length; twisted elements are built only for the minimal-length
 members, to choose the representative, and for the members a caller visits
-through `elements`.
+through `elements`.  `class_of` runs the same orbit search from one element,
+with lengths from `perm.length`, so it enumerates neither W nor any other
+class.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import perm
 from .errors import BudgetExceeded, InconsistencyError, InputError
@@ -280,6 +282,17 @@ def is_elliptic(x: TwistedElement) -> bool:
     return rank(M) == n
 
 
+def _weyl_order_within(rs: RootSystem, budget: Optional[int]) -> int:
+    """|W|, refused with BudgetExceeded when it exceeds the budget."""
+    order = rs.cartan_type.weyl_order()
+    if budget is not None and order > budget:
+        raise BudgetExceeded(
+            f"|W({rs.cartan_type})| = {order} exceeds the enumeration budget {budget}",
+            budget,
+        )
+    return order
+
+
 def enumerate_weyl_group(
     rs: RootSystem, budget: Optional[int] = DEFAULT_ENUMERATION_BUDGET
 ) -> Dict[Perm, int]:
@@ -289,12 +302,7 @@ def enumerate_weyl_group(
     the search is the set of elements of length k.  The dict lists the
     elements layer by layer.
     """
-    order = rs.cartan_type.weyl_order()
-    if budget is not None and order > budget:
-        raise BudgetExceeded(
-            f"|W({rs.cartan_type})| = {order} exceeds the enumeration budget {budget}",
-            budget,
-        )
+    order = _weyl_order_within(rs, budget)
     gens = [rs.simple_reflection_perm(lab) for lab in range(rs.rank)]
     start = perm.identity(rs.count)
     lengths = {start: 0}
@@ -369,49 +377,12 @@ def conjugacy_classes(
     # Each orbit search moves its members out of this one dict.
     unassigned = enumerate_weyl_group(rs, budget)
     order = len(unassigned)
-    conjugates = perm.sandwiches(
-        [_conjugating_pair(rs, delta, twist_power, lab) for lab in range(rs.rank)]
-    )
     classes: List[ConjugacyClass] = []
     while unassigned:
-        # Orbit of the W-part under w -> s w s', as raw permutations.
-        start, start_length = unassigned.popitem()
-        orbit = {start: start_length}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for y in conjugates(w):
-                    if y not in orbit:
-                        length = unassigned.pop(y, None)
-                        if length is None:
-                            raise InconsistencyError(
-                                f"a conjugate in W({rs.cartan_type}) lies outside "
-                                "the enumeration or in another class"
-                            )
-                        orbit[y] = length
-                        nxt.append(y)
-            frontier = nxt
-        # (length, permutation) order: by permutation, then stably by length.
-        members = sorted(orbit)
-        members.sort(key=orbit.__getitem__)
-        min_length = orbit[members[0]]
-        rep = min(
-            (
-                TwistedElement(rs, WeylElement(rs, w), delta, twist_power)
-                for w in itertools.takewhile(lambda w: orbit[w] == min_length, members)
-            ),
-            key=lambda e: (e.word(), e.weyl.root_perm),
-        )
+        # The last member listed; the orbit search pops it first.
+        start = next(reversed(unassigned))
         classes.append(
-            ConjugacyClass(
-                rs=rs,
-                twist=delta,
-                twist_power=twist_power,
-                representative=rep,
-                perms=tuple(members),
-                min_length=min_length,
-            )
+            _orbit_class(rs, delta, twist_power, start, lambda y: unassigned.pop(y, None))
         )
     classes.sort(key=lambda c: (c.min_length, c.representative.word()))
     total = sum(len(c) for c in classes)
@@ -422,13 +393,72 @@ def conjugacy_classes(
     return classes
 
 
+def _orbit_class(
+    rs: RootSystem,
+    delta: DiagramAutomorphism,
+    twist_power: int,
+    start: Perm,
+    length_of: Callable[[Perm], Optional[int]],
+) -> ConjugacyClass:
+    """The class of start * delta^k, by one orbit search from start.
+
+    The W-parts are searched as raw permutations under w -> s w s'.
+    `length_of` gives each member's length once, when the search reaches
+    it; None means the member is not where the caller's table expects it.
+    """
+    conjugates = perm.sandwiches(
+        [_conjugating_pair(rs, delta, twist_power, lab) for lab in range(rs.rank)]
+    )
+    # The caller's table always holds the start.
+    orbit = {start: length_of(start)}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for y in conjugates(w):
+                if y not in orbit:
+                    length = length_of(y)
+                    if length is None:
+                        raise InconsistencyError(
+                            f"a conjugate in W({rs.cartan_type}) lies outside "
+                            "the enumeration or in another class"
+                        )
+                    orbit[y] = length
+                    nxt.append(y)
+        frontier = nxt
+    # (length, permutation) order: by permutation, then stably by length.
+    members = sorted(orbit)
+    members.sort(key=orbit.__getitem__)
+    min_length = orbit[members[0]]
+    rep = min(
+        (
+            TwistedElement(rs, WeylElement(rs, w), delta, twist_power)
+            for w in itertools.takewhile(lambda w: orbit[w] == min_length, members)
+        ),
+        key=lambda e: (e.word(), e.weyl.root_perm),
+    )
+    return ConjugacyClass(
+        rs=rs,
+        twist=delta,
+        twist_power=twist_power,
+        representative=rep,
+        perms=tuple(members),
+        min_length=min_length,
+    )
+
+
 def class_of(x: TwistedElement, budget: Optional[int] = DEFAULT_ENUMERATION_BUDGET) -> ConjugacyClass:
-    """The conjugacy class containing x."""
-    w = x.weyl.root_perm
-    for cls in conjugacy_classes(x.rs, x.twist, x.twist_power, budget):
-        if w in cls.perms:
-            return cls
-    raise InputError("element not found in its own coset; inconsistent twist data")
+    """The conjugacy class containing x, by one orbit search from x.
+
+    The budget on |W| applies as in `conjugacy_classes`, so a command
+    refuses the same inputs whether it needs one class or all of them.
+    """
+    rs = x.rs
+    _weyl_order_within(rs, budget)
+    pc = rs.positive_count
+    return _orbit_class(
+        rs, x.twist, x.twist_power, x.weyl.root_perm, lambda y: perm.length(y, pc)
+    )
 
 
 def _shift_reachable_set(x: TwistedElement) -> Dict[TwistedElement, Optional[TwistedElement]]:

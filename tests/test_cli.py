@@ -46,6 +46,38 @@ def test_convex_check_c3(capsys):
     assert report["results"]["convex"] is False
 
 
+def test_convex_check_strict_adds_only_the_audit(capsys):
+    argv = ["--no-cache", "convex-check", "--type", "E8", "--word", "3,1,4,2,3,1"]
+
+    def report(*extra):
+        code = main(argv + list(extra))
+        return code, capsys.readouterr().out
+
+    plain_code, plain = report()
+    strict_code, strict = report("--strict")
+    assert strict_code == plain_code == 1
+    plain_report, strict_report = json.loads(plain), json.loads(strict)
+    assert "strict" not in plain_report["params"]
+    assert "audit_flags" not in plain_report["results"]
+    assert strict_report["params"].pop("strict") is True
+    flags = strict_report["results"].pop("audit_flags")
+    assert len(flags) == 150
+    assert all(set(f) == {"alpha", "beta", "n_alpha", "n_beta", "n_sum"} for f in flags)
+    # Without the two fields, and with the plain run's wall time, the
+    # strict report is the plain one byte for byte.
+    strict_report["wall_time_s"] = plain_report["wall_time_s"]
+    assert json.dumps(strict_report, sort_keys=True, indent=2) + "\n" == plain
+
+
+def test_convex_check_strict_is_its_own_cache_entry(capsys, tmp_path):
+    argv = ["--cache-dir", str(tmp_path), "convex-check", "--type", "A3", "--word", "1,3"]
+    main(argv)
+    assert "audit_flags" not in json.loads(capsys.readouterr().out)["results"]
+    main(argv + ["--strict"])
+    assert "audit_flags" in json.loads(capsys.readouterr().out)["results"]
+    assert len(list(tmp_path.glob("*.json"))) == 2
+
+
 def test_convex_check_bad_word(capsys):
     code = main(["--no-cache", "convex-check", "--type", "A2", "--word", "1,x"])
     assert code == 2

@@ -228,6 +228,12 @@ def _good_position(cartan, word, sequence):
             ["convex-check", "--type", "A4", "--word", "1,2,3,4,1,2"], 1,
             "convex_check_A4_1-2-3-4-1-2.txt", id="convex-check-A4-inverse-violations",
         ),
+        # Condition (1) holds with 24 violations and 24 inverse violations:
+        # pins the witness order of condition (2) on the largest system.
+        pytest.param(
+            ["convex-check", "--type", "E8", "--word", "1,4,2,3,5,6,5,7,6,8"], 1,
+            "convex_check_E8_1-4-2-3-5-6-5-7-6-8.txt", id="convex-check-E8-violations",
+        ),
         pytest.param(
             ["conjecture", "--type", "E6", "--delta", "6,2,5,4,3,1"], 0,
             "conjecture_E6_delta.txt", id="conjecture-E6-flip",

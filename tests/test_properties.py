@@ -110,3 +110,64 @@ def test_report_levels_match_n_of(typed_word):
                 else:
                     assert rep.n_table[g] == n_of(x, g)
                     assert rep.inverse_n_table[g] == n_of(xinv, g)
+
+
+def witness_key(rs, v):
+    a, b = v[0], v[1]
+    return (sum(rs.coeffs[a]), rs.coeffs[a], sum(rs.coeffs[b]), rs.coeffs[b])
+
+
+def reference_condition2(rs, phi, table):
+    """Condition (2) on level table `table`, over every positive pair.
+
+    Returns the violations in witness order and the pairs whose sum lies
+    in phi, in (alpha, beta) order.
+    """
+    pc = rs.positive_count
+    violations, audit = [], []
+    for a in range(pc):
+        if table[a] != 1:
+            continue
+        for b in range(pc):
+            s = rs.sum_table.get((a, b))
+            if s is None or s >= pc:
+                continue
+            triple = (a, b, table[a], table[b], table[s])
+            if s in phi:
+                audit.append(triple)
+            elif table[s] > table[b]:
+                violations.append(triple)
+    violations.sort(key=lambda v: witness_key(rs, v))
+    return violations, audit
+
+
+exceptional_words = st.sampled_from(("E6", "E6-flip", "E7", "E8")).flatmap(
+    lambda name: st.tuples(
+        st.just(name),
+        st.lists(st.integers(min_value=0, max_value=int(name[1]) - 1), max_size=16),
+        st.integers(min_value=0, max_value=1),
+    )
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(exceptional_words)
+def test_condition2_matches_full_pair_reference(case):
+    name, word, k = case
+    rs = rs_of(name[:2])
+    if name.endswith("flip"):
+        delta = [a for a in diagram_automorphisms(rs) if not a.is_identity][0]
+    else:
+        delta, k = None, 0
+    x = from_word(rs, delta, word, twist_power=k)
+    xinv = x.inverse()
+    phi = orbit_phi(x)
+    pc = rs.positive_count
+    table = [INFINITY if g in phi else n_of(x, g) for g in range(pc)]
+    inverse_table = [INFINITY if g in phi else n_of(xinv, g) for g in range(pc)]
+    violations, audit = reference_condition2(rs, phi, table)
+    inverse_violations, _ = reference_condition2(rs, phi, inverse_table)
+    rep = analyze(x, strict=True)
+    assert list(rep.violations) == violations
+    assert list(rep.inverse_violations) == inverse_violations
+    assert list(rep.audit_flags) == audit

@@ -299,3 +299,22 @@ def test_datum_order_and_negatives(name):
             alpha = rs.roots[rs.simple_indices[lab]]
             ambient = [a + t * b for a, b in zip(ambient, alpha)]
         assert tuple(ambient) == rs.roots[i]
+
+
+# Every type the suite builds somewhere, small and large.
+SUM_TYPES = DATUM_TYPES + "A5 A6 A17 A27 B5 B6 C2 C5 C6 D6".split()
+
+
+@pytest.mark.parametrize("name", SUM_TYPES)
+def test_positive_sums_are_the_positive_entries_of_sum_table(name):
+    rs = cached_rs(name)
+    pc = rs.positive_count
+    expected = []
+    for a in range(pc):
+        pairs = []
+        for b in range(pc):
+            s = rs.sum_table.get((a, b))
+            if s is not None and s < pc:
+                pairs.append((b, s))
+        expected.append(tuple(pairs))
+    assert rs.positive_sums == tuple(expected)

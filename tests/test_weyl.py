@@ -346,6 +346,32 @@ def test_class_of_roundtrip():
     assert any(y == x for y in cls.elements)
 
 
+@pytest.mark.parametrize("name, flipped", [("A3", False), ("B3", False), ("G2", False), ("A3", True)])
+def test_class_of_matches_class_table(name, flipped):
+    # class_of searches one orbit; its class must be the one the full
+    # partition of the coset holds, member for member.
+    rs = rs_of(name)
+    delta = flip_of(name) if flipped else None
+    k = 1 if flipped else 0
+    for cls in conjugacy_classes(rs, delta, k):
+        for x in cls.elements:
+            found = class_of(x)
+            assert found.perms == cls.perms
+            assert found.representative == cls.representative
+            assert found.representative.word() == cls.representative.word()
+            assert found.min_length == cls.min_length
+
+
+def test_class_of_keeps_the_budget_refusal():
+    rs = rs_of("E6")
+    x = from_word(rs, None, [0, 1])
+    with pytest.raises(BudgetExceeded) as by_class:
+        class_of(x, budget=1000)
+    with pytest.raises(BudgetExceeded) as by_table:
+        enumerate_weyl_group(rs, budget=1000)
+    assert str(by_class.value) == str(by_table.value)
+
+
 def test_cyclic_shift_class_elements_share_length():
     rs = rs_of("A4")
     x = from_word(rs, None, [1, 2, 3, 0, 1, 2])
