@@ -26,10 +26,12 @@ from typing import List, Optional, Sequence, Tuple
 from .convexity import ConvexityReport, analyze
 from .errors import InconsistencyError, InputError
 from .geometry import (
+    _admissible,
+    _cyclo_mults,
+    _good_position,
     _pad_to_full,
     angle_list,
     exact_angle_basis,
-    is_good_position,
     regular_point,
 )
 from .quadfield import array_dot, field_for
@@ -178,10 +180,11 @@ def find_good_position_conjugate(
     Returns None only when the scan budget cuts the search short; a full
     scan with no hit contradicts the conjugation lemma and errors out.
     """
-    from .geometry import is_admissible
     from .weyl import class_of
 
-    if not is_admissible(x, sequence):
+    # The characteristic polynomial is a class invariant: one for the scan.
+    mults = _cyclo_mults(x)
+    if not _admissible(x, sequence, mults):
         raise InputError("sequence is not admissible for this element")
     cls = class_of(x)
     scanned = 0
@@ -189,7 +192,7 @@ def find_good_position_conjugate(
         if budget is not None and scanned >= budget:
             return None
         scanned += 1
-        if is_good_position(y, sequence) is not None:
+        if _good_position(y, sequence, mults) is not None:
             return y
     raise InconsistencyError(
         "full class scan found no good-position conjugate; this contradicts "

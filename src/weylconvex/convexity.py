@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Tuple, Union
 
-from . import perm
 from .errors import InconsistencyError, InputError
 from .weyl import TwistedElement
 
@@ -38,26 +37,49 @@ Level = Union[int, float]
 def _sign_runs(
     x: TwistedElement,
 ) -> Tuple[FrozenSet[int], Tuple[Level, ...], Tuple[Level, ...]]:
-    """phi_x and the level tables of x and x^-1, indexed by root."""
+    """phi_x and the level tables of x and x^-1, indexed by root.
+
+    Each cycle is walked from a run start, a root whose sign differs from
+    the one before it, so every run is read whole: backward levels as the
+    walk counts them, forward levels by a second pass over the run once its
+    length is known.
+    """
     rs = x.rs
     pc = rs.positive_count
+    p = x.perm
     forward: List[Level] = [INFINITY] * rs.count
     backward: List[Level] = [INFINITY] * rs.count
     stable: List[int] = []
-    for cyc in perm.cycles(x.perm):
-        size = len(cyc)
-        signs = [g < pc for g in cyc]
-        # A run starts where the sign differs from the one before it; the
-        # last run wraps around to the first start.
-        starts = [k for k in range(size) if signs[k] != signs[k - 1]]
-        if not starts:
-            stable.extend(cyc)
+    seen = [False] * rs.count
+    for i in range(rs.count):
+        if seen[i]:
             continue
-        for a, b in zip(starts, starts[1:] + [starts[0] + size]):
-            for t in range(a, b):
-                g = cyc[t % size]
-                forward[g] = b - t
-                backward[g] = t - a + 1
+        sign = i < pc
+        j = p[i]
+        while j != i and (j < pc) == sign:
+            j = p[j]
+        if j == i:
+            # One sign all around: the cycle lies in phi_x.
+            while True:
+                seen[j] = True
+                stable.append(j)
+                j = p[j]
+                if j == i:
+                    break
+            continue
+        start = j
+        while True:
+            head, sign, size = j, j < pc, 0
+            while (j < pc) == sign:
+                seen[j] = True
+                size += 1
+                backward[j] = size
+                j = p[j]
+            for level in range(size, 0, -1):
+                forward[head] = level
+                head = p[head]
+            if j == start:
+                break
     return frozenset(stable), tuple(forward), tuple(backward)
 
 

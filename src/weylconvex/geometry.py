@@ -79,7 +79,10 @@ def _cyclo_mults(x: TwistedElement, labels=None) -> Dict[int, int]:
 
 def angle_list(x: TwistedElement, labels=None) -> List[Tuple[Fraction, int]]:
     """All rotation angles theta/pi in (0, 1] with their real dimensions."""
-    mults = _cyclo_mults(x, labels)
+    return _angles(_cyclo_mults(x, labels))
+
+
+def _angles(mults: Dict[int, int]) -> List[Tuple[Fraction, int]]:
     out = []
     for d, m in sorted(mults.items()):
         if d == 1:
@@ -110,7 +113,9 @@ def _pad_to_full(vec: Sequence, labels: Tuple[int, ...], rank: int) -> List:
     return out
 
 
-def _perp_orders(x: TwistedElement, orders, root_subset) -> FrozenSet[int]:
+def _perp_orders(
+    x: TwistedElement, orders, root_subset, mults: Dict[int, int]
+) -> FrozenSet[int]:
     """{gamma in subset : gamma is orthogonal to ker Phi_d(x) for all d in orders}.
 
     x is an isometry of finite order, so V is the orthogonal sum of the
@@ -118,10 +123,11 @@ def _perp_orders(x: TwistedElement, orders, root_subset) -> FrozenSet[int]:
     characteristic polynomial.  A root is orthogonal to the kernels with e
     in `orders` exactly when P(x) kills it, P the product of the other
     Phi_e; P(x)gamma is an integer combination of the roots on the orbit
-    of gamma, read off the root permutation.
+    of gamma, read off the root permutation.  `mults` are the cyclotomic
+    multiplicities of x on the whole span.
     """
     poly = [1]
-    for e in _cyclo_mults(x):
+    for e in mults:
         if e not in orders:
             poly = poly_mul(poly, cyclotomic(e))
     perm, coeffs = x.perm, x.rs.coeffs
@@ -146,7 +152,8 @@ def angle_perp_roots(x: TwistedElement, angle: Fraction, root_subset=None) -> Fr
     """
     if root_subset is None:
         root_subset = range(x.rs.count)
-    return _perp_orders(x, {_rotation_denominator(angle)}, root_subset)
+    orders = {_rotation_denominator(angle)}
+    return _perp_orders(x, orders, root_subset, _cyclo_mults(x))
 
 
 # ---------------------------------------------------------------------------
@@ -395,13 +402,20 @@ def is_admissible(x: TwistedElement, sequence: Sequence[Fraction]) -> bool:
     The empty sequence is admissible exactly when x acts trivially on the
     span of the roots.
     """
-    angles = {a for a, _ in angle_list(x)}
+    return _admissible(x, sequence, _cyclo_mults(x))
+
+
+def _admissible(
+    x: TwistedElement, sequence: Sequence[Fraction], mults: Dict[int, int]
+) -> bool:
+    """`is_admissible` with the cyclotomic multiplicities of x given."""
+    angles = {a for a, _ in _angles(mults)}
     for a in sequence:
         if Fraction(a) not in angles:
             raise InputError(f"{a} is not a rotation angle of this element")
     orders = {_rotation_denominator(Fraction(a)) for a in sequence}
     # The roots orthogonal to the whole moved space are the fixed roots.
-    return _perp_orders(x, orders, range(x.rs.count)) == fixed_roots(x)
+    return _perp_orders(x, orders, range(x.rs.count), mults) == fixed_roots(x)
 
 
 def admissible_enumerations(x: TwistedElement) -> List[Tuple[Fraction, ...]]:
@@ -446,9 +460,19 @@ def is_good_position(
     Existence is linear feasibility: the cone K meets the chamber off every
     hyperplane H_gamma iff it is not contained in any single one.
     """
+    return _good_position(x, sequence, _cyclo_mults(x))
+
+
+def _good_position(
+    x: TwistedElement, sequence: Sequence[Fraction], mults: Dict[int, int]
+) -> Optional[GoodPositionCertificate]:
+    """`is_good_position` with the cyclotomic multiplicities of x given.
+
+    They are a class invariant, so a scan over a class computes them once.
+    """
     rs = x.rs
     sequence = tuple(Fraction(a) for a in sequence)
-    if not is_admissible(x, sequence):
+    if not _admissible(x, sequence, mults):
         raise InputError("sequence is not admissible for this element")
     rng = random.Random(11)
 
@@ -460,7 +484,7 @@ def is_good_position(
     stage_points: List[Tuple] = []
 
     for angle in sequence:
-        psi = angle_perp_roots(x, angle, cur_roots)
+        psi = _perp_orders(x, {_rotation_denominator(angle)}, cur_roots, mults)
         off_pos = [g for g in cur_roots if rs.is_positive(g) and g not in psi]
         basis = exact_angle_basis(x, angle, field=field)
         point = _stage_point(rs, basis, cur_labels, off_pos, field, rng)

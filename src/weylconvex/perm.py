@@ -14,9 +14,10 @@ either, and bytes permutations sort in the same order as their tuples.
 from __future__ import annotations
 
 from math import lcm
-from typing import Callable, List, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Sequence, Tuple, TypeVar, Union
 
 Perm = Union[bytes, Tuple[int, ...]]
+V = TypeVar("V")
 
 PAD = bytes(range(256))
 
@@ -37,33 +38,57 @@ def compose(p: Perm, q: Perm) -> Perm:
     return tuple([p[x] for x in q])
 
 
-def compose_each(p: Perm, qs: Sequence[Perm]) -> List[Perm]:
-    """[p*q for q in qs], with the translate table of p built once."""
-    if isinstance(p, bytes):
-        table = p + PAD[len(p):]
-        return [q.translate(table) for q in qs]
-    return [tuple([p[x] for x in q]) for q in qs]
+def sandwich_orbit(
+    start: Perm, pairs: Sequence[Tuple[Perm, Perm]], value_of: Callable[[Perm], V]
+) -> Dict[Perm, V]:
+    """The orbit of start under the maps w -> s*w*t for (s, t) in pairs.
 
-
-def sandwiches(pairs: Sequence[Tuple[Perm, Perm]]) -> Callable[[Perm], List[Perm]]:
-    """The map w -> [s*w*t for (s, t) in pairs], every table built once.
-
-    The tables of the s are built here; each call builds the one of w.
+    Each member maps to value_of(member), called once, when the search
+    reaches it.  Every s and t must be an involution: then s*(s*w*t)*t = w,
+    so the search never applies to a member the pair that reached it, whose
+    image would be the member it came from.
     """
-    if pairs and isinstance(pairs[0][0], bytes):
-        tail = PAD[len(pairs[0][0]):]
+    if isinstance(start, bytes):
+        tail = PAD[len(start):]
         tables = [(s + tail, t) for s, t in pairs]
 
-        def images(w: Perm) -> List[Perm]:
-            wt = w + tail
-            return [t.translate(wt).translate(st) for st, t in tables]
+        def prepare(group: List[Perm]) -> List[Perm]:
+            return [w + tail for w in group]
 
-        return images
+        def images(k: int, group: List[Perm]) -> List[Perm]:
+            st, t = tables[k]
+            return [t.translate(wt).translate(st) for wt in group]
 
-    def images(w: Perm) -> List[Perm]:
-        return [tuple([s[w[x]] for x in t]) for s, t in pairs]
+    else:
 
-    return images
+        def prepare(group: List[Perm]) -> List[Perm]:
+            return group
+
+        def images(k: int, group: List[Perm]) -> List[Perm]:
+            s, t = pairs[k]
+            return [tuple([s[w[x]] for x in t]) for w in group]
+
+    n = len(pairs)
+    orbit = {start: value_of(start)}
+    # frontier[k] holds the members last reached by pair k; the start,
+    # reached by none, sits at index n.  Each group is prepared (for bytes,
+    # turned into translate tables) only while its images are taken.
+    frontier: List[List[Perm]] = [[] for _ in range(n)] + [[start]]
+    while any(frontier):
+        reached: List[List[Perm]] = [[] for _ in range(n)]
+        for j, group in enumerate(frontier):
+            if not group:
+                continue
+            group = prepare(group)
+            for k in range(n):
+                if k != j:
+                    found = reached[k]
+                    for y in images(k, group):
+                        if y not in orbit:
+                            orbit[y] = value_of(y)
+                            found.append(y)
+        frontier = reached + [[]]
+    return orbit
 
 
 def inverse(p: Perm) -> Perm:

@@ -7,14 +7,16 @@ Reduced words are derived on demand and canonicalized to the
 lexicographically least reduced word, which keeps every report and class
 representative reproducible.
 
-Class tables come from one BFS over W that also yields every length (each
-BFS layer is one length).  A `ConjugacyClass` holds its members as raw
-permutations sorted by (length, permutation), with its representative and
-minimal length; twisted elements are built only for the minimal-length
-members, to choose the representative, and for the members a caller visits
-through `elements`.  `class_of` runs the same orbit search from one element,
-with lengths from `perm.length`, so it enumerates neither W nor any other
-class.
+Class tables start from an enumeration of W that builds each element once,
+from the parent its least right descent gives, layer by layer in length.
+Each class is then one orbit search under simple conjugation, which never
+recomputes the member a member was reached from.  A `ConjugacyClass` holds
+its members as raw permutations sorted by (length, permutation), with its
+representative and minimal length; twisted elements are built only for the
+minimal-length members, to choose the representative, and for the members
+a caller visits through `elements`.  `class_of` runs the same orbit search
+from one element, with lengths from `perm.length`, so it enumerates neither
+W nor any other class.
 """
 
 from __future__ import annotations
@@ -293,33 +295,60 @@ def _weyl_order_within(rs: RootSystem, budget: Optional[int]) -> int:
     return order
 
 
+def _parent_steps(rs: RootSystem) -> List[Tuple[Perm, List[int]]]:
+    """(s_j, the roots u must send to positives for u to yield u*s_j), per j.
+
+    The roots are alpha_j and s_j(alpha_i) for i < j.
+    """
+    simple = rs.simple_indices
+    steps = []
+    for j in range(rs.rank):
+        s = rs.simple_reflection_perm(j)
+        steps.append((s, [simple[j]] + [s[simple[i]] for i in range(j)]))
+    return steps
+
+
 def enumerate_weyl_group(
     rs: RootSystem, budget: Optional[int] = DEFAULT_ENUMERATION_BUDGET
 ) -> Dict[Perm, int]:
-    """All root permutations of W with their lengths, BFS from the identity.
+    """All root permutations of W with their lengths, one product each.
 
-    The BFS multiplies on the right by simple reflections, so layer k of
-    the search is the set of elements of length k.  The dict lists the
-    elements layer by layer.
+    Every w != 1 is built once, as u*s_j from its parent u = w*s_j, where
+    j is the least right descent of w: the least j with w(alpha_j) < 0.  So
+    u yields u*s_j exactly when u(alpha_j) > 0, which makes l(u*s_j) =
+    l(u) + 1, and u(s_j(alpha_i)) > 0 for every i < j, which says that no
+    i < j is a right descent of u*s_j (Bjorner-Brenti, Combinatorics of
+    Coxeter Groups, 1.6 and 4.4).  Layer k of the search is the set of
+    elements of length k, and the dict lists the elements layer by layer.
     """
     order = _weyl_order_within(rs, budget)
-    gens = [rs.simple_reflection_perm(lab) for lab in range(rs.rank)]
+    pc = rs.positive_count
+    steps = _parent_steps(rs)
     start = perm.identity(rs.count)
     lengths = {start: 0}
+    generated = 1
     frontier = [start]
     layer = 0
     while frontier:
         layer += 1
         nxt = []
-        for p in frontier:
-            for q in perm.compose_each(p, gens):
-                if q not in lengths:
-                    lengths[q] = layer
-                    nxt.append(q)
+        for u in frontier:
+            for s, guard in steps:
+                for i in guard:
+                    if u[i] >= pc:
+                        break
+                else:
+                    nxt.append(perm.compose(u, s))
+        # A wrong parent test would build some element twice; the count
+        # catches it where the dict would overwrite the duplicate.
+        generated += len(nxt)
+        for w in nxt:
+            lengths[w] = layer
         frontier = nxt
-    if len(lengths) != order:
+    if generated != order or len(lengths) != order:
         raise InconsistencyError(
-            f"enumerated {len(lengths)} elements of W({rs.cartan_type}), expected {order}"
+            f"enumerated {generated} elements of W({rs.cartan_type}), "
+            f"{len(lengths)} distinct, expected {order}"
         )
     return lengths
 
@@ -406,26 +435,23 @@ def _orbit_class(
     `length_of` gives each member's length once, when the search reaches
     it; None means the member is not where the caller's table expects it.
     """
-    conjugates = perm.sandwiches(
-        [_conjugating_pair(rs, delta, twist_power, lab) for lab in range(rs.rank)]
+
+    def length(y: Perm) -> int:
+        found = length_of(y)
+        if found is None:
+            raise InconsistencyError(
+                f"a conjugate in W({rs.cartan_type}) lies outside "
+                "the enumeration or in another class"
+            )
+        return found
+
+    # Both halves of each pair are simple reflections, as sandwich_orbit
+    # requires.
+    orbit = perm.sandwich_orbit(
+        start,
+        [_conjugating_pair(rs, delta, twist_power, lab) for lab in range(rs.rank)],
+        length,
     )
-    # The caller's table always holds the start.
-    orbit = {start: length_of(start)}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for y in conjugates(w):
-                if y not in orbit:
-                    length = length_of(y)
-                    if length is None:
-                        raise InconsistencyError(
-                            f"a conjugate in W({rs.cartan_type}) lies outside "
-                            "the enumeration or in another class"
-                        )
-                    orbit[y] = length
-                    nxt.append(y)
-        frontier = nxt
     # (length, permutation) order: by permutation, then stably by length.
     members = sorted(orbit)
     members.sort(key=orbit.__getitem__)

@@ -99,22 +99,54 @@ def test_compose_and_inverse(n):
         assert perm.compose(pp, inv) == perm.identity(n)
 
 
-def test_compose_each_and_sandwiches(n):
+def random_involution(rng, n, points):
+    """An involution of range(n) that moves only the given points."""
+    images = list(range(n))
+    pts = list(points)
+    rng.shuffle(pts)
+    for a, b in zip(pts[::2], pts[1::2]):
+        if rng.random() < 0.7:
+            images[a], images[b] = b, a
+    return tuple(images)
+
+
+def ref_sandwich_orbit(start, pairs):
+    seen = {start}
+    stack = [start]
+    while stack:
+        w = stack.pop()
+        for s, t in pairs:
+            y = ref_compose(ref_compose(s, w), t)
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
+def test_sandwich_orbit(n):
+    # s moves only points of A and t only points of B, so the orbit has at
+    # most 24 * 24 members.
     rng = random.Random(n + 5)
-    p = random_tuple(rng, n)
-    qs = [random_tuple(rng, n) for _ in range(4)]
-    pairs = [(random_tuple(rng, n), random_tuple(rng, n)) for _ in range(4)]
-    products = perm.compose_each(perm.of(p), [perm.of(q) for q in qs])
-    assert [type(x) for x in products] == [expected_type(n)] * len(qs)
-    assert [tuple(x) for x in products] == [ref_compose(p, q) for q in qs]
-    images = perm.sandwiches([(perm.of(s), perm.of(t)) for s, t in pairs])
+    A = rng.sample(range(n), min(n, 4))
+    B = rng.sample(range(n), min(n, 4))
+    pairs = [(random_involution(rng, n, A), random_involution(rng, n, B)) for _ in range(3)]
     for _ in range(3):
         w = random_tuple(rng, n)
-        out = images(perm.of(w))
-        assert [type(x) for x in out] == [expected_type(n)] * len(pairs)
-        assert [tuple(x) for x in out] == [
-            ref_compose(ref_compose(s, w), t) for s, t in pairs
-        ]
+        calls = []
+
+        def value_of(y):
+            calls.append(y)
+            return len(calls)
+
+        orbit = perm.sandwich_orbit(
+            perm.of(w), [(perm.of(s), perm.of(t)) for s, t in pairs], value_of
+        )
+        assert {type(y) for y in orbit} == {expected_type(n)}
+        assert {tuple(y) for y in orbit} == ref_sandwich_orbit(w, pairs)
+        # One call per member, when the search reaches it, the start first.
+        assert list(orbit) == calls
+        assert list(orbit.values()) == list(range(1, len(calls) + 1))
+        assert tuple(calls[0]) == w
 
 
 @pytest.mark.parametrize("k", [-5, -2, -1, 0, 1, 2, 3, 7, 12])
@@ -246,6 +278,10 @@ def _good_position(cartan, word, sequence):
         pytest.param(
             ["reps", "--type", "D4", "--delta", "3,2,4,1", "--twist", "1"], 0,
             "reps_D4_triality_twist1.txt", id="reps-D4-triality",
+        ),
+        pytest.param(
+            ["reps", "--type", "E6", "--delta", "6,2,5,4,3,1", "--twist", "1"], 0,
+            "reps_E6_delta_twist1.txt", id="reps-E6-flip",
         ),
     ],
 )

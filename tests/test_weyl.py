@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weylconvex
+from weylconvex import perm, weyl
 from weylconvex.errors import BudgetExceeded, InconsistencyError
 from weylconvex.linalg import OperatorField, mat_inv
 from weylconvex.roots import CartanType, build_root_system, diagram_automorphisms
@@ -518,7 +519,16 @@ def reference_class(x):
 
 @pytest.mark.parametrize(
     "name, delta_images, k",
-    [("A4", None, 0), ("B3", None, 0), ("D4", (2, 1, 3, 0), 1), ("F4", None, 0)],
+    [
+        ("A4", None, 0),
+        ("B3", None, 0),
+        ("D4", (2, 1, 3, 0), 1),
+        ("F4", None, 0),
+        # Twisted cosets where s' = delta^k(s) differs from s: 2A4 and the
+        # square of triality.
+        ("A4", (3, 2, 1, 0), 1),
+        ("D4", (2, 1, 3, 0), 2),
+    ],
 )
 def test_class_members_match_reference(name, delta_images, k):
     rs = rs_of(name)
@@ -553,12 +563,82 @@ def test_enumeration_lengths_are_inversion_counts():
         assert length == WeylElement(rs, p).length()
 
 
+def plain_bfs(rs):
+    """{perm: length} by a BFS over right multiplication that keeps every
+    product it has not seen."""
+    gens = [rs.simple_reflection_perm(lab) for lab in range(rs.rank)]
+    start = perm.identity(rs.count)
+    lengths = {start: 0}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for s in gens:
+                q = perm.compose(p, s)
+                if q not in lengths:
+                    lengths[q] = lengths[p] + 1
+                    nxt.append(q)
+        frontier = nxt
+    return lengths
+
+
+@pytest.mark.parametrize("name", ["A4", "B3", "G2", "D4", "F4", "E6"])
+def test_enumeration_matches_plain_bfs(name, monkeypatch):
+    rs = rs_of(name)
+    products = []
+    compose = perm.compose
+
+    def counted(p, q):
+        products.append(q)
+        return compose(p, q)
+
+    monkeypatch.setattr(perm, "compose", counted)
+    lengths = enumerate_weyl_group(rs)
+    monkeypatch.undo()
+    assert lengths == plain_bfs(rs)
+    assert list(lengths.values()) == sorted(lengths.values())
+    # One product per element other than the identity.
+    assert len(products) + 1 == len(lengths) == rs.cartan_type.weyl_order()
+
+
+def test_duplicate_parents_are_inconsistency(monkeypatch):
+    # Without the i < j half of the parent test, each element is built once
+    # per reduced word (66 in W(A3)); the dict would still hold it once.
+    rs = rs_of("A3")
+    steps = weyl._parent_steps(rs)
+    monkeypatch.setattr(weyl, "_parent_steps", lambda rs: [(s, g[:1]) for s, g in steps])
+    with pytest.raises(InconsistencyError, match="enumerated 66 elements"):
+        enumerate_weyl_group(rs)
+
+
+@pytest.mark.parametrize(
+    "name, delta_images, k", [("F4", None, 0), ("D4", (2, 1, 3, 0), 1), ("A3", (2, 1, 0), 1)]
+)
+def test_class_tables_match_on_tuple_permutations(name, delta_images, k, monkeypatch):
+    # With no bytes table every root system stores tuples; the class table
+    # must not depend on the format.
+    def table(rs):
+        delta = None
+        if delta_images is not None:
+            (delta,) = [
+                d for d in diagram_automorphisms(rs) if tuple(d.simple_perm) == delta_images
+            ]
+        return [
+            ([tuple(w) for w in c.perms], c.min_length, c.representative.word())
+            for c in conjugacy_classes(rs, delta, k)
+        ]
+
+    expected = table(rs_of(name))
+    monkeypatch.setattr(perm, "PAD", b"")
+    rs = build_root_system(CartanType.parse(name))
+    assert type(rs.simple_reflection_perm(0)) is tuple
+    assert table(rs) == expected
+
+
 def test_conjugate_outside_the_enumeration_is_inconsistency(monkeypatch):
     # A diagram automorphism other than 1 is not in W, so w -> flip * w
     # leaves W; the orbit search must notice instead of growing a class
     # past the group.
-    from weylconvex import perm, weyl
-
     rs = rs_of("A2")
     pair = (flip_of("A2").root_perm, perm.identity(rs.count))
     monkeypatch.setattr(weyl, "_conjugating_pair", lambda rs, d, k, lab: pair)
