@@ -11,9 +11,12 @@ matrix, and every Boolean that feeds a theorem check is decided exactly.
   the roots on its orbit.
 * Eigenspace bases and cone feasibility are exact over the real cyclotomic
   field K_L = Q(c_L), c_L = 2cos 2pi/L, of the angle sequence (see
-  `quadfield`), for every rotation order.  The cone tests clear the basis
-  to integer vectors over Z[c_L] and run Fourier-Motzkin and every sign
-  test on integer rows.
+  `quadfield`), for every rotation order.  Eigenspace bases come from a
+  fraction-free kernel over Z[c_L].  The cone tests clear the basis to
+  integer vectors over Z[c_L] and run Fourier-Motzkin and every sign test
+  on integer rows (Schrijver, Theory of Linear and Integer Programming,
+  1986).  A stage eliminates its chamber rows once, in a ladder that every
+  cone query of the stage shares.
 """
 
 from __future__ import annotations
@@ -26,14 +29,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import perm
 from .errors import InconsistencyError, InputError
-from .linalg import (
-    OperatorField,
-    cyclotomic,
-    cyclotomic_multiplicities,
-    charpoly_int,
-    kernel_basis,
-    poly_mul,
-)
+from .linalg import cyclotomic, cyclotomic_multiplicities, charpoly_int, poly_mul
 from .quadfield import (
     CosField,
     CosNum,
@@ -96,10 +92,6 @@ def _angles(mults: Dict[int, int]) -> List[Tuple[Fraction, int]]:
     return out
 
 
-def fixed_space_dim(x: TwistedElement, labels=None) -> int:
-    return _cyclo_mults(x, labels).get(1, 0)
-
-
 def _rotation_denominator(angle: Fraction) -> int:
     return Fraction(angle, 2).denominator
 
@@ -111,6 +103,13 @@ def _pad_to_full(vec: Sequence, labels: Tuple[int, ...], rank: int) -> List:
     for t, lab in enumerate(labels):
         out[lab] = vec[t]
     return out
+
+
+def _sdot(row, vec, zero):
+    acc = zero
+    for a, b in zip(row, vec):
+        acc = acc + a * b
+    return acc
 
 
 def _perp_orders(
@@ -143,19 +142,6 @@ def _perp_orders(
     return frozenset(g for g in root_subset if killed(g))
 
 
-def angle_perp_roots(x: TwistedElement, angle: Fraction, root_subset=None) -> FrozenSet[int]:
-    """{gamma in subset : V_x^theta <= H_gamma}, decided exactly.
-
-    A root is fixed by the Galois group, which permutes V_x^theta with its
-    conjugate eigenspaces, so this is orthogonality to ker Phi_d(x), d the
-    order of the rotation.
-    """
-    if root_subset is None:
-        root_subset = range(x.rs.count)
-    orders = {_rotation_denominator(angle)}
-    return _perp_orders(x, orders, root_subset, _cyclo_mults(x))
-
-
 # ---------------------------------------------------------------------------
 # Exact eigenspace bases.
 
@@ -166,98 +152,129 @@ def exact_angle_basis(
     """Basis of V_x^theta, the kernel of M + M^-1 - 2cos theta over K_L.
 
     The field defaults to the smallest K_L holding 2cos theta; a sequence
-    passes its own field so that all its stage points share one.
+    passes its own field so that all its stage points share one.  With
+    2cos theta = nums / den, the kernel is that of den (M + M^-1) - nums,
+    a matrix over Z[c], and `_int_kernel` finds it on integers.
     """
     field = field or field_for([angle])
-    c2 = two_cos_in(angle, field)
+    nums, den = field.parts(two_cos_in(angle, field))
     labels = _labels_or_all(x, labels)
     M = x.matrix(labels)
     Minv = x.inverse().matrix(labels)
     n = len(M)
-    rows = [[field.number(M[i][j] + Minv[i][j]) for j in range(n)] for i in range(n)]
+    rows = []
     for i in range(n):
-        rows[i][i] = rows[i][i] - c2
-    return kernel_basis(rows, OperatorField(field.one))
+        row = [[den * (M[i][j] + Minv[i][j]) for j in range(n)]]
+        row += [[0] * n for _ in nums[1:]]
+        for d, v in enumerate(nums):
+            row[d][i] -= v
+        rows.append(tuple(map(tuple, row)))
+    return _int_kernel(rows, n, field)
 
 
-# ---------------------------------------------------------------------------
-# Generic cone feasibility (Fourier-Motzkin with witness extraction) on any
-# ordered field: the reference for the integer elimination below.
+def _int_kernel(rows, cols: int, field: CosField) -> List[List[CosNum]]:
+    """Basis of the kernel of the matrix with these array rows over Z[c].
 
-
-def _sdot(row, vec, zero):
-    acc = zero
-    for a, b in zip(row, vec):
-        acc = acc + a * b
-    return acc
-
-
-def _feasible_homogeneous(constraints, nvars: int, zero, one) -> Optional[List]:
-    """Witness for {c : every (row, strict) satisfied, homogeneous}, or None.
-
-    Rows are deduped on their repr; each bound keeps its first extreme.
+    Fraction-free Gauss-Jordan, as `linalg.rank` eliminates on integers:
+    a pivot step at column c replaces every other row r by p r - r_c top,
+    p = top_c the pivot, and divides out the row's integer content, so the
+    entries stay in Z[c].  Then each pivot row is the row of the reduced
+    echelon form times its pivot, and the kernel vector of a free column f
+    is 1 at f and -R_f / R_c at the pivot column c of each row R.  That is
+    the basis the generic `rref` gives, entry for entry.
     """
-    if nvars == 0:
-        return None if any(strict for _, strict in constraints) else []
-    k = nvars - 1
-    pos, neg, rest = [], [], {}
-
-    def keep(row, strict):
-        key = tuple(repr(v) for v in row)
-        rest[key] = (row, rest.get(key, (row, False))[1] or strict)
-
-    for row, strict in constraints:
-        sg = sign_of(row[k])
-        if sg > 0:
-            pos.append((row, strict))
-        elif sg < 0:
-            neg.append((row, strict))
-        else:
-            keep(row[:k], strict)
-    for prow, ps in pos:
-        for nrow, ns in neg:
-            keep([(zero - nrow[k]) * prow[t] + prow[k] * nrow[t] for t in range(k)], ps or ns)
-    sub = _feasible_homogeneous(list(rest.values()), k, zero, one)
-    if sub is None:
-        return None
-
-    def extreme(rows, want):
-        best = None
-        for row, _ in rows:
-            v = (zero - _sdot(row[:k], sub, zero)) / row[k]
-            if best is None or sign_of(v - best) == want:
-                best = v
-        return best
-
-    lo, hi = extreme(pos, 1), extreme(neg, -1)
-    if lo is None and hi is None:
-        value = zero
-    elif hi is None:
-        value = lo + one
-    elif lo is None:
-        value = hi - one
-    else:
-        value = (lo + hi) / 2 if sign_of(hi - lo) > 0 else lo
-    return sub + [value]
+    R = list(rows)
+    pivots: List[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(R)) if any(p[c] for p in R[i])), None)
+        if piv is None:
+            continue
+        R[r], R[piv] = R[piv], R[r]
+        top = R[r]
+        pM = field.mul_matrix(tuple(p[c] for p in top))
+        for i, row in enumerate(R):
+            a = tuple(-p[c] for p in row)
+            if i != r and any(a):
+                comb = array_add(field.scale(pM, row), field.scale(field.mul_matrix(a), top))
+                R[i] = _primitive(comb)
+        pivots.append(c)
+        if len(pivots) == len(R):
+            break
+    basis = []
+    for f in range(cols):
+        if f in pivots:
+            continue
+        v = [field.zero] * cols
+        v[f] = field.one
+        for row, c in zip(R, pivots):
+            N, b = field.norm_adj(tuple(p[c] for p in row))
+            v[c] = field.make([-u for u in field.mul(tuple(p[f] for p in row), b)], N)
+        basis.append(v)
+    return basis
 
 
 # ---------------------------------------------------------------------------
 # Exact cone feasibility on integer rows over Z[c], c = c_L = 2cos 2pi/L.
 #
 # A row is an array of `quadfield`: its Z[c] entries stored coefficient-major.
-# Scaling a row by a positive number changes no bound -(r.c)/r_k of the
-# elimination, and a row that is a positive multiple of another changes no
-# max or min bound, so making rows primitive and deduping them gives the
-# witness of `_feasible_homogeneous` exactly; the tests hold it to that.  A
-# bound is a pair (nums, q): the element sum(nums[i] c^i) / q, q > 0.
+# Fourier-Motzkin eliminates the last variable w_k of rows r . w >= 0 (or
+# > 0) by keeping the rows with r_k = 0 and adding (-n_k) p + p_k n for
+# every pair with p_k > 0 > n_k; the combination is strict when either
+# half is.  A witness for the rest extends by a value between the largest
+# lower bound -(p . w)/p_k and the smallest upper bound -(n . w)/n_k.
+# Scaling a row by a positive number changes no bound, and a row that is a
+# positive multiple of another changes no max or min bound, so making rows
+# primitive and deduping them changes no witness: the witness depends only
+# on the set of rows and their strictness.  A bound is a pair (nums, q):
+# the element sum(nums[i] c^i) / q, q > 0.
 
 
-def _add_primitive(rows: Dict, P, strict: bool) -> None:
-    """Record row P divided by its content; equal rows merge strictness."""
+def _primitive(P):
+    """Row P divided by its content."""
     g = gcd(*sum(P, ()))
     if g > 1:
-        P = tuple(tuple(v // g for v in p) for p in P)
-    rows[P] = rows.get(P, False) or strict
+        return tuple(tuple(v // g for v in p) for p in P)
+    return P
+
+
+def _split(rows, k: int, field: CosField):
+    """The rows by the sign of entry k: (pos, neg, zero heads).
+
+    pos and neg hold (head, a, M) for the row head + a w_k, with M the
+    mul_matrix of |a|; the heads of the rows with a = 0 come back
+    primitive, as the keys of a dict.
+    """
+    pos, neg, rest = [], [], {}
+    for P in rows:
+        head = tuple(p[:k] for p in P)
+        a = tuple(p[k] for p in P)
+        sg = field.sign(a)
+        if sg > 0:
+            pos.append((head, a, field.mul_matrix(a)))
+        elif sg < 0:
+            neg.append((head, a, field.mul_matrix(tuple(-v for v in a))))
+        else:
+            rest[_primitive(head)] = None
+    return pos, neg, rest
+
+
+def _combine(rest: Dict, pos, neg, field: CosField) -> None:
+    """Add (-n_k) p + p_k n, made primitive, for every p in pos, n in neg."""
+    for pH, _, pM in pos:
+        for nH, _, nM in neg:
+            rest[_primitive(array_add(field.scale(nM, pH), field.scale(pM, nH)))] = None
+
+
+def _bounds(rows, S, den: int, field: CosField):
+    """The bounds -(r . s) / r_k of the rows at s = S / den."""
+    out = []
+    for H, a, _ in rows:
+        # -(r . s) / r_k = -(r . S) b / (den N) with r_k b = N.
+        N, b = field.norm_adj(a)
+        num = field.mul(field.dot(H, S), b)
+        out.append((num, -den * N) if N < 0 else (tuple(-v for v in num), den * N))
+    return out
 
 
 def _compare(u, v, field: CosField) -> int:
@@ -266,87 +283,133 @@ def _compare(u, v, field: CosField) -> int:
 
 
 def _extreme(bounds, field: CosField, want: int):
-    """The largest (want = 1) or smallest (want = -1) bound, first on ties."""
-    best = bounds[0]
-    for v in bounds[1:]:
-        if _compare(v, best, field) == want:
+    """The largest (want = 1) or smallest (want = -1) bound, or None."""
+    best = None
+    for v in bounds:
+        if best is None or _compare(v, best, field) == want:
             best = v
     return best
 
 
-def _int_feasible_homogeneous(constraints, nvars: int, field: CosField):
-    """Integer Fourier-Motzkin: the generic elimination on Z[c] rows.
+def _extend(S, den: int, lo, hi, field: CosField):
+    """The witness S / den with a value for the next variable appended.
 
-    `constraints` holds (P, strict) for the constraint P . w > 0 if strict,
-    >= 0 otherwise, with P an array of nvars entries.  Returns the witness
-    as (W, den) with w = W / den, W an array and den > 0, or None when the
-    system is infeasible.
+    The value lies between the largest lower bound lo and the smallest
+    upper bound hi, either of which may be None: their midpoint, or lo
+    when they meet, lo + 1 or hi - 1 when one is missing, and 0 when both
+    are.  The result is gcd-normalised.
     """
     n = field.degree
-    if nvars == 0:
-        if any(strict for _, strict in constraints):
-            return None
-        return ((),) * n, 1
-    k = nvars - 1
-    pos, neg = [], []
-    rest: Dict = {}
-    for P, strict in constraints:
-        head = tuple(p[:k] for p in P)
-        a = tuple(p[k] for p in P)
-        sg = field.sign(a)
-        if sg > 0:
-            pos.append((head, a, strict))
-        elif sg < 0:
-            neg.append((head, a, strict))
-        else:
-            _add_primitive(rest, head, strict)
-    # (-n_k) p + p_k n for every pair; -n_k and p_k are positive.
-    if pos and neg:
-        neg_mats = [field.mul_matrix(tuple(-v for v in a)) for _, a, _ in neg]
-        for pH, a, ps in pos:
-            pM = field.mul_matrix(a)
-            for (nH, _, ns), nM in zip(neg, neg_mats):
-                comb = array_add(field.scale(nM, pH), field.scale(pM, nH))
-                _add_primitive(rest, comb, ps or ns)
-    sub = _int_feasible_homogeneous(list(rest.items()), k, field)
-    if sub is None:
-        return None
-    S, den = sub
-
-    def bound(H, a):
-        # -(r . s) / r_k = -(r . S) b / (den N) with r_k b = N.
-        N, b = field.norm_adj(a)
-        num = field.mul(field.dot(H, S), b)
-        if N < 0:
-            return num, -den * N
-        return tuple(-v for v in num), den * N
-
-    lowers = [bound(H, a) for H, a, _ in pos]
-    uppers = [bound(H, a) for H, a, _ in neg]
-    if not lowers and not uppers:
+    if lo is None and hi is None:
         value = (0,) * n, 1
-    elif not uppers:
-        (v0, *vs), q = _extreme(lowers, field, 1)
+    elif hi is None:
+        (v0, *vs), q = lo
         value = (v0 + q, *vs), q
-    elif not lowers:
-        (v0, *vs), q = _extreme(uppers, field, -1)
+    elif lo is None:
+        (v0, *vs), q = hi
         value = (v0 - q, *vs), q
+    elif _compare(hi, lo, field) > 0:
+        value = (
+            tuple(a * hi[1] + b * lo[1] for a, b in zip(lo[0], hi[0])),
+            2 * lo[1] * hi[1],
+        )
     else:
-        lo = _extreme(lowers, field, 1)
-        hi = _extreme(uppers, field, -1)
-        if _compare(hi, lo, field) > 0:
-            value = (
-                tuple(a * hi[1] + b * lo[1] for a, b in zip(lo[0], hi[0])),
-                2 * lo[1] * hi[1],
-            )
-        else:
-            value = lo
+        value = lo
     vnums, vq = value
     q = lcm(den, vq)
     s, t = q // den, q // vq
     W = [tuple(x * s for x in S[i]) + (vnums[i] * t,) for i in range(n)]
     g = gcd(q, *(v for w in W for v in w))
     return tuple(tuple(v // g for v in w) for w in W), q // g
+
+
+class _Ladder:
+    """Fourier-Motzkin elimination of fixed non-strict rows, shared by queries.
+
+    rungs[k] eliminates w_k from the rows left on k + 1 variables: it keeps
+    their `_split` into pos and neg, and the rows of rungs[k - 1] are the
+    zero heads and the combinations.  A query brings its own strict rows
+    and carries only their descendants down: the zero heads and the
+    combinations with the rung's rows and with each other.  Every such row
+    is strict, and every row built from non-strict rows alone is on the
+    ladder already, so the query sees the same rows as an elimination of
+    all of them together.  A row the ladder and the query both reach stays
+    in both, with equal bounds.
+
+    On the way back up, the ladder's own rows at rung k give the same
+    extreme bounds for the same sub-witness, so each rung keeps them in a
+    dict keyed by the sub-witness; only the query's rows get fresh bounds.  Below the last
+    rung a query's rows reach, the sub-witness is the ladder's own,
+    `base[k]` on the first k variables.
+    """
+
+    def __init__(self, rows, nvars: int, field: CosField):
+        self.field = field
+        self.rungs = []
+        cur = dict.fromkeys(map(_primitive, rows))
+        for k in range(nvars - 1, -1, -1):
+            pos, neg, rest = _split(cur, k, field)
+            _combine(rest, pos, neg, field)
+            self.rungs.append((pos, neg, {}))
+            cur = rest
+        self.rungs.reverse()
+        self.base = [(((),) * field.degree, 1)]
+        for k in range(nvars):
+            self.base.append(_extend(*self.base[k], *self._extremes(k, *self.base[k]), field))
+
+    def _extremes(self, k: int, S, den: int):
+        """The extreme lower and upper bounds of rung k's own rows at S / den."""
+        pos, neg, memo = self.rungs[k]
+        key = S, den
+        if key not in memo:
+            field = self.field
+            memo[key] = (
+                _extreme(_bounds(pos, S, den, field), field, 1),
+                _extreme(_bounds(neg, S, den, field), field, -1),
+            )
+        return memo[key]
+
+    def witness(self, strict):
+        """Witness for the ladder's rows >= 0 and the `strict` rows > 0.
+
+        Returns (W, den) with w = W / den, W an array and den > 0, or None
+        when the system is infeasible.
+        """
+        field = self.field
+        steps = []
+        cur = dict.fromkeys(map(_primitive, strict))
+        k = len(self.rungs)
+        while cur and k:
+            k -= 1
+            pos, neg, _ = self.rungs[k]
+            spos, sneg, rest = _split(cur, k, field)
+            _combine(rest, spos, neg + sneg, field)
+            _combine(rest, pos, sneg, field)
+            steps.append((spos, sneg))
+            cur = rest
+        if cur:  # a strict row 0 > 0 is left
+            return None
+        S, den = self.base[k]
+        for spos, sneg in reversed(steps):
+            lo, hi = self._extremes(k, S, den)
+            lowers, uppers = _bounds(spos, S, den, field), _bounds(sneg, S, den, field)
+            lo = _extreme(lowers if lo is None else [lo, *lowers], field, 1)
+            hi = _extreme(uppers if hi is None else [hi, *uppers], field, -1)
+            S, den = _extend(S, den, lo, hi, field)
+            k += 1
+        return S, den
+
+
+def _int_feasible_homogeneous(constraints, nvars: int, field: CosField):
+    """Integer Fourier-Motzkin on (P, strict) pairs, one ladder and one query.
+
+    `constraints` holds (P, strict) for the constraint P . w > 0 if strict,
+    >= 0 otherwise, with P an array of nvars entries.  Returns the witness
+    as (W, den) with w = W / den, W an array and den > 0, or None when the
+    system is infeasible.
+    """
+    ladder = _Ladder([P for P, strict in constraints if not strict], nvars, field)
+    return ladder.witness([P for P, strict in constraints if strict])
 
 
 # ---------------------------------------------------------------------------
@@ -535,11 +598,11 @@ def _stage_point(rs, basis, cur_labels, off_pos, field: CosField, rng):
 
     chamber = [row(rs.simple_indices[lab]) for lab in cur_labels]
     targets = [row(g) for g in off_pos]
-    cons = [(R, False) for R in chamber]
+    ladder = _Ladder(chamber, k, field)
     witnesses = []
     for R in targets:
         for grow in (R, tuple(tuple(-v for v in p) for p in R)):
-            found = _int_feasible_homogeneous(cons + [(grow, True)], k, field)
+            found = ladder.witness([grow])
             if found is not None:
                 break
         else:

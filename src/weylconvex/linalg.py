@@ -159,24 +159,6 @@ def rank(A) -> int:
     return r
 
 
-def kernel_basis(A, field) -> List[List]:
-    """Basis of the right kernel {v : Av = 0}."""
-    if not A:
-        return []
-    cols = len(A[0])
-    R, pivots = rref(A, field)
-    pivset = set(pivots)
-    free = [c for c in range(cols) if c not in pivset]
-    basis = []
-    for fc in free:
-        v = [field.zero] * cols
-        v[fc] = field.one
-        for r, pc in enumerate(pivots):
-            v[pc] = field.neg(R[r][fc])
-        basis.append(v)
-    return basis
-
-
 def solve(A, b, field) -> Optional[List]:
     """One particular solution of Av = b, or None if inconsistent.
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import perm
@@ -410,9 +411,7 @@ def conjugacy_classes(
     while unassigned:
         # The last member listed; the orbit search pops it first.
         start = next(reversed(unassigned))
-        classes.append(
-            _orbit_class(rs, delta, twist_power, start, lambda y: unassigned.pop(y, None))
-        )
+        classes.append(_orbit_class(rs, delta, twist_power, start, unassigned.pop))
     classes.sort(key=lambda c: (c.min_length, c.representative.word()))
     total = sum(len(c) for c in classes)
     if total != order:
@@ -427,31 +426,25 @@ def _orbit_class(
     delta: DiagramAutomorphism,
     twist_power: int,
     start: Perm,
-    length_of: Callable[[Perm], Optional[int]],
+    length_of: Callable[[Perm], int],
 ) -> ConjugacyClass:
     """The class of start * delta^k, by one orbit search from start.
 
     The W-parts are searched as raw permutations under w -> s w s'.
     `length_of` gives each member's length once, when the search reaches
-    it; None means the member is not where the caller's table expects it.
+    it, and raises KeyError for a member that is not where the caller's
+    table expects it.
     """
-
-    def length(y: Perm) -> int:
-        found = length_of(y)
-        if found is None:
-            raise InconsistencyError(
-                f"a conjugate in W({rs.cartan_type}) lies outside "
-                "the enumeration or in another class"
-            )
-        return found
-
     # Both halves of each pair are simple reflections, as sandwich_orbit
     # requires.
-    orbit = perm.sandwich_orbit(
-        start,
-        [_conjugating_pair(rs, delta, twist_power, lab) for lab in range(rs.rank)],
-        length,
-    )
+    pairs = [_conjugating_pair(rs, delta, twist_power, lab) for lab in range(rs.rank)]
+    try:
+        orbit = perm.sandwich_orbit(start, pairs, length_of)
+    except KeyError:
+        raise InconsistencyError(
+            f"a conjugate in W({rs.cartan_type}) lies outside "
+            "the enumeration or in another class"
+        ) from None
     # (length, permutation) order: by permutation, then stably by length.
     members = sorted(orbit)
     members.sort(key=orbit.__getitem__)
@@ -483,7 +476,7 @@ def class_of(x: TwistedElement, budget: Optional[int] = DEFAULT_ENUMERATION_BUDG
     _weyl_order_within(rs, budget)
     pc = rs.positive_count
     return _orbit_class(
-        rs, x.twist, x.twist_power, x.weyl.root_perm, lambda y: perm.length(y, pc)
+        rs, x.twist, x.twist_power, x.weyl.root_perm, partial(perm.length, pc=pc)
     )
 
 

@@ -1,0 +1,98 @@
+"""Reference code the geometry tests compare the engine against.
+
+None of it runs in the engine: the generic Fourier-Motzkin elimination on
+field scalars (the reference for the integer ladder), the generic kernel
+basis by `rref` (the reference for the fraction-free eigenspace kernel),
+and two eigenspace bookkeeping helpers the tests use as oracles.
+"""
+
+from fractions import Fraction
+from typing import List, Optional
+
+from weylconvex.geometry import _cyclo_mults, _perp_orders, _rotation_denominator, _sdot
+from weylconvex.linalg import rref
+from weylconvex.quadfield import sign_of
+
+
+def fixed_space_dim(x, labels=None) -> int:
+    """Dimension of the fixed space of x on the span of `labels`."""
+    return _cyclo_mults(x, labels).get(1, 0)
+
+
+def angle_perp_roots(x, angle: Fraction, root_subset=None):
+    """{gamma in subset : V_x^theta <= H_gamma}, decided exactly.
+
+    A root is fixed by the Galois group, which permutes V_x^theta with its
+    conjugate eigenspaces, so this is orthogonality to ker Phi_d(x), d the
+    order of the rotation.
+    """
+    if root_subset is None:
+        root_subset = range(x.rs.count)
+    orders = {_rotation_denominator(angle)}
+    return _perp_orders(x, orders, root_subset, _cyclo_mults(x))
+
+
+def kernel_basis(A, field) -> List[List]:
+    """Basis of the right kernel {v : Av = 0} from the reduced echelon form."""
+    if not A:
+        return []
+    cols = len(A[0])
+    R, pivots = rref(A, field)
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [field.zero] * cols
+        v[fc] = field.one
+        for r, pc in enumerate(pivots):
+            v[pc] = field.neg(R[r][fc])
+        basis.append(v)
+    return basis
+
+
+def feasible_homogeneous(constraints, nvars: int, zero, one) -> Optional[List]:
+    """Witness for {c : every (row, strict) satisfied, homogeneous}, or None.
+
+    Fourier-Motzkin with witness extraction on any ordered field.  Rows
+    are deduped on their repr; each bound keeps its first extreme.
+    """
+    if nvars == 0:
+        return None if any(strict for _, strict in constraints) else []
+    k = nvars - 1
+    pos, neg, rest = [], [], {}
+
+    def keep(row, strict):
+        key = tuple(repr(v) for v in row)
+        rest[key] = (row, rest.get(key, (row, False))[1] or strict)
+
+    for row, strict in constraints:
+        sg = sign_of(row[k])
+        if sg > 0:
+            pos.append((row, strict))
+        elif sg < 0:
+            neg.append((row, strict))
+        else:
+            keep(row[:k], strict)
+    for prow, ps in pos:
+        for nrow, ns in neg:
+            keep([(zero - nrow[k]) * prow[t] + prow[k] * nrow[t] for t in range(k)], ps or ns)
+    sub = feasible_homogeneous(list(rest.values()), k, zero, one)
+    if sub is None:
+        return None
+
+    def extreme(rows, want):
+        best = None
+        for row, _ in rows:
+            v = (zero - _sdot(row[:k], sub, zero)) / row[k]
+            if best is None or sign_of(v - best) == want:
+                best = v
+        return best
+
+    lo, hi = extreme(pos, 1), extreme(neg, -1)
+    if lo is None and hi is None:
+        value = zero
+    elif hi is None:
+        value = lo + one
+    elif lo is None:
+        value = hi - one
+    else:
+        value = (lo + hi) / 2 if sign_of(hi - lo) > 0 else lo
+    return sub + [value]

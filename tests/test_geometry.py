@@ -3,16 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from weylconvex import geometry
 from weylconvex.convexity import analyze, n_of, phi_of
 from weylconvex.errors import InputError
 from weylconvex.geometry import (
-    _feasible_homogeneous,
     _int_feasible_homogeneous,
+    _Ladder,
     admissible_enumerations,
     angle_list,
-    angle_perp_roots,
     exact_angle_basis,
-    fixed_space_dim,
     good_position_length,
     is_admissible,
     is_good_position,
@@ -27,6 +26,13 @@ from weylconvex.weyl import (
     from_word,
     identity_element,
     longest_element,
+)
+
+from reference_geometry import (
+    angle_perp_roots,
+    feasible_homogeneous,
+    fixed_space_dim,
+    kernel_basis,
 )
 
 RS = {}
@@ -488,7 +494,7 @@ def test_int_elimination_matches_generic(field_id):
         rows = _random_cone(rng, field, nvars)
         # The rows over K_L, each divided by a random positive integer.
         field_rows = [(field.vector(P, rng.randint(1, 6)), strict) for P, strict in rows]
-        want = _feasible_homogeneous(field_rows, nvars, field.zero, field.one)
+        want = feasible_homogeneous(field_rows, nvars, field.zero, field.one)
         got = _int_feasible_homogeneous(rows, nvars, field)
         assert (got is None) == (want is None), rows
         outcomes[got is not None] += 1
@@ -500,3 +506,92 @@ def test_int_elimination_matches_generic(field_id):
             s = sign_of(sum((a * c for a, c in zip(row, w)), field.zero))
             assert s > 0 if strict else s >= 0
     assert min(outcomes.values()) >= 20, outcomes
+
+
+@pytest.mark.parametrize("field_id", list(FIELDS))
+def test_ladder_matches_generic(field_id):
+    # One ladder of a cone's non-strict rows answers a query per strict row
+    # in turn, each with the witness the generic elimination gives for the
+    # non-strict rows and that one strict row.
+    field = cos_field(FIELDS[field_id])
+    rng = random.Random(900 + FIELDS[field_id])
+    outcomes = {True: 0, False: 0}
+    for _ in range(60):
+        nvars = rng.randint(1, 4)
+        rows = _random_cone(rng, field, nvars) + [
+            (P, True) for P, _ in _random_cone(rng, field, nvars)
+        ]
+        field_rows = [(field.vector(P, rng.randint(1, 6)), strict) for P, strict in rows]
+        ladder = _Ladder([P for P, strict in rows if not strict], nvars, field)
+        cone = [(v, False) for v, strict in field_rows if not strict]
+        for (P, strict), (v, _) in zip(rows, field_rows):
+            if not strict:
+                continue
+            got = ladder.witness([P])
+            want = feasible_homogeneous(cone + [(v, True)], nvars, field.zero, field.one)
+            assert (got is None) == (want is None), (rows, P)
+            outcomes[got is not None] += 1
+            if got is not None:
+                assert [repr(v) for v in field.vector(*got)] == [repr(v) for v in want]
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+def test_stage_point_builds_one_ladder_per_stage(monkeypatch):
+    # Every cone query of a stage goes to the one ladder of its chamber.
+    built, queries, stages = [], [], []
+
+    class CountingLadder(_Ladder):
+        def __init__(self, *args):
+            built.append(len(stages))
+            super().__init__(*args)
+
+        def witness(self, strict):
+            queries.append(len(stages))
+            return super().witness(strict)
+
+    stage_point = geometry._stage_point
+
+    def counting_stage_point(rs, basis, cur_labels, off_pos, field, rng):
+        stages.append(bool(basis and off_pos))
+        return stage_point(rs, basis, cur_labels, off_pos, field, rng)
+
+    monkeypatch.setattr(geometry, "_Ladder", CountingLadder)
+    monkeypatch.setattr(geometry, "_stage_point", counting_stage_point)
+    x = from_word(rs_of("E6"), None, [3, 1, 5, 0, 4, 2] * 2)
+    assert is_good_position(x, [Fraction(1, 3), Fraction(2, 3)]) is not None
+    assert built == [i + 1 for i, cone in enumerate(stages) if cone]
+    assert len(queries) > len(built) >= 1
+
+
+def _kernel_check_inputs():
+    """(x, angle, labels): every angle of the class representatives, on the
+    whole span and on parabolics that x stabilizes."""
+    for x in _perp_check_elements():
+        for angle, _ in angle_list(x):
+            yield x, angle, None
+    for name, word, labels in (("E6", [1, 3, 2, 4], (1, 2, 3, 4)),
+                               ("A6", [1, 2, 3, 4], (1, 2, 3, 4)),
+                               ("B4", [1, 2, 3, 1, 2], (1, 2, 3))):
+        x = from_word(rs_of(name), None, word)
+        for angle, _ in angle_list(x, labels):
+            yield x, angle, labels
+
+
+def test_int_kernel_matches_generic_rref():
+    # The fraction-free kernel returns the reduced echelon basis of the
+    # generic rref on K_L scalars, entry for entry.
+    degrees = set()
+    for x, angle, labels in _kernel_check_inputs():
+        field = field_for([angle])
+        degrees.add(field.degree)
+        lab = tuple(range(x.rs.rank)) if labels is None else labels
+        M, Minv = x.matrix(lab), x.inverse().matrix(lab)
+        c2 = two_cos_in(angle, field)
+        A = [
+            [field.number(M[i][j] + Minv[i][j]) - (c2 if i == j else 0) for j in range(len(M))]
+            for i in range(len(M))
+        ]
+        want = kernel_basis(A, OperatorField(field.one))
+        got = exact_angle_basis(x, angle, labels)
+        assert [[repr(v) for v in b] for b in got] == [[repr(v) for v in b] for b in want]
+    assert degrees == {1, 2, 3}

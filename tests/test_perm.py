@@ -202,7 +202,7 @@ def test_bytes_sort_like_tuples(n):
 # Pinned report bytes: root systems with more than 256 roots, which use
 # tuples, and good-position certificates over Q, Q(sqrt2), Q(sqrt3),
 # Q(sqrt5) and the quartic K_30, whose stage points come out of the exact
-# cone tests.
+# eigenspace kernels and cone tests.
 
 
 def _good_position(cartan, word, sequence):
@@ -233,6 +233,13 @@ def _good_position(cartan, word, sequence):
         pytest.param(
             _good_position("A4", "2,4,3,1", "2pi/5,4pi/5"), 0,
             "good_position_A4_2-4-3-1.txt", id="good-position-A4-sqrt5",
+        ),
+        # A D5 input the verdicts benchmark draws: three stages over
+        # Q(sqrt2), the first on the whole D5 chamber.
+        pytest.param(
+            _good_position("D5", "3,1,4,2,5,3,1,4,2,5,3,1,4,2,5", "3pi/4,pi,pi/4"), 0,
+            "good_position_D5_3-1-4-2-5-3-1-4-2-5-3-1-4-2-5.txt",
+            id="good-position-D5-sqrt2",
         ),
         pytest.param(
             _good_position("E6", "4,2,6,1,5,3,4,2,6,1,5,3", "pi/3,2pi/3"), 0,

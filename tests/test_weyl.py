@@ -13,7 +13,12 @@ import weylconvex
 from weylconvex import perm, weyl
 from weylconvex.errors import BudgetExceeded, InconsistencyError
 from weylconvex.linalg import OperatorField, mat_inv
-from weylconvex.roots import CartanType, build_root_system, diagram_automorphisms
+from weylconvex.roots import (
+    CartanType,
+    build_root_system,
+    diagram_automorphisms,
+    identity_automorphism,
+)
 from weylconvex.weyl import (
     act,
     class_of,
@@ -361,6 +366,21 @@ def test_class_of_matches_class_table(name, flipped):
             assert found.representative == cls.representative
             assert found.representative.word() == cls.representative.word()
             assert found.min_length == cls.min_length
+
+
+def test_orbit_search_lookup_miss_is_inconsistency():
+    # conjugacy_classes hands the orbit search its table's own pop: a member
+    # the table no longer holds (here, one taken out beforehand, as if
+    # another class had claimed it) raises KeyError, which the search turns
+    # into an inconsistency.
+    rs = rs_of("B3")
+    table = enumerate_weyl_group(rs)
+    start = from_word(rs, None, [0, 1, 2]).weyl.root_perm
+    cls = class_of(from_word(rs, None, [0, 1, 2]))
+    table.pop(cls.perms[-1])
+    assert cls.perms[-1] != start
+    with pytest.raises(InconsistencyError, match="outside the enumeration"):
+        weyl._orbit_class(rs, identity_automorphism(rs), 0, start, table.pop)
 
 
 def test_class_of_keeps_the_budget_refusal():
