@@ -207,10 +207,6 @@ def analyze(x: TwistedElement, strict: bool = False) -> ConvexityReport:
     )
 
 
-def is_quasi_convex(x: TwistedElement) -> bool:
-    return analyze(x).quasi_convex
-
-
 def level_filtration(x: TwistedElement) -> List[FrozenSet[int]]:
     """Nested closed sets Phi_{x,<=1}+ through Phi_{x,<=N}+.
 

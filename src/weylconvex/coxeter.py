@@ -163,11 +163,6 @@ def reflection_ordering(rs: RootSystem, w0_word: Sequence[int]) -> ReflectionOrd
     return ReflectionOrdering(ordered_roots=ordered, source_word=word)
 
 
-def coxeter_order(rs: RootSystem, delta: Optional[DiagramAutomorphism] = None) -> int:
-    """h: the common order of c*delta over all delta-Coxeter elements."""
-    return _common_order(coxeter_elements(rs, delta))
-
-
 def _common_order(elems: Sequence[TwistedElement]) -> int:
     orders = {e.order() for e in elems}
     if len(orders) != 1:
@@ -189,36 +184,6 @@ def _w0_condition(x: TwistedElement, h: int) -> bool:
     twist = perm.power(x.twist.root_perm, x.twist_power * (h // 2))
     target = perm.compose(longest_element(x.rs).root_perm, twist)
     return perm.power(x.perm, h // 2) == target
-
-
-def half_turn_ordering(x: TwistedElement) -> ReflectionOrdering:
-    """The reflection ordering from w0 = c delta(c) ... delta^(h/2-1)(c).
-
-    Only valid under the half-turn condition, where the concatenated word
-    is automatically reduced; both facts are re-verified.
-    """
-    rs = x.rs
-    h = x.order()
-    if not _w0_condition(x, h):
-        raise InputError("half-turn condition does not hold for this element")
-    word_c = list(x.word())
-    # Concatenate the twist-iterates of the Coxeter word.  Starting the
-    # iteration at delta(c) rather than c makes the suffix bijection of the
-    # resulting w0 word line up with the level blocks of c*delta under the
-    # rightmost-first composition convention used throughout; the two words
-    # differ by a global application of delta and describe the same w0.
-    big: List[int] = []
-    for t in range(1, h // 2 + 1):
-        mapped = list(word_c)
-        for _ in range(t * x.twist_power):
-            mapped = [x.twist.simple_perm[lab] for lab in mapped]
-        big.extend(mapped)
-    try:
-        return reflection_ordering(rs, big)
-    except InputError as exc:
-        raise InconsistencyError(
-            f"half-turn word failed to be a reduced w0 expression: {exc}"
-        )
 
 
 def coxeter_levels(rep: ConvexityReport) -> Dict[int, int]:

@@ -400,18 +400,6 @@ class _Ladder:
         return S, den
 
 
-def _int_feasible_homogeneous(constraints, nvars: int, field: CosField):
-    """Integer Fourier-Motzkin on (P, strict) pairs, one ladder and one query.
-
-    `constraints` holds (P, strict) for the constraint P . w > 0 if strict,
-    >= 0 otherwise, with P an array of nvars entries.  Returns the witness
-    as (W, den) with w = W / den, W an array and den > 0, or None when the
-    system is infeasible.
-    """
-    ladder = _Ladder([P for P, strict in constraints if not strict], nvars, field)
-    return ladder.witness([P for P, strict in constraints if strict])
-
-
 # ---------------------------------------------------------------------------
 # Regular points.
 
@@ -583,6 +571,12 @@ def _stage_point(rs, basis, cur_labels, off_pos, field: CosField, rng):
     so every chamber and target row is an integer dot product with
     `int_pairing_rows` (a positive multiple of the true pairing), and the
     cone tests and the sign tests on candidate points run on ints.
+
+    Each target is a positive root of the current parabolic, so its row is
+    a nonnegative combination of the chamber rows and R >= 0 on the whole
+    cone: the point exists iff every R > 0 is feasible.  Every witness then
+    has R >= 0 for every target and R > 0 for its own, so one positive
+    combination of the witnesses is the point.
     """
     if not basis:
         return None
@@ -601,26 +595,23 @@ def _stage_point(rs, basis, cur_labels, off_pos, field: CosField, rng):
     ladder = _Ladder(chamber, k, field)
     witnesses = []
     for R in targets:
-        for grow in (R, tuple(tuple(-v for v in p) for p in R)):
-            found = ladder.witness([grow])
-            if found is not None:
-                break
-        else:
+        found = ladder.witness([R])
+        if found is None:
             return None
         witnesses.append(found)
-    for _ in range(REGULAR_POINT_RETRIES):
-        lam = [rng.randint(1, 9) for _ in witnesses]
-        q = lcm(*(w[1] for w in witnesses))
-        C = ((0,) * k,) * n
-        for c, (W, wq) in zip(lam, witnesses):
-            c *= q // wq
-            C = tuple(tuple(x + c * y for x, y in zip(u, w)) for u, w in zip(C, W))
-        if all(field.sign(field.dot(R, C)) >= 0 for R in chamber) and all(
-            any(field.dot(R, C)) for R in targets
-        ):
-            w = field.vector(C, q)
-            return [_sdot(column, w, field.zero) for column in zip(*basis)]
-    raise InconsistencyError("stage witness combination kept hitting hyperplanes")
+    lam = [rng.randint(1, 9) for _ in witnesses]
+    q = lcm(*(w[1] for w in witnesses))
+    C = ((0,) * k,) * n
+    for c, (W, wq) in zip(lam, witnesses):
+        c *= q // wq
+        C = tuple(tuple(x + c * y for x, y in zip(u, w)) for u, w in zip(C, W))
+    if not (
+        all(field.sign(field.dot(R, C)) >= 0 for R in chamber)
+        and all(any(field.dot(R, C)) for R in targets)
+    ):
+        raise InconsistencyError("a positive combination of stage witnesses left the cone")
+    w = field.vector(C, q)
+    return [_sdot(column, w, field.zero) for column in zip(*basis)]
 
 
 def _cumulative_points(rs, stage_points, chain, field: CosField, top_labels):

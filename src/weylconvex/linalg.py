@@ -61,29 +61,6 @@ def mat_identity(n: int, one, zero):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def mat_inv(A, field):
-    """Inverse via Gauss-Jordan; raises ValueError if singular."""
-    n = len(A)
-    zero, sub, mul = field.zero, field.sub, field.mul
-    M = [list(A[i]) + [field.one if i == j else zero for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if M[r][col] != zero:
-                piv = r
-                break
-        if piv is None:
-            raise ValueError("singular matrix")
-        M[col], M[piv] = M[piv], M[col]
-        inv = field.div(field.one, M[col][col])
-        M[col] = [mul(x, inv) for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != zero:
-                f = M[r][col]
-                M[r] = [sub(a, mul(f, b)) for a, b in zip(M[r], M[col])]
-    return [row[n:] for row in M]
-
-
 def rref(A, field) -> Tuple[List[List], List[int]]:
     """Reduced row echelon form plus the pivot column list."""
     zero, sub, mul = field.zero, field.sub, field.mul

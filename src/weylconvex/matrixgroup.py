@@ -15,6 +15,10 @@ The conjugation map xi and its section sigma follow the level filtration:
 sigma first splits g = y * (lift u ell) by one linear solve per row of the
 unipotent factor, then walks the filtration down one level at a time,
 conjugating the level-i part through the lift.
+
+The tangent-span rank at a point g is taken on g times the span, which
+has the same rank: every column is then built from entries of g by
+additions and negations, so no inverse is formed.
 """
 
 from __future__ import annotations
@@ -22,14 +26,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import (
-    Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple,
-)
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import perm
 from .convexity import INFINITY, analyze
 from .errors import InconsistencyError, InputError, NotInCellError
-from .linalg import OperatorField, mat_inv, rank, solve
+from .linalg import OperatorField, rank, solve
 from .roots import CartanType, RootSystem, build_root_system
 from .weyl import TwistedElement
 
@@ -143,34 +145,6 @@ def make_field(spec):
 # Matrices over a field.
 
 
-def identity_matrix(field, n: int) -> Matrix:
-    return _freeze(_identity_rows(field, n))
-
-
-def mmul(field, A: Matrix, B: Matrix) -> Matrix:
-    n = len(A)
-    m = len(B[0])
-    k = len(B)
-    return tuple(
-        tuple(
-            _dotsum(field, A[i], B, j, k)
-            for j in range(m)
-        )
-        for i in range(n)
-    )
-
-
-def _dotsum(field, row, B, j, k):
-    acc = field.mul(row[0], B[0][j])
-    for t in range(1, k):
-        acc = field.add(acc, field.mul(row[t], B[t][j]))
-    return acc
-
-
-def minv(field, A: Matrix) -> Matrix:
-    return tuple(tuple(r) for r in mat_inv([list(r) for r in A], field))
-
-
 def mat_key(A: Matrix) -> Tuple:
     return tuple(tuple(repr(v) for v in row) for row in A)
 
@@ -282,18 +256,6 @@ class MatrixGroupContext:
     pos_of_root: Dict[int, Position]
     root_of_pos: Dict[Position, int]
 
-    def u(self, pos: Position, t) -> Matrix:
-        a, b = pos
-        rows = _identity_rows(self.field, self.n)
-        rows[a][b] = t
-        return _freeze(rows)
-
-    def diag(self, entries: Sequence) -> Matrix:
-        return tuple(
-            tuple(entries[i] if i == j else self.field.zero for j in range(self.n))
-            for i in range(self.n)
-        )
-
 
 def matrix_context(n: int, field_spec="rational") -> MatrixGroupContext:
     if n < 2:
@@ -326,12 +288,17 @@ def underlying_permutation(x: TwistedElement) -> Tuple[int, ...]:
     return tuple(perm)
 
 
-def lift(ctx: MatrixGroupContext, x: TwistedElement) -> Matrix:
-    """The canonical 0/1 permutation-matrix lift of an untwisted element."""
+def _check_liftable(ctx: MatrixGroupContext, x: TwistedElement) -> None:
+    """Refuse the elements that have no lift in this context."""
     if x.twist_power % x.twist.order != 0:
         raise InputError("matrix lifts are only defined for untwisted elements")
     if x.rs.cartan_type != ctx.rs.cartan_type:
         raise InputError("element does not belong to this context's root system")
+
+
+def lift(ctx: MatrixGroupContext, x: TwistedElement) -> Matrix:
+    """The canonical 0/1 permutation-matrix lift of an untwisted element."""
+    _check_liftable(ctx, x)
     pi = underlying_permutation(x)
     rows = [[ctx.field.zero] * ctx.n for _ in range(ctx.n)]
     for i in range(ctx.n):
@@ -407,10 +374,7 @@ def unipotent_coordinates(
 class CrossSectionData:
     ctx: MatrixGroupContext
     x: TwistedElement
-    lift_mat: Matrix
-    lift_inv: Matrix
     pi: Tuple[int, ...]
-    J_labels: FrozenSet[int]
     blk: Tuple[int, ...]
     phi_pos: Tuple[Position, ...]
     phi_neg: Tuple[Position, ...]
@@ -435,9 +399,8 @@ class CrossSectionData:
 
 
 def build_cross_section(ctx: MatrixGroupContext, x: TwistedElement) -> CrossSectionData:
+    _check_liftable(ctx, x)
     rs = ctx.rs
-    if x.rs.cartan_type != rs.cartan_type:
-        raise InputError("element rank does not match the matrix context")
     report = analyze(x)
     pi = underlying_permutation(x)
     J = frozenset(
@@ -465,14 +428,10 @@ def build_cross_section(ctx: MatrixGroupContext, x: TwistedElement) -> CrossSect
         lev = report.n_table[i]
         if lev is not INFINITY:
             levels.setdefault(int(lev), []).append(ctx.pos_of_root[i])
-    lift_mat = lift(ctx, x)
     return CrossSectionData(
         ctx=ctx,
         x=x,
-        lift_mat=lift_mat,
-        lift_inv=tuple(zip(*lift_mat)),  # a permutation matrix's transpose
         pi=pi,
-        J_labels=J,
         blk=tuple(blk),
         phi_pos=phi_pos,
         phi_neg=phi_neg,
@@ -495,17 +454,6 @@ class CellPoint:
     ell_minus: Tuple
 
 
-def identity_cell_point(data: CrossSectionData) -> CellPoint:
-    f = data.ctx.field
-    return CellPoint(
-        y_coords=tuple(f.zero for _ in data.rn),
-        u_coords=tuple(f.zero for _ in data.level_one),
-        ell_plus=tuple(f.zero for _ in data.phi_pos),
-        ell_diag=tuple(f.one for _ in range(data.ctx.n)),
-        ell_minus=tuple(f.zero for _ in data.phi_neg),
-    )
-
-
 def _ell_rows(data: CrossSectionData, p: CellPoint) -> List[List]:
     """ell = (Levi plus part) * diag * (Levi minus part), as rows."""
     f = data.ctx.field
@@ -517,10 +465,6 @@ def _section_rows(data: CrossSectionData, p: CellPoint) -> List[List]:
     """lift * ell * u, as rows."""
     m = _mul_word(data.ctx.field, _ell_rows(data, p), zip(data.level_one, p.u_coords))
     return _lift_rows(data, m)
-
-
-def ell_matrix(data: CrossSectionData, p: CellPoint) -> Matrix:
-    return _freeze(_ell_rows(data, p))
 
 
 def xi(data: CrossSectionData, p: CellPoint) -> Matrix:
@@ -792,38 +736,37 @@ def collision_search(
 
 
 def adjoint_span_rank(data: CrossSectionData, g: Matrix) -> int:
-    """Rank of (Ad(g^-1) - 1)(gl_n) + levi algebra + level-one nilpotent."""
-    ctx = data.ctx
-    f = ctx.field
-    n = ctx.n
-    ginv = minv(f, g)
+    """Rank of (Ad(g^-1) - 1)(gl_n) + levi algebra + level-one nilpotent.
+
+    Taken on g times that span, which has the same rank since g is
+    invertible: the columns are E_ab g - g E_ab for every (a, b), and g Y
+    for each Levi, torus and level-one column Y.  Their entries are sums
+    and negations of entries of g, so no inverse is formed.
+    """
+    n = data.ctx.n
+
+    def g_times(terms) -> List:
+        """g * sum(s E_ab) over (a, b, s) in terms, flattened by rows."""
+        col = [data.ctx.field.zero] * (n * n)
+        for a, b, s in terms:
+            for i in range(n):
+                col[i * n + b] += s * g[i][a]
+        return col
+
     cols: List[List] = []
     for a in range(n):
         for b in range(n):
-            # g^-1 E_ab g is column a of g^-1 times row b of g.
-            col = [ginv[i][a] * gj for i in range(n) for gj in g[b]]
-            col[a * n + b] = col[a * n + b] - f.one
+            col = g_times([(a, b, -1)])
+            for j, v in enumerate(g[b]):
+                col[a * n + j] += v
             cols.append(col)
-    for (a, b) in data.phi_pos + data.phi_neg:
-        col = [f.zero] * (n * n)
-        col[a * n + b] = f.one
-        cols.append(col)
-    for cyc in data.cycles:
-        col = [f.zero] * (n * n)
-        for i in cyc:
-            col[i * n + i] = f.one
-        cols.append(col)
-    for (a, b) in data.phi_pos:
-        col = [f.zero] * (n * n)
-        col[a * n + a] = f.one
-        col[b * n + b] = f.zero - f.one
-        cols.append(col)
-    for (a, b) in data.level_one:
-        col = [f.zero] * (n * n)
-        col[a * n + b] = f.one
-        cols.append(col)
-    rows = [[cols[c][r] for c in range(len(cols))] for r in range(n * n)]
-    return rank(rows)
+    spans = (
+        [[(a, b, 1)] for (a, b) in data.phi_pos + data.phi_neg + data.level_one]
+        + [[(i, i, 1) for i in cyc] for cyc in data.cycles]
+        + [[(a, a, 1), (b, b, -1)] for (a, b) in data.phi_pos]
+    )
+    cols += map(g_times, spans)
+    return rank(cols)
 
 
 def transversality_check(data: CrossSectionData, g: Matrix) -> bool:

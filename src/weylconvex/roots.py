@@ -110,10 +110,6 @@ def _vneg(u: Vector) -> Vector:
     return tuple(-a for a in u)
 
 
-def dot(u: Vector, v: Vector) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
 def _simple_roots(ct: CartanType) -> List[Vector]:
     n = ct.rank
     fam = ct.family

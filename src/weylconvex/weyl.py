@@ -190,12 +190,6 @@ def _conjugating_pair(
     return rs.simple_reflection_perm(lab), rs.simple_reflection_perm(twisted_lab)
 
 
-def identity_element(rs: RootSystem, delta: Optional[DiagramAutomorphism] = None) -> TwistedElement:
-    if delta is None:
-        delta = identity_automorphism(rs)
-    return TwistedElement(rs, WeylElement(rs, perm.identity(rs.count)), delta, 0)
-
-
 def from_word(
     rs: RootSystem,
     delta: Optional[DiagramAutomorphism],
@@ -503,9 +497,13 @@ def cyclic_shift_reachable(x: TwistedElement, y: TwistedElement) -> bool:
 
 
 def cyclic_shift_class(x: TwistedElement) -> List[TwistedElement]:
-    """All y with x -> y and y -> x, sorted deterministically."""
-    down = _shift_reachable_set(x)
-    out = [y for y in down if y.length() == x.length() and cyclic_shift_reachable(y, x)]
+    """All y with x -> y and y -> x, sorted deterministically.
+
+    A length-nonincreasing path from x that ends at the length of x
+    changes no length, and each of its steps s z s is undone by the same
+    s, so y -> x holds for every such y.
+    """
+    out = [y for y in _shift_reachable_set(x) if y.length() == x.length()]
     return sorted(out, key=lambda e: e.key())
 
 

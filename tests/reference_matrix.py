@@ -1,0 +1,130 @@
+"""Dense matrix reference the cross-section tests compare the engine against.
+
+None of it runs in the engine: dense products, the Gauss-Jordan inverse,
+root-subgroup and diagonal matrices formed entry by entry, the Levi factor
+and the identity point of a cell, and the tangent-span rank taken with
+g^-1 (the reference for the inverse-free rank of `adjoint_span_rank`).
+"""
+
+from weylconvex.linalg import rank
+from weylconvex.matrixgroup import CellPoint, _ell_rows, _freeze, _identity_rows
+
+
+def mat_inv(A, field):
+    """Inverse via Gauss-Jordan; raises ValueError if singular."""
+    n = len(A)
+    zero, sub, mul = field.zero, field.sub, field.mul
+    M = [list(A[i]) + [field.one if i == j else zero for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = None
+        for r in range(col, n):
+            if M[r][col] != zero:
+                piv = r
+                break
+        if piv is None:
+            raise ValueError("singular matrix")
+        M[col], M[piv] = M[piv], M[col]
+        inv = field.div(field.one, M[col][col])
+        M[col] = [mul(x, inv) for x in M[col]]
+        for r in range(n):
+            if r != col and M[r][col] != zero:
+                f = M[r][col]
+                M[r] = [sub(a, mul(f, b)) for a, b in zip(M[r], M[col])]
+    return [row[n:] for row in M]
+
+
+def identity_matrix(field, n):
+    return _freeze(_identity_rows(field, n))
+
+
+def mmul(field, A, B):
+    n = len(A)
+    m = len(B[0])
+    k = len(B)
+    return tuple(
+        tuple(
+            _dotsum(field, A[i], B, j, k)
+            for j in range(m)
+        )
+        for i in range(n)
+    )
+
+
+def _dotsum(field, row, B, j, k):
+    acc = field.mul(row[0], B[0][j])
+    for t in range(1, k):
+        acc = field.add(acc, field.mul(row[t], B[t][j]))
+    return acc
+
+
+def minv(field, A):
+    return tuple(tuple(r) for r in mat_inv([list(r) for r in A], field))
+
+
+def u(ctx, pos, t):
+    """The root-subgroup matrix u_pos(t) = I + t E_pos."""
+    a, b = pos
+    rows = _identity_rows(ctx.field, ctx.n)
+    rows[a][b] = t
+    return _freeze(rows)
+
+
+def diag(ctx, entries):
+    return tuple(
+        tuple(entries[i] if i == j else ctx.field.zero for j in range(ctx.n))
+        for i in range(ctx.n)
+    )
+
+
+def ell_matrix(data, p):
+    """The Levi factor ell of the cell point p."""
+    return _freeze(_ell_rows(data, p))
+
+
+def identity_cell_point(data):
+    f = data.ctx.field
+    return CellPoint(
+        y_coords=tuple(f.zero for _ in data.rn),
+        u_coords=tuple(f.zero for _ in data.level_one),
+        ell_plus=tuple(f.zero for _ in data.phi_pos),
+        ell_diag=tuple(f.one for _ in range(data.ctx.n)),
+        ell_minus=tuple(f.zero for _ in data.phi_neg),
+    )
+
+
+def adjoint_span_rank_by_inverse(data, g):
+    """Rank of (Ad(g^-1) - 1)(gl_n) + levi algebra + level-one nilpotent.
+
+    Formed as written, with g^-1 E_ab g - E_ab for the first summand.
+    """
+    ctx = data.ctx
+    f = ctx.field
+    n = ctx.n
+    ginv = minv(f, g)
+    cols = []
+    for a in range(n):
+        for b in range(n):
+            # g^-1 E_ab g is column a of g^-1 times row b of g.
+            col = [ginv[i][a] * gj for i in range(n) for gj in g[b]]
+            col[a * n + b] = col[a * n + b] - f.one
+            cols.append(col)
+    for (a, b) in data.phi_pos + data.phi_neg:
+        col = [f.zero] * (n * n)
+        col[a * n + b] = f.one
+        cols.append(col)
+    for cyc in data.cycles:
+        col = [f.zero] * (n * n)
+        for i in cyc:
+            col[i * n + i] = f.one
+        cols.append(col)
+    for (a, b) in data.phi_pos:
+        col = [f.zero] * (n * n)
+        col[a * n + a] = f.one
+        col[b * n + b] = f.zero - f.one
+        cols.append(col)
+    for (a, b) in data.level_one:
+        col = [f.zero] * (n * n)
+        col[a * n + b] = f.one
+        cols.append(col)
+    rows = [[cols[c][r] for c in range(len(cols))] for r in range(n * n)]
+    return rank(rows)

@@ -1,0 +1,62 @@
+"""Root and group helpers that only the tests use.
+
+None of it runs in the engine: the dot product of ambient root vectors,
+the identity element, quasi-convexity as a bare Boolean, the common order
+of the twisted Coxeter elements, and the reflection ordering that the
+half-turn word of a Coxeter element gives.
+"""
+
+from fractions import Fraction
+from typing import List
+
+from weylconvex.convexity import analyze
+from weylconvex.coxeter import _common_order, _w0_condition, coxeter_elements, reflection_ordering
+from weylconvex.errors import InconsistencyError, InputError
+from weylconvex.weyl import from_word
+
+
+def dot(u, v) -> Fraction:
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def identity_element(rs, delta=None):
+    return from_word(rs, delta, [])
+
+
+def is_quasi_convex(x) -> bool:
+    return analyze(x).quasi_convex
+
+
+def coxeter_order(rs, delta=None) -> int:
+    """h: the common order of c*delta over all delta-Coxeter elements."""
+    return _common_order(coxeter_elements(rs, delta))
+
+
+def half_turn_ordering(x):
+    """The reflection ordering from w0 = c delta(c) ... delta^(h/2-1)(c).
+
+    Only valid under the half-turn condition, where the concatenated word
+    is automatically reduced; both facts are re-verified.
+    """
+    rs = x.rs
+    h = x.order()
+    if not _w0_condition(x, h):
+        raise InputError("half-turn condition does not hold for this element")
+    word_c = list(x.word())
+    # Concatenate the twist-iterates of the Coxeter word.  Starting the
+    # iteration at delta(c) rather than c makes the suffix bijection of the
+    # resulting w0 word line up with the level blocks of c*delta under the
+    # rightmost-first composition convention used throughout; the two words
+    # differ by a global application of delta and describe the same w0.
+    big: List[int] = []
+    for t in range(1, h // 2 + 1):
+        mapped = list(word_c)
+        for _ in range(t * x.twist_power):
+            mapped = [x.twist.simple_perm[lab] for lab in mapped]
+        big.extend(mapped)
+    try:
+        return reflection_ordering(rs, big)
+    except InputError as exc:
+        raise InconsistencyError(
+            f"half-turn word failed to be a reduced w0 expression: {exc}"
+        )

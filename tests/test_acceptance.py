@@ -15,7 +15,6 @@ from weylconvex.convexity import analyze, condition2_full_pairs, n_of, phi_of
 from weylconvex.coxeter import (
     check_w0_condition,
     coxeter_elements,
-    half_turn_ordering,
     verify_conjecture,
 )
 from weylconvex.geometry import (
@@ -45,6 +44,8 @@ from weylconvex.weyl import (
     fixed_roots,
     from_word,
 )
+
+from reference_weyl import half_turn_ordering
 
 RS = {}
 

@@ -10,14 +10,14 @@ from weylconvex.coxeter import (
     coxeter_elements,
     delta_orbits,
     coxeter_levels,
-    coxeter_order,
-    half_turn_ordering,
     reflection_ordering,
     verify_conjecture,
 )
 from weylconvex.errors import InputError
 from weylconvex.roots import CartanType, build_root_system, diagram_automorphisms
 from weylconvex.weyl import from_word, is_elliptic
+
+from reference_weyl import coxeter_order, half_turn_ordering
 
 RS = {}
 

@@ -7,7 +7,6 @@ from weylconvex import geometry
 from weylconvex.convexity import analyze, n_of, phi_of
 from weylconvex.errors import InputError
 from weylconvex.geometry import (
-    _int_feasible_homogeneous,
     _Ladder,
     admissible_enumerations,
     angle_list,
@@ -24,7 +23,6 @@ from weylconvex.roots import CartanType, build_root_system
 from weylconvex.weyl import (
     fixed_roots,
     from_word,
-    identity_element,
     longest_element,
 )
 
@@ -34,6 +32,7 @@ from reference_geometry import (
     fixed_space_dim,
     kernel_basis,
 )
+from reference_weyl import identity_element
 
 RS = {}
 
@@ -495,7 +494,8 @@ def test_int_elimination_matches_generic(field_id):
         # The rows over K_L, each divided by a random positive integer.
         field_rows = [(field.vector(P, rng.randint(1, 6)), strict) for P, strict in rows]
         want = feasible_homogeneous(field_rows, nvars, field.zero, field.one)
-        got = _int_feasible_homogeneous(rows, nvars, field)
+        ladder = _Ladder([P for P, strict in rows if not strict], nvars, field)
+        got = ladder.witness([P for P, strict in rows if strict])
         assert (got is None) == (want is None), rows
         outcomes[got is not None] += 1
         if got is None:

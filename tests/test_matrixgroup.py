@@ -5,21 +5,20 @@ from fractions import Fraction
 import pytest
 
 from weylconvex.construction import find_convex_representative
-from weylconvex.convexity import analyze, is_quasi_convex
+from weylconvex.convexity import analyze
 from weylconvex.errors import InputError, NotInCellError
+from weylconvex.linalg import rank
 from weylconvex.matrixgroup import (
     MILLER_RABIN_LIMIT,
     PrimeField,
+    adjoint_span_rank,
     build_cross_section,
     collision_search,
     enumerate_cell_points,
-    identity_cell_point,
     is_prime,
     lift,
     mat_key,
     matrix_context,
-    minv,
-    mmul,
     random_cell_point,
     random_section_point,
     sigma,
@@ -29,7 +28,17 @@ from weylconvex.matrixgroup import (
     unipotent_from_coords,
     xi,
 )
-from weylconvex.weyl import conjugacy_classes, from_one_line, from_word, identity_element
+from weylconvex.weyl import conjugacy_classes, from_one_line, from_word
+
+from reference_matrix import (
+    adjoint_span_rank_by_inverse,
+    diag,
+    identity_cell_point,
+    minv,
+    mmul,
+    u,
+)
+from reference_weyl import identity_element, is_quasi_convex
 
 
 def ctx_of(n, field="rational"):
@@ -67,8 +76,8 @@ def test_lift_conjugates_root_subgroups():
     t = ctx.field.of(37)
     for i in range(ctx.rs.count):
         a, b = ctx.pos_of_root[i]
-        got = mmul(ctx.field, mmul(ctx.field, P, ctx.u((a, b), t)), Pinv)
-        assert got == ctx.u((pi[a], pi[b]), t)
+        got = mmul(ctx.field, mmul(ctx.field, P, u(ctx, (a, b), t)), Pinv)
+        assert got == u(ctx, (pi[a], pi[b]), t)
 
 
 def test_chevalley_relations():
@@ -81,21 +90,21 @@ def test_chevalley_relations():
             for _ in range(10):
                 i, j, k = rng.sample(range(n), 3)
                 s, t = f.random(rng), f.random(rng)
-                assert mmul(f, ctx.u((i, j), s), ctx.u((i, j), t)) == ctx.u(
-                    (i, j), f.add(s, t)
+                assert mmul(f, u(ctx, (i, j), s), u(ctx, (i, j), t)) == u(
+                    ctx, (i, j), f.add(s, t)
                 )
-                a = ctx.u((i, j), s)
-                b = ctx.u((j, k), t)
+                a = u(ctx, (i, j), s)
+                b = u(ctx, (j, k), t)
                 comm = mmul(
                     f, mmul(f, a, b), mmul(f, minv(f, a), minv(f, b))
                 )
-                assert comm == ctx.u((i, k), f.mul(s, t))
+                assert comm == u(ctx, (i, k), f.mul(s, t))
 
 
 def test_unipotent_coordinates_readoff():
     ctx = ctx_of(3)
     f = ctx.field
-    v = mmul(f, ctx.u((0, 1), f.of(4)), ctx.u((0, 2), f.of(7)))
+    v = mmul(f, u(ctx, (0, 1), f.of(4)), u(ctx, (0, 2), f.of(7)))
     coords = unipotent_coordinates(ctx, v, [(0, 1), (0, 2)])
     assert coords == [f.of(4), f.of(7)]
     ident = tuple(tuple(f.one if i == j else f.zero for j in range(3)) for i in range(3))
@@ -109,8 +118,8 @@ def test_unipotent_coordinates_reorder_with_commutator():
     ctx = ctx_of(3)
     f = ctx.field
     a, c = f.of(3), f.of(5)
-    v = mmul(f, ctx.u((0, 1), a), ctx.u((1, 2), c))
-    expanded = mmul(f, mmul(f, ctx.u((1, 2), c), ctx.u((0, 1), a)), ctx.u((0, 2), a * c))
+    v = mmul(f, u(ctx, (0, 1), a), u(ctx, (1, 2), c))
+    expanded = mmul(f, mmul(f, u(ctx, (1, 2), c), u(ctx, (0, 1), a)), u(ctx, (0, 2), a * c))
     assert expanded == v
     coords = unipotent_coordinates(ctx, v, [(1, 2), (0, 1), (0, 2)])
     assert coords == [c, a, a * c]
@@ -121,7 +130,7 @@ def test_unipotent_coordinates_reorder_with_commutator():
 def test_unipotent_coordinates_rejects_outside_support():
     ctx = ctx_of(3)
     f = ctx.field
-    v = ctx.u((0, 2), f.of(1))
+    v = u(ctx, (0, 2), f.of(1))
     with pytest.raises(NotInCellError):
         unipotent_coordinates(ctx, v, [(0, 1)])
 
@@ -131,7 +140,7 @@ def test_xi_identity_point_returns_z():
     x = from_word(ctx.rs, None, [1, 2, 0])
     data = build_cross_section(ctx, x)
     p = identity_cell_point(data)
-    assert xi(data, p) == data.lift_mat
+    assert xi(data, p) == lift(ctx, x)
 
 
 def test_sigma_on_lift_gives_identity_point():
@@ -139,7 +148,7 @@ def test_sigma_on_lift_gives_identity_point():
     for rep in convex_reps(4):
         x = from_word(ctx.rs, None, list(rep.word()))
         data = build_cross_section(ctx, x)
-        p = sigma(data, data.lift_mat)
+        p = sigma(data, lift(ctx, x))
         assert p == identity_cell_point(data)
 
 
@@ -191,7 +200,7 @@ def test_sigma_rejects_non_quasi_convex():
     s1 = from_word(ctx.rs, None, [0])
     data = build_cross_section(ctx, s1)
     with pytest.raises(InputError):
-        sigma(data, data.lift_mat)
+        sigma(data, lift(ctx, s1))
 
 
 def test_sigma_not_in_cell_reports():
@@ -200,7 +209,7 @@ def test_sigma_not_in_cell_reports():
     x = from_word(ctx.rs, None, [0, 1])
     data = build_cross_section(ctx, x)
     f = ctx.field
-    g = ctx.diag([f.of(1), f.of(2), f.of(3)])
+    g = diag(ctx, [f.of(1), f.of(2), f.of(3)])
     with pytest.raises(NotInCellError):
         sigma(data, g)
 
@@ -288,6 +297,37 @@ def test_transversality_requires_rationals():
         transversality_check(data, random_section_point(data, rng))
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_adjoint_span_rank_matches_inverse_reference(n):
+    # The rank taken on g times the span equals the rank of the span itself,
+    # at random section points (rank n^2 for convex x) and at points where
+    # it can drop: the lift, the identity, a diagonal matrix and random
+    # invertible integer matrices.
+    ctx = ctx_of(n, "rational")
+    f = ctx.field
+    rng = random.Random(70 + n)
+    words = [list(rep.word()) for rep in convex_reps(n)]
+    words += [[rng.randrange(n - 1) for _ in range(rng.randrange(3 * n))] for _ in range(6)]
+    ranks = set()
+    for word in words:
+        x = from_word(ctx.rs, None, word)
+        data = build_cross_section(ctx, x)
+        points = [random_section_point(data, rng) for _ in range(3)]
+        points.append(lift(ctx, x))
+        points.append(diag(ctx, [f.one] * n))
+        points.append(diag(ctx, [f.of(rng.randint(1, 5)) for _ in range(n)]))
+        while len(points) < 9:
+            g = tuple(tuple(f.of(rng.randint(-3, 3)) for _ in range(n)) for _ in range(n))
+            if rank(g) == n:
+                points.append(g)
+        for g in points:
+            got = adjoint_span_rank(data, g)
+            assert got == adjoint_span_rank_by_inverse(data, g), (word, g)
+            ranks.add(got)
+    assert n * n in ranks
+    assert min(ranks) < n * n - n, sorted(ranks)
+
+
 def test_elliptic_min_length_dimension_bookkeeping():
     # With empty phi the domain unipotent is all of U.
     ctx = ctx_of(4, 101)
@@ -306,6 +346,18 @@ def test_lift_rejects_twisted():
         lift(ctx, x)
 
 
+def test_build_cross_section_rejects_twisted():
+    from weylconvex.roots import diagram_automorphisms
+
+    for n in (3, 4):
+        ctx = ctx_of(n)
+        flip = [a for a in diagram_automorphisms(ctx.rs) if not a.is_identity][0]
+        for word in ([], [0], list(range(n - 1))):
+            x = from_word(ctx.rs, flip, word, twist_power=1)
+            with pytest.raises(InputError):
+                build_cross_section(ctx, x)
+
+
 def test_lift_commutes_with_levi():
     # lift * L_x = L_x * lift on generators: conjugating a Levi root
     # subgroup or a torus element stays inside the Levi data.
@@ -319,13 +371,14 @@ def test_lift_commutes_with_levi():
         root = ctx.root_of_pos[img]
         assert root in [ctx.root_of_pos[p] for p in data.phi_pos + data.phi_neg]
     d = data.cycles
-    diag = [f.of(3)] * ctx.n
+    entries = [f.of(3)] * ctx.n
     for cyc in d:
         val = f.of(7)
         for i in cyc:
-            diag[i] = val
-    D = ctx.diag(diag)
-    assert mmul(f, mmul(f, data.lift_mat, D), data.lift_inv) == D
+            entries[i] = val
+    D = diag(ctx, entries)
+    P = lift(ctx, x)
+    assert mmul(f, mmul(f, P, D), minv(f, P)) == D
 
 
 def test_roundtrip_pinned_length6_convex_gl5():

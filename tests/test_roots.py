@@ -9,10 +9,11 @@ from weylconvex.roots import (
     CartanType,
     build_root_system,
     diagram_automorphisms,
-    dot,
     is_closed,
     root_sum,
 )
+
+from reference_weyl import dot
 
 
 def rs_of(name):

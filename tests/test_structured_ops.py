@@ -1,6 +1,6 @@
 """The structured row/column operations of the cross-section against dense
 products: every structured result must equal the same product formed with
-`mmul`, `minv`, `ctx.u`, `ctx.diag` and the lift matrices."""
+`mmul`, `minv`, `u`, `diag` and the lift matrices of `reference_matrix`."""
 
 import random
 from dataclasses import astuple
@@ -22,11 +22,8 @@ from weylconvex.matrixgroup import (
     _word_matrix,
     _word_mul,
     build_cross_section,
-    ell_matrix,
-    identity_matrix,
+    lift,
     matrix_context,
-    minv,
-    mmul,
     random_cell_point,
     random_section_point,
     sigma,
@@ -34,6 +31,8 @@ from weylconvex.matrixgroup import (
     xi,
 )
 from weylconvex.weyl import from_word
+
+from reference_matrix import diag, ell_matrix, identity_matrix, minv, mmul, u
 
 CASES = [(n, field) for n in (3, 4, 5, 6) for field in (101, "rational")]
 TRIALS = 15
@@ -75,7 +74,7 @@ def _closed_order(n, rng):
 def _dense_word(ctx, order, coords):
     out = identity_matrix(ctx.field, ctx.n)
     for pos, t in zip(order, coords):
-        out = mmul(ctx.field, out, ctx.u(pos, t))
+        out = mmul(ctx.field, out, u(ctx, pos, t))
     return out
 
 
@@ -131,7 +130,7 @@ def test_diagonal_products_match_dense_products(case):
     f = ctx.field
     for _ in range(TRIALS):
         d = [f.random_unit(rng) for _ in range(ctx.n)]
-        D = ctx.diag(d)
+        D = diag(ctx, d)
         M = _matrix(ctx, rng)
         assert _freeze(_scale_cols(f, _rows(M), d)) == mmul(f, M, D)
         assert _freeze(_conjugate_diag(f, _rows(M), d)) == mmul(
@@ -144,15 +143,17 @@ def test_lift_products_match_dense_products(case):
     f = ctx.field
     for _ in range(TRIALS):
         data = _random_section(ctx, rng)
-        assert data.lift_inv == minv(f, data.lift_mat)
+        P = lift(ctx, data.x)
+        P_inv = tuple(zip(*P))  # a permutation matrix's transpose
+        assert P_inv == minv(f, P)
         M = _matrix(ctx, rng)
-        assert _freeze(_lift_rows(data, _rows(M))) == mmul(f, data.lift_mat, M)
-        assert _freeze(_unlift_rows(data, _rows(M))) == mmul(f, data.lift_inv, M)
+        assert _freeze(_lift_rows(data, _rows(M))) == mmul(f, P, M)
+        assert _freeze(_unlift_rows(data, _rows(M))) == mmul(f, P_inv, M)
         order, coords = _random_word(ctx, rng)
         word = list(zip(order, coords))
         lifted = _word_matrix(f, ctx.n, _lift_word(data, word))
         assert lifted == mmul(
-            f, mmul(f, data.lift_mat, _dense_word(ctx, order, coords)), data.lift_inv
+            f, mmul(f, P, _dense_word(ctx, order, coords)), P_inv
         )
 
 
@@ -177,11 +178,11 @@ def _dense_xi(data, p):
     y = _dense_word(ctx, data.rn, p.y_coords)
     ell = mmul(
         f,
-        mmul(f, _dense_word(ctx, data.phi_pos, p.ell_plus), ctx.diag(p.ell_diag)),
+        mmul(f, _dense_word(ctx, data.phi_pos, p.ell_plus), diag(ctx, p.ell_diag)),
         _dense_word(ctx, data.phi_neg, p.ell_minus),
     )
-    u = _dense_word(ctx, data.level_one, p.u_coords)
-    z = mmul(f, mmul(f, data.lift_mat, ell), u)
+    u_mat = _dense_word(ctx, data.level_one, p.u_coords)
+    z = mmul(f, mmul(f, lift(ctx, data.x), ell), u_mat)
     return ell, z, mmul(f, mmul(f, y, z), minv(f, y))
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import weylconvex
 from weylconvex import perm, weyl
 from weylconvex.errors import BudgetExceeded, InconsistencyError
-from weylconvex.linalg import OperatorField, mat_inv
+from weylconvex.linalg import OperatorField
 from weylconvex.roots import (
     CartanType,
     build_root_system,
@@ -29,12 +29,14 @@ from weylconvex.weyl import (
     fixed_roots,
     from_one_line,
     from_word,
-    identity_element,
     is_elliptic,
     longest_element,
     min_length_set,
     WeylElement,
 )
+
+from reference_matrix import mat_inv
+from reference_weyl import identity_element
 
 RS = {}
 
@@ -251,6 +253,22 @@ def test_cyclic_shift_class_is_symmetric_at_min_length():
                 for z in omin:
                     # reachability at minimal length is symmetric: tested, not assumed
                     assert cyclic_shift_reachable(y, z) == cyclic_shift_reachable(z, y)
+
+
+@pytest.mark.parametrize(
+    "name,twisted",
+    [("A3", False), ("A3", True), ("B3", False), ("A4", False), ("A4", True),
+     ("D4", False), ("D4", True), ("G2", False)],
+    ids=lambda v: v if isinstance(v, str) else ("twisted" if v else "untwisted"),
+)
+def test_cyclic_shift_class_is_two_way_reachability(name, twisted):
+    # x -> y and y -> x, checked both ways for every element of the coset.
+    rs = rs_of(name)
+    delta = flip_of(name) if twisted else identity_automorphism(rs)
+    for w in enumerate_weyl_group(rs):
+        x = weyl.TwistedElement(rs, WeylElement(rs, w), delta, int(twisted))
+        both = [y for y in weyl._shift_reachable_set(x) if cyclic_shift_reachable(y, x)]
+        assert cyclic_shift_class(x) == sorted(both, key=lambda e: e.key())
 
 
 def test_is_elliptic():
