@@ -14,7 +14,10 @@ inverted by reversing its word and negating the coordinates.
 The conjugation map xi and its section sigma follow the level filtration:
 sigma first splits g = y * (lift u ell) by one linear solve per row of the
 unipotent factor, then walks the filtration down one level at a time,
-conjugating the level-i part through the lift.
+conjugating the level-i part through the lift.  Every unipotent it meets
+is read in one pass along an order that `build_cross_section` fixed and
+checked once: rows from the far side of the diagonal in, each coordinate
+being its entry minus what the coordinates already read contribute.
 
 The tangent-span rank at a point g is taken on g times the span, which
 has the same rank: every column is then built from entries of g by
@@ -26,7 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import perm
 from .convexity import INFINITY, analyze
@@ -219,11 +222,13 @@ def _scale_cols(field, m: List[List], d: Sequence) -> List[List]:
 
 
 def _conjugate_diag(field, m: List[List], d: Sequence) -> List[List]:
-    """m <- diag(d)^-1 * m * diag(d)."""
+    """m <- diag(d)^-1 * m * diag(d), touching only the nonzero entries."""
     mul = field.mul
     for row, v in zip(m, d):
         inv = field.div(field.one, v)
-        row[:] = (mul(mul(x, w), inv) for x, w in zip(row, d))
+        for j, x in enumerate(row):
+            if x:
+                row[j] = mul(mul(x, d[j]), inv)
     return m
 
 
@@ -320,9 +325,111 @@ def _closed_positions(positions: Sequence[Position]) -> bool:
     return True
 
 
+Step = Tuple[int, int, Tuple[Tuple[int, int, int], ...]]
+
+
+@dataclass(frozen=True, eq=False)
+class CoordinateOrder:
+    """An order of unipotent positions, checked once, and how to read it.
+
+    The positions are distinct, all strictly upper or all strictly lower,
+    and span a closed set.  In the product of the u_pos(t) in this order,
+    entry (a, b) is t_ab plus one term per longer chain a -> c -> ... -> b
+    of factors in word order: t_ac for a position of row a at a smaller
+    height, times coordinates of rows on the far side of a (below it for
+    upper positions, above it for lower ones).  So `rows` runs from the far
+    side in, and each row by height, as (a, steps); a step (k, b, tail)
+    reads order[k] = (a, b), and `tail` lists as (j, c, d) the factors after
+    k that can carry its term on to an entry the row still reads: c is b
+    or lies beyond it, and d lies no farther out than the row's last
+    column.  `checks[i]` holds the columns j with (i, j) outside the
+    support: the diagonal, which must hold 1, and the entries that must
+    vanish.
+    """
+
+    order: Tuple[Position, ...]
+    checks: Tuple[Tuple[int, ...], ...]
+    rows: Tuple[Tuple[int, Tuple[Step, ...]], ...]
+
+
+def coordinate_order(n: int, order: Sequence[Position]) -> CoordinateOrder:
+    """Validate an order of positions in GL_n and fix its reading."""
+    order = tuple(map(tuple, order))
+    for a, b in order:
+        if not (0 <= a < n and 0 <= b < n):
+            raise InputError(f"position {(a, b)} lies outside {n}x{n} matrices")
+        if a == b:
+            raise InputError(f"position {(a, b)} is on the diagonal")
+    support = frozenset(order)
+    if len(support) != len(order):
+        raise InputError("an order cannot repeat a position")
+    if len({a < b for (a, b) in order}) > 1:
+        raise InputError("cannot mix upper and lower positions in one order")
+    if not _closed_positions(order):
+        raise InputError("positions do not span a closed set")
+    upper = all(a < b for (a, b) in order)
+    by_row: Dict[int, List[Tuple[int, int]]] = {}
+    for k, (a, b) in enumerate(order):
+        by_row.setdefault(a, []).append((abs(a - b), k))
+    rows = []
+    for a in sorted(by_row, reverse=upper):
+        ks = [k for _, k in sorted(by_row[a])]
+        last = order[ks[-1]][1]
+        steps = []
+        for k in ks:
+            b = order[k][1]
+            tail = tuple(
+                (j, c, d)
+                for j, (c, d) in enumerate(order[k + 1:], k + 1)
+                if ((b <= c and d <= last) if upper else (b >= c and d >= last))
+            )
+            steps.append((k, b, tail))
+        rows.append((a, tuple(steps)))
+    checks = tuple(
+        tuple(j for j in range(n) if (i, j) not in support) for i in range(n)
+    )
+    return CoordinateOrder(order, checks, tuple(rows))
+
+
 def unipotent_from_coords(ctx, order: Sequence[Position], coords: Sequence) -> Matrix:
     word = [(pos, t) for pos, t in zip(order, coords) if t]
     return _word_matrix(ctx.field, ctx.n, word)
+
+
+def _read_coordinates(ctx, reading: CoordinateOrder, mat: Matrix) -> List:
+    """Coordinates along a checked order, each read once (see CoordinateOrder)."""
+    f = ctx.field
+    add, sub, mul, one = f.add, f.sub, f.mul, f.one
+    for i, cols in enumerate(reading.checks):
+        row = mat[i]
+        for j in cols:
+            if i == j:
+                if row[j] != one:
+                    raise NotInCellError("matrix is not unipotent")
+            elif row[j]:
+                raise NotInCellError(
+                    f"support outside the closed set at position {(i, j)}"
+                )
+    coords = [f.zero] * len(reading.order)
+    for a, steps in reading.rows:
+        target = mat[a]
+        known: Dict[int, object] = {}  # row a's entries from coordinates read
+        for k, b, tail in steps:
+            t = sub(target[b], known[b]) if b in known else target[b]
+            if not t:
+                continue
+            coords[k] = t
+            term = {b: t}
+            for j, c, d in tail:
+                s = coords[j]
+                if s and c in term:
+                    v = mul(s, term[c])
+                    term[d] = add(term[d], v) if d in term else v
+            for d, v in term.items():
+                known[d] = add(known[d], v) if d in known else v
+    if unipotent_from_coords(ctx, reading.order, coords) != mat:
+        raise NotInCellError("coordinate extraction failed to reproduce the matrix")
+    return coords
 
 
 def unipotent_coordinates(
@@ -330,48 +437,34 @@ def unipotent_coordinates(
 ) -> List:
     """Coordinates t with mat = product of u_pos(t) in the given order.
 
-    The positions must all be strictly upper or all strictly lower and
-    span a closed set; entries of `mat` outside that set must vanish.
-    Solved height by height: a coordinate at height h enters its own
-    matrix entry linearly and every other entry only at height > h.
+    The positions must be distinct, all strictly upper or all strictly
+    lower, and span a closed set; entries of `mat` outside that set must
+    vanish.  Each coordinate is read once: its entry minus what the
+    coordinates read before it contribute there.
     """
-    uppers = {a < b for (a, b) in order}
-    if len(uppers) > 1:
-        raise InputError("cannot mix upper and lower positions in one order")
-    if not _closed_positions(order):
-        raise InputError("positions do not span a closed set")
-    pset = set(order)
-    f = ctx.field
-    zero = f.zero
-    for i in range(ctx.n):
-        for j in range(ctx.n):
-            if i == j:
-                if mat[i][j] != f.one:
-                    raise NotInCellError("matrix is not unipotent")
-            elif (i, j) not in pset and mat[i][j] != zero:
-                raise NotInCellError(
-                    f"support outside the closed set at position {(i, j)}"
-                )
-    coords = [zero] * len(order)
-    heights = [abs(a - b) for (a, b) in order]
-    for h in range(1, ctx.n):
-        if h not in heights:
-            continue
-        built = unipotent_from_coords(ctx, order, coords)
-        for k, (a, b) in enumerate(order):
-            if heights[k] == h:
-                coords[k] = f.add(coords[k], f.sub(mat[a][b], built[a][b]))
-    if unipotent_from_coords(ctx, order, coords) != mat:
-        raise NotInCellError("coordinate extraction failed to reproduce the matrix")
-    return coords
+    return _read_coordinates(ctx, coordinate_order(ctx.n, order), mat)
 
 
 # ---------------------------------------------------------------------------
 # Cross-section data.
 
 
+# One linear system of the initial split: (row a, banned columns, unknowns).
+RowSystem = Tuple[int, Tuple[int, ...], Tuple[int, ...]]
+# One step of the level descent: the level's reading order, how many of
+# its coordinates belong to the level itself, and the previous level.
+LevelDescent = Tuple[CoordinateOrder, int, FrozenSet[Position]]
+
+
 @dataclass(frozen=True, eq=False)
 class CrossSectionData:
+    """The element, its level filtration, and what sigma reads by.
+
+    The orders sigma reads coordinates along, and the row systems of its
+    initial split, are fixed and checked here once; they are None or empty
+    when x is not quasi-convex, for which sigma is not defined.
+    """
+
     ctx: MatrixGroupContext
     x: TwistedElement
     pi: Tuple[int, ...]
@@ -383,6 +476,12 @@ class CrossSectionData:
     max_level: int
     cycles: Tuple[Tuple[int, ...], ...]
     quasi_convex: bool
+    initial_rows: Tuple[RowSystem, ...]
+    descent: Tuple[LevelDescent, ...]
+    final_order: Optional[CoordinateOrder]
+    u_order: Optional[CoordinateOrder]
+    y_order: Optional[CoordinateOrder]
+    minus_order: Optional[CoordinateOrder]
 
     @property
     def level_one(self) -> Tuple[Position, ...]:
@@ -398,17 +497,63 @@ class CrossSectionData:
         }
 
 
+def _initial_rows(
+    n: int,
+    pi: Sequence[int],
+    blk: Sequence[int],
+    rn: Sequence[Position],
+    sprime: FrozenSet[Position],
+) -> Tuple[RowSystem, ...]:
+    """Per row a of y^-1, the columns of g its entries must clear.
+
+    lift^-1 y^-1 g must vanish above the diagonal outside level one and
+    the Levi, and below it between Levi blocks; that pattern, moved
+    through the lift, bans columns of each row of y^-1 g.
+    """
+    bans: Dict[int, List[int]] = {}
+    for i in range(n):
+        for j in range(n):
+            if (i < j and (i, j) not in sprime) or (i > j and blk[i] != blk[j]):
+                bans.setdefault(pi[i], []).append(j)
+    unknowns: Dict[int, List[int]] = {}
+    for (a, k) in rn:
+        unknowns.setdefault(a, []).append(k)
+    return tuple(
+        (a, tuple(bans[a]), tuple(unknowns.get(a, ())))
+        for a in range(n)
+        if a in bans
+    )
+
+
+def _level_descent(
+    n: int, levels: Dict[int, Tuple[Position, ...]], max_level: int, phi_pos
+) -> Tuple[LevelDescent, ...]:
+    """For lev = max_level .. 2: level lev first, then the lower levels and
+    the Levi, so the level's own coordinates lead the reading order."""
+    steps = []
+    for lev in range(max_level, 1, -1):
+        own = levels.get(lev, ())
+        lower = tuple(p for l in range(1, lev) for p in levels.get(l, ()))
+        steps.append((
+            coordinate_order(n, own + lower + phi_pos),
+            len(own),
+            frozenset(levels.get(lev - 1, ())),
+        ))
+    return tuple(steps)
+
+
 def build_cross_section(ctx: MatrixGroupContext, x: TwistedElement) -> CrossSectionData:
     _check_liftable(ctx, x)
     rs = ctx.rs
+    n = ctx.n
     report = analyze(x)
     pi = underlying_permutation(x)
     J = frozenset(
         lab for lab in range(rs.rank) if rs.simple_indices[lab] in report.phi_x
     )
-    blk = [0] * ctx.n
+    blk = [0] * n
     b = 0
-    for t in range(1, ctx.n):
+    for t in range(1, n):
         if (t - 1) not in J:
             b += 1
         blk[t] = b
@@ -423,11 +568,18 @@ def build_cross_section(ctx: MatrixGroupContext, x: TwistedElement) -> CrossSect
         for i in range(rs.positive_count)
         if i not in report.phi_x
     )
-    levels: Dict[int, List[Position]] = {}
+    grouped: Dict[int, List[Position]] = {}
     for i in range(rs.positive_count):
         lev = report.n_table[i]
         if lev is not INFINITY:
-            levels.setdefault(int(lev), []).append(ctx.pos_of_root[i])
+            grouped.setdefault(int(lev), []).append(ctx.pos_of_root[i])
+    levels = {k: tuple(v) for k, v in grouped.items()}
+    level_one = levels.get(1, ())
+    quasi_convex = report.quasi_convex
+
+    def reading(order) -> Optional[CoordinateOrder]:
+        return coordinate_order(n, order) if quasi_convex else None
+
     return CrossSectionData(
         ctx=ctx,
         x=x,
@@ -436,10 +588,18 @@ def build_cross_section(ctx: MatrixGroupContext, x: TwistedElement) -> CrossSect
         phi_pos=phi_pos,
         phi_neg=phi_neg,
         rn=rn,
-        levels={k: tuple(v) for k, v in levels.items()},
+        levels=levels,
         max_level=report.max_level,
         cycles=tuple(map(tuple, perm.cycles(pi))),
-        quasi_convex=report.quasi_convex,
+        quasi_convex=quasi_convex,
+        initial_rows=_initial_rows(n, pi, blk, rn, frozenset(level_one + phi_pos)),
+        descent=(
+            _level_descent(n, levels, report.max_level, phi_pos) if quasi_convex else ()
+        ),
+        final_order=reading(level_one + phi_pos),
+        u_order=reading(level_one),
+        y_order=reading(rn),
+        minus_order=reading(phi_neg),
     )
 
 
@@ -474,20 +634,6 @@ def xi(data: CrossSectionData, p: CellPoint) -> Matrix:
     return _freeze(_conjugate(f, _section_rows(data, p), y_inv))
 
 
-def _forbidden_pattern(data: CrossSectionData) -> List[Position]:
-    """Positions that must vanish in lift^-1 * (remainder) for membership."""
-    ctx = data.ctx
-    sprime = set(data.level_one) | set(data.phi_pos)
-    out = []
-    for i in range(ctx.n):
-        for j in range(ctx.n):
-            if i < j and (i, j) not in sprime:
-                out.append((i, j))
-            elif i > j and data.blk[i] != data.blk[j]:
-                out.append((i, j))
-    return out
-
-
 def _solve_initial_unipotent(
     data: CrossSectionData, g: Matrix
 ) -> List[Tuple[Position, object]]:
@@ -497,22 +643,9 @@ def _solve_initial_unipotent(
     product of the factors u_ak(v_ak), since row a's part of v - 1 times
     row b's part vanishes for a > b.
     """
-    ctx = data.ctx
-    f = ctx.field
-    n = ctx.n
-    forbidden = _forbidden_pattern(data)
-    cols_of_row: Dict[int, List[int]] = {}
-    for (a, k) in data.rn:
-        cols_of_row.setdefault(a, []).append(k)
-    ban_by_row: Dict[int, List[int]] = {}
-    for (i, j) in forbidden:
-        ban_by_row.setdefault(data.pi[i], []).append(j)
+    f = data.ctx.field
     word: List[Tuple[Position, object]] = []
-    for a in range(n):
-        bans = ban_by_row.get(a, [])
-        unknowns = cols_of_row.get(a, [])
-        if not bans:
-            continue
+    for a, bans, unknowns in data.initial_rows:
         if not unknowns:
             for j in bans:
                 if g[a][j]:
@@ -529,9 +662,10 @@ def _solve_initial_unipotent(
     return word
 
 
-def _factor_ul(data: CrossSectionData, w: List[List], upper_support: Sequence[Position]):
-    """w = A * D * B with A unipotent upper (support given), D diagonal,
-    B unipotent lower supported on the Levi blocks; B comes as a word."""
+def _factor_ul(data: CrossSectionData, w: List[List]):
+    """w = A * D * B with A unipotent upper, D diagonal, B unipotent lower
+    supported on the Levi blocks; B comes as a word.  The support of A is
+    checked where its coordinates are read."""
     ctx = data.ctx
     f = ctx.field
     n = ctx.n
@@ -553,13 +687,6 @@ def _factor_ul(data: CrossSectionData, w: List[List], upper_support: Sequence[Po
         raise NotInCellError("singular diagonal in the Levi factorization")
     d_inv = [f.div(f.one, v) for v in d]
     A = tuple(tuple(map(f.mul, row, d_inv)) for row in m)
-    sset = set(upper_support)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if A[i][j] and (i, j) not in sset:
-                raise NotInCellError(f"upper support violation at {(i, j)}")
     return A, tuple(d), _inverse_word(f, ops)
 
 
@@ -577,24 +704,12 @@ def sigma(data: CrossSectionData, g: Matrix) -> CellPoint:
     y = _mul_word(f, _identity_rows(f, ctx.n), y_word)
     # z = y^-1 g, then phi: (y, z) -> (y, z y); afterwards g = y z y^-1 stays invariant.
     z = _conjugate(f, _rows(g), y_word)
-    for lev in range(data.max_level, 1, -1):
-        upper = [
-            p
-            for l in range(1, lev + 1)
-            for p in data.levels.get(l, ())
-        ]
+    for reading, cut, prev in data.descent:
         w = _unlift_rows(data, z)  # lift^-1 * z
-        A, _, _ = _factor_ul(data, w, tuple(upper) + data.phi_pos)
-        order = (
-            list(data.levels.get(lev, ()))
-            + [p for l in range(1, lev) for p in data.levels.get(l, ())]
-            + list(data.phi_pos)
-        )
-        coords = unipotent_coordinates(ctx, A, order)
-        cut = len(data.levels.get(lev, ()))
-        udd_word = _lift_word(data, list(zip(order[:cut], coords[:cut])))
+        A, _, _ = _factor_ul(data, w)
+        coords = _read_coordinates(ctx, reading, A)
+        udd_word = _lift_word(data, list(zip(reading.order[:cut], coords[:cut])))
         udd = _word_matrix(f, ctx.n, udd_word)
-        prev = set(data.levels.get(lev - 1, ()))
         for i in range(ctx.n):
             for j in range(ctx.n):
                 if i != j and udd[i][j] and (i, j) not in prev:
@@ -604,19 +719,19 @@ def sigma(data: CrossSectionData, g: Matrix) -> CellPoint:
         y = _mul_word(f, y, udd_word)
         z = _conjugate(f, z, udd_word)
     w = _unlift_rows(data, z)  # lift^-1 * z
-    A, d, b_word = _factor_ul(data, w, data.level_one + data.phi_pos)
-    order = list(data.level_one) + list(data.phi_pos)
-    coords = unipotent_coordinates(ctx, A, order)
+    reading = data.final_order
+    A, d, b_word = _factor_ul(data, w)
+    coords = _read_coordinates(ctx, reading, A)
     cut = len(data.level_one)
     aplus_coords = coords[cut:]
     # Convert from z = lift * u1 * ell to the published order z = lift * ell * u:
     # u = ell^-1 * u1 * ell with ell = aplus * diag(d) * B.
-    u_final = _mul_word(f, _identity_rows(f, ctx.n), zip(order[:cut], coords[:cut]))
+    u_final = _mul_word(f, _identity_rows(f, ctx.n), zip(reading.order[:cut], coords[:cut]))
     _conjugate(f, u_final, list(zip(data.phi_pos, aplus_coords)))
     _conjugate(f, _conjugate_diag(f, u_final, d), b_word)
-    u_coords = unipotent_coordinates(ctx, _freeze(u_final), data.level_one)
-    y_coords = unipotent_coordinates(ctx, _freeze(y), data.rn)
-    b_coords = unipotent_coordinates(ctx, _word_matrix(f, ctx.n, b_word), data.phi_neg)
+    u_coords = _read_coordinates(ctx, data.u_order, _freeze(u_final))
+    y_coords = _read_coordinates(ctx, data.y_order, _freeze(y))
+    b_coords = _read_coordinates(ctx, data.minus_order, _word_matrix(f, ctx.n, b_word))
     point = CellPoint(
         y_coords=tuple(y_coords),
         u_coords=tuple(u_coords),

@@ -2,12 +2,22 @@
 
 None of it runs in the engine: dense products, the Gauss-Jordan inverse,
 root-subgroup and diagonal matrices formed entry by entry, the Levi factor
-and the identity point of a cell, and the tangent-span rank taken with
-g^-1 (the reference for the inverse-free rank of `adjoint_span_rank`).
+and the identity point of a cell, the tangent-span rank taken with g^-1
+(the reference for the inverse-free rank of `adjoint_span_rank`), and
+unipotent coordinates read height by height, rebuilding the product at
+each height (the reference for the one-pass `unipotent_coordinates`).
 """
 
+from weylconvex.errors import InputError, NotInCellError
 from weylconvex.linalg import rank
-from weylconvex.matrixgroup import CellPoint, _ell_rows, _freeze, _identity_rows
+from weylconvex.matrixgroup import (
+    CellPoint,
+    _closed_positions,
+    _ell_rows,
+    _freeze,
+    _identity_rows,
+    unipotent_from_coords,
+)
 
 
 def mat_inv(A, field):
@@ -128,3 +138,41 @@ def adjoint_span_rank_by_inverse(data, g):
         cols.append(col)
     rows = [[cols[c][r] for c in range(len(cols))] for r in range(n * n)]
     return rank(rows)
+
+
+def unipotent_coordinates_by_height(ctx, mat, order):
+    """Coordinates t with mat = product of u_pos(t) in the given order.
+
+    Solved height by height: a coordinate at height h enters its own
+    matrix entry linearly and every other entry only at height > h, so
+    each height is its entry minus the product of the lower heights.
+    """
+    uppers = {a < b for (a, b) in order}
+    if len(uppers) > 1:
+        raise InputError("cannot mix upper and lower positions in one order")
+    if not _closed_positions(order):
+        raise InputError("positions do not span a closed set")
+    pset = set(order)
+    f = ctx.field
+    zero = f.zero
+    for i in range(ctx.n):
+        for j in range(ctx.n):
+            if i == j:
+                if mat[i][j] != f.one:
+                    raise NotInCellError("matrix is not unipotent")
+            elif (i, j) not in pset and mat[i][j] != zero:
+                raise NotInCellError(
+                    f"support outside the closed set at position {(i, j)}"
+                )
+    coords = [zero] * len(order)
+    heights = [abs(a - b) for (a, b) in order]
+    for h in range(1, ctx.n):
+        if h not in heights:
+            continue
+        built = unipotent_from_coords(ctx, order, coords)
+        for k, (a, b) in enumerate(order):
+            if heights[k] == h:
+                coords[k] = f.add(coords[k], f.sub(mat[a][b], built[a][b]))
+    if unipotent_from_coords(ctx, order, coords) != mat:
+        raise NotInCellError("coordinate extraction failed to reproduce the matrix")
+    return coords

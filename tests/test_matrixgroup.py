@@ -135,6 +135,17 @@ def test_unipotent_coordinates_rejects_outside_support():
         unipotent_coordinates(ctx, v, [(0, 1)])
 
 
+@pytest.mark.parametrize(
+    "order, t",
+    [([(0, 0)], 0), ([(0, 1), (0, 1)], 0), ([(0, 1), (0, 1)], 5), ([(0, 3)], 0)],
+    ids=["diagonal", "repeated-identity", "repeated-u01", "out-of-range"],
+)
+def test_unipotent_coordinates_rejects_malformed_orders(order, t):
+    ctx = ctx_of(3)
+    with pytest.raises(InputError):
+        unipotent_coordinates(ctx, u(ctx, (0, 1), ctx.field.of(t)), order)
+
+
 def test_xi_identity_point_returns_z():
     ctx = ctx_of(4, 101)
     x = from_word(ctx.rs, None, [1, 2, 0])
@@ -225,6 +236,20 @@ def test_exhaustive_injectivity_f2_sl3():
             total += 1
             images.add(mat_key(xi(data, p)))
         assert len(images) == total
+
+
+def test_sigma_inverts_xi_on_every_f2_point_of_a3_cells():
+    # The two A3 cells the benchmark's xi sweep covers, 1,024 and 512
+    # points.  Over F_2 half of all coordinates are zero, so every path
+    # that skips a zero entry is taken.
+    ctx = ctx_of(4, 2)
+    total = 0
+    for word in ((0, 1, 2, 1), (0, 2, 1)):
+        data = build_cross_section(ctx, from_word(ctx.rs, None, list(word)))
+        for p in enumerate_cell_points(data):
+            total += 1
+            assert sigma(data, xi(data, p)) == p
+    assert total == 1536
 
 
 def test_collision_search_negative_control():

@@ -27,12 +27,22 @@ from weylconvex.matrixgroup import (
     random_cell_point,
     random_section_point,
     sigma,
+    unipotent_coordinates,
     unipotent_from_coords,
     xi,
 )
+from weylconvex.errors import NotInCellError
 from weylconvex.weyl import from_word
 
-from reference_matrix import diag, ell_matrix, identity_matrix, minv, mmul, u
+from reference_matrix import (
+    diag,
+    ell_matrix,
+    identity_matrix,
+    minv,
+    mmul,
+    u,
+    unipotent_coordinates_by_height,
+)
 
 CASES = [(n, field) for n in (3, 4, 5, 6) for field in (101, "rational")]
 TRIALS = 15
@@ -170,6 +180,35 @@ def test_bottom_up_row_word_reads_off_its_entries(case):
         assert U == _dense_word(ctx, order, coords)
         for (a, b), t in zip(order, coords):
             assert U[a][b] == t
+
+
+@pytest.mark.parametrize("field", [2, 101, "rational"], ids=["F2", "F101", "Q"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_one_pass_coordinates_match_height_by_height_reference(n, field):
+    # Products taken in the reading order and in a shuffled order of the
+    # same closed set, then the same matrices with one entry outside the
+    # set or off the unit diagonal, which both readers must refuse alike.
+    ctx = matrix_context(n, field)
+    f = ctx.field
+    rng = random.Random(f"reader-{n}-{field}")
+    for _ in range(2 * TRIALS):
+        order = _closed_order(n, rng)
+        outside = [(i, j) for i in range(n) for j in range(n) if (i, j) not in order]
+        for word_order in (order, rng.sample(order, len(order))):
+            coords = [f.random(rng) for _ in word_order]
+            mat = unipotent_from_coords(ctx, word_order, coords)
+            got = unipotent_coordinates(ctx, mat, order)
+            assert got == unipotent_coordinates_by_height(ctx, mat, order)
+            if word_order is order:
+                assert got == coords
+            i, j = rng.choice(outside)
+            rows = _rows(mat)
+            rows[i][j] = f.add(rows[i][j], f.random_unit(rng))
+            bad = _freeze(rows)
+            with pytest.raises(NotInCellError) as expected:
+                unipotent_coordinates_by_height(ctx, bad, order)
+            with pytest.raises(expected.type):
+                unipotent_coordinates(ctx, bad, order)
 
 
 def _dense_xi(data, p):
