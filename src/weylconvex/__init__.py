@@ -16,7 +16,6 @@ from .roots import (  # noqa: F401
 from .weyl import (  # noqa: F401
     ConjugacyClass,
     TwistedElement,
-    WeylElement,
     act,
     conjugacy_classes,
     cyclic_shift_reachable,

@@ -26,7 +26,22 @@ import traceback
 from typing import Dict, List, Optional
 
 from . import __version__
+from .construction import find_convex_representative
+from .convexity import analyze
+from .coxeter import coxeter_element_count, verify_conjecture
 from .errors import BudgetExceeded, InconsistencyError, InputError, NotInCellError
+from .geometry import good_position_length, is_good_position
+from .manifest import run_manifest
+from .matrixgroup import (
+    RationalField,
+    build_cross_section,
+    matrix_context,
+    random_cell_point,
+    random_section_point,
+    sigma,
+    transversality_check,
+    xi,
+)
 from .reports import (
     angle_str,
     certificate_dict,
@@ -37,6 +52,7 @@ from .reports import (
     word_str,
 )
 from .roots import CartanType, build_root_system, diagram_automorphisms
+from .weyl import DEFAULT_ENUMERATION_BUDGET, conjugacy_classes, fixed_roots, from_word
 
 SCHEMA_VERSION = 1
 LARGE_BUDGET = 10_000_000
@@ -164,9 +180,6 @@ def cmd_convex_check(args) -> int:
         return hit
     rs = build_root_system(CartanType.parse(args.type))
     delta = _resolve_delta(rs, args.delta)
-    from .convexity import analyze
-    from .weyl import from_word
-
     x = from_word(rs, delta, parse_word(args.word), args.twist)
     rep = analyze(x, strict=args.strict)
     code = 0 if rep.convex else 1
@@ -187,9 +200,6 @@ def cmd_reps(args) -> int:
         return hit
     rs = build_root_system(CartanType.parse(args.type))
     delta = _resolve_delta(rs, args.delta)
-    from .construction import find_convex_representative
-    from .weyl import DEFAULT_ENUMERATION_BUDGET, conjugacy_classes, fixed_roots
-
     budget = LARGE_BUDGET if args.allow_large else DEFAULT_ENUMERATION_BUDGET
     classes = conjugacy_classes(rs, delta, args.twist, budget)
     rows: List[Dict] = []
@@ -228,9 +238,6 @@ def cmd_conjecture(args) -> int:
         return hit
     rs = build_root_system(CartanType.parse(args.type))
     delta = _resolve_delta(rs, args.delta)
-    from .coxeter import coxeter_element_count, verify_conjecture
-    from .weyl import DEFAULT_ENUMERATION_BUDGET
-
     # The sweep's cost is one analysis per delta-Coxeter element, counted
     # here before any element is built.
     count = coxeter_element_count(rs, delta)
@@ -265,18 +272,6 @@ def cmd_cross_section(args) -> int:
     hit = _maybe_cached("cross-section", params, args)
     if hit is not None:
         return hit
-    from .convexity import analyze
-    from .matrixgroup import (
-        build_cross_section,
-        matrix_context,
-        random_cell_point,
-        random_section_point,
-        sigma,
-        transversality_check,
-        xi,
-    )
-    from .weyl import from_word
-
     ctx = matrix_context(args.n, args.field)
     x = from_word(ctx.rs, None, parse_word(args.word))
     rep = analyze(x)
@@ -289,8 +284,6 @@ def cmd_cross_section(args) -> int:
             ok_roundtrips += 1
     rank_ok = 0
     if args.rank_checks:
-        from .matrixgroup import RationalField
-
         if not isinstance(ctx.field, RationalField):
             raise InputError("--rank-checks requires --field rational")
         for _ in range(args.rank_checks):
@@ -316,9 +309,6 @@ def cmd_good_position(args) -> int:
     if hit is not None:
         return hit
     rs = build_root_system(CartanType.parse(args.type))
-    from .geometry import good_position_length, is_good_position
-    from .weyl import from_word
-
     x = from_word(rs, None, parse_word(args.word))
     sequence = parse_sequence(args.sequence)
     cert = is_good_position(x, sequence)
@@ -341,8 +331,6 @@ def cmd_reproduce(args) -> int:
     hit = _maybe_cached("reproduce", params, args)
     if hit is not None:
         return hit
-    from .manifest import run_manifest
-
     items = run_manifest()
     code = 0 if all(item["passed"] for item in items) else 1
     return _emit("reproduce", params, items, code, args, started)

@@ -36,7 +36,14 @@ from .geometry import (
 )
 from .quadfield import array_dot, field_for
 from .roots import _reflect_coeffs
-from .weyl import ConjugacyClass, TwistedElement, fixed_roots, is_elliptic
+from .weyl import (
+    ConjugacyClass,
+    TwistedElement,
+    _shift_reachable_set,
+    class_of,
+    fixed_roots,
+    is_elliptic,
+)
 
 
 @dataclass(frozen=True)
@@ -180,8 +187,6 @@ def find_good_position_conjugate(
     Returns None only when the scan budget cuts the search short; a full
     scan with no hit contradicts the conjugation lemma and errors out.
     """
-    from .weyl import class_of
-
     # The characteristic polynomial is a class invariant: one for the scan.
     mults = _cyclo_mults(x)
     if not _admissible(x, sequence, mults):
@@ -204,8 +209,6 @@ def elliptic_min_convex(cls: ConjugacyClass) -> TwistedElement:
     """A convex minimal-length element reachable by downward cyclic shifts."""
     if not is_elliptic(cls.representative):
         raise InputError("class is not elliptic")
-    from .weyl import _shift_reachable_set
-
     reachable = _shift_reachable_set(cls.representative)
     candidates = [
         y
@@ -217,4 +220,4 @@ def elliptic_min_convex(cls: ConjugacyClass) -> TwistedElement:
             "no convex element in the reachable minimal-length set of an "
             "elliptic class; this contradicts the minimal-length theorem"
         )
-    return min(candidates, key=lambda e: (e.word(), e.weyl.root_perm))
+    return min(candidates, key=lambda e: (e.word(), e.root_perm))

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Tuple, Union
 
+from . import roots
 from .errors import InconsistencyError, InputError
 from .weyl import TwistedElement
 
@@ -214,8 +215,6 @@ def level_filtration(x: TwistedElement) -> List[FrozenSet[int]]:
     levels under x are consequences of quasi-convexity and are re-verified
     here, loudly, on every call.
     """
-    from .roots import is_closed
-
     rs = x.rs
     pc = rs.positive_count
     rep = analyze(x)
@@ -237,7 +236,7 @@ def level_filtration(x: TwistedElement) -> List[FrozenSet[int]]:
                 if table[img] != lev - 1 or img >= pc:
                     raise InconsistencyError("level descent violated")
         acc |= layer
-        if not is_closed(rs, acc):
+        if not roots.is_closed(rs, acc):
             raise InconsistencyError(
                 f"cumulative level set <= {lev} is not closed for {rs.cartan_type}"
             )

@@ -101,13 +101,6 @@ class ReflectionOrdering:
     ordered_roots: Tuple[int, ...]  # ascending
     source_word: Tuple[int, ...]
 
-    def position(self, idx: int) -> int:
-        cache = getattr(self, "_pos", None)
-        if cache is None:
-            cache = {g: t for t, g in enumerate(self.ordered_roots)}
-            object.__setattr__(self, "_pos", cache)
-        return cache[idx]
-
 
 def _suffix_betas(rs: RootSystem, word: Sequence[int]) -> List[int]:
     """beta_i = s_N s_{N-1} ... s_{i+1} (alpha_i) for a word s_1 ... s_N."""
@@ -152,7 +145,7 @@ def reflection_ordering(rs: RootSystem, w0_word: Sequence[int]) -> ReflectionOrd
     x = from_word(rs, None, list(word))
     if x.length() != len(word):
         raise InputError("word is not reduced")
-    if x.weyl != longest_element(rs):
+    if x != longest_element(rs):
         raise InputError("word is not an expression of the longest element")
     betas = _suffix_betas(rs, word)
     ordered = tuple(reversed(betas))  # beta_N first (smallest)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from math import gcd, lcm
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -471,14 +472,8 @@ def _admissible(
 
 def admissible_enumerations(x: TwistedElement) -> List[Tuple[Fraction, ...]]:
     """All admissible orderings of the full nonzero angle set of x."""
-    from itertools import permutations
-
     angles = [a for a, _ in angle_list(x)]
-    out = []
-    for perm in sorted(set(permutations(angles))):
-        if is_admissible(x, perm):
-            out.append(perm)
-    return out
+    return [seq for seq in sorted(set(permutations(angles))) if is_admissible(x, seq)]
 
 
 @dataclass(frozen=True)

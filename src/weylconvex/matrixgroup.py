@@ -29,6 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import perm
@@ -812,8 +813,6 @@ def enumerate_torus(data: CrossSectionData) -> List[Tuple]:
 
 def enumerate_cell_points(data: CrossSectionData) -> Iterator[CellPoint]:
     """Every cell point over a finite field, in deterministic order."""
-    from itertools import product
-
     f = data.ctx.field
     elems = f.elements()
     torus = enumerate_torus(data)

@@ -13,6 +13,7 @@ from typing import Dict, List
 
 from .convexity import INFINITY, ConvexityReport
 from .coxeter import CoxeterReport
+from .errors import InputError
 from .geometry import GoodPositionCertificate
 
 
@@ -21,8 +22,6 @@ def word_str(word) -> str:
 
 
 def parse_word(text: str) -> List[int]:
-    from .errors import InputError
-
     text = text.strip()
     if not text:
         return []
@@ -46,8 +45,6 @@ _ANGLE = re.compile(r"(?:(\d*)pi|(\d+))(?:/(\d+))?")
 
 
 def parse_angle(token: str) -> Fraction:
-    from .errors import InputError
-
     m = _ANGLE.fullmatch(token.strip().lower().replace(" ", ""))
     if m is None:
         raise InputError(f"cannot parse angle {token!r}; expected e.g. pi/2, 2pi/5 or 1/2")

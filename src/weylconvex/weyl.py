@@ -1,8 +1,11 @@
-"""Weyl group elements, twisted elements and their conjugacy combinatorics.
+"""Elements of the twisted Weyl group W x <delta> and their conjugacy
+combinatorics.
 
-Elements are stored as permutations of root indices in the format of the
-`perm` module; composing two elements costs O(|Phi|), and the length
-function is the inversion count.
+One object, `TwistedElement`, stands for every element x = w * delta^k:
+it holds the root permutation of w, in the format of the `perm` module,
+the twist delta and the power k; an element of W is the case k = 0.
+Composing two elements costs O(|Phi|), and the length of w is the
+inversion count.
 Reduced words are derived on demand and canonicalized to the
 lexicographically least reduced word, which keeps every report and class
 representative reproducible.
@@ -24,10 +27,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import perm
 from .errors import BudgetExceeded, InconsistencyError, InputError
+from .linalg import rank
 from .perm import Perm
 from .roots import DiagramAutomorphism, RootSystem, identity_automorphism
 
@@ -35,23 +39,55 @@ DEFAULT_ENUMERATION_BUDGET = 60_000
 
 
 @dataclass(frozen=True, eq=False)
-class WeylElement:
-    """An element of W as a permutation of root indices."""
+class TwistedElement:
+    """x = w * delta^k acting on roots as w composed with delta^k."""
 
     rs: RootSystem
     root_perm: Perm
+    twist: DiagramAutomorphism
+    twist_power: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "twist_power", self.twist_power % self.twist.order)
 
     def __eq__(self, other):
-        return isinstance(other, WeylElement) and self.root_perm == other.root_perm
+        return (
+            isinstance(other, TwistedElement)
+            and self.root_perm == other.root_perm
+            and self.twist_power == other.twist_power
+        )
 
     def __hash__(self):
-        return hash(self.root_perm)
+        return hash((self.root_perm, self.twist_power))
+
+    def key(self) -> Tuple:
+        return (self.length(), self.root_perm, self.twist_power)
+
+    @property
+    def perm(self) -> Perm:
+        """Composite root permutation of w * delta^k."""
+        cached = getattr(self, "_perm", None)
+        if cached is None:
+            cached = perm.compose(
+                self.root_perm, perm.power(self.twist.root_perm, self.twist_power)
+            )
+            object.__setattr__(self, "_perm", cached)
+        return cached
+
+    @property
+    def perm_inv(self) -> Perm:
+        cached = getattr(self, "_perm_inv", None)
+        if cached is None:
+            cached = perm.inverse(self.perm)
+            object.__setattr__(self, "_perm_inv", cached)
+        return cached
 
     def length(self) -> int:
+        """Length of the W-part w."""
         return perm.length(self.root_perm, self.rs.positive_count)
 
     def word(self) -> Tuple[int, ...]:
-        """Lexicographically least reduced word (0-based simple labels)."""
+        """Lexicographically least reduced word of w (0-based simple labels)."""
         cached = getattr(self, "_word", None)
         if cached is not None:
             return cached
@@ -73,62 +109,11 @@ class WeylElement:
         object.__setattr__(self, "_word", word)
         return word
 
-
-@dataclass(frozen=True, eq=False)
-class TwistedElement:
-    """x = w * delta^k acting on roots as w composed with delta^k."""
-
-    rs: RootSystem
-    weyl: WeylElement
-    twist: DiagramAutomorphism
-    twist_power: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "twist_power", self.twist_power % self.twist.order)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TwistedElement)
-            and self.weyl.root_perm == other.weyl.root_perm
-            and self.twist_power == other.twist_power
-        )
-
-    def __hash__(self):
-        return hash((self.weyl.root_perm, self.twist_power))
-
-    def key(self) -> Tuple:
-        return (self.length(), self.weyl.root_perm, self.twist_power)
-
-    @property
-    def perm(self) -> Perm:
-        """Composite root permutation of w * delta^k."""
-        cached = getattr(self, "_perm", None)
-        if cached is None:
-            cached = perm.compose(
-                self.weyl.root_perm, perm.power(self.twist.root_perm, self.twist_power)
-            )
-            object.__setattr__(self, "_perm", cached)
-        return cached
-
-    @property
-    def perm_inv(self) -> Perm:
-        cached = getattr(self, "_perm_inv", None)
-        if cached is None:
-            cached = perm.inverse(self.perm)
-            object.__setattr__(self, "_perm_inv", cached)
-        return cached
-
-    def length(self) -> int:
-        return self.weyl.length()
-
-    def word(self) -> Tuple[int, ...]:
-        return self.weyl.word()
-
     def order(self) -> int:
         return perm.order(self.perm)
 
     def is_identity(self) -> bool:
-        return self.twist_power == 0 and self.weyl.root_perm == perm.identity(
+        return self.twist_power == 0 and self.root_perm == perm.identity(
             self.rs.count
         )
 
@@ -136,26 +121,26 @@ class TwistedElement:
         # (w d^k)^{-1} = d^{-k} w^{-1} = (d^{-k}(w^{-1})) d^{-k}.
         k = self.twist_power
         dk = perm.power(self.twist.root_perm, -k)
-        winv = perm.inverse(self.weyl.root_perm)
+        winv = perm.inverse(self.root_perm)
         wpart = perm.compose(perm.compose(dk, winv), perm.inverse(dk))
-        return TwistedElement(self.rs, WeylElement(self.rs, wpart), self.twist, -k)
+        return TwistedElement(self.rs, wpart, self.twist, -k)
 
     def mul(self, other: "TwistedElement") -> "TwistedElement":
         """Group product (w d^a)(v d^b) = w d^a(v) d^(a+b)."""
         a = self.twist_power
         da = perm.power(self.twist.root_perm, a)
-        tv = perm.compose(perm.compose(da, other.weyl.root_perm), perm.inverse(da))
-        wpart = perm.compose(self.weyl.root_perm, tv)
+        tv = perm.compose(perm.compose(da, other.root_perm), perm.inverse(da))
+        wpart = perm.compose(self.root_perm, tv)
         return TwistedElement(
-            self.rs, WeylElement(self.rs, wpart), self.twist, a + other.twist_power
+            self.rs, wpart, self.twist, a + other.twist_power
         )
 
     def conj_by_simple(self, lab: int) -> "TwistedElement":
         """s_lab * x * s_lab."""
         rs = self.rs
         s, s2 = _conjugating_pair(rs, self.twist, self.twist_power, lab)
-        wpart = perm.compose(perm.compose(s, self.weyl.root_perm), s2)
-        return TwistedElement(rs, WeylElement(rs, wpart), self.twist, self.twist_power)
+        wpart = perm.compose(perm.compose(s, self.root_perm), s2)
+        return TwistedElement(rs, wpart, self.twist, self.twist_power)
 
     def matrix(self, labels: Optional[Sequence[int]] = None) -> List[List[int]]:
         """Integer matrix of the action on span(alpha_j : j in labels)."""
@@ -204,7 +189,7 @@ def from_word(
         if not (0 <= lab < rs.rank):
             raise InputError(f"simple-reflection index out of range: {lab}")
         w = perm.compose(w, rs.simple_reflection_perm(lab))
-    return TwistedElement(rs, WeylElement(rs, w), delta, twist_power)
+    return TwistedElement(rs, w, delta, twist_power)
 
 
 def from_one_line(rs: RootSystem, one_line: Sequence[int]) -> TwistedElement:
@@ -237,13 +222,13 @@ def act(x: TwistedElement, i: int, power: int = 1) -> int:
     return out
 
 
-def longest_element(rs: RootSystem) -> WeylElement:
+def longest_element(rs: RootSystem) -> TwistedElement:
     """The unique element of maximal length; w0 maps all positives negative."""
     # The permutation is cached on rs, not the element: an element refers
     # back to rs, and the cycle would keep rs alive until garbage collection.
     cached = getattr(rs, "_w0_perm", None)
     if cached is not None:
-        return WeylElement(rs, cached)
+        return TwistedElement(rs, cached, identity_automorphism(rs), 0)
     pc = rs.positive_count
     p = perm.identity(rs.count)
     # Greedy ascent: w -> w*s_lab whenever w(alpha_lab) is still positive.
@@ -254,7 +239,7 @@ def longest_element(rs: RootSystem) -> WeylElement:
                 break
         else:
             break
-    w = WeylElement(rs, p)
+    w = TwistedElement(rs, p, identity_automorphism(rs), 0)
     if w.length() != pc:
         raise InconsistencyError(
             f"{rs.cartan_type}: greedy ascent stopped at length {w.length()}, not {pc}"
@@ -270,8 +255,6 @@ def fixed_roots(x: TwistedElement) -> FrozenSet[int]:
 
 def is_elliptic(x: TwistedElement) -> bool:
     """True when x fixes no nonzero vector of the span of the roots."""
-    from .linalg import rank
-
     M = x.matrix()
     n = len(M)
     for i in range(n):
@@ -368,7 +351,7 @@ class ConjugacyClass:
         return len(self.perms)
 
     def _member(self, w: Perm) -> TwistedElement:
-        return TwistedElement(self.rs, WeylElement(self.rs, w), self.twist, self.twist_power)
+        return TwistedElement(self.rs, w, self.twist, self.twist_power)
 
     @property
     def elements(self) -> Iterator[TwistedElement]:
@@ -445,10 +428,10 @@ def _orbit_class(
     min_length = orbit[members[0]]
     rep = min(
         (
-            TwistedElement(rs, WeylElement(rs, w), delta, twist_power)
+            TwistedElement(rs, w, delta, twist_power)
             for w in itertools.takewhile(lambda w: orbit[w] == min_length, members)
         ),
-        key=lambda e: (e.word(), e.weyl.root_perm),
+        key=lambda e: (e.word(), e.root_perm),
     )
     return ConjugacyClass(
         rs=rs,
@@ -470,13 +453,13 @@ def class_of(x: TwistedElement, budget: Optional[int] = DEFAULT_ENUMERATION_BUDG
     _weyl_order_within(rs, budget)
     pc = rs.positive_count
     return _orbit_class(
-        rs, x.twist, x.twist_power, x.weyl.root_perm, partial(perm.length, pc=pc)
+        rs, x.twist, x.twist_power, x.root_perm, partial(perm.length, pc=pc)
     )
 
 
-def _shift_reachable_set(x: TwistedElement) -> Dict[TwistedElement, Optional[TwistedElement]]:
+def _shift_reachable_set(x: TwistedElement) -> Set[TwistedElement]:
     """All y with x -> y via length-nonincreasing simple conjugations."""
-    seen: Dict[TwistedElement, Optional[TwistedElement]] = {x: None}
+    seen = {x}
     frontier = [x]
     while frontier:
         nxt = []
@@ -485,7 +468,7 @@ def _shift_reachable_set(x: TwistedElement) -> Dict[TwistedElement, Optional[Twi
             for lab in range(z.rs.rank):
                 y = z.conj_by_simple(lab)
                 if y.length() <= lz and y not in seen:
-                    seen[y] = z
+                    seen.add(y)
                     nxt.append(y)
         frontier = nxt
     return seen

@@ -38,7 +38,6 @@ from weylconvex.matrixgroup import (
 from weylconvex.roots import CartanType, build_root_system, diagram_automorphisms
 from weylconvex.weyl import (
     TwistedElement,
-    WeylElement,
     conjugacy_classes,
     enumerate_weyl_group,
     fixed_roots,
@@ -64,7 +63,7 @@ def every_element(name):
     rs = rs_of(name)
     ident = diagram_automorphisms(rs)[0]
     for perm in enumerate_weyl_group(rs):
-        yield TwistedElement(rs, WeylElement(rs, perm), ident, 0)
+        yield TwistedElement(rs, perm, ident, 0)
 
 
 def announce(criterion, ok, detail):

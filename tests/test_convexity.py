@@ -19,7 +19,6 @@ from weylconvex.errors import InconsistencyError, InputError
 from weylconvex.roots import CartanType, build_root_system, diagram_automorphisms
 from weylconvex.weyl import (
     TwistedElement,
-    WeylElement,
     enumerate_weyl_group,
     from_one_line,
     from_word,
@@ -41,7 +40,7 @@ def every_element(name):
     rs = rs_of(name)
     ident = diagram_automorphisms(rs)[0]
     for perm in enumerate_weyl_group(rs):
-        yield TwistedElement(rs, WeylElement(rs, perm), ident, 0)
+        yield TwistedElement(rs, perm, ident, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +98,7 @@ def test_phi_empty_for_elliptic():
 
 def test_n_values_w0():
     rs = rs_of("B2")
-    w0 = longest_element(rs)
-    x = TwistedElement(rs, w0, diagram_automorphisms(rs)[0], 0)
+    x = longest_element(rs)
     for i in range(rs.positive_count):
         assert n_of(x, i) == 1
 
@@ -261,7 +259,7 @@ def test_basic_lemma_exhaustive():
 
 def test_level_filtration_w0():
     rs = rs_of("A3")
-    w0 = TwistedElement(rs, longest_element(rs), diagram_automorphisms(rs)[0], 0)
+    w0 = longest_element(rs)
     filt = level_filtration(w0)
     assert len(filt) == 1
     assert filt[0] == frozenset(range(rs.positive_count))

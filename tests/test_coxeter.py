@@ -93,9 +93,9 @@ def test_coxeter_elements_match_all_orderings(name):
     rs = rs_of(name)
     for delta in diagram_automorphisms(rs):
         elems = coxeter_elements(rs, delta)
-        keys = {(e.weyl.root_perm, e.twist_power) for e in elems}
+        keys = {(e.root_perm, e.twist_power) for e in elems}
         reference = _coxeter_elements_by_permutations(rs, delta)
-        assert keys == {(e.weyl.root_perm, e.twist_power) for e in reference}
+        assert keys == {(e.root_perm, e.twist_power) for e in reference}
         assert len(elems) == len(keys) == _edge_count_sum(rs, delta)
         assert coxeter_element_count(rs, delta) == len(elems)
         assert [e.key() for e in elems] == sorted(e.key() for e in elems)
@@ -150,7 +150,7 @@ def test_betweenness_exhaustive_for_all_w0_words_b2():
 
     for word in itertools.product(range(2), repeat=4):
         x = from_word(rs, None, list(word))
-        if x.weyl == w0 and x.length() == 4:
+        if x.root_perm == w0.root_perm and x.length() == 4:
             order = reflection_ordering(rs, list(word))
             assert check_betweenness(rs, order.ordered_roots)
             found += 1

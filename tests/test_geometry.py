@@ -253,10 +253,7 @@ def test_good_position_w0():
     # w0 acts as -1 on B2, so the single angle pi works and the length
     # formula gives the number of positive roots.
     rs = rs_of("B2")
-    from weylconvex.weyl import TwistedElement
-    from weylconvex.roots import diagram_automorphisms
-
-    w0 = TwistedElement(rs, longest_element(rs), diagram_automorphisms(rs)[0], 0)
+    w0 = longest_element(rs)
     cert = is_good_position(w0, [Fraction(1)])
     assert cert is not None
     assert good_position_length(cert) == 4
@@ -297,10 +294,7 @@ def test_separation_witness_matches_levels():
 
 def test_separation_witness_w0():
     rs = rs_of("B2")
-    from weylconvex.weyl import TwistedElement
-    from weylconvex.roots import diagram_automorphisms
-
-    w0 = TwistedElement(rs, longest_element(rs), diagram_automorphisms(rs)[0], 0)
+    w0 = longest_element(rs)
     cert = is_good_position(w0, [Fraction(1)])
     e = cert.stage_points[0]
     for g in range(rs.positive_count):

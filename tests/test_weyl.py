@@ -32,7 +32,7 @@ from weylconvex.weyl import (
     is_elliptic,
     longest_element,
     min_length_set,
-    WeylElement,
+    TwistedElement,
 )
 
 from reference_matrix import mat_inv
@@ -136,13 +136,36 @@ def test_longest_element():
     assert all(w0.root_perm[i] == rs.neg(i) for i in range(rs.count))
 
 
+@pytest.mark.parametrize("name, order", [("D4", 3), ("E6", 2)])
+def test_twisted_elements_equal_exactly_when_powers_agree_mod_twist_order(name, order):
+    rs = rs_of(name)
+    delta = next(d for d in diagram_automorphisms(rs) if d.order == order)
+    words = ([], [0], [1, 0, 2], list(range(rs.rank)), longest_element(rs).word())
+    powers = range(-order, 2 * order + 1)
+    for word in words:
+        p = from_word(rs, None, word).root_perm
+        for k in powers:
+            x = TwistedElement(rs, p, delta, k)
+            for k2 in powers:
+                y = TwistedElement(rs, p, delta, k2)
+                assert (x == y) == ((k - k2) % order == 0)
+                if x == y:
+                    assert hash(x) == hash(y)
+        assert len({TwistedElement(rs, p, delta, k) for k in powers}) == order
+    # Two separately built identity twists give one untwisted element.
+    p = from_word(rs, None, [0, 1]).root_perm
+    x = TwistedElement(rs, p, identity_automorphism(rs), 0)
+    y = TwistedElement(rs, p, identity_automorphism(rs), 0)
+    assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+    w0 = longest_element(rs)
+    assert w0 == from_word(rs, None, w0.word())
+
+
 def test_length_equals_word_length_exhaustive():
     for name in ("A3", "B3", "G2"):
         rs = rs_of(name)
         for perm in enumerate_weyl_group(rs):
-            from weylconvex.weyl import WeylElement
-
-            w = WeylElement(rs, perm)
+            w = TwistedElement(rs, perm, identity_automorphism(rs), 0)
             assert w.length() == len(w.word())
 
 
@@ -178,10 +201,8 @@ def test_twisted_classes_a2():
     assert sum(len(c) for c in classes) == 6
     assert len(classes) == 3
     # Independent oracle: orbit closure computed directly on (perm, k) pairs.
-    from weylconvex.weyl import TwistedElement, WeylElement
-
     all_elems = {
-        TwistedElement(rs, WeylElement(rs, p), delta, 1)
+        TwistedElement(rs, p, delta, 1)
         for p in enumerate_weyl_group(rs)
     }
     seen = set()
@@ -266,7 +287,7 @@ def test_cyclic_shift_class_is_two_way_reachability(name, twisted):
     rs = rs_of(name)
     delta = flip_of(name) if twisted else identity_automorphism(rs)
     for w in enumerate_weyl_group(rs):
-        x = weyl.TwistedElement(rs, WeylElement(rs, w), delta, int(twisted))
+        x = weyl.TwistedElement(rs, w, delta, int(twisted))
         both = [y for y in weyl._shift_reachable_set(x) if cyclic_shift_reachable(y, x)]
         assert cyclic_shift_class(x) == sorted(both, key=lambda e: e.key())
 
@@ -297,9 +318,7 @@ def test_fixed_roots_subset_of_signed_stable():
 
     rs = rs_of("B2")
     for perm in enumerate_weyl_group(rs):
-        from weylconvex.weyl import TwistedElement, WeylElement
-
-        x = TwistedElement(rs, WeylElement(rs, perm), diagram_automorphisms(rs)[0], 0)
+        x = TwistedElement(rs, perm, diagram_automorphisms(rs)[0], 0)
         assert fixed_roots(x) <= phi_of(x)
 
 
@@ -393,7 +412,7 @@ def test_orbit_search_lookup_miss_is_inconsistency():
     # into an inconsistency.
     rs = rs_of("B3")
     table = enumerate_weyl_group(rs)
-    start = from_word(rs, None, [0, 1, 2]).weyl.root_perm
+    start = from_word(rs, None, [0, 1, 2]).root_perm
     cls = class_of(from_word(rs, None, [0, 1, 2]))
     table.pop(cls.perms[-1])
     assert cls.perms[-1] != start
@@ -552,7 +571,7 @@ def reference_class(x):
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
-    return sorted(seen, key=lambda e: (e.length(), e.weyl.root_perm))
+    return sorted(seen, key=lambda e: (e.length(), e.root_perm))
 
 
 @pytest.mark.parametrize(
@@ -598,7 +617,7 @@ def test_enumeration_lengths_are_inversion_counts():
     lengths = enumerate_weyl_group(rs)
     assert list(lengths.values()) == sorted(lengths.values())
     for p, length in lengths.items():
-        assert length == WeylElement(rs, p).length()
+        assert length == TwistedElement(rs, p, identity_automorphism(rs), 0).length()
 
 
 def plain_bfs(rs):
