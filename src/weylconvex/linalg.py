@@ -3,11 +3,12 @@
 Matrices are lists (or tuples) of rows.  The eliminations take a field
 object that does all scalar arithmetic: it has `zero`, `one`, `add`, `sub`,
 `mul`, `neg` and `div`, and its scalars compare with `==` and are false
-exactly when zero.  `OperatorField` is Q or a real cyclotomic field K_L
-(see `quadfield`) through the scalars' own operators; the prime fields of
-the matrix-group module work on plain ints mod p.  Sizes here are tiny, so
-plain Gaussian elimination is used, except that `rank` takes only ints and
-Fractions and eliminates on integers.
+exactly when zero.  `OperatorField` computes through the scalars' own
+operators: a real cyclotomic field K_L (see `quadfield`), or Q held as
+Fractions.  The matrix-group module brings its own fields: F_p on plain
+ints mod p, and Q on ints when integral, Fractions only when not.  Sizes
+here are tiny, so plain Gaussian elimination is used, except that `rank`
+takes a matrix of ints and Fractions and eliminates on integers.
 """
 
 from __future__ import annotations
@@ -37,11 +38,11 @@ def mat_mul(A, B):
 
 
 class OperatorField:
-    """Q or K_L, computing with the scalars' own operators.
+    """K_L, or Q as Fractions, computing with the scalars' own operators.
 
-    `one` is Fraction(1) or the one of a `quadfield.CosField` and fixes the
+    `one` is the one of a `quadfield.CosField` or Fraction(1) and fixes the
     scalar type: `div` multiplies by it first, so two ints divide to a
-    Fraction or a field element.
+    field element or a Fraction.
     """
 
     add = staticmethod(operator.add)

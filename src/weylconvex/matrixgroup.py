@@ -4,12 +4,13 @@ Root alpha = e_a - e_b corresponds to the matrix position (a, b); the root
 subgroup element u_ab(t) is I + t*E_ab and lifts of Weyl elements are plain
 0/1 permutation matrices.  Everything runs over a prime field or over the
 rationals; matrices are tuples of tuples of field scalars, which over F_p
-are plain ints in range(p).  All scalar arithmetic goes through the
-context's field object (`zero`, `one`, `add`, `sub`, `mul`, `neg`, `div`),
-so no code here knows which field it runs over.  xi and sigma
-form no dense product: a root-subgroup factor is one row or column
-operation, a lift permutes rows, and a unipotent with known coordinates is
-inverted by reversing its word and negating the coordinates.
+are plain ints in range(p) and over Q are ints when integral, Fractions
+only when not.  All scalar arithmetic goes through the context's field
+object (`zero`, `one`, `add`, `sub`, `mul`, `neg`, `div`), so no code
+here knows which field it runs over.  xi and sigma form no dense
+product: a root-subgroup factor is one row or column operation, a lift
+permutes rows, and a unipotent with known coordinates is inverted by
+reversing its word and negating the coordinates.
 
 The conjugation map xi and its section sigma follow the level filtration:
 sigma first splits g = y * (lift u ell) by one linear solve per row of the
@@ -26,16 +27,17 @@ additions and negations, so no inverse is formed.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import perm
 from .convexity import INFINITY, analyze
 from .errors import InconsistencyError, InputError, NotInCellError
-from .linalg import OperatorField, rank, solve
+from .linalg import rank, solve
 from .roots import CartanType, RootSystem, build_root_system
 from .weyl import TwistedElement
 
@@ -117,21 +119,57 @@ class PrimeField:
         return list(range(1, self.p))
 
 
-class RationalField(OperatorField):
-    def __init__(self):
-        super().__init__(Fraction(1))
+QScalar = Union[int, Fraction]
 
-    def of(self, v: int) -> Fraction:
-        return Fraction(v)
 
-    def random(self, rng: random.Random) -> Fraction:
-        return Fraction(rng.randint(-5, 5))
+def _canonical(v: QScalar) -> QScalar:
+    """v as an int if it is integral; a Fraction keeps denominator > 1."""
+    return v if type(v) is int or v.denominator != 1 else v.numerator
 
-    def random_unit(self, rng: random.Random) -> Fraction:
+
+class RationalField:
+    """Q on canonical scalars: an int when the value is integral, otherwise
+    a reduced Fraction with denominator > 1.
+
+    Sampled coordinates and units are integers, and only torus and pivot
+    divisions leave Z, so most arithmetic stays on ints.  The form is
+    canonical, so equal values have equal reprs and `mat_key` stays sound.
+    """
+
+    zero = 0
+    one = 1
+    neg = staticmethod(operator.neg)
+
+    @staticmethod
+    def add(a: QScalar, b: QScalar) -> QScalar:
+        return _canonical(a + b)
+
+    @staticmethod
+    def sub(a: QScalar, b: QScalar) -> QScalar:
+        return _canonical(a - b)
+
+    @staticmethod
+    def mul(a: QScalar, b: QScalar) -> QScalar:
+        return _canonical(a * b)
+
+    @staticmethod
+    def div(a: QScalar, b: QScalar) -> QScalar:
+        if type(a) is int and type(b) is int:
+            q, r = divmod(a, b)
+            return Fraction(a, b) if r else q
+        return _canonical(a / b)
+
+    def of(self, v: int) -> int:
+        return v
+
+    def random(self, rng: random.Random) -> int:
+        return rng.randint(-5, 5)
+
+    def random_unit(self, rng: random.Random) -> int:
         v = 0
         while v == 0:
             v = rng.randint(-5, 5)
-        return Fraction(v)
+        return v
 
 
 def make_field(spec):

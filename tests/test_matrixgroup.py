@@ -3,6 +3,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylconvex.construction import find_convex_representative
 from weylconvex.convexity import analyze
@@ -11,6 +13,7 @@ from weylconvex.linalg import rank
 from weylconvex.matrixgroup import (
     MILLER_RABIN_LIMIT,
     PrimeField,
+    RationalField,
     adjoint_span_rank,
     build_cross_section,
     collision_search,
@@ -28,7 +31,14 @@ from weylconvex.matrixgroup import (
     unipotent_from_coords,
     xi,
 )
-from weylconvex.weyl import conjugacy_classes, from_one_line, from_word
+from weylconvex.roots import diagram_automorphisms
+from weylconvex.weyl import (
+    TwistedElement,
+    conjugacy_classes,
+    enumerate_weyl_group,
+    from_one_line,
+    from_word,
+)
 
 from reference_matrix import (
     adjoint_span_rank_by_inverse,
@@ -431,6 +441,90 @@ def test_roundtrips_500_over_rationals_battery():
             for _ in range(500):
                 p = random_cell_point(data, rng)
                 assert sigma(data, xi(data, p)) == p
+
+
+def convex_elements(n):
+    """Every element of S_n that analyze calls convex, in enumeration order."""
+    rs = matrix_context(n, 2).rs
+    ident = diagram_automorphisms(rs)[0]
+    elements = (TwistedElement(rs, p, ident, 0) for p in enumerate_weyl_group(rs))
+    return [x for x in elements if analyze(x).convex]
+
+
+def test_every_convex_element_of_s5_roundtrips_and_is_transversal_over_q():
+    # The theorem is for every convex element, not only the representatives
+    # the construction picks.  38 is the census count of convex elements.
+    xs = convex_elements(5)
+    assert len(xs) == 38
+    ctx = ctx_of(5, "rational")
+    rng = random.Random(5038)
+    for x in xs:
+        data = build_cross_section(ctx, x)
+        for _ in range(5):
+            p = random_cell_point(data, rng)
+            assert sigma(data, xi(data, p)) == p
+        assert transversality_check(data, random_section_point(data, rng))
+
+
+def test_every_convex_element_of_s6_roundtrips_over_f101():
+    xs = convex_elements(6)
+    assert len(xs) == 146
+    ctx = ctx_of(6, 101)
+    rng = random.Random(6146)
+    for x in xs:
+        data = build_cross_section(ctx, x)
+        for _ in range(5):
+            p = random_cell_point(data, rng)
+            assert sigma(data, xi(data, p)) == p
+
+
+Q = RationalField()
+
+
+def _canonical_q(v):
+    return type(v) is int or (type(v) is Fraction and v.denominator > 1)
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12).map(
+    lambda q: q.numerator if q.denominator == 1 else q
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rationals, rationals)
+def test_rational_field_matches_fraction_arithmetic_in_canonical_form(a, b):
+    fa, fb = Fraction(a), Fraction(b)
+    assert _canonical_q(a) and _canonical_q(b)
+    for got, want in (
+        (Q.add(a, b), fa + fb),
+        (Q.sub(a, b), fa - fb),
+        (Q.mul(a, b), fa * fb),
+        (Q.neg(a), -fa),
+    ):
+        assert got == want and _canonical_q(got)
+    if b:
+        got = Q.div(a, b)
+        assert got == fa / fb and _canonical_q(got)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            Q.div(a, b)
+
+
+def test_rational_field_constants_and_draws_are_ints():
+    assert type(Q.zero) is int and type(Q.one) is int
+    assert Q.zero == 0 and Q.one == 1
+    assert all(type(Q.of(v)) is int and Q.of(v) == v for v in range(-7, 8))
+    assert not hasattr(Q, "p")  # the benchmark's trace tags Q by its missing p
+    rng, ref = random.Random(19), random.Random(19)
+    for _ in range(2000):
+        v = Q.random(rng)
+        assert type(v) is int and v == ref.randint(-5, 5)
+        t = Q.random_unit(rng)
+        assert type(t) is int and t != 0
+        want = 0
+        while want == 0:
+            want = ref.randint(-5, 5)
+        assert t == want
 
 
 def _is_prime_by_trial_division(p):

@@ -4,6 +4,7 @@ products: every structured result must equal the same product formed with
 
 import random
 from dataclasses import astuple
+from fractions import Fraction
 
 import pytest
 
@@ -23,6 +24,7 @@ from weylconvex.matrixgroup import (
     _word_mul,
     build_cross_section,
     lift,
+    mat_key,
     matrix_context,
     random_cell_point,
     random_section_point,
@@ -237,18 +239,42 @@ def test_xi_matches_dense_formula(case):
         assert random_section_point(data, random.Random(seed)) == z
 
 
+def _scalar_ok(f, v):
+    """Over F_p a plain int in range(p); over Q the canonical form: an int
+    when integral, otherwise a Fraction with denominator > 1."""
+    if isinstance(f, PrimeField):
+        return type(v) is int and 0 <= v < f.p
+    return type(v) is int or (type(v) is Fraction and v.denominator > 1)
+
+
 def test_results_keep_the_field_scalar_type(case):
-    # Equality cannot tell Fraction(0) from 0, but mat_key's repr can.  Over
-    # F_p every entry is a plain int in range(p).
+    # Equality cannot tell Fraction(3) from 3, but mat_key's repr can, so
+    # every value a field operation leaves must be in its canonical form.
     ctx, rng = case
     f = ctx.field
     data = _random_section(ctx, rng)
     g = xi(data, random_cell_point(data, rng))
-    assert all(type(v) is type(f.one) for row in g for v in row)
+    assert all(_scalar_ok(f, v) for row in g for v in row)
     coxeter = build_cross_section(ctx, from_word(ctx.rs, None, list(range(ctx.n - 1))))
     g = xi(coxeter, random_cell_point(coxeter, rng))
     point = sigma(coxeter, g)
     values = [v for row in g for v in row] + [v for part in astuple(point) for v in part]
-    assert all(type(v) is type(f.one) for v in values)
-    if isinstance(f, PrimeField):
-        assert all(0 <= v < f.p for v in values)
+    assert all(_scalar_ok(f, v) for v in values)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_mat_key_is_canonical_over_q(n):
+    # xi forms g by row and column operations; the dense reference forms it
+    # by full products with y^-1 taken by Gauss-Jordan, whose intermediate
+    # values leave Z and come back.  Equal matrices must give equal keys.
+    ctx = matrix_context(n, "rational")
+    rng = random.Random(f"mat-key-{n}")
+    non_integral = 0
+    for _ in range(TRIALS):
+        data = _random_section(ctx, rng)
+        p = random_cell_point(data, rng)
+        _, _, dense = _dense_xi(data, p)
+        g = xi(data, p)
+        assert mat_key(g) == mat_key(dense)
+        non_integral += sum(type(v) is Fraction for row in g for v in row)
+    assert non_integral
