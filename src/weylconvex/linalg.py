@@ -3,17 +3,15 @@
 Matrices are lists (or tuples) of rows.  The eliminations take a field
 object that does all scalar arithmetic: it has `zero`, `one`, `add`, `sub`,
 `mul`, `neg` and `div`, and its scalars compare with `==` and are false
-exactly when zero.  `OperatorField` computes through the scalars' own
-operators: a real cyclotomic field K_L (see `quadfield`), or Q held as
-Fractions.  The matrix-group module brings its own fields: F_p on plain
-ints mod p, and Q on ints when integral, Fractions only when not.  Sizes
+exactly when zero.  The callers bring their fields: a real cyclotomic
+field K_L (see `quadfield`), and in the matrix-group module F_p on plain
+ints mod p and Q on ints when integral, Fractions only when not.  Sizes
 here are tiny, so plain Gaussian elimination is used, except that `rank`
 takes a matrix of ints and Fractions and eliminates on integers.
 """
 
 from __future__ import annotations
 
-import operator
 from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
@@ -35,27 +33,6 @@ def mat_mul(A, B):
             row.append(acc)
         out.append(row)
     return out
-
-
-class OperatorField:
-    """K_L, or Q as Fractions, computing with the scalars' own operators.
-
-    `one` is the one of a `quadfield.CosField` or Fraction(1) and fixes the
-    scalar type: `div` multiplies by it first, so two ints divide to a
-    field element or a Fraction.
-    """
-
-    add = staticmethod(operator.add)
-    sub = staticmethod(operator.sub)
-    mul = staticmethod(operator.mul)
-    neg = staticmethod(operator.neg)
-
-    def __init__(self, one):
-        self.one = one
-        self.zero = one - one
-
-    def div(self, a, b):
-        return self.one * a / b
 
 
 def mat_identity(n: int, one, zero):

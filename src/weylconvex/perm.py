@@ -13,8 +13,9 @@ either, and bytes permutations sort in the same order as their tuples.
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import lcm
-from typing import Callable, Dict, List, Sequence, Tuple, TypeVar, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple, TypeVar, Union
 
 Perm = Union[bytes, Tuple[int, ...]]
 V = TypeVar("V")
@@ -38,15 +39,33 @@ def compose(p: Perm, q: Perm) -> Perm:
     return tuple([p[x] for x in q])
 
 
+def left_products(x: Perm, vs: Iterable[Perm]) -> Iterator[Perm]:
+    """x*v for each v in vs, lazily and in order."""
+    if isinstance(x, bytes):
+        return map(bytes.translate, vs, repeat(x + PAD[len(x):]))
+    return (tuple([x[i] for i in v]) for v in vs)
+
+
 def sandwich_orbit(
     start: Perm, pairs: Sequence[Tuple[Perm, Perm]], value_of: Callable[[Perm], V]
 ) -> Dict[Perm, V]:
-    """The orbit of start under the maps w -> s*w*t for (s, t) in pairs.
+    """The orbit of start under g_k: w -> s_k*w*t_k for (s_k, t_k) in pairs.
 
     Each member maps to value_of(member), called once, when the search
-    reaches it.  Every s and t must be an involution: then s*(s*w*t)*t = w,
-    so the search never applies to a member the pair that reached it, whose
-    image would be the member it came from.
+    reaches it.  Every s_k and t_k must be an involution: then g_k undoes
+    itself, so the search never applies to a member the pair j that reached
+    it, whose image is the member it came from.  Nor does it apply a pair
+    k < j whose halves both commute with pair j's, since then g_k and g_j
+    commute.  Which pairs commute is read off the pairs themselves.
+
+    The search still reaches every member, layer by layer in the distance d
+    from start.  Take an unreached z at distance d, and among the pairs
+    (v, k) with z = g_k(v) and v at distance d - 1 take one with k maximal.
+    Say v skipped k, and j is the pair that reached v from its parent u,
+    at distance d - 2.  Then k != j, since g_j(v) = u, so k < j and
+    z = g_k(g_j(u)) = g_j(g_k(u)).  So g_k(u), at distance at most d - 1
+    from u and at least d - 1 from z, is a member at distance d - 1 that
+    g_j sends to z, against the maximality of k.
     """
     if isinstance(start, bytes):
         tail = PAD[len(start):]
@@ -69,10 +88,19 @@ def sandwich_orbit(
             return [tuple([s[w[x]] for x in t]) for w in group]
 
     n = len(pairs)
+
+    def commute(j: int, k: int) -> bool:
+        return all(compose(a, b) == compose(b, a) for a, b in zip(pairs[j], pairs[k]))
+
+    # applied[j]: the pairs applied to a member reached by pair j; the
+    # start, reached by none, sits at index n and takes every pair.
+    applied = [
+        [k for k in range(n) if k > j or (k < j and not commute(j, k))] for j in range(n)
+    ] + [list(range(n))]
     orbit = {start: value_of(start)}
-    # frontier[k] holds the members last reached by pair k; the start,
-    # reached by none, sits at index n.  Each group is prepared (for bytes,
-    # turned into translate tables) only while its images are taken.
+    # frontier[j] holds the members last reached by pair j.  Each group is
+    # prepared (for bytes, turned into translate tables) only while its
+    # images are taken.
     frontier: List[List[Perm]] = [[] for _ in range(n)] + [[start]]
     while any(frontier):
         reached: List[List[Perm]] = [[] for _ in range(n)]
@@ -80,13 +108,12 @@ def sandwich_orbit(
             if not group:
                 continue
             group = prepare(group)
-            for k in range(n):
-                if k != j:
-                    found = reached[k]
-                    for y in images(k, group):
-                        if y not in orbit:
-                            orbit[y] = value_of(y)
-                            found.append(y)
+            for k in applied[j]:
+                found = reached[k]
+                for y in images(k, group):
+                    if y not in orbit:
+                        orbit[y] = value_of(y)
+                        found.append(y)
         frontier = reached + [[]]
     return orbit
 

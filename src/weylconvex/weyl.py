@@ -11,15 +11,17 @@ lexicographically least reduced word, which keeps every report and class
 representative reproducible.
 
 Class tables start from an enumeration of W that builds each element once,
-from the parent its least right descent gives, layer by layer in length.
-Each class is then one orbit search under simple conjugation, which never
-recomputes the member a member was reached from.  A `ConjugacyClass` holds
-its members as raw permutations sorted by (length, permutation), with its
-representative and minimal length; twisted elements are built only for the
-minimal-length members, to choose the representative, and for the members
-a caller visits through `elements`.  `class_of` runs the same orbit search
-from one element, with lengths from `perm.length`, so it enumerates neither
-W nor any other class.
+as a product x*v up the parabolic chain <s_0> < <s_0, s_1> < ..., with x a
+minimal coset representative and v in the previous subgroup.  Each class
+is then one orbit search under simple conjugation, which neither undoes
+the step that reached a member nor follows a conjugation by s_j with one
+by a commuting s_k, k < j (`perm.sandwich_orbit`).  A `ConjugacyClass`
+holds its members as raw permutations sorted by (length, permutation),
+with its representative and minimal length; twisted elements are built
+only for the minimal-length members, to choose the representative, and
+for the members a caller visits through `elements`.  `class_of` runs the
+same orbit search from one element, with lengths from `perm.length`, so it
+enumerates neither W nor any other class.
 """
 
 from __future__ import annotations
@@ -273,17 +275,33 @@ def _weyl_order_within(rs: RootSystem, budget: Optional[int]) -> int:
     return order
 
 
-def _parent_steps(rs: RootSystem) -> List[Tuple[Perm, List[int]]]:
-    """(s_j, the roots u must send to positives for u to yield u*s_j), per j.
+def _coset_representatives(rs: RootSystem, k: int) -> List[Tuple[Perm, int]]:
+    """The minimal representatives x of W_k / W_(k-1), with their lengths.
 
-    The roots are alpha_j and s_j(alpha_i) for i < j.
+    W_k = <s_0, ..., s_k>, and x in W_k is minimal in x*W_(k-1) exactly when
+    x(alpha_i) > 0 for every i < k.  Deleting the first letter of a reduced
+    word of such an x leaves another, so a search from 1 that multiplies on
+    the left by s_0, ..., s_k and keeps the minimal products reaches all of
+    them, layer by layer in length.
     """
-    simple = rs.simple_indices
-    steps = []
-    for j in range(rs.rank):
-        s = rs.simple_reflection_perm(j)
-        steps.append((s, [simple[j]] + [s[simple[i]] for i in range(j)]))
-    return steps
+    pc = rs.positive_count
+    below = rs.simple_indices[:k]
+    gens = [rs.simple_reflection_perm(i) for i in range(k + 1)]
+    start = perm.identity(rs.count)
+    reps = {start: 0}
+    frontier = [start]
+    layer = 0
+    while frontier:
+        layer += 1
+        nxt = []
+        for x in frontier:
+            for s in gens:
+                y = perm.compose(s, x)
+                if y not in reps and all(y[i] < pc for i in below):
+                    reps[y] = layer
+                    nxt.append(y)
+        frontier = nxt
+    return list(reps.items())
 
 
 def enumerate_weyl_group(
@@ -291,38 +309,30 @@ def enumerate_weyl_group(
 ) -> Dict[Perm, int]:
     """All root permutations of W with their lengths, one product each.
 
-    Every w != 1 is built once, as u*s_j from its parent u = w*s_j, where
-    j is the least right descent of w: the least j with w(alpha_j) < 0.  So
-    u yields u*s_j exactly when u(alpha_j) > 0, which makes l(u*s_j) =
-    l(u) + 1, and u(s_j(alpha_i)) > 0 for every i < j, which says that no
-    i < j is a right descent of u*s_j (Bjorner-Brenti, Combinatorics of
-    Coxeter Groups, 1.6 and 4.4).  Layer k of the search is the set of
-    elements of length k, and the dict lists the elements layer by layer.
+    With W_k = <s_0, ..., s_k>, every w in W_k is x*v for exactly one
+    minimal representative x of W_k / W_(k-1) and one v in W_(k-1), and
+    l(x*v) = l(x) + l(v) (Bjorner-Brenti, Combinatorics of Coxeter Groups,
+    2.4).  So W is built up the chain W_0 < W_1 < ... < W = W_(r-1), each
+    level as the products of the previous one with the representatives.
     """
     order = _weyl_order_within(rs, budget)
-    pc = rs.positive_count
-    steps = _parent_steps(rs)
-    start = perm.identity(rs.count)
-    lengths = {start: 0}
-    generated = 1
-    frontier = [start]
-    layer = 0
-    while frontier:
-        layer += 1
-        nxt = []
-        for u in frontier:
-            for s, guard in steps:
-                for i in guard:
-                    if u[i] >= pc:
-                        break
-                else:
-                    nxt.append(perm.compose(u, s))
-        # A wrong parent test would build some element twice; the count
-        # catches it where the dict would overwrite the duplicate.
-        generated += len(nxt)
-        for w in nxt:
-            lengths[w] = layer
-        frontier = nxt
+    level = [perm.identity(rs.count)]
+    level_lengths = [0]
+    for k in range(rs.rank - 1):
+        grown: List[Perm] = []
+        grown_lengths: List[int] = []
+        for x, lx in _coset_representatives(rs, k):
+            grown += perm.left_products(x, level)
+            grown_lengths += map(lx.__add__, level_lengths)
+        level, level_lengths = grown, grown_lengths
+    # The last level goes straight into the table.
+    lengths: Dict[Perm, int] = {}
+    generated = 0
+    for x, lx in _coset_representatives(rs, rs.rank - 1):
+        lengths.update(zip(perm.left_products(x, level), map(lx.__add__, level_lengths)))
+        generated += len(level)
+    # A wrong representative table builds some element twice or misses
+    # one; the counts catch it where the dict would overwrite a duplicate.
     if generated != order or len(lengths) != order:
         raise InconsistencyError(
             f"enumerated {generated} elements of W({rs.cartan_type}), "
@@ -413,7 +423,9 @@ def _orbit_class(
     table expects it.
     """
     # Both halves of each pair are simple reflections, as sandwich_orbit
-    # requires.
+    # requires.  The twisted pairs (s_i, s_delta^k(i)) commute whenever
+    # s_i and s_j do, since delta preserves the Cartan matrix, so the
+    # search skips as much in a twisted coset as in W.
     pairs = [_conjugating_pair(rs, delta, twist_power, lab) for lab in range(rs.rank)]
     try:
         orbit = perm.sandwich_orbit(start, pairs, length_of)

@@ -1,12 +1,15 @@
 """Dense matrix reference the cross-section tests compare the engine against.
 
-None of it runs in the engine: dense products, the Gauss-Jordan inverse,
+None of it runs in the engine: a field that computes through the
+scalars' own operators, dense products, the Gauss-Jordan inverse,
 root-subgroup and diagonal matrices formed entry by entry, the Levi factor
 and the identity point of a cell, the tangent-span rank taken with g^-1
 (the reference for the inverse-free rank of `adjoint_span_rank`), and
 unipotent coordinates read height by height, rebuilding the product at
 each height (the reference for the one-pass `unipotent_coordinates`).
 """
+
+import operator
 
 from weylconvex.errors import InputError, NotInCellError
 from weylconvex.linalg import rank
@@ -18,6 +21,27 @@ from weylconvex.matrixgroup import (
     _identity_rows,
     unipotent_from_coords,
 )
+
+
+class OperatorField:
+    """K_L, or Q as Fractions, computing with the scalars' own operators.
+
+    `one` is the one of a `quadfield.CosField` or Fraction(1) and fixes the
+    scalar type: `div` multiplies by it first, so two ints divide to a
+    field element or a Fraction.
+    """
+
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
+
+    def __init__(self, one):
+        self.one = one
+        self.zero = one - one
+
+    def div(self, a, b):
+        return self.one * a / b
 
 
 def mat_inv(A, field):

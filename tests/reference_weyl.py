@@ -2,13 +2,16 @@
 
 None of it runs in the engine: the dot product of ambient root vectors,
 the identity element, quasi-convexity as a bare Boolean, the common order
-of the twisted Coxeter elements, and the reflection ordering that the
-half-turn word of a Coxeter element gives.
+of the twisted Coxeter elements, the reflection ordering that the
+half-turn word of a Coxeter element gives, and the orbit search under
+simple conjugation that applies every pair but the one that reached a
+member (the reference for the pruned `perm.sandwich_orbit`).
 """
 
 from fractions import Fraction
 from typing import List
 
+from weylconvex import perm
 from weylconvex.convexity import analyze
 from weylconvex.coxeter import _common_order, _w0_condition, coxeter_elements, reflection_ordering
 from weylconvex.errors import InconsistencyError, InputError
@@ -60,3 +63,47 @@ def half_turn_ordering(x):
         raise InconsistencyError(
             f"half-turn word failed to be a reduced w0 expression: {exc}"
         )
+
+
+def sandwich_orbit(start, pairs, value_of):
+    """The orbit of start under w -> s*w*t for (s, t) in pairs, as a dict
+    member -> value_of(member); every pair but the one that reached a member
+    is applied to it."""
+    if isinstance(start, bytes):
+        tail = perm.PAD[len(start):]
+        tables = [(s + tail, t) for s, t in pairs]
+
+        def prepare(group):
+            return [w + tail for w in group]
+
+        def images(k, group):
+            st, t = tables[k]
+            return [t.translate(wt).translate(st) for wt in group]
+
+    else:
+
+        def prepare(group):
+            return group
+
+        def images(k, group):
+            s, t = pairs[k]
+            return [tuple([s[w[x]] for x in t]) for w in group]
+
+    n = len(pairs)
+    orbit = {start: value_of(start)}
+    frontier = [[] for _ in range(n)] + [[start]]
+    while any(frontier):
+        reached = [[] for _ in range(n)]
+        for j, group in enumerate(frontier):
+            if not group:
+                continue
+            group = prepare(group)
+            for k in range(n):
+                if k != j:
+                    found = reached[k]
+                    for y in images(k, group):
+                        if y not in orbit:
+                            orbit[y] = value_of(y)
+                            found.append(y)
+        frontier = reached + [[]]
+    return orbit

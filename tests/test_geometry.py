@@ -17,7 +17,7 @@ from weylconvex.geometry import (
     regular_point,
     separation_witness,
 )
-from weylconvex.linalg import OperatorField, rref
+from weylconvex.linalg import rref
 from weylconvex.quadfield import cos_field, field_for, sign_of, two_cos_in
 from weylconvex.roots import CartanType, build_root_system
 from weylconvex.weyl import (
@@ -32,6 +32,7 @@ from reference_geometry import (
     fixed_space_dim,
     kernel_basis,
 )
+from reference_matrix import OperatorField
 from reference_weyl import identity_element
 
 RS = {}

@@ -8,9 +8,11 @@ import pytest
 
 import weylconvex
 from weylconvex.errors import InconsistencyError
-from weylconvex.linalg import OperatorField, charpoly_int, cyclotomic_multiplicities, rank, rref
+from weylconvex.linalg import charpoly_int, cyclotomic_multiplicities, rank, rref
 from weylconvex.roots import CartanType, build_root_system
 from weylconvex.weyl import from_word
+
+from reference_matrix import OperatorField
 
 
 def charpoly_reference(M):

@@ -1,11 +1,12 @@
-"""Every module-level function of the engine has a use in the engine.
+"""Every module-level function and class of the engine has a use in the
+engine.
 
-A function that only the tests call belongs in a test module, next to the
-reference modules.  The AST of each module under `src/weylconvex` is
-walked for references: a bare name in the defining module or in a module
-that imports it, and `module.name` through a module imported whole.  A
-function's references inside its own body do not count, and neither does
-an import that is never used.  Names exported from `__init__` are the
+A function or class that only the tests use belongs in a test module, next
+to the reference modules.  The AST of each module under `src/weylconvex`
+is walked for references: a bare name in the defining module or in a
+module that imports it, and `module.name` through a module imported whole.
+A definition's references inside its own body do not count, and neither
+does an import that is never used.  Names exported from `__init__` are the
 public surface and need no caller.
 """
 
@@ -13,6 +14,7 @@ import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "weylconvex"
+DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
 
 # Kept without an engine caller, with the reason.
 ALLOWED = {
@@ -38,7 +40,7 @@ def _aliases(tree):
 
 
 def _references(module, tree, defined):
-    """(module, function) pairs referred to in this module's code."""
+    """(module, name) pairs of definitions referred to in this module's code."""
     aliases = _aliases(tree)
     found = set()
 
@@ -58,7 +60,7 @@ def _references(module, tree, defined):
                 found.add(ref)
 
     for node in tree.body:
-        own = (module, node.name) if isinstance(node, ast.FunctionDef) else None
+        own = (module, node.name) if isinstance(node, DEFINITIONS) else None
         visit(node, own)
     return found
 
@@ -69,7 +71,7 @@ def _defined_used_exported():
         (m, node.name)
         for m, tree in trees.items()
         for node in tree.body
-        if isinstance(node, ast.FunctionDef)
+        if isinstance(node, DEFINITIONS)
     }
     used = set()
     for m, tree in trees.items():
@@ -82,7 +84,7 @@ def _defined_used_exported():
 def test_every_function_has_an_engine_caller_or_is_exported():
     defined, used, exported = _defined_used_exported()
     orphans = sorted(defined - used - exported - set(ALLOWED))
-    assert not orphans, f"functions with no caller in src/ and not exported: {orphans}"
+    assert not orphans, f"functions or classes with no caller in src/ and not exported: {orphans}"
 
 
 def test_allowlist_names_only_uncalled_functions():

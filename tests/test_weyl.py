@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 import pytest
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 import weylconvex
 from weylconvex import perm, weyl
 from weylconvex.errors import BudgetExceeded, InconsistencyError
-from weylconvex.linalg import OperatorField
 from weylconvex.roots import (
     CartanType,
     build_root_system,
@@ -35,8 +35,8 @@ from weylconvex.weyl import (
     TwistedElement,
 )
 
-from reference_matrix import mat_inv
-from reference_weyl import identity_element
+from reference_matrix import OperatorField, mat_inv
+from reference_weyl import identity_element, sandwich_orbit as reference_sandwich_orbit
 
 RS = {}
 
@@ -555,6 +555,32 @@ def test_class_counts_match_carter(name):
             assert sum(len(c) for c in classes) == ct.weyl_order()
 
 
+@pytest.mark.parametrize(
+    "name, fmt",
+    [(name, "bytes") for name in WITHIN_BUDGET] + [(name, "tuple") for name in ("A3", "D4", "F4")],
+)
+def test_pruned_orbit_search_matches_reference(name, fmt, monkeypatch):
+    # Skipping the pairs that commute with the one that reached a member
+    # loses no member: from every class representative, in every coset of
+    # the sweep (the D4 triality cosets included), the orbit and its values
+    # are those of the search that applies every other pair.
+    if fmt == "tuple":
+        monkeypatch.setattr(perm, "PAD", b"")
+        rs = build_root_system(CartanType.parse(name))
+        assert type(rs.simple_reflection_perm(0)) is tuple
+    else:
+        rs = rs_of(name)
+    length_of = partial(perm.length, pc=rs.positive_count)
+    for delta in diagram_automorphisms(rs):
+        for k in range(1, delta.order + 1):
+            pairs = [weyl._conjugating_pair(rs, delta, k, lab) for lab in range(rs.rank)]
+            for cls in conjugacy_classes(rs, delta, k):
+                start = cls.representative.root_perm
+                orbit = perm.sandwich_orbit(start, pairs, length_of)
+                assert orbit == reference_sandwich_orbit(start, pairs, length_of)
+                assert sorted(orbit) == sorted(cls.perms)
+
+
 # ---------------------------------------------------------------------------
 # Class members against a BFS over conj_by_simple written here.
 
@@ -615,15 +641,17 @@ def test_class_members_match_reference(name, delta_images, k):
 def test_enumeration_lengths_are_inversion_counts():
     rs = rs_of("B3")
     lengths = enumerate_weyl_group(rs)
-    assert list(lengths.values()) == sorted(lengths.values())
     for p, length in lengths.items():
         assert length == TwistedElement(rs, p, identity_automorphism(rs), 0).length()
 
 
-def plain_bfs(rs):
-    """{perm: length} by a BFS over right multiplication that keeps every
-    product it has not seen."""
-    gens = [rs.simple_reflection_perm(lab) for lab in range(rs.rank)]
+def plain_bfs(rs, labels=None):
+    """{perm: length} over the subgroup generated by the given simple
+    reflections (all by default), by a BFS over right multiplication that
+    keeps every product it has not seen."""
+    if labels is None:
+        labels = range(rs.rank)
+    gens = [rs.simple_reflection_perm(lab) for lab in labels]
     start = perm.identity(rs.count)
     lengths = {start: 0}
     frontier = [start]
@@ -640,31 +668,50 @@ def plain_bfs(rs):
 
 
 @pytest.mark.parametrize("name", ["A4", "B3", "G2", "D4", "F4", "E6"])
-def test_enumeration_matches_plain_bfs(name, monkeypatch):
+def test_enumeration_matches_plain_bfs(name):
     rs = rs_of(name)
-    products = []
-    compose = perm.compose
-
-    def counted(p, q):
-        products.append(q)
-        return compose(p, q)
-
-    monkeypatch.setattr(perm, "compose", counted)
     lengths = enumerate_weyl_group(rs)
-    monkeypatch.undo()
     assert lengths == plain_bfs(rs)
-    assert list(lengths.values()) == sorted(lengths.values())
-    # One product per element other than the identity.
-    assert len(products) + 1 == len(lengths) == rs.cartan_type.weyl_order()
+    assert len(lengths) == rs.cartan_type.weyl_order()
 
 
-def test_duplicate_parents_are_inconsistency(monkeypatch):
-    # Without the i < j half of the parent test, each element is built once
-    # per reduced word (66 in W(A3)); the dict would still hold it once.
-    rs = rs_of("A3")
-    steps = weyl._parent_steps(rs)
-    monkeypatch.setattr(weyl, "_parent_steps", lambda rs: [(s, g[:1]) for s, g in steps])
-    with pytest.raises(InconsistencyError, match="enumerated 66 elements"):
+@pytest.mark.parametrize("name", ["A4", "B3", "G2", "D4", "F4", "E6"])
+def test_coset_representatives_are_the_minimal_ones(name):
+    # Level k holds one minimal representative per coset of W_(k-1) in
+    # W_k = <s_0, ..., s_k>: [W_k : W_(k-1)] of them, each with its length
+    # and sending alpha_0, ..., alpha_(k-1) to positive roots.
+    rs = rs_of(name)
+    pc = rs.positive_count
+    below = 1
+    for k in range(rs.rank):
+        w_k = plain_bfs(rs, range(k + 1))
+        reps = weyl._coset_representatives(rs, k)
+        assert len(reps) * below == len(w_k)
+        assert len({x for x, _ in reps}) == len(reps)
+        for x, lx in reps:
+            assert w_k[x] == lx == perm.length(x, pc)
+            assert all(x[rs.simple_indices[i]] < pc for i in range(k))
+        below = len(w_k)
+
+
+@pytest.mark.parametrize("level", ["first", "middle", "last"])
+@pytest.mark.parametrize("fault", ["duplicated", "dropped"])
+def test_corrupted_representative_table_is_inconsistency(level, fault, monkeypatch):
+    # A representative listed twice builds its coset twice, and one left
+    # out misses its coset; the dict would hide a duplicate, so the count
+    # check must catch both.
+    rs = rs_of("D4")
+    k = {"first": 0, "middle": 1, "last": rs.rank - 1}[level]
+    reps = weyl._coset_representatives
+
+    def corrupted(rs, j):
+        out = reps(rs, j)
+        if j == k:
+            out = out + out[-1:] if fault == "duplicated" else out[:-1]
+        return out
+
+    monkeypatch.setattr(weyl, "_coset_representatives", corrupted)
+    with pytest.raises(InconsistencyError, match="expected 192"):
         enumerate_weyl_group(rs)
 
 
