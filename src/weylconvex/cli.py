@@ -273,6 +273,8 @@ def cmd_cross_section(args) -> int:
     if hit is not None:
         return hit
     ctx = matrix_context(args.n, args.field)
+    if args.rank_checks and not isinstance(ctx.field, RationalField):
+        raise InputError("--rank-checks requires --field rational")
     x = from_word(ctx.rs, None, parse_word(args.word))
     rep = analyze(x)
     data = build_cross_section(ctx, x)
@@ -283,12 +285,9 @@ def cmd_cross_section(args) -> int:
         if sigma(data, xi(data, p)) == p:
             ok_roundtrips += 1
     rank_ok = 0
-    if args.rank_checks:
-        if not isinstance(ctx.field, RationalField):
-            raise InputError("--rank-checks requires --field rational")
-        for _ in range(args.rank_checks):
-            if transversality_check(data, random_section_point(data, rng)):
-                rank_ok += 1
+    for _ in range(args.rank_checks):
+        if transversality_check(data, random_section_point(data, rng)):
+            rank_ok += 1
     results = {
         "quasi_convex": rep.quasi_convex,
         "convex": rep.convex,

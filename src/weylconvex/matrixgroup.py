@@ -15,10 +15,10 @@ reversing its word and negating the coordinates.
 The conjugation map xi and its section sigma follow the level filtration:
 sigma first splits g = y * (lift u ell) by one linear solve per row of the
 unipotent factor, then walks the filtration down one level at a time,
-conjugating the level-i part through the lift.  Every unipotent it meets
-is read in one pass along an order that `build_cross_section` fixed and
-checked once: rows from the far side of the diagonal in, each coordinate
-being its entry minus what the coordinates already read contribute.
+conjugating the level-i part through the lift.  Each unipotent it meets
+is read once along an order fixed at build time; what it reads is neither
+multiplied back nor scanned for support (see `_read_coordinates` and
+`_check_levels`), and sigma ends by checking xi(sigma(g)) = g.
 
 The tangent-span rank at a point g is taken on g times the span, which
 has the same rank: every column is then built from entries of g by
@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from . import perm
+from . import perm, roots
 from .convexity import INFINITY, analyze
 from .errors import InconsistencyError, InputError, NotInCellError
 from .linalg import rank, solve
@@ -262,12 +262,11 @@ def _scale_cols(field, m: List[List], d: Sequence) -> List[List]:
 
 def _conjugate_diag(field, m: List[List], d: Sequence) -> List[List]:
     """m <- diag(d)^-1 * m * diag(d), touching only the nonzero entries."""
-    mul = field.mul
+    mul, div = field.mul, field.div
     for row, v in zip(m, d):
-        inv = field.div(field.one, v)
         for j, x in enumerate(row):
             if x:
-                row[j] = mul(mul(x, d[j]), inv)
+                row[j] = div(mul(x, d[j]), v)
     return m
 
 
@@ -305,13 +304,8 @@ def matrix_context(n: int, field_spec="rational") -> MatrixGroupContext:
     if n < 2:
         raise InputError("matrix realization needs n >= 2")
     rs = build_root_system(CartanType("A", n - 1))
-    pos_of_root: Dict[int, Position] = {}
-    root_of_pos: Dict[Position, int] = {}
-    for i, v in enumerate(rs.roots):
-        a = v.index(Fraction(1))
-        b = v.index(Fraction(-1))
-        pos_of_root[i] = (a, b)
-        root_of_pos[(a, b)] = i
+    pos_of_root = {i: (v.index(1), v.index(-1)) for i, v in enumerate(rs.roots)}
+    root_of_pos = {p: i for i, p in pos_of_root.items()}
     return MatrixGroupContext(
         n=n,
         field=make_field(field_spec),
@@ -323,13 +317,10 @@ def matrix_context(n: int, field_spec="rational") -> MatrixGroupContext:
 
 def underlying_permutation(x: TwistedElement) -> Tuple[int, ...]:
     """pi with x(e_a - e_b) = e_pi(a) - e_pi(b), from the reduced word."""
-    n = x.rs.rank + 1
-    perm = list(range(n))
-    for lab in x.word():
-        swapped = list(range(n))
-        swapped[lab], swapped[lab + 1] = lab + 1, lab
-        perm = [perm[swapped[t]] for t in range(n)]
-    return tuple(perm)
+    pi = list(range(x.rs.rank + 1))
+    for lab in x.word():  # pi <- pi * (lab, lab + 1)
+        pi[lab], pi[lab + 1] = pi[lab + 1], pi[lab]
+    return tuple(pi)
 
 
 def _check_liftable(ctx: MatrixGroupContext, x: TwistedElement) -> None:
@@ -355,13 +346,10 @@ def lift(ctx: MatrixGroupContext, x: TwistedElement) -> Matrix:
 
 
 def _closed_positions(positions: Sequence[Position]) -> bool:
+    """Whether (a, b) and (b, d) in the set put (a, d) in it, for positions
+    on one side of the diagonal (so a != d)."""
     pset = set(positions)
-    for (a, b) in pset:
-        for (c, d) in pset:
-            if b == c and (a, d) != (a, b) and a != d:
-                if (a, d) not in pset:
-                    return False
-    return True
+    return all((a, d) in pset for (a, b) in pset for (c, d) in pset if b == c)
 
 
 Step = Tuple[int, int, Tuple[Tuple[int, int, int], ...]]
@@ -383,7 +371,7 @@ class CoordinateOrder:
     or lies beyond it, and d lies no farther out than the row's last
     column.  `checks[i]` holds the columns j with (i, j) outside the
     support: the diagonal, which must hold 1, and the entries that must
-    vanish.
+    vanish; past them, reading is exact (see `_read_coordinates`).
     """
 
     order: Tuple[Position, ...]
@@ -436,7 +424,15 @@ def unipotent_from_coords(ctx, order: Sequence[Position], coords: Sequence) -> M
 
 
 def _read_coordinates(ctx, reading: CoordinateOrder, mat: Matrix) -> List:
-    """Coordinates along a checked order, each read once (see CoordinateOrder)."""
+    """Coordinates along a checked order, each read once (see CoordinateOrder).
+
+    The order spans a closed set Psi, so n_Psi is closed under products and
+    I + n_Psi = U_Psi, the product of its root subgroups in any order
+    (Humphreys, Linear Algebraic Groups, 28.1).  So the product P of the
+    coordinates read equals mat past the checks, and is not formed: both
+    lie in U_Psi, and on Psi, P's entry (a, b) is t_ab plus terms in earlier
+    coordinates, which were taken off mat's entry to read t_ab.
+    """
     f = ctx.field
     add, sub, mul, one = f.add, f.sub, f.mul, f.one
     for i, cols in enumerate(reading.checks):
@@ -466,8 +462,6 @@ def _read_coordinates(ctx, reading: CoordinateOrder, mat: Matrix) -> List:
                     term[d] = add(term[d], v) if d in term else v
             for d, v in term.items():
                 known[d] = add(known[d], v) if d in known else v
-    if unipotent_from_coords(ctx, reading.order, coords) != mat:
-        raise NotInCellError("coordinate extraction failed to reproduce the matrix")
     return coords
 
 
@@ -479,9 +473,13 @@ def unipotent_coordinates(
     The positions must be distinct, all strictly upper or all strictly
     lower, and span a closed set; entries of `mat` outside that set must
     vanish.  Each coordinate is read once: its entry minus what the
-    coordinates read before it contribute there.
+    coordinates read before it contribute there.  Their product must give
+    `mat` back, which catches an entry that is no field scalar here.
     """
-    return _read_coordinates(ctx, coordinate_order(ctx.n, order), mat)
+    coords = _read_coordinates(ctx, coordinate_order(ctx.n, order), mat)
+    if unipotent_from_coords(ctx, order, coords) != mat:
+        raise NotInCellError("coordinate extraction failed to reproduce the matrix")
+    return coords
 
 
 # ---------------------------------------------------------------------------
@@ -490,9 +488,8 @@ def unipotent_coordinates(
 
 # One linear system of the initial split: (row a, banned columns, unknowns).
 RowSystem = Tuple[int, Tuple[int, ...], Tuple[int, ...]]
-# One step of the level descent: the level's reading order, how many of
-# its coordinates belong to the level itself, and the previous level.
-LevelDescent = Tuple[CoordinateOrder, int, FrozenSet[Position]]
+# A level-descent step: its reading order, and how many coordinates are its own.
+LevelDescent = Tuple[CoordinateOrder, int]
 
 
 @dataclass(frozen=True, eq=False)
@@ -573,12 +570,21 @@ def _level_descent(
     for lev in range(max_level, 1, -1):
         own = levels.get(lev, ())
         lower = tuple(p for l in range(1, lev) for p in levels.get(l, ()))
-        steps.append((
-            coordinate_order(n, own + lower + phi_pos),
-            len(own),
-            frozenset(levels.get(lev - 1, ())),
-        ))
+        steps.append((coordinate_order(n, own + lower + phi_pos), len(own)))
     return tuple(steps)
+
+
+def _check_levels(x: TwistedElement, grouped: Dict[int, List[int]]) -> None:
+    """Check that x sends each level k >= 2 of positive roots (`grouped`)
+    into a closed level k - 1.  Quasi-convex x does: roots of level k sum to
+    level >= k, as x^i keeps both positive for i < k, and <= k by condition
+    (2).  So the lift of a level-k word in sigma is a word in a closed set,
+    and its product has no support outside it."""
+    for lev in range(2, max(grouped, default=0) + 1):
+        below = grouped.get(lev - 1, [])
+        images = {x.perm[i] for i in grouped.get(lev, ())}
+        if not (images <= set(below) and roots.is_closed(x.rs, below)):
+            raise InconsistencyError(f"level {lev} does not descend into a closed level {lev - 1}")
 
 
 def build_cross_section(ctx: MatrixGroupContext, x: TwistedElement) -> CrossSectionData:
@@ -607,14 +613,16 @@ def build_cross_section(ctx: MatrixGroupContext, x: TwistedElement) -> CrossSect
         for i in range(rs.positive_count)
         if i not in report.phi_x
     )
-    grouped: Dict[int, List[Position]] = {}
+    grouped: Dict[int, List[int]] = {}
     for i in range(rs.positive_count):
         lev = report.n_table[i]
         if lev is not INFINITY:
-            grouped.setdefault(int(lev), []).append(ctx.pos_of_root[i])
-    levels = {k: tuple(v) for k, v in grouped.items()}
+            grouped.setdefault(int(lev), []).append(i)
+    levels = {k: tuple(map(ctx.pos_of_root.get, v)) for k, v in grouped.items()}
     level_one = levels.get(1, ())
     quasi_convex = report.quasi_convex
+    if quasi_convex:
+        _check_levels(x, grouped)
 
     def reading(order) -> Optional[CoordinateOrder]:
         return coordinate_order(n, order) if quasi_convex else None
@@ -724,8 +732,7 @@ def _factor_ul(data: CrossSectionData, w: List[List]):
     d = [m[i][i] for i in range(n)]
     if not all(d):
         raise NotInCellError("singular diagonal in the Levi factorization")
-    d_inv = [f.div(f.one, v) for v in d]
-    A = tuple(tuple(map(f.mul, row, d_inv)) for row in m)
+    A = tuple(tuple(f.div(v, dj) if v else v for v, dj in zip(row, d)) for row in m)
     return A, tuple(d), _inverse_word(f, ops)
 
 
@@ -743,18 +750,11 @@ def sigma(data: CrossSectionData, g: Matrix) -> CellPoint:
     y = _mul_word(f, _identity_rows(f, ctx.n), y_word)
     # z = y^-1 g, then phi: (y, z) -> (y, z y); afterwards g = y z y^-1 stays invariant.
     z = _conjugate(f, _rows(g), y_word)
-    for reading, cut, prev in data.descent:
+    for reading, cut in data.descent:
         w = _unlift_rows(data, z)  # lift^-1 * z
         A, _, _ = _factor_ul(data, w)
         coords = _read_coordinates(ctx, reading, A)
         udd_word = _lift_word(data, list(zip(reading.order[:cut], coords[:cut])))
-        udd = _word_matrix(f, ctx.n, udd_word)
-        for i in range(ctx.n):
-            for j in range(ctx.n):
-                if i != j and udd[i][j] and (i, j) not in prev:
-                    raise InconsistencyError(
-                        "level descent produced support outside the previous level"
-                    )
         y = _mul_word(f, y, udd_word)
         z = _conjugate(f, z, udd_word)
     w = _unlift_rows(data, z)  # lift^-1 * z
@@ -768,8 +768,8 @@ def sigma(data: CrossSectionData, g: Matrix) -> CellPoint:
     u_final = _mul_word(f, _identity_rows(f, ctx.n), zip(reading.order[:cut], coords[:cut]))
     _conjugate(f, u_final, list(zip(data.phi_pos, aplus_coords)))
     _conjugate(f, _conjugate_diag(f, u_final, d), b_word)
-    u_coords = _read_coordinates(ctx, data.u_order, _freeze(u_final))
-    y_coords = _read_coordinates(ctx, data.y_order, _freeze(y))
+    u_coords = _read_coordinates(ctx, data.u_order, u_final)
+    y_coords = _read_coordinates(ctx, data.y_order, y)
     b_coords = _read_coordinates(ctx, data.minus_order, _word_matrix(f, ctx.n, b_word))
     point = CellPoint(
         y_coords=tuple(y_coords),

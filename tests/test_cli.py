@@ -287,6 +287,21 @@ def test_cross_section_rational_rank_checks(capsys):
     assert res["roundtrips_ok"] == 5
 
 
+def test_cross_section_refuses_rank_checks_off_q_before_any_roundtrip(capsys, monkeypatch):
+    def no_roundtrips(data, g):
+        raise AssertionError("sigma ran before the refusal")
+
+    monkeypatch.setattr("weylconvex.cli.sigma", no_roundtrips)
+    code = main([
+        "--no-cache", "cross-section", "--n", "4", "--word", "1,2,3",
+        "--field", "101", "--trials", "3000", "--rank-checks", "2",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "--rank-checks requires --field rational"}
+
+
 def test_cross_section_rejects_other_types(capsys):
     code = main([
         "--no-cache", "cross-section", "--type", "B", "--n", "3",

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from weylconvex.construction import find_convex_representative
 from weylconvex.convexity import analyze
-from weylconvex.errors import InputError, NotInCellError
+from weylconvex.errors import InconsistencyError, InputError, NotInCellError
 from weylconvex.linalg import rank
 from weylconvex.matrixgroup import (
     MILLER_RABIN_LIMIT,
@@ -443,19 +443,22 @@ def test_roundtrips_500_over_rationals_battery():
                 assert sigma(data, xi(data, p)) == p
 
 
-def convex_elements(n):
-    """Every element of S_n that analyze calls convex, in enumeration order."""
+def quasi_convex_elements(n):
+    """Every element of S_n that analyze calls quasi-convex, in enumeration
+    order, with the number of them that are convex."""
     rs = matrix_context(n, 2).rs
     ident = diagram_automorphisms(rs)[0]
     elements = (TwistedElement(rs, p, ident, 0) for p in enumerate_weyl_group(rs))
-    return [x for x in elements if analyze(x).convex]
+    reports = [r for r in map(analyze, elements) if r.quasi_convex]
+    return [r.x for r in reports], sum(r.convex for r in reports)
 
 
-def test_every_convex_element_of_s5_roundtrips_and_is_transversal_over_q():
-    # The theorem is for every convex element, not only the representatives
-    # the construction picks.  38 is the census count of convex elements.
-    xs = convex_elements(5)
-    assert len(xs) == 38
+def test_every_quasi_convex_element_of_s5_roundtrips_and_is_transversal_over_q():
+    # sigma is defined for every quasi-convex element, not only for the
+    # representatives the construction picks.  The census counts: 48
+    # quasi-convex elements, 38 of them convex.
+    xs, convex = quasi_convex_elements(5)
+    assert (len(xs), convex) == (48, 38)
     ctx = ctx_of(5, "rational")
     rng = random.Random(5038)
     for x in xs:
@@ -466,9 +469,9 @@ def test_every_convex_element_of_s5_roundtrips_and_is_transversal_over_q():
         assert transversality_check(data, random_section_point(data, rng))
 
 
-def test_every_convex_element_of_s6_roundtrips_over_f101():
-    xs = convex_elements(6)
-    assert len(xs) == 146
+def test_every_quasi_convex_element_of_s6_roundtrips_over_f101():
+    xs, convex = quasi_convex_elements(6)
+    assert (len(xs), convex) == (197, 146)
     ctx = ctx_of(6, 101)
     rng = random.Random(6146)
     for x in xs:
@@ -476,6 +479,60 @@ def test_every_convex_element_of_s6_roundtrips_over_f101():
         for _ in range(5):
             p = random_cell_point(data, rng)
             assert sigma(data, xi(data, p)) == p
+
+
+def test_sigma_ends_by_checking_its_point(monkeypatch):
+    # The coordinates sigma reads are not multiplied back; a wrong one is
+    # caught by the closing check xi(sigma(g)) = g.
+    import weylconvex.matrixgroup as mg
+
+    ctx = ctx_of(5, 101)
+    data = build_cross_section(ctx, from_word(ctx.rs, None, [1, 2, 3, 0, 1, 2]))
+    g = xi(data, random_cell_point(data, random.Random(11)))
+    read = mg._read_coordinates
+
+    def one_wrong(ctx, reading, mat):
+        coords = read(ctx, reading, mat)
+        if reading is data.y_order:
+            k = next(k for k, t in enumerate(coords) if t)
+            coords[k] = ctx.field.add(coords[k], ctx.field.one)
+        return coords
+
+    monkeypatch.setattr(mg, "_read_coordinates", one_wrong)
+    with pytest.raises(NotInCellError, match="did not reproduce the input matrix"):
+        sigma(data, g)
+
+
+def test_build_cross_section_checks_the_level_descent(monkeypatch):
+    # sigma does not scan its lifted level words for support, because
+    # build_cross_section checks that each level below the top is closed.
+    import weylconvex.roots
+
+    ctx = ctx_of(5, 101)
+    x = from_word(ctx.rs, None, [0, 1, 2, 3, 0, 1])
+    report = analyze(x)
+    assert report.quasi_convex and not report.convex and report.max_level >= 2
+    monkeypatch.setattr(weylconvex.roots, "is_closed", lambda rs, roots: False)
+    with pytest.raises(InconsistencyError, match="does not descend into a closed level 1"):
+        build_cross_section(ctx, x)
+
+
+def test_level_check_refuses_levels_that_do_not_descend():
+    # The closed levels of x under the root permutation of another element:
+    # only the descent part of the check can fail.
+    from weylconvex.convexity import INFINITY
+    from weylconvex.matrixgroup import _check_levels
+
+    ctx = ctx_of(5, 101)
+    x = from_word(ctx.rs, None, [0, 1, 2, 3, 0, 1])
+    table = analyze(x).n_table
+    grouped = {}
+    for i in range(ctx.rs.positive_count):
+        if table[i] is not INFINITY:
+            grouped.setdefault(int(table[i]), []).append(i)
+    _check_levels(x, grouped)
+    with pytest.raises(InconsistencyError, match="level 2 does not descend"):
+        _check_levels(identity_element(ctx.rs), grouped)
 
 
 Q = RationalField()
