@@ -276,7 +276,6 @@ def cmd_cross_section(args) -> int:
     if args.rank_checks and not isinstance(ctx.field, RationalField):
         raise InputError("--rank-checks requires --field rational")
     x = from_word(ctx.rs, None, parse_word(args.word))
-    rep = analyze(x)
     data = build_cross_section(ctx, x)
     rng = random.Random(args.seed)
     ok_roundtrips = 0
@@ -289,8 +288,8 @@ def cmd_cross_section(args) -> int:
         if transversality_check(data, random_section_point(data, rng)):
             rank_ok += 1
     results = {
-        "quasi_convex": rep.quasi_convex,
-        "convex": rep.convex,
+        "quasi_convex": data.report.quasi_convex,
+        "convex": data.report.convex,
         "dims": data.dims(),
         "roundtrips_ok": ok_roundtrips,
         "roundtrips_total": args.trials,

@@ -26,8 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 from .convexity import ConvexityReport, analyze
 from .errors import InconsistencyError, InputError
 from .geometry import (
-    _admissible,
-    _cyclo_mults,
+    _admissible_mults,
     _good_position,
     _pad_to_full,
     angle_list,
@@ -187,10 +186,10 @@ def find_good_position_conjugate(
     Returns None only when the scan budget cuts the search short; a full
     scan with no hit contradicts the conjugation lemma and errors out.
     """
-    # The characteristic polynomial is a class invariant: one for the scan.
-    mults = _cyclo_mults(x)
-    if not _admissible(x, sequence, mults):
-        raise InputError("sequence is not admissible for this element")
+    # The characteristic polynomial is a class invariant, and so is
+    # admissibility: conjugating by w moves both the roots orthogonal to
+    # the eigenspaces and the fixed roots by w.  One check for the scan.
+    mults = _admissible_mults(x, sequence)
     cls = class_of(x)
     scanned = 0
     for y in cls.elements:

@@ -24,7 +24,7 @@ sentinel integer, so every comparison against an infinite level is explicit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from . import roots
 from .errors import InconsistencyError, InputError
@@ -208,34 +208,44 @@ def analyze(x: TwistedElement, strict: bool = False) -> ConvexityReport:
     )
 
 
+def _levels(rep: ConvexityReport) -> Dict[int, List[int]]:
+    """The positive roots outside phi_x by level, each in index order."""
+    grouped: Dict[int, List[int]] = {}
+    for i, lev in enumerate(rep.n_table[: rep.x.rs.positive_count]):
+        if lev is not INFINITY:
+            grouped.setdefault(int(lev), []).append(i)
+    return grouped
+
+
+def _check_descent(x: TwistedElement, grouped: Dict[int, List[int]]) -> None:
+    """Check that x sends each level k >= 2 of positive roots (`grouped`)
+    into level k - 1, and level 1 to negative roots.  The levels are
+    sign-run lengths, so the table is built this way; this re-verifies it,
+    loudly, for the callers whose proofs rest on it."""
+    for lev in range(2, max(grouped, default=0) + 1):
+        if not {x.perm[i] for i in grouped.get(lev, ())} <= set(grouped.get(lev - 1, ())):
+            raise InconsistencyError(f"level {lev} does not descend into level {lev - 1}")
+    if any(x.rs.is_positive(x.perm[i]) for i in grouped.get(1, ())):
+        raise InconsistencyError("level 1 is not sent to negative roots")
+
+
 def level_filtration(x: TwistedElement) -> List[FrozenSet[int]]:
     """Nested closed sets Phi_{x,<=1}+ through Phi_{x,<=N}+.
 
-    Only defined for quasi-convex x; the closedness and the descent of the
-    levels under x are consequences of quasi-convexity and are re-verified
-    here, loudly, on every call.
+    Only defined for quasi-convex x; the descent of the levels under x and
+    the closedness of the cumulative level sets are consequences of
+    quasi-convexity and are re-verified here, loudly, on every call.
     """
     rs = x.rs
-    pc = rs.positive_count
     rep = analyze(x)
     if not rep.quasi_convex:
         raise InputError("level filtration requires a quasi-convex element")
-    table = rep.n_table
-    finite = sorted({int(v) for v in table[:pc] if v is not INFINITY})
+    grouped = _levels(rep)
+    _check_descent(x, grouped)
     out: List[FrozenSet[int]] = []
     acc: set = set()
-    max_level = finite[-1] if finite else 0
-    for lev in range(1, max_level + 1):
-        layer = {i for i in range(pc) if table[i] == lev}
-        for i in layer:
-            img = x.perm[i]
-            if lev == 1:
-                if img < pc:
-                    raise InconsistencyError("level-1 root not sent negative")
-            else:
-                if table[img] != lev - 1 or img >= pc:
-                    raise InconsistencyError("level descent violated")
-        acc |= layer
+    for lev in range(1, max(grouped, default=0) + 1):
+        acc.update(grouped.get(lev, ()))
         if not roots.is_closed(rs, acc):
             raise InconsistencyError(
                 f"cumulative level set <= {lev} is not closed for {rs.cartan_type}"

@@ -417,7 +417,10 @@ def regular_point(
     (point, perp_set) with perp_set = {gamma : span <= H_gamma}; None when
     the basis is empty.  The point is found by random small-integer
     combinations with exact rejection, on the basis cleared to integer
-    vectors over Z[c].
+    vectors over Z[c].  The loop stays, capped at REGULAR_POINT_RETRIES
+    draws: the draws pick the point and, through the dominance walk, the
+    representative `reps` reports, so they cannot give way to a fixed
+    point whose regularity a proof would guarantee.
     """
     if not basis:
         return None
@@ -439,8 +442,8 @@ def regular_point(
         if all(any(array_dot(point, r)) for r in off):
             return field.vector(point, den), perp
     raise InconsistencyError(
-        "no regular point found in 64 random draws; the failure set has "
-        "measure zero, so this indicates a basis bug"
+        f"no regular point found in {REGULAR_POINT_RETRIES} random draws; the "
+        "failure set has measure zero, so this indicates a basis bug"
     )
 
 
@@ -480,20 +483,46 @@ def admissible_enumerations(x: TwistedElement) -> List[Tuple[Fraction, ...]]:
 class GoodPositionCertificate:
     """Witness data for a good-position verdict.
 
-    stage_points[i] is a regular point of V_x^{theta_i} dominant for the
-    stage-i parabolic; regular_points[i] is the cumulative point of
-    V^{theta_1} + ... + V^{theta_i} dominant for the whole system.
-    parabolic_chain runs Phi_0 through Phi_r as root-index sets.  Every
-    verdict is decided exactly, so `exact` is always True; the reports keep
-    the flag.
+    stage_points[i] is a regular point p_i of V_x^{theta_i} dominant for
+    the stage-i parabolic Phi_i.  parabolic_chain runs Phi_0 through Phi_r
+    as root-index sets.  Every verdict is decided exactly, so `exact` is
+    always True; the reports keep the flag.
+
+    The stage points also give the cumulative points of the partial sums
+    V^{theta_0} + ... + V^{theta_i}: for every small enough eps > 0,
+    q = sum_{j <= i} eps^j p_j is dominant for the whole system, and its
+    zero set among the positive roots is exactly Phi_{i+1}.  Proof: each
+    stage checks exactly that p_j is zero on Phi_{j+1}, the roots of Phi_j
+    orthogonal to V^{theta_j}, that p_j is nonzero on the other positive
+    roots of Phi_j, and that p_j pairs >= 0 with the simple roots
+    labels_j of Phi_j; the chain check makes Phi_{j+1} = closure(labels_{j+1})
+    with labels_{j+1} a subset of labels_j, so the chain decreases.  A
+    positive root in Phi_{i+1} lies in every Phi_{j+1}, j <= i, so q is
+    zero on it.  A positive root outside Phi_{i+1} first leaves the chain
+    at some stage j <= i: it lies in Phi_j but not in Phi_{j+1}, so
+    (p_j, root) != 0 while (p_k, root) = 0 for k < j, and the pairing of q
+    with it is eps^j (p_j, root) plus terms of higher order in eps, nonzero
+    for small eps.  For a simple root that leading term is positive: as
+    Phi_j = closure(labels_j), a simple root in Phi_j is one of labels_j,
+    with which p_j pairs >= 0.  So nothing needs the cumulative points
+    themselves; `tests/reference_geometry.py` rebuilds them as the test
+    oracle for this lemma.
     """
 
     sequence: Tuple[Fraction, ...]
     stage_points: Tuple[Tuple, ...]
-    regular_points: Tuple[Tuple, ...]
     parabolic_chain: Tuple[FrozenSet[int], ...]
     h_values: Tuple[int, ...]
     exact: bool = True
+
+
+def _admissible_mults(x: TwistedElement, sequence: Sequence[Fraction]) -> Dict[int, int]:
+    """The cyclotomic multiplicities of x, once the sequence is checked
+    admissible for it."""
+    mults = _cyclo_mults(x)
+    if not _admissible(x, sequence, mults):
+        raise InputError("sequence is not admissible for this element")
+    return mults
 
 
 def is_good_position(
@@ -506,24 +535,23 @@ def is_good_position(
     Existence is linear feasibility: the cone K meets the chamber off every
     hyperplane H_gamma iff it is not contained in any single one.
     """
-    return _good_position(x, sequence, _cyclo_mults(x))
+    return _good_position(x, sequence, _admissible_mults(x, sequence))
 
 
 def _good_position(
     x: TwistedElement, sequence: Sequence[Fraction], mults: Dict[int, int]
 ) -> Optional[GoodPositionCertificate]:
-    """`is_good_position` with the cyclotomic multiplicities of x given.
+    """`is_good_position` for a sequence already checked admissible, with
+    the cyclotomic multiplicities of x given.
 
-    They are a class invariant, so a scan over a class computes them once.
+    Both are class invariants, so a scan over a class decides them once.
     """
     rs = x.rs
     sequence = tuple(Fraction(a) for a in sequence)
-    if not _admissible(x, sequence, mults):
-        raise InputError("sequence is not admissible for this element")
     rng = random.Random(11)
 
     field = field_for(sequence)
-    top_labels = cur_labels = tuple(range(rs.rank))
+    cur_labels = tuple(range(rs.rank))
     cur_roots = rs.parabolic_closure(cur_labels)
     chain = [cur_roots]
     h_values = [sum(1 for g in cur_roots if rs.is_positive(g))]
@@ -531,9 +559,11 @@ def _good_position(
 
     for angle in sequence:
         psi = _perp_orders(x, {_rotation_denominator(angle)}, cur_roots, mults)
-        off_pos = [g for g in cur_roots if rs.is_positive(g) and g not in psi]
+        pos = [g for g in cur_roots if rs.is_positive(g)]
+        off_pos = [g for g in pos if g not in psi]
+        perp_pos = [g for g in pos if g in psi]
         basis = exact_angle_basis(x, angle, field=field)
-        point = _stage_point(rs, basis, cur_labels, off_pos, field, rng)
+        point = _stage_point(rs, basis, cur_labels, off_pos, perp_pos, field, rng)
         if point is None:
             return None
         stage_points.append(tuple(point))
@@ -547,25 +577,27 @@ def _good_position(
         cur_labels = next_labels
         cur_roots = psi
         chain.append(cur_roots)
-        h_values.append(sum(1 for g in cur_roots if rs.is_positive(g)))
+        h_values.append(len(perp_pos))
 
-    regular = _cumulative_points(rs, stage_points, chain, field, top_labels)
     return GoodPositionCertificate(
         sequence=sequence,
         stage_points=tuple(stage_points),
-        regular_points=tuple(regular),
         parabolic_chain=tuple(chain),
         h_values=tuple(h_values),
     )
 
 
-def _stage_point(rs, basis, cur_labels, off_pos, field: CosField, rng):
+def _stage_point(rs, basis, cur_labels, off_pos, perp_pos, field: CosField, rng):
     """A dominant regular point of span(basis) in the current chamber.
 
     The basis is cleared once to integer Z[c] vectors over one denominator,
     so every chamber and target row is an integer dot product with
     `int_pairing_rows` (a positive multiple of the true pairing), and the
-    cone tests and the sign tests on candidate points run on ints.
+    cone tests and the sign tests on candidate points run on ints.  First
+    every cleared basis vector must pair to zero with every root of
+    `perp_pos`, the positive roots the root permutation says are
+    orthogonal to the eigenspace; the lemma of `GoodPositionCertificate`
+    rests on it.
 
     Each target is a positive root of the current parabolic, so its row is
     a nonnegative combination of the chamber rows and R >= 0 on the whole
@@ -575,11 +607,13 @@ def _stage_point(rs, basis, cur_labels, off_pos, field: CosField, rng):
     """
     if not basis:
         return None
-    if not off_pos:
-        return [field.zero] * rs.rank  # every current root hyperplane contains K
     k, n = len(basis), field.degree
     _, cleared = field.clear(basis)
     int_rows = rs.int_pairing_rows
+    if any(any(array_dot(B, int_rows[g])) for g in perp_pos for B in cleared):
+        raise InconsistencyError("the eigenspace is not orthogonal to its perp roots")
+    if not off_pos:
+        return [field.zero] * rs.rank  # every current root hyperplane contains K
 
     def row(g):
         r = int_rows[g]
@@ -607,40 +641,6 @@ def _stage_point(rs, basis, cur_labels, off_pos, field: CosField, rng):
         raise InconsistencyError("a positive combination of stage witnesses left the cone")
     w = field.vector(C, q)
     return [_sdot(column, w, field.zero) for column in zip(*basis)]
-
-
-def _cumulative_points(rs, stage_points, chain, field: CosField, top_labels):
-    """Rebuild dominant regular points of the partial sums from stage points."""
-    out = []
-    for i in range(len(stage_points)):
-        eps = Fraction(1, 2)
-        for _ in range(REGULAR_POINT_RETRIES):
-            point = list(stage_points[0])
-            scale = eps
-            for j in range(1, i + 1):
-                point = [
-                    p + scale * q for p, q in zip(point, stage_points[j])
-                ]
-                scale = scale * eps
-            if _cumulative_ok(rs, point, chain[0], chain[i + 1], field, top_labels):
-                out.append(tuple(point))
-                break
-            eps = eps / 2
-        else:
-            raise InconsistencyError("cumulative regular point rebuild failed")
-    return out
-
-
-def _cumulative_ok(rs, point, ambient_roots, perp_roots, field: CosField, top_labels):
-    _, (P,) = field.clear([point])
-    int_rows = rs.int_pairing_rows
-    for lab in top_labels:
-        if field.sign(array_dot(P, int_rows[rs.simple_indices[lab]])) < 0:
-            return False
-    for g in ambient_roots:
-        if rs.is_positive(g) and (not any(array_dot(P, int_rows[g]))) != (g in perp_roots):
-            return False
-    return True
 
 
 def good_position_length(cert: GoodPositionCertificate) -> int:

@@ -3,11 +3,12 @@
 Matrices are lists (or tuples) of rows.  The eliminations take a field
 object that does all scalar arithmetic: it has `zero`, `one`, `add`, `sub`,
 `mul`, `neg` and `div`, and its scalars compare with `==` and are false
-exactly when zero.  The callers bring their fields: a real cyclotomic
-field K_L (see `quadfield`), and in the matrix-group module F_p on plain
-ints mod p and Q on ints when integral, Fractions only when not.  Sizes
-here are tiny, so plain Gaussian elimination is used, except that `rank`
-takes a matrix of ints and Fractions and eliminates on integers.
+exactly when zero.  The engine passes only the matrix-group fields:
+F_p on plain ints mod p and Q on ints when integral, Fractions only when
+not.  No engine caller passes K_L; `geometry` finds its kernels on
+integers over Z[c_L].  Sizes here are tiny, so plain Gaussian elimination
+is used, except that `rank` takes a matrix of ints and Fractions and
+eliminates on integers.
 """
 
 from __future__ import annotations

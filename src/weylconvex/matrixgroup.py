@@ -18,7 +18,7 @@ unipotent factor, then walks the filtration down one level at a time,
 conjugating the level-i part through the lift.  Each unipotent it meets
 is read once along an order fixed at build time; what it reads is neither
 multiplied back nor scanned for support (see `_read_coordinates` and
-`_check_levels`), and sigma ends by checking xi(sigma(g)) = g.
+`build_cross_section`), and sigma ends by checking xi(sigma(g)) = g.
 
 The tangent-span rank at a point g is taken on g times the span, which
 has the same rank: every column is then built from entries of g by
@@ -35,7 +35,7 @@ from itertools import product
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import perm, roots
-from .convexity import INFINITY, analyze
+from .convexity import ConvexityReport, _check_descent, _levels, analyze
 from .errors import InconsistencyError, InputError, NotInCellError
 from .linalg import rank, solve
 from .roots import CartanType, RootSystem, build_root_system
@@ -494,7 +494,8 @@ LevelDescent = Tuple[CoordinateOrder, int]
 
 @dataclass(frozen=True, eq=False)
 class CrossSectionData:
-    """The element, its level filtration, and what sigma reads by.
+    """The element, its analysis, its level filtration, and what sigma
+    reads by.
 
     The orders sigma reads coordinates along, and the row systems of its
     initial split, are fixed and checked here once; they are None or empty
@@ -508,10 +509,9 @@ class CrossSectionData:
     phi_pos: Tuple[Position, ...]
     phi_neg: Tuple[Position, ...]
     rn: Tuple[Position, ...]
+    report: ConvexityReport
     levels: Dict[int, Tuple[Position, ...]]
-    max_level: int
     cycles: Tuple[Tuple[int, ...], ...]
-    quasi_convex: bool
     initial_rows: Tuple[RowSystem, ...]
     descent: Tuple[LevelDescent, ...]
     final_order: Optional[CoordinateOrder]
@@ -562,29 +562,16 @@ def _initial_rows(
 
 
 def _level_descent(
-    n: int, levels: Dict[int, Tuple[Position, ...]], max_level: int, phi_pos
+    n: int, levels: Dict[int, Tuple[Position, ...]], phi_pos
 ) -> Tuple[LevelDescent, ...]:
-    """For lev = max_level .. 2: level lev first, then the lower levels and
+    """For lev = max level .. 2: level lev first, then the lower levels and
     the Levi, so the level's own coordinates lead the reading order."""
     steps = []
-    for lev in range(max_level, 1, -1):
+    for lev in range(max(levels, default=0), 1, -1):
         own = levels.get(lev, ())
         lower = tuple(p for l in range(1, lev) for p in levels.get(l, ()))
         steps.append((coordinate_order(n, own + lower + phi_pos), len(own)))
     return tuple(steps)
-
-
-def _check_levels(x: TwistedElement, grouped: Dict[int, List[int]]) -> None:
-    """Check that x sends each level k >= 2 of positive roots (`grouped`)
-    into a closed level k - 1.  Quasi-convex x does: roots of level k sum to
-    level >= k, as x^i keeps both positive for i < k, and <= k by condition
-    (2).  So the lift of a level-k word in sigma is a word in a closed set,
-    and its product has no support outside it."""
-    for lev in range(2, max(grouped, default=0) + 1):
-        below = grouped.get(lev - 1, [])
-        images = {x.perm[i] for i in grouped.get(lev, ())}
-        if not (images <= set(below) and roots.is_closed(x.rs, below)):
-            raise InconsistencyError(f"level {lev} does not descend into a closed level {lev - 1}")
 
 
 def build_cross_section(ctx: MatrixGroupContext, x: TwistedElement) -> CrossSectionData:
@@ -613,16 +600,22 @@ def build_cross_section(ctx: MatrixGroupContext, x: TwistedElement) -> CrossSect
         for i in range(rs.positive_count)
         if i not in report.phi_x
     )
-    grouped: Dict[int, List[int]] = {}
-    for i in range(rs.positive_count):
-        lev = report.n_table[i]
-        if lev is not INFINITY:
-            grouped.setdefault(int(lev), []).append(i)
+    grouped = _levels(report)
     levels = {k: tuple(map(ctx.pos_of_root.get, v)) for k, v in grouped.items()}
     level_one = levels.get(1, ())
     quasi_convex = report.quasi_convex
     if quasi_convex:
-        _check_levels(x, grouped)
+        # Quasi-convex x sends each level k >= 2 into a closed level k - 1:
+        # roots of level k sum to level >= k, as x^i keeps both positive for
+        # i < k, and <= k by condition (2).  So the lift of a level-k word in
+        # sigma is a word in a closed set, and its product has no support
+        # outside it.
+        _check_descent(x, grouped)
+        for lev in range(2, max(grouped, default=0) + 1):
+            if not roots.is_closed(rs, grouped[lev - 1]):
+                raise InconsistencyError(
+                    f"level {lev} does not descend into a closed level {lev - 1}"
+                )
 
     def reading(order) -> Optional[CoordinateOrder]:
         return coordinate_order(n, order) if quasi_convex else None
@@ -635,14 +628,11 @@ def build_cross_section(ctx: MatrixGroupContext, x: TwistedElement) -> CrossSect
         phi_pos=phi_pos,
         phi_neg=phi_neg,
         rn=rn,
+        report=report,
         levels=levels,
-        max_level=report.max_level,
         cycles=tuple(map(tuple, perm.cycles(pi))),
-        quasi_convex=quasi_convex,
         initial_rows=_initial_rows(n, pi, blk, rn, frozenset(level_one + phi_pos)),
-        descent=(
-            _level_descent(n, levels, report.max_level, phi_pos) if quasi_convex else ()
-        ),
+        descent=_level_descent(n, levels, phi_pos) if quasi_convex else (),
         final_order=reading(level_one + phi_pos),
         u_order=reading(level_one),
         y_order=reading(rn),
@@ -744,7 +734,7 @@ def sigma(data: CrossSectionData, g: Matrix) -> CellPoint:
     """
     ctx = data.ctx
     f = ctx.field
-    if not data.quasi_convex:
+    if not data.report.quasi_convex:
         raise InputError("the section is only defined for quasi-convex elements")
     y_word = _inverse_word(f, _solve_initial_unipotent(data, g))
     y = _mul_word(f, _identity_rows(f, ctx.n), y_word)

@@ -7,8 +7,9 @@ are coefficient arithmetic looked up in a coefficient index.  The Cartan
 matrix and the Gram matrix come from the simple roots of the requested
 type, laid out in the standard orthonormal-basis conventions (type A lives
 in Z^(n+1), F4 and the E series use half-integer coordinates).  Each root
-also keeps its ambient `fractions.Fraction` coordinates, for display and
-tests; no floating point enters this module.
+also keeps its ambient `fractions.Fraction` coordinates, which fix the
+root order and the GL_n position of a type A root; display reads the
+coefficients.  No floating point enters this module.
 
 Roots are indexed deterministically: positive roots first, sorted by
 (height, lexicographic coordinates), and the negative of roots[i] is
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 from operator import add, mul
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -80,22 +81,15 @@ class CartanType:
     def weyl_order(self) -> int:
         n = self.rank
         if self.family == "A":
-            return _factorial(n + 1)
+            return factorial(n + 1)
         if self.family in ("B", "C"):
-            return (1 << n) * _factorial(n)
+            return (1 << n) * factorial(n)
         if self.family == "D":
-            return (1 << (n - 1)) * _factorial(n)
+            return (1 << (n - 1)) * factorial(n)
         return _WEYL_ORDERS[self.family][n]
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def _unit(dim: int, i: int, c=1) -> Vector:
@@ -167,8 +161,8 @@ class RootSystem:
     is set when alpha_j occurs in root i.  `positive_sums[a]` lists, for a
     positive root a, the pairs (b, a+b) with b and a+b both positive, by
     ascending b: the only pairs a subadditivity test on levels must visit.
-    The ambient rational vectors `roots` and `index_of` serve display, tests
-    and the root order.
+    The ambient rational vectors `roots` and `index_of` serve the root
+    order, the GL_n positions of type A roots, and tests.
     """
 
     cartan_type: CartanType

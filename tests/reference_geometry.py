@@ -3,7 +3,9 @@
 None of it runs in the engine: the generic Fourier-Motzkin elimination on
 field scalars (the reference for the integer ladder), the generic kernel
 basis by `rref` (the reference for the fraction-free eigenspace kernel),
-and two eigenspace bookkeeping helpers the tests use as oracles.
+two eigenspace bookkeeping helpers the tests use as oracles, and the
+rebuild of a good-position certificate's cumulative points (the oracle for
+the lemma in the `GoodPositionCertificate` docstring).
 """
 
 from fractions import Fraction
@@ -30,6 +32,34 @@ def angle_perp_roots(x, angle: Fraction, root_subset=None):
         root_subset = range(x.rs.count)
     orders = {_rotation_denominator(angle)}
     return _perp_orders(x, orders, root_subset, _cyclo_mults(x))
+
+
+def cumulative_points(rs, cert, retries: int = 64) -> Optional[List[List]]:
+    """The cumulative points of a good-position certificate, rebuilt.
+
+    Point i is q = p_0 + eps p_1 + ... + eps^i p_i for the stage points p_j,
+    with eps = 1/2, 1/4, ...: the first q that pairs >= 0 with every simple
+    root and whose zero set among the positive roots is exactly
+    parabolic_chain[i + 1].  None when some point needs more than
+    `retries` halvings.
+    """
+    out = []
+    for i, zeros in enumerate(cert.parabolic_chain[1:]):
+        eps = Fraction(1, 2)
+        for _ in range(retries):
+            point = list(cert.stage_points[0])
+            for j in range(1, i + 1):
+                point = [p + eps**j * q for p, q in zip(point, cert.stage_points[j])]
+            signs = [sign_of(rs.pair_with_root(point, g)) for g in range(rs.positive_count)]
+            if all(signs[g] >= 0 for g in rs.simple_indices) and all(
+                (signs[g] == 0) == (g in zeros) for g in range(rs.positive_count)
+            ):
+                out.append(point)
+                break
+            eps /= 2
+        else:
+            return None
+    return out
 
 
 def kernel_basis(A, field) -> List[List]:

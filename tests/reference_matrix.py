@@ -15,7 +15,6 @@ from weylconvex.errors import InputError, NotInCellError
 from weylconvex.linalg import rank
 from weylconvex.matrixgroup import (
     CellPoint,
-    _closed_positions,
     _ell_rows,
     _freeze,
     _identity_rows,
@@ -164,6 +163,21 @@ def adjoint_span_rank_by_inverse(data, g):
     return rank(rows)
 
 
+def _closed_roots(positions) -> bool:
+    """Whether the roots e_a - e_b of the positions contain every root that
+    is a sum of two of them, the sum taken as vectors in Z^n."""
+    pset = set(positions)
+    for (a, b) in pset:
+        for (c, d) in pset:
+            total = {}
+            for i, v in ((a, 1), (b, -1), (c, 1), (d, -1)):
+                total[i] = total.get(i, 0) + v
+            support = {v: i for i, v in total.items() if v}
+            if sorted(support) == [-1, 1] and (support[1], support[-1]) not in pset:
+                return False
+    return True
+
+
 def unipotent_coordinates_by_height(ctx, mat, order):
     """Coordinates t with mat = product of u_pos(t) in the given order.
 
@@ -174,7 +188,7 @@ def unipotent_coordinates_by_height(ctx, mat, order):
     uppers = {a < b for (a, b) in order}
     if len(uppers) > 1:
         raise InputError("cannot mix upper and lower positions in one order")
-    if not _closed_positions(order):
+    if not _closed_roots(order):
         raise InputError("positions do not span a closed set")
     pset = set(order)
     f = ctx.field

@@ -162,6 +162,36 @@ def test_cross_section_roundtrips(capsys):
     assert res["roundtrips_ok"] == res["roundtrips_total"] == 25
 
 
+def test_cross_section_analyzes_its_element_once(capsys, monkeypatch):
+    # The verdicts in the report come from the build's own analysis.
+    import weylconvex.cli
+    import weylconvex.convexity
+    import weylconvex.matrixgroup
+
+    analyze = weylconvex.convexity.analyze
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return analyze(*args, **kwargs)
+
+    for module in (weylconvex.cli, weylconvex.convexity, weylconvex.matrixgroup):
+        monkeypatch.setattr(module, "analyze", counting)
+    code, report = run_cli(
+        capsys,
+        "--no-cache",
+        "cross-section",
+        "--n", "5",
+        "--word", "1,2,3,4,1,2",
+        "--field", "101",
+        "--trials", "5",
+    )
+    assert code == 0
+    assert len(calls) == 1
+    res = report["results"]
+    assert res["quasi_convex"] is True and res["convex"] is False
+
+
 def test_good_position_command(capsys):
     code, report = run_cli(
         capsys,

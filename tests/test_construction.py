@@ -165,6 +165,37 @@ def test_find_good_position_degree3_a6():
         assert good_position_length(cert) == y.length()
 
 
+def test_find_good_position_conjugate_checks_admissibility_once(monkeypatch):
+    # Admissibility is a class invariant: one check, however many members
+    # the scan visits.
+    from weylconvex import geometry
+
+    admissible = geometry._admissible
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        return admissible(*args)
+
+    monkeypatch.setattr(geometry, "_admissible", counting)
+    monkeypatch.setattr(construction, "_admissible", counting, raising=False)
+    rs = rs_of("A4")
+    x = from_word(rs, None, [0, 1, 2, 3])
+    seq = [Fraction(4, 5), Fraction(2, 5)]
+    y = find_good_position_conjugate(x, seq)
+    assert y is not None and y.length() == 8
+    members = [m.perm for m in class_of(x).elements]
+    assert members.index(y.perm) >= 1  # the scan visited more than one member
+    assert calls == [x]
+
+
+def test_find_good_position_conjugate_refuses_an_inadmissible_sequence():
+    rs = rs_of("A3")
+    x = from_word(rs, None, [0, 1, 2])
+    with pytest.raises(InputError, match="not admissible"):
+        find_good_position_conjugate(x, [Fraction(1)])
+
+
 def test_find_good_position_budget():
     rs = rs_of("A4")
     x = from_word(rs, None, [0, 1, 2, 3])

@@ -1,11 +1,14 @@
+import pathlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from weylconvex import geometry
+from weylconvex.construction import find_good_position_conjugate
 from weylconvex.convexity import analyze, n_of, phi_of
-from weylconvex.errors import InputError
+from weylconvex.errors import InconsistencyError, InputError
 from weylconvex.geometry import (
     _Ladder,
     admissible_enumerations,
@@ -19,6 +22,7 @@ from weylconvex.geometry import (
 )
 from weylconvex.linalg import rref
 from weylconvex.quadfield import cos_field, field_for, sign_of, two_cos_in
+from weylconvex.reports import parse_sequence, parse_word
 from weylconvex.roots import CartanType, build_root_system
 from weylconvex.weyl import (
     fixed_roots,
@@ -28,6 +32,7 @@ from weylconvex.weyl import (
 
 from reference_geometry import (
     angle_perp_roots,
+    cumulative_points,
     feasible_homogeneous,
     fixed_space_dim,
     kernel_basis,
@@ -199,6 +204,19 @@ def test_regular_point_empty_basis():
     assert regular_point([], rs) is None
 
 
+def test_regular_point_names_its_draw_cap(monkeypatch):
+    # Draws of all zeros never give a point; the error names the cap.
+    class Zeros(random.Random):
+        def randint(self, a, b):
+            return 0
+
+    monkeypatch.setattr(geometry, "REGULAR_POINT_RETRIES", 3)
+    rs = rs_of("B2")
+    ident = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    with pytest.raises(InconsistencyError, match=r"no regular point found in 3 random draws"):
+        regular_point(ident, rs, rng=Zeros())
+
+
 def test_admissible_full_enumeration_always():
     for name, word in (("A3", [1, 0, 2]), ("B3", [0, 1, 2]), ("G2", [0, 1])):
         rs = rs_of(name)
@@ -222,6 +240,15 @@ def test_admissible_enumerations_a4_coxeter():
         (Fraction(2, 5), Fraction(4, 5)),
         (Fraction(4, 5), Fraction(2, 5)),
     ]
+
+
+def test_good_position_refuses_an_inadmissible_sequence():
+    # V^pi alone is orthogonal to roots that s2 s1 s3 does not fix.
+    rs = rs_of("A3")
+    x = from_word(rs, None, [1, 0, 2])
+    assert not is_admissible(x, [Fraction(1)])
+    with pytest.raises(InputError, match="not admissible"):
+        is_good_position(x, [Fraction(1)])
 
 
 def test_admissible_rejects_foreign_angle():
@@ -323,18 +350,100 @@ def test_separation_witness_a4_coxeter():
 
 
 def test_dominant_regular_point_gives_standard_parabolic():
-    # From a dominant regular point, the orthogonal roots form a standard
-    # parabolic subsystem and contain phi_x.
+    # The zero set of each cumulative point, the next parabolic of the
+    # chain, is a standard parabolic subsystem and contains phi_x.
     rs = rs_of("A3")
     x = from_word(rs, None, [1, 0, 2])
     cert = is_good_position(x, [Fraction(1, 2), Fraction(1)])
-    for i, point in enumerate(cert.regular_points):
-        psi = cert.parabolic_chain[i + 1]
+    for psi in cert.parabolic_chain[1:]:
         labels = frozenset(
             lab for lab in range(rs.rank) if rs.simple_indices[lab] in psi
         )
         assert rs.parabolic_closure(labels) == psi
         assert phi_of(x) <= psi
+
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+
+
+def _golden_certificates():
+    """(root system, certificate) for every good-position golden that has one."""
+    out = []
+    for path in sorted(GOLDEN_DIR.glob("good_position_*.txt")):
+        # The goldens omit the wall_time_s line, so read the params by line.
+        params = dict(re.findall(r'^    "(sequence|type|word)": "(.*)"', path.read_text(), re.M))
+        rs = rs_of(params["type"])
+        x = from_word(rs, None, parse_word(params["word"]))
+        cert = is_good_position(x, parse_sequence(params["sequence"]))
+        if cert is not None:
+            out.append((rs, cert))
+    return out
+
+
+def _battery_certificates(seed, per_type, budget):
+    """Certificates for powers of Coxeter words of random standard
+    parabolics, each with a shuffled admissible angle order: the first
+    conjugate in good position, within `budget` class members."""
+    rng = random.Random(seed)
+    out = []
+    for name in ("A4", "B4", "F4", "D5", "E6"):
+        rs = rs_of(name)
+        drawn = 0
+        while drawn < per_type:
+            labels = rng.sample(range(rs.rank), rng.randint(1, rs.rank))
+            x = from_word(rs, None, labels * rng.randint(1, 2 * len(labels)))
+            angles = [a for a, _ in angle_list(x)]
+            rng.shuffle(angles)
+            if not angles or not is_admissible(x, angles):
+                continue
+            drawn += 1
+            y = find_good_position_conjugate(x, angles, budget=budget)
+            if y is not None:
+                out.append((rs, is_good_position(y, angles)))
+    return out
+
+
+def test_cumulative_points_exist_for_every_certificate():
+    # The lemma of the GoodPositionCertificate docstring: sum eps^j p_j is
+    # dominant with zero set exactly the next parabolic of the chain, for
+    # small eps.  The reference rebuilds those points by halving eps.
+    golden = _golden_certificates()
+    battery = _battery_certificates(seed=22, per_type=12, budget=60)
+    assert len(golden) == 6
+    assert len(battery) >= 20
+    for rs, cert in golden + battery:
+        points = cumulative_points(rs, cert)
+        assert points is not None, (rs.cartan_type, cert.sequence)
+        assert len(points) == len(cert.stage_points)
+    # Some certificates have two stages that move roots, so the rebuild
+    # needs a later stage point, not just the first.
+    assert any(
+        sum(1 for p in cert.stage_points if any(p)) >= 2 for _, cert in golden + battery
+    )
+
+
+@pytest.mark.parametrize("added", ["one-root", "every-root"])
+def test_stage_refuses_perp_roots_the_eigenspace_is_not_orthogonal_to(monkeypatch, added):
+    # A psi that disagrees with the exact eigenspace basis must not pass.
+    # Both corruptions keep psi a standard parabolic, so the chain check
+    # alone would not see them; with every root, the stage has no target
+    # left and still checks.
+    rs = rs_of("A3")
+    x = from_word(rs, None, [1, 0, 2])
+    a2 = rs.simple_indices[1]
+    perp_orders = geometry._perp_orders
+
+    def corrupted(x, orders, root_subset, mults):
+        psi = perp_orders(x, orders, root_subset, mults)
+        if orders != {4}:  # the admissibility check and the pi stage
+            return psi
+        if added == "one-root":
+            return psi | {a2, rs.neg(a2)}
+        return frozenset(root_subset)
+
+    monkeypatch.setattr(geometry, "_perp_orders", corrupted)
+    with pytest.raises(InconsistencyError, match="not orthogonal to its perp roots"):
+        is_good_position(x, [Fraction(1, 2), Fraction(1)])
 
 
 def test_exact_basis_is_stable_under_x():
@@ -546,9 +655,9 @@ def test_stage_point_builds_one_ladder_per_stage(monkeypatch):
 
     stage_point = geometry._stage_point
 
-    def counting_stage_point(rs, basis, cur_labels, off_pos, field, rng):
+    def counting_stage_point(rs, basis, cur_labels, off_pos, *rest):
         stages.append(bool(basis and off_pos))
-        return stage_point(rs, basis, cur_labels, off_pos, field, rng)
+        return stage_point(rs, basis, cur_labels, off_pos, *rest)
 
     monkeypatch.setattr(geometry, "_Ladder", CountingLadder)
     monkeypatch.setattr(geometry, "_stage_point", counting_stage_point)

@@ -517,11 +517,24 @@ def test_build_cross_section_checks_the_level_descent(monkeypatch):
         build_cross_section(ctx, x)
 
 
+def test_build_cross_section_checks_the_descent_of_its_levels(monkeypatch):
+    # The levels of the Coxeter element 1,2,3,4 handed to 1,2,3,4,1,2: all
+    # closed, but they do not descend under x.
+    import weylconvex.matrixgroup as mg
+
+    ctx = ctx_of(5, 101)
+    x = from_word(ctx.rs, None, [0, 1, 2, 3, 0, 1])
+    other = analyze(from_word(ctx.rs, None, [0, 1, 2, 3]))
+    assert other.quasi_convex
+    monkeypatch.setattr(mg, "analyze", lambda y: other)
+    with pytest.raises(InconsistencyError, match="does not descend into level"):
+        build_cross_section(ctx, x)
+
+
 def test_level_check_refuses_levels_that_do_not_descend():
     # The closed levels of x under the root permutation of another element:
-    # only the descent part of the check can fail.
-    from weylconvex.convexity import INFINITY
-    from weylconvex.matrixgroup import _check_levels
+    # only the descent can fail.
+    from weylconvex.convexity import INFINITY, _check_descent
 
     ctx = ctx_of(5, 101)
     x = from_word(ctx.rs, None, [0, 1, 2, 3, 0, 1])
@@ -530,9 +543,9 @@ def test_level_check_refuses_levels_that_do_not_descend():
     for i in range(ctx.rs.positive_count):
         if table[i] is not INFINITY:
             grouped.setdefault(int(table[i]), []).append(i)
-    _check_levels(x, grouped)
+    _check_descent(x, grouped)
     with pytest.raises(InconsistencyError, match="level 2 does not descend"):
-        _check_levels(identity_element(ctx.rs), grouped)
+        _check_descent(identity_element(ctx.rs), grouped)
 
 
 Q = RationalField()

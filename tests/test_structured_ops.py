@@ -10,6 +10,7 @@ import pytest
 
 from weylconvex.matrixgroup import (
     PrimeField,
+    _closed_positions,
     _conjugate,
     _conjugate_diag,
     _freeze,
@@ -37,6 +38,7 @@ from weylconvex.errors import NotInCellError
 from weylconvex.weyl import from_word
 
 from reference_matrix import (
+    _closed_roots,
     diag,
     ell_matrix,
     identity_matrix,
@@ -182,6 +184,25 @@ def test_bottom_up_row_word_reads_off_its_entries(case):
         assert U == _dense_word(ctx, order, coords)
         for (a, b), t in zip(order, coords):
             assert U[a][b] == t
+
+
+def test_reference_closedness_matches_the_engine():
+    # The height-by-height reference tests closedness by summing roots; the
+    # engine chains positions.  They must agree, on closed sets and not.
+    rng = random.Random(21)
+    outcomes = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        pos = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.4]
+        if rng.random() < 0.5:
+            pos = [(b, a) for (a, b) in pos]
+        closed = _closed_positions(pos)
+        assert _closed_roots(pos) == closed, pos
+        outcomes[closed] += 1
+    for _ in range(50):
+        order = _closed_order(rng.randint(2, 6), rng)
+        assert _closed_roots(order) and _closed_positions(order)
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 @pytest.mark.parametrize("field", [2, 101, "rational"], ids=["F2", "F101", "Q"])
