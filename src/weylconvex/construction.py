@@ -28,7 +28,6 @@ from .errors import InconsistencyError, InputError
 from .geometry import (
     _admissible_mults,
     _good_position,
-    _pad_to_full,
     angle_list,
     exact_angle_basis,
     regular_point,
@@ -92,13 +91,10 @@ def _geometric_convex(
             )
         angle = angles[0][0]  # ascending order: smallest theta first
         field = field_for([angle])
-        basis = exact_angle_basis(x, angle, labels, field)
+        _, basis = exact_angle_basis(x, angle, labels, field)
         if not basis:
             raise InconsistencyError("empty eigenspace basis for a present angle")
-        padded = [_pad_to_full(b, labels, rs.rank) for b in basis]
-        point, _ = regular_point(padded, rs, rs.parabolic_closure(labels), rng)
-        # The walk runs on the point as an integer array over Z[c].
-        _, (point,) = field.clear([point])
+        point, _ = regular_point(basis, rs, rs.parabolic_closure(labels), rng)
         x, point, word = _dominate(rs, x, point, labels, field)
         next_labels = tuple(
             lab
@@ -114,8 +110,10 @@ def _geometric_convex(
 def _dominate(rs, x, point, labels, field):
     """Reflect the point into the closed dominant chamber of the parabolic.
 
-    Ties (pairings that are already zero) are left alone: boundary points
-    are allowed in the closed chamber.
+    The point is an integer array over Z[c], as `regular_point` returns
+    it; a positive scalar changes no sign the walk reads.  Ties (pairings
+    that are already zero) are left alone: boundary points are allowed in
+    the closed chamber.
     """
     word: List[int] = []
     guard = 0

@@ -11,12 +11,13 @@ matrix, and every Boolean that feeds a theorem check is decided exactly.
   the roots on its orbit.
 * Eigenspace bases and cone feasibility are exact over the real cyclotomic
   field K_L = Q(c_L), c_L = 2cos 2pi/L, of the angle sequence (see
-  `quadfield`), for every rotation order.  Eigenspace bases come from a
-  fraction-free kernel over Z[c_L].  The cone tests clear the basis to
-  integer vectors over Z[c_L] and run Fourier-Motzkin and every sign test
-  on integer rows (Schrijver, Theory of Linear and Integer Programming,
-  1986).  A stage eliminates its chamber rows once, in a ladder that every
-  cone query of the stage shares.
+  `quadfield`), for every rotation order.  An eigenspace basis comes from
+  a fraction-free kernel over Z[c_L] as integer arrays over one
+  denominator, and stays in that form: regular points, the dominance walk,
+  Fourier-Motzkin and every sign test run on integer rows (Schrijver,
+  Theory of Linear and Integer Programming, 1986).  Only a certificate's
+  stage points become K_L values.  A stage eliminates its chamber rows
+  once, in a ladder that every cone query of the stage shares.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import permutations
 from math import gcd, lcm
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -32,12 +34,11 @@ from . import perm
 from .errors import InconsistencyError, InputError
 from .linalg import cyclotomic, cyclotomic_multiplicities, charpoly_int, poly_mul
 from .quadfield import (
+    Array,
     CosField,
-    CosNum,
     array_add,
     array_combination,
     array_dot,
-    cos_field,
     field_for,
     sign_of,
     two_cos_in,
@@ -97,15 +98,6 @@ def _rotation_denominator(angle: Fraction) -> int:
     return Fraction(angle, 2).denominator
 
 
-def _pad_to_full(vec: Sequence, labels: Tuple[int, ...], rank: int) -> List:
-    if len(labels) == rank:
-        return list(vec)
-    out = [Fraction(0)] * rank
-    for t, lab in enumerate(labels):
-        out[lab] = vec[t]
-    return out
-
-
 def _sdot(row, vec, zero):
     acc = zero
     for a, b in zip(row, vec):
@@ -149,13 +141,18 @@ def _perp_orders(
 
 def exact_angle_basis(
     x: TwistedElement, angle: Fraction, labels=None, field: Optional[CosField] = None
-) -> List[List]:
+) -> Tuple[int, List[Array]]:
     """Basis of V_x^theta, the kernel of M + M^-1 - 2cos theta over K_L.
 
     The field defaults to the smallest K_L holding 2cos theta; a sequence
     passes its own field so that all its stage points share one.  With
     2cos theta = nums / den, the kernel is that of den (M + M^-1) - nums,
     a matrix over Z[c], and `_int_kernel` finds it on integers.
+
+    The basis is one primitive pair (den, arrays): vector j is
+    arrays[j] / den, an integer array over Z[c] (see `quadfield`) on all
+    simple-root coordinates, zero off `labels`; den > 0, and no integer
+    > 1 divides den and every entry.
     """
     field = field or field_for([angle])
     nums, den = field.parts(two_cos_in(angle, field))
@@ -170,10 +167,10 @@ def exact_angle_basis(
         for d, v in enumerate(nums):
             row[d][i] -= v
         rows.append(tuple(map(tuple, row)))
-    return _int_kernel(rows, n, field)
+    return _int_kernel(rows, labels, x.rs.rank, field)
 
 
-def _int_kernel(rows, cols: int, field: CosField) -> List[List[CosNum]]:
+def _int_kernel(rows, labels, rank: int, field: CosField) -> Tuple[int, List[Array]]:
     """Basis of the kernel of the matrix with these array rows over Z[c].
 
     Fraction-free Gauss-Jordan, as `linalg.rank` eliminates on integers:
@@ -182,8 +179,11 @@ def _int_kernel(rows, cols: int, field: CosField) -> List[List[CosNum]]:
     entries stay in Z[c].  Then each pivot row is the row of the reduced
     echelon form times its pivot, and the kernel vector of a free column f
     is 1 at f and -R_f / R_c at the pivot column c of each row R.  That is
-    the basis the generic `rref` gives, entry for entry.
+    the basis the generic `rref` gives, entry for entry, returned as one
+    primitive pair (den, arrays) like `exact_angle_basis`: column j is
+    coordinate labels[j] of the `rank` coordinates.
     """
+    cols = len(labels)
     R = list(rows)
     pivots: List[int] = []
     for c in range(cols):
@@ -202,17 +202,23 @@ def _int_kernel(rows, cols: int, field: CosField) -> List[List[CosNum]]:
         pivots.append(c)
         if len(pivots) == len(R):
             break
+    # R_c b = N with N a nonzero int, so -R_f / R_c = -R_f b / N; every N
+    # divides den.
+    norms = [field.norm_adj(tuple(p[c] for p in row)) for row, c in zip(R, pivots)]
+    den = lcm(*(abs(N) for N, _ in norms))
+    one = (den,) + (0,) * (field.degree - 1)
     basis = []
     for f in range(cols):
         if f in pivots:
             continue
-        v = [field.zero] * cols
-        v[f] = field.one
-        for row, c in zip(R, pivots):
-            N, b = field.norm_adj(tuple(p[c] for p in row))
-            v[c] = field.make([-u for u in field.mul(tuple(p[f] for p in row), b)], N)
-        basis.append(v)
-    return basis
+        v = [(0,) * field.degree] * rank
+        v[labels[f]] = one
+        for row, c, (N, b) in zip(R, pivots, norms):
+            s = -den // N
+            v[labels[c]] = tuple(s * u for u in field.mul(tuple(p[f] for p in row), b))
+        basis.append(tuple(zip(*v)))
+    g = gcd(den, *(u for B in basis for p in B for u in p))
+    return den // g, [tuple(tuple(u // g for u in p) for p in B) for B in basis]
 
 
 # ---------------------------------------------------------------------------
@@ -406,18 +412,20 @@ class _Ladder:
 
 
 def regular_point(
-    basis: Sequence[Sequence],
+    basis: Sequence[Array],
     rs,
     root_subset=None,
     rng: Optional[random.Random] = None,
 ):
     """A point of span(basis) off every root hyperplane not containing it.
 
-    The basis vectors have int, Fraction or K_L entries.  Returns
-    (point, perp_set) with perp_set = {gamma : span <= H_gamma}; None when
-    the basis is empty.  The point is found by random small-integer
-    combinations with exact rejection, on the basis cleared to integer
-    vectors over Z[c].  The loop stays, capped at REGULAR_POINT_RETRIES
+    The basis vectors are integer arrays over Z[c] in simple-root
+    coordinates, as `exact_angle_basis` gives them; a common positive
+    denominator changes no answer here, so none is passed.  Returns
+    (point, perp_set), the point an integer combination of the basis
+    arrays and perp_set = {gamma : span <= H_gamma}; None when the basis is
+    empty.  The point is found by random small-integer combinations with
+    exact rejection.  The loop stays, capped at REGULAR_POINT_RETRIES
     draws: the draws pick the point and, through the dominance walk, the
     representative `reps` reports, so they cannot give way to a fixed
     point whose regularity a proof would guarantee.
@@ -427,20 +435,18 @@ def regular_point(
     rng = rng or random.Random(7)
     if root_subset is None:
         root_subset = range(rs.count)
-    field = next((v.field for b in basis for v in b if isinstance(v, CosNum)), cos_field(1))
-    den, cleared = field.clear(basis)
     rows = rs.int_pairing_rows
     perp = frozenset(
-        g for g in root_subset if not any(any(array_dot(B, rows[g])) for B in cleared)
+        g for g in root_subset if not any(any(array_dot(B, rows[g])) for B in basis)
     )
     off = [rows[g] for g in root_subset if g not in perp and rs.is_positive(g)]
     for _ in range(REGULAR_POINT_RETRIES):
         coefs = [rng.randint(-9, 9) for _ in basis]
         if all(c == 0 for c in coefs):
             continue
-        point = array_combination(coefs, cleared)
+        point = array_combination(coefs, basis)
         if all(any(array_dot(point, r)) for r in off):
-            return field.vector(point, den), perp
+            return point, perp
     raise InconsistencyError(
         f"no regular point found in {REGULAR_POINT_RETRIES} random draws; the "
         "failure set has measure zero, so this indicates a basis bug"
@@ -562,8 +568,8 @@ def _good_position(
         pos = [g for g in cur_roots if rs.is_positive(g)]
         off_pos = [g for g in pos if g not in psi]
         perp_pos = [g for g in pos if g in psi]
-        basis = exact_angle_basis(x, angle, field=field)
-        point = _stage_point(rs, basis, cur_labels, off_pos, perp_pos, field, rng)
+        den, basis = exact_angle_basis(x, angle, field=field)
+        point = _stage_point(rs, den, basis, cur_labels, off_pos, perp_pos, field, rng)
         if point is None:
             return None
         stage_points.append(tuple(point))
@@ -587,17 +593,18 @@ def _good_position(
     )
 
 
-def _stage_point(rs, basis, cur_labels, off_pos, perp_pos, field: CosField, rng):
+def _stage_point(rs, den, basis, cur_labels, off_pos, perp_pos, field: CosField, rng):
     """A dominant regular point of span(basis) in the current chamber.
 
-    The basis is cleared once to integer Z[c] vectors over one denominator,
-    so every chamber and target row is an integer dot product with
-    `int_pairing_rows` (a positive multiple of the true pairing), and the
-    cone tests and the sign tests on candidate points run on ints.  First
-    every cleared basis vector must pair to zero with every root of
-    `perp_pos`, the positive roots the root permutation says are
+    The basis is the pair (den, basis) of `exact_angle_basis`: integer
+    Z[c] arrays over one denominator.  Every chamber and target row is an
+    integer dot product of the arrays with `int_pairing_rows` (a positive
+    multiple of the true pairing), so the cone tests and the sign tests
+    run on ints.  First every basis array must pair to zero with every
+    root of `perp_pos`, the positive roots the root permutation says are
     orthogonal to the eigenspace; the lemma of `GoodPositionCertificate`
-    rests on it.
+    rests on it.  The point comes back as a list of K_L values, the one
+    place an eigenspace vector leaves the integer arrays.
 
     Each target is a positive root of the current parabolic, so its row is
     a nonnegative combination of the chamber rows and R >= 0 on the whole
@@ -608,16 +615,15 @@ def _stage_point(rs, basis, cur_labels, off_pos, perp_pos, field: CosField, rng)
     if not basis:
         return None
     k, n = len(basis), field.degree
-    _, cleared = field.clear(basis)
     int_rows = rs.int_pairing_rows
-    if any(any(array_dot(B, int_rows[g])) for g in perp_pos for B in cleared):
+    if any(any(array_dot(B, int_rows[g])) for g in perp_pos for B in basis):
         raise InconsistencyError("the eigenspace is not orthogonal to its perp roots")
     if not off_pos:
         return [field.zero] * rs.rank  # every current root hyperplane contains K
 
     def row(g):
         r = int_rows[g]
-        return tuple(zip(*(array_dot(B, r) for B in cleared)))
+        return tuple(zip(*(array_dot(B, r) for B in basis)))
 
     chamber = [row(rs.simple_indices[lab]) for lab in cur_labels]
     targets = [row(g) for g in off_pos]
@@ -639,8 +645,11 @@ def _stage_point(rs, basis, cur_labels, off_pos, perp_pos, field: CosField, rng)
         and all(any(field.dot(R, C)) for R in targets)
     ):
         raise InconsistencyError("a positive combination of stage witnesses left the cone")
-    w = field.vector(C, q)
-    return [_sdot(column, w, field.zero) for column in zip(*basis)]
+    # The point is sum_j w_j basis_j / den with w = C / q.
+    P = reduce(
+        array_add, (field.scale(field.mul_matrix(w), B) for w, B in zip(zip(*C), basis))
+    )
+    return field.vector(P, q * den)
 
 
 def good_position_length(cert: GoodPositionCertificate) -> int:
@@ -654,9 +663,14 @@ def good_position_length(cert: GoodPositionCertificate) -> int:
 
 
 def separation_witness(x: TwistedElement, e: Sequence, gamma: int) -> int:
-    """First i >= 1 with (x^-i e, gamma) < 0; contracts to equal n_x(gamma)."""
+    """First i >= 1 with (x^-i e, gamma) < 0; contracts to equal n_x(gamma).
+
+    The signs are read off `int_pairing_rows`, a positive multiple of the
+    pairing.
+    """
     rs = x.rs
-    if sign_of(rs.pair_with_root(e, gamma)) <= 0:
+    row = rs.int_pairing_rows[gamma]
+    if sign_of(_sdot(row, e, 0)) <= 0:
         raise InputError("witness point must pair strictly positively with gamma")
     Minv = x.inverse().matrix()
     n = rs.rank
@@ -665,7 +679,7 @@ def separation_witness(x: TwistedElement, e: Sequence, gamma: int) -> int:
         v = [
             _sdot(Minv[t], v, 0 * v[0]) for t in range(n)
         ]
-        if sign_of(rs.pair_with_root(v, gamma)) < 0:
+        if sign_of(_sdot(row, v, 0)) < 0:
             return i
     raise InconsistencyError(
         "no separation within the order of x; inconsistent with the level theory"

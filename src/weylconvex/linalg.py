@@ -13,6 +13,7 @@ eliminates on integers.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
@@ -195,13 +196,9 @@ def poly_mul(a: Sequence[int], b: Sequence[int]) -> List[int]:
     return out
 
 
-_CYCLO_CACHE = {1: [-1, 1]}
-
-
+@lru_cache(maxsize=None)
 def cyclotomic(d: int) -> List[int]:
     """The d-th cyclotomic polynomial, constant term first."""
-    if d in _CYCLO_CACHE:
-        return _CYCLO_CACHE[d]
     num = [0] * (d + 1)
     num[0] = -1
     num[d] = 1
@@ -211,7 +208,6 @@ def cyclotomic(d: int) -> List[int]:
             if q is None or r != []:
                 raise InconsistencyError(f"Phi_{e} does not divide t^{d} - 1")
             num = q
-    _CYCLO_CACHE[d] = num
     return num
 
 

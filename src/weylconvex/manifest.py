@@ -8,6 +8,7 @@ both drive this list.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Dict, List
 
 from .construction import find_good_position_conjugate
@@ -27,20 +28,16 @@ from .weyl import (
     min_length_set,
 )
 
-_RS_CACHE: Dict[str, object] = {}
-
-
+@lru_cache(maxsize=None)
 def _rs(name: str):
-    if name not in _RS_CACHE:
-        _RS_CACHE[name] = build_root_system(CartanType.parse(name))
-    return _RS_CACHE[name]
+    return build_root_system(CartanType.parse(name))
 
 
 def _root_index(rs, labels) -> int:
     coef = [0] * rs.rank
     for lab in labels:
         coef[lab - 1] += 1
-    return next(i for i in range(rs.count) if rs.coeffs[i] == tuple(coef))
+    return rs.coeff_index[tuple(coef)]
 
 
 def _item(item_id: str, description: str, passed: bool, details: Dict) -> Dict:

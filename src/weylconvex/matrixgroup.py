@@ -297,21 +297,24 @@ class MatrixGroupContext:
     field: object
     rs: RootSystem
     pos_of_root: Dict[int, Position]
-    root_of_pos: Dict[Position, int]
 
 
 def matrix_context(n: int, field_spec="rational") -> MatrixGroupContext:
     if n < 2:
         raise InputError("matrix realization needs n >= 2")
     rs = build_root_system(CartanType("A", n - 1))
-    pos_of_root = {i: (v.index(1), v.index(-1)) for i, v in enumerate(rs.roots)}
-    root_of_pos = {p: i for i, p in pos_of_root.items()}
+    # A root of type A has coefficients 1 (or -1) on the labels a..b-1: it
+    # is e_a - e_b (or e_b - e_a).
+    pos_of_root = {}
+    for i, c in enumerate(rs.coeffs):
+        support = [t for t, ct in enumerate(c) if ct]
+        a, b = support[0], support[-1] + 1
+        pos_of_root[i] = (a, b) if c[a] > 0 else (b, a)
     return MatrixGroupContext(
         n=n,
         field=make_field(field_spec),
         rs=rs,
         pos_of_root=pos_of_root,
-        root_of_pos=root_of_pos,
     )
 
 

@@ -17,10 +17,10 @@ once per field: the minimal polynomial alternates in sign across
 separation points between its real roots, so each gap holds exactly one
 root.  Floats only place those separation points.
 
-The cone tests run on integer vectors over Z[c].  Such a vector (an
-"array") is stored coefficient-major, as `degree` int tuples of equal
-length, so its pairing with an integer root row is one integer dot product
-per power of c.
+Eigenspace bases and the cone tests run on integer vectors over Z[c].
+Such a vector (an "array") is stored coefficient-major, as `degree` int
+tuples of equal length, so its pairing with an integer root row is one
+integer dot product per power of c.
 """
 
 from __future__ import annotations
@@ -84,8 +84,9 @@ class CosField:
     """K_L = Q(c) with c = 2cos(2pi/L); `cos_field(L)` shares one per L.
 
     Methods on bare coefficient tuples (`mul`, `sign`, `norm_adj`) and on
-    arrays (`scale`, `dot`, `clear`, `vector`) serve the integer cone
-    tests; `CosNum` wraps them as scalars for the generic linear algebra.
+    arrays (`scale`, `dot`) serve the eigenspace kernels and the integer
+    cone tests; `vector` turns an array over a denominator into `CosNum`
+    scalars, the values a good-position certificate reports.
     """
 
     def __init__(self, L: int):
@@ -288,15 +289,6 @@ class CosField:
             for j, s in enumerate(S):
                 prod[i + j] += sum(map(mul, p, s))
         return self._reduce(prod)
-
-    def clear(self, vectors) -> Tuple[int, List[Array]]:
-        """(den, arrays) with every vector == its array / den, den > 0."""
-        parts = [[self.parts(v) for v in vec] for vec in vectors]
-        den = lcm(*(d for vec in parts for _, d in vec))
-        return den, [
-            tuple(zip(*[[v * (den // d) for v in nums] for nums, d in vec]))
-            for vec in parts
-        ]
 
     def vector(self, P: Array, den: int) -> List["CosNum"]:
         """The entries of P / den."""

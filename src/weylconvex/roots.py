@@ -6,14 +6,14 @@ computed with the integer Cartan matrix; root sums and simple reflections
 are coefficient arithmetic looked up in a coefficient index.  The Cartan
 matrix and the Gram matrix come from the simple roots of the requested
 type, laid out in the standard orthonormal-basis conventions (type A lives
-in Z^(n+1), F4 and the E series use half-integer coordinates).  Each root
-also keeps its ambient `fractions.Fraction` coordinates, which fix the
-root order and the GL_n position of a type A root; display reads the
-coefficients.  No floating point enters this module.
+in Z^(n+1), F4 and the E series use half-integer coordinates) and scaled
+to integers over one common denominator.  Those integer ambient
+coordinates fix the root order; nothing else keeps them.  No floating
+point enters this module.
 
 Roots are indexed deterministically: positive roots first, sorted by
-(height, lexicographic coordinates), and the negative of roots[i] is
-roots[positive_count + i].
+(height, ambient coordinates), and the negative of root i is root
+positive_count + i.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
 from operator import add, mul
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from . import perm
 from .errors import InconsistencyError, InputError
@@ -154,30 +154,24 @@ class RootSystem:
 
     Every root is a tuple of integer simple-root coefficients (`coeffs`,
     found again through `coeff_index`); sums, reflections and the Cartan
-    matrix are integer data on those tuples.  `pairing_rows[i]` is
-    Gram * coeffs[i], so pairing a vector in simple-root coordinates with a
-    root is one dot product; `int_pairing_rows` is the same row scaled by
-    one positive integer, for exact zero tests.  Bit j of `support_masks[i]`
+    matrix are integer data on those tuples.  `int_pairing_rows[i]` is
+    den^2 Gram * coeffs[i], den the common denominator of the ambient
+    simple roots, so the pairing of a vector in simple-root coordinates
+    with root i is one integer dot product, a positive multiple of the true
+    pairing: its zero test and its sign are exact.  Bit j of `support_masks[i]`
     is set when alpha_j occurs in root i.  `positive_sums[a]` lists, for a
     positive root a, the pairs (b, a+b) with b and a+b both positive, by
     ascending b: the only pairs a subadditivity test on levels must visit.
-    The ambient rational vectors `roots` and `index_of` serve the root
-    order, the GL_n positions of type A roots, and tests.
     """
 
     cartan_type: CartanType
-    ambient_dim: int
-    roots: Tuple[Vector, ...]
     coeffs: Tuple[Tuple[int, ...], ...]
     coeff_index: Dict[Tuple[int, ...], int]
     positive_count: int
     simple_indices: Tuple[int, ...]
     sum_table: Dict[Tuple[int, int], int]
     positive_sums: Tuple[Tuple[Tuple[int, int], ...], ...]
-    index_of: Dict[Vector, int]
     cartan: Tuple[Tuple[int, ...], ...]
-    simple_gram: Tuple[Tuple[Fraction, ...], ...]
-    pairing_rows: Tuple[Tuple[Fraction, ...], ...]
     int_pairing_rows: Tuple[Tuple[int, ...], ...]
     reflections: Tuple[perm.Perm, ...]
     support_masks: Tuple[int, ...]
@@ -188,7 +182,7 @@ class RootSystem:
 
     @property
     def count(self) -> int:
-        return len(self.roots)
+        return len(self.coeffs)
 
     def is_positive(self, i: int) -> bool:
         return i < self.positive_count
@@ -199,18 +193,6 @@ class RootSystem:
 
     def height(self, i: int) -> int:
         return sum(self.coeffs[i])
-
-    def pair_with_root(self, v: Sequence, i: int):
-        """Pairing of a vector in simple-root coordinates with roots[i]."""
-        out = 0
-        for va, r in zip(v, self.pairing_rows[i]):
-            if va != 0:
-                out = out + va * r
-        return out
-
-    def gram(self) -> Tuple[Tuple[Fraction, ...], ...]:
-        """Gram matrix of the simple roots."""
-        return self.simple_gram
 
     def cartan_entry(self, i: int, j: int) -> int:
         """<alpha_i, alpha_j^vee> for simple labels i, j (0-based)."""
@@ -278,12 +260,6 @@ def _over_common_denominator(rows) -> Tuple[int, List[List[int]]]:
     return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
 
 
-def _as_fractions(int_rows, den: int) -> Tuple[Tuple[Fraction, ...], ...]:
-    """The rows int_rows / den; equal entries share one Fraction."""
-    frac = {x: Fraction(x, den) for x in {x for row in int_rows for x in row}}
-    return tuple(tuple(map(frac.__getitem__, row)) for row in int_rows)
-
-
 def _positive_sums(sum_table, pc: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
     """Per positive root a, the pairs (b, a+b) with b positive, by b.
 
@@ -328,8 +304,8 @@ def build_root_system(cartan_type: CartanType) -> RootSystem:
             f"{cartan_type}: generated {len(found)} roots, expected {expected}"
         )
 
-    # Ambient coordinates over den; scaling by a positive integer keeps the
-    # (height, coordinates) order.
+    # Positive roots sorted by height, then by ambient coordinates over den;
+    # scaling by a positive integer keeps that order.
     positives = []
     for c in found:
         pos = all(t >= 0 for t in c)
@@ -346,10 +322,6 @@ def build_root_system(cartan_type: CartanType) -> RootSystem:
 
     coeffs = [c for _, _, c in positives]
     coeffs += [tuple(-t for t in c) for c in coeffs]
-    ambient = [amb for _, amb, _ in positives]
-    ambient += [tuple(-x for x in amb) for amb in ambient]
-    roots = _as_fractions(ambient, den)
-    index_of = {v: i for i, v in enumerate(roots)}
     coeff_index = {c: i for i, c in enumerate(coeffs)}
 
     sum_table: Dict[Tuple[int, int], int] = {}
@@ -373,18 +345,13 @@ def build_root_system(cartan_type: CartanType) -> RootSystem:
 
     return RootSystem(
         cartan_type=cartan_type,
-        ambient_dim=dim,
-        roots=roots,
         coeffs=tuple(coeffs),
         coeff_index=coeff_index,
         positive_count=len(positives),
         simple_indices=tuple(coeff_index[u] for u in units),
         sum_table=sum_table,
         positive_sums=_positive_sums(sum_table, len(positives)),
-        index_of=index_of,
         cartan=cartan,
-        simple_gram=_as_fractions(int_gram, den * den),
-        pairing_rows=_as_fractions(int_pairing_rows, den * den),
         int_pairing_rows=int_pairing_rows,
         reflections=reflections,
         support_masks=tuple(
@@ -394,7 +361,7 @@ def build_root_system(cartan_type: CartanType) -> RootSystem:
 
 
 def root_sum(rs: RootSystem, i: int, j: int) -> Optional[int]:
-    """Index of roots[i] + roots[j] if that vector is a root, else None."""
+    """Index of root i + root j if that vector is a root, else None."""
     if not (0 <= i < rs.count and 0 <= j < rs.count):
         raise InputError(f"root index out of range: {(i, j)}")
     return rs.sum_table.get((i, j))

@@ -50,7 +50,10 @@ def cumulative_points(rs, cert, retries: int = 64) -> Optional[List[List]]:
             point = list(cert.stage_points[0])
             for j in range(1, i + 1):
                 point = [p + eps**j * q for p, q in zip(point, cert.stage_points[j])]
-            signs = [sign_of(rs.pair_with_root(point, g)) for g in range(rs.positive_count)]
+            signs = [
+                sign_of(_sdot(rs.int_pairing_rows[g], point, 0))
+                for g in range(rs.positive_count)
+            ]
             if all(signs[g] >= 0 for g in rs.simple_indices) and all(
                 (signs[g] == 0) == (g in zeros) for g in range(rs.positive_count)
             ):

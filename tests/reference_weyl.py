@@ -1,6 +1,7 @@
 """Root and group helpers that only the tests use.
 
-None of it runs in the engine: the dot product of ambient root vectors,
+None of it runs in the engine: the ambient vectors of the roots, rebuilt
+from the simple roots and the integer coefficients, and their dot product,
 the identity element, quasi-convexity as a bare Boolean, the common order
 of the twisted Coxeter elements, the reflection ordering that the
 half-turn word of a Coxeter element gives, and the orbit search under
@@ -9,13 +10,30 @@ member (the reference for the pruned `perm.sandwich_orbit`).
 """
 
 from fractions import Fraction
-from typing import List
+from typing import List, Tuple
 
 from weylconvex import perm
 from weylconvex.convexity import analyze
 from weylconvex.coxeter import _common_order, _w0_condition, coxeter_elements, reflection_ordering
 from weylconvex.errors import InconsistencyError, InputError
+from weylconvex.roots import _simple_roots
 from weylconvex.weyl import from_word
+
+
+def ambient(rs, coeffs) -> Tuple:
+    """sum_j coeffs[j] alpha_j in ambient coordinates, for the simple roots
+    alpha_j of the standard orthonormal-basis layout."""
+    simples = _simple_roots(rs.cartan_type)
+    return tuple(
+        sum((c * a[k] for c, a in zip(coeffs, simples) if c), Fraction(0))
+        for k in range(len(simples[0]))
+    )
+
+
+def ambient_roots(rs) -> List[Tuple[Fraction, ...]]:
+    """The ambient rational vector of every root, by root index; the engine
+    keeps only the simple-root coefficients."""
+    return [ambient(rs, c) for c in rs.coeffs]
 
 
 def dot(u, v) -> Fraction:

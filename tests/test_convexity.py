@@ -293,6 +293,28 @@ def test_level_filtration_not_closed_names_the_type(monkeypatch):
     assert str(info.value) == "cumulative level set <= 1 is not closed for A2"
 
 
+@pytest.mark.parametrize(
+    "name, word", [("A2", [0, 1, 0]), ("A4", [0, 1, 2, 3, 0, 1])], ids=["A2-w0", "A4-quasi"]
+)
+def test_level_filtration_checks_the_descent(monkeypatch, name, word):
+    # Every level moved up by one: level 1 is empty and each cumulative set
+    # is one of the true ones, so all stay closed, but the roots now at
+    # level 2 are sent to negative roots, not into level 1.  Only the
+    # descent check sees it.
+    import weylconvex.convexity
+
+    x = from_word(rs_of(name), None, word)
+    assert analyze(x).quasi_convex
+    true_levels = weylconvex.convexity._levels
+    monkeypatch.setattr(
+        weylconvex.convexity,
+        "_levels",
+        lambda rep: {lev + 1: roots for lev, roots in true_levels(rep).items()},
+    )
+    with pytest.raises(InconsistencyError, match="level 2 does not descend into level 1"):
+        level_filtration(x)
+
+
 def test_strict_mode_flags():
     # Any audit flags recorded in strict mode must involve a phi_x sum.
     for x in every_element("B2"):

@@ -2,6 +2,7 @@ import pathlib
 import random
 import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -21,7 +22,7 @@ from weylconvex.geometry import (
     separation_witness,
 )
 from weylconvex.linalg import rref
-from weylconvex.quadfield import cos_field, field_for, sign_of, two_cos_in
+from weylconvex.quadfield import array_dot, cos_field, field_for, sign_of, two_cos_in
 from weylconvex.reports import parse_sequence, parse_word
 from weylconvex.roots import CartanType, build_root_system
 from weylconvex.weyl import (
@@ -38,7 +39,7 @@ from reference_geometry import (
     kernel_basis,
 )
 from reference_matrix import OperatorField
-from reference_weyl import identity_element
+from reference_weyl import ambient, identity_element
 
 RS = {}
 
@@ -49,19 +50,16 @@ def rs_of(name):
     return RS[name]
 
 
-def ambient(rs, coeff_vec):
-    """Simple-root coordinates to ambient coordinates."""
-    out = [Fraction(0)] * rs.ambient_dim
-    for lab, c in enumerate(coeff_vec):
-        root = rs.roots[rs.simple_indices[lab]]
-        for t in range(rs.ambient_dim):
-            out[t] += c * root[t]
-    return tuple(out)
+def basis_values(angle, pair):
+    """The K_L vectors arrays[j] / den of an `exact_angle_basis` pair."""
+    field = field_for([angle])
+    den, arrays = pair
+    return [field.vector(B, den) for B in arrays]
 
 
 def exact_components(x):
-    """{angle: exact basis of V_x^theta} over all rotation angles of x."""
-    return {angle: exact_angle_basis(x, angle) for angle, _ in angle_list(x)}
+    """{angle: exact basis of V_x^theta as K_L vectors} over all rotation angles of x."""
+    return {angle: basis_values(angle, exact_angle_basis(x, angle)) for angle, _ in angle_list(x)}
 
 
 def test_eigen_angles_identity():
@@ -77,13 +75,13 @@ def test_eigen_angles_s2s1s3():
     comps = {a: len(b) for a, b in exact_components(x).items()}
     assert comps == dict(angle_list(x)) == {Fraction(1, 2): 2, Fraction(1): 1}
     # The pi eigenspace is the line (a,-a,-a,a), i.e. coefficients (1,0,-1).
-    basis = exact_angle_basis(x, Fraction(1))
+    basis = exact_components(x)[Fraction(1)]
     assert len(basis) == 1
     amb = ambient(rs, basis[0])
     a = amb[0]
     assert amb == (a, -a, -a, a) and a != 0
     # And the pi/2 plane consists of the vectors (a,b,-b,-a).
-    basis2 = exact_angle_basis(x, Fraction(1, 2))
+    basis2 = exact_components(x)[Fraction(1, 2)]
     assert len(basis2) == 2
     for b in basis2:
         v = ambient(rs, b)
@@ -127,8 +125,8 @@ def test_eigenspace_same_for_inverse():
     rs = rs_of("A3")
     x = from_word(rs, None, [1, 0, 2])
     for angle in (Fraction(1, 2), Fraction(1)):
-        b1 = exact_angle_basis(x, angle)
-        b2 = exact_angle_basis(x.inverse(), angle)
+        _, b1 = exact_angle_basis(x, angle)
+        _, b2 = exact_angle_basis(x.inverse(), angle)
         assert len(b1) == len(b2)
         # Same space: each basis vector of one is orthogonal to the same roots.
         s1 = angle_perp_roots(x, angle)
@@ -160,7 +158,7 @@ def test_angle_perp_roots_match_exact_bases():
         rs = x.rs
         common = frozenset(range(rs.count))
         for angle, _ in angle_list(x):
-            basis = exact_angle_basis(x, angle)
+            _, basis = exact_angle_basis(x, angle)
             degrees.add(field_for([angle]).degree)
             _, perp = regular_point(basis, rs)
             assert angle_perp_roots(x, angle) == perp, (x.word(), angle)
@@ -180,21 +178,21 @@ def test_exact_basis_for_degree3_field():
 def test_regular_point_psi_for_pi_eigenspace():
     rs = rs_of("A3")
     x = from_word(rs, None, [1, 0, 2])
-    basis = exact_angle_basis(x, Fraction(1))
+    _, basis = exact_angle_basis(x, Fraction(1))
     point, psi = regular_point(basis, rs)
     # Psi consists of +-(e1-e4) and +-(e2-e3): solve (v, gamma) = 0 on the line.
-    named = {tuple(int(t) for t in rs.roots[g]) for g in psi}
+    named = {tuple(int(t) for t in ambient(rs, rs.coeffs[g])) for g in psi}
     assert named == {
         (1, 0, 0, -1), (-1, 0, 0, 1), (0, 1, -1, 0), (0, -1, 1, 0),
     }
     for g in range(rs.count):
         if g not in psi:
-            assert rs.pair_with_root(point, g) != 0
+            assert any(array_dot(point, rs.int_pairing_rows[g]))
 
 
 def test_regular_point_full_space():
     rs = rs_of("B2")
-    ident = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    ident = [((1, 0),), ((0, 1),)]
     point, psi = regular_point(ident, rs)
     assert psi == frozenset()
 
@@ -212,7 +210,7 @@ def test_regular_point_names_its_draw_cap(monkeypatch):
 
     monkeypatch.setattr(geometry, "REGULAR_POINT_RETRIES", 3)
     rs = rs_of("B2")
-    ident = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    ident = [((1, 0),), ((0, 1),)]
     with pytest.raises(InconsistencyError, match=r"no regular point found in 3 random draws"):
         regular_point(ident, rs, rng=Zeros())
 
@@ -669,7 +667,10 @@ def test_stage_point_builds_one_ladder_per_stage(monkeypatch):
 
 def _kernel_check_inputs():
     """(x, angle, labels): every angle of the class representatives, on the
-    whole span and on parabolics that x stabilizes."""
+    whole span and on parabolics that x stabilizes; seeded random words in
+    the letters of random label sets, so x stabilizes their span; and
+    Coxeter elements of parabolics whose angles need fields of degree 2, 3
+    and 4."""
     for x in _perp_check_elements():
         for angle, _ in angle_list(x):
             yield x, angle, None
@@ -679,16 +680,35 @@ def _kernel_check_inputs():
         x = from_word(rs_of(name), None, word)
         for angle, _ in angle_list(x, labels):
             yield x, angle, labels
+    rng = random.Random(23)
+    for name in ("A4", "B4", "F4", "D5", "E6", "A6", "E8", "G2", "C3"):
+        rs = rs_of(name)
+        for _ in range(6):
+            labels = tuple(sorted(rng.sample(range(rs.rank), rng.randint(1, rs.rank))))
+            word = [rng.choice(labels) for _ in range(rng.randint(1, 3 * len(labels)))]
+            x = from_word(rs, None, word)
+            for angle, _ in angle_list(x, labels):
+                yield x, angle, labels
+    for name, labels in (("A4", range(4)), ("F4", range(4)), ("A6", range(6)),
+                         ("E8", range(8)), ("E8", range(7)), ("E8", (1, 2, 3, 4))):
+        labels = tuple(labels)
+        x = from_word(rs_of(name), None, list(labels))
+        for angle, _ in angle_list(x, labels):
+            yield x, angle, labels
 
 
 def test_int_kernel_matches_generic_rref():
-    # The fraction-free kernel returns the reduced echelon basis of the
-    # generic rref on K_L scalars, entry for entry.
-    degrees = set()
+    # The basis comes back as one primitive pair (den, arrays): den > 0, no
+    # integer > 1 divides den and every entry, and the arrays are zero off
+    # the labels.  On the labels, arrays / den is the reduced echelon basis
+    # of the generic rref on K_L scalars, entry for entry.
+    degrees, proper = set(), 0
     for x, angle, labels in _kernel_check_inputs():
+        rank = x.rs.rank
         field = field_for([angle])
         degrees.add(field.degree)
-        lab = tuple(range(x.rs.rank)) if labels is None else labels
+        lab = tuple(range(rank)) if labels is None else labels
+        proper += len(lab) < rank
         M, Minv = x.matrix(lab), x.inverse().matrix(lab)
         c2 = two_cos_in(angle, field)
         A = [
@@ -696,6 +716,12 @@ def test_int_kernel_matches_generic_rref():
             for i in range(len(M))
         ]
         want = kernel_basis(A, OperatorField(field.one))
-        got = exact_angle_basis(x, angle, labels)
+        den, arrays = exact_angle_basis(x, angle, labels)
+        assert den > 0
+        assert gcd(den, *(v for B in arrays for p in B for v in p)) == 1
+        for B in arrays:
+            assert len(B) == field.degree and all(len(p) == rank for p in B)
+            assert all(p[t] == 0 for p in B for t in range(rank) if t not in lab)
+        got = [[field.vector(B, den)[t] for t in lab] for B in arrays]
         assert [[repr(v) for v in b] for b in got] == [[repr(v) for v in b] for b in want]
-    assert degrees == {1, 2, 3}
+    assert degrees == {1, 2, 3, 4} and proper >= 10

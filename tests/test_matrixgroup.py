@@ -48,7 +48,7 @@ from reference_matrix import (
     mmul,
     u,
 )
-from reference_weyl import identity_element, is_quasi_convex
+from reference_weyl import ambient_roots, identity_element, is_quasi_convex
 
 
 def ctx_of(n, field="rational"):
@@ -393,6 +393,16 @@ def test_build_cross_section_rejects_twisted():
                 build_cross_section(ctx, x)
 
 
+@pytest.mark.parametrize("n", range(2, 18))
+def test_pos_of_root_is_the_ambient_position(n):
+    # Root e_a - e_b sits at matrix position (a, b).  The ambient roots are
+    # rebuilt from the simple roots; A16 (n = 17) is the first type-A
+    # system whose permutations are tuples, not bytes.
+    ctx = matrix_context(n)
+    roots = ambient_roots(ctx.rs)
+    assert ctx.pos_of_root == {i: (v.index(1), v.index(-1)) for i, v in enumerate(roots)}
+
+
 def test_lift_commutes_with_levi():
     # lift * L_x = L_x * lift on generators: conjugating a Levi root
     # subgroup or a torus element stays inside the Levi data.
@@ -401,10 +411,11 @@ def test_lift_commutes_with_levi():
     data = build_cross_section(ctx, x)
     f = ctx.field
     pi = data.pi
+    root_of_pos = {p: i for i, p in ctx.pos_of_root.items()}
     for (a, b) in data.phi_pos:
         img = (pi[a], pi[b])
-        root = ctx.root_of_pos[img]
-        assert root in [ctx.root_of_pos[p] for p in data.phi_pos + data.phi_neg]
+        root = root_of_pos[img]
+        assert root in [root_of_pos[p] for p in data.phi_pos + data.phi_neg]
     d = data.cycles
     entries = [f.of(3)] * ctx.n
     for cyc in d:

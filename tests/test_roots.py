@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 import pytest
 
@@ -13,7 +14,7 @@ from weylconvex.roots import (
     root_sum,
 )
 
-from reference_weyl import dot
+from reference_weyl import ambient_roots, dot
 
 
 def rs_of(name):
@@ -43,8 +44,9 @@ def test_root_counts(name, total, positive):
 def test_negatives_mirror_positives():
     rs = rs_of("B3")
     pc = rs.positive_count
+    roots = ambient_roots(rs)
     for i in range(pc):
-        assert rs.roots[pc + i] == tuple(-x for x in rs.roots[i])
+        assert roots[pc + i] == tuple(-x for x in roots[i])
         assert rs.neg(i) == pc + i
         assert rs.neg(pc + i) == i
 
@@ -59,7 +61,7 @@ def test_positive_roots_have_nonnegative_coefficients():
 
 def test_g2_matches_hand_enumeration():
     rs = rs_of("G2")
-    got = {tuple(int(x) for x in v) for v in rs.roots}
+    got = {tuple(int(x) for x in v) for v in ambient_roots(rs)}
     assert got == G2_ROOTS
 
 
@@ -81,7 +83,8 @@ def test_root_sum_a2():
     a1, a2 = rs.simple_indices
     s = root_sum(rs, a1, a2)
     assert s is not None
-    assert rs.roots[s] == tuple(x + y for x, y in zip(rs.roots[a1], rs.roots[a2]))
+    roots = ambient_roots(rs)
+    assert roots[s] == tuple(x + y for x, y in zip(roots[a1], roots[a2]))
     assert root_sum(rs, a1, a1) is None  # reduced system: 2*alpha not a root
 
 
@@ -89,10 +92,12 @@ def test_root_sum_g2_chain():
     rs = rs_of("G2")
     a1, a2 = rs.simple_indices
     # Enumerate by coordinates: alpha1 + alpha2 and 3*alpha1 + alpha2 are roots.
-    target12 = tuple(x + y for x, y in zip(rs.roots[a1], rs.roots[a2]))
-    target31 = tuple(3 * x + y for x, y in zip(rs.roots[a1], rs.roots[a2]))
-    assert root_sum(rs, a1, a2) == rs.index_of[target12]
-    assert target31 in rs.index_of
+    roots = ambient_roots(rs)
+    index_of = {v: i for i, v in enumerate(roots)}
+    target12 = tuple(x + y for x, y in zip(roots[a1], roots[a2]))
+    target31 = tuple(3 * x + y for x, y in zip(roots[a1], roots[a2]))
+    assert root_sum(rs, a1, a2) == index_of[target12]
+    assert target31 in index_of
 
 
 def test_root_sum_symmetry_exhaustive():
@@ -143,6 +148,7 @@ def test_diagram_automorphisms():
 def test_automorphism_preserves_positivity_and_pairing():
     for name in ("A3", "D4", "G2"):
         rs = rs_of(name)
+        roots = ambient_roots(rs)
         for auto in diagram_automorphisms(rs):
             for i in range(rs.count):
                 j = auto.root_perm[i]
@@ -150,9 +156,7 @@ def test_automorphism_preserves_positivity_and_pairing():
             for i in rs.simple_indices:
                 for j in rs.simple_indices:
                     ii, jj = auto.root_perm[i], auto.root_perm[j]
-                    assert dot(rs.roots[i], rs.roots[j]) == dot(
-                        rs.roots[ii], rs.roots[jj]
-                    )
+                    assert dot(roots[i], roots[j]) == dot(roots[ii], roots[jj])
 
 
 def test_a3_flip_swaps_outer_simples():
@@ -165,26 +169,26 @@ def test_a3_flip_swaps_outer_simples():
 
 def test_pairing_invariant_under_reflections():
     rs = rs_of("F4")
+    roots = ambient_roots(rs)
     for lab in range(rs.rank):
         perm = rs.simple_reflection_perm(lab)
         for i in rs.simple_indices:
             for j in rs.simple_indices:
-                assert dot(rs.roots[perm[i]], rs.roots[perm[j]]) == dot(
-                    rs.roots[i], rs.roots[j]
-                )
+                assert dot(roots[perm[i]], roots[perm[j]]) == dot(roots[i], roots[j])
 
 
 def test_half_integer_coordinates_have_denominator_two():
     for name, denom in (("F4", 2), ("E6", 2), ("A4", 1), ("C4", 1)):
         rs = rs_of(name)
-        denominators = {x.denominator for v in rs.roots for x in v}
+        denominators = {x.denominator for v in ambient_roots(rs) for x in v}
         assert denominators <= {1, denom}
 
 
 def test_positive_roots_sorted_by_height_then_coords():
     for name in ("B3", "F4"):
         rs = rs_of(name)
-        keys = [(rs.height(i), rs.roots[i]) for i in range(rs.positive_count)]
+        roots = ambient_roots(rs)
+        keys = [(rs.height(i), roots[i]) for i in range(rs.positive_count)]
         assert keys == sorted(keys)
 
 
@@ -207,6 +211,11 @@ def cached_rs(name):
     return rs_of(name)
 
 
+@lru_cache(maxsize=None)
+def cached_ambient(name):
+    return ambient_roots(cached_rs(name))
+
+
 def ambient_add(u, v):
     return tuple(a + b for a, b in zip(u, v))
 
@@ -223,12 +232,13 @@ def ambient_reflect(v, alpha):
 @pytest.mark.parametrize("name", DATUM_TYPES)
 def test_sum_table_is_ambient_addition(name):
     rs = cached_rs(name)
+    roots = cached_ambient(name)
     # Doubled ambient coordinates are integers (denominators are 1 or 2),
     # and u + v = w exactly when 2u + 2v = 2w.
-    doubled = [tuple(int(2 * x) for x in v) for v in rs.roots]
-    assert all(2 * x == y for v, w in zip(rs.roots, doubled) for x, y in zip(v, w))
+    doubled = [tuple(int(2 * x) for x in v) for v in roots]
+    assert all(2 * x == y for v, w in zip(roots, doubled) for x, y in zip(v, w))
     index = {w: i for i, w in enumerate(doubled)}
-    assert all(rs.index_of[v] == i for i, v in enumerate(rs.roots))
+    assert len(index) == rs.count
     for i, u in enumerate(doubled):
         for j, v in enumerate(doubled):
             assert rs.sum_table.get((i, j)) == index.get(ambient_add(u, v))
@@ -237,9 +247,11 @@ def test_sum_table_is_ambient_addition(name):
 @pytest.mark.parametrize("name", DATUM_TYPES)
 def test_simple_reflections_are_ambient_reflections(name):
     rs = cached_rs(name)
+    roots = cached_ambient(name)
+    index_of = {v: i for i, v in enumerate(roots)}
     for lab in range(rs.rank):
-        alpha = rs.roots[rs.simple_indices[lab]]
-        expected = [rs.index_of[ambient_reflect(v, alpha)] for v in rs.roots]
+        alpha = roots[rs.simple_indices[lab]]
+        expected = [index_of[ambient_reflect(v, alpha)] for v in roots]
         assert list(rs.simple_reflection_perm(lab)) == expected
 
 
@@ -259,10 +271,18 @@ def gram_double_sum(gram, v, c):
 
 @pytest.mark.parametrize("name", DATUM_TYPES)
 def test_pair_with_root_is_gram_double_sum(name):
+    # int_pairing_rows[i] is den^2 Gram * coeffs[i], den the common
+    # denominator of the ambient simple roots, so an integer dot product
+    # with it is den^2 times the pairing with root i.
     rs = cached_rs(name)
-    simples = [rs.roots[k] for k in rs.simple_indices]
+    roots = cached_ambient(name)
+    simples = [roots[k] for k in rs.simple_indices]
     gram = [[ambient_dot(a, b) for b in simples] for a in simples]
-    assert rs.gram() == tuple(tuple(row) for row in gram)
+    den = lcm(*(x.denominator for v in simples for x in v))
+    for i, c in enumerate(rs.coeffs):
+        assert list(rs.int_pairing_rows[i]) == [
+            den * den * sum(g * t for g, t in zip(row, c)) for row in gram
+        ]
     rng = random.Random(17)
     vectors = [
         [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(rs.rank)]
@@ -274,32 +294,22 @@ def test_pair_with_root_is_gram_double_sum(name):
     vectors.append(sparse)
     for v in vectors:
         for i in range(rs.count):
-            got = rs.pair_with_root(v, i)
-            assert got == gram_double_sum(gram, v, rs.coeffs[i])
-            # Any nonzero rational coordinate makes the pairing a Fraction.
-            if any(v):
-                assert type(got) is Fraction
-    zero = [0] * rs.rank
-    assert all(rs.pair_with_root(zero, i) == 0 for i in range(rs.count))
+            got = sum(a * r for a, r in zip(v, rs.int_pairing_rows[i]))
+            assert got == den * den * gram_double_sum(gram, v, rs.coeffs[i])
 
 
 @pytest.mark.parametrize("name", DATUM_TYPES)
 def test_datum_order_and_negatives(name):
     rs = cached_rs(name)
+    roots = cached_ambient(name)
     pc = rs.positive_count
-    keys = [(rs.height(i), rs.roots[i]) for i in range(pc)]
+    keys = [(rs.height(i), roots[i]) for i in range(pc)]
     assert keys == sorted(keys)
     assert all(min(rs.coeffs[i]) >= 0 for i in range(pc))
     for i in range(pc):
-        assert rs.roots[pc + i] == tuple(-x for x in rs.roots[i])
         assert rs.coeffs[pc + i] == tuple(-t for t in rs.coeffs[i])
     for i, c in enumerate(rs.coeffs):
         assert rs.coeff_index[c] == i
-        ambient = [Fraction(0)] * rs.ambient_dim
-        for lab, t in enumerate(c):
-            alpha = rs.roots[rs.simple_indices[lab]]
-            ambient = [a + t * b for a, b in zip(ambient, alpha)]
-        assert tuple(ambient) == rs.roots[i]
 
 
 # Every type the suite builds somewhere, small and large.

@@ -36,7 +36,7 @@ from weylconvex.weyl import (
 )
 
 from reference_matrix import OperatorField, mat_inv
-from reference_weyl import identity_element, sandwich_orbit as reference_sandwich_orbit
+from reference_weyl import ambient_roots, identity_element, sandwich_orbit as reference_sandwich_orbit
 
 RS = {}
 
@@ -80,14 +80,15 @@ def test_one_line_oracle_matches_root_action():
     x = from_word(rs, None, word)
     p = one_line(word, 4)
     # Check x(e_i - e_j) = e_{p(i)} - e_{p(j)} on all roots.
+    roots = ambient_roots(rs)
     for idx in range(rs.count):
-        v = rs.roots[idx]
+        v = roots[idx]
         i = v.index(1)
         j = v.index(-1)
         img = [Fraction(0)] * 4
         img[p[i] - 1] = Fraction(1)
         img[p[j] - 1] = Fraction(-1)
-        assert rs.roots[x.perm[idx]] == tuple(img)
+        assert roots[x.perm[idx]] == tuple(img)
 
 
 def test_from_word_reduces_and_lengths():
