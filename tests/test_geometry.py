@@ -50,16 +50,13 @@ def rs_of(name):
     return RS[name]
 
 
-def basis_values(angle, pair):
-    """The K_L vectors arrays[j] / den of an `exact_angle_basis` pair."""
-    field = field_for([angle])
-    den, arrays = pair
-    return [field.vector(B, den) for B in arrays]
-
-
 def exact_components(x):
     """{angle: exact basis of V_x^theta as K_L vectors} over all rotation angles of x."""
-    return {angle: basis_values(angle, exact_angle_basis(x, angle)) for angle, _ in angle_list(x)}
+    out = {}
+    for angle, _ in angle_list(x):
+        den, arrays = exact_angle_basis(x, angle)
+        out[angle] = [field_for([angle]).vector(B, den) for B in arrays]
+    return out
 
 
 def test_eigen_angles_identity():
@@ -72,16 +69,17 @@ def test_eigen_angles_identity():
 def test_eigen_angles_s2s1s3():
     rs = rs_of("A3")
     x = from_word(rs, None, [1, 0, 2])
-    comps = {a: len(b) for a, b in exact_components(x).items()}
+    components = exact_components(x)
+    comps = {a: len(b) for a, b in components.items()}
     assert comps == dict(angle_list(x)) == {Fraction(1, 2): 2, Fraction(1): 1}
     # The pi eigenspace is the line (a,-a,-a,a), i.e. coefficients (1,0,-1).
-    basis = exact_components(x)[Fraction(1)]
+    basis = components[Fraction(1)]
     assert len(basis) == 1
     amb = ambient(rs, basis[0])
     a = amb[0]
     assert amb == (a, -a, -a, a) and a != 0
     # And the pi/2 plane consists of the vectors (a,b,-b,-a).
-    basis2 = exact_components(x)[Fraction(1, 2)]
+    basis2 = components[Fraction(1, 2)]
     assert len(basis2) == 2
     for b in basis2:
         v = ambient(rs, b)
