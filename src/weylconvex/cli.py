@@ -1,14 +1,20 @@
 """Command-line surface.
 
-One command per process; every command emits a single JSON report on
-stdout.  Exit codes: 0 success / property true, 1 property false, 2 usage
-or budget error, 3 internal inconsistency (a verified theorem failed, or
-any other exception escaped; either always means a bug).
+One command per process; every command that exits 0 or 1 emits a single
+JSON report on stdout.  Exit codes: 0 success / property true, 1 property
+false, 2 usage or budget error (JSON on stderr, nothing on stdout), 3
+internal inconsistency (a verified theorem failed, or any other exception
+escaped; either always means a bug).
 
-Reports are cached under a content key of (schema version, engine
-version, a digest of the package's source files, command, canonical
-parameters); a cache hit returns the stored bytes unchanged, and any edit
-to the engine's code misses.
+Each `cmd_*` validates its arguments and returns its canonical parameters
+with a function that computes (results, exit code); `_report` alone reads
+the clock, the cache and stdout.  Reports are cached under a content key
+of (schema version, engine version, a digest of the package's source
+files, command, canonical parameters); a cache hit returns the stored
+bytes unchanged, and any edit to the engine's code misses.  An entry that
+is not a report with an integer exit code is recomputed and overwritten.
+The report is printed before it is stored, and a cache that cannot be
+written is skipped, so it never costs the report.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import sys
 import tempfile
 import time
 import traceback
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from . import __version__
 from .construction import find_convex_representative
@@ -58,33 +64,24 @@ SCHEMA_VERSION = 1
 LARGE_BUDGET = 10_000_000
 
 
-def _resolve_delta(rs, spec: Optional[str]):
+def _type_and_delta(args):
+    """The root system of --type and the automorphism --delta names in it."""
+    rs = build_root_system(CartanType.parse(args.type))
     autos = diagram_automorphisms(rs)
-    if spec in (None, "", "id"):
-        return autos[0]
+    if args.delta in (None, "", "id"):
+        return rs, autos[0]
     try:
-        want = tuple(int(tok) - 1 for tok in spec.split(","))
+        want = tuple(int(tok) - 1 for tok in args.delta.split(","))
     except ValueError:
         raise InputError(
-            f"--delta must be 'id' or comma-separated simple labels, got {spec!r}"
+            f"--delta must be 'id' or comma-separated simple labels, got {args.delta!r}"
         ) from None
     for auto in autos:
         if auto.simple_perm == want:
-            return auto
+            return rs, auto
     raise InputError(
-        f"{spec!r} is not a diagram automorphism of {rs.cartan_type}"
+        f"{args.delta!r} is not a diagram automorphism of {rs.cartan_type}"
     )
-
-
-def _cache_dir(args) -> Optional[str]:
-    if getattr(args, "no_cache", False):
-        return None
-    if getattr(args, "cache_dir", None):
-        return args.cache_dir
-    env = os.environ.get("WEYLCONVEX_CACHE_DIR")
-    if env:
-        return env
-    return None  # caching is opt-in
 
 
 @functools.lru_cache(maxsize=None)
@@ -113,59 +110,66 @@ def _cache_key(command: str, params: Dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _cache_load(cache_dir: str, key: str) -> Optional[bytes]:
-    path = os.path.join(cache_dir, key + ".json")
+def _cache_load(path: str) -> Optional[Tuple[bytes, int]]:
+    """The stored report and its exit code; None unless the entry is one."""
     try:
         with open(path, "rb") as fh:
-            return fh.read()
-    except OSError:
+            payload = fh.read()
+        report = json.loads(payload)
+    except (OSError, ValueError):
         return None
+    code = report.get("exit_code") if isinstance(report, dict) else None
+    return (payload, code) if type(code) is int else None
 
 
-def _cache_store(cache_dir: str, key: str, payload: bytes) -> None:
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, key + ".json")
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+def _cache_store(path: str, payload: bytes) -> None:
+    """Replace the entry at path; a cache that cannot be written is skipped."""
+    cache_dir = os.path.dirname(path)
+    tmp = None
     try:
+        os.makedirs(cache_dir, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
         os.replace(tmp, path)
     except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
 
 
-def _emit(command: str, params: Dict, results, exit_code: int, args, started: float) -> int:
+def _report(args) -> int:
+    """Run one command: answer from the cache or compute, print, then store."""
+    started = time.time()
+    params, compute = args.func(args)
+    # Caching is opt-in: --cache-dir, else WEYLCONVEX_CACHE_DIR.
+    cache_dir = None if args.no_cache else args.cache_dir or os.environ.get("WEYLCONVEX_CACHE_DIR")
+    path = cache_dir and os.path.join(cache_dir, _cache_key(args.command, params) + ".json")
+    cached = _cache_load(path) if path else None
+    if cached is not None:
+        payload, code = cached
+        sys.stdout.buffer.write(payload)
+        return code
+    results, code = compute()
     report = {
         "schema_version": SCHEMA_VERSION,
         "engine_version": __version__,
-        "command": command,
+        "command": args.command,
         "params": params,
         "results": results,
-        "exit_code": exit_code,
+        "exit_code": code,
         "wall_time_s": round(time.time() - started, 6),
     }
     payload = (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
-    cache_dir = _cache_dir(args)
-    if cache_dir:
-        _cache_store(cache_dir, _cache_key(command, params), payload)
     sys.stdout.buffer.write(payload)
-    return exit_code
+    if path:
+        _cache_store(path, payload)
+    return code
 
 
-def _maybe_cached(command: str, params: Dict, args) -> Optional[int]:
-    cache_dir = _cache_dir(args)
-    cached = _cache_load(cache_dir, _cache_key(command, params)) if cache_dir else None
-    if cached is None:
-        return None
-    sys.stdout.buffer.write(cached)
-    return json.loads(cached)["exit_code"]
-
-
-def cmd_convex_check(args) -> int:
-    started = time.time()
+def cmd_convex_check(args):
     params = {
         "type": args.type,
         "word": args.word,
@@ -175,19 +179,17 @@ def cmd_convex_check(args) -> int:
     # Only a strict run changes the report, so only it joins the cache key.
     if args.strict:
         params["strict"] = True
-    hit = _maybe_cached("convex-check", params, args)
-    if hit is not None:
-        return hit
-    rs = build_root_system(CartanType.parse(args.type))
-    delta = _resolve_delta(rs, args.delta)
-    x = from_word(rs, delta, parse_word(args.word), args.twist)
-    rep = analyze(x, strict=args.strict)
-    code = 0 if rep.convex else 1
-    return _emit("convex-check", params, convexity_dict(rep, args.strict), code, args, started)
+
+    def compute():
+        rs, delta = _type_and_delta(args)
+        x = from_word(rs, delta, parse_word(args.word), args.twist)
+        rep = analyze(x, strict=args.strict)
+        return convexity_dict(rep, args.strict), 0 if rep.convex else 1
+
+    return params, compute
 
 
-def cmd_reps(args) -> int:
-    started = time.time()
+def cmd_reps(args):
     params = {
         "type": args.type,
         "delta": args.delta or "id",
@@ -195,66 +197,60 @@ def cmd_reps(args) -> int:
         "allow_large": bool(args.allow_large),
         "seed": args.seed,
     }
-    hit = _maybe_cached("reps", params, args)
-    if hit is not None:
-        return hit
-    rs = build_root_system(CartanType.parse(args.type))
-    delta = _resolve_delta(rs, args.delta)
-    budget = LARGE_BUDGET if args.allow_large else DEFAULT_ENUMERATION_BUDGET
-    classes = conjugacy_classes(rs, delta, args.twist, budget)
-    rows: List[Dict] = []
-    all_ok = True
-    for idx, cls in enumerate(classes):
-        res = find_convex_representative(cls, seed=args.seed)
-        y = res.representative
-        phi_equals_fixed = res.report.phi_x == fixed_roots(y)
-        verified = res.report.convex and phi_equals_fixed
-        all_ok = all_ok and verified
-        rows.append(
-            {
-                "class_id": idx,
-                "size": len(cls),
-                "min_length": cls.min_length,
-                "representative": word_str(y.word()),
-                "representative_length": y.length(),
-                "method": res.method,
-                "convex": res.report.convex,
-                "phi_equals_fixed": phi_equals_fixed,
-            }
-        )
-    code = 0 if all_ok else 3
-    return _emit("reps", params, rows, code, args, started)
+
+    def compute():
+        rs, delta = _type_and_delta(args)
+        budget = LARGE_BUDGET if args.allow_large else DEFAULT_ENUMERATION_BUDGET
+        rows: List[Dict] = []
+        for idx, cls in enumerate(conjugacy_classes(rs, delta, args.twist, budget)):
+            res = find_convex_representative(cls, seed=args.seed)
+            y = res.representative
+            rows.append(
+                {
+                    "class_id": idx,
+                    "size": len(cls),
+                    "min_length": cls.min_length,
+                    "representative": word_str(y.word()),
+                    "representative_length": y.length(),
+                    "method": res.method,
+                    "convex": res.report.convex,
+                    "phi_equals_fixed": res.report.phi_x == fixed_roots(y),
+                }
+            )
+        # find_convex_representative returns only a member that is convex
+        # with phi_x equal to its fixed roots, and raises otherwise, so
+        # every row holds.
+        return rows, 0
+
+    return params, compute
 
 
-def cmd_conjecture(args) -> int:
-    started = time.time()
+def cmd_conjecture(args):
     params = {
         "type": args.type,
         "delta": args.delta or "id",
         "allow_large": bool(args.allow_large),
     }
-    hit = _maybe_cached("conjecture", params, args)
-    if hit is not None:
-        return hit
-    rs = build_root_system(CartanType.parse(args.type))
-    delta = _resolve_delta(rs, args.delta)
-    # The sweep's cost is one analysis per delta-Coxeter element, counted
-    # here before any element is built.
-    count = coxeter_element_count(rs, delta)
-    budget = LARGE_BUDGET if args.allow_large else DEFAULT_ENUMERATION_BUDGET
-    if count > budget:
-        need = "exceeds the limit" if args.allow_large else "needs --allow-large above"
-        raise BudgetExceeded(
-            f"{rs.cartan_type} has {count} delta-Coxeter elements; {need} {budget}",
-            budget,
-        )
-    report = verify_conjecture(rs, delta)
-    code = 0 if report.conjecture_status == "pass" else 1
-    return _emit("conjecture", params, coxeter_dict(report), code, args, started)
+
+    def compute():
+        rs, delta = _type_and_delta(args)
+        # The sweep's cost is one analysis per delta-Coxeter element, counted
+        # here before any element is built.
+        count = coxeter_element_count(rs, delta)
+        budget = LARGE_BUDGET if args.allow_large else DEFAULT_ENUMERATION_BUDGET
+        if count > budget:
+            need = "exceeds the limit" if args.allow_large else "needs --allow-large above"
+            raise BudgetExceeded(
+                f"{rs.cartan_type} has {count} delta-Coxeter elements; {need} {budget}",
+                budget,
+            )
+        report = verify_conjecture(rs, delta)
+        return coxeter_dict(report), 0 if report.conjecture_status == "pass" else 1
+
+    return params, compute
 
 
-def cmd_cross_section(args) -> int:
-    started = time.time()
+def cmd_cross_section(args):
     if args.type.upper() != "A":
         raise InputError("the matrix realization covers type A only")
     for flag, value in (("--trials", args.trials), ("--rank-checks", args.rank_checks)):
@@ -269,69 +265,68 @@ def cmd_cross_section(args) -> int:
         "seed": args.seed,
         "rank_checks": args.rank_checks,
     }
-    hit = _maybe_cached("cross-section", params, args)
-    if hit is not None:
-        return hit
-    ctx = matrix_context(args.n, args.field)
-    if args.rank_checks and not isinstance(ctx.field, RationalField):
-        raise InputError("--rank-checks requires --field rational")
-    x = from_word(ctx.rs, None, parse_word(args.word))
-    data = build_cross_section(ctx, x)
-    rng = random.Random(args.seed)
-    ok_roundtrips = 0
-    for _ in range(args.trials):
-        p = random_cell_point(data, rng)
-        if sigma(data, xi(data, p)) == p:
-            ok_roundtrips += 1
-    rank_ok = 0
-    for _ in range(args.rank_checks):
-        if transversality_check(data, random_section_point(data, rng)):
-            rank_ok += 1
-    results = {
-        "quasi_convex": data.report.quasi_convex,
-        "convex": data.report.convex,
-        "dims": data.dims(),
-        "roundtrips_ok": ok_roundtrips,
-        "roundtrips_total": args.trials,
-        "rank_checks_ok": rank_ok,
-        "rank_checks_total": args.rank_checks,
-    }
-    code = 0 if ok_roundtrips == args.trials and rank_ok == args.rank_checks else 1
-    return _emit("cross-section", params, results, code, args, started)
+
+    def compute():
+        ctx = matrix_context(args.n, args.field)
+        if args.rank_checks and not isinstance(ctx.field, RationalField):
+            raise InputError("--rank-checks requires --field rational")
+        x = from_word(ctx.rs, None, parse_word(args.word))
+        data = build_cross_section(ctx, x)
+        rng = random.Random(args.seed)
+        ok_roundtrips = 0
+        for _ in range(args.trials):
+            p = random_cell_point(data, rng)
+            try:
+                ok_roundtrips += sigma(data, xi(data, p)) == p
+            except NotInCellError:
+                pass  # a failed roundtrip, which the report counts
+        rank_ok = 0
+        for _ in range(args.rank_checks):
+            if transversality_check(data, random_section_point(data, rng)):
+                rank_ok += 1
+        results = {
+            "quasi_convex": data.report.quasi_convex,
+            "convex": data.report.convex,
+            "dims": data.dims(),
+            "roundtrips_ok": ok_roundtrips,
+            "roundtrips_total": args.trials,
+            "rank_checks_ok": rank_ok,
+            "rank_checks_total": args.rank_checks,
+        }
+        ok = ok_roundtrips == args.trials and rank_ok == args.rank_checks
+        return results, 0 if ok else 1
+
+    return params, compute
 
 
-def cmd_good_position(args) -> int:
-    started = time.time()
+def cmd_good_position(args):
     params = {"type": args.type, "word": args.word, "sequence": args.sequence}
-    hit = _maybe_cached("good-position", params, args)
-    if hit is not None:
-        return hit
-    rs = build_root_system(CartanType.parse(args.type))
-    x = from_word(rs, None, parse_word(args.word))
-    sequence = parse_sequence(args.sequence)
-    cert = is_good_position(x, sequence)
-    results = {
-        "word": word_str(x.word()),
-        "length": x.length(),
-        "sequence": [angle_str(a) for a in sequence],
-        "good_position": cert is not None,
-    }
-    if cert is not None:
-        results["certificate"] = certificate_dict(cert)
-        results["length_formula"] = good_position_length(cert)
-    code = 0 if cert is not None else 1
-    return _emit("good-position", params, results, code, args, started)
+
+    def compute():
+        rs = build_root_system(CartanType.parse(args.type))
+        x = from_word(rs, None, parse_word(args.word))
+        sequence = parse_sequence(args.sequence)
+        cert = is_good_position(x, sequence)
+        results = {
+            "word": word_str(x.word()),
+            "length": x.length(),
+            "sequence": [angle_str(a) for a in sequence],
+            "good_position": cert is not None,
+        }
+        if cert is not None:
+            results["certificate"] = certificate_dict(cert)
+            results["length_formula"] = good_position_length(cert)
+        return results, 0 if cert is not None else 1
+
+    return params, compute
 
 
-def cmd_reproduce(args) -> int:
-    started = time.time()
-    params = {}
-    hit = _maybe_cached("reproduce", params, args)
-    if hit is not None:
-        return hit
-    items = run_manifest()
-    code = 0 if all(item["passed"] for item in items) else 1
-    return _emit("reproduce", params, items, code, args, started)
+def cmd_reproduce(args):
+    def compute():
+        items = run_manifest()
+        return items, 0 if all(item["passed"] for item in items) else 1
+
+    return {}, compute
 
 
 class _Parser(argparse.ArgumentParser):
@@ -396,8 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        return _report(build_parser().parse_args(argv))
     except SystemExit as exc:  # --help
         return 2 if exc.code not in (0, None) else 0
     except (InputError, BudgetExceeded) as exc:
@@ -406,9 +400,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (InconsistencyError,) as exc:
         print(json.dumps({"inconsistency": str(exc)}), file=sys.stderr)
         return 3
-    except NotInCellError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 1
     except Exception as exc:
         # Any other exception is a bug too: report it as an inconsistency,
         # naming where it was raised, instead of a traceback.

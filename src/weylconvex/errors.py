@@ -1,9 +1,10 @@
 """Exception hierarchy shared by all modules.
 
 Exit-code mapping used by the CLI: InputError -> 2, BudgetExceeded -> 2,
-InconsistencyError -> 3, and any exception not listed here -> 3.  A
-computed property being false is not an exception; commands report it and
-exit 1.
+InconsistencyError -> 3, and any other exception that escapes a command
+-> 3.  A computed property being false is not an exception; commands
+report it and exit 1.  NotInCellError never escapes: `cross-section`
+counts a roundtrip that raises it as failed, in a report that exits 1.
 """
 
 

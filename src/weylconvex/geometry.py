@@ -436,10 +436,15 @@ def regular_point(
     if root_subset is None:
         root_subset = range(rs.count)
     rows = rs.int_pairing_rows
-    perp = frozenset(
-        g for g in root_subset if not any(any(array_dot(B, rows[g])) for B in basis)
-    )
-    off = [rows[g] for g in root_subset if g not in perp and rs.is_positive(g)]
+    pc = rs.positive_count
+    # Root g + pc is -(root g), whose row is the negation of g's: each +/-
+    # pair takes one zero test, made on its positive root.
+    moved = {
+        p: any(any(array_dot(B, rows[p])) for B in basis)
+        for p in {g % pc for g in root_subset}
+    }
+    perp = frozenset(g for g in root_subset if not moved[g % pc])
+    off = [rows[g] for g in root_subset if g < pc and moved[g]]
     for _ in range(REGULAR_POINT_RETRIES):
         coefs = [rng.randint(-9, 9) for _ in basis]
         if all(c == 0 for c in coefs):

@@ -53,14 +53,23 @@ class TwistedElement:
         object.__setattr__(self, "twist_power", self.twist_power % self.twist.order)
 
     def __eq__(self, other):
+        # The same type, the same w and the same automorphism delta^k.  Two
+        # twists can share a power (D4's order-3 trialities are each other's
+        # squares), so delta^k is compared by its simple-label permutation.
         return (
             isinstance(other, TwistedElement)
             and self.root_perm == other.root_perm
-            and self.twist_power == other.twist_power
+            and self.rs.cartan_type == other.rs.cartan_type
+            and self._twist_labels() == other._twist_labels()
         )
 
     def __hash__(self):
-        return hash((self.root_perm, self.twist_power))
+        # Equal elements can hold delta^k as different (twist, power) pairs.
+        return hash(self.root_perm)
+
+    def _twist_labels(self) -> Perm:
+        """delta^k as a permutation of the simple labels."""
+        return perm.power(perm.of(self.twist.simple_perm), self.twist_power)
 
     def key(self) -> Tuple:
         return (self.length(), self.root_perm, self.twist_power)

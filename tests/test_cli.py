@@ -238,6 +238,65 @@ def test_cache_byte_identical(tmp_path, capsys):
     assert out1 == out2  # cache hit returns the stored bytes
 
 
+@pytest.mark.parametrize(
+    "damage",
+    [lambda b: b[:40], lambda b: b"[]\n", lambda b: b.replace(b'"exit_code": 1', b'"exit_code": "1"')],
+    ids=["truncated", "not-a-report", "exit-code-not-an-integer"],
+)
+def test_unreadable_cache_entry_is_recomputed(tmp_path, capsys, damage):
+    argv = ["--cache-dir", str(tmp_path), "convex-check", "--type", "A2", "--word", "1"]
+    code, first = run_cli(capsys, *argv)
+    (entry,) = tmp_path.glob("*.json")
+    entry.write_bytes(damage(entry.read_bytes()))
+    code2, second = run_cli(capsys, *argv)
+    # s_1 in A2 is not convex: the verdict is exit 1.
+    assert code2 == code == first["exit_code"] == 1
+    first.pop("wall_time_s")
+    second.pop("wall_time_s")
+    assert second == first
+    assert json.loads(entry.read_bytes())["exit_code"] == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_unwritable_cache_costs_no_report(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    argv = ["convex-check", "--type", "A2", "--word", "1,2"]
+    code, report = run_cli(capsys, "--cache-dir", str(blocker / "sub"), *argv)
+    assert code == 0 and report["exit_code"] == 0
+    # The entry's own path taken by a directory: the store fails after
+    # its temporary file is written, and removes it.
+    cache = tmp_path / "cache"
+    run_cli(capsys, "--cache-dir", str(cache), *argv)
+    (entry,) = cache.glob("*.json")
+    entry.unlink()
+    entry.mkdir()
+    code, report = run_cli(capsys, "--cache-dir", str(cache), *argv)
+    assert code == 0 and report["exit_code"] == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "file"]
+    assert [p.name for p in cache.iterdir()] == [entry.name]
+
+
+def test_cross_section_counts_a_point_outside_the_cell_as_a_failed_roundtrip(
+    capsys, monkeypatch
+):
+    from weylconvex.errors import NotInCellError
+
+    def outside(data, g):
+        raise NotInCellError("not in the cell")
+
+    monkeypatch.setattr("weylconvex.cli.sigma", outside)
+    code = main([
+        "--no-cache", "cross-section", "--n", "4", "--word", "1,2,3",
+        "--field", "101", "--trials", "3",
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    results = json.loads(captured.out)["results"]
+    assert results["roundtrips_ok"] == 0 and results["roundtrips_total"] == 3
+
+
 def test_seeded_determinism(capsys):
     argv = [
         "--no-cache",

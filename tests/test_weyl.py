@@ -162,6 +162,35 @@ def test_twisted_elements_equal_exactly_when_powers_agree_mod_twist_order(name, 
     assert w0 == from_word(rs, None, w0.word())
 
 
+def test_d4_trialities_give_equal_elements_exactly_when_the_automorphisms_agree():
+    rs = rs_of("D4")
+    da, db = (d for d in diagram_automorphisms(rs) if d.order == 3)
+    assert da.simple_perm != db.simple_perm
+    s1 = from_word(rs, None, [0]).root_perm
+    x = TwistedElement(rs, s1, da, 1)
+    y = TwistedElement(rs, s1, db, 1)
+    assert x != y and x.perm != y.perm
+    # The two trialities are each other's squares: s1 * da^2 is s1 * db.
+    z = TwistedElement(rs, s1, da, 2)
+    assert z.perm == y.perm
+    assert z == y and hash(z) == hash(y) and len({y, z}) == 1
+    ea = TwistedElement(rs, perm.identity(rs.count), da, 1)
+    eb = TwistedElement(rs, perm.identity(rs.count), db, 1)
+    assert not cyclic_shift_reachable(ea, eb)
+
+
+@pytest.mark.parametrize("first, second", [("A3", "G2"), ("B3", "C3")])
+def test_elements_of_different_types_are_unequal(first, second):
+    # Each pair has one root count, so its identities share a root_perm;
+    # B3 and C3 share the rank too.
+    a, b = rs_of(first), rs_of(second)
+    assert a.count == b.count
+    x = from_word(a, None, [])
+    y = from_word(b, None, [])
+    assert x.root_perm == y.root_perm
+    assert x != y and len({x, y}) == 2
+
+
 def test_length_equals_word_length_exhaustive():
     for name in ("A3", "B3", "G2"):
         rs = rs_of(name)
