@@ -241,8 +241,7 @@ def cmd_conjecture(args):
         if count > budget:
             need = "exceeds the limit" if args.allow_large else "needs --allow-large above"
             raise BudgetExceeded(
-                f"{rs.cartan_type} has {count} delta-Coxeter elements; {need} {budget}",
-                budget,
+                f"{rs.cartan_type} has {count} delta-Coxeter elements; {need} {budget}"
             )
         report = verify_conjecture(rs, delta)
         return coxeter_dict(report), 0 if report.conjecture_status == "pass" else 1
@@ -397,7 +396,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (InputError, BudgetExceeded) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
-    except (InconsistencyError,) as exc:
+    except InconsistencyError as exc:
         print(json.dumps({"inconsistency": str(exc)}), file=sys.stderr)
         return 3
     except Exception as exc:

@@ -53,7 +53,6 @@ class StageRecord:
 
 @dataclass(frozen=True, eq=False)
 class RepresentativeResult:
-    input_class: ConjugacyClass
     representative: TwistedElement
     method: str  # "geometric" or "exhaustive"
     stage_log: Tuple[StageRecord, ...]
@@ -73,14 +72,16 @@ def _verified(x: TwistedElement) -> Optional[ConvexityReport]:
 def _geometric_convex(
     x: TwistedElement, rng: random.Random
 ) -> Tuple[TwistedElement, List[StageRecord]]:
+    """The geometric path: a conjugate of x fixing its final parabolic
+    pointwise, with one StageRecord per cut.
+
+    Each pass returns or strictly shrinks `labels` (equal labels raise),
+    so it returns within rank + 1 passes.
+    """
     rs = x.rs
     labels: Tuple[int, ...] = tuple(range(rs.rank))
     log: List[StageRecord] = []
-    guard = 0
     while True:
-        guard += 1
-        if guard > rs.rank + 2:
-            raise InconsistencyError("parabolic descent failed to terminate")
         sub_roots = rs.parabolic_closure(labels)
         if all(x.perm[g] == g for g in sub_roots):
             return x, log
@@ -94,7 +95,7 @@ def _geometric_convex(
         _, basis = exact_angle_basis(x, angle, labels, field)
         if not basis:
             raise InconsistencyError("empty eigenspace basis for a present angle")
-        point, _ = regular_point(basis, rs, rs.parabolic_closure(labels), rng)
+        point, _ = regular_point(basis, rs, sub_roots, rng)
         x, point, word = _dominate(rs, x, point, labels, field)
         next_labels = tuple(
             lab
@@ -148,7 +149,6 @@ def find_convex_representative(
         report = _verified(y)
         if report is not None:
             return RepresentativeResult(
-                input_class=cls,
                 representative=y,
                 method="geometric",
                 stage_log=tuple(log),
@@ -161,7 +161,6 @@ def find_convex_representative(
         report = _verified(y)
         if report is not None:
             return RepresentativeResult(
-                input_class=cls,
                 representative=y,
                 method="exhaustive",
                 stage_log=(),

@@ -99,7 +99,6 @@ class ReflectionOrdering:
     """A total order on the positive roots induced by a reduced w0 word."""
 
     ordered_roots: Tuple[int, ...]  # ascending
-    source_word: Tuple[int, ...]
 
 
 def _suffix_betas(rs: RootSystem, word: Sequence[int]) -> List[int]:
@@ -141,8 +140,8 @@ def check_betweenness(rs: RootSystem, ordered: Sequence[int]) -> bool:
 
 def reflection_ordering(rs: RootSystem, w0_word: Sequence[int]) -> ReflectionOrdering:
     """The ordering beta_N < ... < beta_1 attached to a reduced word for w0."""
-    word = tuple(w0_word)
-    x = from_word(rs, None, list(word))
+    word = list(w0_word)
+    x = from_word(rs, None, word)
     if x.length() != len(word):
         raise InputError("word is not reduced")
     if x != longest_element(rs):
@@ -153,7 +152,7 @@ def reflection_ordering(rs: RootSystem, w0_word: Sequence[int]) -> ReflectionOrd
         raise InconsistencyError("betas do not enumerate the positive roots")
     if not check_betweenness(rs, ordered):
         raise InconsistencyError("constructed ordering violates betweenness")
-    return ReflectionOrdering(ordered_roots=ordered, source_word=word)
+    return ReflectionOrdering(ordered_roots=ordered)
 
 
 def _common_order(elems: Sequence[TwistedElement]) -> int:

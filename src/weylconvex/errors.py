@@ -19,10 +19,6 @@ class InputError(WeylConvexError):
 class BudgetExceeded(WeylConvexError):
     """An enumeration was refused because it exceeds the configured budget."""
 
-    def __init__(self, message: str, budget: int):
-        super().__init__(message)
-        self.budget = budget
-
 
 class InconsistencyError(WeylConvexError):
     """A verified theorem failed to hold; this always signals a bug."""

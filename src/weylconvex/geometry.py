@@ -30,7 +30,6 @@ from itertools import permutations
 from math import gcd, lcm
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from . import perm
 from .errors import InconsistencyError, InputError
 from .linalg import cyclotomic, cyclotomic_multiplicities, charpoly_int, poly_mul
 from .quadfield import (
@@ -56,12 +55,6 @@ def _labels_or_all(x: TwistedElement, labels) -> Tuple[int, ...]:
     return tuple(range(x.rs.rank)) if labels is None else tuple(labels)
 
 
-def restricted_order(x: TwistedElement, labels=None) -> int:
-    """Order of x acting on the parabolic subsystem spanned by `labels`."""
-    sub = x.rs.parabolic_closure(_labels_or_all(x, labels))
-    return lcm(*(len(c) for c in perm.cycles(x.perm) if not sub.isdisjoint(c)))
-
-
 def _cyclo_mults(x: TwistedElement, labels=None) -> Dict[int, int]:
     labels = _labels_or_all(x, labels)
     cache = getattr(x, "_cyclo_cache", None)
@@ -69,9 +62,9 @@ def _cyclo_mults(x: TwistedElement, labels=None) -> Dict[int, int]:
         cache = {}
         object.__setattr__(x, "_cyclo_cache", cache)
     if labels not in cache:
-        M = x.matrix(labels)
-        order = restricted_order(x, labels)
-        cache[labels] = cyclotomic_multiplicities(charpoly_int(M), order)
+        # The order of x bounds the order of its restriction to any stable
+        # parabolic, so its divisors include every cyclotomic factor's.
+        cache[labels] = cyclotomic_multiplicities(charpoly_int(x.matrix(labels)), x.order())
     return cache[labels]
 
 

@@ -814,31 +814,23 @@ def random_section_point(data: CrossSectionData, rng: random.Random) -> Matrix:
 
 
 def enumerate_torus(data: CrossSectionData) -> List[Tuple]:
-    """All diagonal parts of the Levi torus over a finite field."""
+    """All diagonal parts of the Levi torus over a finite field, sorted.
+
+    The torus is the image of `torus_element`, a homomorphism from one
+    unit per cycle and per Levi root.  It is built one such coordinate at
+    a time: the image so far times the images of that coordinate's units,
+    a set, so duplicates go as they arise.
+    """
     f = data.ctx.field
-    units = f.units()
-    out = {tuple(f.one for _ in range(data.ctx.n))}
-    frontier = list(out)
-    gens = []
-    for ci in range(len(data.cycles)):
-        for t in units:
-            vals = [f.one] * len(data.cycles)
-            vals[ci] = t
-            gens.append(torus_element(data, vals, [f.one] * len(data.phi_pos)))
-    for ri in range(len(data.phi_pos)):
-        for t in units:
-            vals = [f.one] * len(data.phi_pos)
-            vals[ri] = t
-            gens.append(torus_element(data, [f.one] * len(data.cycles), vals))
-    while frontier:
-        nxt = []
-        for d in frontier:
-            for gdiag in gens:
-                prod = tuple(map(f.mul, d, gdiag))
-                if prod not in out:
-                    out.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
+    nc = len(data.cycles)
+    ones = [f.one] * (nc + len(data.phi_pos))
+    out = {(f.one,) * data.ctx.n}
+    for i in range(len(ones)):
+        factors = []
+        for t in f.units():
+            vals = ones[:i] + [t] + ones[i + 1:]
+            factors.append(torus_element(data, vals[:nc], vals[nc:]))
+        out = {tuple(map(f.mul, d, g)) for d in out for g in factors}
     return sorted(out)
 
 

@@ -10,12 +10,12 @@ positive denominator, reduced by the monic integer minimal polynomial of
 c.  That polynomial comes from the cyclotomic polynomial Phi_L through
 t + 1/t (Watkins and Zeitlin, Amer. Math. Monthly 1993).  Reduced
 coefficients are unique, so zero tests are exact.  Signs are exact too:
-degree 1 reads the numerator, degree 2 uses the closed form `quad_sign`,
-and higher degrees evaluate by interval Horner on a rational interval
-around c, bisected until the sign is decided.  The interval is certified
-once per field: the minimal polynomial alternates in sign across
-separation points between its real roots, so each gap holds exactly one
-root.  Floats only place those separation points.
+degree 1 reads the numerator, and every higher degree evaluates by
+interval Horner on a rational interval around c, bisected until the sign
+is decided.  The interval is certified once per field: the minimal
+polynomial alternates in sign across separation points between its real
+roots, so each gap holds exactly one root.  Floats only place those
+separation points.
 
 Eigenspace bases and the cone tests run on integer vectors over Z[c].
 Such a vector (an "array") is stored coefficient-major, as `degree` int
@@ -63,23 +63,6 @@ def two_cos_min_poly(L: int) -> List[int]:
     return out
 
 
-def quad_sign(a, b, D: int) -> int:
-    """Exact sign of a + b*sqrt(D) for rational (int or Fraction) a and b.
-
-    D is a positive integer; when it is not a square the sign is decided
-    by comparing a^2 with D b^2, with no square root taken.
-    """
-    if b == 0:
-        return (a > 0) - (a < 0)
-    if a == 0 or (a > 0) == (b > 0):
-        return 1 if b > 0 else -1
-    lhs = a * a
-    rhs = b * b * D
-    if lhs == rhs:
-        return 0
-    return (1 if a > 0 else -1) if lhs > rhs else (1 if b > 0 else -1)
-
-
 class CosField:
     """K_L = Q(c) with c = 2cos(2pi/L); `cos_field(L)` shares one per L.
 
@@ -113,10 +96,10 @@ class CosField:
                     cols.append(self.mul(cols[-1], image))
                 self._galois.append(tuple(zip(*cols)))
         if n == 2:  # c = (-m1 + sqrt(disc)) / 2, the larger root
-            self._disc = self.poly[1] ** 2 - 4 * self.poly[0]  # = root^2 sqfree
-            self._root = max(f for f in range(1, isqrt(self._disc) + 1) if self._disc % (f * f) == 0)
-            self._sqfree = self._disc // self._root ** 2
-        elif n > 2:
+            disc = self.poly[1] ** 2 - 4 * self.poly[0]  # = root^2 sqfree
+            self._root = max(f for f in range(1, isqrt(disc) + 1) if disc % (f * f) == 0)
+            self._sqfree = disc // self._root ** 2
+        if n > 1:
             self._isolate()
 
     # -- elements ---------------------------------------------------------
@@ -206,9 +189,6 @@ class CosField:
         n = self.degree
         if n == 1:
             return (a[0] > 0) - (a[0] < 0)
-        if n == 2:
-            # a0 + a1 c = (2 a0 - m1 a1 + a1 sqrt(disc)) / 2
-            return quad_sign(2 * a[0] - self.poly[1] * a[1], a[1], self._disc)
         if not any(a):
             return 0
         while True:
@@ -217,7 +197,7 @@ class CosField:
                 return s
             self._bisect(32)
 
-    # -- the isolating interval of c (degree >= 3) -------------------------
+    # -- the isolating interval of c (degree >= 2) -------------------------
 
     def _poly_sign(self, num: int, k: int) -> int:
         """Sign of the minimal polynomial at num / 2^k, by Horner on ints."""
@@ -346,9 +326,6 @@ class CosNum:
 
     def __sub__(self, other):
         return self + -other
-
-    def __rsub__(self, other):
-        return -self + other
 
     def __mul__(self, other):
         p = self.field.parts(other)

@@ -194,10 +194,6 @@ class RootSystem:
     def height(self, i: int) -> int:
         return sum(self.coeffs[i])
 
-    def cartan_entry(self, i: int, j: int) -> int:
-        """<alpha_i, alpha_j^vee> for simple labels i, j (0-based)."""
-        return self.cartan[i][j]
-
     def simple_reflection_perm(self, label: int) -> perm.Perm:
         """Permutation of root indices induced by the simple reflection s_label."""
         return self.reflections[label]
@@ -408,7 +404,7 @@ def diagram_automorphisms(rs: RootSystem) -> List[DiagramAutomorphism]:
     tuple, so D4 lists its full order-6 group deterministically.
     """
     n = rs.rank
-    cartan = [[rs.cartan_entry(i, j) for j in range(n)] for i in range(n)]
+    cartan = rs.cartan
 
     found: List[Tuple[int, ...]] = []
 

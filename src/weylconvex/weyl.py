@@ -278,8 +278,7 @@ def _weyl_order_within(rs: RootSystem, budget: Optional[int]) -> int:
     order = rs.cartan_type.weyl_order()
     if budget is not None and order > budget:
         raise BudgetExceeded(
-            f"|W({rs.cartan_type})| = {order} exceeds the enumeration budget {budget}",
-            budget,
+            f"|W({rs.cartan_type})| = {order} exceeds the enumeration budget {budget}"
         )
     return order
 

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylconvex import coxeter as coxeter_module
 from weylconvex.cli import main
 
 
@@ -144,6 +146,52 @@ def test_conjecture_a27_refused_with_flag_before_building_elements(capsys):
     assert captured.out == ""
     assert "error" in json.loads(captured.err)
     assert time.time() - started < 30
+
+
+def _non_convex_analyze(monkeypatch, confirmed):
+    """Make every Coxeter element analyze as non-convex; `confirmed` decides
+    whether the verdict rests on condition 1, which the sweep's oracle
+    check accepts, or on nothing the full-pair oracle can confirm."""
+    real = coxeter_module.analyze
+
+    def non_convex(x):
+        rep = real(x)
+        return dataclasses.replace(rep, convex=False, condition1_ok=not confirmed)
+
+    monkeypatch.setattr(coxeter_module, "analyze", non_convex)
+
+
+def test_conjecture_lists_a_confirmed_failure_as_a_counterexample(capsys, monkeypatch):
+    # A2 has h = 3, so no element meets the half-turn condition.
+    _non_convex_analyze(monkeypatch, confirmed=True)
+    code, report = run_cli(capsys, "--no-cache", "conjecture", "--type", "A2")
+    assert code == 1
+    res = report["results"]
+    assert res["coxeter_number"] == 3
+    assert res["conjecture_status"] == "counterexample"
+    assert res["counterexamples"] == [e["word"] for e in res["elements"]]
+    assert len(res["counterexamples"]) == 2
+    assert not any(e["convex"] or e["half_turn_condition"] for e in res["elements"])
+
+
+@pytest.mark.parametrize(
+    "cartan, confirmed, message",
+    [
+        ("A2", False, "convexity verdict and full-pair oracle disagree"),
+        ("G2", True, "half-turn Coxeter element (1, 0) failed convexity; "
+                     "this contradicts a proven statement"),
+    ],
+    ids=["oracle-disagrees", "half-turn-failure"],
+)
+def test_conjecture_inconsistency_exits_3(capsys, monkeypatch, cartan, confirmed, message):
+    # main turns InconsistencyError into exit 3 with its message on stderr
+    # and no report.
+    _non_convex_analyze(monkeypatch, confirmed)
+    code = main(["--no-cache", "conjecture", "--type", cartan])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"inconsistency": message}
 
 
 def test_cross_section_roundtrips(capsys):
@@ -420,9 +468,10 @@ def test_cross_section_rejects_bad_arguments(capsys, bad):
 
 
 @pytest.mark.parametrize(
-    "sequence", ["foo", "1/0", "pi/2x", "xpi/2", "pi/2,pi,", "pi2,pi/2"],
+    "sequence",
+    ["foo", "1/0", "pi/2x", "xpi/2", "pi/2,pi,", "pi2,pi/2", "3pi/2", "pi/" + "7" * 5000],
     ids=["word", "zero-denominator", "trailing-junk", "leading-junk",
-         "trailing-comma", "pi2"],
+         "trailing-comma", "pi2", "beyond-pi", "too-many-digits"],
 )
 def test_good_position_rejects_malformed_angles(capsys, sequence):
     code = main([
@@ -441,8 +490,9 @@ def test_good_position_rejects_malformed_angles(capsys, sequence):
         ["cross-section", "--word", "1,2"],
         ["convex-check", "--type", "A2", "--word", "1", "--twist", "x"],
         ["cross-section", "--n", "x", "--word", "1,2"],
+        ["convex-check", "--type", "A2", "--word", "0,1"],
     ],
-    ids=["missing-required", "bad-twist", "bad-n"],
+    ids=["missing-required", "bad-twist", "bad-n", "zero-letter"],
 )
 def test_usage_errors_are_json(capsys, argv):
     code = main(["--no-cache", *argv])

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -18,6 +19,7 @@ from weylconvex.matrixgroup import (
     build_cross_section,
     collision_search,
     enumerate_cell_points,
+    enumerate_torus,
     is_prime,
     lift,
     mat_key,
@@ -25,6 +27,7 @@ from weylconvex.matrixgroup import (
     random_cell_point,
     random_section_point,
     sigma,
+    torus_element,
     transversality_check,
     underlying_permutation,
     unipotent_coordinates,
@@ -146,13 +149,21 @@ def test_unipotent_coordinates_rejects_outside_support():
 
 
 @pytest.mark.parametrize(
-    "order, t",
-    [([(0, 0)], 0), ([(0, 1), (0, 1)], 0), ([(0, 1), (0, 1)], 5), ([(0, 3)], 0)],
-    ids=["diagonal", "repeated-identity", "repeated-u01", "out-of-range"],
+    "order, t, reason",
+    [
+        ([(0, 0)], 0, "diagonal"),
+        ([(0, 1), (0, 1)], 0, "repeat"),
+        ([(0, 1), (0, 1)], 5, "repeat"),
+        ([(0, 3)], 0, "outside"),
+        ([(0, 1), (1, 0)], 0, "mix upper and lower"),
+        ([(0, 1), (1, 2)], 0, "closed set"),
+    ],
+    ids=["diagonal", "repeated-identity", "repeated-u01", "out-of-range",
+         "mixed-sides", "not-closed"],
 )
-def test_unipotent_coordinates_rejects_malformed_orders(order, t):
+def test_unipotent_coordinates_rejects_malformed_orders(order, t, reason):
     ctx = ctx_of(3)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=reason):
         unipotent_coordinates(ctx, u(ctx, (0, 1), ctx.field.of(t)), order)
 
 
@@ -235,6 +246,43 @@ def test_sigma_not_in_cell_reports():
         sigma(data, g)
 
 
+_SIGMA_REFUSALS = {
+    "cannot be cleared": ([0, 1], ((0, 0, 0), (1, 0, 0), (1, 1, 0))),
+    "zero pivot": ([], ((0, 0, 1), (1, 0, 0), (1, 1, 0))),
+    "singular diagonal": ([], ((0, 0, 0), (1, 0, 1), (1, 1, 1))),
+    "unsolvable": ([1, 0], ((1, 1, 1), (0, 1, 1), (0, 1, 1))),
+}
+
+
+@pytest.mark.parametrize("reason", list(_SIGMA_REFUSALS))
+def test_sigma_refusal_over_f2(reason):
+    word, g = _SIGMA_REFUSALS[reason]
+    ctx = ctx_of(3, 2)
+    data = build_cross_section(ctx, from_word(ctx.rs, None, word))
+    with pytest.raises(NotInCellError, match=reason):
+        sigma(data, g)
+
+
+def test_sigma_raises_only_not_in_cell_on_random_matrices():
+    # Any matrix over F_2 or F_3: sigma returns a point that xi maps back to
+    # it, or raises NotInCellError.  Any other exception fails the test.
+    rng = random.Random(3)
+    reasons = set()
+    for n in (3, 4, 5):
+        xs, _ = quasi_convex_elements(n)
+        for p in (2, 3):
+            ctx = ctx_of(n, p)
+            for x in xs:
+                data = build_cross_section(ctx, x)
+                for _ in range(10):
+                    g = tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(n))
+                    try:
+                        assert xi(data, sigma(data, g)) == g
+                    except NotInCellError as exc:
+                        reasons.update(r for r in _SIGMA_REFUSALS if r in str(exc))
+    assert reasons == set(_SIGMA_REFUSALS)
+
+
 def test_exhaustive_injectivity_f2_sl3():
     ctx = ctx_of(3, 2)
     for rep in convex_reps(3):
@@ -260,6 +308,22 @@ def test_sigma_inverts_xi_on_every_f2_point_of_a3_cells():
             total += 1
             assert sigma(data, xi(data, p)) == p
     assert total == 1536
+
+
+@pytest.mark.parametrize("n, p", [(3, 3), (3, 5), (4, 3)])
+def test_enumerate_torus_is_the_image_of_torus_element(n, p):
+    # The reference maps every tuple of units, one per cycle and one per
+    # Levi root, through torus_element.
+    ctx = ctx_of(n, p)
+    units = ctx.field.units()
+    for one_line in itertools.permutations(range(1, n + 1)):
+        data = build_cross_section(ctx, from_one_line(ctx.rs, one_line))
+        nc = len(data.cycles)
+        image = {
+            torus_element(data, vals[:nc], vals[nc:])
+            for vals in itertools.product(units, repeat=nc + len(data.phi_pos))
+        }
+        assert enumerate_torus(data) == sorted(image)
 
 
 def test_collision_search_negative_control():
@@ -379,6 +443,17 @@ def test_lift_rejects_twisted():
     x = from_word(ctx.rs, flip, [0], twist_power=1)
     with pytest.raises(InputError):
         lift(ctx, x)
+
+
+def test_lift_rejects_another_contexts_element():
+    x = from_word(ctx_of(4).rs, None, [0])
+    with pytest.raises(InputError, match="this context's root system"):
+        lift(ctx_of(3), x)
+
+
+def test_matrix_context_needs_n_at_least_2():
+    with pytest.raises(InputError, match="n >= 2"):
+        matrix_context(1)
 
 
 def test_build_cross_section_rejects_twisted():

@@ -86,7 +86,7 @@ def test_min_poly_degree_and_roots(L):
         assert abs(value) < Decimal(10) ** (25 - DIGITS), (L, j)
 
 
-@pytest.mark.parametrize("L", [5, 7, 8, 9, 12, 15, 16, 24, 30])
+@pytest.mark.parametrize("L", [5, 7, 8, 9, 10, 12, 15, 16, 24, 30])
 def test_signs_match_decimal_on_random_elements(L):
     field = cos_field(L)
     c = two_cos_decimal(1, L)
@@ -97,7 +97,7 @@ def test_signs_match_decimal_on_random_elements(L):
         assert x.sign() == decimal_sign(decimal_value(x.nums, x.den, c))
 
 
-@pytest.mark.parametrize("L", [5, 7, 9, 15, 16, 24, 30])
+@pytest.mark.parametrize("L", [5, 7, 8, 9, 10, 12, 15, 16, 24, 30])
 def test_signs_match_decimal_near_cancellation(L):
     # q c - p for the continued-fraction convergents p/q of c is tiny but
     # never zero; so are its products with small elements.

@@ -86,6 +86,8 @@ def test_root_sum_a2():
     roots = ambient_roots(rs)
     assert roots[s] == tuple(x + y for x, y in zip(roots[a1], roots[a2]))
     assert root_sum(rs, a1, a1) is None  # reduced system: 2*alpha not a root
+    with pytest.raises(InputError, match="out of range"):
+        root_sum(rs, a1, rs.count)
 
 
 def test_root_sum_g2_chain():

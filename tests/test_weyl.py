@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import weylconvex
 from weylconvex import perm, weyl
-from weylconvex.errors import BudgetExceeded, InconsistencyError
+from weylconvex.errors import BudgetExceeded, InconsistencyError, InputError
 from weylconvex.roots import (
     CartanType,
     build_root_system,
@@ -359,6 +359,16 @@ def test_from_one_line():
     p = one_line([0, 1, 2, 3, 0, 1], 5)
     y = from_one_line(rs, p)
     assert x == y
+
+
+@pytest.mark.parametrize(
+    "name, one_line, reason",
+    [("B3", [1, 2, 3], "type A"), ("A3", [1, 2, 2, 4], "not a permutation")],
+    ids=["type-B", "repeated-entry"],
+)
+def test_from_one_line_refuses(name, one_line, reason):
+    with pytest.raises(InputError, match=reason):
+        from_one_line(rs_of(name), one_line)
 
 
 def test_inverse_and_order():
