@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import io
 import json
 import os
 import random
@@ -162,9 +163,16 @@ def _report(args) -> int:
         "exit_code": code,
         "wall_time_s": round(time.time() - started, 6),
     }
-    payload = (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
-    sys.stdout.buffer.write(payload)
+    # The bytes of json.dumps(report, sort_keys=True, indent=2), written a
+    # chunk at a time: json.dumps would hold every chunk of a large report
+    # at once before joining them.  Only the cache needs them all.
+    out = io.BytesIO() if path else sys.stdout.buffer
+    for chunk in json.JSONEncoder(sort_keys=True, indent=2).iterencode(report):
+        out.write(chunk.encode())
+    out.write(b"\n")
     if path:
+        payload = out.getvalue()
+        sys.stdout.buffer.write(payload)
         _cache_store(path, payload)
     return code
 

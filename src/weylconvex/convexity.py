@@ -37,13 +37,14 @@ Level = Union[int, float]
 
 def _sign_runs(
     x: TwistedElement,
-) -> Tuple[FrozenSet[int], Tuple[Level, ...], Tuple[Level, ...]]:
-    """phi_x and the level tables of x and x^-1, indexed by root.
+) -> Tuple[FrozenSet[int], Tuple[Level, ...], Tuple[Level, ...], int]:
+    """phi_x, the level tables of x and x^-1 indexed by root, and the
+    largest finite level.
 
     Each cycle is walked from a run start, a root whose sign differs from
     the one before it, so every run is read whole: backward levels as the
     walk counts them, forward levels by a second pass over the run once its
-    length is known.
+    length is known.  The largest level is the longest run.
     """
     rs = x.rs
     pc = rs.positive_count
@@ -52,6 +53,7 @@ def _sign_runs(
     backward: List[Level] = [INFINITY] * rs.count
     stable: List[int] = []
     seen = [False] * rs.count
+    longest = 0
     for i in range(rs.count):
         if seen[i]:
             continue
@@ -79,9 +81,11 @@ def _sign_runs(
             for level in range(size, 0, -1):
                 forward[head] = level
                 head = p[head]
+            if size > longest:
+                longest = size
             if j == start:
                 break
-    return frozenset(stable), tuple(forward), tuple(backward)
+    return frozenset(stable), tuple(forward), tuple(backward), longest
 
 
 def phi_of(x: TwistedElement) -> FrozenSet[int]:
@@ -142,7 +146,7 @@ def condition2_full_pairs(x: TwistedElement) -> List[Tuple]:
     """
     rs = x.rs
     pc = rs.positive_count
-    phi, table, _ = _sign_runs(x)
+    phi, table, _, _ = _sign_runs(x)
     out = []
     for a in range(pc):
         for b in range(pc):
@@ -179,17 +183,17 @@ class ConvexityReport:
 def analyze(x: TwistedElement, strict: bool = False) -> ConvexityReport:
     """Full quasi-convexity / convexity report for x."""
     rs = x.rs
-    phi, table, inverse_table = _sign_runs(x)
+    phi, table, inverse_table, max_level = _sign_runs(x)
     labels = frozenset(
         lab for lab in range(rs.rank) if rs.simple_indices[lab] in phi
     )
     # phi_{x^-1} = phi_x, so condition (1) holds for both or for neither.
-    cond1 = phi == rs.parabolic_closure(labels)
+    # An empty phi_x is the closure of no labels, with nothing to scan.
+    cond1 = not phi or phi == rs.parabolic_closure(labels)
     violations, audit = _condition2_prime(rs, table, strict)
     iviolations, _ = _condition2_prime(rs, inverse_table, False)
     quasi = cond1 and not violations
     inverse_quasi = cond1 and not iviolations
-    max_level = int(max((v for v in table if v is not INFINITY), default=0))
     return ConvexityReport(
         x=x,
         phi_x=phi,

@@ -6,8 +6,22 @@ give the same element exactly when they differ by commutations, so the
 elements for one choice of labels correspond to the acyclic orientations
 of the Coxeter graph restricted to those labels (Shi, "The enumeration of
 Coxeter elements", J. Algebraic Combin. 1997).  That graph is a forest, so
-each of its 2^(edges) orientations is built once, from one topological
-order, and no two of them give the same element.
+each of its 2^(edges) orientations is built once, and no two of them give
+the same element.  The reduced words of such an element are exactly the
+linear extensions of its orientation, so the extension that always takes
+the least available label is its lexicographically least reduced word,
+the word every report prints.
+
+The sweep is one pass: each element is built, analysed, checked and
+dropped in turn, so it holds one element at a time however many there
+are.  Its entries are keyed by w(alpha) for the simple roots alpha, which
+sit at root indices 0 .. rank-1, and sorted by that prefix of the root
+permutation after the pass.  That is the (length, root permutation) order
+of the elements: all of them have one length, one letter per delta-orbit,
+and the count of distinct prefixes is checked against the count of
+orientations, so two elements first differ inside the prefix.  A failure
+inside the sweep is raised after the pass, for the least failing element
+in that order.
 
 When the half-turn condition (c*delta)^(h/2) = w0*delta^(h/2) holds,
 convexity of c*delta is a theorem and a failure here is treated as an
@@ -18,14 +32,17 @@ general question is open.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from graphlib import TopologicalSorter
-from typing import Dict, List, Optional, Sequence, Tuple
+from heapq import heapify, heappop, heappush
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from . import perm
 from .convexity import ConvexityReport, analyze, condition2_full_pairs
 from .errors import InconsistencyError, InputError
+from .perm import Perm
 from .roots import DiagramAutomorphism, RootSystem, identity_automorphism
 from .weyl import TwistedElement, from_word, longest_element
+
+V = TypeVar("V")
 
 
 def delta_orbits(rs: RootSystem, delta: DiagramAutomorphism) -> List[Tuple[int, ...]]:
@@ -63,35 +80,69 @@ def coxeter_element_count(
     )
 
 
-def coxeter_elements(
-    rs: RootSystem, delta: Optional[DiagramAutomorphism] = None
-) -> List[TwistedElement]:
-    """All c*delta with c one simple reflection per delta-orbit, any order.
+def _coxeter_stream(
+    rs: RootSystem, delta: DiagramAutomorphism
+) -> Iterator[Tuple[Perm, Tuple[int, ...], TwistedElement]]:
+    """(w(alpha) for the simple roots alpha, least reduced word, element) for
+    each delta-Coxeter element w*delta, built when reached.
 
-    One word per label choice and orientation of its induced forest.
+    One word per label choice and orientation of its induced forest: the
+    linear extension that always takes the least label with no edge into
+    it.  The simple roots sit at root indices 0 .. rank-1.
     """
-    if delta is None:
-        delta = identity_automorphism(rs)
     twist_power = 0 if delta.is_identity else 1
-    out = set()
     for chosen in _label_choices(delta_orbits(rs, delta)):
         edges = _edges(rs, chosen)
         for bits in range(1 << len(edges)):
-            # Bit e of bits reverses edge e; any topological order of the
-            # orientation is a word for its element.
-            before: Dict[int, List[int]] = {lab: [] for lab in chosen}
+            # Bit e of bits reverses edge e.
+            after: List[List[int]] = [[] for _ in range(rs.rank)]
+            into = [0] * rs.rank
             for e, (a, b) in enumerate(edges):
                 if bits >> e & 1:
                     a, b = b, a
-                before[b].append(a)
-            word = list(TopologicalSorter(before).static_order())
-            out.add(from_word(rs, delta, word, twist_power))
+                after[a].append(b)
+                into[b] += 1
+            ready = [lab for lab in chosen if not into[lab]]
+            heapify(ready)
+            word = []
+            while ready:
+                lab = heappop(ready)
+                word.append(lab)
+                for b in after[lab]:
+                    into[b] -= 1
+                    if not into[b]:
+                        heappush(ready, b)
+            x = from_word(rs, delta, word, twist_power)
+            yield x.root_perm[: rs.rank], tuple(word), x
+
+
+def _in_key_order(
+    rs: RootSystem, delta: DiagramAutomorphism, by_prefix: Dict[Perm, V]
+) -> List[V]:
+    """The values, one per element keyed by its `_coxeter_stream` prefix,
+    in the (length, root permutation) order of the elements.
+
+    All the elements have one length, one letter per delta-orbit.  Two
+    with one prefix would leave fewer keys than elements; with distinct
+    prefixes, sorting by prefix sorts by root permutation.
+    """
     expected = coxeter_element_count(rs, delta)
-    if len(out) != expected:
+    if len(by_prefix) != expected:
         raise InconsistencyError(
-            f"{len(out)} distinct delta-Coxeter elements, expected {expected}"
+            f"{len(by_prefix)} distinct delta-Coxeter elements, expected {expected}"
         )
-    return sorted(out, key=lambda e: e.key())
+    return [by_prefix[key] for key in sorted(by_prefix)]
+
+
+def coxeter_elements(
+    rs: RootSystem, delta: Optional[DiagramAutomorphism] = None
+) -> List[TwistedElement]:
+    """All c*delta with c one simple reflection per delta-orbit, any order,
+    sorted by (length, root permutation)."""
+    if delta is None:
+        delta = identity_automorphism(rs)
+    by_prefix = {key: x for key, _, x in _coxeter_stream(rs, delta)}
+    return _in_key_order(rs, delta, by_prefix)
 
 
 @dataclass(frozen=True)
@@ -102,27 +153,34 @@ class ReflectionOrdering:
 
 
 def _suffix_betas(rs: RootSystem, word: Sequence[int]) -> List[int]:
-    """beta_i = s_N s_{N-1} ... s_{i+1} (alpha_i) for a word s_1 ... s_N."""
-    n = len(word)
-    betas = [0] * n
-    suffix = perm.identity(rs.count)  # permutation of E_i = s_N ... s_{i+1}
-    for t in range(n - 1, -1, -1):
-        lab = word[t]
-        betas[t] = suffix[rs.simple_indices[lab]]
-        suffix = perm.compose(suffix, rs.simple_reflection_perm(lab))
+    """beta_i = s_N s_{N-1} ... s_{i+1} (alpha_i) for a word s_1 ... s_N.
+
+    Each alpha_i is walked through the reflections after it, one index
+    lookup per letter, in place of a product of whole permutations.
+    """
+    refl = [rs.simple_reflection_perm(lab) for lab in word]
+    betas = []
+    for t, lab in enumerate(word):
+        g = rs.simple_indices[lab]
+        for s in refl[t + 1 :]:
+            g = s[g]
+        betas.append(g)
     return betas
 
 
-def twisted_betas(x: TwistedElement) -> List[int]:
+def twisted_betas(x: TwistedElement, word: Optional[Sequence[int]] = None) -> List[int]:
     """The level-1 roots of x = c*delta in beta order.
 
     These are the inversion roots of the untwisted part pulled back through
     the twist: gamma has x(gamma) negative iff delta(gamma) is an inversion
-    of c.
+    of c.  `word` is the least reduced word of c, when the caller has it.
     """
-    betas = _suffix_betas(x.rs, list(x.word()))
-    dinv = perm.power(x.twist.root_perm, -x.twist_power)
-    return [dinv[b] for b in betas]
+    betas = _suffix_betas(x.rs, x.word() if word is None else word)
+    # delta^-k is delta^(order - k), one lookup per power.
+    d = x.twist.root_perm
+    for _ in range(-x.twist_power % x.twist.order):
+        betas = [d[b] for b in betas]
+    return betas
 
 
 def check_betweenness(rs: RootSystem, ordered: Sequence[int]) -> bool:
@@ -155,27 +213,40 @@ def reflection_ordering(rs: RootSystem, w0_word: Sequence[int]) -> ReflectionOrd
     return ReflectionOrdering(ordered_roots=ordered)
 
 
-def _common_order(elems: Sequence[TwistedElement]) -> int:
-    orders = {e.order() for e in elems}
-    if len(orders) != 1:
-        raise InconsistencyError(f"Coxeter element orders differ: {orders}")
-    return orders.pop()
-
-
 def check_w0_condition(x: TwistedElement) -> bool:
     """Whether h is even and (c*delta)^(h/2) equals w0*delta^(h/2)."""
-    return _w0_condition(x, x.order())
+    h = x.order()
+    return _w0_condition(x, h, _half_turn_target(x, h))
 
 
-def _w0_condition(x: TwistedElement, h: int) -> bool:
-    """check_w0_condition for x of order h."""
+def _half_turn_target(x: TwistedElement, h: int) -> Optional[List[int]]:
+    """w0*delta^(k*h/2) on the simple roots, for x = w*delta^k of order h.
+
+    None when h is odd.  The target depends on x only through its coset,
+    so a sweep computes it once.
+    """
     if h % 2:
-        return False
-    # A diagram automorphism other than 1 is never in W, so two twisted
-    # elements are equal exactly when their root permutations are.
+        return None
     twist = perm.power(x.twist.root_perm, x.twist_power * (h // 2))
-    target = perm.compose(longest_element(x.rs).root_perm, twist)
-    return perm.power(x.perm, h // 2) == target
+    w0 = longest_element(x.rs).root_perm
+    return [w0[twist[i]] for i in x.rs.simple_indices]
+
+
+def _w0_condition(x: TwistedElement, h: int, target: Optional[List[int]]) -> bool:
+    """check_w0_condition for x of order h and its `_half_turn_target`.
+
+    Both sides act linearly, so they agree once they agree on the simple
+    roots, a basis; each simple root is walked h/2 steps along x.
+    """
+    if target is None:
+        return False
+    p = x.perm
+    for g, image in zip(x.rs.simple_indices, target):
+        for _ in range(h // 2):
+            g = p[g]
+        if g != image:
+            return False
+    return True
 
 
 def coxeter_levels(rep: ConvexityReport) -> Dict[int, int]:
@@ -185,46 +256,45 @@ def coxeter_levels(rep: ConvexityReport) -> Dict[int, int]:
     Coxeter word; the result must agree with the level table of x and,
     mirrored, with that of its inverse.  Any disagreement is an engine bug.
     """
-    h = rep.x.order()
-    if not _w0_condition(rep.x, h):
+    x = rep.x
+    h = x.order()
+    if not _w0_condition(x, h, _half_turn_target(x, h)):
         raise InputError("block levels require the half-turn condition")
-    return _block_levels(rep, h)
+    return dict(enumerate(_block_levels(rep, h, twisted_betas(x))))
 
 
-def _block_levels(rep: ConvexityReport, h: int) -> Dict[int, int]:
+def _block_levels(rep: ConvexityReport, h: int, betas: Sequence[int]) -> List[int]:
+    """The block level of each positive root, from the betas of x."""
     x = rep.x
     rs = x.rs
-    betas = twisted_betas(x)
+    pc = rs.positive_count
     perm_inv = x.perm_inv
     half = h // 2
-    levels: Dict[int, int] = {}
-    inv_levels: Dict[int, int] = {}
+    levels = [0] * rs.count
     # Each beta has level 1 for x; pulling back through x shifts the level
     # up by one, so block i is x^(1-i) of the betas.  Mirrored for the
     # inverse: block i is x^(i - h/2) of the betas, so the root of block i
     # for x lies in block h/2 + 1 - i for x^-1.  One walk per beta.
-    for b in betas:
-        g = b
+    for g in betas:
         for i in range(1, half + 1):
-            if g in levels:
+            if levels[g]:
                 raise InconsistencyError("block formula hit a root twice")
             levels[g] = i
-            inv_levels[g] = half + 1 - i
             g = perm_inv[g]
-    if sorted(levels) != list(range(rs.positive_count)):
+    if len(betas) * half != pc or any(levels[pc:]):
         raise InconsistencyError("blocks do not partition the positive roots")
-    for g, lev in levels.items():
-        if rep.n_table[g] != lev:
-            raise InconsistencyError(
-                f"block level {lev} disagrees with n = {rep.n_table[g]} at {rs.root_str(g)}"
-            )
-    for g, lev in inv_levels.items():
-        if rep.inverse_n_table[g] != lev:
-            raise InconsistencyError("inverse block level disagrees with n")
+    levels = levels[:pc]
+    if tuple(levels) != rep.n_table[:pc]:
+        g = next(g for g, lev in enumerate(levels) if rep.n_table[g] != lev)
+        raise InconsistencyError(
+            f"block level {levels[g]} disagrees with n = {rep.n_table[g]} at {rs.root_str(g)}"
+        )
+    if tuple(half + 1 - lev for lev in levels) != rep.inverse_n_table[:pc]:
+        raise InconsistencyError("inverse block level disagrees with n")
     return levels
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoxeterEntry:
     word: Tuple[int, ...]
     twist_power: int
@@ -244,57 +314,72 @@ class CoxeterReport:
     counterexamples: Tuple[Tuple[int, ...], ...]
 
 
+def _check_entry(
+    x: TwistedElement, word: Tuple[int, ...], h: int, target: Optional[List[int]]
+) -> CoxeterEntry:
+    """Analyse one delta-Coxeter element of order h; raise on an engine bug."""
+    rep = analyze(x)
+    cond = _w0_condition(x, h, target)
+    if not rep.convex:
+        confirmed = (
+            bool(condition2_full_pairs(x))
+            or bool(condition2_full_pairs(x.inverse()))
+            or not rep.condition1_ok
+        )
+        if not confirmed:
+            raise InconsistencyError("convexity verdict and full-pair oracle disagree")
+        if cond:
+            raise InconsistencyError(
+                f"half-turn Coxeter element {','.join(str(lab + 1) for lab in word)} "
+                "failed convexity; this contradicts a proven statement"
+            )
+    if cond:
+        _block_levels(rep, h, twisted_betas(x, word))  # block levels must match the level tables
+    return CoxeterEntry(
+        word=word,
+        twist_power=x.twist_power,
+        convex=rep.convex,
+        quasi_convex=rep.quasi_convex,
+        w0_condition=cond,
+        phi_empty=not rep.phi_x,
+    )
+
+
 def verify_conjecture(
     rs: RootSystem, delta: Optional[DiagramAutomorphism] = None
 ) -> CoxeterReport:
-    """Run the convexity check over every delta-Coxeter element.
+    """Run the convexity check over every delta-Coxeter element, in one pass.
 
     A failure under the half-turn condition is a proven-impossible event
     and raises; a failure outside it is triple-checked (production path,
     full-pair oracle, and the inverse) and reported as a counterexample
-    candidate, never asserted away.
+    candidate, never asserted away.  Every element must have the same
+    order h, the Coxeter number.
     """
     if delta is None:
         delta = identity_automorphism(rs)
-    elems = coxeter_elements(rs, delta)
-    h = _common_order(elems)
-    entries = []
-    counterexamples = []
-    for x in elems:
-        rep = analyze(x)
-        cond = _w0_condition(x, h)
-        entry = CoxeterEntry(
-            word=x.word(),
-            twist_power=x.twist_power,
-            convex=rep.convex,
-            quasi_convex=rep.quasi_convex,
-            w0_condition=cond,
-            phi_empty=not rep.phi_x,
-        )
-        entries.append(entry)
-        if not rep.convex:
-            confirmed = (
-                bool(condition2_full_pairs(x))
-                or bool(condition2_full_pairs(x.inverse()))
-                or not rep.condition1_ok
-            )
-            if not confirmed:
-                raise InconsistencyError(
-                    "convexity verdict and full-pair oracle disagree"
-                )
-            if cond:
-                raise InconsistencyError(
-                    f"half-turn Coxeter element {x.word()} failed convexity; "
-                    "this contradicts a proven statement"
-                )
-            counterexamples.append(x.word())
-        if cond:
-            _block_levels(rep, h)  # block levels must match the level tables
+    h = target = failure = None
+    by_prefix: Dict[Perm, CoxeterEntry] = {}
+    for key, word, x in _coxeter_stream(rs, delta):
+        order = x.order()
+        if h is None:
+            h, target = order, _half_turn_target(x, order)
+        elif order != h:
+            raise InconsistencyError(f"Coxeter element orders differ: {({h, order})}")
+        try:
+            by_prefix[key] = _check_entry(x, word, h, target)
+        except InconsistencyError as exc:
+            if failure is None or key < failure[0]:
+                failure = (key, exc)
+    if failure is not None:
+        raise failure[1]
+    entries = tuple(_in_key_order(rs, delta, by_prefix))
+    counterexamples = tuple(e.word for e in entries if not e.convex)
     return CoxeterReport(
         cartan=str(rs.cartan_type),
         delta_label=delta.label(),
         coxeter_number=h,
-        entries=tuple(entries),
+        entries=entries,
         conjecture_status="pass" if not counterexamples else "counterexample",
-        counterexamples=tuple(counterexamples),
+        counterexamples=counterexamples,
     )

@@ -108,8 +108,10 @@ def _perp_orders(
     characteristic polynomial.  A root is orthogonal to the kernels with e
     in `orders` exactly when P(x) kills it, P the product of the other
     Phi_e; P(x)gamma is an integer combination of the roots on the orbit
-    of gamma, read off the root permutation.  `mults` are the cyclotomic
-    multiplicities of x on the whole span.
+    of gamma, read off the root permutation.  P(x) commutes with x, so
+    P(x)gamma = 0 exactly when P(x)(x gamma) = 0: the answer is decided once
+    per x-orbit.  `mults` are the cyclotomic multiplicities of x on the
+    whole span.
     """
     poly = [1]
     for e in mults:
@@ -125,7 +127,15 @@ def _perp_orders(
             g = perm[g]
         return not any(acc)
 
-    return frozenset(g for g in root_subset if killed(g))
+    verdict: List[Optional[bool]] = [None] * x.rs.count
+    for g in root_subset:
+        if verdict[g] is None:
+            answer = killed(g)
+            j = g
+            while verdict[j] is None:
+                verdict[j] = answer
+                j = perm[j]
+    return frozenset(g for g in root_subset if verdict[g])
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from itertools import repeat
 from math import lcm
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple, TypeVar, Union
 
 Perm = Union[bytes, Tuple[int, ...]]
@@ -36,7 +37,8 @@ def compose(p: Perm, q: Perm) -> Perm:
     """p*q: i -> p(q(i))."""
     if isinstance(q, bytes):
         return q.translate(p + PAD[len(p):])
-    return tuple([p[x] for x in q])
+    # A tuple permutation has over 256 images, so itemgetter returns a tuple.
+    return itemgetter(*q)(p)
 
 
 def left_products(x: Perm, vs: Iterable[Perm]) -> Iterator[Perm]:
@@ -136,8 +138,9 @@ def power(p: Perm, k: int) -> Perm:
     while k:
         if k & 1:
             out = compose(p, out)
-        p = compose(p, p)
         k >>= 1
+        if k:
+            p = compose(p, p)
     return out
 
 

@@ -17,9 +17,10 @@ is then one orbit search under simple conjugation, which neither undoes
 the step that reached a member nor follows a conjugation by s_j with one
 by a commuting s_k, k < j (`perm.sandwich_orbit`).  A `ConjugacyClass`
 holds its members as raw permutations sorted by (length, permutation),
-with its representative and minimal length; twisted elements are built
-only for the minimal-length members, to choose the representative, and
-for the members a caller visits through `elements`.  `class_of` runs the
+with its representative and minimal length; the representative is
+chosen on the raw minimal-length members by one walk down their least
+left descents, and twisted elements are built only for it and for the
+members a caller visits through `elements`.  `class_of` runs the
 same orbit search from one element, with lengths from `perm.length`, so it
 enumerates neither W nor any other class.
 """
@@ -77,6 +78,8 @@ class TwistedElement:
     @property
     def perm(self) -> Perm:
         """Composite root permutation of w * delta^k."""
+        if not self.twist_power:
+            return self.root_perm
         cached = getattr(self, "_perm", None)
         if cached is None:
             cached = perm.compose(
@@ -446,21 +449,42 @@ def _orbit_class(
     members = sorted(orbit)
     members.sort(key=orbit.__getitem__)
     min_length = orbit[members[0]]
-    rep = min(
-        (
-            TwistedElement(rs, w, delta, twist_power)
-            for w in itertools.takewhile(lambda w: orbit[w] == min_length, members)
-        ),
-        key=lambda e: (e.word(), e.root_perm),
-    )
+    lead = list(itertools.takewhile(lambda w: orbit[w] == min_length, members))
     return ConjugacyClass(
         rs=rs,
         twist=delta,
         twist_power=twist_power,
-        representative=rep,
+        representative=TwistedElement(rs, _least_word_member(rs, lead), delta, twist_power),
         perms=tuple(members),
         min_length=min_length,
     )
+
+
+def _least_word_member(rs: RootSystem, members: Sequence[Perm]) -> Perm:
+    """The member whose least reduced word is least, for distinct members
+    of one length.
+
+    A least reduced word starts with the least left descent, so the least
+    of these words starts with the least letter that is a left descent of
+    some member; the members it keeps are those with that descent, and
+    stepping each w to s w leaves the rest of their words.  One walk over
+    all members, until one is left.
+    """
+    pc = rs.positive_count
+    # (w^-1, w): s is a left descent of w when w^-1(alpha_s) < 0, and
+    # stepping w to s w turns w^-1 into w^-1 s.
+    live = [(perm.inverse(w), w) for w in members]
+    while len(live) > 1:
+        for lab in range(rs.rank):
+            i = rs.simple_indices[lab]
+            kept = [(inv, w) for inv, w in live if inv[i] >= pc]
+            if kept:
+                break
+        else:
+            raise InconsistencyError("distinct class members share a reduced word")
+        s = rs.simple_reflection_perm(lab)
+        live = [(perm.compose(inv, s), w) for inv, w in kept]
+    return live[0][1]
 
 
 def class_of(x: TwistedElement, budget: Optional[int] = DEFAULT_ENUMERATION_BUDGET) -> ConjugacyClass:

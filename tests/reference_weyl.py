@@ -14,7 +14,7 @@ from typing import List, Tuple
 
 from weylconvex import perm
 from weylconvex.convexity import analyze
-from weylconvex.coxeter import _common_order, _w0_condition, coxeter_elements, reflection_ordering
+from weylconvex.coxeter import check_w0_condition, coxeter_elements, reflection_ordering
 from weylconvex.errors import InconsistencyError, InputError
 from weylconvex.roots import _simple_roots
 from weylconvex.weyl import from_word
@@ -50,7 +50,10 @@ def is_quasi_convex(x) -> bool:
 
 def coxeter_order(rs, delta=None) -> int:
     """h: the common order of c*delta over all delta-Coxeter elements."""
-    return _common_order(coxeter_elements(rs, delta))
+    orders = {c.order() for c in coxeter_elements(rs, delta)}
+    if len(orders) != 1:
+        raise InconsistencyError(f"Coxeter element orders differ: {orders}")
+    return orders.pop()
 
 
 def half_turn_ordering(x):
@@ -61,7 +64,7 @@ def half_turn_ordering(x):
     """
     rs = x.rs
     h = x.order()
-    if not _w0_condition(x, h):
+    if not check_w0_condition(x):
         raise InputError("half-turn condition does not hold for this element")
     word_c = list(x.word())
     # Concatenate the twist-iterates of the Coxeter word.  Starting the

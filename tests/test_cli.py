@@ -178,7 +178,7 @@ def test_conjecture_lists_a_confirmed_failure_as_a_counterexample(capsys, monkey
     "cartan, confirmed, message",
     [
         ("A2", False, "convexity verdict and full-pair oracle disagree"),
-        ("G2", True, "half-turn Coxeter element (1, 0) failed convexity; "
+        ("G2", True, "half-turn Coxeter element 2,1 failed convexity; "
                      "this contradicts a proven statement"),
     ],
     ids=["oracle-disagrees", "half-turn-failure"],

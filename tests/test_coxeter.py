@@ -1,7 +1,10 @@
+import random
+import tracemalloc
 from itertools import permutations
 
 import pytest
 
+from weylconvex import perm
 from weylconvex.convexity import analyze, n_of
 from weylconvex.coxeter import (
     check_betweenness,
@@ -15,7 +18,7 @@ from weylconvex.coxeter import (
 )
 from weylconvex.errors import InputError
 from weylconvex.roots import CartanType, build_root_system, diagram_automorphisms
-from weylconvex.weyl import from_word, is_elliptic
+from weylconvex.weyl import from_word, is_elliptic, longest_element
 
 from reference_weyl import coxeter_order, half_turn_ordering
 
@@ -286,3 +289,75 @@ def test_conjecture_evidence_open_type_a():
         report = verify_conjecture(rs_of(name))
         assert report.conjecture_status in ("pass", "counterexample")
         assert len(report.entries) == 2 ** (rs_of(name).rank - 1)
+
+
+def _sweep_battery():
+    """A2-A6 under the flip, B3, C4, D4 under each of its five non-trivial
+    automorphisms, D5 and E6 under the flip, F4, G2 and E7."""
+    for name in ("A2", "A3", "A4", "A5", "A6", "D5", "E6"):
+        yield pytest.param(name, flip_of(name), id=f"{name}-flip")
+    for delta in diagram_automorphisms(rs_of("D4")):
+        if not delta.is_identity:
+            yield pytest.param("D4", delta, id=f"D4-{delta.label()}")
+    for name in ("B3", "C4", "F4", "G2", "E7"):
+        yield pytest.param(name, None, id=name)
+
+
+@pytest.mark.parametrize("name, delta", list(_sweep_battery()))
+def test_sweep_entries_in_key_order(name, delta):
+    # The sweep sorts by the images of the simple roots only; the elements
+    # rebuilt from its entries must come in (length, whole root permutation)
+    # order, once each, with the least reduced word as printed.
+    rs = rs_of(name)
+    report = verify_conjecture(rs, delta)
+    elems = [from_word(rs, delta, e.word, e.twist_power) for e in report.entries]
+    keys = [e.key() for e in elems]
+    assert keys == sorted(keys)
+    assert len(set(keys)) == len(keys) == coxeter_element_count(rs, delta)
+    assert [e.word for e in report.entries] == [x.word() for x in elems]
+    assert elems == coxeter_elements(rs, delta)
+
+
+def test_sweep_holds_one_element_at_a_time():
+    # A12 has 2^11 = 2,048 Coxeter elements.  Holding them all, with the
+    # permutations analyze caches on each, peaked at 1.5 MB; the entries
+    # the report keeps take about 0.45 MB.
+    rs = rs_of("A12")
+    verify_conjecture(rs_of("A3"))  # first-call imports and caches
+    tracemalloc.start()
+    try:
+        report = verify_conjecture(rs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.entries) == 2048
+    assert peak < 1_000_000
+
+
+def _half_turn_reference(x):
+    """h even and x^(h/2) = w0*delta^(k*h/2), compared as whole permutations."""
+    h = x.order()
+    if h % 2:
+        return False
+    twist = perm.power(x.twist.root_perm, x.twist_power * (h // 2))
+    target = perm.compose(longest_element(x.rs).root_perm, twist)
+    return perm.power(x.perm, h // 2) == target
+
+
+def test_half_turn_condition_matches_whole_permutations():
+    # The engine compares the two sides on the simple roots only.
+    rng = random.Random(11)
+    seen = set()
+    for name in ("A3", "A4", "B3", "D4", "G2", "F4", "E6"):
+        rs = rs_of(name)
+        for delta in diagram_automorphisms(rs):
+            k = 0 if delta.is_identity else 1
+            for _ in range(60):
+                word = [rng.randrange(rs.rank) for _ in range(rng.randint(0, 2 * rs.rank))]
+                x = from_word(rs, delta, word, k)
+                expected = _half_turn_reference(x)
+                assert check_w0_condition(x) == expected, (name, delta.label(), word)
+                seen.add(expected)
+            for c in coxeter_elements(rs, delta):
+                assert check_w0_condition(c) == _half_turn_reference(c)
+    assert seen == {False, True}

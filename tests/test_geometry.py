@@ -723,3 +723,16 @@ def test_int_kernel_matches_generic_rref():
         got = [[field.vector(B, den)[t] for t in lab] for B in arrays]
         assert [[repr(v) for v in b] for b in got] == [[repr(v) for v in b] for b in want]
     assert degrees == {1, 2, 3, 4} and proper >= 10
+
+
+def test_perp_orders_on_any_subset_is_the_full_answer_restricted():
+    # The kill test is decided once per x-orbit; subsets that cut orbits
+    # must still get each root's own answer.
+    rng = random.Random(7)
+    for x in _perp_check_elements():
+        count = x.rs.count
+        mults = geometry._cyclo_mults(x)
+        for d in mults:
+            full = geometry._perp_orders(x, {d}, range(count), mults)
+            subset = rng.sample(range(count), count // 3)
+            assert geometry._perp_orders(x, {d}, subset, mults) == full & set(subset)

@@ -788,3 +788,15 @@ def test_conjugate_outside_the_enumeration_is_inconsistency(monkeypatch):
     monkeypatch.setattr(weyl, "_conjugating_pair", lambda rs, d, k, lab: pair)
     with pytest.raises(InconsistencyError):
         conjugacy_classes(rs)
+
+
+@pytest.mark.parametrize("name", ["A4", "B4", "D4", "F4", "E6"])
+def test_representative_has_the_least_word_of_the_minimal_members(name):
+    # The greedy descent walk picks the member a min over every minimal
+    # member's least reduced word picks, in every coset of every twist.
+    rs = rs_of(name)
+    for delta in diagram_automorphisms(rs):
+        for k in range(delta.order):
+            for cls in conjugacy_classes(rs, delta, k):
+                best = min(cls.min_length_set(), key=lambda e: (e.word(), e.root_perm))
+                assert cls.representative == best
