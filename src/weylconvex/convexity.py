@@ -7,15 +7,17 @@ cycles of x.  A cycle of one sign lies in phi_x.  Any other cycle, followed
 as g -> x(g) -> ..., splits into maximal runs of one sign: n_x(g) is the
 distance from g to the end of its run, and n_{x^-1}(g) is the distance
 from the start of its run, both counting g itself.  Levels are thus
-sign-run lengths on cycles, and phi_{x^-1} = phi_x.
+sign-run lengths on cycles, and phi_{x^-1} = phi_x.  The same walk yields
+the positive roots at level 1, which end (for x) or start (for x^-1) a
+positive run, and the order of x, the lcm of its cycle lengths.
 
 Quasi-convexity asks that phi_x be a standard parabolic subsystem and that
 levels be subadditive under root addition; convexity asks the same of the
 inverse, so condition (1) is decided once and condition (2) once on each
-level table.  Condition (2) visits only the pairs listed in
-`RootSystem.positive_sums`, those whose sum is a positive root;
-`condition2_full_pairs` stays an independent scan over every positive pair
-of `sum_table`, to check it against.
+level table.  Condition (2) visits only the pairs (alpha, beta) with alpha
+in the walk's level-1 list and alpha + beta a positive root, as listed in
+`RootSystem.positive_sums`; `condition2_full_pairs` stays an independent
+scan over every positive pair of `sum_table`, to check it against.
 
 Levels on phi_x are represented by the distinct marker INFINITY, never by a
 sentinel integer, so every comparison against an infinite level is explicit.
@@ -24,6 +26,7 @@ sentinel integer, so every comparison against an infinite level is explicit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from . import roots
@@ -37,22 +40,30 @@ Level = Union[int, float]
 
 def _sign_runs(
     x: TwistedElement,
-) -> Tuple[FrozenSet[int], Tuple[Level, ...], Tuple[Level, ...], int]:
-    """phi_x, the level tables of x and x^-1 indexed by root, and the
-    largest finite level.
+) -> Tuple[
+    FrozenSet[int], Tuple[Level, ...], Tuple[Level, ...], int, List[int], List[int], int
+]:
+    """phi_x, the level tables of x and x^-1 indexed by root, the largest
+    finite level, the positive roots at level 1 for x and for x^-1 (each
+    ascending), and the order of x.
 
     Each cycle is walked from a run start, a root whose sign differs from
     the one before it, so every run is read whole: backward levels as the
     walk counts them, forward levels by a second pass over the run once its
-    length is known.  The largest level is the longest run.
+    length is known.  The largest level is the longest run.  A positive
+    run ends at its forward level 1 and starts at its backward level 1.
+    The order is the lcm of the cycle lengths.
     """
     rs = x.rs
     pc = rs.positive_count
     p = x.perm
     forward: List[Level] = [INFINITY] * rs.count
     backward: List[Level] = [INFINITY] * rs.count
+    forward_ones: List[int] = []
+    backward_ones: List[int] = []
     stable: List[int] = []
     seen = [False] * rs.count
+    cycle_lengths = set()
     longest = 0
     for i in range(rs.count):
         if seen[i]:
@@ -63,29 +74,49 @@ def _sign_runs(
             j = p[j]
         if j == i:
             # One sign all around: the cycle lies in phi_x.
+            before = len(stable)
             while True:
                 seen[j] = True
                 stable.append(j)
                 j = p[j]
                 if j == i:
                     break
+            cycle_lengths.add(len(stable) - before)
             continue
         start = j
+        cycle = 0
         while True:
-            head, sign, size = j, j < pc, 0
+            first = head = j
+            sign, size = j < pc, 0
             while (j < pc) == sign:
                 seen[j] = True
                 size += 1
                 backward[j] = size
                 j = p[j]
-            for level in range(size, 0, -1):
+            for level in range(size, 1, -1):
                 forward[head] = level
                 head = p[head]
+            forward[head] = 1
+            if sign:
+                forward_ones.append(head)
+                backward_ones.append(first)
+            cycle += size
             if size > longest:
                 longest = size
             if j == start:
                 break
-    return frozenset(stable), tuple(forward), tuple(backward), longest
+        cycle_lengths.add(cycle)
+    forward_ones.sort()
+    backward_ones.sort()
+    return (
+        frozenset(stable),
+        tuple(forward),
+        tuple(backward),
+        longest,
+        forward_ones,
+        backward_ones,
+        lcm(*cycle_lengths),
+    )
 
 
 def phi_of(x: TwistedElement) -> FrozenSet[int]:
@@ -113,15 +144,14 @@ def _witness_key(rs, a: int, b: int):
     return (rs.height(a), rs.coeffs[a], rs.height(b), rs.coeffs[b])
 
 
-def _condition2_prime(rs, table, strict: bool):
+def _condition2_prime(rs, table, ones, strict: bool):
     """Production path: only pairs with n(alpha) = 1 and alpha+beta a
-    positive root need checking."""
+    positive root need checking; `ones` lists the positive roots at level 1
+    of `table`, ascending."""
     violations = []
     audit = []
-    for a, (na, pairs) in enumerate(zip(table, rs.positive_sums)):
-        if na != 1:
-            continue
-        for b, s in pairs:
+    for a in ones:
+        for b, s in rs.positive_sums[a]:
             ns = table[s]
             if ns is INFINITY:
                 # alpha+beta lies in phi_x.  With condition (1) this cannot
@@ -130,10 +160,10 @@ def _condition2_prime(rs, table, strict: bool):
                 # contradicting n(alpha) = 1.  Strict mode records the triple
                 # anyway for auditing.
                 if strict:
-                    audit.append((a, b, na, table[b], ns))
+                    audit.append((a, b, 1, table[b], ns))
                 continue
             if ns > table[b]:
-                violations.append((a, b, na, table[b], ns))
+                violations.append((a, b, 1, table[b], ns))
     violations.sort(key=lambda v: _witness_key(rs, v[0], v[1]))
     return violations, audit
 
@@ -146,7 +176,7 @@ def condition2_full_pairs(x: TwistedElement) -> List[Tuple]:
     """
     rs = x.rs
     pc = rs.positive_count
-    phi, table, _, _ = _sign_runs(x)
+    phi, table = _sign_runs(x)[:2]
     out = []
     for a in range(pc):
         for b in range(pc):
@@ -170,6 +200,7 @@ class ConvexityReport:
     n_table: Tuple[Level, ...]
     inverse_n_table: Tuple[Level, ...]
     max_level: int
+    order: int
     condition1_ok: bool
     condition2_ok: bool
     quasi_convex: bool
@@ -183,15 +214,15 @@ class ConvexityReport:
 def analyze(x: TwistedElement, strict: bool = False) -> ConvexityReport:
     """Full quasi-convexity / convexity report for x."""
     rs = x.rs
-    phi, table, inverse_table, max_level = _sign_runs(x)
+    phi, table, inverse_table, max_level, ones, inverse_ones, order = _sign_runs(x)
     labels = frozenset(
         lab for lab in range(rs.rank) if rs.simple_indices[lab] in phi
     )
     # phi_{x^-1} = phi_x, so condition (1) holds for both or for neither.
     # An empty phi_x is the closure of no labels, with nothing to scan.
     cond1 = not phi or phi == rs.parabolic_closure(labels)
-    violations, audit = _condition2_prime(rs, table, strict)
-    iviolations, _ = _condition2_prime(rs, inverse_table, False)
+    violations, audit = _condition2_prime(rs, table, ones, strict)
+    iviolations, _ = _condition2_prime(rs, inverse_table, inverse_ones, False)
     quasi = cond1 and not violations
     inverse_quasi = cond1 and not iviolations
     return ConvexityReport(
@@ -201,6 +232,7 @@ def analyze(x: TwistedElement, strict: bool = False) -> ConvexityReport:
         n_table=table,
         inverse_n_table=inverse_table,
         max_level=max_level,
+        order=order,
         condition1_ok=cond1,
         condition2_ok=not violations,
         quasi_convex=quasi,

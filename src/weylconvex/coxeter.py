@@ -21,7 +21,9 @@ of the elements: all of them have one length, one letter per delta-orbit,
 and the count of distinct prefixes is checked against the count of
 orientations, so two elements first differ inside the prefix.  A failure
 inside the sweep is raised after the pass, for the least failing element
-in that order.
+in that order.  Every element must have the order h of the first, the
+Coxeter number; each order is read from the element's `analyze` report,
+whose cycle walk yields it.
 
 When the half-turn condition (c*delta)^(h/2) = w0*delta^(h/2) holds,
 convexity of c*delta is a theorem and a failure here is treated as an
@@ -257,7 +259,7 @@ def coxeter_levels(rep: ConvexityReport) -> Dict[int, int]:
     mirrored, with that of its inverse.  Any disagreement is an engine bug.
     """
     x = rep.x
-    h = x.order()
+    h = rep.order
     if not _w0_condition(x, h, _half_turn_target(x, h)):
         raise InputError("block levels require the half-turn condition")
     return dict(enumerate(_block_levels(rep, h, twisted_betas(x))))
@@ -315,10 +317,11 @@ class CoxeterReport:
 
 
 def _check_entry(
-    x: TwistedElement, word: Tuple[int, ...], h: int, target: Optional[List[int]]
+    rep: ConvexityReport, word: Tuple[int, ...], h: int, target: Optional[List[int]]
 ) -> CoxeterEntry:
-    """Analyse one delta-Coxeter element of order h; raise on an engine bug."""
-    rep = analyze(x)
+    """Check the analysis of one delta-Coxeter element of order h; raise on
+    an engine bug."""
+    x = rep.x
     cond = _w0_condition(x, h, target)
     if not rep.convex:
         confirmed = (
@@ -361,13 +364,14 @@ def verify_conjecture(
     h = target = failure = None
     by_prefix: Dict[Perm, CoxeterEntry] = {}
     for key, word, x in _coxeter_stream(rs, delta):
-        order = x.order()
+        rep = analyze(x)
         if h is None:
-            h, target = order, _half_turn_target(x, order)
-        elif order != h:
-            raise InconsistencyError(f"Coxeter element orders differ: {({h, order})}")
+            h, target = rep.order, _half_turn_target(x, rep.order)
+        elif rep.order != h:
+            low, high = sorted((h, rep.order))
+            raise InconsistencyError(f"Coxeter element orders differ: {low} and {high}")
         try:
-            by_prefix[key] = _check_entry(x, word, h, target)
+            by_prefix[key] = _check_entry(rep, word, h, target)
         except InconsistencyError as exc:
             if failure is None or key < failure[0]:
                 failure = (key, exc)

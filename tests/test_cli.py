@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from weylconvex import coxeter as coxeter_module
 from weylconvex.cli import main
+from weylconvex.weyl import from_word
 
 
 def run_cli(capsys, *argv):
@@ -192,6 +193,34 @@ def test_conjecture_inconsistency_exits_3(capsys, monkeypatch, cartan, confirmed
     assert code == 3
     assert captured.out == ""
     assert json.loads(captured.err) == {"inconsistency": message}
+
+
+@pytest.mark.parametrize(
+    "intruder, orders",
+    [([0], "2 and 5"), ([0, 1, 3], "5 and 6")],
+    ids=["lower", "higher"],
+)
+def test_conjecture_orders_differ_exits_3(capsys, monkeypatch, intruder, orders):
+    # The sweep takes h from the first element's report and checks every
+    # later element against it.  A4 has h = 5; the second element is
+    # replaced by one of order 2 or 6, and both orders are named, sorted.
+    real = coxeter_module._coxeter_stream
+
+    def stream(rs, delta):
+        elements = real(rs, delta)
+        yield next(elements)
+        key, word, _ = next(elements)
+        yield key, word, from_word(rs, delta, intruder)
+        yield from elements
+
+    monkeypatch.setattr(coxeter_module, "_coxeter_stream", stream)
+    code = main(["--no-cache", "conjecture", "--type", "A4"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "inconsistency": f"Coxeter element orders differ: {orders}"
+    }
 
 
 def test_cross_section_roundtrips(capsys):

@@ -5,10 +5,14 @@ it with a standalone brute-force iteration on ambient coordinates before
 asserting, so the production path and the oracle stay independent.
 """
 
+import random
+
 import pytest
 
+from weylconvex import perm
 from weylconvex.convexity import (
     INFINITY,
+    _sign_runs,
     analyze,
     condition2_full_pairs,
     level_filtration,
@@ -186,6 +190,49 @@ def test_analyze_matches_oracle_exhaustive():
                 assert rep.n_table[i] == lv
             for i in phi:
                 assert rep.n_table[i] == INFINITY
+
+
+def _walk_battery():
+    """Every coset W*delta^k of the small battery and the exceptional types,
+    and D12, whose 264 roots take tuple permutations."""
+    for name in (
+        "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "D5",
+        "G2", "F4", "E6", "E7", "E8", "D12",
+    ):
+        for delta in diagram_automorphisms(rs_of(name)):
+            for k in range(delta.order):
+                yield pytest.param(name, delta, k, id=f"{name}-{delta.label()}-{k}")
+
+
+@pytest.mark.parametrize("name, delta, k", list(_walk_battery()))
+def test_sign_run_walk_yields_level_ones_and_order(name, delta, k):
+    # The walk's level-one roots and order, against their definitions:
+    # n_y(a) = 1 exactly when y sends the positive root a to a negative one.
+    rs = rs_of(name)
+    pc = rs.positive_count
+    rng = random.Random(f"{name}-{delta.label()}-{k}")
+    for _ in range(6):
+        word = [rng.randrange(rs.rank) for _ in range(rng.randrange(3 * rs.rank))]
+        x = from_word(rs, delta, word, k)
+        ones, inverse_ones, order = _sign_runs(x)[4:]
+        inverse = x.inverse().perm
+        assert ones == [a for a in range(pc) if x.perm[a] >= pc]
+        assert inverse_ones == [a for a in range(pc) if inverse[a] >= pc]
+        assert order == perm.order(x.perm) == analyze(x).order
+    if name == "D12":
+        assert isinstance(x.perm, tuple)
+
+
+@pytest.mark.parametrize("name", ["A9", "D12"])
+def test_sign_run_walk_order_exceeds_every_root_orbit(name):
+    # s1 s3 s4 s6 s7 s8 s9 permutes coordinates as (1 2)(3 4 5)(6 7 8 9 10),
+    # of order 30; a root e_i -+ e_j meets at most two of those cycles, so
+    # no root orbit is longer than 15: the order is the lcm of the orbit
+    # lengths, not the longest.
+    rs = rs_of(name)
+    x = from_word(rs, None, [0, 2, 3, 5, 6, 7, 8])
+    assert max(map(len, perm.cycles(x.perm))) == 15
+    assert _sign_runs(x)[6] == perm.order(x.perm) == 30
 
 
 def test_condition2_equivalence_exhaustive():
