@@ -37,10 +37,8 @@ from .roots import _reflect_coeffs
 from .weyl import (
     ConjugacyClass,
     TwistedElement,
-    _shift_reachable_set,
     class_of,
     fixed_roots,
-    is_elliptic,
 )
 
 
@@ -199,21 +197,3 @@ def find_good_position_conjugate(
         "full class scan found no good-position conjugate; this contradicts "
         "the existence of good-position representatives"
     )
-
-
-def elliptic_min_convex(cls: ConjugacyClass) -> TwistedElement:
-    """A convex minimal-length element reachable by downward cyclic shifts."""
-    if not is_elliptic(cls.representative):
-        raise InputError("class is not elliptic")
-    reachable = _shift_reachable_set(cls.representative)
-    candidates = [
-        y
-        for y in reachable
-        if y.length() == cls.min_length and analyze(y).convex
-    ]
-    if not candidates:
-        raise InconsistencyError(
-            "no convex element in the reachable minimal-length set of an "
-            "elliptic class; this contradicts the minimal-length theorem"
-        )
-    return min(candidates, key=lambda e: (e.word(), e.root_perm))

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
-from . import roots
 from .errors import InconsistencyError, InputError
 from .weyl import TwistedElement
 
@@ -263,28 +262,3 @@ def _check_descent(x: TwistedElement, grouped: Dict[int, List[int]]) -> None:
             raise InconsistencyError(f"level {lev} does not descend into level {lev - 1}")
     if any(x.rs.is_positive(x.perm[i]) for i in grouped.get(1, ())):
         raise InconsistencyError("level 1 is not sent to negative roots")
-
-
-def level_filtration(x: TwistedElement) -> List[FrozenSet[int]]:
-    """Nested closed sets Phi_{x,<=1}+ through Phi_{x,<=N}+.
-
-    Only defined for quasi-convex x; the descent of the levels under x and
-    the closedness of the cumulative level sets are consequences of
-    quasi-convexity and are re-verified here, loudly, on every call.
-    """
-    rs = x.rs
-    rep = analyze(x)
-    if not rep.quasi_convex:
-        raise InputError("level filtration requires a quasi-convex element")
-    grouped = _levels(rep)
-    _check_descent(x, grouped)
-    out: List[FrozenSet[int]] = []
-    acc: set = set()
-    for lev in range(1, max(grouped, default=0) + 1):
-        acc.update(grouped.get(lev, ()))
-        if not roots.is_closed(rs, acc):
-            raise InconsistencyError(
-                f"cumulative level set <= {lev} is not closed for {rs.cartan_type}"
-            )
-        out.append(frozenset(acc))
-    return out

@@ -39,7 +39,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from . import perm
 from .convexity import ConvexityReport, analyze, condition2_full_pairs
-from .errors import InconsistencyError, InputError
+from .errors import InconsistencyError
 from .perm import Perm
 from .roots import DiagramAutomorphism, RootSystem, identity_automorphism
 from .weyl import TwistedElement, from_word, longest_element
@@ -147,13 +147,6 @@ def coxeter_elements(
     return _in_key_order(rs, delta, by_prefix)
 
 
-@dataclass(frozen=True)
-class ReflectionOrdering:
-    """A total order on the positive roots induced by a reduced w0 word."""
-
-    ordered_roots: Tuple[int, ...]  # ascending
-
-
 def _suffix_betas(rs: RootSystem, word: Sequence[int]) -> List[int]:
     """beta_i = s_N s_{N-1} ... s_{i+1} (alpha_i) for a word s_1 ... s_N.
 
@@ -170,55 +163,19 @@ def _suffix_betas(rs: RootSystem, word: Sequence[int]) -> List[int]:
     return betas
 
 
-def twisted_betas(x: TwistedElement, word: Optional[Sequence[int]] = None) -> List[int]:
+def twisted_betas(x: TwistedElement, word: Sequence[int]) -> List[int]:
     """The level-1 roots of x = c*delta in beta order.
 
     These are the inversion roots of the untwisted part pulled back through
     the twist: gamma has x(gamma) negative iff delta(gamma) is an inversion
-    of c.  `word` is the least reduced word of c, when the caller has it.
+    of c.  `word` is a reduced word of c; the betas follow its letters.
     """
-    betas = _suffix_betas(x.rs, x.word() if word is None else word)
+    betas = _suffix_betas(x.rs, word)
     # delta^-k is delta^(order - k), one lookup per power.
     d = x.twist.root_perm
     for _ in range(-x.twist_power % x.twist.order):
         betas = [d[b] for b in betas]
     return betas
-
-
-def check_betweenness(rs: RootSystem, ordered: Sequence[int]) -> bool:
-    """Every root sum sits strictly between its summands."""
-    pos = {g: t for t, g in enumerate(ordered)}
-    for a, pairs in enumerate(rs.positive_sums):
-        for b, s in pairs:
-            if b <= a:
-                continue
-            lo, hi = sorted((pos[a], pos[b]))
-            if not (lo < pos[s] < hi):
-                return False
-    return True
-
-
-def reflection_ordering(rs: RootSystem, w0_word: Sequence[int]) -> ReflectionOrdering:
-    """The ordering beta_N < ... < beta_1 attached to a reduced word for w0."""
-    word = list(w0_word)
-    x = from_word(rs, None, word)
-    if x.length() != len(word):
-        raise InputError("word is not reduced")
-    if x != longest_element(rs):
-        raise InputError("word is not an expression of the longest element")
-    betas = _suffix_betas(rs, word)
-    ordered = tuple(reversed(betas))  # beta_N first (smallest)
-    if sorted(ordered) != list(range(rs.positive_count)):
-        raise InconsistencyError("betas do not enumerate the positive roots")
-    if not check_betweenness(rs, ordered):
-        raise InconsistencyError("constructed ordering violates betweenness")
-    return ReflectionOrdering(ordered_roots=ordered)
-
-
-def check_w0_condition(x: TwistedElement) -> bool:
-    """Whether h is even and (c*delta)^(h/2) equals w0*delta^(h/2)."""
-    h = x.order()
-    return _w0_condition(x, h, _half_turn_target(x, h))
 
 
 def _half_turn_target(x: TwistedElement, h: int) -> Optional[List[int]]:
@@ -235,7 +192,8 @@ def _half_turn_target(x: TwistedElement, h: int) -> Optional[List[int]]:
 
 
 def _w0_condition(x: TwistedElement, h: int, target: Optional[List[int]]) -> bool:
-    """check_w0_condition for x of order h and its `_half_turn_target`.
+    """Whether x of order h meets the half-turn condition x^(h/2) =
+    w0*delta^(k*h/2), given its `_half_turn_target`.
 
     Both sides act linearly, so they agree once they agree on the simple
     roots, a basis; each simple root is walked h/2 steps along x.
@@ -249,20 +207,6 @@ def _w0_condition(x: TwistedElement, h: int, target: Optional[List[int]]) -> boo
         if g != image:
             return False
     return True
-
-
-def coxeter_levels(rep: ConvexityReport) -> Dict[int, int]:
-    """Level of every positive root from the half-turn block formula.
-
-    Block i consists of (c*delta)^(h/2 - i) applied to the betas of the
-    Coxeter word; the result must agree with the level table of x and,
-    mirrored, with that of its inverse.  Any disagreement is an engine bug.
-    """
-    x = rep.x
-    h = rep.order
-    if not _w0_condition(x, h, _half_turn_target(x, h)):
-        raise InputError("block levels require the half-turn condition")
-    return dict(enumerate(_block_levels(rep, h, twisted_betas(x))))
 
 
 def _block_levels(rep: ConvexityReport, h: int, betas: Sequence[int]) -> List[int]:

@@ -39,7 +39,6 @@ from .quadfield import (
     array_combination,
     array_dot,
     field_for,
-    sign_of,
     two_cos_in,
 )
 from .weyl import TwistedElement, fixed_roots
@@ -89,13 +88,6 @@ def _angles(mults: Dict[int, int]) -> List[Tuple[Fraction, int]]:
 
 def _rotation_denominator(angle: Fraction) -> int:
     return Fraction(angle, 2).denominator
-
-
-def _sdot(row, vec, zero):
-    acc = zero
-    for a, b in zip(row, vec):
-        acc = acc + a * b
-    return acc
 
 
 def _perp_orders(
@@ -668,27 +660,3 @@ def good_position_length(cert: GoodPositionCertificate) -> int:
     if total.denominator != 1:
         raise InconsistencyError(f"length formula gave non-integer {total}")
     return int(total)
-
-
-def separation_witness(x: TwistedElement, e: Sequence, gamma: int) -> int:
-    """First i >= 1 with (x^-i e, gamma) < 0; contracts to equal n_x(gamma).
-
-    The signs are read off `int_pairing_rows`, a positive multiple of the
-    pairing.
-    """
-    rs = x.rs
-    row = rs.int_pairing_rows[gamma]
-    if sign_of(_sdot(row, e, 0)) <= 0:
-        raise InputError("witness point must pair strictly positively with gamma")
-    Minv = x.inverse().matrix()
-    n = rs.rank
-    v = list(e)
-    for i in range(1, x.order() + 1):
-        v = [
-            _sdot(Minv[t], v, 0 * v[0]) for t in range(n)
-        ]
-        if sign_of(_sdot(row, v, 0)) < 0:
-            return i
-    raise InconsistencyError(
-        "no separation within the order of x; inconsistent with the level theory"
-    )

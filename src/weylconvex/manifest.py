@@ -25,7 +25,6 @@ from .weyl import (
     from_one_line,
     from_word,
     is_elliptic,
-    min_length_set,
 )
 
 @lru_cache(maxsize=None)
@@ -102,7 +101,7 @@ def check_a3_good_position_table() -> Dict:
 def check_a2_min_length_class() -> Dict:
     rs = _rs("A2")
     refl = class_of(from_word(rs, None, [0]))
-    omin = min_length_set(refl)
+    omin = refl.min_length_set()
     omin_words = sorted(y.word() for y in omin)
     none_convex = all(not analyze(y).convex for y in omin)
     w0 = from_word(rs, None, [0, 1, 0])

@@ -334,16 +334,6 @@ def _check_liftable(ctx: MatrixGroupContext, x: TwistedElement) -> None:
         raise InputError("element does not belong to this context's root system")
 
 
-def lift(ctx: MatrixGroupContext, x: TwistedElement) -> Matrix:
-    """The canonical 0/1 permutation-matrix lift of an untwisted element."""
-    _check_liftable(ctx, x)
-    pi = underlying_permutation(x)
-    rows = [[ctx.field.zero] * ctx.n for _ in range(ctx.n)]
-    for i in range(ctx.n):
-        rows[pi[i]][i] = ctx.field.one
-    return tuple(tuple(r) for r in rows)
-
-
 # ---------------------------------------------------------------------------
 # Unipotent coordinates.
 
@@ -421,11 +411,6 @@ def coordinate_order(n: int, order: Sequence[Position]) -> CoordinateOrder:
     return CoordinateOrder(order, checks, tuple(rows))
 
 
-def unipotent_from_coords(ctx, order: Sequence[Position], coords: Sequence) -> Matrix:
-    word = [(pos, t) for pos, t in zip(order, coords) if t]
-    return _word_matrix(ctx.field, ctx.n, word)
-
-
 def _read_coordinates(ctx, reading: CoordinateOrder, mat: Matrix) -> List:
     """Coordinates along a checked order, each read once (see CoordinateOrder).
 
@@ -465,23 +450,6 @@ def _read_coordinates(ctx, reading: CoordinateOrder, mat: Matrix) -> List:
                     term[d] = add(term[d], v) if d in term else v
             for d, v in term.items():
                 known[d] = add(known[d], v) if d in known else v
-    return coords
-
-
-def unipotent_coordinates(
-    ctx, mat: Matrix, order: Sequence[Position]
-) -> List:
-    """Coordinates t with mat = product of u_pos(t) in the given order.
-
-    The positions must be distinct, all strictly upper or all strictly
-    lower, and span a closed set; entries of `mat` outside that set must
-    vanish.  Each coordinate is read once: its entry minus what the
-    coordinates read before it contribute there.  Their product must give
-    `mat` back, which catches an entry that is no field scalar here.
-    """
-    coords = _read_coordinates(ctx, coordinate_order(ctx.n, order), mat)
-    if unipotent_from_coords(ctx, order, coords) != mat:
-        raise NotInCellError("coordinate extraction failed to reproduce the matrix")
     return coords
 
 
@@ -845,27 +813,6 @@ def enumerate_cell_points(data: CrossSectionData) -> Iterator[CellPoint]:
                 for dg in torus:
                     for am in product(elems, repeat=len(data.phi_neg)):
                         yield CellPoint(yc, uc, ap, dg, am)
-
-
-def collision_search(
-    data: CrossSectionData, budget: int = 200_000
-) -> Optional[Tuple[CellPoint, CellPoint]]:
-    """Search for two distinct cell points with the same image.
-
-    Returns None when the budget runs out (or, for convex x, when the full
-    finite domain was exhausted without a collision, which is the theorem).
-    """
-    seen: Dict[Tuple, CellPoint] = {}
-    count = 0
-    for p in enumerate_cell_points(data):
-        if count >= budget:
-            return None
-        count += 1
-        key = mat_key(xi(data, p))
-        if key in seen and seen[key] != p:
-            return seen[key], p
-        seen[key] = p
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -427,10 +427,3 @@ def two_cos_exact(angle: Fraction):
     """
     field = field_for([angle])
     return two_cos_in(angle, field) if field.degree <= 2 else None
-
-
-def sign_of(x) -> int:
-    """Exact sign of an int, Fraction or CosNum."""
-    if isinstance(x, CosNum):
-        return x.sign()
-    return (x > 0) - (x < 0)

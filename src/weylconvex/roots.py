@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
 from operator import add, mul
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from . import perm
 from .errors import InconsistencyError, InputError
@@ -354,13 +354,6 @@ def build_root_system(cartan_type: CartanType) -> RootSystem:
             sum(1 << j for j, t in enumerate(c) if t) for c in coeffs
         ),
     )
-
-
-def root_sum(rs: RootSystem, i: int, j: int) -> Optional[int]:
-    """Index of root i + root j if that vector is a root, else None."""
-    if not (0 <= i < rs.count and 0 <= j < rs.count):
-        raise InputError(f"root index out of range: {(i, j)}")
-    return rs.sum_table.get((i, j))
 
 
 def is_closed(rs: RootSystem, indices) -> bool:

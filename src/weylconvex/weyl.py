@@ -227,15 +227,6 @@ def from_one_line(rs: RootSystem, one_line: Sequence[int]) -> TwistedElement:
     return from_word(rs, None, word)
 
 
-def act(x: TwistedElement, i: int, power: int = 1) -> int:
-    """Index of x^power applied to roots[i]."""
-    p = x.perm if power >= 0 else x.perm_inv
-    out = i
-    for _ in range(abs(power)):
-        out = p[out]
-    return out
-
-
 def longest_element(rs: RootSystem) -> TwistedElement:
     """The unique element of maximal length; w0 maps all positives negative."""
     # The permutation is cached on rs, not the element: an element refers
@@ -518,11 +509,6 @@ def _shift_reachable_set(x: TwistedElement) -> Set[TwistedElement]:
     return seen
 
 
-def cyclic_shift_reachable(x: TwistedElement, y: TwistedElement) -> bool:
-    """Whether x -> y through conjugations that never increase length."""
-    return y in _shift_reachable_set(x)
-
-
 def cyclic_shift_class(x: TwistedElement) -> List[TwistedElement]:
     """All y with x -> y and y -> x, sorted deterministically.
 
@@ -532,8 +518,3 @@ def cyclic_shift_class(x: TwistedElement) -> List[TwistedElement]:
     """
     out = [y for y in _shift_reachable_set(x) if y.length() == x.length()]
     return sorted(out, key=lambda e: e.key())
-
-
-def min_length_set(cls: ConjugacyClass) -> Tuple[TwistedElement, ...]:
-    """O_min of the class."""
-    return cls.min_length_set()

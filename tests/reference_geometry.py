@@ -3,17 +3,57 @@
 None of it runs in the engine: the generic Fourier-Motzkin elimination on
 field scalars (the reference for the integer ladder), the generic kernel
 basis by `rref` (the reference for the fraction-free eigenspace kernel),
-two eigenspace bookkeeping helpers the tests use as oracles, and the
+two eigenspace bookkeeping helpers the tests use as oracles, the
 rebuild of a good-position certificate's cumulative points (the oracle for
-the lemma in the `GoodPositionCertificate` docstring).
+the lemma in the `GoodPositionCertificate` docstring), exact signs of
+scalars of any field the engine uses, and the separation witness, which
+walks a point through powers of x^-1 to recover the level n_x(gamma)
+without the sign-run walk.
 """
 
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
-from weylconvex.geometry import _cyclo_mults, _perp_orders, _rotation_denominator, _sdot
+from weylconvex.errors import InconsistencyError, InputError
+from weylconvex.geometry import _cyclo_mults, _perp_orders, _rotation_denominator
 from weylconvex.linalg import rref
-from weylconvex.quadfield import sign_of
+from weylconvex.quadfield import CosNum
+
+
+def sign_of(x) -> int:
+    """Exact sign of an int, Fraction or CosNum."""
+    if isinstance(x, CosNum):
+        return x.sign()
+    return (x > 0) - (x < 0)
+
+
+def _sdot(row, vec, zero):
+    acc = zero
+    for a, b in zip(row, vec):
+        acc = acc + a * b
+    return acc
+
+
+def separation_witness(x, e: Sequence, gamma: int) -> int:
+    """First i >= 1 with (x^-i e, gamma) < 0; contracts to equal n_x(gamma).
+
+    The signs are read off `int_pairing_rows`, a positive multiple of the
+    pairing.
+    """
+    rs = x.rs
+    row = rs.int_pairing_rows[gamma]
+    if sign_of(_sdot(row, e, 0)) <= 0:
+        raise InputError("witness point must pair strictly positively with gamma")
+    Minv = x.inverse().matrix()
+    n = rs.rank
+    v = list(e)
+    for i in range(1, x.order() + 1):
+        v = [_sdot(Minv[t], v, 0 * v[0]) for t in range(n)]
+        if sign_of(_sdot(row, v, 0)) < 0:
+            return i
+    raise InconsistencyError(
+        "no separation within the order of x; inconsistent with the level theory"
+    )
 
 
 def fixed_space_dim(x, labels=None) -> int:

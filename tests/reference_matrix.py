@@ -3,22 +3,33 @@
 None of it runs in the engine: a field that computes through the
 scalars' own operators, dense products, the Gauss-Jordan inverse,
 root-subgroup and diagonal matrices formed entry by entry, the Levi factor
-and the identity point of a cell, the tangent-span rank taken with g^-1
-(the reference for the inverse-free rank of `adjoint_span_rank`), and
-unipotent coordinates read height by height, rebuilding the product at
-each height (the reference for the one-pass `unipotent_coordinates`).
+and the identity point of a cell, the 0/1 permutation-matrix lift of an
+untwisted element, the tangent-span rank taken with g^-1 (the reference
+for the inverse-free rank of `adjoint_span_rank`), unipotent coordinates
+read in one pass by the engine's reader and multiplied back, and the same
+coordinates read height by height, rebuilding the product at each height
+(the reference for the one-pass reader), and a search for two cell points
+with one image under xi over a finite field.
 """
 
 import operator
+from typing import Dict
 
 from weylconvex.errors import InputError, NotInCellError
 from weylconvex.linalg import rank
 from weylconvex.matrixgroup import (
     CellPoint,
+    _check_liftable,
     _ell_rows,
     _freeze,
     _identity_rows,
-    unipotent_from_coords,
+    _read_coordinates,
+    _word_matrix,
+    coordinate_order,
+    enumerate_cell_points,
+    mat_key,
+    underlying_permutation,
+    xi,
 )
 
 
@@ -114,6 +125,16 @@ def ell_matrix(data, p):
     return _freeze(_ell_rows(data, p))
 
 
+def lift(ctx, x):
+    """The canonical 0/1 permutation-matrix lift of an untwisted element."""
+    _check_liftable(ctx, x)
+    pi = underlying_permutation(x)
+    rows = [[ctx.field.zero] * ctx.n for _ in range(ctx.n)]
+    for i in range(ctx.n):
+        rows[pi[i]][i] = ctx.field.one
+    return _freeze(rows)
+
+
 def identity_cell_point(data):
     f = data.ctx.field
     return CellPoint(
@@ -178,6 +199,22 @@ def _closed_roots(positions) -> bool:
     return True
 
 
+def unipotent_coordinates(ctx, mat, order):
+    """Coordinates t with mat = product of u_pos(t) in the given order.
+
+    The positions must be distinct, all strictly upper or all strictly
+    lower, and span a closed set; entries of `mat` outside that set must
+    vanish.  The engine's reader takes each coordinate once: its entry
+    minus what the coordinates read before it contribute there.  Their
+    product must give `mat` back, which catches an entry that is no field
+    scalar here.
+    """
+    coords = _read_coordinates(ctx, coordinate_order(ctx.n, order), mat)
+    if _word_matrix(ctx.field, ctx.n, list(zip(order, coords))) != mat:
+        raise NotInCellError("coordinate extraction failed to reproduce the matrix")
+    return coords
+
+
 def unipotent_coordinates_by_height(ctx, mat, order):
     """Coordinates t with mat = product of u_pos(t) in the given order.
 
@@ -207,10 +244,29 @@ def unipotent_coordinates_by_height(ctx, mat, order):
     for h in range(1, ctx.n):
         if h not in heights:
             continue
-        built = unipotent_from_coords(ctx, order, coords)
+        built = _word_matrix(ctx.field, ctx.n, list(zip(order, coords)))
         for k, (a, b) in enumerate(order):
             if heights[k] == h:
                 coords[k] = f.add(coords[k], f.sub(mat[a][b], built[a][b]))
-    if unipotent_from_coords(ctx, order, coords) != mat:
+    if _word_matrix(ctx.field, ctx.n, list(zip(order, coords))) != mat:
         raise NotInCellError("coordinate extraction failed to reproduce the matrix")
     return coords
+
+
+def collision_search(data, budget: int = 200_000):
+    """Search for two distinct cell points with the same image under xi.
+
+    Returns None when the budget runs out (or, for convex x, when the full
+    finite domain was exhausted without a collision, which is the theorem).
+    """
+    seen: Dict[tuple, CellPoint] = {}
+    count = 0
+    for p in enumerate_cell_points(data):
+        if count >= budget:
+            return None
+        count += 1
+        key = mat_key(xi(data, p))
+        if key in seen and seen[key] != p:
+            return seen[key], p
+        seen[key] = p
+    return None

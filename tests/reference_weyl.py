@@ -2,22 +2,26 @@
 
 None of it runs in the engine: the ambient vectors of the roots, rebuilt
 from the simple roots and the integer coefficients, and their dot product,
-the identity element, quasi-convexity as a bare Boolean, the common order
-of the twisted Coxeter elements, the reflection ordering that the
-half-turn word of a Coxeter element gives, and the orbit search under
-simple conjugation that applies every pair but the one that reached a
-member (the reference for the pruned `perm.sandwich_orbit`).
+the identity element, quasi-convexity as a bare Boolean, the level
+filtration of a quasi-convex element, the common order of the twisted
+Coxeter elements, the half-turn condition compared as whole permutations
+(the reference for the engine's check on the simple roots), reflection
+orderings with their betweenness check and the one that the half-turn word
+of a Coxeter element gives, a convex minimal-length element of an elliptic
+class found by downward cyclic shifts, and the orbit search under simple
+conjugation that applies every pair but the one that reached a member (the
+reference for the pruned `perm.sandwich_orbit`).
 """
 
 from fractions import Fraction
-from typing import List, Tuple
+from typing import FrozenSet, List, Sequence, Tuple
 
-from weylconvex import perm
+from weylconvex import convexity, perm, roots
 from weylconvex.convexity import analyze
-from weylconvex.coxeter import check_w0_condition, coxeter_elements, reflection_ordering
+from weylconvex.coxeter import _suffix_betas, coxeter_elements
 from weylconvex.errors import InconsistencyError, InputError
 from weylconvex.roots import _simple_roots
-from weylconvex.weyl import from_word
+from weylconvex.weyl import _shift_reachable_set, from_word, is_elliptic, longest_element
 
 
 def ambient(rs, coeffs) -> Tuple:
@@ -48,12 +52,79 @@ def is_quasi_convex(x) -> bool:
     return analyze(x).quasi_convex
 
 
+def level_filtration(x) -> List[FrozenSet[int]]:
+    """Nested closed sets Phi_{x,<=1}+ through Phi_{x,<=N}+.
+
+    Only defined for quasi-convex x; the descent of the levels under x
+    (the engine's `_check_descent`, which the cross-section rests on) and
+    the closedness of the cumulative level sets are consequences of
+    quasi-convexity and are re-verified here, loudly, on every call.
+    """
+    rs = x.rs
+    rep = analyze(x)
+    if not rep.quasi_convex:
+        raise InputError("level filtration requires a quasi-convex element")
+    grouped = convexity._levels(rep)
+    convexity._check_descent(x, grouped)
+    out: List[FrozenSet[int]] = []
+    acc: set = set()
+    for lev in range(1, max(grouped, default=0) + 1):
+        acc.update(grouped.get(lev, ()))
+        if not roots.is_closed(rs, acc):
+            raise InconsistencyError(
+                f"cumulative level set <= {lev} is not closed for {rs.cartan_type}"
+            )
+        out.append(frozenset(acc))
+    return out
+
+
 def coxeter_order(rs, delta=None) -> int:
     """h: the common order of c*delta over all delta-Coxeter elements."""
     orders = {c.order() for c in coxeter_elements(rs, delta)}
     if len(orders) != 1:
         raise InconsistencyError(f"Coxeter element orders differ: {orders}")
     return orders.pop()
+
+
+def check_w0_condition(x) -> bool:
+    """h = order(x) even and x^(h/2) = w0*delta^(k*h/2), compared as whole
+    permutations."""
+    h = x.order()
+    if h % 2:
+        return False
+    twist = perm.power(x.twist.root_perm, x.twist_power * (h // 2))
+    target = perm.compose(longest_element(x.rs).root_perm, twist)
+    return perm.power(x.perm, h // 2) == target
+
+
+def check_betweenness(rs, ordered: Sequence[int]) -> bool:
+    """Every root sum sits strictly between its summands."""
+    pos = {g: t for t, g in enumerate(ordered)}
+    for a, pairs in enumerate(rs.positive_sums):
+        for b, s in pairs:
+            if b <= a:
+                continue
+            lo, hi = sorted((pos[a], pos[b]))
+            if not (lo < pos[s] < hi):
+                return False
+    return True
+
+
+def reflection_ordering(rs, w0_word: Sequence[int]) -> Tuple[int, ...]:
+    """The ordering beta_N < ... < beta_1 of the positive roots attached to
+    a reduced word for w0, ascending."""
+    word = list(w0_word)
+    x = from_word(rs, None, word)
+    if x.length() != len(word):
+        raise InputError("word is not reduced")
+    if x != longest_element(rs):
+        raise InputError("word is not an expression of the longest element")
+    ordered = tuple(reversed(_suffix_betas(rs, word)))  # beta_N first (smallest)
+    if sorted(ordered) != list(range(rs.positive_count)):
+        raise InconsistencyError("betas do not enumerate the positive roots")
+    if not check_betweenness(rs, ordered):
+        raise InconsistencyError("constructed ordering violates betweenness")
+    return ordered
 
 
 def half_turn_ordering(x):
@@ -84,6 +155,24 @@ def half_turn_ordering(x):
         raise InconsistencyError(
             f"half-turn word failed to be a reduced w0 expression: {exc}"
         )
+
+
+def elliptic_min_convex(cls):
+    """A convex minimal-length element reachable by downward cyclic shifts
+    from the representative of an elliptic class: the least by word."""
+    if not is_elliptic(cls.representative):
+        raise InputError("class is not elliptic")
+    candidates = [
+        y
+        for y in _shift_reachable_set(cls.representative)
+        if y.length() == cls.min_length and analyze(y).convex
+    ]
+    if not candidates:
+        raise InconsistencyError(
+            "no convex element in the reachable minimal-length set of an "
+            "elliptic class; this contradicts the minimal-length theorem"
+        )
+    return min(candidates, key=lambda e: (e.word(), e.root_perm))
 
 
 def sandwich_orbit(start, pairs, value_of):

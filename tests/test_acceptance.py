@@ -12,16 +12,11 @@ import pytest
 
 from weylconvex.construction import find_convex_representative
 from weylconvex.convexity import analyze, condition2_full_pairs, n_of, phi_of
-from weylconvex.coxeter import (
-    check_w0_condition,
-    coxeter_elements,
-    verify_conjecture,
-)
+from weylconvex.coxeter import coxeter_elements, verify_conjecture
 from weylconvex.geometry import (
     angle_list,
     good_position_length,
     is_good_position,
-    separation_witness,
 )
 from weylconvex.manifest import run_manifest
 from weylconvex.matrixgroup import (
@@ -44,7 +39,8 @@ from weylconvex.weyl import (
     from_word,
 )
 
-from reference_weyl import half_turn_ordering
+from reference_geometry import separation_witness
+from reference_weyl import check_w0_condition, half_turn_ordering
 
 RS = {}
 

@@ -335,6 +335,26 @@ def test_unreadable_cache_entry_is_recomputed(tmp_path, capsys, damage):
     assert capsys.readouterr().err == ""
 
 
+def test_report_is_printed_before_it_is_stored(tmp_path, capsysbinary, monkeypatch):
+    # The store reads what stdout holds when it is called: the whole
+    # report, so a store that fails or never returns costs no output.
+    import weylconvex.cli as cli
+
+    store = cli._cache_store
+    calls = []
+
+    def reading_store(path, payload):
+        calls.append((capsysbinary.readouterr().out, payload))
+        store(path, payload)
+
+    monkeypatch.setattr(cli, "_cache_store", reading_store)
+    argv = ["--cache-dir", str(tmp_path), "convex-check", "--type", "A2", "--word", "1,2"]
+    assert main(argv) == 0
+    ((printed, stored),) = calls
+    assert printed == stored
+    assert json.loads(stored)["exit_code"] == 0
+
+
 def test_unwritable_cache_costs_no_report(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("not a directory")

@@ -3,22 +3,20 @@ from fractions import Fraction
 import pytest
 
 from weylconvex import construction
-from weylconvex.construction import (
-    elliptic_min_convex,
-    find_convex_representative,
-    find_good_position_conjugate,
-)
+from weylconvex.construction import find_convex_representative, find_good_position_conjugate
 from weylconvex.convexity import analyze, phi_of
 from weylconvex.errors import InconsistencyError, InputError
 from weylconvex.roots import CartanType, build_root_system, diagram_automorphisms
 from weylconvex.weyl import (
+    _shift_reachable_set,
     class_of,
     conjugacy_classes,
     fixed_roots,
     from_word,
     is_elliptic,
-    min_length_set,
 )
+
+from reference_weyl import elliptic_min_convex
 
 RS = {}
 
@@ -44,7 +42,7 @@ def test_a2_reflection_class_picks_w0():
     rs = rs_of("A2")
     classes = conjugacy_classes(rs)
     refl = [c for c in classes if c.min_length == 1][0]
-    omin = min_length_set(refl)
+    omin = refl.min_length_set()
     assert sorted(y.word() for y in omin) == [(0,), (1,)]
     assert all(not analyze(y).convex for y in omin)
     res = find_convex_representative(refl)
@@ -260,6 +258,27 @@ def test_elliptic_min_convex_twisted_cosets():
             y = elliptic_min_convex(cls)
             assert y.length() == cls.min_length
             assert analyze(y).convex
+
+
+def test_elliptic_min_convex_agrees_with_the_geometric_representative():
+    # On the elliptic classes above, the geometric path ends at minimal
+    # length on a convex member that downward cyclic shifts reach from the
+    # class representative, so it is one of the candidates the reference
+    # takes the least of by word.
+    cosets = [(name, None, 0) for name in ("A2", "A3", "B2", "B3", "G2", "C3")]
+    cosets += [("D4", d, 1) for d in diagram_automorphisms(rs_of("D4")) if not d.is_identity]
+    compared = 0
+    for name, delta, k in cosets:
+        for cls in conjugacy_classes(rs_of(name), delta, k):
+            if not is_elliptic(cls.representative):
+                continue
+            y = elliptic_min_convex(cls)
+            r = find_convex_representative(cls).representative
+            assert r.length() == y.length() == cls.min_length, (name, r.word())
+            assert r in _shift_reachable_set(cls.representative), (name, r.word())
+            assert (y.word(), y.root_perm) <= (r.word(), r.root_perm)
+            compared += 1
+    assert compared == 27
 
 
 def test_geometric_and_exhaustive_agree_on_existence():

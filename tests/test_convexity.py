@@ -15,7 +15,6 @@ from weylconvex.convexity import (
     _sign_runs,
     analyze,
     condition2_full_pairs,
-    level_filtration,
     n_of,
     phi_of,
 )
@@ -29,7 +28,7 @@ from weylconvex.weyl import (
     longest_element,
 )
 
-from reference_weyl import identity_element, is_quasi_convex
+from reference_weyl import identity_element, is_quasi_convex, level_filtration
 
 RS = {}
 

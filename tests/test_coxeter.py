@@ -4,23 +4,28 @@ from itertools import permutations
 
 import pytest
 
-from weylconvex import perm
 from weylconvex.convexity import analyze, n_of
 from weylconvex.coxeter import (
-    check_betweenness,
-    check_w0_condition,
+    _block_levels,
+    _half_turn_target,
+    _w0_condition,
     coxeter_element_count,
     coxeter_elements,
     delta_orbits,
-    coxeter_levels,
-    reflection_ordering,
+    twisted_betas,
     verify_conjecture,
 )
 from weylconvex.errors import InputError
 from weylconvex.roots import CartanType, build_root_system, diagram_automorphisms
-from weylconvex.weyl import from_word, is_elliptic, longest_element
+from weylconvex.weyl import from_word, is_elliptic
 
-from reference_weyl import coxeter_order, half_turn_ordering
+from reference_weyl import (
+    check_betweenness,
+    check_w0_condition,
+    coxeter_order,
+    half_turn_ordering,
+    reflection_ordering,
+)
 
 RS = {}
 
@@ -122,16 +127,13 @@ def test_reflection_ordering_a2():
     rs = rs_of("A2")
     a1, a2 = rs.simple_indices
     a12 = rs.sum_table[(a1, a2)]
-    order1 = reflection_ordering(rs, [0, 1, 0])
-    assert order1.ordered_roots == (a1, a12, a2)
-    order2 = reflection_ordering(rs, [1, 0, 1])
-    assert order2.ordered_roots == (a2, a12, a1)
+    assert reflection_ordering(rs, [0, 1, 0]) == (a1, a12, a2)
+    assert reflection_ordering(rs, [1, 0, 1]) == (a2, a12, a1)
 
 
 def test_reflection_ordering_a1():
     rs = rs_of("A1")
-    order = reflection_ordering(rs, [0])
-    assert order.ordered_roots == (rs.simple_indices[0],)
+    assert reflection_ordering(rs, [0]) == (rs.simple_indices[0],)
 
 
 def test_reflection_ordering_rejects_bad_words():
@@ -154,8 +156,7 @@ def test_betweenness_exhaustive_for_all_w0_words_b2():
     for word in itertools.product(range(2), repeat=4):
         x = from_word(rs, None, list(word))
         if x.root_perm == w0.root_perm and x.length() == 4:
-            order = reflection_ordering(rs, list(word))
-            assert check_betweenness(rs, order.ordered_roots)
+            assert check_betweenness(rs, reflection_ordering(rs, list(word)))
             found += 1
     assert found == 2  # alternating words only
 
@@ -178,24 +179,32 @@ def test_w0_condition_twisted_a3():
         assert check_w0_condition(c)
 
 
+def _coxeter_levels(c):
+    """The level of each positive root of a half-turn Coxeter element, read
+    off its report; the block formula must give the same list."""
+    rep = analyze(c)
+    levels = list(rep.n_table[: c.rs.positive_count])
+    assert _block_levels(rep, rep.order, twisted_betas(c, c.word())) == levels
+    return levels
+
+
 def test_coxeter_levels_g2():
     rs = rs_of("G2")
     c = from_word(rs, None, [0, 1])
-    levels = coxeter_levels(analyze(c))
+    levels = _coxeter_levels(c)
     from collections import Counter
 
-    assert Counter(levels.values()) == {1: 2, 2: 2, 3: 2}
-    for g, lev in levels.items():
+    assert Counter(levels) == {1: 2, 2: 2, 3: 2}
+    for g, lev in enumerate(levels):
         assert n_of(c, g) == lev
 
 
 def test_coxeter_levels_b2():
     rs = rs_of("B2")
     c = from_word(rs, None, [0, 1])
-    levels = coxeter_levels(analyze(c))
     from collections import Counter
 
-    assert Counter(levels.values()) == {1: 2, 2: 2}
+    assert Counter(_coxeter_levels(c)) == {1: 2, 2: 2}
 
 
 def test_half_turn_ordering_matches_block_chain():
@@ -210,9 +219,7 @@ def test_half_turn_ordering_matches_block_chain():
                 continue
             order = half_turn_ordering(c)
             h = c.order()
-            from weylconvex.coxeter import twisted_betas
-
-            betas = twisted_betas(c)
+            betas = twisted_betas(c, c.word())
             chain = []
             for p in range(h // 2):
                 block = []
@@ -222,7 +229,7 @@ def test_half_turn_ordering_matches_block_chain():
                         g = c.perm_inv[g]
                     block.append(g)
                 chain.extend(reversed(block))
-            assert tuple(chain) == order.ordered_roots
+            assert tuple(chain) == order
             assert check_betweenness(rs, chain)
 
 
@@ -334,14 +341,9 @@ def test_sweep_holds_one_element_at_a_time():
     assert peak < 1_000_000
 
 
-def _half_turn_reference(x):
-    """h even and x^(h/2) = w0*delta^(k*h/2), compared as whole permutations."""
+def _engine_w0_condition(x):
     h = x.order()
-    if h % 2:
-        return False
-    twist = perm.power(x.twist.root_perm, x.twist_power * (h // 2))
-    target = perm.compose(longest_element(x.rs).root_perm, twist)
-    return perm.power(x.perm, h // 2) == target
+    return _w0_condition(x, h, _half_turn_target(x, h))
 
 
 def test_half_turn_condition_matches_whole_permutations():
@@ -355,9 +357,9 @@ def test_half_turn_condition_matches_whole_permutations():
             for _ in range(60):
                 word = [rng.randrange(rs.rank) for _ in range(rng.randint(0, 2 * rs.rank))]
                 x = from_word(rs, delta, word, k)
-                expected = _half_turn_reference(x)
-                assert check_w0_condition(x) == expected, (name, delta.label(), word)
+                expected = check_w0_condition(x)
+                assert _engine_w0_condition(x) == expected, (name, delta.label(), word)
                 seen.add(expected)
             for c in coxeter_elements(rs, delta):
-                assert check_w0_condition(c) == _half_turn_reference(c)
+                assert _engine_w0_condition(c) == check_w0_condition(c)
     assert seen == {False, True}

@@ -19,10 +19,9 @@ from weylconvex.geometry import (
     is_admissible,
     is_good_position,
     regular_point,
-    separation_witness,
 )
 from weylconvex.linalg import rref
-from weylconvex.quadfield import array_dot, cos_field, field_for, sign_of, two_cos_in
+from weylconvex.quadfield import array_dot, cos_field, field_for, two_cos_in
 from weylconvex.reports import parse_sequence, parse_word
 from weylconvex.roots import CartanType, build_root_system
 from weylconvex.weyl import (
@@ -37,6 +36,8 @@ from reference_geometry import (
     feasible_homogeneous,
     fixed_space_dim,
     kernel_basis,
+    separation_witness,
+    sign_of,
 )
 from reference_matrix import OperatorField
 from reference_weyl import ambient, identity_element

