@@ -8,7 +8,10 @@ F_p on plain ints mod p and Q on ints when integral, Fractions only when
 not.  No engine caller passes K_L; `geometry` finds its kernels on
 integers over Z[c_L].  Sizes here are tiny, so plain Gaussian elimination
 is used, except that `rank` takes a matrix of ints and Fractions and
-eliminates on integers.
+eliminates on integers (Bareiss), and `rank_mod_p` eliminates an integer
+matrix mod a prime.  The rank mod p is a lower bound for the rank over Q,
+so full rank mod p certifies full rank exactly; `rank` is the exact
+answer when it does not.
 """
 
 from __future__ import annotations
@@ -112,6 +115,36 @@ def rank(A) -> int:
         prev = p
         r += 1
         if r == rows:
+            break
+    return r
+
+
+def rank_mod_p(A, p: int) -> int:
+    """Rank over F_p of a matrix of ints, by elimination mod p.
+
+    For an integer matrix this is at most the rank over Q, so rank mod p
+    equal to the row count proves full row rank over Q.  An entry is
+    reduced only where a pivot is sought: a row with a zero there is left
+    as it is, and any other row becomes v - a * t with a and t reduced,
+    so its entries grow by at most p^2 a step.  The elimination stops
+    once every row has given a pivot.
+    """
+    rows = [list(row) for row in A]
+    cols = len(rows[0]) if rows else 0
+    r = 0
+    for c in range(cols):
+        piv = next((i for i, row in enumerate(rows) if row[c] % p), None)
+        if piv is None:
+            continue
+        top = rows.pop(piv)
+        inv = pow(top[c], -1, p)
+        top = [v * inv % p for v in top[c + 1:]]
+        for row in rows:
+            a = row[c] % p
+            if a:
+                row[c + 1:] = [v - a * t for v, t in zip(row[c + 1:], top)]
+        r += 1
+        if not rows:
             break
     return r
 

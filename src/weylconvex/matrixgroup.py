@@ -22,7 +22,9 @@ multiplied back nor scanned for support (see `_read_coordinates` and
 
 The tangent-span rank at a point g is taken on g times the span, which
 has the same rank: every column is then built from entries of g by
-additions and negations, so no inverse is formed.
+additions and negations, so no inverse is formed.  The transversality
+check first builds the columns on g mod a fixed prime, where rank n^2
+proves rank n^2 over Q; only when that fails does the exact rank run.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence
 from . import perm, roots
 from .convexity import ConvexityReport, _check_descent, _levels, analyze
 from .errors import InconsistencyError, InputError, NotInCellError
-from .linalg import rank, solve
+from .linalg import rank, rank_mod_p, solve
 from .roots import CartanType, RootSystem, build_root_system
 from .weyl import TwistedElement
 
@@ -819,19 +821,18 @@ def enumerate_cell_points(data: CrossSectionData) -> Iterator[CellPoint]:
 # Tangent-space transversality.
 
 
-def adjoint_span_rank(data: CrossSectionData, g: Matrix) -> int:
-    """Rank of (Ad(g^-1) - 1)(gl_n) + levi algebra + level-one nilpotent.
+# The fixed prime of the rank certificate in `transversality_check`.
+RANK_PRIME = 2 ** 61 - 1
 
-    Taken on g times that span, which has the same rank since g is
-    invertible: the columns are E_ab g - g E_ab for every (a, b), and g Y
-    for each Levi, torus and level-one column Y.  Their entries are sums
-    and negations of entries of g, so no inverse is formed.
-    """
+
+def _span_columns(data: CrossSectionData, g: Matrix) -> List[List]:
+    """The columns whose rank `adjoint_span_rank` takes, built on the
+    entries of g by sums and negations only."""
     n = data.ctx.n
 
     def g_times(terms) -> List:
         """g * sum(s E_ab) over (a, b, s) in terms, flattened by rows."""
-        col = [data.ctx.field.zero] * (n * n)
+        col = [0] * (n * n)
         for a, b, s in terms:
             for i in range(n):
                 col[i * n + b] += s * g[i][a]
@@ -850,11 +851,39 @@ def adjoint_span_rank(data: CrossSectionData, g: Matrix) -> int:
         + [[(a, a, 1), (b, b, -1)] for (a, b) in data.phi_pos]
     )
     cols += map(g_times, spans)
-    return rank(cols)
+    return cols
+
+
+def adjoint_span_rank(data: CrossSectionData, g: Matrix) -> int:
+    """Rank of (Ad(g^-1) - 1)(gl_n) + levi algebra + level-one nilpotent.
+
+    Taken on g times that span, which has the same rank since g is
+    invertible: the columns are E_ab g - g E_ab for every (a, b), and g Y
+    for each Levi, torus and level-one column Y.  Their entries are sums
+    and negations of entries of g, so no inverse is formed.
+    """
+    return rank(_span_columns(data, g))
 
 
 def transversality_check(data: CrossSectionData, g: Matrix) -> bool:
-    """Whether the tangent spaces span gl_n at a cross-section point."""
+    """Whether the tangent spaces span gl_n at a cross-section point.
+
+    First mod RANK_PRIME: each entry a/b of g goes to a * b^-1, and the
+    columns built on those ints are the reduction of the columns over Q,
+    which are integer combinations of g's entries.  A minor that is
+    nonzero mod p is nonzero over Q, so rank n^2 mod p proves rank n^2.
+    The exact rank over Q decides only when the rank mod p falls short or
+    p divides a denominator of g.
+    """
     if not isinstance(data.ctx.field, RationalField):
         raise InputError("the tangent-space check runs over the rationals")
-    return adjoint_span_rank(data, g) == data.ctx.n * data.ctx.n
+    full = data.ctx.n * data.ctx.n
+    p = RANK_PRIME
+    try:
+        g_mod = [[v.numerator * pow(v.denominator, -1, p) % p for v in row] for row in g]
+    except ValueError:  # p divides a denominator
+        g_mod = None
+    # One row per position of gl_n, so the elimination stops at rank n^2.
+    if g_mod is not None and rank_mod_p(zip(*_span_columns(data, g_mod)), p) == full:
+        return True
+    return adjoint_span_rank(data, g) == full

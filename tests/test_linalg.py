@@ -8,7 +8,8 @@ import pytest
 
 import weylconvex
 from weylconvex.errors import InconsistencyError
-from weylconvex.linalg import charpoly_int, cyclotomic_multiplicities, rank, rref
+from weylconvex.linalg import charpoly_int, cyclotomic_multiplicities, rank, rank_mod_p, rref
+from weylconvex.matrixgroup import RANK_PRIME, PrimeField
 from weylconvex.roots import CartanType, build_root_system
 from weylconvex.weyl import from_word
 
@@ -162,3 +163,18 @@ def test_rank_with_zero_and_duplicate_rows():
 )
 def test_rank_of_small_shapes(A, expected):
     assert rank(A) == expected == rank_reference(A)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, RANK_PRIME])
+def test_rank_mod_p_matches_rref_over_f_p(p):
+    # Dense and sparse integer matrices, with zero, repeated and scaled
+    # rows, and entries outside range(p), against rref over F_p.
+    rng = random.Random(800 + p % 1000)
+    field = PrimeField(p)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 25), rng.randint(1, 30)
+        A = _random_matrix(rng, rows, cols, False, rng.choice([1.0, 0.3]))
+        A += [[0] * cols, list(A[0]), [p * v + 1 for v in A[-1]]]
+        rng.shuffle(A)
+        want = len(rref([[v % p for v in row] for row in A], field)[1])
+        assert rank_mod_p(A, p) == want <= rank(A), (p, A)

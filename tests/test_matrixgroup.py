@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from weylconvex.construction import find_convex_representative
 from weylconvex.convexity import analyze
 from weylconvex.errors import InconsistencyError, InputError, NotInCellError
-from weylconvex.linalg import rank
+from weylconvex import matrixgroup
+from weylconvex.linalg import rank, rank_mod_p
 from weylconvex.matrixgroup import (
     MILLER_RABIN_LIMIT,
+    RANK_PRIME,
     PrimeField,
     RationalField,
     adjoint_span_rank,
@@ -425,6 +427,100 @@ def test_adjoint_span_rank_matches_inverse_reference(n):
             ranks.add(got)
     assert n * n in ranks
     assert min(ranks) < n * n - n, sorted(ranks)
+
+
+def test_rank_prime_is_prime():
+    assert is_prime(RANK_PRIME)
+
+
+@pytest.fixture(scope="module")
+def transversality_battery():
+    """(data, g) pairs with their exact verdicts: every quasi-convex element
+    of S_5 at two seeded section points, its lift, the identity and a
+    diagonal point, where the rank can drop; the convex representatives for
+    n = 6, 7, 8 at one seeded section point each."""
+    rng = random.Random(2961)
+    cases = []
+    for x in quasi_convex_elements(5)[0]:
+        data = build_cross_section(ctx_of(5), x)
+        points = [random_section_point(data, rng) for _ in range(2)]
+        points += [lift(data.ctx, x), diag(data.ctx, [1] * 5)]
+        points.append(diag(data.ctx, [rng.randint(1, 3) for _ in range(5)]))
+        cases += [(data, g) for g in points]
+    for n in (6, 7, 8):
+        for x in convex_reps(n):
+            data = build_cross_section(ctx_of(n), x)
+            cases.append((data, random_section_point(data, rng)))
+    verdicts = [adjoint_span_rank(data, g) == data.ctx.n ** 2 for data, g in cases]
+    assert set(verdicts) == {False, True}
+    return cases, verdicts
+
+
+@pytest.mark.parametrize("p", [RANK_PRIME, 2], ids=["2^61-1", "2"])
+def test_transversality_certificate_matches_bareiss(transversality_battery, monkeypatch, p):
+    # With a small prime the rank mod p often falls short at full-rank
+    # points, and p divides some denominators, so the exact rank decides.
+    cases, verdicts = transversality_battery
+    monkeypatch.setattr(matrixgroup, "RANK_PRIME", p)
+    fallbacks = []
+    exact = matrixgroup.adjoint_span_rank
+    monkeypatch.setattr(
+        matrixgroup, "adjoint_span_rank", lambda data, g: fallbacks.append(g) or exact(data, g)
+    )
+    assert [transversality_check(data, g) for data, g in cases] == verdicts
+    assert len(fallbacks) >= verdicts.count(False)
+    if p == 2:
+        assert len(fallbacks) > verdicts.count(False)
+        assert any(
+            type(v) is Fraction and v.denominator % p == 0
+            for g in fallbacks for row in g for v in row
+        )
+
+
+@pytest.mark.parametrize("scale", [RANK_PRIME, Fraction(1, RANK_PRIME)], ids=["times-p", "over-p"])
+def test_transversality_falls_back_when_p_divides_the_point(scale):
+    # p * g has the span of g scaled by p: full rank over Q, rank 0 mod p.
+    # g / p has a denominator p cannot invert.  Both must take the exact rank.
+    ctx = ctx_of(4)
+    data = build_cross_section(ctx, from_word(ctx.rs, None, [0, 1, 2]))
+    g = random_section_point(data, random.Random(29))
+    planted = tuple(tuple(RationalField.mul(scale, v) for v in row) for row in g)
+    assert transversality_check(data, g)
+    assert adjoint_span_rank(data, planted) == 16
+    assert transversality_check(data, planted)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_rank_deficient_points_fail_by_both_ranks(n):
+    # The points of test_adjoint_span_rank_matches_inverse_reference where
+    # the rank drops: the certificate cannot reach n^2 and the check says no.
+    ctx = ctx_of(n, "rational")
+    f = ctx.field
+    rng = random.Random(70 + n)
+    words = [list(rep.word()) for rep in convex_reps(n)]
+    words += [[rng.randrange(n - 1) for _ in range(rng.randrange(3 * n))] for _ in range(6)]
+    deficits = set()
+    for word in words:
+        x = from_word(ctx.rs, None, word)
+        data = build_cross_section(ctx, x)
+        points = [random_section_point(data, rng) for _ in range(3)]
+        points.append(lift(ctx, x))
+        points.append(diag(ctx, [f.one] * n))
+        points.append(diag(ctx, [f.of(rng.randint(1, 5)) for _ in range(n)]))
+        while len(points) < 9:
+            g = tuple(tuple(f.of(rng.randint(-3, 3)) for _ in range(n)) for _ in range(n))
+            if rank(g) == n:
+                points.append(g)
+        for g in points:
+            deficit = n * n - adjoint_span_rank(data, g)
+            if deficit:
+                deficits.add(deficit)
+                p = RANK_PRIME
+                g_mod = [[v.numerator * pow(v.denominator, -1, p) % p for v in row] for row in g]
+                assert rank_mod_p(matrixgroup._span_columns(data, g_mod), p) < n * n
+                assert not transversality_check(data, g)
+    # A span one short of full rank is among them.
+    assert 1 in deficits
 
 
 def test_elliptic_min_length_dimension_bookkeeping():
