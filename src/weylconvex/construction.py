@@ -124,7 +124,8 @@ def _dominate(rs, x, point, labels, field):
         for lab in labels:
             g = rs.simple_indices[lab]
             if field.sign(array_dot(point, rs.int_pairing_rows[g])) < 0:
-                point = tuple(_reflect_coeffs(p, lab, rs.cartan) for p in point)
+                column = [row[lab] for row in rs.cartan]
+                point = tuple(_reflect_coeffs(p, lab, column) for p in point)
                 x = x.conj_by_simple(lab)
                 word.append(lab)
                 break

@@ -209,14 +209,18 @@ def _w0_condition(x: TwistedElement, h: int, target: Optional[List[int]]) -> boo
     return True
 
 
-def _block_levels(rep: ConvexityReport, h: int, betas: Sequence[int]) -> List[int]:
-    """The block level of each positive root, from the betas of x."""
+def _block_levels(rep: ConvexityReport, h: int, betas: Sequence[int]) -> None:
+    """Check the block level of each positive root, from the betas of x,
+    against the level tables of the report; raise on a disagreement."""
     x = rep.x
     rs = x.rs
     pc = rs.positive_count
     perm_inv = x.perm_inv
+    n_table, inverse_n_table = rep.n_table, rep.inverse_n_table
     half = h // 2
     levels = [0] * rs.count
+    wrong = None  # the least root whose block level is not n
+    inverse_wrong = False
     # Each beta has level 1 for x; pulling back through x shifts the level
     # up by one, so block i is x^(1-i) of the betas.  Mirrored for the
     # inverse: block i is x^(i - h/2) of the betas, so the root of block i
@@ -226,18 +230,19 @@ def _block_levels(rep: ConvexityReport, h: int, betas: Sequence[int]) -> List[in
             if levels[g]:
                 raise InconsistencyError("block formula hit a root twice")
             levels[g] = i
+            if n_table[g] != i and (wrong is None or g < wrong):
+                wrong = g
+            if inverse_n_table[g] != half + 1 - i:
+                inverse_wrong = True
             g = perm_inv[g]
     if len(betas) * half != pc or any(levels[pc:]):
         raise InconsistencyError("blocks do not partition the positive roots")
-    levels = levels[:pc]
-    if tuple(levels) != rep.n_table[:pc]:
-        g = next(g for g, lev in enumerate(levels) if rep.n_table[g] != lev)
+    if wrong is not None:
         raise InconsistencyError(
-            f"block level {levels[g]} disagrees with n = {rep.n_table[g]} at {rs.root_str(g)}"
+            f"block level {levels[wrong]} disagrees with n = {n_table[wrong]} at {rs.root_str(wrong)}"
         )
-    if tuple(half + 1 - lev for lev in levels) != rep.inverse_n_table[:pc]:
+    if inverse_wrong:
         raise InconsistencyError("inverse block level disagrees with n")
-    return levels
 
 
 @dataclass(frozen=True, slots=True)

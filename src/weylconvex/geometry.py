@@ -3,6 +3,12 @@
 Everything here lives in simple-root coordinates with the exact Gram
 matrix, and every Boolean that feeds a theorem check is decided exactly.
 
+* The rotation spectrum, the multiplicity m_d of each cyclotomic factor
+  Phi_d of the characteristic polynomial, is read off the orbits of the
+  simple roots (`weyl.rotation_spectrum`): tr(x^m) on span(alpha_l : l in
+  labels) is sum_l (coefficient of alpha_l in x^m(alpha_l)), dim
+  ker(x^e - 1) = (e/h) sum_(k < h/e) tr(x^(ek)) for h the order of x on
+  that span, and dim ker(x^e - 1) = sum_(d | e) phi(d) m_d.
 * Which roots are orthogonal to a rotation eigenspace V_x^theta is read
   off the root permutation: the kernels of Phi_e(x) are pairwise
   orthogonal, so a root is orthogonal to ker Phi_d(x) exactly when the
@@ -31,7 +37,7 @@ from math import gcd, lcm
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import InconsistencyError, InputError
-from .linalg import cyclotomic, cyclotomic_multiplicities, charpoly_int, poly_mul
+from .linalg import cyclotomic, poly_mul
 from .quadfield import (
     Array,
     CosField,
@@ -41,35 +47,18 @@ from .quadfield import (
     field_for,
     two_cos_in,
 )
-from .weyl import TwistedElement, fixed_roots
+from .weyl import TwistedElement, fixed_roots, rotation_spectrum
 
 REGULAR_POINT_RETRIES = 64
 
 
 # ---------------------------------------------------------------------------
-# Restricted matrices, orders and exact angle bookkeeping.
-
-
-def _labels_or_all(x: TwistedElement, labels) -> Tuple[int, ...]:
-    return tuple(range(x.rs.rank)) if labels is None else tuple(labels)
-
-
-def _cyclo_mults(x: TwistedElement, labels=None) -> Dict[int, int]:
-    labels = _labels_or_all(x, labels)
-    cache = getattr(x, "_cyclo_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(x, "_cyclo_cache", cache)
-    if labels not in cache:
-        # The order of x bounds the order of its restriction to any stable
-        # parabolic, so its divisors include every cyclotomic factor's.
-        cache[labels] = cyclotomic_multiplicities(charpoly_int(x.matrix(labels)), x.order())
-    return cache[labels]
+# Exact angle bookkeeping.
 
 
 def angle_list(x: TwistedElement, labels=None) -> List[Tuple[Fraction, int]]:
     """All rotation angles theta/pi in (0, 1] with their real dimensions."""
-    return _angles(_cyclo_mults(x, labels))
+    return _angles(rotation_spectrum(x, labels))
 
 
 def _angles(mults: Dict[int, int]) -> List[Tuple[Fraction, int]]:
@@ -151,7 +140,7 @@ def exact_angle_basis(
     """
     field = field or field_for([angle])
     nums, den = field.parts(two_cos_in(angle, field))
-    labels = _labels_or_all(x, labels)
+    labels = tuple(range(x.rs.rank)) if labels is None else tuple(labels)
     M = x.matrix(labels)
     Minv = x.inverse().matrix(labels)
     n = len(M)
@@ -463,7 +452,7 @@ def is_admissible(x: TwistedElement, sequence: Sequence[Fraction]) -> bool:
     The empty sequence is admissible exactly when x acts trivially on the
     span of the roots.
     """
-    return _admissible(x, sequence, _cyclo_mults(x))
+    return _admissible(x, sequence, rotation_spectrum(x))
 
 
 def _admissible(
@@ -525,7 +514,7 @@ class GoodPositionCertificate:
 def _admissible_mults(x: TwistedElement, sequence: Sequence[Fraction]) -> Dict[int, int]:
     """The cyclotomic multiplicities of x, once the sequence is checked
     admissible for it."""
-    mults = _cyclo_mults(x)
+    mults = rotation_spectrum(x)
     if not _admissible(x, sequence, mults):
         raise InputError("sequence is not admissible for this element")
     return mults

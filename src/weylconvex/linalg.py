@@ -11,7 +11,9 @@ is used, except that `rank` takes a matrix of ints and Fractions and
 eliminates on integers (Bareiss), and `rank_mod_p` eliminates an integer
 matrix mod a prime.  The rank mod p is a lower bound for the rank over Q,
 so full rank mod p certifies full rank exactly; `rank` is the exact
-answer when it does not.
+answer when it does not.  Integer polynomials, constant term first, are
+multiplied and divided here, and the cyclotomic polynomials are built and
+cached.
 """
 
 from __future__ import annotations
@@ -21,27 +23,6 @@ from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InconsistencyError
-
-
-def mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    if len(A[0]) != k:
-        raise InconsistencyError(f"mat_mul shapes: {n}x{len(A[0])} times {k}x{m}")
-    out = []
-    for i in range(n):
-        row = []
-        Ai = A[i]
-        for j in range(m):
-            acc = Ai[0] * B[0][j]
-            for t in range(1, k):
-                acc = acc + Ai[t] * B[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def mat_identity(n: int, one, zero):
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def rref(A, field) -> Tuple[List[List], List[int]]:
@@ -171,28 +152,6 @@ def solve(A, b, field) -> Optional[List]:
     return v
 
 
-def charpoly_int(M: Sequence[Sequence[int]]) -> List[int]:
-    """Characteristic polynomial det(tI - M) of an integer matrix.
-
-    Returned as integer coefficients, constant term first.  Uses the
-    Faddeev-LeVerrier recursion on integers: every power-sum matrix stays
-    integral, so each division by k must be exact, and that is checked.
-    """
-    n = len(M)
-    cur = mat_identity(n, 1, 0)
-    cs: List[int] = []
-    for k in range(1, n + 1):
-        cur = mat_mul(M, cur)
-        tr = sum(cur[i][i] for i in range(n))
-        if tr % k:
-            raise InconsistencyError(f"Faddeev-LeVerrier trace {tr} not divisible by {k}")
-        ck = -tr // k
-        cs.append(ck)
-        for i in range(n):
-            cur[i][i] += ck
-    return [*reversed(cs), 1]  # det(tI - M) = t^n + c1 t^(n-1) + ... + cn
-
-
 def poly_divmod(num: Sequence[int], den: Sequence[int]):
     """Divide integer polynomials (coefficients constant-first)."""
     num = list(num)
@@ -242,33 +201,3 @@ def cyclotomic(d: int) -> List[int]:
                 raise InconsistencyError(f"Phi_{e} does not divide t^{d} - 1")
             num = q
     return num
-
-
-def cyclotomic_multiplicities(char: Sequence[int], order: int):
-    """Factor a char polynomial into cyclotomics Phi_d for d | order.
-
-    Returns {d: multiplicity}.  Raises InconsistencyError if a
-    non-cyclotomic factor remains, which cannot happen for finite-order
-    integer matrices.
-    """
-    rem = list(char)
-    mult = {}
-    divisors = [d for d in range(1, order + 1) if order % d == 0]
-    for d in divisors:
-        phi = cyclotomic(d)
-        m = 0
-        while True:
-            q, r = poly_divmod(rem, phi)
-            if q is None or r != []:
-                break
-            rem = q
-            m += 1
-        if m:
-            mult[d] = m
-    while rem and rem[-1] == 0:
-        rem.pop()
-    if rem != [1]:
-        raise InconsistencyError(
-            "characteristic polynomial is not a product of cyclotomics"
-        )
-    return mult

@@ -1,9 +1,16 @@
 """Finite crystallographic root systems as integer root data.
 
-A root is a tuple of integer simple-root coefficients.  The root set is
-the closure of the simple roots under s_j(c) = c - <c, alpha_j^vee> e_j,
-computed with the integer Cartan matrix; root sums and simple reflections
-are coefficient arithmetic looked up in a coefficient index.  The Cartan
+A root is a tuple of integer simple-root coefficients.  The positive
+roots are the closure of the simple roots under s_j(c) = c - <c,
+alpha_j^vee> e_j, computed with the integer Cartan matrix: s_j sends
+alpha_j to -alpha_j and permutes the other positive roots (Bourbaki, Lie
+Groups and Lie Algebras VI 1.6), so the closure never leaves them, and
+the negative roots are their negatives.  The closure's images give the
+simple reflections.  Root sums come from the positive triples a_i + a_j =
+a_k alone: each gives k = i + j, i = k - j, j = k - i, -k = -i - j,
+-j = -k + i and -i = -k + j, and every sum of two roots is one of these,
+since a sum of two positive (or two negative) roots has their sign and a
+mixed sum a + (-b) = c rearranges to c + b = a or a + (-c) = b.  The Cartan
 matrix and the Gram matrix come from the simple roots of the requested
 type, laid out in the standard orthonormal-basis conventions (type A lives
 in Z^(n+1), F4 and the E series use half-integer coordinates) and scaled
@@ -21,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
-from operator import add, mul
+from operator import mul
 from typing import Dict, FrozenSet, List, Tuple
 
 from . import perm
@@ -40,8 +47,9 @@ _CLASSICAL_COUNTS = {
 }
 
 # Largest root system any command builds.  Single runs of convex-check
-# --word 1 (2-core machine, Python 3.11): B20 (800 roots) 0.8 s and 29 MB,
-# A28 (812) 1.1 s, D24 (1,104) 1.6 s and 35 MB, A60 (3,660) 30 s.
+# --word 1 with the limit lifted (2-core machine, Python 3.11): B20 (800
+# roots) 0.15 s and 30 MB, A28 (812) 0.22 s, D24 (1,104) 0.24 s and 37 MB,
+# A60 (3,660) 1.7 s and 91 MB.
 MAX_ROOTS = 800
 
 _WEYL_ORDERS = {
@@ -162,6 +170,11 @@ class RootSystem:
     is set when alpha_j occurs in root i.  `positive_sums[a]` lists, for a
     positive root a, the pairs (b, a+b) with b and a+b both positive, by
     ascending b: the only pairs a subadditivity test on levels must visit.
+
+    `build_root_system` closes only the positive roots under the simple
+    reflections and fills `sum_table` (both orders of every pair) and
+    `positive_sums` from the positive triples, six sums a triple; the
+    negative rows of `int_pairing_rows` are the negated positive ones.
     """
 
     cartan_type: CartanType
@@ -237,9 +250,13 @@ def _cartan_matrix(cartan_type: CartanType, gram) -> Tuple[Tuple[int, ...], ...]
     return tuple(rows)
 
 
-def _reflect_coeffs(c: Tuple[int, ...], j: int, cartan) -> Tuple[int, ...]:
-    """s_j(c) = c - <c, alpha_j^vee> e_j on simple-root coefficients."""
-    d = sum(ct * cartan[t][j] for t, ct in enumerate(c) if ct)
+def _reflect_coeffs(c: Tuple[int, ...], j: int, column) -> Tuple[int, ...]:
+    """s_j(c) = c - <c, alpha_j^vee> e_j on simple-root coefficients.
+
+    `column` is column j of the Cartan matrix, the pairings
+    <alpha_t, alpha_j^vee>.
+    """
+    d = sum(map(mul, c, column))
     if d == 0:
         return c
     out = list(c)
@@ -256,103 +273,105 @@ def _over_common_denominator(rows) -> Tuple[int, List[List[int]]]:
     return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
 
 
-def _positive_sums(sum_table, pc: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
-    """Per positive root a, the pairs (b, a+b) with b positive, by b.
-
-    A sum of two positive roots is positive, so a+b needs no test.
-    """
-    out: List[List[Tuple[int, int]]] = [[] for _ in range(pc)]
-    for (a, b), s in sum_table.items():
-        if a < pc and b < pc:
-            out[a].append((b, s))
-    return tuple(tuple(sorted(pairs)) for pairs in out)
-
-
 def build_root_system(cartan_type: CartanType) -> RootSystem:
-    """Construct the root system of the given type by reflection closure."""
+    """Construct the root system of the given type from its positive roots."""
     simples = _simple_roots(cartan_type)
     n = cartan_type.rank
-    dim = len(simples[0])
     # Simple roots as integers over a common denominator den; int_gram is
     # den^2 times the Gram matrix.
     den, scaled = _over_common_denominator(simples)
     int_gram = [[sum(map(mul, a, b)) for b in scaled] for a in scaled]
     cartan = _cartan_matrix(cartan_type, int_gram)
+    columns = list(zip(*cartan))
 
-    # Closure under simple reflections, on simple-root coefficients; a set
-    # that outgrows the known root count stops the loop.
+    # Closure of the simple roots under s_j, which sends alpha_j to
+    # -alpha_j and permutes the other positive roots; images[c] keeps the
+    # s_j(c).  A set that outgrows the known count stops the loop.
     expected = _CLASSICAL_COUNTS[cartan_type.family](n)
     if expected > MAX_ROOTS:
         raise InputError(f"{cartan_type} has {expected} roots; the limit is {MAX_ROOTS}")
     units = [tuple(1 if t == i else 0 for t in range(n)) for i in range(n)]
+    images: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
     found = set(units)
     frontier = list(units)
-    while frontier and len(found) <= expected:
+    while frontier and 2 * len(found) <= expected:
         c = frontier.pop()
-        for j in range(n):
-            w = _reflect_coeffs(c, j, cartan)
-            if w not in found:
-                found.add(w)
-                frontier.append(w)
+        images[c] = row = [_reflect_coeffs(c, j, col) for j, col in enumerate(columns)]
+        for j, w in enumerate(row):
+            if w in found or c == units[j]:
+                continue
+            if min(w) < 0:
+                raise InconsistencyError(
+                    f"{cartan_type}: s_{j + 1} sends the positive root {c} to {w}"
+                )
+            found.add(w)
+            frontier.append(w)
 
-    if len(found) != expected:
+    if 2 * len(found) != expected:
         raise InconsistencyError(
-            f"{cartan_type}: generated {len(found)} roots, expected {expected}"
+            f"{cartan_type}: generated {2 * len(found)} roots, expected {expected}"
         )
 
     # Positive roots sorted by height, then by ambient coordinates over den;
     # scaling by a positive integer keeps that order.
-    positives = []
-    for c in found:
-        pos = all(t >= 0 for t in c)
-        if not (pos or all(t <= 0 for t in c)):
-            raise InconsistencyError(
-                f"{cartan_type}: root with mixed-sign coefficients {c}"
-            )
-        if pos:
-            amb = tuple(
-                sum(ct * a[k] for ct, a in zip(c, scaled) if ct) for k in range(dim)
-            )
-            positives.append((sum(c), amb, c))
-    positives.sort()
-
-    coeffs = [c for _, _, c in positives]
-    coeffs += [tuple(-t for t in c) for c in coeffs]
+    ambient = list(zip(*scaled))
+    positives = [
+        c for *_, c in sorted(
+            (sum(c), tuple(sum(map(mul, c, a)) for a in ambient), c) for c in found
+        )
+    ]
+    pc = len(positives)
+    coeffs = positives + [tuple(-t for t in c) for c in positives]
     coeff_index = {c: i for i, c in enumerate(coeffs)}
 
-    sum_table: Dict[Tuple[int, int], int] = {}
-    for i, ci in enumerate(coeffs):
-        for j in range(i, len(coeffs)):
-            k = coeff_index.get(tuple(map(add, ci, coeffs[j])))
-            if k is not None:
-                sum_table[(i, j)] = k
-                sum_table[(j, i)] = k
+    # s_j(-c) = -s_j(c).
+    reflections = []
+    for j in range(n):
+        img = [coeff_index[images[c][j]] for c in positives]
+        reflections.append(perm.of(img + [k - pc if k >= pc else k + pc for k in img]))
 
-    reflections = tuple(
-        perm.of([coeff_index[_reflect_coeffs(c, j, cartan)] for c in coeffs])
-        for j in range(n)
-    )
+    # Each positive triple a_i + a_j = a_k, i < j, gives six sums, and every
+    # root sum is one of them.  A sum of positive roots has coefficients
+    # below `base`, so packing coefficients in base `base` turns the sum of
+    # two roots into the sum of their codes.
+    base = 2 * max(map(max, positives)) + 1
+    weights = [base**t for t in range(n)]
+    code = [sum(map(mul, c, weights)) for c in positives]
+    index_of = {v: i for i, v in enumerate(code)}
+    sum_table: Dict[Tuple[int, int], int] = {}
+    positive_sums: List[List[Tuple[int, int]]] = [[] for _ in range(pc)]
+    for i in range(pc):
+        ci, ni = code[i], i + pc
+        for j in range(i + 1, pc):
+            k = index_of.get(ci + code[j])
+            if k is None:
+                continue
+            nj, nk = j + pc, k + pc
+            sum_table[i, j] = sum_table[j, i] = k
+            sum_table[k, nj] = sum_table[nj, k] = i
+            sum_table[k, ni] = sum_table[ni, k] = j
+            sum_table[ni, nj] = sum_table[nj, ni] = nk
+            sum_table[nk, i] = sum_table[i, nk] = nj
+            sum_table[nk, j] = sum_table[j, nk] = ni
+            positive_sums[i].append((j, k))
+            positive_sums[j].append((i, k))
 
     # Pairing rows Gram * c, as integers over den^2.
-    int_pairing_rows = tuple(
-        tuple(sum(g[b] * cb for b, cb in enumerate(c) if cb) for g in int_gram)
-        for c in coeffs
-    )
+    rows = [tuple(sum(map(mul, g, c)) for g in int_gram) for c in positives]
+    masks = [sum(1 << j for j, t in enumerate(c) if t) for c in positives]
 
     return RootSystem(
         cartan_type=cartan_type,
         coeffs=tuple(coeffs),
         coeff_index=coeff_index,
-        positive_count=len(positives),
+        positive_count=pc,
         simple_indices=tuple(coeff_index[u] for u in units),
         sum_table=sum_table,
-        positive_sums=_positive_sums(sum_table, len(positives)),
+        positive_sums=tuple(map(tuple, positive_sums)),
         cartan=cartan,
-        int_pairing_rows=int_pairing_rows,
-        reflections=reflections,
-        support_masks=tuple(
-            sum(1 << j for j, t in enumerate(c) if t) for c in coeffs
-        ),
+        int_pairing_rows=tuple(rows + [tuple(-v for v in r) for r in rows]),
+        reflections=tuple(reflections),
+        support_masks=tuple(masks + masks),
     )
 
 

@@ -30,11 +30,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import partial
+from math import lcm
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import perm
 from .errors import BudgetExceeded, InconsistencyError, InputError
-from .linalg import rank
+from .linalg import cyclotomic
 from .perm import Perm
 from .roots import DiagramAutomorphism, RootSystem, identity_automorphism
 
@@ -124,7 +125,17 @@ class TwistedElement:
         return word
 
     def order(self) -> int:
-        return perm.order(self.perm)
+        """The lcm of the orbit lengths of the simple roots: x^m = 1 exactly
+        when x^m fixes every simple root."""
+        return lcm(*(len(self._orbit(g)) for g in self.rs.simple_indices))
+
+    def _orbit(self, start: int) -> List[int]:
+        """The root indices start, x(start), x^2(start), ... before the return."""
+        p, orbit, g = self.perm, [start], self.perm[start]
+        while g != start:
+            orbit.append(g)
+            g = p[g]
+        return orbit
 
     def is_identity(self) -> bool:
         return self.twist_power == 0 and self.root_perm == perm.identity(
@@ -259,12 +270,58 @@ def fixed_roots(x: TwistedElement) -> FrozenSet[int]:
 
 
 def is_elliptic(x: TwistedElement) -> bool:
-    """True when x fixes no nonzero vector of the span of the roots."""
-    M = x.matrix()
-    n = len(M)
-    for i in range(n):
-        M[i][i] -= 1
-    return rank(M) == n
+    """True when x fixes no nonzero vector of the span of the roots: Phi_1
+    does not divide its characteristic polynomial."""
+    return 1 not in rotation_spectrum(x)
+
+
+def rotation_spectrum(x: TwistedElement, labels=None) -> Dict[int, int]:
+    """{d: multiplicity of Phi_d in the characteristic polynomial of x} on
+    span(alpha_l : l in labels), all simple roots by default.
+
+    No matrix is formed.  The trace of x^m on the span is the sum over l of
+    the coefficient of alpha_l in x^m(alpha_l), read off the orbit of
+    alpha_l, and the order h of x on the span is the lcm of the orbit
+    lengths.  As x^h = 1, dim ker(x^e - 1) is the mean of tr(x^(ek)) over
+    k < h/e (Serre, Linear Representations of Finite Groups 2.3), and it
+    is the sum of phi(d) m_d over d | e, so the multiplicities m_d follow
+    by inclusion-exclusion over the divisors of h.  Cached on x per labels.
+    """
+    labels = tuple(range(x.rs.rank)) if labels is None else tuple(labels)
+    cache = getattr(x, "_spectrum_cache", None)
+    if cache is None:
+        cache = {}
+        object.__setattr__(x, "_spectrum_cache", cache)
+    if labels in cache:
+        return cache[labels]
+    rs, p = x.rs, x.perm
+    outside = ~sum(1 << lab for lab in labels)
+    orbits = []
+    for lab in labels:
+        start = rs.simple_indices[lab]
+        if rs.support_masks[p[start]] & outside:
+            raise InputError("element does not stabilize the parabolic subspace")
+        orbits.append([rs.coeffs[g][lab] for g in x._orbit(start)])
+    h = lcm(*map(len, orbits))
+    traces = [sum(t) for t in zip(*(orbit * (h // len(orbit)) for orbit in orbits))]
+    dims: Dict[int, int] = {}  # d: phi(d) m_d, the dimension of ker Phi_d(x)
+    mults: Dict[int, int] = {}
+    for e in (d for d in range(1, h + 1) if h % d == 0):
+        fixed, rem = divmod(sum(traces[::e]), h // e)
+        rest = fixed - sum(v for d, v in dims.items() if e % d == 0)
+        mult, rem_phi = divmod(rest, len(cyclotomic(e)) - 1) if rest else (0, 0)
+        if rem or rem_phi or mult < 0:
+            raise InconsistencyError(
+                f"the simple-root orbits give Phi_{e} a non-integral or negative multiplicity"
+            )
+        if mult:
+            dims[e], mults[e] = rest, mult
+    if sum(dims.values()) != len(labels):
+        raise InconsistencyError(
+            f"the cyclotomic factors span {sum(dims.values())} dimensions, not {len(labels)}"
+        )
+    cache[labels] = mults
+    return mults
 
 
 def _weyl_order_within(rs: RootSystem, budget: Optional[int]) -> int:

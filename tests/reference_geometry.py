@@ -8,16 +8,19 @@ rebuild of a good-position certificate's cumulative points (the oracle for
 the lemma in the `GoodPositionCertificate` docstring), exact signs of
 scalars of any field the engine uses, and the separation witness, which
 walks a point through powers of x^-1 to recover the level n_x(gamma)
-without the sign-run walk.
+without the sign-run walk.  The rotation spectrum's oracle is the
+characteristic polynomial by the Faddeev-LeVerrier recursion, factored
+into cyclotomics by polynomial division (`spectrum_by_charpoly`).
 """
 
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from weylconvex.errors import InconsistencyError, InputError
-from weylconvex.geometry import _cyclo_mults, _perp_orders, _rotation_denominator
-from weylconvex.linalg import rref
+from weylconvex.geometry import _perp_orders, _rotation_denominator
+from weylconvex.linalg import cyclotomic, poly_divmod, rref
 from weylconvex.quadfield import CosNum
+from weylconvex.weyl import rotation_spectrum
 
 
 def sign_of(x) -> int:
@@ -58,7 +61,7 @@ def separation_witness(x, e: Sequence, gamma: int) -> int:
 
 def fixed_space_dim(x, labels=None) -> int:
     """Dimension of the fixed space of x on the span of `labels`."""
-    return _cyclo_mults(x, labels).get(1, 0)
+    return rotation_spectrum(x, labels).get(1, 0)
 
 
 def angle_perp_roots(x, angle: Fraction, root_subset=None):
@@ -71,7 +74,7 @@ def angle_perp_roots(x, angle: Fraction, root_subset=None):
     if root_subset is None:
         root_subset = range(x.rs.count)
     orders = {_rotation_denominator(angle)}
-    return _perp_orders(x, orders, root_subset, _cyclo_mults(x))
+    return _perp_orders(x, orders, root_subset, rotation_spectrum(x))
 
 
 def cumulative_points(rs, cert, retries: int = 64) -> Optional[List[List]]:
@@ -169,3 +172,82 @@ def feasible_homogeneous(constraints, nvars: int, zero, one) -> Optional[List]:
     else:
         value = (lo + hi) / 2 if sign_of(hi - lo) > 0 else lo
     return sub + [value]
+
+
+def mat_mul(A, B):
+    n, k, m = len(A), len(B), len(B[0])
+    if len(A[0]) != k:
+        raise InconsistencyError(f"mat_mul shapes: {n}x{len(A[0])} times {k}x{m}")
+    out = []
+    for i in range(n):
+        row = []
+        Ai = A[i]
+        for j in range(m):
+            acc = Ai[0] * B[0][j]
+            for t in range(1, k):
+                acc = acc + Ai[t] * B[t][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def mat_identity(n: int, one, zero):
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def charpoly_int(M: Sequence[Sequence[int]]) -> List[int]:
+    """Characteristic polynomial det(tI - M) of an integer matrix.
+
+    Returned as integer coefficients, constant term first.  Uses the
+    Faddeev-LeVerrier recursion on integers: every power-sum matrix stays
+    integral, so each division by k must be exact, and that is checked.
+    """
+    n = len(M)
+    cur = mat_identity(n, 1, 0)
+    cs: List[int] = []
+    for k in range(1, n + 1):
+        cur = mat_mul(M, cur)
+        tr = sum(cur[i][i] for i in range(n))
+        if tr % k:
+            raise InconsistencyError(f"Faddeev-LeVerrier trace {tr} not divisible by {k}")
+        ck = -tr // k
+        cs.append(ck)
+        for i in range(n):
+            cur[i][i] += ck
+    return [*reversed(cs), 1]  # det(tI - M) = t^n + c1 t^(n-1) + ... + cn
+
+
+def cyclotomic_multiplicities(char: Sequence[int], order: int):
+    """Factor a char polynomial into cyclotomics Phi_d for d | order.
+
+    Returns {d: multiplicity}.  Raises InconsistencyError if a
+    non-cyclotomic factor remains, which cannot happen for finite-order
+    integer matrices.
+    """
+    rem = list(char)
+    mult = {}
+    divisors = [d for d in range(1, order + 1) if order % d == 0]
+    for d in divisors:
+        phi = cyclotomic(d)
+        m = 0
+        while True:
+            q, r = poly_divmod(rem, phi)
+            if q is None or r != []:
+                break
+            rem = q
+            m += 1
+        if m:
+            mult[d] = m
+    while rem and rem[-1] == 0:
+        rem.pop()
+    if rem != [1]:
+        raise InconsistencyError(
+            "characteristic polynomial is not a product of cyclotomics"
+        )
+    return mult
+
+
+def spectrum_by_charpoly(x, labels=None):
+    """The rotation spectrum of x on span(alpha_l : l in labels), from the
+    characteristic polynomial of its matrix."""
+    return cyclotomic_multiplicities(charpoly_int(x.matrix(labels)), x.order())

@@ -10,17 +10,27 @@ orderings with their betweenness check and the one that the half-turn word
 of a Coxeter element gives, a convex minimal-length element of an elliptic
 class found by downward cyclic shifts, and the orbit search under simple
 conjugation that applies every pair but the one that reached a member (the
-reference for the pruned `perm.sandwich_orbit`).
+reference for the pruned `perm.sandwich_orbit`), and the root-system build
+that closes all roots under the simple reflections and looks up a + b for
+every pair of roots (the reference for the positive-triple build).
 """
 
 from fractions import Fraction
-from typing import FrozenSet, List, Sequence, Tuple
+from operator import add, mul
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from weylconvex import convexity, perm, roots
 from weylconvex.convexity import analyze
 from weylconvex.coxeter import _suffix_betas, coxeter_elements
 from weylconvex.errors import InconsistencyError, InputError
-from weylconvex.roots import _simple_roots
+from weylconvex.roots import (
+    MAX_ROOTS,
+    RootSystem,
+    _CLASSICAL_COUNTS,
+    _cartan_matrix,
+    _over_common_denominator,
+    _simple_roots,
+)
 from weylconvex.weyl import _shift_reachable_set, from_word, is_elliptic, longest_element
 
 
@@ -217,3 +227,86 @@ def sandwich_orbit(start, pairs, value_of):
                             found.append(y)
         frontier = reached + [[]]
     return orbit
+
+
+def _reflect_all(c, j, cartan):
+    """s_j(c) = c - <c, alpha_j^vee> e_j on simple-root coefficients."""
+    d = sum(ct * cartan[t][j] for t, ct in enumerate(c) if ct)
+    if d == 0:
+        return c
+    out = list(c)
+    out[j] -= d
+    return tuple(out)
+
+
+def build_root_system_all_pairs(cartan_type) -> RootSystem:
+    """The root system by closing every root under the simple reflections,
+    with each reflection applied again to every root and a + b looked up
+    for every pair of roots."""
+    simples = _simple_roots(cartan_type)
+    n = cartan_type.rank
+    dim = len(simples[0])
+    den, scaled = _over_common_denominator(simples)
+    int_gram = [[sum(map(mul, a, b)) for b in scaled] for a in scaled]
+    cartan = _cartan_matrix(cartan_type, int_gram)
+    expected = _CLASSICAL_COUNTS[cartan_type.family](n)
+    if expected > MAX_ROOTS:
+        raise InputError(f"{cartan_type} has {expected} roots; the limit is {MAX_ROOTS}")
+    units = [tuple(1 if t == i else 0 for t in range(n)) for i in range(n)]
+    found = set(units)
+    frontier = list(units)
+    while frontier and len(found) <= expected:
+        c = frontier.pop()
+        for j in range(n):
+            w = _reflect_all(c, j, cartan)
+            if w not in found:
+                found.add(w)
+                frontier.append(w)
+    if len(found) != expected:
+        raise InconsistencyError(f"{cartan_type}: generated {len(found)} roots, expected {expected}")
+
+    positives = []
+    for c in found:
+        pos = all(t >= 0 for t in c)
+        if not (pos or all(t <= 0 for t in c)):
+            raise InconsistencyError(f"{cartan_type}: root with mixed-sign coefficients {c}")
+        if pos:
+            amb = tuple(sum(ct * a[k] for ct, a in zip(c, scaled) if ct) for k in range(dim))
+            positives.append((sum(c), amb, c))
+    positives.sort()
+    pc = len(positives)
+    coeffs = [c for _, _, c in positives]
+    coeffs += [tuple(-t for t in c) for c in coeffs]
+    coeff_index = {c: i for i, c in enumerate(coeffs)}
+
+    sum_table: Dict[Tuple[int, int], int] = {}
+    for i, ci in enumerate(coeffs):
+        for j in range(i, len(coeffs)):
+            k = coeff_index.get(tuple(map(add, ci, coeffs[j])))
+            if k is not None:
+                sum_table[(i, j)] = k
+                sum_table[(j, i)] = k
+    positive_sums: List[List[Tuple[int, int]]] = [[] for _ in range(pc)]
+    for (a, b), s in sum_table.items():
+        if a < pc and b < pc:
+            positive_sums[a].append((b, s))
+
+    return RootSystem(
+        cartan_type=cartan_type,
+        coeffs=tuple(coeffs),
+        coeff_index=coeff_index,
+        positive_count=pc,
+        simple_indices=tuple(coeff_index[u] for u in units),
+        sum_table=sum_table,
+        positive_sums=tuple(tuple(sorted(pairs)) for pairs in positive_sums),
+        cartan=cartan,
+        int_pairing_rows=tuple(
+            tuple(sum(g[b] * cb for b, cb in enumerate(c) if cb) for g in int_gram)
+            for c in coeffs
+        ),
+        reflections=tuple(
+            perm.of([coeff_index[_reflect_all(c, j, cartan)] for c in coeffs])
+            for j in range(n)
+        ),
+        support_masks=tuple(sum(1 << j for j, t in enumerate(c) if t) for c in coeffs),
+    )

@@ -14,8 +14,10 @@ from weylconvex.weyl import (
     fixed_roots,
     from_word,
     is_elliptic,
+    rotation_spectrum,
 )
 
+from reference_geometry import spectrum_by_charpoly
 from reference_weyl import elliptic_min_convex
 
 RS = {}
@@ -313,3 +315,26 @@ def test_e6_battery_within_default_budget():
         y = res.representative
         assert res.method == "geometric" and res.fallback_reason is None
         assert res.report.convex and phi_of(y) == fixed_roots(y)
+
+
+def test_rotation_spectrum_matches_charpoly_on_every_visited_parabolic(monkeypatch):
+    # Every (element, labels) the geometric path asks for angles, over the
+    # class tables of the reps battery with its twisted cosets; 71 of the
+    # 306 are proper parabolics.
+    visited = []
+
+    def recording(x, labels=None):
+        visited.append((x, labels))
+        return angle_list(x, labels)
+
+    angle_list = construction.angle_list
+    monkeypatch.setattr(construction, "angle_list", recording)
+    for name in ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "D4", "G2", "F4", "E6"]:
+        rs = rs_of(name)
+        for delta in diagram_automorphisms(rs):
+            for k in [0] if delta.is_identity else range(1, delta.order):
+                for cls in conjugacy_classes(rs, delta, k):
+                    find_convex_representative(cls)
+    for x, labels in visited:
+        assert rotation_spectrum(x, labels) == spectrum_by_charpoly(x, labels), (x.word(), labels)
+    assert sum(len(labels) < x.rs.rank for x, labels in visited) >= 50

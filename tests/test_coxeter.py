@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from dataclasses import replace
 from itertools import permutations
 
 import pytest
@@ -15,7 +16,7 @@ from weylconvex.coxeter import (
     twisted_betas,
     verify_conjecture,
 )
-from weylconvex.errors import InputError
+from weylconvex.errors import InconsistencyError, InputError
 from weylconvex.roots import CartanType, build_root_system, diagram_automorphisms
 from weylconvex.weyl import from_word, is_elliptic
 
@@ -183,9 +184,32 @@ def _coxeter_levels(c):
     """The level of each positive root of a half-turn Coxeter element, read
     off its report; the block formula must give the same list."""
     rep = analyze(c)
-    levels = list(rep.n_table[: c.rs.positive_count])
-    assert _block_levels(rep, rep.order, twisted_betas(c, c.word())) == levels
-    return levels
+    _block_levels(rep, rep.order, twisted_betas(c, c.word()))  # raises on a disagreement
+    return list(rep.n_table[: c.rs.positive_count])
+
+
+def test_block_levels_name_the_least_disagreeing_root():
+    # Every level of n off by one: the walk meets the roots in beta order,
+    # and the error names the least root index, with its block level.
+    rs = rs_of("E8")
+    c = from_word(rs, None, list(range(8)))
+    rep = analyze(c)
+    betas = twisted_betas(c, c.word())
+    assert betas[0] != 0
+    pc = rs.positive_count
+    shifted = tuple(lev + 1 for lev in rep.n_table[:pc]) + rep.n_table[pc:]
+    message = f"block level {rep.n_table[0]} disagrees with n = {shifted[0]} at {rs.root_str(0)}"
+    with pytest.raises(InconsistencyError) as err:
+        _block_levels(replace(rep, n_table=shifted), rep.order, betas)
+    assert str(err.value) == message
+    # The inverse table, off at one root only.
+    inverse = list(rep.inverse_n_table)
+    inverse[betas[-1]] += 1
+    with pytest.raises(InconsistencyError, match="^inverse block level disagrees with n$"):
+        _block_levels(replace(rep, inverse_n_table=tuple(inverse)), rep.order, betas)
+    # A repeated beta hits its whole block twice.
+    with pytest.raises(InconsistencyError, match="^block formula hit a root twice$"):
+        _block_levels(rep, rep.order, betas + betas[:1])
 
 
 def test_coxeter_levels_g2():

@@ -28,6 +28,7 @@ from weylconvex.weyl import (
     fixed_roots,
     from_word,
     longest_element,
+    rotation_spectrum,
 )
 
 from reference_geometry import (
@@ -732,7 +733,7 @@ def test_perp_orders_on_any_subset_is_the_full_answer_restricted():
     rng = random.Random(7)
     for x in _perp_check_elements():
         count = x.rs.count
-        mults = geometry._cyclo_mults(x)
+        mults = rotation_spectrum(x)
         for d in mults:
             full = geometry._perp_orders(x, {d}, range(count), mults)
             subset = rng.sample(range(count), count // 3)

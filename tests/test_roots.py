@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -13,7 +14,7 @@ from weylconvex.roots import (
     is_closed,
 )
 
-from reference_weyl import ambient_roots, dot
+from reference_weyl import ambient_roots, build_root_system_all_pairs, dot
 
 
 def rs_of(name):
@@ -328,3 +329,29 @@ def test_positive_sums_are_the_positive_entries_of_sum_table(name):
                 pairs.append((b, s))
         expected.append(tuple(pairs))
     assert rs.positive_sums == tuple(expected)
+
+
+REFERENCE_BUILD_TYPES = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(3, 9)]
+    + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2", "A16", "D16", "B20"]
+)
+DATUM_FIELDS = (
+    "cartan_type", "coeffs", "coeff_index", "positive_count", "simple_indices",
+    "sum_table", "positive_sums", "cartan", "int_pairing_rows", "reflections",
+    "support_masks",
+)
+
+
+@pytest.mark.parametrize("name", REFERENCE_BUILD_TYPES)
+def test_positive_triple_build_matches_all_pairs_build(name):
+    # Every field of the datum, sum_table compared as a dict (its insertion
+    # order differs), against the build that reflects every root and adds
+    # every pair.
+    ct = CartanType.parse(name)
+    got, want = build_root_system(ct), build_root_system_all_pairs(ct)
+    assert [f.name for f in fields(got)] == list(DATUM_FIELDS)
+    for field in DATUM_FIELDS:
+        assert getattr(got, field) == getattr(want, field), field

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import weylconvex
 from weylconvex import perm, weyl
 from weylconvex.errors import BudgetExceeded, InconsistencyError, InputError
+from weylconvex.linalg import rank
 from weylconvex.roots import (
     CartanType,
     build_root_system,
@@ -29,9 +30,11 @@ from weylconvex.weyl import (
     from_word,
     is_elliptic,
     longest_element,
+    rotation_spectrum,
     TwistedElement,
 )
 
+from reference_geometry import spectrum_by_charpoly
 from reference_matrix import OperatorField, mat_inv
 from reference_weyl import ambient_roots, identity_element, sandwich_orbit as reference_sandwich_orbit
 
@@ -796,3 +799,99 @@ def test_representative_has_the_least_word_of_the_minimal_members(name):
             for cls in conjugacy_classes(rs, delta, k):
                 best = min(cls.min_length_set(), key=lambda e: (e.word(), e.root_perm))
                 assert cls.representative == best
+
+
+# ---------------------------------------------------------------------------
+# Rotation spectra from the simple-root orbits, against the characteristic
+# polynomial of the matrix.
+
+
+def elliptic_by_rank(x) -> bool:
+    """No fixed vector: M - I has full rank."""
+    M = x.matrix()
+    for i, row in enumerate(M):
+        row[i] -= 1
+    return rank(M) == len(M)
+
+
+@pytest.mark.parametrize("name", WITHIN_BUDGET)
+def test_rotation_spectrum_matches_charpoly_on_every_class(name):
+    # Every class of W and of each twisted coset: the A flips, the D4
+    # trialities and the E6 flip among them.  The order read off the
+    # simple-root orbits is the order of the whole root permutation.
+    rs = rs_of(name)
+    for delta in diagram_automorphisms(rs):
+        for k in [0] if delta.is_identity else range(1, delta.order):
+            for cls in conjugacy_classes(rs, delta, k):
+                x = cls.representative
+                assert rotation_spectrum(x) == spectrum_by_charpoly(x), (delta.label(), k, x.word())
+                assert is_elliptic(x) == elliptic_by_rank(x)
+                assert x.order() == perm.order(x.perm)
+
+
+def test_rotation_spectrum_of_high_order_elements():
+    a16 = from_word(rs_of("A16"), None, list(range(16)))
+    assert rotation_spectrum(a16) == spectrum_by_charpoly(a16) == {17: 1}
+    # Cycle type (3, 4, 5) in S_12: order 60 on W(A11).  Each cycle spans a
+    # stable parabolic, and so does any union of them.
+    a11 = from_one_line(rs_of("A11"), [2, 3, 1, 5, 6, 7, 4, 9, 10, 11, 12, 8])
+    assert a11.order() == 60
+    assert rotation_spectrum(a11) == spectrum_by_charpoly(a11) == {1: 2, 2: 1, 3: 1, 4: 1, 5: 1}
+    for labels in [(0, 1), (3, 4, 5), (7, 8, 9, 10), (0, 1, 7, 8, 9, 10), ()]:
+        assert rotation_spectrum(a11, labels) == spectrum_by_charpoly(a11, labels), labels
+    for name, word in [("E8", range(8)), ("B20", [19]), ("B20", range(20)), ("D16", range(16))]:
+        x = from_word(rs_of(name), None, list(word))
+        assert rotation_spectrum(x) == spectrum_by_charpoly(x), name
+    assert not is_elliptic(a11) and is_elliptic(a16)
+
+
+def test_rotation_spectrum_refuses_labels_the_element_does_not_stabilise():
+    x = from_word(rs_of("A3"), None, [1])  # s2(alpha_1) = alpha_1 + alpha_2
+    for check in (rotation_spectrum, spectrum_by_charpoly):
+        with pytest.raises(InputError, match="does not stabilize the parabolic subspace"):
+            check(x, (0,))
+    assert rotation_spectrum(x, (1,)) == {2: 1}
+
+
+def test_planted_bad_orbits_raise_under_optimize():
+    # A2 with alpha_1 and alpha_1 + alpha_2 swapped, and alpha_2 and
+    # -alpha_1: traces 2, 1 give dim ker(x - 1) = 3/2, and every other
+    # check would pass on its floor.  G2 with alpha_1 and 3 alpha_1 +
+    # alpha_2 swapped: traces 2, 4 give dim ker(x - 1) = 3 > 2, so Phi_2
+    # gets a negative multiplicity.  A2 with alpha_1 -> -alpha_1 ->
+    # -alpha_2 -> alpha_1: traces 2, 0, 1 leave one dimension for Phi_3,
+    # of degree 2.  No such permutation is an isometry.
+    script = (
+        "import sys\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit(99)\n"
+        "from weylconvex import perm\n"
+        "from weylconvex.errors import InconsistencyError\n"
+        "from weylconvex.roots import CartanType, build_root_system, identity_automorphism\n"
+        "from weylconvex.weyl import TwistedElement, rotation_spectrum\n"
+        "def planted(name, *cycles):\n"
+        "    rs = build_root_system(CartanType.parse(name))\n"
+        "    images = list(range(rs.count))\n"
+        "    for cycle in cycles:\n"
+        "        idx = [rs.coeff_index[c] for c in cycle]\n"
+        "        for a, b in zip(idx, idx[1:] + idx[:1]):\n"
+        "            images[a] = b\n"
+        "    return TwistedElement(rs, perm.of(images), identity_automorphism(rs), 0)\n"
+        "raised = 0\n"
+        "for x in (planted('A2', [(1, 0), (1, 1)], [(0, 1), (-1, 0)]),\n"
+        "          planted('G2', [(1, 0), (3, 1)]),\n"
+        "          planted('A2', [(1, 0), (-1, 0), (0, -1)])):\n"
+        "    try:\n"
+        "        rotation_spectrum(x)\n"
+        "    except InconsistencyError:\n"
+        "        raised += 1\n"
+        "sys.exit(3 if raised == 3 else 0)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(weylconvex.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3, proc.stderr
