@@ -9,6 +9,8 @@ classical ones) store p as ``bytes``, so a product is a single
 (A_n for n >= 16, B_n, C_n and D_n for n >= 12) store tuples of ints.
 The format follows from the size alone; every function here accepts
 either, and bytes permutations sort in the same order as their tuples.
+A prefix p[:k] that tells a set of permutations apart keys them
+(`sandwich_orbits`) and sorts them as the whole permutations do.
 """
 
 from __future__ import annotations
@@ -48,17 +50,23 @@ def left_products(x: Perm, vs: Iterable[Perm]) -> Iterator[Perm]:
     return (tuple([x[i] for i in v]) for v in vs)
 
 
-def sandwich_orbit(
-    start: Perm, pairs: Sequence[Tuple[Perm, Perm]], value_of: Callable[[Perm], V]
-) -> Dict[Perm, V]:
-    """The orbit of start under g_k: w -> s_k*w*t_k for (s_k, t_k) in pairs.
+def sandwich_orbits(
+    pairs: Sequence[Tuple[Perm, Perm]], prefix: int
+) -> Callable[[Perm, Callable[[Perm], V]], Dict[Perm, V]]:
+    """The orbit search under g_k: w -> s_k*w*t_k for (s_k, t_k) in pairs,
+    set up once for many starts.
 
-    Each member maps to value_of(member), called once, when the search
-    reaches it.  Every s_k and t_k must be an involution: then g_k undoes
-    itself, so the search never applies to a member the pair j that reached
-    it, whose image is the member it came from.  Nor does it apply a pair
-    k < j whose halves both commute with pair j's, since then g_k and g_j
-    commute.  Which pairs commute is read off the pairs themselves.
+    The search returned, called as search(start, value_of), keys each member
+    w of the orbit of start by w[:prefix], which must identify it, and maps
+    the key to value_of(key), called once, when the search reaches it.  The
+    key of each image is read off t[:prefix] alone, and only images not
+    reached before are built in full.
+
+    Every s_k and t_k must be an involution: then g_k undoes itself, so the
+    search never applies to a member the pair j that reached it, whose image
+    is the member it came from.  Nor does it apply a pair k < j whose halves
+    both commute with pair j's, since then g_k and g_j commute.  Which pairs
+    commute is read off the pairs themselves.
 
     The search still reaches every member, layer by layer in the distance d
     from start.  Take an unreached z at distance d, and among the pairs
@@ -69,26 +77,6 @@ def sandwich_orbit(
     from u and at least d - 1 from z, is a member at distance d - 1 that
     g_j sends to z, against the maximality of k.
     """
-    if isinstance(start, bytes):
-        tail = PAD[len(start):]
-        tables = [(s + tail, t) for s, t in pairs]
-
-        def prepare(group: List[Perm]) -> List[Perm]:
-            return [w + tail for w in group]
-
-        def images(k: int, group: List[Perm]) -> List[Perm]:
-            st, t = tables[k]
-            return [t.translate(wt).translate(st) for wt in group]
-
-    else:
-
-        def prepare(group: List[Perm]) -> List[Perm]:
-            return group
-
-        def images(k: int, group: List[Perm]) -> List[Perm]:
-            s, t = pairs[k]
-            return [tuple([s[w[x]] for x in t]) for w in group]
-
     n = len(pairs)
 
     def commute(j: int, k: int) -> bool:
@@ -99,25 +87,56 @@ def sandwich_orbit(
     applied = [
         [k for k in range(n) if k > j or (k < j and not commute(j, k))] for j in range(n)
     ] + [list(range(n))]
-    orbit = {start: value_of(start)}
-    # frontier[j] holds the members last reached by pair j.  Each group is
-    # prepared (for bytes, turned into translate tables) only while its
-    # images are taken.
-    frontier: List[List[Perm]] = [[] for _ in range(n)] + [[start]]
-    while any(frontier):
-        reached: List[List[Perm]] = [[] for _ in range(n)]
-        for j, group in enumerate(frontier):
-            if not group:
-                continue
-            group = prepare(group)
-            for k in applied[j]:
-                found = reached[k]
-                for y in images(k, group):
-                    if y not in orbit:
-                        orbit[y] = value_of(y)
-                        found.append(y)
-        frontier = reached + [[]]
-    return orbit
+    if isinstance(pairs[0][0], bytes):
+        tail = PAD[len(pairs[0][0]):]
+        # (s as a translate table, t[:prefix], t): the key of s*w*t is
+        # t[:prefix] translated through w's table and then through s's.
+        tables = [(s + tail, t[:prefix], t) for s, t in pairs]
+
+        def prepare(group: List[Perm]) -> List[Perm]:
+            return [w + tail for w in group]
+
+        def reach(k: int, group: List[Perm], orbit: Dict[Perm, V], value_of, found) -> None:
+            st, head, t = tables[k]
+            for wt in group:
+                y = head.translate(wt).translate(st)
+                if y not in orbit:
+                    orbit[y] = value_of(y)
+                    found.append(t.translate(wt).translate(st))
+
+    else:
+        tables = [(s, t[:prefix], t) for s, t in pairs]
+
+        def prepare(group: List[Perm]) -> List[Perm]:
+            return group
+
+        def reach(k: int, group: List[Perm], orbit: Dict[Perm, V], value_of, found) -> None:
+            s, head, t = tables[k]
+            for w in group:
+                y = tuple([s[w[x]] for x in head])
+                if y not in orbit:
+                    orbit[y] = value_of(y)
+                    found.append(tuple([s[w[x]] for x in t]))
+
+    def search(start: Perm, value_of: Callable[[Perm], V]) -> Dict[Perm, V]:
+        key = start[:prefix]
+        orbit = {key: value_of(key)}
+        # frontier[j] holds the members last reached by pair j, in full.
+        # Each group is prepared (for bytes, turned into translate tables)
+        # only while its images are taken.
+        frontier: List[List[Perm]] = [[] for _ in range(n)] + [[start]]
+        while any(frontier):
+            reached: List[List[Perm]] = [[] for _ in range(n)]
+            for j, group in enumerate(frontier):
+                if not group:
+                    continue
+                group = prepare(group)
+                for k in applied[j]:
+                    reach(k, group, orbit, value_of, reached[k])
+            frontier = reached + [[]]
+        return orbit
+
+    return search
 
 
 def inverse(p: Perm) -> Perm:

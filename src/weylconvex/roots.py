@@ -20,7 +20,8 @@ point enters this module.
 
 Roots are indexed deterministically: positive roots first, sorted by
 (height, ambient coordinates), and the negative of root i is root
-positive_count + i.
+positive_count + i.  So the simple roots are the indices 0 to rank - 1,
+which `build_root_system` checks.
 """
 
 from __future__ import annotations
@@ -360,12 +361,22 @@ def build_root_system(cartan_type: CartanType) -> RootSystem:
     rows = [tuple(sum(map(mul, g, c)) for g in int_gram) for c in positives]
     masks = [sum(1 << j for j, t in enumerate(c) if t) for c in positives]
 
+    # Class tables key an element of W by its images of root indices
+    # 0, ..., n - 1 (`weyl.enumerate_weyl_group`), so those must be the
+    # simple roots; height 1 sorts them first.
+    simple_indices = tuple(coeff_index[u] for u in units)
+    if sorted(simple_indices) != list(range(n)):
+        raise InconsistencyError(
+            f"{cartan_type}: the simple roots have indices {simple_indices}, "
+            f"not 0 to {n - 1}"
+        )
+
     return RootSystem(
         cartan_type=cartan_type,
         coeffs=tuple(coeffs),
         coeff_index=coeff_index,
         positive_count=pc,
-        simple_indices=tuple(coeff_index[u] for u in units),
+        simple_indices=simple_indices,
         sum_table=sum_table,
         positive_sums=tuple(map(tuple, positive_sums)),
         cartan=cartan,

@@ -10,26 +10,29 @@ Reduced words are derived on demand and canonicalized to the
 lexicographically least reduced word, which keeps every report and class
 representative reproducible.
 
-Class tables start from an enumeration of W that builds each element once,
-as a product x*v up the parabolic chain <s_0> < <s_0, s_1> < ..., with x a
-minimal coset representative and v in the previous subgroup.  Each class
-is then one orbit search under simple conjugation, which neither undoes
-the step that reached a member nor follows a conjugation by s_j with one
-by a commuting s_k, k < j (`perm.sandwich_orbit`).  A `ConjugacyClass`
-holds its members as raw permutations sorted by (length, permutation),
-with its representative and minimal length; the representative is
-chosen on the raw minimal-length members by one walk down their least
-left descents, and twisted elements are built only for it and for the
-members a caller visits through `elements`.  `class_of` runs the
-same orbit search from one element, with lengths from `perm.length`, so it
-enumerates neither W nor any other class.
+Class tables key each element w of W by w[:rank], the images of the
+simple roots, which are the root indices 0, ..., rank - 1: the key fixes w,
+sorts as the full permutation does, and `expand` rebuilds the rest by
+height, one root sum per positive root.  The table starts from an
+enumeration of W that builds each key once, as a product x*v up the
+parabolic chain <s_0> < <s_0, s_1> < ..., with x a minimal coset
+representative and v in the previous subgroup.  Each class is then one
+orbit search under simple conjugation, set up once per coset, which
+neither undoes the step that reached a member nor follows a conjugation
+by s_j with one by a commuting s_k, k < j (`perm.sandwich_orbits`).  A
+`ConjugacyClass` holds the keys of its members sorted by (length, key),
+with its representative and minimal length; the representative is chosen
+on the expanded minimal-length members by one walk down their least left
+descents, and twisted elements are built only for it and for the members
+a caller visits through `elements` or `min_length_set`.  `class_of` runs
+the same orbit search from one element, with lengths from `perm.length`
+on the expanded members, so it enumerates neither W nor any other class.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
 from math import lcm
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -40,6 +43,9 @@ from .perm import Perm
 from .roots import DiagramAutomorphism, RootSystem, identity_automorphism
 
 DEFAULT_ENUMERATION_BUDGET = 60_000
+
+# search(start, length_of) -> {key: length} over the class of start.
+OrbitSearch = Callable[[Perm, Callable[[Perm], int]], Dict[Perm, int]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,16 +372,21 @@ def _coset_representatives(rs: RootSystem, k: int) -> List[Tuple[Perm, int]]:
 def enumerate_weyl_group(
     rs: RootSystem, budget: Optional[int] = DEFAULT_ENUMERATION_BUDGET
 ) -> Dict[Perm, int]:
-    """All root permutations of W with their lengths, one product each.
+    """Every element of W, keyed by the images w[:rank] of the simple
+    roots, with its length; one product each.
 
-    With W_k = <s_0, ..., s_k>, every w in W_k is x*v for exactly one
-    minimal representative x of W_k / W_(k-1) and one v in W_(k-1), and
-    l(x*v) = l(x) + l(v) (Bjorner-Brenti, Combinatorics of Coxeter Groups,
-    2.4).  So W is built up the chain W_0 < W_1 < ... < W = W_(r-1), each
-    level as the products of the previous one with the representatives.
+    The simple roots are the root indices 0, ..., rank - 1, so the key is
+    a prefix of the root permutation; `expand` rebuilds the rest, and keys
+    sort as their permutations do.  With W_k = <s_0, ..., s_k>, every w in
+    W_k is x*v for exactly one minimal representative x of W_k / W_(k-1)
+    and one v in W_(k-1), and l(x*v) = l(x) + l(v) (Bjorner-Brenti,
+    Combinatorics of Coxeter Groups, 2.4).  So W is built up the chain
+    W_0 < W_1 < ... < W = W_(r-1), each level as the products of the
+    previous one with the representatives.  The key of x*v is x applied to
+    the key of v, so only the representatives are held in full.
     """
     order = _weyl_order_within(rs, budget)
-    level = [perm.identity(rs.count)]
+    level = [perm.identity(rs.count)[: rs.rank]]
     level_lengths = [0]
     for k in range(rs.rank - 1):
         grown: List[Perm] = []
@@ -400,39 +411,78 @@ def enumerate_weyl_group(
     return lengths
 
 
+def _height_steps(rs: RootSystem) -> Tuple[Tuple[int, int], ...]:
+    """For each positive root beta of height above 1, in index order, a pair
+    (gamma, a) with beta = gamma + alpha_a, gamma positive and a a simple
+    root index.  Cached on rs.
+
+    Each such beta has one: <beta, alpha_a^vee> > 0 for some a, and then
+    beta - alpha_a is a positive root.  Positive roots are indexed by
+    height, so gamma comes before beta.
+    """
+    cached = getattr(rs, "_height_steps", None)
+    if cached is not None:
+        return cached
+    steps: Dict[int, Tuple[int, int]] = {}
+    for a in range(rs.rank):
+        for gamma, beta in rs.positive_sums[a]:
+            steps.setdefault(beta, (gamma, a))
+    if sorted(steps) != list(range(rs.rank, rs.positive_count)):
+        raise InconsistencyError(
+            f"{rs.cartan_type}: a positive root of height above 1 is no simple root plus another"
+        )
+    out = tuple(steps[beta] for beta in range(rs.rank, rs.positive_count))
+    object.__setattr__(rs, "_height_steps", out)
+    return out
+
+
+def expand(rs: RootSystem, key: Perm) -> Perm:
+    """The root permutation of the element w of W with w[:rank] == key.
+
+    w is linear, so w(gamma + alpha_a) = w(gamma) + w(alpha_a): the
+    positive roots follow by height, one `sum_table` lookup each, and
+    w(-beta) = -w(beta) gives the negative ones.
+    """
+    pc, sums = rs.positive_count, rs.sum_table
+    images = list(key)
+    for gamma, a in _height_steps(rs):
+        images.append(sums[images[gamma], images[a]])
+    images += [i - pc if i >= pc else i + pc for i in images]
+    return perm.of(images)
+
+
 @dataclass(frozen=True, eq=False)
 class ConjugacyClass:
     """A W-conjugacy orbit inside the coset W * delta^k.
 
-    The members are held as the root permutations of their W-parts, sorted
-    by (length, permutation); `elements` builds the twisted elements on each
-    access, in that order.
+    The members are held as the keys w[:rank] of their W-parts (see
+    `enumerate_weyl_group`), sorted by (length, key), which is (length,
+    permutation) order; `elements` expands them and builds the twisted
+    elements on each access, in that order.
     """
 
     rs: RootSystem
     twist: DiagramAutomorphism
     twist_power: int
     representative: TwistedElement
-    perms: Tuple[Perm, ...]
+    keys: Tuple[Perm, ...]
     min_length: int
 
     def __len__(self):
-        return len(self.perms)
+        return len(self.keys)
 
-    def _member(self, w: Perm) -> TwistedElement:
-        return TwistedElement(self.rs, w, self.twist, self.twist_power)
+    def _member(self, key: Perm) -> TwistedElement:
+        return TwistedElement(self.rs, expand(self.rs, key), self.twist, self.twist_power)
 
     @property
     def elements(self) -> Iterator[TwistedElement]:
         """The members in (length, permutation) order, each built when reached."""
-        return map(self._member, self.perms)
+        return map(self._member, self.keys)
 
     def min_length_set(self) -> Tuple[TwistedElement, ...]:
-        pc = self.rs.positive_count
-        lead = itertools.takewhile(
-            lambda w: perm.length(w, pc) == self.min_length, self.perms
+        return tuple(
+            itertools.takewhile(lambda y: y.length() == self.min_length, self.elements)
         )
-        return tuple(map(self._member, lead))
 
 
 def conjugacy_classes(
@@ -453,11 +503,12 @@ def conjugacy_classes(
     # Each orbit search moves its members out of this one dict.
     unassigned = enumerate_weyl_group(rs, budget)
     order = len(unassigned)
+    search = _orbit_search(rs, delta, twist_power)
     classes: List[ConjugacyClass] = []
     while unassigned:
         # The last member listed; the orbit search pops it first.
-        start = next(reversed(unassigned))
-        classes.append(_orbit_class(rs, delta, twist_power, start, unassigned.pop))
+        start = expand(rs, next(reversed(unassigned)))
+        classes.append(_orbit_class(rs, delta, twist_power, search, start, unassigned.pop))
     classes.sort(key=lambda c: (c.min_length, c.representative.word()))
     total = sum(len(c) for c in classes)
     if total != order:
@@ -467,50 +518,57 @@ def conjugacy_classes(
     return classes
 
 
-def _orbit_class(
-    rs: RootSystem,
-    delta: DiagramAutomorphism,
-    twist_power: int,
-    start: Perm,
-    length_of: Callable[[Perm], int],
-) -> ConjugacyClass:
-    """The class of start * delta^k, by one orbit search from start.
-
-    The W-parts are searched as raw permutations under w -> s w s'.
-    `length_of` gives each member's length once, when the search reaches
-    it, and raises KeyError for a member that is not where the caller's
-    table expects it.
-    """
-    # Both halves of each pair are simple reflections, as sandwich_orbit
+def _orbit_search(rs: RootSystem, delta: DiagramAutomorphism, twist_power: int) -> OrbitSearch:
+    """The orbit search of the coset W * delta^k under w -> s w s', keyed
+    by w[:rank], set up once for all of its classes."""
+    # Both halves of each pair are simple reflections, as sandwich_orbits
     # requires.  The twisted pairs (s_i, s_delta^k(i)) commute whenever
     # s_i and s_j do, since delta preserves the Cartan matrix, so the
     # search skips as much in a twisted coset as in W.
     pairs = [_conjugating_pair(rs, delta, twist_power, lab) for lab in range(rs.rank)]
+    return perm.sandwich_orbits(pairs, rs.rank)
+
+
+def _orbit_class(
+    rs: RootSystem,
+    delta: DiagramAutomorphism,
+    twist_power: int,
+    search: OrbitSearch,
+    start: Perm,
+    length_of: Callable[[Perm], int],
+) -> ConjugacyClass:
+    """The class of start * delta^k, by one run of the coset's orbit
+    search from the root permutation start.
+
+    `length_of` gives each member's length from its key once, when the
+    search reaches it, and raises KeyError for a member that is not where
+    the caller's table expects it.
+    """
     try:
-        orbit = perm.sandwich_orbit(start, pairs, length_of)
+        orbit = search(start, length_of)
     except KeyError:
         raise InconsistencyError(
             f"a conjugate in W({rs.cartan_type}) lies outside "
             "the enumeration or in another class"
         ) from None
-    # (length, permutation) order: by permutation, then stably by length.
+    # (length, key) order: by key, then stably by length.
     members = sorted(orbit)
     members.sort(key=orbit.__getitem__)
     min_length = orbit[members[0]]
-    lead = list(itertools.takewhile(lambda w: orbit[w] == min_length, members))
+    lead = itertools.takewhile(lambda w: orbit[w] == min_length, members)
     return ConjugacyClass(
         rs=rs,
         twist=delta,
         twist_power=twist_power,
         representative=TwistedElement(rs, _least_word_member(rs, lead), delta, twist_power),
-        perms=tuple(members),
+        keys=tuple(members),
         min_length=min_length,
     )
 
 
-def _least_word_member(rs: RootSystem, members: Sequence[Perm]) -> Perm:
-    """The member whose least reduced word is least, for distinct members
-    of one length.
+def _least_word_member(rs: RootSystem, keys: Iterable[Perm]) -> Perm:
+    """The root permutation of the member whose least reduced word is
+    least, for the keys of distinct members of one length.
 
     A least reduced word starts with the least left descent, so the least
     of these words starts with the least letter that is a left descent of
@@ -521,7 +579,7 @@ def _least_word_member(rs: RootSystem, members: Sequence[Perm]) -> Perm:
     pc = rs.positive_count
     # (w^-1, w): s is a left descent of w when w^-1(alpha_s) < 0, and
     # stepping w to s w turns w^-1 into w^-1 s.
-    live = [(perm.inverse(w), w) for w in members]
+    live = [(perm.inverse(w), w) for w in (expand(rs, key) for key in keys)]
     while len(live) > 1:
         for lab in range(rs.rank):
             i = rs.simple_indices[lab]
@@ -544,9 +602,12 @@ def class_of(x: TwistedElement, budget: Optional[int] = DEFAULT_ENUMERATION_BUDG
     rs = x.rs
     _weyl_order_within(rs, budget)
     pc = rs.positive_count
-    return _orbit_class(
-        rs, x.twist, x.twist_power, x.root_perm, partial(perm.length, pc=pc)
-    )
+
+    def length_of(key: Perm) -> int:
+        return perm.length(expand(rs, key), pc)
+
+    search = _orbit_search(rs, x.twist, x.twist_power)
+    return _orbit_class(rs, x.twist, x.twist_power, search, x.root_perm, length_of)
 
 
 def _shift_reachable_set(x: TwistedElement) -> Set[TwistedElement]:

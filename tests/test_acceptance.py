@@ -35,6 +35,7 @@ from weylconvex.weyl import (
     TwistedElement,
     conjugacy_classes,
     enumerate_weyl_group,
+    expand,
     fixed_roots,
     from_word,
 )
@@ -58,8 +59,8 @@ def nontrivial_autos(name):
 def every_element(name):
     rs = rs_of(name)
     ident = diagram_automorphisms(rs)[0]
-    for perm in enumerate_weyl_group(rs):
-        yield TwistedElement(rs, perm, ident, 0)
+    for key in enumerate_weyl_group(rs):
+        yield TwistedElement(rs, expand(rs, key), ident, 0)
 
 
 def announce(criterion, ok, detail):

@@ -23,6 +23,7 @@ from weylconvex.roots import CartanType, build_root_system, diagram_automorphism
 from weylconvex.weyl import (
     TwistedElement,
     enumerate_weyl_group,
+    expand,
     from_one_line,
     from_word,
     longest_element,
@@ -42,8 +43,8 @@ def rs_of(name):
 def every_element(name):
     rs = rs_of(name)
     ident = diagram_automorphisms(rs)[0]
-    for perm in enumerate_weyl_group(rs):
-        yield TwistedElement(rs, perm, ident, 0)
+    for key in enumerate_weyl_group(rs):
+        yield TwistedElement(rs, expand(rs, key), ident, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from weylconvex.weyl import (
     TwistedElement,
     conjugacy_classes,
     enumerate_weyl_group,
+    expand,
     from_one_line,
     from_word,
 )
@@ -630,7 +631,9 @@ def quasi_convex_elements(n):
     order, with the number of them that are convex."""
     rs = matrix_context(n, 2).rs
     ident = diagram_automorphisms(rs)[0]
-    elements = (TwistedElement(rs, p, ident, 0) for p in enumerate_weyl_group(rs))
+    elements = (
+        TwistedElement(rs, expand(rs, key), ident, 0) for key in enumerate_weyl_group(rs)
+    )
     reports = [r for r in map(analyze, elements) if r.quasi_convex]
     return [r.x for r in reports], sum(r.convex for r in reports)
 

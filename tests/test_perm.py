@@ -130,23 +130,28 @@ def test_sandwich_orbit(n):
     A = rng.sample(range(n), min(n, 4))
     B = rng.sample(range(n), min(n, 4))
     pairs = [(random_involution(rng, n, A), random_involution(rng, n, B)) for _ in range(3)]
+    engine_pairs = [(perm.of(s), perm.of(t)) for s, t in pairs]
+    # One set-up keyed by whole permutations serves every start.
+    whole = perm.sandwich_orbits(engine_pairs, n)
     for _ in range(3):
         w = random_tuple(rng, n)
-        calls = []
+        reference = ref_sandwich_orbit(w, pairs)
+        # The shortest prefix that tells the members apart keys them too.
+        least = next(p for p in range(n + 1) if len({y[:p] for y in reference}) == len(reference))
+        for prefix, search in ((n, whole), (least, perm.sandwich_orbits(engine_pairs, least))):
+            calls = []
 
-        def value_of(y):
-            calls.append(y)
-            return len(calls)
+            def value_of(y):
+                calls.append(y)
+                return len(calls)
 
-        orbit = perm.sandwich_orbit(
-            perm.of(w), [(perm.of(s), perm.of(t)) for s, t in pairs], value_of
-        )
-        assert {type(y) for y in orbit} == {expected_type(n)}
-        assert {tuple(y) for y in orbit} == ref_sandwich_orbit(w, pairs)
-        # One call per member, when the search reaches it, the start first.
-        assert list(orbit) == calls
-        assert list(orbit.values()) == list(range(1, len(calls) + 1))
-        assert tuple(calls[0]) == w
+            orbit = search(perm.of(w), value_of)
+            assert {type(y) for y in orbit} == {expected_type(n)}
+            assert {tuple(y) for y in orbit} == {y[:prefix] for y in reference}
+            # One call per member, when the search reaches it, the start first.
+            assert list(orbit) == calls
+            assert list(orbit.values()) == list(range(1, len(calls) + 1))
+            assert tuple(calls[0]) == w[:prefix]
 
 
 @pytest.mark.parametrize("k", [-5, -2, -1, 0, 1, 2, 3, 7, 12])

@@ -1,3 +1,4 @@
+import builtins
 import random
 from dataclasses import fields
 from fractions import Fraction
@@ -6,9 +7,12 @@ from math import lcm
 
 import pytest
 
-from weylconvex.errors import InputError
+from weylconvex import roots
+from weylconvex.errors import InconsistencyError, InputError
 from weylconvex.roots import (
+    MAX_ROOTS,
     CartanType,
+    _CLASSICAL_COUNTS,
     build_root_system,
     diagram_automorphisms,
     is_closed,
@@ -196,6 +200,44 @@ def test_e7_constructible():
     rs = rs_of("E7")
     assert rs.count == 126
     assert rs.positive_count == 63
+
+
+def accepted_types():
+    """Every Cartan type a command builds: each admissible rank up to the
+    limit on roots."""
+    names = ["E6", "E7", "E8", "F4", "G2"]
+    for family, least in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
+        n = least
+        while _CLASSICAL_COUNTS[family](n) <= MAX_ROOTS:
+            names.append(f"{family}{n}")
+            n += 1
+    return names
+
+
+def test_accepted_types_reach_the_limit():
+    names = accepted_types()
+    assert len(names) == 88
+    assert {"A27", "B20", "C20", "D20"} <= set(names)
+    for name in ("A28", "B21", "C21", "D21"):
+        with pytest.raises(InputError):
+            rs_of(name)
+
+
+@pytest.mark.parametrize("name", accepted_types())
+def test_simple_roots_are_the_first_indices(name):
+    # Class tables key an element by its images of roots 0, ..., rank - 1.
+    rs = rs_of(name)
+    assert sorted(rs.simple_indices) == list(range(rs.rank))
+
+
+def test_simple_roots_elsewhere_are_an_inconsistency(monkeypatch):
+    # Positive roots laid out from the top down would put the simple roots
+    # last; the build must refuse the datum, by a raise that python -O keeps.
+    monkeypatch.setattr(
+        roots, "sorted", lambda items: builtins.sorted(items, reverse=True), raising=False
+    )
+    with pytest.raises(InconsistencyError, match="simple roots have indices"):
+        rs_of("B3")
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from weylconvex.weyl import (
     conjugacy_classes,
     cyclic_shift_class,
     enumerate_weyl_group,
+    expand,
     fixed_roots,
     from_one_line,
     from_word,
@@ -192,8 +193,8 @@ def test_elements_of_different_types_are_unequal(first, second):
 def test_length_equals_word_length_exhaustive():
     for name in ("A3", "B3", "G2"):
         rs = rs_of(name)
-        for perm in enumerate_weyl_group(rs):
-            w = TwistedElement(rs, perm, identity_automorphism(rs), 0)
+        for key in enumerate_weyl_group(rs):
+            w = TwistedElement(rs, expand(rs, key), identity_automorphism(rs), 0)
             assert w.length() == len(w.word())
 
 
@@ -230,8 +231,8 @@ def test_twisted_classes_a2():
     assert len(classes) == 3
     # Independent oracle: orbit closure computed directly on (perm, k) pairs.
     all_elems = {
-        TwistedElement(rs, p, delta, 1)
-        for p in enumerate_weyl_group(rs)
+        TwistedElement(rs, expand(rs, key), delta, 1)
+        for key in enumerate_weyl_group(rs)
     }
     seen = set()
     orbits = 0
@@ -315,8 +316,8 @@ def test_cyclic_shift_class_is_two_way_reachability(name, twisted):
     # x -> y and y -> x, checked both ways for every element of the coset.
     rs = rs_of(name)
     delta = flip_of(name) if twisted else identity_automorphism(rs)
-    for w in enumerate_weyl_group(rs):
-        x = weyl.TwistedElement(rs, w, delta, int(twisted))
+    for key in enumerate_weyl_group(rs):
+        x = weyl.TwistedElement(rs, expand(rs, key), delta, int(twisted))
         both = [y for y in weyl._shift_reachable_set(x) if x in weyl._shift_reachable_set(y)]
         assert cyclic_shift_class(x) == sorted(both, key=lambda e: e.key())
 
@@ -346,8 +347,8 @@ def test_fixed_roots_subset_of_signed_stable():
     from weylconvex.convexity import phi_of
 
     rs = rs_of("B2")
-    for perm in enumerate_weyl_group(rs):
-        x = TwistedElement(rs, perm, diagram_automorphisms(rs)[0], 0)
+    for key in enumerate_weyl_group(rs):
+        x = TwistedElement(rs, expand(rs, key), diagram_automorphisms(rs)[0], 0)
         assert fixed_roots(x) <= phi_of(x)
 
 
@@ -438,7 +439,7 @@ def test_class_of_matches_class_table(name, flipped):
     for cls in conjugacy_classes(rs, delta, k):
         for x in cls.elements:
             found = class_of(x)
-            assert found.perms == cls.perms
+            assert found.keys == cls.keys
             assert found.representative == cls.representative
             assert found.representative.word() == cls.representative.word()
             assert found.min_length == cls.min_length
@@ -453,10 +454,12 @@ def test_orbit_search_lookup_miss_is_inconsistency():
     table = enumerate_weyl_group(rs)
     start = from_word(rs, None, [0, 1, 2]).root_perm
     cls = class_of(from_word(rs, None, [0, 1, 2]))
-    table.pop(cls.perms[-1])
-    assert cls.perms[-1] != start
+    table.pop(cls.keys[-1])
+    assert cls.keys[-1] != start[: rs.rank]
+    ident = identity_automorphism(rs)
+    search = weyl._orbit_search(rs, ident, 0)
     with pytest.raises(InconsistencyError, match="outside the enumeration"):
-        weyl._orbit_class(rs, identity_automorphism(rs), 0, start, table.pop)
+        weyl._orbit_class(rs, ident, 0, search, start, table.pop)
 
 
 def test_class_of_keeps_the_budget_refusal():
@@ -610,15 +613,24 @@ def test_pruned_orbit_search_matches_reference(name, fmt, monkeypatch):
         assert type(rs.simple_reflection_perm(0)) is tuple
     else:
         rs = rs_of(name)
-    length_of = partial(perm.length, pc=rs.positive_count)
+    # The reference keys its orbit by whole permutations, the search by
+    # their first rank images; one search set-up serves every class.
+    pc, r = rs.positive_count, rs.rank
+    length_of = partial(perm.length, pc=pc)
+
+    def length_of_key(key):
+        return perm.length(expand(rs, key), pc)
+
     for delta in diagram_automorphisms(rs):
         for k in range(1, delta.order + 1):
-            pairs = [weyl._conjugating_pair(rs, delta, k, lab) for lab in range(rs.rank)]
+            pairs = [weyl._conjugating_pair(rs, delta, k, lab) for lab in range(r)]
+            search = perm.sandwich_orbits(pairs, r)
             for cls in conjugacy_classes(rs, delta, k):
                 start = cls.representative.root_perm
-                orbit = perm.sandwich_orbit(start, pairs, length_of)
-                assert orbit == reference_sandwich_orbit(start, pairs, length_of)
-                assert sorted(orbit) == sorted(cls.perms)
+                orbit = search(start, length_of_key)
+                reference = reference_sandwich_orbit(start, pairs, length_of)
+                assert orbit == {w[:r]: v for w, v in reference.items()}
+                assert sorted(orbit) == sorted(cls.keys)
 
 
 # ---------------------------------------------------------------------------
@@ -680,8 +692,9 @@ def test_class_members_match_reference(name, delta_images, k):
 def test_enumeration_lengths_are_inversion_counts():
     rs = rs_of("B3")
     lengths = enumerate_weyl_group(rs)
-    for p, length in lengths.items():
-        assert length == TwistedElement(rs, p, identity_automorphism(rs), 0).length()
+    for key, length in lengths.items():
+        x = TwistedElement(rs, expand(rs, key), identity_automorphism(rs), 0)
+        assert length == x.length()
 
 
 def plain_bfs(rs, labels=None):
@@ -710,8 +723,36 @@ def plain_bfs(rs, labels=None):
 def test_enumeration_matches_plain_bfs(name):
     rs = rs_of(name)
     lengths = enumerate_weyl_group(rs)
-    assert lengths == plain_bfs(rs)
+    reference = plain_bfs(rs)
+    assert lengths == {p[: rs.rank]: length for p, length in reference.items()}
+    assert {expand(rs, key): length for key, length in lengths.items()} == reference
     assert len(lengths) == rs.cartan_type.weyl_order()
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "D4", "F4"])
+def test_expand_rebuilds_every_element(name):
+    rs = rs_of(name)
+    for w in plain_bfs(rs):
+        assert expand(rs, w[: rs.rank]) == w
+
+
+@pytest.mark.parametrize("name", ["A16", "B12", "D12"])
+def test_expand_rebuilds_random_tuple_permutations(name):
+    rs = rs_of(name)
+    assert type(rs.simple_reflection_perm(0)) is tuple
+    rng = random.Random(f"expand {name}")
+    for _ in range(30):
+        word = [rng.randrange(rs.rank) for _ in range(rng.randrange(60))]
+        w = from_word(rs, None, word).root_perm
+        assert expand(rs, w[: rs.rank]) == w
+
+
+def test_keys_sort_as_their_permutations():
+    # A class lists its members by (length, key); that is (length,
+    # permutation) order only if keys sort as the permutations they expand to.
+    rs = rs_of("E6")
+    full = sorted(plain_bfs(rs))
+    assert sorted(enumerate_weyl_group(rs)) == [w[: rs.rank] for w in full]
 
 
 @pytest.mark.parametrize("name", ["A4", "B3", "G2", "D4", "F4", "E6"])
@@ -767,7 +808,7 @@ def test_class_tables_match_on_tuple_permutations(name, delta_images, k, monkeyp
                 d for d in diagram_automorphisms(rs) if tuple(d.simple_perm) == delta_images
             ]
         return [
-            ([tuple(w) for w in c.perms], c.min_length, c.representative.word())
+            ([tuple(w) for w in c.keys], c.min_length, c.representative.word())
             for c in conjugacy_classes(rs, delta, k)
         ]
 
