@@ -22,8 +22,13 @@ matrix, and every Boolean that feeds a theorem check is decided exactly.
   denominator, and stays in that form: regular points, the dominance walk,
   Fourier-Motzkin and every sign test run on integer rows (Schrijver,
   Theory of Linear and Integer Programming, 1986).  Only a certificate's
-  stage points become K_L values.  A stage eliminates its chamber rows
-  once, in a ladder that every cone query of the stage shares.
+  stage points become K_L values.
+* A stage eliminates its chamber rows once, and the point that
+  elimination picks decides the stage.  The point lies in the relative
+  interior of the chamber cone K (Rockafellar, Convex Analysis, 1970,
+  Theorem 6.8), and every target root pairs >= 0 with all of K, so a
+  target pairs > 0 somewhere on K exactly when it pairs > 0 with that
+  point.  No target needs a cone query of its own (see `_stage_point`).
 """
 
 from __future__ import annotations
@@ -314,81 +319,26 @@ def _extend(S, den: int, lo, hi, field: CosField):
     return tuple(tuple(v // g for v in w) for w in W), q // g
 
 
-class _Ladder:
-    """Fourier-Motzkin elimination of fixed non-strict rows, shared by queries.
+def _chamber_point(rows, nvars: int, field: CosField):
+    """A point of the relative interior of the cone {w : r . w >= 0 for r in rows}.
 
-    rungs[k] eliminates w_k from the rows left on k + 1 variables: it keeps
-    their `_split` into pos and neg, and the rows of rungs[k - 1] are the
-    zero heads and the combinations.  A query brings its own strict rows
-    and carries only their descendants down: the zero heads and the
-    combinations with the rung's rows and with each other.  Every such row
-    is strict, and every row built from non-strict rows alone is on the
-    ladder already, so the query sees the same rows as an elimination of
-    all of them together.  A row the ladder and the query both reach stays
-    in both, with equal bounds.
-
-    On the way back up, the ladder's own rows at rung k give the same
-    extreme bounds for the same sub-witness, so each rung keeps them in a
-    dict keyed by the sub-witness; only the query's rows get fresh bounds.  Below the last
-    rung a query's rows reach, the sub-witness is the ladder's own,
-    `base[k]` on the first k variables.
+    Fourier-Motzkin eliminates w_{nvars-1}, ..., w_0 in turn; on the way
+    back up each value is `_extend`'s pick from the slice the eliminated
+    rows leave.  Returns (W, den) with w = W / den, W an array and den > 0.
     """
-
-    def __init__(self, rows, nvars: int, field: CosField):
-        self.field = field
-        self.rungs = []
-        cur = dict.fromkeys(map(_primitive, rows))
-        for k in range(nvars - 1, -1, -1):
-            pos, neg, rest = _split(cur, k, field)
-            _combine(rest, pos, neg, field)
-            self.rungs.append((pos, neg, {}))
-            cur = rest
-        self.rungs.reverse()
-        self.base = [(((),) * field.degree, 1)]
-        for k in range(nvars):
-            self.base.append(_extend(*self.base[k], *self._extremes(k, *self.base[k]), field))
-
-    def _extremes(self, k: int, S, den: int):
-        """The extreme lower and upper bounds of rung k's own rows at S / den."""
-        pos, neg, memo = self.rungs[k]
-        key = S, den
-        if key not in memo:
-            field = self.field
-            memo[key] = (
-                _extreme(_bounds(pos, S, den, field), field, 1),
-                _extreme(_bounds(neg, S, den, field), field, -1),
-            )
-        return memo[key]
-
-    def witness(self, strict):
-        """Witness for the ladder's rows >= 0 and the `strict` rows > 0.
-
-        Returns (W, den) with w = W / den, W an array and den > 0, or None
-        when the system is infeasible.
-        """
-        field = self.field
-        steps = []
-        cur = dict.fromkeys(map(_primitive, strict))
-        k = len(self.rungs)
-        while cur and k:
-            k -= 1
-            pos, neg, _ = self.rungs[k]
-            spos, sneg, rest = _split(cur, k, field)
-            _combine(rest, spos, neg + sneg, field)
-            _combine(rest, pos, sneg, field)
-            steps.append((spos, sneg))
-            cur = rest
-        if cur:  # a strict row 0 > 0 is left
-            return None
-        S, den = self.base[k]
-        for spos, sneg in reversed(steps):
-            lo, hi = self._extremes(k, S, den)
-            lowers, uppers = _bounds(spos, S, den, field), _bounds(sneg, S, den, field)
-            lo = _extreme(lowers if lo is None else [lo, *lowers], field, 1)
-            hi = _extreme(uppers if hi is None else [hi, *uppers], field, -1)
-            S, den = _extend(S, den, lo, hi, field)
-            k += 1
-        return S, den
+    steps = []
+    cur = dict.fromkeys(map(_primitive, rows))
+    for k in range(nvars - 1, -1, -1):
+        pos, neg, rest = _split(cur, k, field)
+        _combine(rest, pos, neg, field)
+        steps.append((pos, neg))
+        cur = rest
+    S, den = ((),) * field.degree, 1
+    for pos, neg in reversed(steps):
+        lo = _extreme(_bounds(pos, S, den, field), field, 1)
+        hi = _extreme(_bounds(neg, S, den, field), field, -1)
+        S, den = _extend(S, den, lo, hi, field)
+    return S, den
 
 
 # ---------------------------------------------------------------------------
@@ -586,59 +536,57 @@ def _stage_point(rs, den, basis, cur_labels, off_pos, perp_pos, field: CosField,
     """A dominant regular point of span(basis) in the current chamber.
 
     The basis is the pair (den, basis) of `exact_angle_basis`: integer
-    Z[c] arrays over one denominator.  Every chamber and target row is an
-    integer dot product of the arrays with `int_pairing_rows` (a positive
-    multiple of the true pairing), so the cone tests and the sign tests
-    run on ints.  First every basis array must pair to zero with every
-    root of `perp_pos`, the positive roots the root permutation says are
-    orthogonal to the eigenspace; the lemma of `GoodPositionCertificate`
-    rests on it.  The point comes back as a list of K_L values, the one
-    place an eigenspace vector leaves the integer arrays.
+    Z[c] arrays over one denominator.  Every chamber row is the integer
+    dot products of the arrays with a row of `int_pairing_rows` (a
+    positive multiple of the true pairing), the point is an integer array
+    over Z[c], and every sign test pairs it with those rows, so the cone
+    test and the sign tests run on ints.  First every basis array must
+    pair to zero with every root of `perp_pos`, the positive roots the
+    root permutation says are orthogonal to the eigenspace; the lemma of
+    `GoodPositionCertificate` rests on it.  The point comes back as a list
+    of K_L values, the one place an eigenspace vector leaves the integer
+    arrays.
 
     Each target is a positive root of the current parabolic, so its row is
-    a nonnegative combination of the chamber rows and R >= 0 on the whole
-    cone: the point exists iff every R > 0 is feasible.  Every witness then
-    has R >= 0 for every target and R > 0 for its own, so one positive
-    combination of the witnesses is the point.
+    a nonnegative integer combination of the chamber rows (`int_pairing_rows`
+    is linear in the root coefficients) and R >= 0 on the whole cone K.
+    `_chamber_point` gives a point p of the relative interior of K: each
+    `_extend` value lies in the relative interior of the slice it is chosen
+    from, and the slices are the fibres of the projections that
+    Fourier-Motzkin elimination computes (Schrijver, section 12.2), so p is
+    in ri K by induction on the variables (Rockafellar, Convex Analysis,
+    1970, Theorem 6.8).  A linear function >= 0 on K that vanishes at a
+    point of ri K vanishes on all of K.  So a point of K with R > 0 exists
+    exactly when R(p) > 0, and p is then one point for every target at
+    once: the stage has a point iff no target pairs to zero with p.  A
+    strict Fourier-Motzkin query per target would return p itself or None.
     """
     if not basis:
         return None
-    k, n = len(basis), field.degree
     int_rows = rs.int_pairing_rows
     if any(any(array_dot(B, int_rows[g])) for g in perp_pos for B in basis):
         raise InconsistencyError("the eigenspace is not orthogonal to its perp roots")
     if not off_pos:
         return [field.zero] * rs.rank  # every current root hyperplane contains K
 
-    def row(g):
-        r = int_rows[g]
-        return tuple(zip(*(array_dot(B, r) for B in basis)))
-
-    chamber = [row(rs.simple_indices[lab]) for lab in cur_labels]
-    targets = [row(g) for g in off_pos]
-    ladder = _Ladder(chamber, k, field)
-    witnesses = []
-    for R in targets:
-        found = ladder.witness([R])
-        if found is None:
-            return None
-        witnesses.append(found)
-    lam = [rng.randint(1, 9) for _ in witnesses]
-    q = lcm(*(w[1] for w in witnesses))
-    C = ((0,) * k,) * n
-    for c, (W, wq) in zip(lam, witnesses):
-        c *= q // wq
-        C = tuple(tuple(x + c * y for x, y in zip(u, w)) for u, w in zip(C, W))
-    if not (
-        all(field.sign(field.dot(R, C)) >= 0 for R in chamber)
-        and all(any(field.dot(R, C)) for R in targets)
-    ):
-        raise InconsistencyError("a positive combination of stage witnesses left the cone")
-    # The point is sum_j w_j basis_j / den with w = C / q.
+    simples = [int_rows[rs.simple_indices[lab]] for lab in cur_labels]
+    chamber = [tuple(zip(*(array_dot(B, r) for B in basis))) for r in simples]
+    W, q = _chamber_point(chamber, len(basis), field)
+    # The point is sum_j w_j basis_j / den with w = W / q, and a root pairs
+    # with it as its row does with W.
     P = reduce(
-        array_add, (field.scale(field.mul_matrix(w), B) for w, B in zip(zip(*C), basis))
+        array_add, (field.scale(field.mul_matrix(w), B) for w, B in zip(zip(*W), basis))
     )
-    return field.vector(P, q * den)
+    if not all(field.sign(array_dot(P, r)) >= 0 for r in simples):
+        raise InconsistencyError("the chamber point of a stage left the cone")
+    if not all(any(array_dot(P, int_rows[g])) for g in off_pos):
+        return None
+    # The draws only scale the point: one weight per target, and the point
+    # times their sum.  They keep the printed stage points, and so the
+    # reports, byte-identical across engine versions until the next report
+    # schema change (ROADMAP item 1) drops them.
+    scale = sum(rng.randint(1, 9) for _ in off_pos)
+    return field.vector(tuple(tuple(scale * v for v in p) for p in P), q * den)
 
 
 def good_position_length(cert: GoodPositionCertificate) -> int:

@@ -1,7 +1,9 @@
 """Reference code the geometry tests compare the engine against.
 
 None of it runs in the engine: the generic Fourier-Motzkin elimination on
-field scalars (the reference for the integer ladder), the generic kernel
+field scalars (the reference for the integer chamber point), a stage point
+built from one such elimination per target root (the reference for the
+chamber-point lemma of `geometry._stage_point`), the generic kernel
 basis by `rref` (the reference for the fraction-free eigenspace kernel),
 two eigenspace bookkeeping helpers the tests use as oracles, the
 rebuild of a good-position certificate's cumulative points (the oracle for
@@ -172,6 +174,39 @@ def feasible_homogeneous(constraints, nvars: int, zero, one) -> Optional[List]:
     else:
         value = (lo + hi) / 2 if sign_of(hi - lo) > 0 else lo
     return sub + [value]
+
+
+def reference_stage_point(rs, den, basis, cur_labels, off_pos, perp_pos, field, rng):
+    """`geometry._stage_point` with one cone query per target root.
+
+    Same arguments and result.  Each target gets its own generic
+    Fourier-Motzkin witness on K_L scalars, for its row > 0 and the
+    chamber rows >= 0; the point is the combination of the witnesses with
+    weights drawn from `rng`, one per target.  None when some query is
+    infeasible.
+    """
+    if not basis:
+        return None
+    vectors = [field.vector(B, den) for B in basis]
+    rows = rs.int_pairing_rows
+    if any(_sdot(rows[g], v, field.zero) for g in perp_pos for v in vectors):
+        raise InconsistencyError("the eigenspace is not orthogonal to its perp roots")
+    if not off_pos:
+        return [field.zero] * rs.rank
+
+    def row(g):
+        return [_sdot(rows[g], v, field.zero) for v in vectors]
+
+    cone = [(row(rs.simple_indices[lab]), False) for lab in cur_labels]
+    witnesses = []
+    for g in off_pos:
+        w = feasible_homogeneous(cone + [(row(g), True)], len(basis), field.zero, field.one)
+        if w is None:
+            return None
+        witnesses.append(w)
+    lam = [rng.randint(1, 9) for _ in witnesses]
+    coefs = [_sdot(lam, column, field.zero) for column in zip(*witnesses)]
+    return [_sdot(coefs, column, field.zero) for column in zip(*vectors)]
 
 
 def mat_mul(A, B):

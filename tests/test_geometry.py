@@ -1,6 +1,9 @@
+import os
 import pathlib
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -11,7 +14,7 @@ from weylconvex.construction import find_good_position_conjugate
 from weylconvex.convexity import analyze, n_of, phi_of
 from weylconvex.errors import InconsistencyError, InputError
 from weylconvex.geometry import (
-    _Ladder,
+    _chamber_point,
     admissible_enumerations,
     angle_list,
     exact_angle_basis,
@@ -21,7 +24,13 @@ from weylconvex.geometry import (
     regular_point,
 )
 from weylconvex.linalg import rref
-from weylconvex.quadfield import array_dot, cos_field, field_for, two_cos_in
+from weylconvex.quadfield import (
+    array_combination,
+    array_dot,
+    cos_field,
+    field_for,
+    two_cos_in,
+)
 from weylconvex.reports import parse_sequence, parse_word
 from weylconvex.roots import CartanType, build_root_system
 from weylconvex.weyl import (
@@ -37,6 +46,7 @@ from reference_geometry import (
     feasible_homogeneous,
     fixed_space_dim,
     kernel_basis,
+    reference_stage_point,
     separation_witness,
     sign_of,
 )
@@ -364,18 +374,41 @@ def test_dominant_regular_point_gives_standard_parabolic():
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 
-def _golden_certificates():
-    """(root system, certificate) for every good-position golden that has one."""
+def _golden_inputs():
+    """(element, sequence) of every good-position golden."""
     out = []
     for path in sorted(GOLDEN_DIR.glob("good_position_*.txt")):
         # The goldens omit the wall_time_s line, so read the params by line.
         params = dict(re.findall(r'^    "(sequence|type|word)": "(.*)"', path.read_text(), re.M))
-        rs = rs_of(params["type"])
-        x = from_word(rs, None, parse_word(params["word"]))
-        cert = is_good_position(x, parse_sequence(params["sequence"]))
-        if cert is not None:
-            out.append((rs, cert))
+        x = from_word(rs_of(params["type"]), None, parse_word(params["word"]))
+        out.append((x, parse_sequence(params["sequence"])))
     return out
+
+
+def _golden_certificates():
+    """(root system, certificate) for every good-position golden that has one."""
+    certs = ((x.rs, is_good_position(x, seq)) for x, seq in _golden_inputs())
+    return [(rs, cert) for rs, cert in certs if cert is not None]
+
+
+def test_stage_points_match_per_target_witnesses(monkeypatch):
+    # The engine against `reference_stage_point`, which runs one generic
+    # cone query per target root and combines the witnesses: equal
+    # certificates, and equal None verdicts, on every good-position golden
+    # and every admissible enumeration of the class representatives.
+    from weylconvex.weyl import conjugacy_classes
+
+    inputs = _golden_inputs()
+    for name in ("A4", "B4", "D4", "F4"):
+        for cls in conjugacy_classes(rs_of(name)):
+            x = cls.representative
+            inputs += [(x, seq) for seq in admissible_enumerations(x)]
+    got = [is_good_position(x, seq) for x, seq in inputs]
+    monkeypatch.setattr(geometry, "_stage_point", reference_stage_point)
+    want = [is_good_position(x, seq) for x, seq in inputs]
+    assert got == want
+    verdicts = [cert is not None for cert in got]
+    assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20, verdicts.count(True)
 
 
 def _battery_certificates(seed, per_type, budget):
@@ -561,32 +594,36 @@ def test_truncated_sequence_agrees_when_tail_is_vacuous():
 FIELDS = {"1": 1, "2": 8, "3": 12, "5": 5, "L7": 7, "L9": 9, "L15": 15}
 
 
+def _copy(rng, field, P):
+    """Row P itself, a positive integer multiple of it, or P times 3 + c
+    (positive but not rational)."""
+    kind = rng.randrange(3)
+    if kind == 1:
+        c = rng.randint(2, 4)
+        return tuple(tuple(c * v for v in p) for p in P)
+    if kind == 2 and field.degree > 1:
+        return field.scale(field.mul_matrix((3, 1) + (0,) * (field.degree - 2)), P)
+    return P
+
+
 def _random_cone(rng, field, nvars):
-    """Integer rows (P, strict) with repeated and proportional copies."""
-    n = field.degree
-    rows = []
-    for _ in range(rng.randint(2, 6)):
-        P = tuple(
+    """Integer rows with repeated and proportional copies."""
+    rows = [
+        tuple(
             tuple(rng.randint(-3, 3) if i == 0 else rng.randint(-2, 2) for _ in range(nvars))
-            for i in range(n)
+            for i in range(field.degree)
         )
-        rows.append((P, rng.random() < 0.3))
-    for _ in range(rng.randint(1, 3)):
-        P, strict = rng.choice(rows)
-        kind = rng.randrange(3)
-        if kind == 0:  # the same row, maybe with the other strictness
-            rows.append((P, rng.random() < 0.5))
-        elif kind == 1:  # a positive integer multiple
-            c = rng.randint(2, 4)
-            rows.append((tuple(tuple(c * v for v in p) for p in P), strict))
-        elif n > 1:  # times 3 + c, positive but not rational
-            rows.append((field.scale(field.mul_matrix((3, 1) + (0,) * (n - 2)), P), strict))
+        for _ in range(rng.randint(2, 6))
+    ]
+    rows += [_copy(rng, field, rng.choice(rows)) for _ in range(rng.randint(1, 3))]
     rng.shuffle(rows)
     return rows
 
 
 @pytest.mark.parametrize("field_id", list(FIELDS))
 def test_int_elimination_matches_generic(field_id):
+    # The chamber point of a cone of non-strict rows is the witness the
+    # generic elimination gives for the same rows.
     field = cos_field(FIELDS[field_id])
     rng = random.Random(600 + FIELDS[field_id])
     outcomes = {True: 0, False: 0}
@@ -594,75 +631,111 @@ def test_int_elimination_matches_generic(field_id):
         nvars = rng.randint(1, 4)
         rows = _random_cone(rng, field, nvars)
         # The rows over K_L, each divided by a random positive integer.
-        field_rows = [(field.vector(P, rng.randint(1, 6)), strict) for P, strict in rows]
-        want = feasible_homogeneous(field_rows, nvars, field.zero, field.one)
-        ladder = _Ladder([P for P, strict in rows if not strict], nvars, field)
-        got = ladder.witness([P for P, strict in rows if strict])
-        assert (got is None) == (want is None), rows
-        outcomes[got is not None] += 1
-        if got is None:
-            continue
-        w = field.vector(*got)
+        field_rows = [field.vector(P, rng.randint(1, 6)) for P in rows]
+        want = feasible_homogeneous([(v, False) for v in field_rows], nvars, field.zero, field.one)
+        w = field.vector(*_chamber_point(rows, nvars, field))
         assert [repr(v) for v in w] == [repr(v) for v in want], rows
-        for row, strict in field_rows:
-            s = sign_of(sum((a * c for a, c in zip(row, w)), field.zero))
-            assert s > 0 if strict else s >= 0
+        for row in field_rows:
+            assert sign_of(sum((a * c for a, c in zip(row, w)), field.zero)) >= 0
+        outcomes[any(w)] += 1
+    # Both cones that are the origin alone and cones with other points.
     assert min(outcomes.values()) >= 20, outcomes
+
+
+def _nonnegative_combination(rng, field, rows):
+    """A copy (see `_copy`) of a nonnegative integer combination of the
+    rows; one in four is the zero combination."""
+    if rng.randrange(4) == 0:
+        return array_combination([0] * len(rows), rows)
+    return _copy(rng, field, array_combination([rng.choice((0, 0, 1, 2, 3)) for _ in rows], rows))
 
 
 @pytest.mark.parametrize("field_id", list(FIELDS))
 def test_ladder_matches_generic(field_id):
-    # One ladder of a cone's non-strict rows answers a query per strict row
-    # in turn, each with the witness the generic elimination gives for the
-    # non-strict rows and that one strict row.
+    # The lemma of `_stage_point`: for a target row that is a nonnegative
+    # combination of the chamber rows, the generic elimination of the
+    # chamber rows >= 0 and the target > 0 is infeasible exactly when the
+    # target pairs to zero with the chamber point, and otherwise its
+    # witness is the chamber point itself.
     field = cos_field(FIELDS[field_id])
     rng = random.Random(900 + FIELDS[field_id])
     outcomes = {True: 0, False: 0}
     for _ in range(60):
         nvars = rng.randint(1, 4)
-        rows = _random_cone(rng, field, nvars) + [
-            (P, True) for P, _ in _random_cone(rng, field, nvars)
-        ]
-        field_rows = [(field.vector(P, rng.randint(1, 6)), strict) for P, strict in rows]
-        ladder = _Ladder([P for P, strict in rows if not strict], nvars, field)
-        cone = [(v, False) for v, strict in field_rows if not strict]
-        for (P, strict), (v, _) in zip(rows, field_rows):
-            if not strict:
-                continue
-            got = ladder.witness([P])
-            want = feasible_homogeneous(cone + [(v, True)], nvars, field.zero, field.one)
-            assert (got is None) == (want is None), (rows, P)
-            outcomes[got is not None] += 1
-            if got is not None:
-                assert [repr(v) for v in field.vector(*got)] == [repr(v) for v in want]
+        rows = _random_cone(rng, field, nvars)
+        cone = [(field.vector(P, rng.randint(1, 6)), False) for P in rows]
+        W, q = _chamber_point(rows, nvars, field)
+        point = [repr(v) for v in field.vector(W, q)]
+        for _ in range(10):
+            T = _nonnegative_combination(rng, field, rows)
+            target = field.vector(T, rng.randint(1, 6))
+            want = feasible_homogeneous(cone + [(target, True)], nvars, field.zero, field.one)
+            assert (want is None) == (not any(field.dot(T, W))), (rows, T)
+            outcomes[want is not None] += 1
+            if want is not None:
+                assert [repr(v) for v in want] == point, (rows, T)
     assert min(outcomes.values()) >= 20, outcomes
 
 
 def test_stage_point_builds_one_ladder_per_stage(monkeypatch):
-    # Every cone query of a stage goes to the one ladder of its chamber.
-    built, queries, stages = [], [], []
+    # A stage with a cone eliminates its chamber rows once, in one
+    # `_chamber_point`, and no target root gets an elimination of its own:
+    # every `_split` is a step of a chamber point.
+    points, splits, stages = [], [], []
+    chamber_point, split, stage_point = (
+        geometry._chamber_point, geometry._split, geometry._stage_point
+    )
 
-    class CountingLadder(_Ladder):
-        def __init__(self, *args):
-            built.append(len(stages))
-            super().__init__(*args)
+    def counting_chamber_point(rows, nvars, field):
+        points.append((len(stages), nvars))
+        return chamber_point(rows, nvars, field)
 
-        def witness(self, strict):
-            queries.append(len(stages))
-            return super().witness(strict)
+    def counting_split(*args):
+        splits.append(len(stages))
+        return split(*args)
 
-    stage_point = geometry._stage_point
+    def counting_stage_point(rs, den, basis, cur_labels, off_pos, *rest):
+        stages.append(len(off_pos) if basis else 0)
+        return stage_point(rs, den, basis, cur_labels, off_pos, *rest)
 
-    def counting_stage_point(rs, basis, cur_labels, off_pos, *rest):
-        stages.append(bool(basis and off_pos))
-        return stage_point(rs, basis, cur_labels, off_pos, *rest)
-
-    monkeypatch.setattr(geometry, "_Ladder", CountingLadder)
+    monkeypatch.setattr(geometry, "_chamber_point", counting_chamber_point)
+    monkeypatch.setattr(geometry, "_split", counting_split)
     monkeypatch.setattr(geometry, "_stage_point", counting_stage_point)
     x = from_word(rs_of("E6"), None, [3, 1, 5, 0, 4, 2] * 2)
     assert is_good_position(x, [Fraction(1, 3), Fraction(2, 3)]) is not None
-    assert built == [i + 1 for i, cone in enumerate(stages) if cone]
-    assert len(queries) > len(built) >= 1
+    # The E8 Coxeter element fails its first stage, on a zero pairing.
+    x = from_word(rs_of("E8"), None, list(range(8)))
+    assert is_good_position(x, [Fraction(1, 15), Fraction(7, 15)]) is None
+    assert [stage for stage, _ in points] == [i + 1 for i, n in enumerate(stages) if n]
+    assert splits == [stage for stage, nvars in points for _ in range(nvars)]
+    assert max(stages) > 1  # stages with several targets
+
+
+def test_chamber_point_off_the_cone_exits_3_under_optimize():
+    # Plant a chamber point off the cone, its negation: the stage's cone
+    # check must still raise under -O, where every assert is gone.
+    script = (
+        "import sys\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit(99)\n"
+        "from weylconvex import geometry\n"
+        "chamber_point = geometry._chamber_point\n"
+        "def negated(*args):\n"
+        "    W, q = chamber_point(*args)\n"
+        "    return tuple(tuple(-v for v in w) for w in W), q\n"
+        "geometry._chamber_point = negated\n"
+        "from weylconvex.cli import main\n"
+        "sys.exit(main(['--no-cache', 'good-position', '--type', 'A3', '--word', '2,1,3',\n"
+        "               '--sequence', 'pi/2,pi']))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(geometry.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert "left the cone" in proc.stderr
 
 
 def _kernel_check_inputs():
