@@ -9,11 +9,13 @@ point, and repeat until the remaining subsystem is fixed pointwise.
 Each stage runs on integer vectors over Z[c_L], c_L = 2cos 2pi/L, for the
 field K_L of its angle (see `quadfield`), so every zero test and every
 dominance sign is exact.  The output is verified exactly by the
-sign-stability analysis all the same.  If the geometric path raises an
-InputError or its result fails verification, an exhaustive scan of the
-class takes over and the result records why in `fallback_reason`; that
-scan failing too would contradict the existence theorem and raises the
-loud inconsistency error on purpose.
+sign-stability analysis all the same.  The paper proves that every
+conjugacy class of W x <delta> holds a convex element whose sign-stable
+roots are its fixed roots, and the induction above is its proof.  So the
+geometric path is the only construction: if it raises an InputError or
+its result fails verification, that contradicts the existence theorem,
+and `find_convex_representative` raises InconsistencyError (exit 3).  No
+class member other than the representative is read.
 """
 
 from __future__ import annotations
@@ -52,12 +54,10 @@ class StageRecord:
 @dataclass(frozen=True, eq=False)
 class RepresentativeResult:
     representative: TwistedElement
-    method: str  # "geometric" or "exhaustive"
     stage_log: Tuple[StageRecord, ...]
     report: ConvexityReport
-    # Why the exhaustive scan ran: the geometric path's InputError text, or
-    # a note that its result failed verification.  None when geometric.
-    fallback_reason: Optional[str] = None
+    # Always "geometric"; each `reps` row still prints it.
+    method: str = "geometric"
 
 
 def _verified(x: TwistedElement) -> Optional[ConvexityReport]:
@@ -136,39 +136,27 @@ def _dominate(rs, x, point, labels, field):
 def find_convex_representative(
     cls: ConjugacyClass, seed: int = 0
 ) -> RepresentativeResult:
-    """A class member that is convex with phi equal to its fixed roots.
+    """A class member that is convex with phi equal to its fixed roots,
+    built by the geometric path from the class representative.
 
-    Geometric construction first, exhaustive scan as the correctness
-    anchor; both failing contradicts the existence theorem.
+    Its failure contradicts the existence theorem, so it raises
+    InconsistencyError.
     """
-    rng = random.Random(seed)
     x = cls.representative
     try:
-        y, log = _geometric_convex(x, rng)
-        report = _verified(y)
-        if report is not None:
-            return RepresentativeResult(
-                representative=y,
-                method="geometric",
-                stage_log=tuple(log),
-                report=report,
-            )
-        reason = "geometric representative failed verification"
+        y, log = _geometric_convex(x, random.Random(seed))
     except InputError as exc:
-        reason = str(exc)
-    for y in cls.elements:  # already sorted by (length, permutation)
+        failure = f"the geometric path raised {exc}"
+    else:
         report = _verified(y)
         if report is not None:
             return RepresentativeResult(
-                representative=y,
-                method="exhaustive",
-                stage_log=(),
-                report=report,
-                fallback_reason=reason,
+                representative=y, stage_log=tuple(log), report=report
             )
+        failure = f"its geometric representative {y.word()} failed verification"
     raise InconsistencyError(
-        "theorem violated: no convex element with phi = fixed roots in class "
-        f"of {cls.representative.word()}"
+        "existence theorem violated: every class holds a convex element with "
+        f"phi = fixed roots, but in the class of {x.word()} {failure}"
     )
 
 

@@ -17,12 +17,13 @@ matrix, and every Boolean that feeds a theorem check is decided exactly.
   the roots on its orbit.
 * Eigenspace bases and cone feasibility are exact over the real cyclotomic
   field K_L = Q(c_L), c_L = 2cos 2pi/L, of the angle sequence (see
-  `quadfield`), for every rotation order.  An eigenspace basis comes from
-  a fraction-free kernel over Z[c_L] as integer arrays over one
-  denominator, and stays in that form: regular points, the dominance walk,
-  Fourier-Motzkin and every sign test run on integer rows (Schrijver,
-  Theory of Linear and Integer Programming, 1986).  Only a certificate's
-  stage points become K_L values.
+  `quadfield`), for every rotation order.  An eigenspace basis is read off
+  root orbits through the projection sum_k 2cos(k theta) x^k, reduced
+  fraction-free over Z[c_L] to integer arrays over one denominator, and
+  stays in that form: regular points, the dominance walk, Fourier-Motzkin
+  and every sign test run on integer rows (Schrijver, Theory of Linear and
+  Integer Programming, 1986).  Only a certificate's stage points become
+  K_L values.
 * A stage eliminates its chamber rows once, and the point that
   elimination picks decides the stage.  The point lies in the relative
   interior of the chamber cone K (Rockafellar, Convex Analysis, 1970,
@@ -36,15 +37,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import permutations
 from math import gcd, lcm
+from operator import mul, sub
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import InconsistencyError, InputError
 from .linalg import cyclotomic, poly_mul
 from .quadfield import (
     Array,
+    Coeffs,
     CosField,
     array_add,
     array_combination,
@@ -128,86 +131,115 @@ def _perp_orders(
 # Exact eigenspace bases.
 
 
+@lru_cache(maxsize=None)
+def _two_cos_multiples(angle: Fraction, field: CosField) -> Tuple[Coeffs, ...]:
+    """2cos(r theta) in Z[c] for r < d, d the rotation order of theta:
+    2cos((r + 1) theta) = 2cos theta 2cos(r theta) - 2cos((r - 1) theta)."""
+    d = _rotation_denominator(angle)
+    t = field.parts(two_cos_in(angle, field))[0]
+    out = [(2,) + (0,) * (field.degree - 1), t]
+    while len(out) < d:
+        out.append(tuple(map(sub, field.mul(t, out[-1]), out[-2])))
+    return tuple(out[:d])
+
+
 def exact_angle_basis(
     x: TwistedElement, angle: Fraction, labels=None, field: Optional[CosField] = None
 ) -> Tuple[int, List[Array]]:
-    """Basis of V_x^theta, the kernel of M + M^-1 - 2cos theta over K_L.
+    """Basis of V_x^theta on span(alpha_l : l in labels), read off root orbits.
 
     The field defaults to the smallest K_L holding 2cos theta; a sequence
-    passes its own field so that all its stage points share one.  With
-    2cos theta = nums / den, the kernel is that of den (M + M^-1) - nums,
-    a matrix over Z[c], and `_int_kernel` finds it on integers.
+    passes its own field so that all its stage points share one.  With h
+    the order of x on the span, P = sum_(k < h) 2cos(k theta) x^k is h
+    times the projection onto V_x^theta, 2h times at theta = pi (Serre,
+    Linear Representations of Finite Groups, 2.6).  For a root beta with
+    an orbit of length n, P beta is zero unless the rotation order d of
+    theta divides n, and is then h/n sum_(j < n) 2cos(j theta) x^j beta:
+    the orbit's coefficient vectors summed by j mod d, weighted by
+    2cos(j theta).  x^2 - 2cos theta x + 1 kills V_x^theta, so an orbit
+    through simple roots of `labels` adds no more than P beta and
+    P x beta = x P beta (P beta alone at theta = pi).
+
+    Those columns are reduced fraction-free over Z[c] (`_echelon_insert`),
+    pivots from the last label down, orbit by orbit until they span
+    dim V_x^theta as `rotation_spectrum` gives it (2 m_d, or m_d at
+    theta = pi); orbits that run out first raise InconsistencyError.  Each
+    row over its pivot entry gives the one basis with 1 at one pivot and 0
+    at the others: the kernel basis of the reduced echelon form of
+    M + M^-1 - 2cos theta, whose free columns are these pivots.
 
     The basis is one primitive pair (den, arrays): vector j is
     arrays[j] / den, an integer array over Z[c] (see `quadfield`) on all
     simple-root coordinates, zero off `labels`; den > 0, and no integer
-    > 1 divides den and every entry.
+    > 1 divides den and every entry.  The vectors come by pivot.
     """
     field = field or field_for([angle])
-    nums, den = field.parts(two_cos_in(angle, field))
-    labels = tuple(range(x.rs.rank)) if labels is None else tuple(labels)
-    M = x.matrix(labels)
-    Minv = x.inverse().matrix(labels)
-    n = len(M)
-    rows = []
-    for i in range(n):
-        row = [[den * (M[i][j] + Minv[i][j]) for j in range(n)]]
-        row += [[0] * n for _ in nums[1:]]
-        for d, v in enumerate(nums):
-            row[d][i] -= v
-        rows.append(tuple(map(tuple, row)))
-    return _int_kernel(rows, labels, x.rs.rank, field)
-
-
-def _int_kernel(rows, labels, rank: int, field: CosField) -> Tuple[int, List[Array]]:
-    """Basis of the kernel of the matrix with these array rows over Z[c].
-
-    Fraction-free Gauss-Jordan, as `linalg.rank` eliminates on integers:
-    a pivot step at column c replaces every other row r by p r - r_c top,
-    p = top_c the pivot, and divides out the row's integer content, so the
-    entries stay in Z[c].  Then each pivot row is the row of the reduced
-    echelon form times its pivot, and the kernel vector of a free column f
-    is 1 at f and -R_f / R_c at the pivot column c of each row R.  That is
-    the basis the generic `rref` gives, entry for entry, returned as one
-    primitive pair (den, arrays) like `exact_angle_basis`: column j is
-    coordinate labels[j] of the `rank` coordinates.
-    """
-    cols = len(labels)
-    R = list(rows)
-    pivots: List[int] = []
-    for c in range(cols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(R)) if any(p[c] for p in R[i])), None)
-        if piv is None:
-            continue
-        R[r], R[piv] = R[piv], R[r]
-        top = R[r]
-        pM = field.mul_matrix(tuple(p[c] for p in top))
-        for i, row in enumerate(R):
-            a = tuple(-p[c] for p in row)
-            if i != r and any(a):
-                comb = array_add(field.scale(pM, row), field.scale(field.mul_matrix(a), top))
-                R[i] = _primitive(comb)
-        pivots.append(c)
-        if len(pivots) == len(R):
+    rs = x.rs
+    labels = tuple(range(rs.rank)) if labels is None else tuple(labels)
+    d = _rotation_denominator(angle)
+    dim = rotation_spectrum(x, labels).get(d, 0) * (1 if d <= 2 else 2)
+    t = _two_cos_multiples(angle, field)
+    # The weights of P beta, per power of c, and of P x beta off theta = pi.
+    weights = [tuple(zip(*t))]
+    if d > 2:
+        weights.append(tuple(zip(*t[-1:], *t[:-1])))
+    rows: List[Tuple[int, Array]] = []
+    seen: set = set()
+    for lab in labels:
+        if len(rows) == dim:
             break
-    # R_c b = N with N a nonzero int, so -R_f / R_c = -R_f b / N; every N
-    # divides den.
-    norms = [field.norm_adj(tuple(p[c] for p in row)) for row, c in zip(R, pivots)]
-    den = lcm(*(abs(N) for N, _ in norms))
-    one = (den,) + (0,) * (field.degree - 1)
-    basis = []
-    for f in range(cols):
-        if f in pivots:
+        start = rs.simple_indices[lab]
+        if start in seen:
             continue
-        v = [(0,) * field.degree] * rank
-        v[labels[f]] = one
-        for row, c, (N, b) in zip(R, pivots, norms):
-            s = -den // N
-            v[labels[c]] = tuple(s * u for u in field.mul(tuple(p[f] for p in row), b))
-        basis.append(tuple(zip(*v)))
+        orbit = x._orbit(start)
+        seen.update(orbit)
+        if len(orbit) % d == 0:
+            sums = [tuple(map(sum, zip(*(rs.coeffs[g] for g in orbit[r::d])))) for r in range(d)]
+            for ws in weights:
+                column = tuple(tuple(sum(map(mul, w, v)) for v in zip(*sums)) for w in ws)
+                _echelon_insert(rows, column, labels[::-1], field)
+    if len(rows) != dim:
+        raise InconsistencyError(
+            f"the orbit columns of angle {angle} span {len(rows)} dimensions, "
+            f"not the {dim} of its eigenspace"
+        )
+    # R / R_c = R b / N with R_c b = N a nonzero int; every N divides den.
+    norms = [(R, field.norm_adj(tuple(p[c] for p in R))) for c, R in sorted(rows)]
+    den = lcm(*(abs(N) for _, (N, _) in norms))
+    basis = [
+        tuple(tuple(den // N * u for u in p) for p in field.scale(field.mul_matrix(b), R))
+        for R, (N, b) in norms
+    ]
     g = gcd(den, *(u for B in basis for p in B for u in p))
     return den // g, [tuple(tuple(u // g for u in p) for p in B) for B in basis]
+
+
+def _echelon_insert(rows: List[Tuple[int, Array]], v: Array, pivot_order, field: CosField) -> None:
+    """Add v to the reduced echelon rows (c, R) unless it lies in their span.
+
+    Row R has R_c != 0, is zero at the other rows' pivots, and c is its
+    first nonzero coordinate in `pivot_order`.  v is cleared at each pivot,
+    takes the first coordinate q where it is nonzero as its own, and is
+    cleared from every row at q.  So the rows stay in reduced echelon form
+    in whatever order they come, and their span fixes them up to scalars.
+    """
+    for c, R in rows:
+        if any(p[c] for p in v):
+            v = _eliminate(v, R, c, field)
+    q = next((c for c in pivot_order if any(p[c] for p in v)), None)
+    if q is not None:
+        rows[:] = [(c, _eliminate(R, v, q, field) if any(p[q] for p in R) else R) for c, R in rows]
+        rows.append((q, v))
+
+
+def _eliminate(A: Array, B: Array, c: int, field: CosField) -> Array:
+    """B_c A - A_c B, made primitive: A cleared at c, fraction-free over Z[c]
+    as `linalg.rank` clears on integers."""
+    A_c, B_c = (tuple(p[c] for p in P) for P in (A, B))
+    return _primitive(array_add(
+        field.scale(field.mul_matrix(B_c), A),
+        field.scale(field.mul_matrix(tuple(-u for u in A_c)), B),
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -173,28 +173,6 @@ class TwistedElement:
         wpart = perm.compose(perm.compose(s, self.root_perm), s2)
         return TwistedElement(rs, wpart, self.twist, self.twist_power)
 
-    def matrix(self, labels: Optional[Sequence[int]] = None) -> List[List[int]]:
-        """Integer matrix of the action on span(alpha_j : j in labels)."""
-        rs = self.rs
-        if labels is None:
-            labels = list(range(rs.rank))
-        labels = list(labels)
-        pos = {lab: t for t, lab in enumerate(labels)}
-        cols = []
-        for lab in labels:
-            img = self.perm[rs.simple_indices[lab]]
-            c = rs.coeffs[img]
-            col = [0] * len(labels)
-            for j, v in enumerate(c):
-                if v != 0:
-                    if j not in pos:
-                        raise InputError(
-                            "element does not stabilize the parabolic subspace"
-                        )
-                    col[pos[j]] = v
-            cols.append(col)
-        return [[cols[j][i] for j in range(len(labels))] for i in range(len(labels))]
-
 
 def _conjugating_pair(
     rs: RootSystem, twist: DiagramAutomorphism, twist_power: int, lab: int

@@ -4,7 +4,9 @@ None of it runs in the engine: the generic Fourier-Motzkin elimination on
 field scalars (the reference for the integer chamber point), a stage point
 built from one such elimination per target root (the reference for the
 chamber-point lemma of `geometry._stage_point`), the generic kernel
-basis by `rref` (the reference for the fraction-free eigenspace kernel),
+basis by `rref`, and the fraction-free kernel of den (M + M^-1) - 2cos
+theta over Z[c] that the engine used before it read eigenspace bases off
+root orbits (the references for those bases),
 two eigenspace bookkeeping helpers the tests use as oracles, the
 rebuild of a good-position certificate's cumulative points (the oracle for
 the lemma in the `GoodPositionCertificate` docstring), exact signs of
@@ -18,11 +20,15 @@ into cyclotomics by polynomial division (`spectrum_by_charpoly`).
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
+from math import gcd, lcm
+
 from weylconvex.errors import InconsistencyError, InputError
-from weylconvex.geometry import _perp_orders, _rotation_denominator
+from weylconvex.geometry import _perp_orders, _primitive, _rotation_denominator
 from weylconvex.linalg import cyclotomic, poly_divmod, rref
-from weylconvex.quadfield import CosNum
+from weylconvex.quadfield import CosNum, array_add, field_for, two_cos_in
 from weylconvex.weyl import rotation_spectrum
+
+from reference_weyl import matrix
 
 
 def sign_of(x) -> int:
@@ -49,7 +55,7 @@ def separation_witness(x, e: Sequence, gamma: int) -> int:
     row = rs.int_pairing_rows[gamma]
     if sign_of(_sdot(row, e, 0)) <= 0:
         raise InputError("witness point must pair strictly positively with gamma")
-    Minv = x.inverse().matrix()
+    Minv = matrix(x.inverse())
     n = rs.rank
     v = list(e)
     for i in range(1, x.order() + 1):
@@ -285,4 +291,76 @@ def cyclotomic_multiplicities(char: Sequence[int], order: int):
 def spectrum_by_charpoly(x, labels=None):
     """The rotation spectrum of x on span(alpha_l : l in labels), from the
     characteristic polynomial of its matrix."""
-    return cyclotomic_multiplicities(charpoly_int(x.matrix(labels)), x.order())
+    return cyclotomic_multiplicities(charpoly_int(matrix(x, labels)), x.order())
+
+
+def int_kernel_basis(x, angle, labels=None, field=None):
+    """V_x^theta as the kernel of den (M + M^-1) - nums over Z[c], with
+    2cos theta = nums / den: the pair (den, arrays) that
+    `geometry.exact_angle_basis` must return, from the matrices of x and
+    of x^-1."""
+    field = field or field_for([angle])
+    nums, den = field.parts(two_cos_in(angle, field))
+    labels = tuple(range(x.rs.rank)) if labels is None else tuple(labels)
+    M = matrix(x, labels)
+    Minv = matrix(x.inverse(), labels)
+    n = len(M)
+    rows = []
+    for i in range(n):
+        row = [[den * (M[i][j] + Minv[i][j]) for j in range(n)]]
+        row += [[0] * n for _ in nums[1:]]
+        for d, v in enumerate(nums):
+            row[d][i] -= v
+        rows.append(tuple(map(tuple, row)))
+    return int_kernel(rows, labels, x.rs.rank, field)
+
+
+def int_kernel(rows, labels, rank: int, field):
+    """Basis of the kernel of the matrix with these array rows over Z[c].
+
+    Fraction-free Gauss-Jordan, as `linalg.rank` eliminates on integers:
+    a pivot step at column c replaces every other row r by p r - r_c top,
+    p = top_c the pivot, and divides out the row's integer content, so the
+    entries stay in Z[c].  Then each pivot row is the row of the reduced
+    echelon form times its pivot, and the kernel vector of a free column f
+    is 1 at f and -R_f / R_c at the pivot column c of each row R.  That is
+    the basis the generic `rref` gives, entry for entry, returned as one
+    primitive pair (den, arrays): column j is coordinate labels[j] of the
+    `rank` coordinates.
+    """
+    cols = len(labels)
+    R = list(rows)
+    pivots: List[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(R)) if any(p[c] for p in R[i])), None)
+        if piv is None:
+            continue
+        R[r], R[piv] = R[piv], R[r]
+        top = R[r]
+        pM = field.mul_matrix(tuple(p[c] for p in top))
+        for i, row in enumerate(R):
+            a = tuple(-p[c] for p in row)
+            if i != r and any(a):
+                comb = array_add(field.scale(pM, row), field.scale(field.mul_matrix(a), top))
+                R[i] = _primitive(comb)
+        pivots.append(c)
+        if len(pivots) == len(R):
+            break
+    # R_c b = N with N a nonzero int, so -R_f / R_c = -R_f b / N; every N
+    # divides den.
+    norms = [field.norm_adj(tuple(p[c] for p in row)) for row, c in zip(R, pivots)]
+    den = lcm(*(abs(N) for N, _ in norms))
+    one = (den,) + (0,) * (field.degree - 1)
+    basis = []
+    for f in range(cols):
+        if f in pivots:
+            continue
+        v = [(0,) * field.degree] * rank
+        v[labels[f]] = one
+        for row, c, (N, b) in zip(R, pivots, norms):
+            s = -den // N
+            v[labels[c]] = tuple(s * u for u in field.mul(tuple(p[f] for p in row), b))
+        basis.append(tuple(zip(*v)))
+    g = gcd(den, *(u for B in basis for p in B for u in p))
+    return den // g, [tuple(tuple(u // g for u in p) for p in B) for B in basis]

@@ -2,10 +2,12 @@
 
 None of it runs in the engine: the ambient vectors of the roots, rebuilt
 from the simple roots and the integer coefficients, and their dot product,
-the identity element, quasi-convexity as a bare Boolean, the level
-filtration of a quasi-convex element, the common order of the twisted
-Coxeter elements, the half-turn condition compared as whole permutations
-(the reference for the engine's check on the simple roots), reflection
+the integer matrix of an element on a stable parabolic span (the engine
+reads every fact it needs off root orbits instead), the identity element,
+quasi-convexity as a bare Boolean, the level filtration of a quasi-convex
+element, the common order of the twisted Coxeter elements, the half-turn
+condition compared as whole permutations (the reference for the engine's
+check on the simple roots), reflection
 orderings with their betweenness check and the one that the half-turn word
 of a Coxeter element gives, a convex minimal-length element of an elliptic
 class found by downward cyclic shifts, and the orbit search under simple
@@ -52,6 +54,23 @@ def ambient_roots(rs) -> List[Tuple[Fraction, ...]]:
 
 def dot(u, v) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def matrix(x, labels=None) -> List[List[int]]:
+    """Integer matrix of the action of x on span(alpha_j : j in labels)."""
+    rs = x.rs
+    labels = list(range(rs.rank)) if labels is None else list(labels)
+    pos = {lab: t for t, lab in enumerate(labels)}
+    cols = []
+    for lab in labels:
+        col = [0] * len(labels)
+        for j, v in enumerate(rs.coeffs[x.perm[rs.simple_indices[lab]]]):
+            if v != 0:
+                if j not in pos:
+                    raise InputError("element does not stabilize the parabolic subspace")
+                col[pos[j]] = v
+        cols.append(col)
+    return [[cols[j][i] for j in range(len(labels))] for i in range(len(labels))]
 
 
 def identity_element(rs, delta=None):

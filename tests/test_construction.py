@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -101,8 +102,10 @@ def test_geometric_path_used_somewhere():
 
 
 def test_geometric_inconsistency_is_not_swallowed(monkeypatch):
-    # An InconsistencyError is a bug signal and must propagate; an
-    # InputError from the geometric path still falls back to the scan.
+    # The geometric path is the only construction.  An InconsistencyError
+    # from it propagates, and an InputError or a result that fails
+    # verification contradicts the existence theorem: each raises
+    # InconsistencyError, and no class member is scanned in its place.
     def planted(error):
         def geometric_convex(x, rng):
             raise error("planted")
@@ -110,24 +113,33 @@ def test_geometric_inconsistency_is_not_swallowed(monkeypatch):
         return geometric_convex
 
     cls = conjugacy_classes(rs_of("A2"))[-1]
-    assert find_convex_representative(cls).fallback_reason is None
-    monkeypatch.setattr(construction, "_geometric_convex", planted(InputError))
-    res = find_convex_representative(cls)
-    assert res.method == "exhaustive"
-    assert res.fallback_reason == "planted"
-    monkeypatch.setattr(
-        construction, "_geometric_convex", planted(InconsistencyError)
-    )
-    with pytest.raises(InconsistencyError, match="planted"):
-        find_convex_representative(cls)
-    # A geometric result that fails verification is recorded too: s1 is not
-    # convex, and the scan finds s1s2s1 in its class.
+    assert find_convex_representative(cls).method == "geometric"
+    for error in (InputError, InconsistencyError):
+        monkeypatch.setattr(construction, "_geometric_convex", planted(error))
+        with pytest.raises(InconsistencyError, match="planted"):
+            find_convex_representative(cls)
+    # s1 is not convex; its class holds the convex s1s2s1, which no scan
+    # looks for any more.
     refl = [c for c in conjugacy_classes(rs_of("A2")) if c.min_length == 1][0]
     s1 = from_word(rs_of("A2"), None, [0])
     monkeypatch.setattr(construction, "_geometric_convex", lambda x, rng: (s1, []))
-    res = find_convex_representative(refl)
-    assert res.method == "exhaustive" and res.representative.word() == (0, 1, 0)
-    assert res.fallback_reason == "geometric representative failed verification"
+    monkeypatch.setattr(
+        type(refl), "elements", property(lambda self: pytest.fail("a member was scanned"))
+    )
+    with pytest.raises(InconsistencyError, match="existence theorem.*failed verification"):
+        find_convex_representative(refl)
+
+
+@pytest.mark.parametrize("name", ["A18", "A22"])
+def test_geometric_convex_on_large_coxeter_elements(name):
+    # n + 1 prime: the smallest angle 2pi/(n + 1) needs K_(n+1), of degree
+    # 9 and 11.  Its eigenspace holds a regular point, so one stage cuts the
+    # parabolic to nothing, and the result is exactly verified.
+    rs = rs_of(name)
+    x = from_word(rs, None, list(range(rs.rank)))
+    y, log = construction._geometric_convex(x, random.Random(0))
+    assert [(s.angle, s.parabolic_labels) for s in log] == [(Fraction(2, rs.rank + 1), ())]
+    assert construction._verified(y) is not None
 
 
 def test_find_good_position_conjugate_a3():
@@ -313,7 +325,7 @@ def test_e6_battery_within_default_budget():
     for cls in classes:
         res = find_convex_representative(cls)
         y = res.representative
-        assert res.method == "geometric" and res.fallback_reason is None
+        assert res.method == "geometric"
         assert res.report.convex and phi_of(y) == fixed_roots(y)
 
 

@@ -45,13 +45,14 @@ from reference_geometry import (
     cumulative_points,
     feasible_homogeneous,
     fixed_space_dim,
+    int_kernel_basis,
     kernel_basis,
     reference_stage_point,
     separation_witness,
     sign_of,
 )
 from reference_matrix import OperatorField
-from reference_weyl import ambient, identity_element
+from reference_weyl import ambient, identity_element, matrix
 
 RS = {}
 
@@ -119,8 +120,8 @@ def test_eigenbasis_satisfies_defining_equation():
     for name, word in (("A4", [0, 1, 2, 3]), ("A6", list(range(6)))):
         rs = rs_of(name)
         x = from_word(rs, None, word)
-        M = x.matrix()
-        Minv = x.inverse().matrix()
+        M = matrix(x)
+        Minv = matrix(x.inverse())
         for angle, basis in exact_components(x).items():
             c2 = two_cos_in(angle, field_for([angle]))
             for v in basis:
@@ -440,7 +441,7 @@ def test_cumulative_points_exist_for_every_certificate():
     # small eps.  The reference rebuilds those points by halving eps.
     golden = _golden_certificates()
     battery = _battery_certificates(seed=22, per_type=12, budget=60)
-    assert len(golden) == 6
+    assert len(golden) == 7
     assert len(battery) >= 20
     for rs, cert in golden + battery:
         points = cumulative_points(rs, cert)
@@ -482,7 +483,7 @@ def test_exact_basis_is_stable_under_x():
     for name, word in (("A4", [0, 1, 2, 3]), ("A6", list(range(6)))):
         rs = rs_of(name)
         x = from_word(rs, None, word)
-        M = x.matrix()
+        M = matrix(x)
         for angle, basis in exact_components(x).items():
             field = field_for([angle])
             for v in basis:
@@ -782,7 +783,7 @@ def test_int_kernel_matches_generic_rref():
         degrees.add(field.degree)
         lab = tuple(range(rank)) if labels is None else labels
         proper += len(lab) < rank
-        M, Minv = x.matrix(lab), x.inverse().matrix(lab)
+        M, Minv = matrix(x, lab), matrix(x.inverse(), lab)
         c2 = two_cos_in(angle, field)
         A = [
             [field.number(M[i][j] + Minv[i][j]) - (c2 if i == j else 0) for j in range(len(M))]
@@ -798,6 +799,72 @@ def test_int_kernel_matches_generic_rref():
         got = [[field.vector(B, den)[t] for t in lab] for B in arrays]
         assert [[repr(v) for v in b] for b in got] == [[repr(v) for v in b] for b in want]
     assert degrees == {1, 2, 3, 4} and proper >= 10
+
+
+def _coset_representatives():
+    """Every class representative of ten types, in W and in each of its
+    twisted cosets: every diagram automorphism and every power of it."""
+    from weylconvex.roots import diagram_automorphisms
+    from weylconvex.weyl import conjugacy_classes
+
+    for name in ("A4", "B4", "C4", "D4", "F4", "G2", "E6", "A5", "D5", "B5"):
+        rs = rs_of(name)
+        for delta in diagram_automorphisms(rs):
+            for k in [0] if delta.is_identity else range(1, delta.order):
+                for cls in conjugacy_classes(rs, delta, k):
+                    yield cls.representative
+
+
+def test_orbit_basis_matches_int_kernel():
+    # The basis read off root orbits is the pair (den, arrays) that the
+    # fraction-free kernel of den (M + M^-1) - 2cos theta gives: on the
+    # kernel inputs; on every angle of every class representative above,
+    # in the angle's own field and in the field of all its angles; and on
+    # the A16 Coxeter element at 2pi/17 and 8pi/17, over K_17 of degree 8.
+    inputs = [(x, angle, labels, None) for x, angle, labels in _kernel_check_inputs()]
+    for x in _coset_representatives():
+        angles = [a for a, _ in angle_list(x)]
+        common = field_for(angles)
+        for angle in angles:
+            inputs.append((x, angle, None, None))
+            if common is not field_for([angle]):
+                inputs.append((x, angle, None, common))
+    a16 = from_word(rs_of("A16"), None, list(range(16)))
+    inputs += [(a16, Fraction(2, 17), None, None), (a16, Fraction(8, 17), None, None)]
+    degrees = set()
+    for x, angle, labels, field in inputs:
+        got = exact_angle_basis(x, angle, labels, field)
+        assert got == int_kernel_basis(x, angle, labels, field), (x.word(), angle, labels)
+        degrees.add((field or field_for([angle])).degree)
+    assert len(inputs) >= 650 and degrees == {1, 2, 3, 4, 8}
+
+
+def test_orbit_columns_of_the_wrong_dimension_exit_3_under_optimize():
+    # Plant a column set that spans one dimension of the two of the pi/2
+    # eigenspace: every column after the first is dropped.  The dimension
+    # check must still raise under -O, where every assert is gone.
+    script = (
+        "import sys\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit(99)\n"
+        "from weylconvex import geometry\n"
+        "echelon_insert = geometry._echelon_insert\n"
+        "def first_column_only(rows, *args):\n"
+        "    if not rows:\n"
+        "        echelon_insert(rows, *args)\n"
+        "geometry._echelon_insert = first_column_only\n"
+        "from weylconvex.cli import main\n"
+        "sys.exit(main(['--no-cache', 'good-position', '--type', 'A3', '--word', '2,1,3',\n"
+        "               '--sequence', 'pi/2,pi']))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(geometry.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert "span 1 dimensions, not the 2" in proc.stderr
 
 
 def test_perp_orders_on_any_subset_is_the_full_answer_restricted():

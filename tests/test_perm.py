@@ -206,8 +206,8 @@ def test_bytes_sort_like_tuples(n):
 # ---------------------------------------------------------------------------
 # Pinned report bytes: root systems with more than 256 roots, which use
 # tuples, and good-position certificates over Q, Q(sqrt2), Q(sqrt3),
-# Q(sqrt5) and the quartic K_30, whose stage points come out of the exact
-# eigenspace kernels and cone tests.
+# Q(sqrt5), the quartic K_30 and K_17 of degree 8, whose stage points come
+# out of the exact eigenspace bases and cone tests.
 
 
 def _good_position(cartan, word, sequence):
@@ -260,6 +260,16 @@ def _good_position(cartan, word, sequence):
         pytest.param(
             _good_position("E8", "1,4,6,8,2,3,5,7", "pi/15,7pi/15"), 0,
             "good_position_E8_1-4-6-8-2-3-5-7.txt", id="good-position-E8-degree4",
+        ),
+        # Degree 8: K_17.  Every stage but the first has no target left;
+        # the first stage's point is read off an orbit basis over K_17.
+        pytest.param(
+            _good_position(
+                "A16", "1,3,5,7,9,11,13,15,2,4,6,8,10,12,14,16",
+                ",".join(f"{2 * k}pi/17" for k in range(1, 9)),
+            ), 0,
+            "good_position_A16_1-3-5-7-9-11-13-15-2-4-6-8-10-12-14-16.txt",
+            id="good-position-A16-degree8",
         ),
         # Level tables of x and of x^-1: a twisted element and an element
         # that is quasi-convex while its inverse is not.

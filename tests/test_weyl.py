@@ -37,7 +37,7 @@ from weylconvex.weyl import (
 
 from reference_geometry import spectrum_by_charpoly
 from reference_matrix import OperatorField, mat_inv
-from reference_weyl import ambient_roots, identity_element, sandwich_orbit as reference_sandwich_orbit
+from reference_weyl import ambient_roots, identity_element, matrix, sandwich_orbit as reference_sandwich_orbit
 
 RS = {}
 
@@ -386,7 +386,7 @@ def test_inverse_and_order():
 
 @pytest.mark.parametrize("name", ["A4", "B4", "D4", "D5", "F4", "E6"])
 def test_inverse_matrix_is_matrix_inverse(name):
-    # x^{-1}.matrix(J) must be the inverse of x.matrix(J), for every twist
+    # matrix(x^-1, J) must be the inverse of matrix(x, J), for every twist
     # and for parabolic J stable under it (x = w delta^k with w in W_J).
     rs = rs_of(name)
     rng = random.Random(sum(map(ord, name)))
@@ -399,9 +399,9 @@ def test_inverse_matrix_is_matrix_inverse(name):
                 labels = list(range(rs.rank))
             word = [rng.choice(labels) for _ in range(rng.randint(0, 3 * len(labels)))]
             x = from_word(rs, delta, word, twist_power=rng.randrange(delta.order))
-            M = [[Fraction(v) for v in row] for row in x.matrix(labels)]
+            M = [[Fraction(v) for v in row] for row in matrix(x, labels)]
             expected = mat_inv(M, OperatorField(Fraction(1)))
-            assert x.inverse().matrix(labels) == expected, (name, word, labels)
+            assert matrix(x.inverse(), labels) == expected, (name, word, labels)
 
 
 def _orbit(delta, lab):
@@ -849,7 +849,7 @@ def test_representative_has_the_least_word_of_the_minimal_members(name):
 
 def elliptic_by_rank(x) -> bool:
     """No fixed vector: M - I has full rank."""
-    M = x.matrix()
+    M = matrix(x)
     for i, row in enumerate(M):
         row[i] -= 1
     return rank(M) == len(M)
