@@ -26,7 +26,11 @@ from .errors import InconsistencyError
 
 
 def rref(A, field) -> Tuple[List[List], List[int]]:
-    """Reduced row echelon form plus the pivot column list."""
+    """Reduced row echelon form plus the pivot column list.
+
+    Where the pivot row holds a zero, scaling it and clearing the other
+    rows with it take no product.
+    """
     zero, sub, mul = field.zero, field.sub, field.mul
     M = [list(row) for row in A]
     rows = len(M)
@@ -43,11 +47,11 @@ def rref(A, field) -> Tuple[List[List], List[int]]:
             continue
         M[r], M[piv] = M[piv], M[r]
         inv = field.div(field.one, M[r][c])
-        M[r] = [mul(x, inv) for x in M[r]]
+        top = M[r] = [mul(x, inv) if x else x for x in M[r]]
         for rr in range(rows):
             if rr != r and M[rr][c] != zero:
                 f = M[rr][c]
-                M[rr] = [sub(a, mul(f, b)) for a, b in zip(M[rr], M[r])]
+                M[rr] = [sub(a, mul(f, b)) if b else a for a, b in zip(M[rr], top)]
         pivots.append(c)
         r += 1
         if r == rows:

@@ -8,9 +8,12 @@ are plain ints in range(p) and over Q are ints when integral, Fractions
 only when not.  All scalar arithmetic goes through the context's field
 object (`zero`, `one`, `add`, `sub`, `mul`, `neg`, `div`), so no code
 here knows which field it runs over.  xi and sigma form no dense
-product: a root-subgroup factor is one row or column operation, a lift
-permutes rows, and a unipotent with known coordinates is inverted by
-reversing its word and negating the coordinates.
+product: a root-subgroup factor is one row or column operation, skipped
+when its coordinate is zero (a scalar is false exactly when it is zero),
+a lift permutes rows, and a unipotent with known coordinates is inverted
+by reversing its word and negating the coordinates.  ell starts from its
+diagonal and takes its two unipotent words as row and column operations,
+so no matrix is scaled.
 
 The conjugation map xi and its section sigma follow the level filtration:
 sigma first splits g = y * (lift u ell) by one linear solve per row of the
@@ -215,6 +218,8 @@ def _mul_word(field, m: List[List], word: Iterable[Tuple[Position, object]]) -> 
     """m <- m * word: u_ab(t) on the right adds t * column a to column b."""
     add, mul = field.add, field.mul
     for (a, b), t in word:
+        if not t:
+            continue
         for row in m:
             v = row[a]
             if v:
@@ -222,15 +227,23 @@ def _mul_word(field, m: List[List], word: Iterable[Tuple[Position, object]]) -> 
     return m
 
 
-def _word_mul(field, word: Word, m: List[List]) -> List[List]:
-    """m <- word * m: u_ab(t) on the left adds t * row b to row a."""
+def _row_ops(field, factors: Iterable[Tuple[Position, object]], m: List[List]) -> List[List]:
+    """m <- u_1(t_1) * m, then u_2(t_2) * m, ... for the factors in order:
+    u_ab(t) on the left adds t * row b to row a."""
     add, mul = field.add, field.mul
-    for (a, b), t in reversed(word):
+    for (a, b), t in factors:
+        if not t:
+            continue
         ra, rb = m[a], m[b]
         for j, v in enumerate(rb):
             if v:
                 ra[j] = add(ra[j], mul(t, v))
     return m
+
+
+def _word_mul(field, word: Word, m: List[List]) -> List[List]:
+    """m <- word * m: the factors act on the rows last one first."""
+    return _row_ops(field, reversed(word), m)
 
 
 def _inverse_word(field, word: Word) -> List[Tuple[Position, object]]:
@@ -239,27 +252,31 @@ def _inverse_word(field, word: Word) -> List[Tuple[Position, object]]:
 
 
 def _conjugate(field, m: List[List], word: Word) -> List[List]:
-    """m <- word^-1 * m * word."""
-    return _mul_word(field, _word_mul(field, _inverse_word(field, word), m), word)
+    """m <- word^-1 * m * word.
+
+    word^-1 is word reversed with its coordinates negated, and its row
+    operations run last factor first: that is word in order, negated, so
+    no inverse word is built.
+    """
+    neg = field.neg
+    _row_ops(field, ((pos, neg(t)) for pos, t in word), m)
+    return _mul_word(field, m, word)
+
+
+def _diag_rows(field, d: Sequence) -> List[List]:
+    """diag(d), as rows."""
+    m = [[field.zero] * len(d) for _ in d]
+    for i, v in enumerate(d):
+        m[i][i] = v
+    return m
 
 
 def _identity_rows(field, n: int) -> List[List]:
-    m = [[field.zero] * n for _ in range(n)]
-    for i in range(n):
-        m[i][i] = field.one
-    return m
+    return _diag_rows(field, [field.one] * n)
 
 
 def _word_matrix(field, n: int, word: Word) -> Matrix:
     return _freeze(_mul_word(field, _identity_rows(field, n), word))
-
-
-def _scale_cols(field, m: List[List], d: Sequence) -> List[List]:
-    """m <- m * diag(d)."""
-    mul = field.mul
-    for row in m:
-        row[:] = map(mul, row, d)
-    return m
 
 
 def _conjugate_diag(field, m: List[List], d: Sequence) -> List[List]:
@@ -625,10 +642,12 @@ class CellPoint:
 
 
 def _ell_rows(data: CrossSectionData, p: CellPoint) -> List[List]:
-    """ell = (Levi plus part) * diag * (Levi minus part), as rows."""
+    """ell = (Levi plus part) * diag * (Levi minus part), as rows: diag
+    with the plus word applied to its rows and the minus word to its
+    columns."""
     f = data.ctx.field
-    m = _mul_word(f, _identity_rows(f, data.ctx.n), zip(data.phi_pos, p.ell_plus))
-    return _mul_word(f, _scale_cols(f, m, p.ell_diag), zip(data.phi_neg, p.ell_minus))
+    m = _word_mul(f, list(zip(data.phi_pos, p.ell_plus)), _diag_rows(f, p.ell_diag))
+    return _mul_word(f, m, zip(data.phi_neg, p.ell_minus))
 
 
 def _section_rows(data: CrossSectionData, p: CellPoint) -> List[List]:
@@ -640,8 +659,9 @@ def _section_rows(data: CrossSectionData, p: CellPoint) -> List[List]:
 def xi(data: CrossSectionData, p: CellPoint) -> Matrix:
     """The conjugation map: (y, lift*ell*u) -> y (lift ell u) y^-1."""
     f = data.ctx.field
-    y_inv = _inverse_word(f, list(zip(data.rn, p.y_coords)))
-    return _freeze(_conjugate(f, _section_rows(data, p), y_inv))
+    y = list(zip(data.rn, p.y_coords))
+    m = _word_mul(f, y, _section_rows(data, p))
+    return _freeze(_mul_word(f, m, _inverse_word(f, y)))
 
 
 def _solve_initial_unipotent(
@@ -674,7 +694,8 @@ def _solve_initial_unipotent(
 
 def _factor_ul(data: CrossSectionData, w: List[List]):
     """w = A * D * B with A unipotent upper, D diagonal, B unipotent lower
-    supported on the Levi blocks; B comes as a word.  The support of A is
+    supported on the Levi blocks; B^-1 comes as the word of the column
+    operations that clear w below the diagonal.  The support of A is
     checked where its coordinates are read."""
     ctx = data.ctx
     f = ctx.field
@@ -696,7 +717,7 @@ def _factor_ul(data: CrossSectionData, w: List[List]):
     if not all(d):
         raise NotInCellError("singular diagonal in the Levi factorization")
     A = tuple(tuple(f.div(v, dj) if v else v for v, dj in zip(row, d)) for row in m)
-    return A, tuple(d), _inverse_word(f, ops)
+    return A, tuple(d), ops
 
 
 def sigma(data: CrossSectionData, g: Matrix) -> CellPoint:
@@ -722,7 +743,8 @@ def sigma(data: CrossSectionData, g: Matrix) -> CellPoint:
         z = _conjugate(f, z, udd_word)
     w = _unlift_rows(data, z)  # lift^-1 * z
     reading = data.final_order
-    A, d, b_word = _factor_ul(data, w)
+    A, d, b_inv = _factor_ul(data, w)
+    b_word = _inverse_word(f, b_inv)
     coords = _read_coordinates(ctx, reading, A)
     cut = len(data.level_one)
     aplus_coords = coords[cut:]

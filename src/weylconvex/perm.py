@@ -43,6 +43,26 @@ def compose(p: Perm, q: Perm) -> Perm:
     return itemgetter(*q)(p)
 
 
+def word_product(n: int, gens: Sequence[Perm], labels: Sequence[int]) -> Perm:
+    """gens[l_1] * gens[l_2] * ... * gens[l_k] on range(n), for labels
+    l_1 .. l_k that index gens.
+
+    On bytes the letters are taken right to left, each one translate of
+    the product so far through its generator's table, built once per
+    call: gens[l] * w is w translated through gens[l].
+    """
+    w = identity(n)
+    if isinstance(w, bytes):
+        tail = PAD[n:]
+        tables = [g + tail for g in gens]
+        for lab in reversed(labels):
+            w = w.translate(tables[lab])
+        return w
+    for lab in labels:
+        w = compose(w, gens[lab])
+    return w
+
+
 def left_products(x: Perm, vs: Iterable[Perm]) -> Iterator[Perm]:
     """x*v for each v in vs, lazily and in order."""
     if isinstance(x, bytes):

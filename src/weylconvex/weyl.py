@@ -193,11 +193,12 @@ def from_word(
     """Element with W-part s_{i1}...s_{iL} (0-based labels) times delta^k."""
     if delta is None:
         delta = identity_automorphism(rs)
-    w = perm.identity(rs.count)
-    for lab in word:
-        if not (0 <= lab < rs.rank):
+    labels = list(word)
+    rank = rs.rank
+    for lab in labels:
+        if not (0 <= lab < rank):
             raise InputError(f"simple-reflection index out of range: {lab}")
-        w = perm.compose(w, rs.simple_reflection_perm(lab))
+    w = perm.word_product(rs.count, rs.reflections, labels)
     return TwistedElement(rs, w, delta, twist_power)
 
 

@@ -300,17 +300,18 @@ def test_exhaustive_injectivity_f2_sl3():
 
 
 def test_sigma_inverts_xi_on_every_f2_point_of_a3_cells():
-    # The two A3 cells the benchmark's xi sweep covers, 1,024 and 512
-    # points.  Over F_2 half of all coordinates are zero, so every path
-    # that skips a zero entry is taken.
+    # The cells of all five convex representatives that `reps --type A3`
+    # prints: 4,096 + 4,096 + 1,024 + 4,096 + 512 points.  Over F_2 half
+    # of all coordinates are zero, so every path that skips a zero factor
+    # or entry is taken.
     ctx = ctx_of(4, 2)
     total = 0
-    for word in ((0, 1, 2, 1), (0, 2, 1)):
-        data = build_cross_section(ctx, from_word(ctx.rs, None, list(word)))
+    for rep in convex_reps(4):
+        data = build_cross_section(ctx, from_word(ctx.rs, None, list(rep.word())))
         for p in enumerate_cell_points(data):
             total += 1
             assert sigma(data, xi(data, p)) == p
-    assert total == 1536
+    assert total == 13824
 
 
 @pytest.mark.parametrize("n, p", [(3, 3), (3, 5), (4, 3)])

@@ -99,6 +99,20 @@ def test_compose_and_inverse(n):
         assert perm.compose(pp, inv) == perm.identity(n)
 
 
+def test_word_product(n):
+    # Letters multiply left to right; the empty word is the identity.
+    rng = random.Random(f"word-{n}")
+    gens = [random_tuple(rng, n) for _ in range(4)]
+    for length in (0, 1, 2, 7, 30):
+        labels = [rng.randrange(len(gens)) for _ in range(length)]
+        expected = tuple(range(n))
+        for lab in labels:
+            expected = ref_compose(expected, gens[lab])
+        got = perm.word_product(n, [perm.of(g) for g in gens], labels)
+        assert type(got) is expected_type(n)
+        assert tuple(got) == expected
+
+
 def random_involution(rng, n, points):
     """An involution of range(n) that moves only the given points."""
     images = list(range(n))

@@ -3,7 +3,7 @@ products: every structured result must equal the same product formed with
 `mmul`, `minv`, `u`, `diag` and the lift matrices of `reference_matrix`."""
 
 import random
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from fractions import Fraction
 
 import pytest
@@ -19,7 +19,6 @@ from weylconvex.matrixgroup import (
     _lift_word,
     _mul_word,
     _rows,
-    _scale_cols,
     _unlift_rows,
     _word_matrix,
     _word_mul,
@@ -123,19 +122,26 @@ def test_unipotent_inverse_matches_minv(case):
         assert inv == minv(ctx.field, _dense_word(ctx, order, coords))
 
 
+def _zero_some(f, coords, rng):
+    """coords with each one set to zero with probability 1/2, so that the
+    factors the structured products skip turn up over every field."""
+    return tuple(f.zero if rng.random() < 0.5 else t for t in coords)
+
+
 def test_row_and_column_operations_match_dense_products(case):
     ctx, rng = case
     f = ctx.field
     for _ in range(TRIALS):
         order, coords = _random_word(ctx, rng)
-        word = list(zip(order, coords))
-        U = _dense_word(ctx, order, coords)
         M = _matrix(ctx, rng)
-        assert _freeze(_mul_word(f, _rows(M), word)) == mmul(f, M, U)
-        assert _freeze(_word_mul(f, word, _rows(M))) == mmul(f, U, M)
-        assert _freeze(_conjugate(f, _rows(M), word)) == mmul(
-            f, mmul(f, minv(f, U), M), U
-        )
+        for cs in (coords, _zero_some(f, coords, rng)):
+            word = list(zip(order, cs))
+            U = _dense_word(ctx, order, cs)
+            assert _freeze(_mul_word(f, _rows(M), word)) == mmul(f, M, U)
+            assert _freeze(_word_mul(f, word, _rows(M))) == mmul(f, U, M)
+            assert _freeze(_conjugate(f, _rows(M), word)) == mmul(
+                f, mmul(f, minv(f, U), M), U
+            )
 
 
 def test_diagonal_products_match_dense_products(case):
@@ -145,7 +151,6 @@ def test_diagonal_products_match_dense_products(case):
         d = [f.random_unit(rng) for _ in range(ctx.n)]
         D = diag(ctx, d)
         M = _matrix(ctx, rng)
-        assert _freeze(_scale_cols(f, _rows(M), d)) == mmul(f, M, D)
         assert _freeze(_conjugate_diag(f, _rows(M), d)) == mmul(
             f, mmul(f, minv(f, D), M), D
         )
@@ -248,15 +253,25 @@ def _dense_xi(data, p):
 
 
 def test_xi_matches_dense_formula(case):
+    # Each point is also taken with some of its y, level-one, Levi plus and
+    # Levi minus coordinates set to zero; every part has zeros somewhere.
     ctx, rng = case
+    f = ctx.field
+    parts = ("y_coords", "u_coords", "ell_plus", "ell_minus")
+    zeros = dict.fromkeys(parts, 0)
     for _ in range(TRIALS):
         data = _random_section(ctx, rng)
         seed = rng.randrange(10**6)
         p = random_cell_point(data, random.Random(seed))
-        ell, z, g = _dense_xi(data, p)
-        assert ell_matrix(data, p) == ell
-        assert xi(data, p) == g
-        assert random_section_point(data, random.Random(seed)) == z
+        zeroed = replace(p, **{k: _zero_some(f, getattr(p, k), rng) for k in parts})
+        for k in parts:
+            zeros[k] += getattr(zeroed, k).count(f.zero)
+        for q in (p, zeroed):
+            ell, z, g = _dense_xi(data, q)
+            assert ell_matrix(data, q) == ell
+            assert xi(data, q) == g
+        assert random_section_point(data, random.Random(seed)) == _dense_xi(data, p)[1]
+    assert all(zeros.values()), zeros
 
 
 def _scalar_ok(f, v):

@@ -113,6 +113,17 @@ def test_from_word_a3_matches_composition():
     assert x.length() == 3
 
 
+@pytest.mark.parametrize(
+    "name, bad", [("A3", -1), ("A3", -3), ("A3", 3), ("A20", -1), ("A20", 20)]
+)
+def test_from_word_refuses_labels_out_of_range(name, bad):
+    # A3 takes the bytes path and A20 the tuple path; a negative label
+    # must not index from the end of the generators.
+    rs = rs_of(name)
+    with pytest.raises(InputError, match="out of range"):
+        from_word(rs, None, [0, bad, 1])
+
+
 def test_act_a2():
     rs = rs_of("A2")
     a1, a2 = rs.simple_indices
