@@ -2,7 +2,8 @@
 
 One command per process; every command that exits 0 or 1 emits a single
 JSON report on stdout.  Exit codes: 0 success / property true, 1 property
-false, 2 usage or budget error (JSON on stderr, nothing on stdout), 3
+false, 2 usage or budget error (JSON on stderr, nothing on stdout; or a
+stdout that its reader closed before the whole report was written), 3
 internal inconsistency (a verified theorem failed, or any other exception
 escaped; either always means a bug).
 
@@ -398,9 +399,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     try:
-        return _report(build_parser().parse_args(argv))
+        code = _report(build_parser().parse_args(argv))
+        # A closed stdout shows up here at the latest, not at exit.
+        sys.stdout.flush()
+        return code
     except SystemExit as exc:  # --help
         return 2 if exc.code not in (0, None) else 0
+    except BrokenPipeError:
+        # The reader closed stdout before the whole report was written (as
+        # `head` does): a usage error, not a fault of the engine.  Stdout
+        # goes to the null device, so the interpreter's flush at exit finds
+        # no closed pipe to report.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(json.dumps({"error": "stdout was closed before the report was written"}), file=sys.stderr)
+        return 2
     except (InputError, BudgetExceeded) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2

@@ -390,11 +390,13 @@ def regular_point(
     denominator changes no answer here, so none is passed.  Returns
     (point, perp_set), the point an integer combination of the basis
     arrays and perp_set = {gamma : span <= H_gamma}; None when the basis is
-    empty.  The point is found by random small-integer combinations with
-    exact rejection.  The loop stays, capped at REGULAR_POINT_RETRIES
-    draws: the draws pick the point and, through the dominance walk, the
-    representative `reps` reports, so they cannot give way to a fixed
-    point whose regularity a proof would guarantee.
+    empty.  The point is first sought by random small-integer combinations
+    with exact rejection, at most REGULAR_POINT_RETRIES draws: the draws
+    pick the point and, through the dominance walk, the representative
+    `reps` reports, so they cannot give way to a fixed point.  A grid of
+    small integers can miss every regular point, though, so when the draws
+    run out the point comes from `_moment_curve_point`, which always finds
+    one.
     """
     if not basis:
         return None
@@ -418,9 +420,28 @@ def regular_point(
         point = array_combination(coefs, basis)
         if all(any(array_dot(point, r)) for r in off):
             return point, perp
+    return _moment_curve_point(basis, off), perp
+
+
+def _moment_curve_point(basis: Sequence[Array], off: Sequence[Sequence[int]]) -> Array:
+    """The first point p(t) = sum_i t^i basis[i], t = 1, 2, ..., that pairs
+    to nonzero with every row of off.
+
+    A row that pairs to nonzero with some basis vector pairs with p(t) as a
+    nonzero polynomial in t of degree below d = len(basis), with
+    coefficients in the field K_L, so it vanishes at fewer than d values of
+    t.  Among |off| * (d - 1) + 1 values, one is therefore a root of none of
+    them; running past that bound means some row of off is orthogonal to
+    the whole basis.
+    """
+    bound = len(off) * (len(basis) - 1) + 1
+    for t in range(1, bound + 1):
+        point = array_combination([t**i for i in range(len(basis))], basis)
+        if all(any(array_dot(point, r)) for r in off):
+            return point
     raise InconsistencyError(
-        f"no regular point found in {REGULAR_POINT_RETRIES} random draws; the "
-        "failure set has measure zero, so this indicates a basis bug"
+        f"no regular point on the moment curve in {bound} values of t; a root "
+        "counted as moved is orthogonal to the eigenspace basis"
     )
 
 

@@ -20,18 +20,22 @@ representative and v in the previous subgroup.  Each class is then one
 orbit search under simple conjugation, set up once per coset, which
 neither undoes the step that reached a member nor follows a conjugation
 by s_j with one by a commuting s_k, k < j (`perm.sandwich_orbits`).  A
-`ConjugacyClass` holds the keys of its members sorted by (length, key),
-with its representative and minimal length; the representative is chosen
-on the expanded minimal-length members by one walk down their least left
-descents, and twisted elements are built only for it and for the members
-a caller visits through `elements` or `min_length_set`.  `class_of` runs
-the same orbit search from one element, with lengths from `perm.length`
-on the expanded members, so it enumerates neither W nor any other class.
+`ConjugacyClass` holds the keys of its members in search order with an
+array of their lengths, its representative and its minimal length; the
+representative is chosen on the expanded minimal-length members by one
+walk down their least left descents, and twisted elements are built only
+for it and for the members a caller visits through `elements` or
+`min_length_set`.  The (length, key) order of the members is built when a
+caller first reads `keys` or `elements`, and replaces the search order, so
+a class table that only reads sizes, minimal lengths and representatives
+sorts nothing.  `class_of` runs the same orbit search from one element,
+with lengths from `perm.length` on the expanded members, so it enumerates
+neither W nor any other class.
 """
 
 from __future__ import annotations
 
-import itertools
+from array import array
 from dataclasses import dataclass
 from math import lcm
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
@@ -435,20 +439,38 @@ class ConjugacyClass:
     """A W-conjugacy orbit inside the coset W * delta^k.
 
     The members are held as the keys w[:rank] of their W-parts (see
-    `enumerate_weyl_group`), sorted by (length, key), which is (length,
-    permutation) order; `elements` expands them and builds the twisted
-    elements on each access, in that order.
+    `enumerate_weyl_group`), with an array of their lengths in the same
+    order.  `keys` reads them sorted by (length, key), which is (length,
+    permutation) order, and `elements` expands them and builds the twisted
+    elements on each access, in that order.  The order is built when a
+    caller first reads `keys` and then replaces the search order the class
+    was made with, so the class holds one tuple of keys throughout; its
+    size, its minimal length and `min_length_set` never build it.
     """
 
     rs: RootSystem
     twist: DiagramAutomorphism
     twist_power: int
     representative: TwistedElement
-    keys: Tuple[Perm, ...]
     min_length: int
+    # The member keys and their lengths, in search order until `keys` is read.
+    _keys: Tuple[Perm, ...]
+    _lengths: array
+    _ordered: bool = False
 
     def __len__(self):
-        return len(self.keys)
+        return len(self._keys)
+
+    @property
+    def keys(self) -> Tuple[Perm, ...]:
+        """The member keys in (length, key) order, sorted on the first read."""
+        if not self._ordered:
+            # Keys are distinct, so no pair compares past its key.
+            pairs = sorted(zip(self._lengths, self._keys))
+            object.__setattr__(self, "_keys", tuple(key for _, key in pairs))
+            object.__setattr__(self, "_lengths", array("H", (length for length, _ in pairs)))
+            object.__setattr__(self, "_ordered", True)
+        return self._keys
 
     def _member(self, key: Perm) -> TwistedElement:
         return TwistedElement(self.rs, expand(self.rs, key), self.twist, self.twist_power)
@@ -459,9 +481,10 @@ class ConjugacyClass:
         return map(self._member, self.keys)
 
     def min_length_set(self) -> Tuple[TwistedElement, ...]:
-        return tuple(
-            itertools.takewhile(lambda y: y.length() == self.min_length, self.elements)
-        )
+        """The members of minimal length in permutation order, the head of
+        `elements`, read without ordering the rest."""
+        lead = (key for key, length in zip(self._keys, self._lengths) if length == self.min_length)
+        return tuple(map(self._member, sorted(lead)))
 
 
 def conjugacy_classes(
@@ -530,18 +553,18 @@ def _orbit_class(
             f"a conjugate in W({rs.cartan_type}) lies outside "
             "the enumeration or in another class"
         ) from None
-    # (length, key) order: by key, then stably by length.
-    members = sorted(orbit)
-    members.sort(key=orbit.__getitem__)
-    min_length = orbit[members[0]]
-    lead = itertools.takewhile(lambda w: orbit[w] == min_length, members)
+    # Search order: the class sorts its keys only when a caller reads them.
+    lengths = array("H", orbit.values())
+    min_length = min(lengths)
+    lead = [key for key, length in orbit.items() if length == min_length]
     return ConjugacyClass(
         rs=rs,
         twist=delta,
         twist_power=twist_power,
         representative=TwistedElement(rs, _least_word_member(rs, lead), delta, twist_power),
-        keys=tuple(members),
         min_length=min_length,
+        _keys=tuple(orbit),
+        _lengths=lengths,
     )
 
 
@@ -553,7 +576,7 @@ def _least_word_member(rs: RootSystem, keys: Iterable[Perm]) -> Perm:
     of these words starts with the least letter that is a left descent of
     some member; the members it keeps are those with that descent, and
     stepping each w to s w leaves the rest of their words.  One walk over
-    all members, until one is left.
+    all members, until one is left; the order of the keys does not matter.
     """
     pc = rs.positive_count
     # (w^-1, w): s is a left descent of w when w^-1(alpha_s) < 0, and

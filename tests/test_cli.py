@@ -715,3 +715,22 @@ def test_argv_fuzz_keeps_the_exit_contract(argv):
     else:
         assert out == ""
         assert "error" in json.loads(err), argv
+
+
+def test_closed_stdout_exits_2_without_a_traceback():
+    # The reader takes one line and closes the pipe, as `head -1` does.
+    # The D10 sweep's report (about 100 kB) overflows the pipe buffer, so
+    # the command is still writing when the pipe closes.
+    import weylconvex
+
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(weylconvex.__file__))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "weylconvex", "--no-cache", "conjecture", "--type", "D10"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 2, err
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert "closed" in json.loads(err)["error"]

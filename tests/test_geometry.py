@@ -213,17 +213,39 @@ def test_regular_point_empty_basis():
     assert regular_point([], rs) is None
 
 
-def test_regular_point_names_its_draw_cap(monkeypatch):
-    # Draws of all zeros never give a point; the error names the cap.
+def test_regular_point_falls_back_after_its_draw_cap(monkeypatch):
+    # Draws of all zeros never give a point.  After the capped draws the
+    # moment curve p(t) = B_0 + t B_1 gives one: with alpha_2 short, p(1) =
+    # alpha_1 + alpha_2 = e_1 is orthogonal to e_2, and p(2) = e_1 + e_2 to
+    # e_1 - e_2, but p(3) = e_1 + 2e_2 is regular.
     class Zeros(random.Random):
+        draws = 0
+
         def randint(self, a, b):
+            Zeros.draws += 1
             return 0
 
     monkeypatch.setattr(geometry, "REGULAR_POINT_RETRIES", 3)
     rs = rs_of("B2")
     ident = [((1, 0),), ((0, 1),)]
-    with pytest.raises(InconsistencyError, match=r"no regular point found in 3 random draws"):
-        regular_point(ident, rs, rng=Zeros())
+    point, psi = regular_point(ident, rs, rng=Zeros())
+    assert Zeros.draws == 3 * len(ident)
+    assert point == ((1, 3),)
+    assert psi == frozenset()
+
+
+def test_moment_curve_point_meets_its_bound():
+    # Planted: row i pairs with p(t) = B_0 + t B_1 + t^2 B_2 as
+    # (t - 2i - 1)(t - 2i - 2), so t = 1, ..., 6 each put p(t) on one
+    # hyperplane, and t = 7 = |off| (d - 1) + 1, the bound, is the first
+    # regular value.
+    basis = [((2, 12, 30),), ((-3, -7, -11),), ((1, 1, 1),)]
+    off = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert geometry._moment_curve_point(basis, off) == array_combination([1, 7, 49], basis)
+    # A row orthogonal to the whole basis vanishes at every t: the search
+    # gives up after the bound for four rows, 4 * 2 + 1 = 9 values.
+    with pytest.raises(InconsistencyError, match=r"in 9 values of t"):
+        geometry._moment_curve_point(basis, off + [(0, 0, 0)])
 
 
 def test_admissible_full_enumeration_always():

@@ -947,3 +947,63 @@ def test_planted_bad_orbits_raise_under_optimize():
         text=True,
     )
     assert proc.returncode == 3, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# The member order a class builds when a caller first reads it.
+
+CLASSTABLE_UNTWISTED = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4",
+                        "G2", "F4", "E6")
+CLASSTABLE_TWISTED = ("A2", "A3", "A4", "D4")
+
+
+def _classtable_cosets():
+    for name in CLASSTABLE_UNTWISTED:
+        yield name, None, 0
+    for name in CLASSTABLE_TWISTED:
+        for delta in diagram_automorphisms(rs_of(name))[1:]:
+            yield name, delta, 1
+
+
+@pytest.mark.parametrize(
+    "name, delta, k", list(_classtable_cosets()),
+    ids=lambda v: f"delta={v.label()}" if hasattr(v, "label") else str(v),
+)
+def test_member_order_matches_a_reference_sort(name, delta, k):
+    # keys, elements and min_length_set give the (length, key) order that
+    # the test sorts itself; min_length_set gives it before and after the
+    # order is built.
+    rs = rs_of(name)
+    pc = rs.positive_count
+    for cls in conjugacy_classes(rs, delta, k):
+        lead_before = cls.min_length_set()
+        keys = cls.keys
+        ref = sorted(keys, key=lambda key: (perm.length(expand(rs, key), pc), key))
+        assert list(keys) == ref
+        assert [y.root_perm for y in cls.elements] == [expand(rs, key) for key in ref]
+        lead = [expand(rs, key) for key in ref if perm.length(expand(rs, key), pc) == cls.min_length]
+        assert [y.root_perm for y in lead_before] == lead
+        assert [y.root_perm for y in cls.min_length_set()] == lead
+        assert all(y.twist_power == cls.twist_power for y in lead_before)
+
+
+@pytest.mark.parametrize(
+    "argv", [["--type", "F4"], ["--type", "D4", "--delta", "3,2,4,1", "--twist", "1"]],
+    ids=["F4", "D4-triality"],
+)
+def test_reps_leaves_member_order_unbuilt(monkeypatch, capsys, argv):
+    # A reps row reads a class's size, minimal length and representative,
+    # none of which needs the members in order.
+    from weylconvex import cli
+
+    tables = []
+
+    def recorded(*args, **kwargs):
+        tables.append(conjugacy_classes(*args, **kwargs))
+        return tables[-1]
+
+    monkeypatch.setattr(cli, "conjugacy_classes", recorded)
+    assert cli.main(["--no-cache", "reps"] + argv) == 0
+    capsys.readouterr()
+    (classes,) = tables
+    assert classes and not any(cls._ordered for cls in classes)
