@@ -9,13 +9,14 @@ escaped; either always means a bug).
 
 Each `cmd_*` validates its arguments and returns its canonical parameters
 with a function that computes (results, exit code); `_report` alone reads
-the clock, the cache and stdout.  Reports are cached under a content key
-of (schema version, engine version, a digest of the package's source
-files, command, canonical parameters); a cache hit returns the stored
-bytes unchanged, and any edit to the engine's code misses.  An entry that
-is not a report with an integer exit code is recomputed and overwritten.
-The report is printed before it is stored, and a cache that cannot be
-written is skipped, so it never costs the report.
+the cache and stdout.  A report holds only what follows from its command,
+so every run of one command prints the same bytes.  Reports are cached
+under a content key of (schema version, engine version, a digest of the
+package's source files, command, canonical parameters); a cache hit
+returns those bytes, and any edit to the engine's code misses.  An entry
+that is not a report with an integer exit code is recomputed and
+overwritten.  The report is printed before it is stored, and a cache that
+cannot be written is skipped, so it never costs the report.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import os
 import random
 import sys
 import tempfile
-import time
 import traceback
 from typing import Dict, List, Optional, Tuple
 
@@ -62,7 +62,7 @@ from .reports import (
 from .roots import CartanType, build_root_system, diagram_automorphisms
 from .weyl import DEFAULT_ENUMERATION_BUDGET, conjugacy_classes, fixed_roots, from_word
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 LARGE_BUDGET = 10_000_000
 
 
@@ -144,7 +144,6 @@ def _cache_store(path: str, payload: bytes) -> None:
 
 def _report(args) -> int:
     """Run one command: answer from the cache or compute, print, then store."""
-    started = time.time()
     params, compute = args.func(args)
     # Caching is opt-in: --cache-dir, else WEYLCONVEX_CACHE_DIR.
     cache_dir = None if args.no_cache else args.cache_dir or os.environ.get("WEYLCONVEX_CACHE_DIR")
@@ -162,7 +161,6 @@ def _report(args) -> int:
         "params": params,
         "results": results,
         "exit_code": code,
-        "wall_time_s": round(time.time() - started, 6),
     }
     # The bytes of json.dumps(report, sort_keys=True, indent=2), written a
     # chunk at a time: json.dumps would hold every chunk of a large report
@@ -221,7 +219,6 @@ def cmd_reps(args):
                     "min_length": cls.min_length,
                     "representative": word_str(y.word()),
                     "representative_length": y.length(),
-                    "method": res.method,
                     "convex": res.report.convex,
                     "phi_equals_fixed": res.report.phi_x == fixed_roots(y),
                 }

@@ -56,7 +56,8 @@ class RepresentativeResult:
     representative: TwistedElement
     stage_log: Tuple[StageRecord, ...]
     report: ConvexityReport
-    # Always "geometric"; each `reps` row still prints it.
+    # Always "geometric"; no report prints it, and only the benchmark's
+    # trace reads it (ROADMAP item 3 drops it).
     method: str = "geometric"
 
 

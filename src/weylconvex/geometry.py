@@ -484,7 +484,8 @@ class GoodPositionCertificate:
     stage_points[i] is a regular point p_i of V_x^{theta_i} dominant for
     the stage-i parabolic Phi_i.  parabolic_chain runs Phi_0 through Phi_r
     as root-index sets.  Every verdict is decided exactly, so `exact` is
-    always True; the reports keep the flag.
+    always True; no report prints it, and only the benchmark's trace reads
+    it (ROADMAP item 3 drops it).
 
     The stage points also give the cumulative points of the partial sums
     V^{theta_0} + ... + V^{theta_i}: for every small enough eps > 0,
@@ -546,7 +547,6 @@ def _good_position(
     """
     rs = x.rs
     sequence = tuple(Fraction(a) for a in sequence)
-    rng = random.Random(11)
 
     field = field_for(sequence)
     cur_labels = tuple(range(rs.rank))
@@ -561,7 +561,7 @@ def _good_position(
         off_pos = [g for g in pos if g not in psi]
         perp_pos = [g for g in pos if g in psi]
         den, basis = exact_angle_basis(x, angle, field=field)
-        point = _stage_point(rs, den, basis, cur_labels, off_pos, perp_pos, field, rng)
+        point = _stage_point(rs, den, basis, cur_labels, off_pos, perp_pos, field)
         if point is None:
             return None
         stage_points.append(tuple(point))
@@ -585,7 +585,7 @@ def _good_position(
     )
 
 
-def _stage_point(rs, den, basis, cur_labels, off_pos, perp_pos, field: CosField, rng):
+def _stage_point(rs, den, basis, cur_labels, off_pos, perp_pos, field: CosField):
     """A dominant regular point of span(basis) in the current chamber.
 
     The basis is the pair (den, basis) of `exact_angle_basis`: integer
@@ -612,7 +612,8 @@ def _stage_point(rs, den, basis, cur_labels, off_pos, perp_pos, field: CosField,
     point of ri K vanishes on all of K.  So a point of K with R > 0 exists
     exactly when R(p) > 0, and p is then one point for every target at
     once: the stage has a point iff no target pairs to zero with p.  A
-    strict Fourier-Motzkin query per target would return p itself or None.
+    strict Fourier-Motzkin query per target would return p itself or None,
+    and p itself, P / (q * den), is the stage point the certificate holds.
     """
     if not basis:
         return None
@@ -634,12 +635,7 @@ def _stage_point(rs, den, basis, cur_labels, off_pos, perp_pos, field: CosField,
         raise InconsistencyError("the chamber point of a stage left the cone")
     if not all(any(array_dot(P, int_rows[g])) for g in off_pos):
         return None
-    # The draws only scale the point: one weight per target, and the point
-    # times their sum.  They keep the printed stage points, and so the
-    # reports, byte-identical across engine versions until the next report
-    # schema change (ROADMAP item 1) drops them.
-    scale = sum(rng.randint(1, 9) for _ in off_pos)
-    return field.vector(tuple(tuple(scale * v for v in p) for p in P), q * den)
+    return field.vector(P, q * den)
 
 
 def good_position_length(cert: GoodPositionCertificate) -> int:

@@ -121,7 +121,6 @@ def certificate_dict(cert: GoodPositionCertificate) -> Dict:
         "sequence": [angle_str(a) for a in cert.sequence],
         "h_values": list(cert.h_values),
         "parabolic_sizes": [len(s) for s in cert.parabolic_chain],
-        "exact": cert.exact,
         "stage_points": [[str(v) for v in p] for p in cert.stage_points],
     }
 

@@ -182,14 +182,13 @@ def feasible_homogeneous(constraints, nvars: int, zero, one) -> Optional[List]:
     return sub + [value]
 
 
-def reference_stage_point(rs, den, basis, cur_labels, off_pos, perp_pos, field, rng):
+def reference_stage_point(rs, den, basis, cur_labels, off_pos, perp_pos, field):
     """`geometry._stage_point` with one cone query per target root.
 
     Same arguments and result.  Each target gets its own generic
     Fourier-Motzkin witness on K_L scalars, for its row > 0 and the
-    chamber rows >= 0; the point is the combination of the witnesses with
-    weights drawn from `rng`, one per target.  None when some query is
-    infeasible.
+    chamber rows >= 0; the point is the mean of the witnesses.  None when
+    some query is infeasible.
     """
     if not basis:
         return None
@@ -210,8 +209,7 @@ def reference_stage_point(rs, den, basis, cur_labels, off_pos, perp_pos, field, 
         if w is None:
             return None
         witnesses.append(w)
-    lam = [rng.randint(1, 9) for _ in witnesses]
-    coefs = [_sdot(lam, column, field.zero) for column in zip(*witnesses)]
+    coefs = [sum(column, field.zero) / len(witnesses) for column in zip(*witnesses)]
     return [_sdot(coefs, column, field.zero) for column in zip(*vectors)]
 
 

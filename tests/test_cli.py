@@ -66,9 +66,7 @@ def test_convex_check_strict_adds_only_the_audit(capsys):
     flags = strict_report["results"].pop("audit_flags")
     assert len(flags) == 150
     assert all(set(f) == {"alpha", "beta", "n_alpha", "n_beta", "n_sum"} for f in flags)
-    # Without the two fields, and with the plain run's wall time, the
-    # strict report is the plain one byte for byte.
-    strict_report["wall_time_s"] = plain_report["wall_time_s"]
+    # Without the two fields the strict report is the plain one byte for byte.
     assert json.dumps(strict_report, sort_keys=True, indent=2) + "\n" == plain
 
 
@@ -315,6 +313,17 @@ def test_cache_byte_identical(tmp_path, capsys):
     assert out1 == out2  # cache hit returns the stored bytes
 
 
+def test_cache_hit_matches_an_uncached_run(tmp_path, capsys):
+    # A report depends only on its command, so the bytes a cache hit
+    # replays are the bytes a run without the cache prints.
+    argv = ["convex-check", "--type", "A4", "--word", "1,2,3,4,1,2"]
+    for _ in range(2):  # a miss that stores the entry, then a hit
+        assert main(["--cache-dir", str(tmp_path)] + argv) == 1
+        cached = capsys.readouterr().out
+    assert main(["--no-cache"] + argv) == 1
+    assert capsys.readouterr().out == cached
+
+
 @pytest.mark.parametrize(
     "damage",
     [lambda b: b[:40], lambda b: b"[]\n", lambda b: b.replace(b'"exit_code": 1', b'"exit_code": "1"')],
@@ -322,17 +331,17 @@ def test_cache_byte_identical(tmp_path, capsys):
 )
 def test_unreadable_cache_entry_is_recomputed(tmp_path, capsys, damage):
     argv = ["--cache-dir", str(tmp_path), "convex-check", "--type", "A2", "--word", "1"]
-    code, first = run_cli(capsys, *argv)
+    code = main(argv)
+    first = capsys.readouterr().out
     (entry,) = tmp_path.glob("*.json")
     entry.write_bytes(damage(entry.read_bytes()))
-    code2, second = run_cli(capsys, *argv)
+    code2 = main(argv)
+    second = capsys.readouterr()
     # s_1 in A2 is not convex: the verdict is exit 1.
-    assert code2 == code == first["exit_code"] == 1
-    first.pop("wall_time_s")
-    second.pop("wall_time_s")
-    assert second == first
-    assert json.loads(entry.read_bytes())["exit_code"] == 1
-    assert capsys.readouterr().err == ""
+    assert code2 == code == json.loads(first)["exit_code"] == 1
+    assert second.out == first
+    assert entry.read_text() == first
+    assert second.err == ""
 
 
 def test_report_is_printed_before_it_is_stored(tmp_path, capsysbinary, monkeypatch):
@@ -401,13 +410,11 @@ def test_seeded_determinism(capsys):
         "--field", "101", "--trials", "10", "--seed", "7",
     ]
     code1 = main(list(argv))
-    r1 = json.loads(capsys.readouterr().out)
+    out1 = capsys.readouterr().out
     code2 = main(list(argv))
-    r2 = json.loads(capsys.readouterr().out)
-    r1.pop("wall_time_s")
-    r2.pop("wall_time_s")
+    out2 = capsys.readouterr().out
     assert code1 == code2 == 0
-    assert r1 == r2
+    assert out1 == out2
 
 
 def test_twisted_convex_check(capsys):

@@ -1,7 +1,7 @@
+import json
 import os
 import pathlib
 import random
-import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -401,8 +401,7 @@ def _golden_inputs():
     """(element, sequence) of every good-position golden."""
     out = []
     for path in sorted(GOLDEN_DIR.glob("good_position_*.txt")):
-        # The goldens omit the wall_time_s line, so read the params by line.
-        params = dict(re.findall(r'^    "(sequence|type|word)": "(.*)"', path.read_text(), re.M))
+        params = json.loads(path.read_text())["params"]
         x = from_word(rs_of(params["type"]), None, parse_word(params["word"]))
         out.append((x, parse_sequence(params["sequence"])))
     return out

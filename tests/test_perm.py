@@ -4,6 +4,7 @@ Sizes up to 256 run the bytes path; 272 runs the tuple path used by root
 systems with more than 256 roots.
 """
 
+import json
 import os
 import random
 from math import gcd
@@ -11,7 +12,7 @@ from math import gcd
 import pytest
 
 from weylconvex import perm
-from weylconvex.cli import main
+from weylconvex.cli import SCHEMA_VERSION, main
 
 SIZES = [1, 72, 240, 256, 272]
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -324,9 +325,17 @@ def _good_position(cartan, word, sequence):
 def test_large_type_report_matches_golden(capsys, argv, expected_code, golden):
     code = main(["--no-cache"] + argv)
     out = capsys.readouterr().out
-    body = "".join(
-        line + "\n" for line in out.splitlines() if '"wall_time_s"' not in line
-    )
     with open(os.path.join(GOLDEN, golden)) as fh:
-        assert body == fh.read()
+        assert out == fh.read()
     assert code == expected_code
+
+
+def test_every_golden_is_a_whole_report():
+    # A golden is the whole stdout of its command, so it parses as one
+    # report of the current schema.
+    names = sorted(name for name in os.listdir(GOLDEN) if name.endswith(".txt"))
+    assert len(names) == 18
+    for name in names:
+        with open(os.path.join(GOLDEN, name)) as fh:
+            report = json.load(fh)
+        assert report["schema_version"] == SCHEMA_VERSION, name
