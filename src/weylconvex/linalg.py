@@ -1,62 +1,30 @@
 """Exact dense linear algebra over any field.
 
-Matrices are lists (or tuples) of rows.  The eliminations take a field
-object that does all scalar arithmetic: it has `zero`, `one`, `add`, `sub`,
+Matrices are lists (or tuples) of rows.  `solve` takes a field object
+that does all scalar arithmetic: it has `zero`, `one`, `add`, `sub`,
 `mul`, `neg` and `div`, and its scalars compare with `==` and are false
 exactly when zero.  The engine passes only the matrix-group fields:
 F_p on plain ints mod p and Q on ints when integral, Fractions only when
 not.  No engine caller passes K_L; `geometry` finds its kernels on
-integers over Z[c_L].  Sizes here are tiny, so plain Gaussian elimination
-is used, except that `rank` takes a matrix of ints and Fractions and
-eliminates on integers (Bareiss), and `rank_mod_p` eliminates an integer
-matrix mod a prime.  The rank mod p is a lower bound for the rank over Q,
-so full rank mod p certifies full rank exactly; `rank` is the exact
-answer when it does not.  Integer polynomials, constant term first, are
-multiplied and divided here, and the cyclotomic polynomials are built and
-cached.
+integers over Z[c_L].  Sizes here are tiny, so `solve` is plain Gaussian
+elimination: it clears below each pivot only and reads the solution by
+back substitution.  The reduced echelon form, which clears above the
+pivots too, is the tests' reference (`tests/reference_matrix.py`).
+`rank` takes a matrix of ints and Fractions and eliminates on integers
+(Bareiss), and `rank_mod_p` eliminates an integer matrix mod a prime.
+The rank mod p is a lower bound for the rank over Q, so full rank mod p
+certifies full rank exactly; `rank` is the exact answer when it does
+not.  Integer polynomials, constant term first, are multiplied and
+divided here, and the cyclotomic polynomials are built and cached.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .errors import InconsistencyError
-
-
-def rref(A, field) -> Tuple[List[List], List[int]]:
-    """Reduced row echelon form plus the pivot column list.
-
-    Where the pivot row holds a zero, scaling it and clearing the other
-    rows with it take no product.
-    """
-    zero, sub, mul = field.zero, field.sub, field.mul
-    M = [list(row) for row in A]
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    pivots: List[int] = []
-    r = 0
-    for c in range(cols):
-        piv = None
-        for rr in range(r, rows):
-            if M[rr][c] != zero:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = field.div(field.one, M[r][c])
-        top = M[r] = [mul(x, inv) if x else x for x in M[r]]
-        for rr in range(rows):
-            if rr != r and M[rr][c] != zero:
-                f = M[rr][c]
-                M[rr] = [sub(a, mul(f, b)) if b else a for a, b in zip(M[rr], top)]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return M, pivots
 
 
 def rank(A) -> int:
@@ -137,22 +105,45 @@ def rank_mod_p(A, p: int) -> int:
 def solve(A, b, field) -> Optional[List]:
     """One particular solution of Av = b, or None if inconsistent.
 
-    Free variables are set to zero, which keeps results deterministic.
+    Forward elimination takes the first row with a nonzero entry as each
+    column's pivot and clears only below it, leaving the pivot rows
+    unscaled; back substitution then reads the pivot variables, dividing
+    by each pivot once, with every free variable 0.  That is the solution
+    the reduced echelon form gives, so results stay deterministic.
     """
     if not A:
         return []
-    zero = field.zero
+    sub, mul, div = field.sub, field.mul, field.div
     cols = len(A[0])
-    aug = [list(row) + [bb] for row, bb in zip(A, b)]
-    R, pivots = rref(aug, field)
-    for r in range(len(R)):
-        if all(R[r][c] == zero for c in range(cols)) and R[r][cols] != zero:
+    M = [list(row) + [bb] for row, bb in zip(A, b)]
+    rows = len(M)
+    pivots: List[int] = []
+    for c in range(cols + 1):
+        r = len(pivots)
+        piv = next((i for i in range(r, rows) if M[i][c]), None)
+        if piv is None:
+            continue
+        if c == cols:
             return None
-    v = [zero] * cols
-    for r, pc in enumerate(pivots):
-        if pc == cols:
-            return None
-        v[pc] = R[r][cols]
+        M[r], M[piv] = M[piv], M[r]
+        top = M[r]
+        for i in range(r + 1, rows):
+            f = M[i][c]
+            if f:
+                f = div(f, top[c])
+                M[i] = [sub(a, mul(f, t)) if t else a for a, t in zip(M[i], top)]
+        pivots.append(c)
+        if r + 1 == rows:
+            break
+    v = [field.zero] * cols
+    for r in range(len(pivots) - 1, -1, -1):
+        row = M[r]
+        acc = row[cols]
+        for j in pivots[r + 1:]:
+            if row[j] and v[j]:
+                acc = sub(acc, mul(row[j], v[j]))
+        c = pivots[r]
+        v[c] = div(acc, row[c]) if acc else acc
     return v
 
 

@@ -147,15 +147,18 @@ class RationalField:
 
     @staticmethod
     def add(a: QScalar, b: QScalar) -> QScalar:
-        return _canonical(a + b)
+        v = a + b
+        return v if type(v) is int or v.denominator != 1 else v.numerator
 
     @staticmethod
     def sub(a: QScalar, b: QScalar) -> QScalar:
-        return _canonical(a - b)
+        v = a - b
+        return v if type(v) is int or v.denominator != 1 else v.numerator
 
     @staticmethod
     def mul(a: QScalar, b: QScalar) -> QScalar:
-        return _canonical(a * b)
+        v = a * b
+        return v if type(v) is int or v.denominator != 1 else v.numerator
 
     @staticmethod
     def div(a: QScalar, b: QScalar) -> QScalar:
@@ -843,8 +846,12 @@ def enumerate_cell_points(data: CrossSectionData) -> Iterator[CellPoint]:
 # Tangent-space transversality.
 
 
-# The fixed prime of the rank certificate in `transversality_check`.
-RANK_PRIME = 2 ** 61 - 1
+# The fixed prime of the rank certificate in `transversality_check`: the
+# largest below 2^15, so a product of two residues fits one 30-bit digit
+# of a Python int and the entries `rank_mod_p` leaves unreduced fit a
+# machine word.  A smaller prime makes a false shortfall likelier; each
+# costs one exact Bareiss rank of the n^2-row span, never a verdict.
+RANK_PRIME = 32749
 
 
 def _span_columns(data: CrossSectionData, g: Matrix) -> List[List]:

@@ -24,10 +24,11 @@ from math import gcd, lcm
 
 from weylconvex.errors import InconsistencyError, InputError
 from weylconvex.geometry import _perp_orders, _primitive, _rotation_denominator
-from weylconvex.linalg import cyclotomic, poly_divmod, rref
+from weylconvex.linalg import cyclotomic, poly_divmod
 from weylconvex.quadfield import CosNum, array_add, field_for, two_cos_in
 from weylconvex.weyl import rotation_spectrum
 
+from reference_matrix import rref
 from reference_weyl import matrix
 
 

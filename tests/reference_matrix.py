@@ -1,7 +1,9 @@
-"""Dense matrix reference the cross-section tests compare the engine against.
+"""Dense matrix references the tests compare the engine against.
 
 None of it runs in the engine: a field that computes through the
-scalars' own operators, dense products, the Gauss-Jordan inverse,
+scalars' own operators, the reduced row echelon form (the reference for
+`linalg.solve`, and the generic elimination the rank and geometry tests
+check against), dense products, the Gauss-Jordan inverse,
 root-subgroup and diagonal matrices formed entry by entry, the Levi factor
 and the identity point of a cell, the 0/1 permutation-matrix lift of an
 untwisted element, the tangent-span rank taken with g^-1 (the reference
@@ -13,7 +15,7 @@ with one image under xi over a finite field.
 """
 
 import operator
-from typing import Dict
+from typing import Dict, List, Tuple
 
 from weylconvex.errors import InputError, NotInCellError
 from weylconvex.linalg import rank
@@ -52,6 +54,40 @@ class OperatorField:
 
     def div(self, a, b):
         return self.one * a / b
+
+
+def rref(A, field) -> Tuple[List[List], List[int]]:
+    """Reduced row echelon form plus the pivot column list.
+
+    Where the pivot row holds a zero, scaling it and clearing the other
+    rows with it take no product.
+    """
+    zero, sub, mul = field.zero, field.sub, field.mul
+    M = [list(row) for row in A]
+    rows = len(M)
+    cols = len(M[0]) if rows else 0
+    pivots: List[int] = []
+    r = 0
+    for c in range(cols):
+        piv = None
+        for rr in range(r, rows):
+            if M[rr][c] != zero:
+                piv = rr
+                break
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        inv = field.div(field.one, M[r][c])
+        top = M[r] = [mul(x, inv) if x else x for x in M[r]]
+        for rr in range(rows):
+            if rr != r and M[rr][c] != zero:
+                f = M[rr][c]
+                M[rr] = [sub(a, mul(f, b)) if b else a for a, b in zip(M[rr], top)]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return M, pivots
 
 
 def mat_inv(A, field):

@@ -23,7 +23,6 @@ from weylconvex.geometry import (
     is_good_position,
     regular_point,
 )
-from weylconvex.linalg import rref
 from weylconvex.quadfield import (
     array_combination,
     array_dot,
@@ -51,7 +50,7 @@ from reference_geometry import (
     separation_witness,
     sign_of,
 )
-from reference_matrix import OperatorField
+from reference_matrix import OperatorField, rref
 from reference_weyl import ambient, identity_element, matrix
 
 RS = {}

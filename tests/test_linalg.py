@@ -8,13 +8,13 @@ import pytest
 
 import weylconvex
 from weylconvex.errors import InconsistencyError
-from weylconvex.linalg import rank, rank_mod_p, rref
-from weylconvex.matrixgroup import RANK_PRIME, PrimeField
+from weylconvex.linalg import rank, rank_mod_p, solve
+from weylconvex.matrixgroup import RANK_PRIME, PrimeField, RationalField
 from weylconvex.roots import CartanType, build_root_system
 from weylconvex.weyl import from_word
 
 from reference_geometry import charpoly_int, cyclotomic_multiplicities
-from reference_matrix import OperatorField
+from reference_matrix import OperatorField, rref
 from reference_weyl import matrix
 
 
@@ -168,7 +168,7 @@ def test_rank_of_small_shapes(A, expected):
     assert rank(A) == expected == rank_reference(A)
 
 
-@pytest.mark.parametrize("p", [2, 3, 101, RANK_PRIME])
+@pytest.mark.parametrize("p", [2, 3, 101, RANK_PRIME, 2 ** 61 - 1])
 def test_rank_mod_p_matches_rref_over_f_p(p):
     # Dense and sparse integer matrices, with zero, repeated and scaled
     # rows, and entries outside range(p), against rref over F_p.
@@ -181,3 +181,99 @@ def test_rank_mod_p_matches_rref_over_f_p(p):
         rng.shuffle(A)
         want = len(rref([[v % p for v in row] for row in A], field)[1])
         assert rank_mod_p(A, p) == want <= rank(A), (p, A)
+
+
+SOLVE_FIELDS = {
+    "F2": PrimeField(2),
+    "F101": PrimeField(101),
+    "F(2^61-1)": PrimeField(2 ** 61 - 1),
+    "Q": RationalField(),
+}
+
+
+def _scalar(rng, field):
+    if isinstance(field, RationalField):
+        return field.div(rng.randint(-9, 9), rng.randint(1, 4))
+    return field.random(rng)
+
+
+def _times(field, A, v):
+    out = []
+    for row in A:
+        acc = field.zero
+        for a, x in zip(row, v):
+            acc = field.add(acc, field.mul(a, x))
+        out.append(acc)
+    return out
+
+
+def solve_reference(A, b, field):
+    """Av = b solved off the reduced echelon form of [A | b]: None when the
+    b column holds a pivot, else each pivot row's last entry, and the free
+    variables 0.  Returns the pivot columns too."""
+    cols = len(A[0])
+    R, pivots = rref([list(row) + [v] for row, v in zip(A, b)], field)
+    if pivots and pivots[-1] == cols:
+        return None, pivots
+    v = [field.zero] * cols
+    for r, c in enumerate(pivots):
+        v[c] = R[r][cols]
+    return v, pivots
+
+
+@pytest.mark.parametrize("name", SOLVE_FIELDS)
+@pytest.mark.parametrize("shape", ["square", "over", "under"])
+def test_solve_matches_rref_reference(name, shape):
+    # A starts as B C, of rank at most k, and then loses a planted zero row
+    # and column and about a fifth of its other entries.  Half of the right
+    # sides are A x, so consistent; the other half are random, and a
+    # planted zero row with a nonzero right side is inconsistent.
+    field = SOLVE_FIELDS[name]
+    rng = random.Random(f"solve-{shape}-{name}")
+    verdicts = set()
+    for trial in range(60):
+        n = rng.randint(1, 6)
+        extra = rng.randint(1, 4)
+        rows, cols = {"square": (n, n), "over": (n + extra, n), "under": (n, n + extra)}[shape]
+        k = rng.randint(0, min(rows, cols))
+        B = [[_scalar(rng, field) for _ in range(k)] for _ in range(rows)]
+        C = [[_scalar(rng, field) for _ in range(cols)] for _ in range(k)]
+        A = [_times(field, list(zip(*C)), row) if k else [field.zero] * cols for row in B]
+        zero_row = rng.randrange(rows) if rng.random() < 0.5 else None
+        zero_col = rng.randrange(cols) if rng.random() < 0.5 else None
+        for i, row in enumerate(A):
+            for j in range(cols):
+                if i == zero_row or j == zero_col or rng.random() < 0.2:
+                    row[j] = field.zero
+        if trial % 2:
+            b = _times(field, A, [_scalar(rng, field) for _ in range(cols)])
+        else:
+            b = [_scalar(rng, field) for _ in range(rows)]
+            if zero_row is not None and trial % 4 == 0:
+                b[zero_row] = field.one
+        got = solve(A, b, field)
+        want, pivots = solve_reference(A, b, field)
+        assert got == want, (A, b)
+        if got is not None:
+            assert _times(field, A, got) == b
+            assert not any(got[c] for c in range(cols) if c not in pivots)
+        verdicts.add(got is None)
+    assert verdicts == {False, True}
+
+
+@pytest.mark.parametrize(
+    "A, b, expected",
+    [
+        ([], [], []),
+        ([[]], [0], []),
+        ([[]], [1], None),
+        ([[0, 0]], [0], [0, 0]),
+        ([[0, 0]], [1], None),
+        ([[0, 2], [0, 4]], [1, 2], [0, Fraction(1, 2)]),
+        ([[0, 2], [0, 4]], [1, 3], None),
+    ],
+    ids=["empty", "no-columns", "no-columns-inconsistent", "zero-row", "zero-row-inconsistent",
+         "free-first", "dependent-rows-inconsistent"],
+)
+def test_solve_small_shapes(A, b, expected):
+    assert solve(A, b, RationalField()) == expected

@@ -433,6 +433,7 @@ def test_adjoint_span_rank_matches_inverse_reference(n):
 
 def test_rank_prime_is_prime():
     assert is_prime(RANK_PRIME)
+    assert not any(map(is_prime, range(RANK_PRIME + 1, 2 ** 15)))
 
 
 @pytest.fixture(scope="module")
@@ -458,7 +459,7 @@ def transversality_battery():
     return cases, verdicts
 
 
-@pytest.mark.parametrize("p", [RANK_PRIME, 2], ids=["2^61-1", "2"])
+@pytest.mark.parametrize("p", [RANK_PRIME, 2], ids=["rank-prime", "2"])
 def test_transversality_certificate_matches_bareiss(transversality_battery, monkeypatch, p):
     # With a small prime the rank mod p often falls short at full-rank
     # points, and p divides some denominators, so the exact rank decides.
@@ -477,6 +478,28 @@ def test_transversality_certificate_matches_bareiss(transversality_battery, monk
             type(v) is Fraction and v.denominator % p == 0
             for g in fallbacks for row in g for v in row
         )
+
+
+def test_rank_prime_certifies_section_points_without_the_exact_rank(monkeypatch):
+    # A shortfall mod RANK_PRIME at a full-rank point costs an exact rank.
+    # At the A3 representatives' seeded section points and at the n = 16
+    # Coxeter element's, the certificate alone decides.
+    fallbacks = []
+    exact = matrixgroup.adjoint_span_rank
+    monkeypatch.setattr(
+        matrixgroup, "adjoint_span_rank", lambda data, g: fallbacks.append(g) or exact(data, g)
+    )
+    rng = random.Random(32749)
+    cases = []
+    ctx = ctx_of(4)
+    for rep in convex_reps(4):
+        data = build_cross_section(ctx, from_word(ctx.rs, None, list(rep.word())))
+        cases += [(data, random_section_point(data, rng)) for _ in range(40)]
+    ctx = ctx_of(16)
+    data = build_cross_section(ctx, from_word(ctx.rs, None, list(range(15))))
+    cases += [(data, random_section_point(data, rng)) for _ in range(20)]
+    assert all(transversality_check(data, g) for data, g in cases)
+    assert fallbacks == []
 
 
 @pytest.mark.parametrize("scale", [RANK_PRIME, Fraction(1, RANK_PRIME)], ids=["times-p", "over-p"])
