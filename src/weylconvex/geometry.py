@@ -84,7 +84,11 @@ def _angles(mults: Dict[int, int]) -> List[Tuple[Fraction, int]]:
 
 
 def _rotation_denominator(angle: Fraction) -> int:
-    return Fraction(angle, 2).denominator
+    """The order d of a rotation by theta = pi * p/q, p/q in lowest terms:
+    theta / (2 pi) = p / (2q) reduces to (p/2) / q for p even, and is
+    already in lowest terms for p odd."""
+    q = angle.denominator
+    return q if angle.numerator % 2 == 0 else 2 * q
 
 
 def _perp_orders(

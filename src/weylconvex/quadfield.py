@@ -10,12 +10,19 @@ positive denominator, reduced by the monic integer minimal polynomial of
 c.  That polynomial comes from the cyclotomic polynomial Phi_L through
 t + 1/t (Watkins and Zeitlin, Amer. Math. Monthly 1993).  Reduced
 coefficients are unique, so zero tests are exact.  Signs are exact too:
-degree 1 reads the numerator, and every higher degree evaluates by
-interval Horner on a rational interval around c, bisected until the sign
-is decided.  The interval is certified once per field: the minimal
-polynomial alternates in sign across separation points between its real
-roots, so each gap holds exactly one root.  Floats only place those
-separation points.
+degree 1 reads the numerator; degree 2 writes a0 + a1 c as
+(u + v sqrt D) / 2 and compares u^2 with v^2 D in integers; every higher
+degree evaluates by interval Horner on a rational interval around c,
+bisected until the sign is decided.  The interval is certified once per
+field: the minimal polynomial alternates in sign across separation points
+between its real roots, so each gap holds exactly one root.  Floats only
+place those separation points.
+
+The quadratic fields K_5, K_8, K_10 and K_12, which hold 2cos of every
+rotation order of degree 2, take closed forms in `mul`, `mul_matrix`,
+`norm_adj`, `sign`, `scale` and `dot`, as Q does: with c^2 = -p1 c - p0,
+a product is four integer terms and the norm adjoint of a0 + a1 c is its
+conjugate a0 - p1 a1 - a1 c.
 
 Eigenspace bases and the cone tests run on integer vectors over Z[c].
 Such a vector (an "array") is stored coefficient-major, as `degree` int
@@ -86,19 +93,22 @@ class CosField:
         self._powers = tuple(powers)
         self.zero = self.number(0)
         self.one = self.number(1)
-        # The automorphisms c -> 2cos(2pi j/L) for j prime to L, 1 < j <= L/2,
-        # as matrices whose column i is the image of c^i.
-        self._galois = []
-        for j in range(2, L // 2 + 1):
-            if gcd(j, L) == 1:
-                image, cols = self.two_cos(j), [powers[0]]
-                for _ in range(n - 1):
-                    cols.append(self.mul(cols[-1], image))
-                self._galois.append(tuple(zip(*cols)))
-        if n == 2:  # c = (-m1 + sqrt(disc)) / 2, the larger root
-            disc = self.poly[1] ** 2 - 4 * self.poly[0]  # = root^2 sqfree
+        if n == 2:  # c = (-p1 + root sqrt(sqfree)) / 2, the larger root
+            self._p0, self._p1 = self.poly[0], self.poly[1]
+            disc = self._p1 ** 2 - 4 * self._p0  # = root^2 sqfree
             self._root = max(f for f in range(1, isqrt(disc) + 1) if disc % (f * f) == 0)
             self._sqfree = disc // self._root ** 2
+        # The automorphisms c -> 2cos(2pi j/L) for j prime to L, 1 < j <= L/2,
+        # as matrices whose column i is the image of c^i (degree 3 and up:
+        # `norm_adj` conjugates a quadratic element in closed form).
+        self._galois = []
+        if n > 2:
+            for j in range(2, L // 2 + 1):
+                if gcd(j, L) == 1:
+                    image, cols = self.two_cos(j), [powers[0]]
+                    for _ in range(n - 1):
+                        cols.append(self.mul(cols[-1], image))
+                    self._galois.append(tuple(zip(*cols)))
         if n > 1:
             self._isolate()
 
@@ -144,6 +154,11 @@ class CosField:
         n = self.degree
         if n == 1:
             return (a[0] * b[0],)
+        if n == 2:
+            a0, a1 = a
+            b0, b1 = b
+            t = a1 * b1
+            return (a0 * b0 - self._p0 * t, a0 * b1 + a1 * b0 - self._p1 * t)
         prod = [0] * (2 * n - 1)
         for i, x in enumerate(a):
             if x:
@@ -163,6 +178,9 @@ class CosField:
         """Rows of the matrix of multiplication by a: column j is a c^j."""
         if self.degree == 1:
             return (a,)
+        if self.degree == 2:  # a c = -p0 a1 + (a0 - p1 a1) c
+            a0, a1 = a
+            return ((a0, -self._p0 * a1), (a1, a0 - self._p1 * a1))
         cols, col = [], list(a)
         for _ in range(self.degree):
             cols.append(col)
@@ -174,21 +192,41 @@ class CosField:
         """(N, b) with a * b = N a nonzero int and b in Z[c], for a != 0.
 
         b is the product of the other Galois conjugates of a, so N is the
-        norm of a; in degree 2, b is the conjugate.
+        norm of a; in degree 2, b is the conjugate a0 + a1 (-p1 - c).
         """
-        b = self._powers[0]
-        for G in self._galois:
-            b = self.mul(b, tuple(sum(map(mul, row, a)) for row in G))
+        if self.degree == 2:
+            b = (a[0] - self._p1 * a[1], -a[1])
+        else:
+            b = self._powers[0]
+            for G in self._galois:
+                b = self.mul(b, tuple(sum(map(mul, row, a)) for row in G))
         N, *rest = self.mul(a, b)
         if any(rest) or not N:
             raise InconsistencyError(f"norm of {a} in K_{self.L} is not a nonzero integer")
         return N, b
 
     def sign(self, a: Coeffs) -> int:
-        """Exact sign of sum(a[i] c^i)."""
+        """Exact sign of sum(a[i] c^i).
+
+        Degree 1 reads the numerator.  Degree 2 reads the sign of
+        u + v sqrt D = 2 a(c), u = 2 a0 - p1 a1 and v = root a1: where u and v
+        differ in sign, |u| > |v| sqrt D exactly when u^2 > v^2 D, and the
+        two are never equal, D being squarefree and not 1.  Higher degrees
+        run interval Horner, bisecting the shared interval until it decides.
+        """
         n = self.degree
         if n == 1:
             return (a[0] > 0) - (a[0] < 0)
+        if n == 2:
+            u = 2 * a[0] - self._p1 * a[1]
+            v = self._root * a[1]
+            su = (u > 0) - (u < 0)
+            sv = (v > 0) - (v < 0)
+            if su == sv or not sv:
+                return su
+            if not su:
+                return sv
+            return su if u * u > v * v * self._sqfree else sv
         if not any(a):
             return 0
         while True:
@@ -258,12 +296,27 @@ class CosField:
         if self.degree == 1:
             f = M[0][0]
             return (tuple(f * v for v in P[0]),)
+        if self.degree == 2:
+            (m00, m01), (m10, m11) = M
+            P0, P1 = P
+            return (
+                tuple([m00 * x + m01 * y for x, y in zip(P0, P1)]),
+                tuple([m10 * x + m11 * y for x, y in zip(P0, P1)]),
+            )
         entries = list(zip(*P))
         return tuple(tuple(sum(map(mul, row, e)) for e in entries) for row in M)
 
     def dot(self, P: Array, S: Array) -> Coeffs:
         """sum_t P_t S_t over Z[c]."""
         n = self.degree
+        if n == 2:
+            P0, P1 = P
+            S0, S1 = S
+            t = sum(map(mul, P1, S1))
+            return (
+                sum(map(mul, P0, S0)) - self._p0 * t,
+                sum(map(mul, P0, S1)) + sum(map(mul, P1, S0)) - self._p1 * t,
+            )
         prod = [0] * (2 * n - 1)
         for i, p in enumerate(P):
             for j, s in enumerate(S):

@@ -15,6 +15,7 @@ from weylconvex.convexity import analyze, n_of, phi_of
 from weylconvex.errors import InconsistencyError, InputError
 from weylconvex.geometry import (
     _chamber_point,
+    _rotation_denominator,
     admissible_enumerations,
     angle_list,
     exact_angle_basis,
@@ -69,6 +70,14 @@ def exact_components(x):
         den, arrays = exact_angle_basis(x, angle)
         out[angle] = [field_for([angle]).vector(B, den) for B in arrays]
     return out
+
+
+def test_rotation_denominator_parity_rule():
+    # The order of a rotation by pi * angle is the denominator of angle / 2.
+    for d in range(1, 61):
+        for a in range(1, d + 1):
+            angle = Fraction(2 * a, d)
+            assert _rotation_denominator(angle) == Fraction(angle, 2).denominator, angle
 
 
 def test_eigen_angles_identity():

@@ -1,7 +1,9 @@
 """The real cyclotomic fields K_L = Q(c_L), c_L = 2cos(2pi/L).
 
 Signs are checked against a stdlib `decimal` evaluation at 60 digits,
-independent of the floats that place the field's separation points.
+independent of the floats that place the field's separation points.  The
+closed forms of the quadratic fields are checked against the polynomial
+products and substitutions of `reference_quadfield`.
 """
 
 import random
@@ -11,7 +13,9 @@ from math import gcd
 
 import pytest
 
+import reference_quadfield as ref
 from weylconvex.quadfield import (
+    array_dot,
     cos_field,
     field_for,
     two_cos_exact,
@@ -183,3 +187,70 @@ def test_degree3_elements_print_as_polynomials():
     assert repr(field.make((1, 0, 2), 1)) == "(1+2*c7^2)"
     assert repr(field.make((0, -3, 1), 2)) == "(-3/2*c7+1/2*c7^2)"
     assert repr(field.make((5, 0, 0), 3)) == "5/3"
+
+
+QUADRATIC = [5, 8, 10, 12]
+
+
+def _random_coeffs(rng, bound):
+    return tuple(rng.randint(-bound, bound) for _ in range(2))
+
+
+@pytest.mark.parametrize("L", QUADRATIC)
+@pytest.mark.parametrize("bound", [9, 10**6, 10**30])
+def test_quadratic_closed_forms_match_reference(L, bound):
+    field = cos_field(L)
+    assert field.degree == 2
+    rng = random.Random(bound % 1009 + L)
+    for _ in range(200):
+        a, b = _random_coeffs(rng, bound), _random_coeffs(rng, bound)
+        assert field.mul(a, b) == ref.mul(a, b, L)
+        M = field.mul_matrix(a)
+        assert M == ref.mul_matrix(a, L)
+        size = rng.randint(1, 6)
+        P = ref.array([_random_coeffs(rng, bound) for _ in range(size)], 2)
+        S = ref.array([_random_coeffs(rng, bound) for _ in range(size)], 2)
+        assert field.scale(M, P) == ref.scale(a, P, L)
+        assert field.dot(P, S) == ref.dot(P, S, L)
+        row = [rng.randint(-bound, bound) for _ in range(size)]
+        assert array_dot(P, row) == ref.dot(P, ref.array([(v, 0) for v in row], 2), L)
+        if any(a):
+            N, adj = field.norm_adj(a)
+            assert adj == ref.conjugate(a, L)
+            assert N == ref.norm(a, L) != 0
+            x = field.make(a, 1)
+            assert x * x.inverse() == 1
+
+
+@pytest.mark.parametrize(
+    "L, unit",
+    [(5, (0, 1)), (8, (-1, 1)), (12, (2, -1)), (10, (-1, 1))],
+    ids=["c5", "c8-1", "2-c12", "c10-1"],
+)
+def test_quadratic_sign_of_tiny_unit_powers(L, unit):
+    # A unit of absolute value below 1: its powers are positive, and tiny
+    # (below 10^-40 at n = 200) beside coefficients above 10^40.
+    field = cos_field(L)
+    assert ref.norm(unit, L) in (1, -1)
+    assert 0 < decimal_value(unit, 1, two_cos_decimal(1, L)) < 1
+    interval = (field._lo, field._hi, field._k)
+    power = (1, 0)
+    for n in range(1, 201):
+        power = ref.mul(power, unit, L)
+        assert field.sign(power) == 1, n
+        assert field.sign(tuple(-v for v in power)) == -1, n
+    assert max(map(abs, power)) > 10**40
+    assert (field._lo, field._hi, field._k) == interval
+
+
+@pytest.mark.parametrize("L", QUADRATIC)
+def test_quadratic_sign_of_rationals_and_pure_surds(L):
+    # k (p1 + 2c) = k root sqrt(D) has u = 0, and k has v = 0.
+    field = cos_field(L)
+    p1 = two_cos_min_poly(L)[1]
+    c = two_cos_decimal(1, L)
+    for k in range(-3, 4):
+        sign = (k > 0) - (k < 0)
+        assert field.sign((k, 0)) == sign
+        surd = (p1 * k, 2 * k)
+        assert field.sign(surd) == sign == decimal_sign(decimal_value(surd, 1, c))
