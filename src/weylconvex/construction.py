@@ -35,7 +35,6 @@ from .geometry import (
     regular_point,
 )
 from .quadfield import array_dot, field_for
-from .roots import _reflect_coeffs
 from .weyl import (
     ConjugacyClass,
     TwistedElement,
@@ -81,8 +80,9 @@ def _geometric_convex(
     labels: Tuple[int, ...] = tuple(range(rs.rank))
     log: List[StageRecord] = []
     while True:
-        sub_roots = rs.parabolic_closure(labels)
-        if all(x.perm[g] == g for g in sub_roots):
+        sub_roots, sub_positives = rs.parabolic(labels)
+        # x(-g) = -x(g), so x fixes the parabolic once it fixes its positives.
+        if all(x.perm[g] == g for g in sub_positives):
             return x, log
         angles = angle_list(x, labels)
         if not angles:
@@ -95,12 +95,7 @@ def _geometric_convex(
         if not basis:
             raise InconsistencyError("empty eigenspace basis for a present angle")
         point, _ = regular_point(basis, rs, sub_roots, rng)
-        x, point, word = _dominate(rs, x, point, labels, field)
-        next_labels = tuple(
-            lab
-            for lab in labels
-            if not any(array_dot(point, rs.int_pairing_rows[rs.simple_indices[lab]]))
-        )
+        x, word, next_labels = _dominate(rs, x, point, labels, field)
         if next_labels == labels:
             raise InconsistencyError("dominance step made no parabolic progress")
         log.append(StageRecord(angle, tuple(word), next_labels))
@@ -110,28 +105,43 @@ def _geometric_convex(
 def _dominate(rs, x, point, labels, field):
     """Reflect the point into the closed dominant chamber of the parabolic.
 
-    The point is an integer array over Z[c], as `regular_point` returns
-    it; a positive scalar changes no sign the walk reads.  Ties (pairings
-    that are already zero) are left alone: boundary points are allowed in
-    the closed chamber.
+    Returns the conjugated x, the word of reflections, and the labels
+    whose simple roots the final point is orthogonal to.  The point is an
+    integer array over Z[c], as `regular_point` returns it; a positive
+    scalar changes no sign the walk reads.  Ties (pairings that are
+    already zero) are left alone: boundary points are allowed in the
+    closed chamber.
+
+    The walk keeps only the pairings c_j of the point with the simple
+    roots alpha_j of the labels, as rows of `int_pairing_rows` pair (a
+    positive multiple of the true pairing).  s_i moves the point by
+    <p, alpha_i^vee> alpha_i, so it moves each c_j by <alpha_j, alpha_i^vee>
+    c_i, the Cartan entry cartan[j][i] (Humphreys, Reflection Groups and
+    Coxeter Groups, 1990, ch. 1): c_j <- c_j - cartan[j][i] c_i, c_i <- -c_i.
+    These are integer identities over Z[c], so every sign is the one the
+    reflected point would give.  A sign is decided again only where a
+    reflection moved its pairing, and x is conjugated once, by the whole
+    word.
     """
+    rows = rs.int_pairing_rows
+    pairings = [array_dot(point, rows[rs.simple_indices[lab]]) for lab in labels]
+    signs = [field.sign(c) for c in pairings]
     word: List[int] = []
-    guard = 0
     bound = 4 * len(rs.parabolic_closure(labels)) + 8
-    while True:
-        guard += 1
-        if guard > bound:
+    while -1 in signs:
+        if len(word) >= bound:
             raise InconsistencyError("dominance loop exceeded its bound")
-        for lab in labels:
-            g = rs.simple_indices[lab]
-            if field.sign(array_dot(point, rs.int_pairing_rows[g])) < 0:
-                column = [row[lab] for row in rs.cartan]
-                point = tuple(_reflect_coeffs(p, lab, column) for p in point)
-                x = x.conj_by_simple(lab)
-                word.append(lab)
-                break
-        else:
-            return x, point, word
+        # The first label, in order, whose pairing is negative.
+        k = signs.index(-1)
+        lab, ci = labels[k], pairings[k]
+        for m, j in enumerate(labels):
+            a = rs.cartan[j][lab]
+            if a:
+                pairings[m] = tuple(u - a * v for u, v in zip(pairings[m], ci))
+                signs[m] = field.sign(pairings[m])
+        word.append(lab)
+    zero_labels = tuple(lab for lab, sign in zip(labels, signs) if not sign)
+    return x.conj_by_word(word), word, zero_labels
 
 
 def find_convex_representative(

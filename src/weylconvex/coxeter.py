@@ -41,7 +41,7 @@ from . import perm
 from .convexity import ConvexityReport, analyze, condition2_full_pairs
 from .errors import InconsistencyError
 from .perm import Perm
-from .roots import DiagramAutomorphism, RootSystem, identity_automorphism
+from .roots import DiagramAutomorphism, RootSystem
 from .weyl import TwistedElement, from_word, longest_element
 
 V = TypeVar("V")
@@ -75,7 +75,7 @@ def coxeter_element_count(
 ) -> int:
     """Number of delta-Coxeter elements: the sum of 2^(edges) over label choices."""
     if delta is None:
-        delta = identity_automorphism(rs)
+        delta = rs.identity_twist
     return sum(
         1 << len(_edges(rs, chosen))
         for chosen in _label_choices(delta_orbits(rs, delta))
@@ -142,7 +142,7 @@ def coxeter_elements(
     """All c*delta with c one simple reflection per delta-orbit, any order,
     sorted by (length, root permutation)."""
     if delta is None:
-        delta = identity_automorphism(rs)
+        delta = rs.identity_twist
     by_prefix = {key: x for key, _, x in _coxeter_stream(rs, delta)}
     return _in_key_order(rs, delta, by_prefix)
 
@@ -309,7 +309,7 @@ def verify_conjecture(
     order h, the Coxeter number.
     """
     if delta is None:
-        delta = identity_automorphism(rs)
+        delta = rs.identity_twist
     h = target = failure = None
     by_prefix: Dict[Perm, CoxeterEntry] = {}
     for key, word, x in _coxeter_stream(rs, delta):

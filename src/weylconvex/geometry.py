@@ -53,6 +53,7 @@ from .quadfield import (
     array_combination,
     array_dot,
     field_for,
+    rotation_order,
     two_cos_in,
 )
 from .weyl import TwistedElement, fixed_roots, rotation_spectrum
@@ -81,14 +82,6 @@ def _angles(mults: Dict[int, int]) -> List[Tuple[Fraction, int]]:
             out.append((Fraction(2 * a, d), dim))
     out.sort()
     return out
-
-
-def _rotation_denominator(angle: Fraction) -> int:
-    """The order d of a rotation by theta = pi * p/q, p/q in lowest terms:
-    theta / (2 pi) = p / (2q) reduces to (p/2) / q for p even, and is
-    already in lowest terms for p odd."""
-    q = angle.denominator
-    return q if angle.numerator % 2 == 0 else 2 * q
 
 
 def _perp_orders(
@@ -139,7 +132,7 @@ def _perp_orders(
 def _two_cos_multiples(angle: Fraction, field: CosField) -> Tuple[Coeffs, ...]:
     """2cos(r theta) in Z[c] for r < d, d the rotation order of theta:
     2cos((r + 1) theta) = 2cos theta 2cos(r theta) - 2cos((r - 1) theta)."""
-    d = _rotation_denominator(angle)
+    d = rotation_order(angle)
     t = field.parts(two_cos_in(angle, field))[0]
     out = [(2,) + (0,) * (field.degree - 1), t]
     while len(out) < d:
@@ -148,12 +141,18 @@ def _two_cos_multiples(angle: Fraction, field: CosField) -> Tuple[Coeffs, ...]:
 
 
 def exact_angle_basis(
-    x: TwistedElement, angle: Fraction, labels=None, field: Optional[CosField] = None
+    x: TwistedElement,
+    angle: Fraction,
+    labels=None,
+    field: Optional[CosField] = None,
+    mults: Optional[Dict[int, int]] = None,
 ) -> Tuple[int, List[Array]]:
     """Basis of V_x^theta on span(alpha_l : l in labels), read off root orbits.
 
     The field defaults to the smallest K_L holding 2cos theta; a sequence
-    passes its own field so that all its stage points share one.  With h
+    passes its own field so that all its stage points share one.  `mults`
+    are the cyclotomic multiplicities of x on the span, which a class scan
+    holds once for all members; they default to `rotation_spectrum`.  With h
     the order of x on the span, P = sum_(k < h) 2cos(k theta) x^k is h
     times the projection onto V_x^theta, 2h times at theta = pi (Serre,
     Linear Representations of Finite Groups, 2.6).  For a root beta with
@@ -180,8 +179,10 @@ def exact_angle_basis(
     field = field or field_for([angle])
     rs = x.rs
     labels = tuple(range(rs.rank)) if labels is None else tuple(labels)
-    d = _rotation_denominator(angle)
-    dim = rotation_spectrum(x, labels).get(d, 0) * (1 if d <= 2 else 2)
+    d = rotation_order(angle)
+    if mults is None:
+        mults = rotation_spectrum(x, labels)
+    dim = mults.get(d, 0) * (1 if d <= 2 else 2)
     t = _two_cos_multiples(angle, field)
     # The weights of P beta, per power of c, and of P x beta off theta = pi.
     weights = [tuple(zip(*t))]
@@ -389,9 +390,10 @@ def regular_point(
 ):
     """A point of span(basis) off every root hyperplane not containing it.
 
-    The basis vectors are integer arrays over Z[c] in simple-root
-    coordinates, as `exact_angle_basis` gives them; a common positive
-    denominator changes no answer here, so none is passed.  Returns
+    The roots are those of root_subset, a set closed under negation (all
+    of Phi by default).  The basis vectors are integer arrays over Z[c] in
+    simple-root coordinates, as `exact_angle_basis` gives them; a common
+    positive denominator changes no answer here, so none is passed.  Returns
     (point, perp_set), the point an integer combination of the basis
     arrays and perp_set = {gamma : span <= H_gamma}; None when the basis is
     empty.  The point is first sought by random small-integer combinations
@@ -401,6 +403,16 @@ def regular_point(
     small integers can miss every regular point, though, so when the draws
     run out the point comes from `_moment_curve_point`, which always finds
     one.
+
+    A draw is judged by its zero set: one pairing per positive root of the
+    subset, then the basis pairings of only the roots it vanishes on, and
+    the first such root that is not orthogonal to the basis rejects it.
+    Every root of perp_set vanishes on the whole span, so the draw is
+    regular exactly when each root it vanishes on is orthogonal to the
+    basis, and its zero set is then perp_set.  Root g + pc is -(root g),
+    whose row is the negation of g's, so each +/- pair is decided on its
+    positive root.  The moved roots' rows are built only for the moment
+    curve.
     """
     if not basis:
         return None
@@ -409,21 +421,29 @@ def regular_point(
         root_subset = range(rs.count)
     rows = rs.int_pairing_rows
     pc = rs.positive_count
-    # Root g + pc is -(root g), whose row is the negation of g's: each +/-
-    # pair takes one zero test, made on its positive root.
-    moved = {
-        p: any(any(array_dot(B, rows[p])) for B in basis)
-        for p in {g % pc for g in root_subset}
-    }
-    perp = frozenset(g for g in root_subset if not moved[g % pc])
-    off = [rows[g] for g in root_subset if g < pc and moved[g]]
+    positives = [g for g in root_subset if g < pc]
+    orthogonal: Dict[int, bool] = {}
+
+    def is_orthogonal(p: int) -> bool:
+        if p not in orthogonal:
+            orthogonal[p] = not any(any(array_dot(B, rows[p])) for B in basis)
+        return orthogonal[p]
+
     for _ in range(REGULAR_POINT_RETRIES):
         coefs = [rng.randint(-9, 9) for _ in basis]
         if all(c == 0 for c in coefs):
             continue
         point = array_combination(coefs, basis)
-        if all(any(array_dot(point, r)) for r in off):
-            return point, perp
+        zeros = set()
+        for p in positives:
+            if not any(array_dot(point, rows[p])):
+                if not is_orthogonal(p):
+                    break  # on a moved root's hyperplane
+                zeros.add(p)
+        else:
+            return point, frozenset(g for g in root_subset if g % pc in zeros)
+    off = [rows[p] for p in positives if not is_orthogonal(p)]
+    perp = frozenset(g for g in root_subset if is_orthogonal(g % pc))
     return _moment_curve_point(basis, off), perp
 
 
@@ -470,7 +490,7 @@ def _admissible(
     for a in sequence:
         if Fraction(a) not in angles:
             raise InputError(f"{a} is not a rotation angle of this element")
-    orders = {_rotation_denominator(Fraction(a)) for a in sequence}
+    orders = {rotation_order(Fraction(a)) for a in sequence}
     # The roots orthogonal to the whole moved space are the fixed roots.
     return _perp_orders(x, orders, range(x.rs.count), mults) == fixed_roots(x)
 
@@ -554,32 +574,30 @@ def _good_position(
 
     field = field_for(sequence)
     cur_labels = tuple(range(rs.rank))
-    cur_roots = rs.parabolic_closure(cur_labels)
+    cur_roots, pos = rs.parabolic(cur_labels)
     chain = [cur_roots]
-    h_values = [sum(1 for g in cur_roots if rs.is_positive(g))]
+    h_values = [len(pos)]
     stage_points: List[Tuple] = []
 
     for angle in sequence:
-        psi = _perp_orders(x, {_rotation_denominator(angle)}, cur_roots, mults)
-        pos = [g for g in cur_roots if rs.is_positive(g)]
+        psi = _perp_orders(x, {rotation_order(angle)}, cur_roots, mults)
         off_pos = [g for g in pos if g not in psi]
         perp_pos = [g for g in pos if g in psi]
-        den, basis = exact_angle_basis(x, angle, field=field)
+        den, basis = exact_angle_basis(x, angle, field=field, mults=mults)
         point = _stage_point(rs, den, basis, cur_labels, off_pos, perp_pos, field)
         if point is None:
             return None
         stage_points.append(tuple(point))
-        next_labels = tuple(
+        cur_labels = tuple(
             lab for lab in cur_labels if rs.simple_indices[lab] in psi
         )
-        if rs.parabolic_closure(next_labels) != psi:
+        cur_roots, pos = rs.parabolic(cur_labels)
+        if cur_roots != psi:
             raise InconsistencyError(
                 "stage perp set is not the standard parabolic of its simples"
             )
-        cur_labels = next_labels
-        cur_roots = psi
         chain.append(cur_roots)
-        h_values.append(len(perp_pos))
+        h_values.append(len(pos))
 
     return GoodPositionCertificate(
         sequence=sequence,

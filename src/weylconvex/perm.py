@@ -43,30 +43,34 @@ def compose(p: Perm, q: Perm) -> Perm:
     return itemgetter(*q)(p)
 
 
-def word_product(n: int, gens: Sequence[Perm], labels: Sequence[int]) -> Perm:
-    """gens[l_1] * gens[l_2] * ... * gens[l_k] on range(n), for labels
-    l_1 .. l_k that index gens.
+def table(p: Perm) -> Perm:
+    """p as `word_product` reads it: bytes padded to the 256 entries of a
+    `bytes.translate` table, tuples as they are."""
+    return p + PAD[len(p):] if isinstance(p, bytes) else p
+
+
+def word_product(n: int, tables: Sequence[Perm], labels: Sequence[int]) -> Perm:
+    """g_(l_1) * g_(l_2) * ... * g_(l_k) on range(n), for labels l_1 .. l_k
+    that index the generators' `table`s.
 
     On bytes the letters are taken right to left, each one translate of
-    the product so far through its generator's table, built once per
-    call: gens[l] * w is w translated through gens[l].
+    the product so far through its generator's table: g_l * w is w
+    translated through table(g_l).
     """
     w = identity(n)
     if isinstance(w, bytes):
-        tail = PAD[n:]
-        tables = [g + tail for g in gens]
         for lab in reversed(labels):
             w = w.translate(tables[lab])
         return w
     for lab in labels:
-        w = compose(w, gens[lab])
+        w = compose(w, tables[lab])
     return w
 
 
 def left_products(x: Perm, vs: Iterable[Perm]) -> Iterator[Perm]:
     """x*v for each v in vs, lazily and in order."""
     if isinstance(x, bytes):
-        return map(bytes.translate, vs, repeat(x + PAD[len(x):]))
+        return map(bytes.translate, vs, repeat(table(x)))
     return (tuple([x[i] for i in v]) for v in vs)
 
 

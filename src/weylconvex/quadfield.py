@@ -447,6 +447,14 @@ def cos_field(L: int) -> CosField:
     return CosField(L)
 
 
+def rotation_order(angle) -> int:
+    """The order d of a rotation by theta = pi * p/q, p/q = angle in lowest
+    terms: theta / (2 pi) = p / (2q) reduces to (p/2) / q for p even, and
+    is already in lowest terms for p odd."""
+    q = angle.denominator
+    return q if angle.numerator % 2 == 0 else 2 * q
+
+
 def field_for(angles) -> CosField:
     """K_L for L the lcm of the orders d with 2cos(2pi/d) irrational.
 
@@ -455,7 +463,7 @@ def field_for(angles) -> CosField:
     """
     L = 1
     for a in angles:
-        d = Fraction(a, 2).denominator
+        d = rotation_order(a)
         if d not in _RATIONAL_TWO_COS:
             L = lcm(L, d)
     return cos_field(L)
@@ -463,12 +471,12 @@ def field_for(angles) -> CosField:
 
 def two_cos_in(angle: Fraction, field: CosField) -> CosNum:
     """2cos(pi*angle) in a field that holds it."""
-    half = Fraction(angle, 2)  # theta / (2*pi) = a / d
-    a, d = half.numerator, half.denominator
+    d = rotation_order(angle)  # theta / (2*pi) = a / d in lowest terms
     if d in _RATIONAL_TWO_COS:
         return field.number(_RATIONAL_TWO_COS[d])
     if field.L % d:
         raise ValueError(f"2cos(pi*{angle}) does not lie in K_{field.L}")
+    a = angle.numerator * d // (2 * angle.denominator)
     return CosNum(field, field.two_cos(a * field.L // d), 1)
 
 

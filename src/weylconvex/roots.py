@@ -157,6 +157,31 @@ def _simple_roots(ct: CartanType) -> List[Vector]:
     return [tuple(v) for v in e8[: ct.rank]]
 
 
+class _memo:
+    """A root-system table built on first read, like
+    `functools.cached_property`, but kept with object.__setattr__.
+
+    cached_property writes through the instance's `__dict__`, and on
+    CPython 3.11 reading `__dict__` materializes it: every later attribute
+    load on that root system then takes the slow dict path, about three
+    times slower for `rs.sum_table` in a loop.  object.__setattr__ keeps
+    the attribute in the instance's inline values, and the frozen
+    dataclass allows it as its own `__init__` does.
+    """
+
+    def __init__(self, build):
+        self.build = build
+        self.name = build.__name__
+        self.__doc__ = build.__doc__
+
+    def __get__(self, rs, owner=None):
+        if rs is None:
+            return self
+        value = self.build(rs)
+        object.__setattr__(rs, self.name, value)
+        return value
+
+
 @dataclass(frozen=True, eq=False)
 class RootSystem:
     """The integer root datum of one Cartan type.
@@ -176,6 +201,14 @@ class RootSystem:
     reflections and fills `sum_table` (both orders of every pair) and
     `positive_sums` from the positive triples, six sums a triple; the
     negative rows of `int_pairing_rows` are the negated positive ones.
+
+    The memo holds what depends on the root datum alone and is built on
+    first use: the parabolic closure of each label set, keyed by its
+    bitmask, with its positive roots; the simple reflections as translate
+    tables; the identity twist; the height steps of `weyl.expand`; and the
+    permutation of w0.  `_memo` keeps each as an attribute of the root
+    system once it is built.  None of them refers back to the root
+    system, so no reference cycle keeps it alive.
     """
 
     cartan_type: CartanType
@@ -214,10 +247,78 @@ class RootSystem:
 
     def parabolic_closure(self, labels) -> FrozenSet[int]:
         """All root indices lying in the integer span of the given simples."""
-        outside = ~sum(1 << lab for lab in set(labels))
-        return frozenset(
-            i for i, mask in enumerate(self.support_masks) if not mask & outside
-        )
+        return self.parabolic(labels)[0]
+
+    def parabolic(self, labels) -> Tuple[FrozenSet[int], Tuple[int, ...]]:
+        """The parabolic closure of the labels and its positive roots,
+        ascending; one memo entry per label set, in any order or repeated."""
+        key = 0
+        for lab in labels:
+            key |= 1 << lab
+        found = self._closures.get(key)
+        if found is None:
+            outside = ~key
+            roots = [i for i, mask in enumerate(self.support_masks) if not mask & outside]
+            pc = self.positive_count
+            found = self._closures[key] = (
+                frozenset(roots), tuple(i for i in roots if i < pc)
+            )
+        return found
+
+    # -- the memo ---------------------------------------------------------
+
+    @_memo
+    def _closures(self) -> Dict[int, Tuple[FrozenSet[int], Tuple[int, ...]]]:
+        return {}
+
+    @_memo
+    def reflection_tables(self) -> Tuple[perm.Perm, ...]:
+        """The simple reflections as `perm.word_product` reads them."""
+        return tuple(map(perm.table, self.reflections))
+
+    @_memo
+    def identity_twist(self) -> "DiagramAutomorphism":
+        return identity_automorphism(self)
+
+    @_memo
+    def height_steps(self) -> Tuple[Tuple[int, int], ...]:
+        """For each positive root beta of height above 1, in index order, a
+        pair (gamma, a) with beta = gamma + alpha_a, gamma positive and a a
+        simple root index.
+
+        Each such beta has one: <beta, alpha_a^vee> > 0 for some a, and then
+        beta - alpha_a is a positive root.  Positive roots are indexed by
+        height, so gamma comes before beta.
+        """
+        steps: Dict[int, Tuple[int, int]] = {}
+        for a in range(self.rank):
+            for gamma, beta in self.positive_sums[a]:
+                steps.setdefault(beta, (gamma, a))
+        if sorted(steps) != list(range(self.rank, self.positive_count)):
+            raise InconsistencyError(
+                f"{self.cartan_type}: a positive root of height above 1 is no simple root plus another"
+            )
+        return tuple(steps[beta] for beta in range(self.rank, self.positive_count))
+
+    @_memo
+    def longest_perm(self) -> perm.Perm:
+        """The root permutation of w0, which maps every positive root to a
+        negative one: the greedy ascent w -> w s_lab while w(alpha_lab) is
+        still positive."""
+        pc = self.positive_count
+        p = perm.identity(self.count)
+        while True:
+            for lab in range(self.rank):
+                if p[self.simple_indices[lab]] < pc:
+                    p = perm.compose(p, self.reflections[lab])
+                    break
+            else:
+                break
+        if perm.length(p, pc) != pc:
+            raise InconsistencyError(
+                f"{self.cartan_type}: greedy ascent stopped at length {perm.length(p, pc)}, not {pc}"
+            )
+        return p
 
     def root_str(self, i: int) -> str:
         """Readable rendering of a root as a combination of simple roots."""

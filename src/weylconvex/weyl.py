@@ -44,7 +44,7 @@ from . import perm
 from .errors import BudgetExceeded, InconsistencyError, InputError
 from .linalg import cyclotomic
 from .perm import Perm
-from .roots import DiagramAutomorphism, RootSystem, identity_automorphism
+from .roots import DiagramAutomorphism, RootSystem
 
 DEFAULT_ENUMERATION_BUDGET = 60_000
 
@@ -177,6 +177,18 @@ class TwistedElement:
         wpart = perm.compose(perm.compose(s, self.root_perm), s2)
         return TwistedElement(rs, wpart, self.twist, self.twist_power)
 
+    def conj_by_word(self, word: Sequence[int]) -> "TwistedElement":
+        """`conj_by_simple` by each letter of the word in turn: with the
+        letters i_1 .. i_k and delta^k sending label i to i', the W-part
+        becomes (s_(i_k) ... s_(i_1)) w (s_(i_1') ... s_(i_k')), two word
+        products and two compositions."""
+        rs = self.rs
+        twisted = self._twist_labels()
+        left = perm.word_product(rs.count, rs.reflection_tables, word[::-1])
+        right = perm.word_product(rs.count, rs.reflection_tables, [twisted[lab] for lab in word])
+        wpart = perm.compose(perm.compose(left, self.root_perm), right)
+        return TwistedElement(rs, wpart, self.twist, self.twist_power)
+
 
 def _conjugating_pair(
     rs: RootSystem, twist: DiagramAutomorphism, twist_power: int, lab: int
@@ -196,13 +208,13 @@ def from_word(
 ) -> TwistedElement:
     """Element with W-part s_{i1}...s_{iL} (0-based labels) times delta^k."""
     if delta is None:
-        delta = identity_automorphism(rs)
+        delta = rs.identity_twist
     labels = list(word)
     rank = rs.rank
     for lab in labels:
         if not (0 <= lab < rank):
             raise InputError(f"simple-reflection index out of range: {lab}")
-    w = perm.word_product(rs.count, rs.reflections, labels)
+    w = perm.word_product(rs.count, rs.reflection_tables, labels)
     return TwistedElement(rs, w, delta, twist_power)
 
 
@@ -229,28 +241,7 @@ def from_one_line(rs: RootSystem, one_line: Sequence[int]) -> TwistedElement:
 
 def longest_element(rs: RootSystem) -> TwistedElement:
     """The unique element of maximal length; w0 maps all positives negative."""
-    # The permutation is cached on rs, not the element: an element refers
-    # back to rs, and the cycle would keep rs alive until garbage collection.
-    cached = getattr(rs, "_w0_perm", None)
-    if cached is not None:
-        return TwistedElement(rs, cached, identity_automorphism(rs), 0)
-    pc = rs.positive_count
-    p = perm.identity(rs.count)
-    # Greedy ascent: w -> w*s_lab whenever w(alpha_lab) is still positive.
-    while True:
-        for lab in range(rs.rank):
-            if p[rs.simple_indices[lab]] < pc:
-                p = perm.compose(p, rs.simple_reflection_perm(lab))
-                break
-        else:
-            break
-    w = TwistedElement(rs, p, identity_automorphism(rs), 0)
-    if w.length() != pc:
-        raise InconsistencyError(
-            f"{rs.cartan_type}: greedy ascent stopped at length {w.length()}, not {pc}"
-        )
-    object.__setattr__(rs, "_w0_perm", p)
-    return w
+    return TwistedElement(rs, rs.longest_perm, rs.identity_twist, 0)
 
 
 def fixed_roots(x: TwistedElement) -> FrozenSet[int]:
@@ -394,41 +385,17 @@ def enumerate_weyl_group(
     return lengths
 
 
-def _height_steps(rs: RootSystem) -> Tuple[Tuple[int, int], ...]:
-    """For each positive root beta of height above 1, in index order, a pair
-    (gamma, a) with beta = gamma + alpha_a, gamma positive and a a simple
-    root index.  Cached on rs.
-
-    Each such beta has one: <beta, alpha_a^vee> > 0 for some a, and then
-    beta - alpha_a is a positive root.  Positive roots are indexed by
-    height, so gamma comes before beta.
-    """
-    cached = getattr(rs, "_height_steps", None)
-    if cached is not None:
-        return cached
-    steps: Dict[int, Tuple[int, int]] = {}
-    for a in range(rs.rank):
-        for gamma, beta in rs.positive_sums[a]:
-            steps.setdefault(beta, (gamma, a))
-    if sorted(steps) != list(range(rs.rank, rs.positive_count)):
-        raise InconsistencyError(
-            f"{rs.cartan_type}: a positive root of height above 1 is no simple root plus another"
-        )
-    out = tuple(steps[beta] for beta in range(rs.rank, rs.positive_count))
-    object.__setattr__(rs, "_height_steps", out)
-    return out
-
-
 def expand(rs: RootSystem, key: Perm) -> Perm:
     """The root permutation of the element w of W with w[:rank] == key.
 
     w is linear, so w(gamma + alpha_a) = w(gamma) + w(alpha_a): the
-    positive roots follow by height, one `sum_table` lookup each, and
-    w(-beta) = -w(beta) gives the negative ones.
+    positive roots follow by height, one `sum_table` lookup each
+    (`RootSystem.height_steps`), and w(-beta) = -w(beta) gives the negative
+    ones.
     """
     pc, sums = rs.positive_count, rs.sum_table
     images = list(key)
-    for gamma, a in _height_steps(rs):
+    for gamma, a in rs.height_steps:
         images.append(sums[images[gamma], images[a]])
     images += [i - pc if i >= pc else i + pc for i in images]
     return perm.of(images)
@@ -500,7 +467,7 @@ def conjugacy_classes(
     (min_length, representative word).
     """
     if delta is None:
-        delta = identity_automorphism(rs)
+        delta = rs.identity_twist
     twist_power %= delta.order
     # Each orbit search moves its members out of this one dict.
     unassigned = enumerate_weyl_group(rs, budget)

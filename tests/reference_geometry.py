@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence
 from math import gcd, lcm
 
 from weylconvex.errors import InconsistencyError, InputError
-from weylconvex.geometry import _perp_orders, _primitive, _rotation_denominator
+from weylconvex.geometry import _perp_orders, _primitive
 from weylconvex.linalg import cyclotomic, poly_divmod
 from weylconvex.quadfield import CosNum, array_add, field_for, two_cos_in
 from weylconvex.weyl import rotation_spectrum
@@ -82,7 +82,7 @@ def angle_perp_roots(x, angle: Fraction, root_subset=None):
     """
     if root_subset is None:
         root_subset = range(x.rs.count)
-    orders = {_rotation_denominator(angle)}
+    orders = {Fraction(angle, 2).denominator}
     return _perp_orders(x, orders, root_subset, rotation_spectrum(x))
 
 

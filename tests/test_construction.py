@@ -7,6 +7,7 @@ from weylconvex import construction, geometry, weyl
 from weylconvex.construction import find_convex_representative, find_good_position_conjugate
 from weylconvex.convexity import analyze, phi_of
 from weylconvex.errors import InconsistencyError, InputError
+from weylconvex.quadfield import cos_field
 from weylconvex.roots import CartanType, build_root_system, diagram_automorphisms
 from weylconvex.weyl import (
     _shift_reachable_set,
@@ -18,6 +19,7 @@ from weylconvex.weyl import (
     rotation_spectrum,
 )
 
+from reference_construction import reference_dominate
 from reference_geometry import spectrum_by_charpoly
 from reference_weyl import elliptic_min_convex
 
@@ -382,3 +384,64 @@ def test_geometric_path_survives_draws_that_miss(monkeypatch, name, word, seeds)
         y, _ = construction._geometric_convex(x, random.Random(seed))
         assert construction._verified(y) is not None, (name, seed)
     assert fallbacks
+
+
+# The class tables of the `classtable` benchmark: the reps battery and
+# every twisted coset of A2, A3, A4 and D4 at twist power 1.
+CLASS_BATTERY = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2", "F4", "E6")
+TWISTED_BATTERY = ("A2", "A3", "A4", "D4")
+
+
+def test_dominance_walk_matches_reference_on_the_class_battery(monkeypatch):
+    # Every walk the geometric path takes on the battery, run again by the
+    # reference, which reflects the point and pairs it anew: the same
+    # word, the same element and the same zero labels.
+    walks = []
+    dominate = construction._dominate
+
+    def checked(rs, x, point, labels, field):
+        got = dominate(rs, x, point, labels, field)
+        assert got == reference_dominate(rs, x, point, labels, field), (x.word(), labels)
+        walks.append((rs.cartan_type.family, len(got[1])))
+        return got
+
+    monkeypatch.setattr(construction, "_dominate", checked)
+    for name in CLASS_BATTERY:
+        for cls in conjugacy_classes(rs_of(name)):
+            find_convex_representative(cls)
+    for name in TWISTED_BATTERY:
+        rs = rs_of(name)
+        for delta in diagram_automorphisms(rs)[1:]:
+            for cls in conjugacy_classes(rs, delta, 1):
+                find_convex_representative(cls)
+    # Types B, C, F and G meet the Cartan entries -2 and -3.
+    assert {family for family, steps in walks if steps >= 2} >= {"B", "C", "F", "G", "D", "E"}
+
+
+@pytest.mark.parametrize("name, L", [
+    ("A4", 5), ("C4", 5), ("B4", 8), ("D4", 8), ("G2", 12), ("F4", 12), ("B3", 7), ("C3", 9),
+])
+def test_dominance_walk_matches_reference_on_seeded_points(name, L):
+    # Arbitrary integer arrays over Z[c] in K_5, K_8, K_12 and the cubic
+    # K_7 and K_9, on random elements (twisted ones where the diagram has
+    # a symmetry) and random label sets.  Small coefficients leave some
+    # pairings zero, so the zero labels are exercised too.
+    rs = rs_of(name)
+    field = cos_field(L)
+    deltas = diagram_automorphisms(rs)
+    rng = random.Random(f"dominate-{name}-{L}")
+    lengths, zero_labels = [], 0
+    for _ in range(60):
+        delta = rng.choice(deltas)
+        word = [rng.randrange(rs.rank) for _ in range(rng.randrange(10))]
+        x = from_word(rs, delta, word, 0 if delta.is_identity else 1)
+        labels = tuple(sorted(rng.sample(range(rs.rank), rng.randint(1, rs.rank))))
+        point = tuple(
+            tuple(rng.choice((0, 0, rng.randint(-4, 4))) for _ in range(rs.rank))
+            for _ in range(field.degree)
+        )
+        got = construction._dominate(rs, x, point, labels, field)
+        assert got == reference_dominate(rs, x, point, labels, field), (word, labels, point)
+        lengths.append(len(got[1]))
+        zero_labels += len(got[2])
+    assert max(lengths) >= 4 and zero_labels

@@ -9,13 +9,12 @@ from math import gcd
 
 import pytest
 
-from weylconvex import geometry
-from weylconvex.construction import find_good_position_conjugate
+from weylconvex import construction, geometry
+from weylconvex.construction import find_convex_representative, find_good_position_conjugate
 from weylconvex.convexity import analyze, n_of, phi_of
 from weylconvex.errors import InconsistencyError, InputError
 from weylconvex.geometry import (
     _chamber_point,
-    _rotation_denominator,
     admissible_enumerations,
     angle_list,
     exact_angle_basis,
@@ -27,19 +26,23 @@ from weylconvex.geometry import (
 from weylconvex.quadfield import (
     array_combination,
     array_dot,
+    CosNum,
     cos_field,
     field_for,
+    rotation_order,
     two_cos_in,
 )
 from weylconvex.reports import parse_sequence, parse_word
 from weylconvex.roots import CartanType, build_root_system
 from weylconvex.weyl import (
+    conjugacy_classes,
     fixed_roots,
     from_word,
     longest_element,
     rotation_spectrum,
 )
 
+from reference_construction import reference_regular_point
 from reference_geometry import (
     angle_perp_roots,
     cumulative_points,
@@ -73,11 +76,24 @@ def exact_components(x):
 
 
 def test_rotation_denominator_parity_rule():
-    # The order of a rotation by pi * angle is the denominator of angle / 2.
+    # The order of a rotation by pi * angle is the denominator of angle / 2,
+    # and theta / (2 pi) = a / d is that Fraction.  field_for and two_cos_in
+    # read the order by the same parity rule; here they meet the Fraction
+    # form: the field is K_d unless 2cos(2 pi / d) is rational, and 2cos
+    # theta is its V_(a L / d)(c_L).
+    rational = {1: 2, 2: -2, 3: -1, 4: 0, 6: 1}
     for d in range(1, 61):
         for a in range(1, d + 1):
             angle = Fraction(2 * a, d)
-            assert _rotation_denominator(angle) == Fraction(angle, 2).denominator, angle
+            half = Fraction(angle, 2)
+            assert rotation_order(angle) == half.denominator, angle
+            field = field_for([angle])
+            assert field.L == (1 if half.denominator in rational else half.denominator), angle
+            if half.denominator in rational:
+                expected = field.number(rational[half.denominator])
+            else:
+                expected = CosNum(field, field.two_cos(half.numerator * field.L // half.denominator), 1)
+            assert two_cos_in(angle, field) == expected, angle
 
 
 def test_eigen_angles_identity():
@@ -233,13 +249,68 @@ def test_regular_point_falls_back_after_its_draw_cap(monkeypatch):
             Zeros.draws += 1
             return 0
 
+    curve_calls = []
+    moment_curve_point = geometry._moment_curve_point
+
+    def counted(basis, off):
+        curve_calls.append(len(off))
+        return moment_curve_point(basis, off)
+
     monkeypatch.setattr(geometry, "REGULAR_POINT_RETRIES", 3)
+    monkeypatch.setattr(geometry, "_moment_curve_point", counted)
     rs = rs_of("B2")
     ident = [((1, 0),), ((0, 1),)]
     point, psi = regular_point(ident, rs, rng=Zeros())
     assert Zeros.draws == 3 * len(ident)
+    assert curve_calls == [rs.positive_count]  # every root moves
     assert point == ((1, 3),)
     assert psi == frozenset()
+
+
+def test_regular_point_matches_the_moved_root_reference(monkeypatch):
+    # Every regular point the geometric path asks for, over the class
+    # tables of A4, B4, C4, D4, G2, F4 and E6 at three seeds and an A11
+    # class at twelve, with its basis, parabolic and seeded draws: the
+    # zero-set test returns the reference's point and perp set.  The
+    # reference pairs every basis vector with every root first and each
+    # draw with every moved root.  In A11, cycle type (3,3,3,3), small
+    # draws fall on moved hyperplanes, so some draws are rejected and at
+    # some seeds all 64 miss; then the perp sets still agree and the
+    # moment curve's point is off every moved hyperplane.
+    seen = {"asked": 0, "rejected": 0, "missed": 0}
+    regular = construction.regular_point
+
+    def checked(basis, rs, subset, rng):
+        state = rng.getstate()
+        copy = random.Random()
+        copy.setstate(state)
+        want = reference_regular_point(basis, rs, subset, copy)
+        copy.setstate(state)
+        first = array_combination([copy.randint(-9, 9) for _ in basis], basis)
+        got = regular(basis, rs, subset, rng)
+        seen["asked"] += 1
+        if want is None:
+            seen["missed"] += 1
+            point, perp = got
+            assert perp == frozenset(
+                g for g in subset
+                if not any(any(array_dot(B, rs.int_pairing_rows[g])) for B in basis)
+            )
+            assert all(any(array_dot(point, rs.int_pairing_rows[g])) for g in subset - perp)
+        else:
+            assert got == want
+            seen["rejected"] += got[0] != first
+        return got
+
+    monkeypatch.setattr(construction, "regular_point", checked)
+    for name in ("A4", "B4", "C4", "D4", "G2", "F4", "E6"):
+        for cls in conjugacy_classes(rs_of(name)):
+            for seed in range(3):
+                find_convex_representative(cls, seed)
+    x = from_word(rs_of("A11"), None, [0, 1, 3, 4, 6, 7, 9, 10])
+    for seed in range(12):
+        construction._geometric_convex(x, random.Random(seed))
+    assert seen["asked"] > 400 and seen["rejected"] and seen["missed"], seen
 
 
 def test_moment_curve_point_meets_its_bound():

@@ -109,7 +109,7 @@ def test_word_product(n):
         expected = tuple(range(n))
         for lab in labels:
             expected = ref_compose(expected, gens[lab])
-        got = perm.word_product(n, [perm.of(g) for g in gens], labels)
+        got = perm.word_product(n, [perm.table(perm.of(g)) for g in gens], labels)
         assert type(got) is expected_type(n)
         assert tuple(got) == expected
 

@@ -126,10 +126,16 @@ def test_is_closed():
         is_closed(rs, {a1, rs.neg(a1)})
 
 
-@pytest.mark.parametrize("name", ["B3", "G2", "D4", "E6"])
+@pytest.mark.parametrize("name", [
+    "A1", "A2", "A3", "A4", "A5", "B3", "B4", "C4", "D4", "G2", "F4", "E6", "E7", "E8",
+])
 def test_parabolic_closure_is_coefficient_support(name):
     # Oracle: the roots whose nonzero simple-root coefficients all sit on
-    # the given labels, for every subset of labels.
+    # the given labels, for every subset of labels (256 at E8), asked for
+    # in ascending order, then descending with repeats.  The memo holds
+    # one entry per label set, so the second ask returns the first's
+    # objects; the positive part is the closure's roots below
+    # positive_count, ascending.
     rs = rs_of(name)
     for bits in range(1 << rs.rank):
         labels = [j for j in range(rs.rank) if bits >> j & 1]
@@ -137,8 +143,15 @@ def test_parabolic_closure_is_coefficient_support(name):
             i for i, c in enumerate(rs.coeffs)
             if all(c[j] == 0 for j in range(rs.rank) if j not in labels)
         }
-        assert rs.parabolic_closure(labels) == expected
-        assert rs.parabolic_closure(labels + labels) == expected
+        roots, positives = rs.parabolic(labels)
+        assert roots == expected
+        assert positives == tuple(sorted(i for i in expected if rs.is_positive(i)))
+        assert rs.parabolic_closure(labels) is roots
+    for bits in range(1 << rs.rank):
+        labels = [j for j in range(rs.rank) if bits >> j & 1]
+        again = rs.parabolic(labels[::-1] + labels)
+        assert again is rs.parabolic(labels)
+        assert rs.parabolic_closure(labels[::-1] + labels) == again[0]
 
 
 def test_diagram_automorphisms():
